@@ -131,6 +131,7 @@ def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> 
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
     kS = k * S
+    bp, bt = table.binom_plain, table.binom_tan
     jc = np.zeros(q_max + 1)
     js = np.zeros(q_max + 1)
     djc = np.zeros(q_max + 1)
@@ -140,40 +141,21 @@ def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> 
     djc[0] = sigma * (0.25 * table.lc + 0.5 * (s / S) * table.plain_pow(-1))
     djs[0] = sigma * (0.25 * table.ls + 0.5 * (s / S) * table.tan_pow(-1))
     for q in range(q_max):
-        bp = table.binomial_plain(q + 1, 0)
-        bt = table.binomial_tan(q + 1, 0)
-        bp1 = table.binomial_plain(q + 1, 1)
-        bt1 = table.binomial_tan(q + 1, 1)
         fac = (2 * q + 3) / (q + 2)
-        jc[q + 1] = s * kS ** (q + 1) / (2 * (q + 2)) * bp - k * az * fac * jc[q]
-        js[q + 1] = s * kS ** (q + 1) / (2 * (q + 2)) * bt - k * az * fac * js[q]
-        djc[q + 1] = (
-            -sigma * 0.5 * (s / S) * kS ** (q + 1) * (q + 1) / (q + 2) * bp1
-            - sigma * fac * k * jc[q]
-            - k * az * fac * djc[q]
-        )
-        djs[q + 1] = (
-            -sigma * 0.5 * (s / S) * kS ** (q + 1) * (q + 1) / (q + 2) * bt1
-            - sigma * fac * k * js[q]
-            - k * az * fac * djs[q]
-        )
+        src = s * kS ** (q + 1) / (2 * (q + 2))
+        dsrc = -sigma * 0.5 * (s / S) * kS ** (q + 1) * (q + 1) / (q + 2)
+        jc[q + 1] = src * bp[0, q + 1] - k * az * fac * jc[q]
+        js[q + 1] = src * bt[0, q + 1] - k * az * fac * js[q]
+        djc[q + 1] = dsrc * bp[1, q + 1] - sigma * fac * k * jc[q] - k * az * fac * djc[q]
+        djs[q + 1] = dsrc * bt[1, q + 1] - sigma * fac * k * js[q] - k * az * fac * djs[q]
     return JTerms(jc=jc, js=js, djc=djc, djs=djs)
 
 
 def hypersingular(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> np.ndarray:
     """Second z-derivatives of K_{q,0} (constant-element hypersingular term)."""
-    kS = k * geom.S
-    out = np.zeros(q_max + 1)
-    for q in range(q_max + 1):
-        out[q] = (
-            kS**q
-            / geom.S
-            * (
-                geom.alpha * table.binomial_plain(q + 1, 3)
-                + (q + 1) * table.binomial_plain(q + 1, 2)
-            )
-        )
-    return out
+    q = np.arange(q_max + 1)
+    b = table.binom_plain[:, 1 : q_max + 2]
+    return (k * geom.S) ** q / geom.S * (geom.alpha * b[3] + (q + 1) * b[2])
 
 
 def k_terms(
@@ -188,35 +170,28 @@ def k_terms(
     s, S = geom.s, geom.S
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
-    kS = k * S
     jt = j_chain(geom, z, k, q_max, table)
-    k0 = np.zeros(q_max + 1)
-    kx = np.zeros(q_max + 1)
-    ky = np.zeros(q_max + 1)
-    dk0 = np.zeros(q_max + 1)
-    dkx = np.zeros(q_max + 1)
-    dky = np.zeros(q_max + 1)
-    for q in range(q_max + 1):
-        bp = table.binomial_plain(q + 1, 0)
-        bt = table.binomial_tan(q + 1, 0)
-        bp1 = table.binomial_plain(q + 1, 1)
-        bt1 = table.binomial_tan(q + 1, 1)
-        k0[q] = S * kS**q / (q + 1) * bp
-        kx[q] = s * S * kS**q / (q + 2) * bp + 2 * az / (q + 2) * jt.jc[q]
-        ky[q] = s * S * kS**q / (q + 2) * bt + 2 * az / (q + 2) * jt.js[q]
-        dk0[q] = -sigma * kS**q * bp1
-        dkx[q] = (
-            -sigma * s * kS**q * (q + 1) / (q + 2) * bp1
-            + sigma * 2 / (q + 2) * jt.jc[q]
-            + 2 * az / (q + 2) * jt.djc[q]
-        )
-        dky[q] = (
-            -sigma * s * kS**q * (q + 1) / (q + 2) * bt1
-            + sigma * 2 / (q + 2) * jt.js[q]
-            + 2 * az / (q + 2) * jt.djs[q]
-        )
-    d2k0 = hypersingular(geom, z, k, q_max, table) if want_hyper else None
-    return KTerms(k0=k0, kx=kx, ky=ky, dk0=dk0, dkx=dkx, dky=dky, d2k0=d2k0)
+    q = np.arange(q_max + 1)
+    kSq = (k * S) ** q
+    bp, bp1 = table.binom_plain[:2, 1 : q_max + 2]
+    bt, bt1 = table.binom_tan[:2, 1 : q_max + 2]
+    return KTerms(
+        k0=S * kSq / (q + 1) * bp,
+        kx=s * S * kSq / (q + 2) * bp + 2 * az / (q + 2) * jt.jc,
+        ky=s * S * kSq / (q + 2) * bt + 2 * az / (q + 2) * jt.js,
+        dk0=-sigma * kSq * bp1,
+        dkx=(
+            -sigma * s * kSq * (q + 1) / (q + 2) * bp1
+            + sigma * 2 / (q + 2) * jt.jc
+            + 2 * az / (q + 2) * jt.djc
+        ),
+        dky=(
+            -sigma * s * kSq * (q + 1) / (q + 2) * bt1
+            + sigma * 2 / (q + 2) * jt.js
+            + 2 * az / (q + 2) * jt.djs
+        ),
+        d2k0=hypersingular(geom, z, k, q_max, table) if want_hyper else None,
+    )
 
 
 def assemble(

@@ -58,19 +58,6 @@ def _parse_dx(text: str) -> float:
         raise argparse.ArgumentTypeError(f"bad delta-x {text!r}") from None
 
 
-def _world_point(tri: Triangle3, px: float, py: float, z: float) -> np.ndarray:
-    """Point at in-plane coordinates (px, py) and height z above the element.
-
-    The in-plane frame has origin v1, x-axis along (v2 - v1) and y-axis
-    completing a right-handed system with the element normal.
-    """
-    n = tri.normal
-    e1 = tri.v2 - tri.v1
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    return tri.v1 + px * e1 + py * e2 + z * n
-
-
 def cmd_integrate(args) -> int:
     tri = Triangle3.from_flat(_parse_floats(args.tri, 9, "--tri"))
     point = np.array(_parse_floats(args.point, 3, "--point"))
@@ -162,8 +149,10 @@ def cmd_sweep(args) -> int:
     cols += ["oracle_ok"]
     out.write(",".join(cols) + "\n")
 
+    # in-plane frame: origin v1, x-axis along v2 - v1, z along the normal
+    plane, _, _ = to_local_frame(tri, tri.v1)
     for z in zs:
-        point = _world_point(tri, px, py, float(z))
+        point = plane.to_world([px, py, z])
         _, verts2d, zloc = to_local_frame(tri, point)
         ext = radial_extents(verts2d)
         oracle, status = adaptive_oracle(

@@ -26,6 +26,7 @@ used.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -272,24 +273,41 @@ def l_s(alpha: float, theta_lo: float, theta_hi: float, alpha_p: float | None = 
     return anti(theta_hi) - anti(theta_lo)
 
 
-def binomial_combination(q: int, s: int, alpha: float, pow_values: np.ndarray) -> float:
+@functools.lru_cache(maxsize=64)
+def _pascal(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C(q, m), the exponent q - m and the table index m - s + 3.
+
+    The first two are indexed [q, m] (C is zero and the exponent clipped
+    to zero above the diagonal), the last [s, m], with q, m = 0 .. q_max
+    and s = 0 .. 3.
+    """
+    q = np.arange(q_max + 1)
+    comb = np.array([[math.comb(i, m) for m in q] for i in q], dtype=float)
+    expo = np.maximum(q[:, None] - q[None, :], 0)
+    shift = q[None, :] - np.arange(4)[:, None] + 3
+    return comb, expo, shift
+
+
+def binomial_combination(q_max: int, alpha: float, pow_values: np.ndarray) -> np.ndarray:
     """integral (Delta/cos - alpha)^q (Delta/cos)^{-s} dtheta from a table.
 
-    Expands the binomial: sum_u C(q, u) (-alpha)^u pow[q - u - s].
-    ``pow_values`` is indexed by [n + 3] and must reach down to -s - ...
-    i.e. contain n = q - s down to -s.
+    Returns an array indexed [s, q], s = 0 .. 3, q = 0 .. q_max.  Since
+    (x - alpha)^q = sum_m C(q, m) (-alpha)^{q-m} x^m, row s is the
+    signed-Pascal matrix applied to the power table shifted down by s.
+    ``pow_values`` is indexed by [n + 3] and must reach n = q_max.
     """
-    if s not in (0, 1, 2, 3):
-        raise ValueError("s must be in {0, 1, 2, 3}")
-    total = 0.0
-    for u in range(q + 1):
-        total += math.comb(q, u) * (-alpha) ** u * pow_values[q - u - s + 3]
-    return total
+    comb, expo, shift = _pascal(q_max)
+    signed = comb * ((-alpha) ** np.arange(q_max + 1))[expo]
+    return pow_values[shift] @ signed.T
 
 
 @dataclass
 class ElemTable:
-    """Tabulated elementary integrals for one (alpha, angle-range) pair."""
+    """Tabulated elementary integrals for one (alpha, angle-range) pair.
+
+    ``binom_plain`` and ``binom_tan`` hold ``binomial_combination`` of
+    ``plain`` and ``tan``, indexed [s, q] with q = 0 .. n_max.
+    """
 
     alpha: float
     alpha_p: float
@@ -300,18 +318,14 @@ class ElemTable:
     tan: np.ndarray
     lc: float
     ls: float
+    binom_plain: np.ndarray
+    binom_tan: np.ndarray
 
     def plain_pow(self, n: int) -> float:
         return float(self.plain[n + 3])
 
     def tan_pow(self, n: int) -> float:
         return float(self.tan[n + 3])
-
-    def binomial_plain(self, q: int, s: int) -> float:
-        return binomial_combination(q, s, self.alpha, self.plain)
-
-    def binomial_tan(self, q: int, s: int) -> float:
-        return binomial_combination(q, s, self.alpha, self.tan)
 
 
 def build_table(
@@ -323,14 +337,18 @@ def build_table(
 ) -> ElemTable:
     """Build all elementary integrals needed for expansion order n_max - 2."""
     alpha_p = _alpha_p_for(alpha, alpha_p)
+    plain = build_pow_plain(alpha, theta_lo, theta_hi, n_max, alpha_p)
+    tan = build_pow_tan(alpha, theta_lo, theta_hi, n_max, alpha_p)
     return ElemTable(
         alpha=alpha,
         alpha_p=alpha_p,
         theta_lo=theta_lo,
         theta_hi=theta_hi,
         n_max=n_max,
-        plain=build_pow_plain(alpha, theta_lo, theta_hi, n_max, alpha_p),
-        tan=build_pow_tan(alpha, theta_lo, theta_hi, n_max, alpha_p),
+        plain=plain,
+        tan=tan,
         lc=l_c(alpha, theta_lo, theta_hi, alpha_p),
         ls=l_s(alpha, theta_lo, theta_hi, alpha_p),
+        binom_plain=binomial_combination(n_max, alpha, plain),
+        binom_tan=binomial_combination(n_max, alpha, tan),
     )

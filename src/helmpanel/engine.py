@@ -57,10 +57,14 @@ class EvalRequest:
 
     def __post_init__(self):
         self.field_point = np.asarray(self.field_point, dtype=float)
+        if not np.isfinite(self.triangle.vertices).all():
+            raise ValueError("triangle vertices must be finite")
+        if not np.isfinite(self.field_point).all():
+            raise ValueError("field point must be finite")
         if not (1e-15 <= self.tol <= 1e-2):
             raise ValueError("tol must lie in [1e-15, 1e-2]")
-        if self.k < 0.0:
-            raise ValueError("k must be non-negative")
+        if not (0.0 <= self.k < math.inf):
+            raise ValueError("k must be finite and non-negative")
 
 
 @dataclass
@@ -105,19 +109,21 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
 
     ``method`` is "auto" (estimator-driven selection), "analytic" or
     "numeric"; forcing "numeric" uses ``n_gauss`` points per direction
-    (defaults to the estimator's choice, or N_FALLBACK).  A forced
+    (defaults to the estimator's choice, or N_FALLBACK; when given, the
+    estimator does not run and the report has none).  A forced
     analytic request still falls back to n = 50 numeric when the
     expansion is inadmissible (k * r_max >= pi/2 or k |z| > pi/2); the
     report notes the fallback.
     """
     frame, verts2d, z = to_local_frame(req.triangle, req.field_point)
     ext = radial_extents(verts2d)
-    sel = select_order(ext, z, req.tol)
+    sel = None if method == "numeric" and n_gauss else select_order(ext, z, req.tol)
 
     def numeric(n: int, note: str = "") -> EvalReport:
         n = max(n, N_MIN)
         res = polar_integrate(verts2d, z, req.k, n, want_hyper=req.want_hypersingular)
-        info = MethodInfo(kind="numeric", n_gauss=n, q_estimate=sel.q, note=note)
+        q_est = sel.q if sel is not None else None
+        info = MethodInfo(kind="numeric", n_gauss=n, q_estimate=q_est, note=note)
         return EvalReport(res, info, sel, ext, frame, z)
 
     def analytic() -> EvalReport:

@@ -67,26 +67,28 @@ class Triangle3:
 
     @property
     def normal(self) -> np.ndarray:
-        """Unit normal, (v2-v1) x (v3-v1) normalized."""
-        n = np.cross(self.v2 - self.v1, self.v3 - self.v1)
-        nn = np.linalg.norm(n)
-        if nn == 0.0:
-            raise ValueError("degenerate triangle: vertices are collinear")
-        return n / nn
+        """Unit normal, (v2-v1) x (v3-v1) normalized; see ``validate``."""
+        n = self.validate()
+        return n / np.linalg.norm(n)
 
     @property
     def centroid(self) -> np.ndarray:
         return (self.v1 + self.v2 + self.v3) / 3.0
 
-    def validate(self) -> None:
-        """Reject degenerate (collinear) triangles."""
+    def validate(self) -> np.ndarray:
+        """Reject degenerate (collinear) triangles; return (v2-v1) x (v3-v1).
+
+        Written so that non-finite vertices fail the check too.
+        """
         n = np.cross(self.v2 - self.v1, self.v3 - self.v1)
         d = self.diameter
-        if d == 0.0 or np.linalg.norm(n) <= 1e-12 * d * d:
+        if not (d > 0.0 and np.linalg.norm(n) > 1e-12 * d * d):
             raise ValueError(
-                f"degenerate triangle: |area| = {0.5 * np.linalg.norm(n):.3e} "
+                "degenerate or non-finite triangle: "
+                f"|area| = {0.5 * np.linalg.norm(n):.3e} "
                 f"below threshold for diameter {d:.3e}"
             )
+        return n
 
 
 @dataclass
@@ -102,7 +104,8 @@ class LocalFrame:
     z: float
 
     def to_local(self, p) -> np.ndarray:
-        return self.rotation @ (np.asarray(p, dtype=float) - self.origin)
+        """Local coordinates of a point (3,) or of a stack of points (N, 3)."""
+        return (np.asarray(p, dtype=float) - self.origin) @ self.rotation.T
 
     def to_world(self, q) -> np.ndarray:
         return self.origin + self.rotation.T @ np.asarray(q, dtype=float)
@@ -171,18 +174,18 @@ def to_local_frame(tri: Triangle3, x) -> tuple[LocalFrame, np.ndarray, float]:
     of planar vertex coordinates with the field-point projection at the
     origin, and z is the signed height of the field point above the plane.
     """
-    tri.validate()
     x = np.asarray(x, dtype=float)
     n = tri.normal
     z = float(np.dot(x - tri.v1, n))
+    if not math.isfinite(z):
+        raise ValueError(f"field point {x} is not finite")
     origin = x - z * n
     e1 = tri.v2 - tri.v1
     e1 = e1 / np.linalg.norm(e1)
     e2 = np.cross(n, e1)
     rot = np.vstack([e1, e2, n])
     frame = LocalFrame(origin=origin, rotation=rot, z=z)
-    verts2d = np.array([frame.to_local(v)[:2] for v in (tri.v1, tri.v2, tri.v3)])
-    return frame, verts2d, z
+    return frame, frame.to_local(tri.vertices)[:, :2], z
 
 
 def subdivide(verts2d) -> list[SignedSubTriangle]:

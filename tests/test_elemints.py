@@ -128,19 +128,22 @@ class TestProperties:
 class TestBinomialCombination:
     def test_empty_binomial(self):
         tab = build_pow_plain(0.4, -0.3, 0.6, 4)
+        b = binomial_combination(4, 0.4, tab)
+        assert b.shape == (4, 5)
         for s in (0, 1, 2, 3):
-            assert binomial_combination(0, s, 0.4, tab) == tab[-s + 3]
+            assert b[s, 0] == tab[-s + 3]
 
     def test_alpha_zero_single_term(self):
         tab = build_pow_plain(0.0, -0.3, 0.6, 6)
+        b = binomial_combination(6, 0.0, tab)
         for q in (1, 3, 5):
             for s in (0, 2):
-                assert binomial_combination(q, s, 0.0, tab) == tab[q - s + 3]
+                assert b[s, q] == tab[q - s + 3]
 
     def test_named_case_against_oracle(self):
         # q=3, s=1, alpha=0.5 over [-0.2, 0.7]; frozen adaptive value
         tab = build_pow_plain(0.5, -0.2, 0.7, 4)
-        got = binomial_combination(3, 1, 0.5, tab)
+        got = binomial_combination(4, 0.5, tab)[1, 3]
         assert got == pytest.approx(0.1504446417421232, abs=1e-12)
 
     def test_random_cases_against_oracle(self):
@@ -159,14 +162,24 @@ class TestBinomialCombination:
 
             v, _, ok = quad_adaptive(f, lo, hi, 1e-13)
             assert ok
-            assert binomial_combination(q, s, alpha, tab) == pytest.approx(
+            assert binomial_combination(q, alpha, tab)[s, q] == pytest.approx(
                 float(v[0].real), abs=5e-12
             )
 
-    def test_invalid_s_rejected(self):
-        tab = build_pow_plain(0.4, -0.3, 0.6, 4)
-        with pytest.raises(ValueError):
-            binomial_combination(2, 4, 0.4, tab)
+    def test_matches_scalar_sum(self):
+        # reference: the binomial sum term by term, for every (s, q)
+        for alpha in (0.3, 0.7, 0.95):
+            for build in (build_pow_plain, build_pow_tan):
+                tab = build(alpha, -0.4, 0.75, 12)
+                b = binomial_combination(12, alpha, tab)
+                for s in range(4):
+                    for q in range(13):
+                        terms = [
+                            math.comb(q, u) * (-alpha) ** u * tab[q - u - s + 3]
+                            for u in range(q + 1)
+                        ]
+                        scale = sum(abs(t) for t in terms)
+                        assert abs(b[s, q] - sum(terms)) <= 1e-14 * scale, (alpha, s, q)
 
 
 class TestLogIntegrals:
@@ -212,7 +225,8 @@ class TestTable:
         tab = build_table(0.35, -0.5, 0.8, 10)
         assert tab.n_max == 10
         assert tab.plain_pow(0) == pytest.approx(1.3, abs=1e-14)
-        assert tab.binomial_plain(0, 1) == tab.plain_pow(-1)
-        assert tab.binomial_tan(2, 0) == pytest.approx(
-            binomial_combination(2, 0, 0.35, tab.tan), abs=0.0
+        assert tab.binom_plain.shape == tab.binom_tan.shape == (4, 11)
+        assert tab.binom_plain[1, 0] == tab.plain_pow(-1)
+        assert tab.binom_tan[0, 2] == pytest.approx(
+            binomial_combination(10, 0.35, tab.tan)[0, 2], abs=0.0
         )

@@ -46,6 +46,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             evaluate(request((0, 0, 1)), method="magic")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_vertex(self, bad):
+        tri = sample_triangle()
+        tri.v3[1] = bad
+        with pytest.raises(ValueError, match="vertices"):
+            request((0.3, 0.2, 0.1), tri=tri)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_field_point(self, bad):
+        with pytest.raises(ValueError, match="field point"):
+            request((0.3, bad, 0.1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_wavenumber(self, bad):
+        with pytest.raises(ValueError, match="k must"):
+            request((0.3, 0.2, 0.1), k=bad)
+
 
 class TestSelection:
     def test_far_field_numeric(self):
@@ -109,6 +126,17 @@ class TestSelection:
         rep = evaluate(request(sample_field_point(2, 0.0), tol=1e-9))
         assert rep.method.kind == "analytic"
         assert rep.estimator.analytic_required
+
+    def test_forced_numeric_order_skips_estimator(self):
+        x = sample_field_point(2, 0.5)
+        forced = evaluate(request(x), method="numeric", n_gauss=12)
+        assert forced.estimator is None
+        assert forced.method.q_estimate is None
+        assert forced.method.n_gauss == 12
+        # forcing only the path still runs the estimator for the order
+        chosen = evaluate(request(x), method="numeric")
+        assert chosen.method.q_estimate == chosen.estimator.q is not None
+        assert chosen.method.n_gauss == chosen.estimator.n_gauss
 
 
 class TestConsistency:
@@ -227,6 +255,17 @@ class TestBatch:
         assert reps[0].error is None
         assert reps[1].error is not None
         assert "degenerate" in reps[1].error
+
+    def test_non_finite_record_keeps_batch_alive(self):
+        nan_point = request(sample_field_point(2, 0.5))
+        nan_point.field_point[2] = np.nan  # changed after the request was checked
+        inf_vertex = request(sample_field_point(2, 0.5))
+        inf_vertex.triangle.v2[0] = np.inf
+        with np.errstate(invalid="ignore"):
+            reps = evaluate_batch([nan_point, request(sample_field_point(2, 0.5)), inf_vertex])
+        assert reps[0].error.startswith("ValueError: field point")
+        assert reps[1].error is None
+        assert reps[2].error.startswith("ValueError: degenerate or non-finite triangle")
 
 
 class TestSampleGeometry:
