@@ -61,14 +61,20 @@ def _parse_dx(text: str) -> float:
 def cmd_integrate(args) -> int:
     tri = Triangle3.from_flat(_parse_floats(args.tri, 9, "--tri"))
     point = np.array(_parse_floats(args.point, 3, "--point"))
-    req = EvalRequest(
-        triangle=tri,
-        field_point=point,
-        k=args.k,
-        tol=args.tol,
-        want_hypersingular=args.hyper,
-    )
-    rep = evaluate(req, method=args.method)
+    try:
+        req = EvalRequest(
+            triangle=tri,
+            field_point=point,
+            k=args.k,
+            tol=args.tol,
+            want_hypersingular=args.hyper,
+        )
+        rep = evaluate(req, method=args.method)
+    # non-finite input or a degenerate triangle; a ValueError raised inside
+    # the library is reported the same way, as an input error
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     res = rep.result
     est = rep.estimator
     print(f"method: {rep.method.kind}")
@@ -292,11 +298,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except argparse.ArgumentTypeError as exc:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -11,9 +11,12 @@ plane (see ``polar_nodes``).
 Gauss-Kronrod integration of the defining integrals, sharing nothing with
 the expansion/recursion machinery.  For the 1-weighted integrals the
 radial integral has a closed form, so only the angle direction is
-integrated numerically; the x/y moments use an adaptive inner integral in
-the substitution t^2 = R - |z|, which removes the square-root behaviour
-at r = 0.
+integrated numerically.  The x/y moments need a radial integral in the
+substitution t^2 = R - |z|, which removes the square-root behaviour at
+r = 0.  Its integrand does not depend on the angle, which enters only
+through the upper limit tau(theta), so each angle panel takes its 15
+radial moments from one cumulative integral (``quad_cumulative``)
+evaluated at the 15 limits.
 
 ``tri_rule`` supplies a symmetric positive-weight rule on the triangle
 (exact to polynomial degree 2n-2) for regular integrands.
@@ -64,34 +67,46 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _gk15(f, lo: np.ndarray, hi: np.ndarray):
+    """GK15 values and error estimates on the intervals [lo_i, hi_i].
+
+    One call of ``f`` on all 15 * len(lo) abscissae.  Returns the K15
+    values (intervals, ncomp) and, per interval, the largest component
+    of the QUADPACK-style estimate: |K15 - G7| scaled by the interval's
+    deviation-from-mean integral, so that smooth intervals are not held
+    at the raw difference's roundoff floor.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid[:, None] + half[:, None] * _GK_X
+    y = np.asarray(f(x.ravel())).reshape(len(lo), len(_GK_X), -1)
+    sk = _GK_WK @ y
+    k15 = half[:, None] * sk
+    g7 = half[:, None] * (_GK_WG @ y)
+    # the Kronrod weights sum to 2, so sk / 2 is the mean of f
+    resasc = half[:, None] * (_GK_WK @ np.abs(y - 0.5 * sk[:, None, :]))
+    e = np.abs(k15 - g7)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.where(
+            resasc > 0.0,
+            resasc * np.minimum(1.0, (200.0 * e / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
+            e,
+        )
+    return k15, np.max(scaled, axis=1)
+
+
 def quad_adaptive(f, a: float, b: float, tol: float, max_intervals: int = 4000):
     """Globally adaptive Gauss-Kronrod quadrature of a vector integrand.
 
     ``f`` maps an array of abscissae to an array (npts, ncomp); complex
     components are fine.  Returns (values, error_estimate, converged);
-    the estimate is the summed per-interval |K15 - G7|, a conservative
-    bound for smooth integrands.
+    the estimate is the summed per-interval |K15 - G7| (QUADPACK-scaled,
+    see ``_gk15``), a conservative bound for smooth integrands.
     """
 
     def panel(lo: float, hi: float):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        y = np.atleast_2d(np.asarray(f(mid + half * _GK_X)))
-        k15 = half * (_GK_WK @ y)
-        g7 = half * (_GK_WG @ y)
-        # QUADPACK-style estimate: scale |K15 - G7| by the panel's
-        # deviation-from-mean integral so smooth panels are not held at
-        # the raw difference's roundoff floor
-        resasc = half * (_GK_WK @ np.abs(y - k15 / (2.0 * half)))
-        e = np.abs(k15 - g7)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = np.where(
-                resasc > 0.0,
-                resasc * np.minimum(1.0, (200.0 * e / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
-                e,
-            )
-        err = float(np.max(scaled))
-        return k15, err
+        v, e = _gk15(f, np.array([lo]), np.array([hi]))
+        return v[0], float(e[0])
 
     val, err = panel(a, b)
     heap = [(-err, a, b, val, err)]
@@ -109,6 +124,66 @@ def quad_adaptive(f, a: float, b: float, tol: float, max_intervals: int = 4000):
         heapq.heappush(heap, (-e2, mid, hi, v2, e2))
         count += 1
     return total, total_err, total_err <= tol
+
+
+# Limits on one ``quad_cumulative`` pass: bisection rounds, and pending
+# intervals (15 abscissae each per round); it stops rather than exceed them.
+CUMULATIVE_MAX_ROUNDS = 40
+CUMULATIVE_MAX_PENDING = 20000
+
+
+def quad_cumulative(f, limits, tol: float):
+    """``int_0^L f`` for every ``L`` in ``limits``, from one adaptive pass.
+
+    ``f`` is a vector integrand as in ``quad_adaptive``.  The sorted
+    limits cut [0, max(limits)] into gaps; every pending interval is
+    integrated by GK15 in one ``f`` call per round, and an interval is
+    accepted once its error estimate is within tol * width / max(limits),
+    else bisected.  The accepted pieces are summed per gap and the gaps
+    cumulatively, so every returned value is within ``tol`` (by the
+    estimate).  Zero and repeated limits give empty gaps.  When
+    ``CUMULATIVE_MAX_ROUNDS`` or ``CUMULATIVE_MAX_PENDING`` stops the bisection,
+    the pending intervals still contribute their K15 values and errors,
+    and ``converged`` is False.
+
+    Returns (values (len(limits), ncomp), error_estimate, converged);
+    the estimate is the summed error of all pieces, which bounds the
+    error of the largest limit's value and so of every value.
+    """
+    limits = np.asarray(limits, dtype=float)
+    if limits.ndim != 1 or limits.size == 0 or not np.all((limits >= 0.0) & (limits < np.inf)):
+        raise ValueError("limits must be a non-empty 1-D array of finite values >= 0")
+    # a Python sort of the few limits: NumPy's sort kernels would map about
+    # 0.25 MB of code into a process that sorts nothing else
+    order = np.array(sorted(range(limits.size), key=limits.__getitem__))
+    edges = np.concatenate([[0.0], limits[order]])
+    gap = np.flatnonzero(edges[1:] > edges[:-1])
+    if gap.size == 0:
+        gap = np.array([0])  # all limits zero: one empty gap gives the shape
+    lo, hi = edges[gap], edges[gap + 1]
+    per_width = tol / edges[-1] if edges[-1] > 0.0 else 0.0
+    pieces = None
+    error = 0.0
+    for rounds in range(1, CUMULATIVE_MAX_ROUNDS + 1):
+        v, e = _gk15(f, lo, hi)
+        if pieces is None:
+            pieces = np.zeros((len(limits), v.shape[1]), dtype=v.dtype)
+        split = e > per_width * (hi - lo)
+        converged = not split.any()
+        if rounds == CUMULATIVE_MAX_ROUNDS or 2 * np.count_nonzero(split) > CUMULATIVE_MAX_PENDING:
+            split[:] = False  # stop: the pending intervals count as they are
+        done = ~split
+        np.add.at(pieces, gap[done], v[done])
+        error += float(np.sum(e[done]))
+        if not split.any():
+            break
+        gap, lo, hi = gap[split], lo[split], hi[split]
+        mid = 0.5 * (lo + hi)
+        gap = np.repeat(gap, 2)
+        lo, hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
+    values = np.empty_like(pieces)
+    values[order] = np.cumsum(pieces, axis=0)
+    return values, error, converged
 
 
 def polar_nodes(verts2d, n: int, z: float | None = None):
@@ -211,12 +286,14 @@ def adaptive_oracle(
 
     Independent of the expansion machinery: adaptive Gauss-Kronrod in the
     angle with exact (1-weight) or adaptively integrated (x/y-weight)
-    radial integrals.  ``components`` limits the work; omitted components
+    radial integrals; the latter come from one ``quad_cumulative`` call
+    per angle panel.  ``components`` limits the work; omitted components
     are returned as 0.  Derivatives at z = 0 are one-sided limits from
     z > 0, matching the analytic convention.
 
     With ``return_status`` the achieved error estimate and convergence
-    flag are returned alongside the values instead of being discarded.
+    flag are returned alongside the values instead of being discarded;
+    both include the radial integrals of the x/y moments.
     """
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
@@ -230,34 +307,25 @@ def adaptive_oracle(
         return (total, {"error": 0.0, "converged": True}) if return_status else total
     tol_sub = tol / len(subs)
     want_xy = "ixy" in components or "dixy" in components
+    need_dm = "dixy" in components
+
+    def f_in(t):
+        # x/y radial moment (and its z-derivative) after t^2 = R - |z|:
+        # the same for every angle and subtriangle, which enter only
+        # through the upper limit tau = sqrt(Rbar - |z|)
+        R = az + t * t
+        m = 2.0 * np.exp(1j * k * R) * t * t * np.sqrt(t * t + 2.0 * az)
+        if need_dm:
+            return np.stack([m, z * (jk - 1.0 / R) * m / R], axis=-1)
+        return m[:, None]
 
     for sub in subs:
         geom = ref_params(sub, z)
         psi_f = sub.psi1 + geom.phi
-
-        def moment_inner(theta: float, need_dm: bool):
-            rbar = geom.s / math.cos(theta)
-            Rbar = math.hypot(rbar, z)
-            tau = math.sqrt(max(Rbar - az, 0.0))
-            if tau == 0.0:
-                return 0j, 0j
-
-            def f_in(t):
-                t = np.asarray(t)
-                root = np.sqrt(t * t + 2.0 * az)
-                R = az + t * t
-                e = np.exp(1j * k * R)
-                m = 2.0 * e * t * t * root
-                if need_dm:
-                    dm = z * (jk - 1.0 / R) * e * 2.0 * t * t * root / R
-                else:
-                    dm = np.zeros_like(m)
-                return np.stack([m, dm], axis=-1)
-
-            v, _, _ = quad_adaptive(f_in, 0.0, tau, tol_sub * 0.02, max_intervals=600)
-            return complex(v[0]), complex(v[1])
+        inner_err = 0.0
 
         def f_theta(th):
+            nonlocal inner_err, converged
             th = np.asarray(th)
             rbar = geom.s / np.cos(th)
             Rbar = np.sqrt(rbar * rbar + z * z)
@@ -273,17 +341,21 @@ def adaptive_oracle(
             hyp = (rbar**2 / Rbar**3 + jk * z * z / Rbar**2) * eR - jk * ez
             cols.append(hyp)
             if want_xy:
-                ms = np.empty(len(th), dtype=complex)
-                dms = np.empty(len(th), dtype=complex)
-                for i, t in enumerate(th):
-                    ms[i], dms[i] = moment_inner(float(t), "dixy" in components)
+                tau = np.sqrt(np.maximum(Rbar - az, 0.0))
+                v, err, ok = quad_cumulative(f_in, tau, tol_sub * 0.02)
+                inner_err = max(inner_err, err)
+                converged = converged and ok
+                ms = v[:, 0]
+                dms = v[:, 1] if need_dm else np.zeros_like(ms)
                 cpsi = np.cos(psi_f + th)
                 spsi = np.sin(psi_f + th)
                 cols.extend([cpsi * ms, spsi * ms, cpsi * dms, spsi * dms])
             return np.stack(cols, axis=-1)
 
         v, err, ok = quad_adaptive(f_theta, geom.theta_lo, geom.theta_hi, tol_sub)
-        achieved += err
+        # an inner error e at every angle node moves the outer value by at
+        # most (theta_hi - theta_lo) * e, since |cos|, |sin| <= 1
+        achieved += err + (geom.theta_hi - geom.theta_lo) * inner_err
         converged = converged and ok
         part = PanelIntegrals(
             i0=complex(v[0]),

@@ -28,7 +28,7 @@ from helmpanel.geometry import (
     ref_params,
     to_local_frame,
 )
-from helmpanel.numquad import adaptive_oracle, polar_integrate, quad_adaptive
+from helmpanel.numquad import adaptive_oracle, polar_integrate, quad_adaptive, quad_cumulative
 
 from helpers import mp_remainder, oracle_pow_plain, oracle_pow_tan, remainder_amplitude
 
@@ -204,52 +204,51 @@ def _oracle_k_family(geom, z, k, q_max, tol):
     """Nested adaptive quadrature of every K-term defining integral.
 
     Returns arrays [q, component] for components
-    (K0, Kx, Ky, dK0, dKx, dKy, d2K0).
+    (K0, Kx, Ky, dK0, dKx, dKy, d2K0).  The radial integrands depend on
+    theta only through the limit rbar(theta) and the cos/sin factors of
+    the x/y components, so each outer panel integrates the theta-free
+    columns once, cumulatively up to all its rbar values.
     """
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
     n_q = q_max + 1
 
-    def inner(theta):
-        rbar = geom.s / math.cos(theta)
-
-        def f_r(r):
-            r = np.asarray(r)
-            R = np.hypot(r, z)
-            u = R - az
-            u_z = z / R - sigma
-            u_zz = r * r / R**3
-            w0 = r / R
-            w0_z = -r * z / R**3
-            w0_zz = -r / R**3 + 3 * r * z * z / R**5
-            w1 = r * r / R
-            w1_z = -r * r * z / R**3
-            cols = []
-            for q in range(n_q):
-                kq = k**q
-                uq = u**q
-                uqm1 = u ** (q - 1) if q >= 1 else np.zeros_like(u)
-                uqm2 = u ** (q - 2) if q >= 2 else np.zeros_like(u)
-                f0 = kq * uq * w0
-                fx = kq * uq * w1 * math.cos(theta)
-                fy = kq * uq * w1 * math.sin(theta)
-                d0 = kq * (q * uqm1 * u_z * w0 + uq * w0_z)
-                dx = kq * (q * uqm1 * u_z * w1 + uq * w1_z) * math.cos(theta)
-                dy = kq * (q * uqm1 * u_z * w1 + uq * w1_z) * math.sin(theta)
-                dd0 = kq * (
-                    q * (q - 1) * uqm2 * u_z**2 * w0
-                    + q * uqm1 * (u_zz * w0 + 2 * u_z * w0_z)
-                    + uq * w0_zz
-                )
-                cols.extend([f0, fx, fy, d0, dx, dy, dd0])
-            return np.stack(cols, axis=-1)
-
-        v, _, _ = quad_adaptive(f_r, 0.0, rbar, tol * 0.05, max_intervals=400)
-        return v.real
+    def f_r(r):
+        # per q: K0, the x/y radial weight, dK0, its z-derivative, d2K0
+        R = np.hypot(r, z)
+        u = R - az
+        u_z = z / R - sigma
+        u_zz = r * r / R**3
+        w0 = r / R
+        w0_z = -r * z / R**3
+        w0_zz = -r / R**3 + 3 * r * z * z / R**5
+        w1 = r * r / R
+        w1_z = -r * r * z / R**3
+        cols = []
+        for q in range(n_q):
+            kq = k**q
+            uq = u**q
+            uqm1 = u ** (q - 1) if q >= 1 else np.zeros_like(u)
+            uqm2 = u ** (q - 2) if q >= 2 else np.zeros_like(u)
+            f0 = kq * uq * w0
+            fw = kq * uq * w1
+            d0 = kq * (q * uqm1 * u_z * w0 + uq * w0_z)
+            dw = kq * (q * uqm1 * u_z * w1 + uq * w1_z)
+            dd0 = kq * (
+                q * (q - 1) * uqm2 * u_z**2 * w0
+                + q * uqm1 * (u_zz * w0 + 2 * u_z * w0_z)
+                + uq * w0_zz
+            )
+            cols.extend([f0, fw, d0, dw, dd0])
+        return np.stack(cols, axis=-1)
 
     def f_theta(ths):
         ths = np.atleast_1d(ths)
-        return np.stack([inner(float(t)) for t in ths], axis=0)
+        v, _, _ = quad_cumulative(f_r, geom.s / np.cos(ths), tol * 0.05)
+        f0, fw, d0, dw, dd0 = np.moveaxis(v.real.reshape(len(ths), n_q, 5), 2, 0)
+        c, s = np.cos(ths)[:, None], np.sin(ths)[:, None]
+        cols = [f0, fw * c, fw * s, d0, dw * c, dw * s, dd0]
+        return np.stack(cols, axis=-1).reshape(len(ths), 7 * n_q)
 
     v, _, ok = quad_adaptive(f_theta, geom.theta_lo, geom.theta_hi, tol)
     assert ok
@@ -261,42 +260,28 @@ def _oracle_j_family(geom, z, k, q_max, tol):
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
     n_q = q_max + 1
+    q = np.arange(n_q)
 
-    def jq_table(theta):
-        rbar = geom.s / math.cos(theta)
-        R_far = math.hypot(rbar, z)
-        tau = math.sqrt(max(R_far - az, 0.0))
-
-        def f_t(t):
-            # J_q radial integral after tau^2 = t^2 - 2|z|, smooth at 0
-            t = np.asarray(t)
-            root = np.sqrt(t * t + 2 * az)
-            return np.stack(
-                [k**q * t ** (2 * q + 2) / root for q in range(n_q)], axis=-1
-            )
-
-        v, _, _ = quad_adaptive(f_t, 0.0, tau, tol * 0.05, max_intervals=400)
-        jq = v.real
-        # dJ_q/dz by Leibniz: sigma (k^q rbar (R-|z|)^q / 2R - (2q+1) k J_{q-1})
-        djq = np.empty(n_q)
-        for q in range(n_q):
-            if q == 0:
-                kjm1 = 0.5 * math.log((R_far + rbar) / az) if az > 0 else 0.0
-            else:
-                kjm1 = k * jq[q - 1]
-            djq[q] = sigma * (
-                k**q * rbar * (R_far - az) ** q / (2 * R_far) - (2 * q + 1) * kjm1
-            )
-        return jq, djq
+    def f_t(t):
+        # J_q radial integral after tau^2 = t^2 - 2|z|, smooth at 0; free
+        # of theta, which enters only through the upper limit
+        root = np.sqrt(t * t + 2 * az)
+        return k**q * t[:, None] ** (2 * q + 2) / root[:, None]
 
     def f_theta(ths):
         ths = np.atleast_1d(ths)
-        rows = []
-        for t in ths:
-            jq, djq = jq_table(float(t))
-            c, s = math.cos(float(t)), math.sin(float(t))
-            rows.append(np.concatenate([jq * c, jq * s, djq * c, djq * s]))
-        return np.stack(rows, axis=0)
+        rbar = (geom.s / np.cos(ths))[:, None]
+        R_far = np.hypot(rbar, z)
+        tau = np.sqrt(np.maximum(R_far - az, 0.0))
+        v, _, _ = quad_cumulative(f_t, tau[:, 0], tol * 0.05)
+        jq = v.real
+        # dJ_q/dz by Leibniz: sigma (k^q rbar (R-|z|)^q / 2R - (2q+1) k J_{q-1})
+        kjm1 = np.empty_like(jq)
+        kjm1[:, :1] = 0.5 * np.log((R_far + rbar) / az) if az > 0 else 0.0
+        kjm1[:, 1:] = k * jq[:, :-1]
+        djq = sigma * (k**q * rbar * (R_far - az) ** q / (2 * R_far) - (2 * q + 1) * kjm1)
+        c, s = np.cos(ths)[:, None], np.sin(ths)[:, None]
+        return np.concatenate([jq * c, jq * s, djq * c, djq * s], axis=1)
 
     v, _, ok = quad_adaptive(f_theta, geom.theta_lo, geom.theta_hi, tol)
     assert ok

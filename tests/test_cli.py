@@ -68,7 +68,24 @@ class TestIntegrate:
             capture_output=True,
             text=True,
         )
-        assert r.returncode != 0
+        assert r.returncode == 2
+        assert "usage" in r.stderr.lower()
+        errors = [ln for ln in r.stderr.splitlines() if ln.startswith("error:")]
+        assert errors == ["error: --tri needs 9 comma-separated values"]
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize(
+        "tri, point",
+        [(TRI, "0.3,nan,0.1"), ("0,0,0,1,0,0,2,0,0", "0.3,0.1,0.1")],
+        ids=["nan_point", "collinear_tri"],
+    )
+    def test_invalid_input_is_one_error_line(self, tri, point, capsys):
+        code = main(["integrate", "--tri", tri, "--point", point, "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_hyper_flag_adds_component(self):
         code, out = run_main(

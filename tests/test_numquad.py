@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from helmpanel import numquad
+from helmpanel.engine import SAMPLE_PROJECTIONS
 from helmpanel.geometry import shoelace_area
 from helmpanel.numquad import (
     adaptive_oracle,
@@ -12,6 +14,7 @@ from helmpanel.numquad import (
     polar_integrate,
     polar_nodes,
     quad_adaptive,
+    quad_cumulative,
     symmetric_rule_integrate,
     tri_rule,
 )
@@ -19,6 +22,121 @@ from helmpanel.numquad import (
 RNG = np.random.default_rng(10501)
 
 VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.4, 0.9]])
+
+# Full-component oracle values (I0, Ix, Iy, dI0/dn, dIx/dn, dIy/dn,
+# d2I0/dn2) on the sample triangle, k = 1, tol 1e-13, keyed by
+# (sample projection, z).  Frozen from the oracle that ran one adaptive
+# inner quadrature per angle node.
+FROZEN_ORACLE = {
+    (1, 0.0001): (
+        complex(0.8890012945611685, 0.42115340626945585),
+        complex(0.2886001571817276, 0.19383451690573322),
+        complex(0.18660450031204753, 0.1246984970825592),
+        complex(1.1524886308629632, 1.4418655807367392e-05),
+        complex(0.0008179739535900165, 6.674029812478638e-06),
+        complex(0.0005313312454411936, 4.2922924965819145e-06),
+        complex(0.833721133234917, -0.14418655778201406),
+    ),
+    (1, 0.1): (
+        complex(0.7781915664482526, 0.42043283868685466),
+        complex(0.276972248936406, 0.1935009848604945),
+        complex(0.17906014191399097, 0.12448399142026298),
+        complex(1.0645625934489187, 0.014404078065921646),
+        complex(0.18705606249139556, 0.006667266149752729),
+        complex(0.12131844785969854, 0.004287943097230928),
+        complex(0.9155826280081271, -0.14374933031960654),
+    ),
+    (1, 10.0): (
+        complex(-0.03719255383466971, -0.02516904566992017),
+        complex(-0.017302554259458598, -0.011810431136572395),
+        complex(-0.011124944001642677, -0.007590220560511538),
+        complex(-0.028823785851755997, 0.03461286001417557),
+        complex(-0.01350440842865349, 0.016086342742628594),
+        complex(-0.008679608502360058, 0.010343508909715263),
+        complex(0.031316650998447756, 0.03195127950917043),
+    ),
+    (2, 0.0001): (
+        complex(2.26215904071458, 0.4435041021559271),
+        complex(-0.0036411528644378355, -7.790502933017682e-05),
+        complex(-0.0016856719052750699, -3.434687647008855e-05),
+        complex(6.2815295346771345, 1.4869821136027977e-05),
+        complex(-6.964414972849848e-06, -1.566859824330421e-09),
+        complex(-3.3324766570437927e-06, -6.906544243008575e-10),
+        complex(16.558037548373363, -0.14869821106214115),
+    ),
+    (2, 0.1): (
+        complex(1.7163475166664521, 0.4427609844258157),
+        complex(-0.0033220762233914097, -7.782671447876047e-05),
+        complex(-0.0015333796588499343, -3.431235615115706e-05),
+        complex(4.672575523721344, 0.014854919569767911),
+        complex(-0.005848259558117103, -1.5657374688522914e-06),
+        complex(-0.0027842297949786238, -6.901597598607447e-07),
+        complex(14.98581511725494, -0.14825127066015376),
+    ),
+    (2, 10.0): (
+        complex(-0.03763454121325828, -0.024634403093996407),
+        complex(1.511584220769465e-06, -1.85194406577497e-06),
+        complex(6.656980281207186e-07, -8.161908923208852e-07),
+        complex(-0.028383813099488685, 0.03515689213365129),
+        complex(-1.5286396619559883e-06, -1.8666810430532227e-06),
+        complex(-6.738208056550777e-07, -8.22237420636902e-07),
+        complex(0.03193250179500857, 0.03163508160468084),
+    ),
+    (3, 0.0001): (
+        complex(1.5564206245169154, 0.43682428278057883),
+        complex(-0.024063302598597597, -0.014212674319713375),
+        complex(0.29408219139531006, 0.12901803030382852),
+        complex(3.1410479064158716, 1.4735353029349093e-05),
+        complex(-1.2154533994174189e-05, -4.841672914705639e-07),
+        complex(0.0016739293880420297, 4.37970451623563e-06),
+        complex(5.4476285212214774, -0.14735352999728044),
+    ),
+    (3, 0.1): (
+        complex(1.2699712885315941, 0.436087886039638),
+        complex(-0.023472906458721937, -0.01418847819281598),
+        complex(0.27435433239463913, 0.1287991556157361),
+        complex(2.595579270793271, 0.014720547831834917),
+        complex(-0.01147356344272829, -0.0004836788107263892),
+        complex(0.2968162909317281, 0.004375292290029377),
+        complex(5.337483885916222, -0.14690948012107052),
+    ),
+    (3, 10.0): (
+        complex(-0.03750431811986066, -0.02479343803236553),
+        complex(0.001243341865071656, 0.0008347425969920772),
+        complex(-0.011211474656473638, -0.007486449526528146),
+        complex(-0.028514985574380015, 0.03499621022646133),
+        complex(0.0009573385570187097, -0.0011581504943517654),
+        complex(-0.00859438942937137, 0.010449783667437271),
+        complex(0.03175025352591228, 0.03172966756109456),
+    ),
+    (4, 0.0001): (
+        complex(0.39996605768090876, 0.3980473941639686),
+        complex(-0.27816750112827604, -0.3073935221052238),
+        complex(-0.06226145780305862, -0.059385736825372515),
+        complex(0.00013612827535480765, 1.3947992115207357e-05),
+        complex(-8.882301945985671e-05, -1.0835706980315555e-05),
+        complex(-2.3215686428586878e-05, -2.0853897503789514e-06),
+        complex(-1.3612826657952877, -0.1394799208672057),
+    ),
+    (4, 0.1): (
+        complex(0.39326687381269243, 0.397350351253892),
+        complex(-0.273787138512389, -0.3068520145323805),
+        complex(-0.061121844631770464, -0.05928152071646053),
+        complex(0.13188736546978252, 0.013933753884470526),
+        complex(-0.08641607617157196, -0.010824618930965282),
+        complex(-0.022379460512709358, -0.002083259031505465),
+        complex(-1.23688462912289, -0.13905287682779371),
+    ),
+    (4, 10.0): (
+        complex(-0.036713863891707874, -0.02573027726818028),
+        complex(0.028665854480753816, 0.020263273679127475),
+        complex(0.005499064596171678, 0.0038678669780507673),
+        complex(-0.02928215797654458, 0.0340282915560723),
+        complex(0.023025495988960386, -0.026541913550735936),
+        complex(0.004398908613960398, -0.005094735763877354),
+        complex(0.030659073554446144, 0.03227702602821976),
+    ),
+}
 
 
 def verts_rel(proj):
@@ -186,6 +304,18 @@ class TestAdaptiveOracle:
         assert status["converged"]
         assert status["error"] <= 1e-13
 
+    @pytest.mark.parametrize("key", sorted(FROZEN_ORACLE))
+    def test_full_components_match_frozen(self, key):
+        proj, z = key
+        got, status = adaptive_oracle(
+            verts_rel(SAMPLE_PROJECTIONS[proj]), z, 1.0, tol=1e-13, want_hyper=True,
+            return_status=True,
+        )
+        assert status["converged"]
+        names = ("i0", "ix", "iy", "di0_dn", "dix_dn", "diy_dn", "d2i0_dn2")
+        for name, want in zip(names, FROZEN_ORACLE[key]):
+            assert abs(getattr(got, name) - want) <= 1e-13, name
+
 
 class TestQuadAdaptive:
     def test_vector_components(self):
@@ -206,6 +336,86 @@ class TestQuadAdaptive:
         _, err, ok = quad_adaptive(f, 1e-30, 1.0, 1e-13, max_intervals=12)
         assert not ok
         assert err > 1e-13
+
+
+class TestQuadCumulative:
+    @staticmethod
+    def f(x):
+        return np.stack([np.exp((1 + 2j) * x), np.cos(3 * x) + 1j * x * x], axis=-1)
+
+    def test_closed_form_unsorted_zero_repeated(self):
+        limits = np.array([1.3, 0.0, 0.4, 1.3, 2.0, 0.4, 0.0])
+        v, err, ok = quad_cumulative(self.f, limits, 1e-13)
+        assert ok
+        assert err <= 1e-13
+        want = np.stack(
+            [
+                (np.exp((1 + 2j) * limits) - 1) / (1 + 2j),
+                np.sin(3 * limits) / 3 + 1j * limits**3 / 3,
+            ],
+            axis=-1,
+        )
+        assert v.shape == (7, 2)
+        assert np.max(np.abs(v - want)) <= 1e-13
+        assert np.all(v[limits == 0.0] == 0.0)
+
+    def test_all_limits_zero(self):
+        v, err, ok = quad_cumulative(self.f, [0.0, 0.0], 1e-13)
+        assert ok and err == 0.0
+        assert v.shape == (2, 2) and np.all(v == 0.0)
+
+    def test_matches_quad_adaptive(self):
+        # the oracle's radial moment: smooth in t, oscillating for large k
+        az, k = 1e-3, 7.0
+
+        def f(t):
+            m = 2.0 * np.exp(1j * k * (az + t * t)) * t * t * np.sqrt(t * t + 2 * az)
+            return m[:, None]
+
+        limits = RNG.uniform(0.05, 1.5, size=9)
+        v, _, ok = quad_cumulative(f, limits, 1e-14)
+        assert ok
+        for L, got in zip(limits, v[:, 0]):
+            want, _, ok_a = quad_adaptive(f, 0.0, L, 1e-14)
+            assert ok_a
+            assert abs(got - want[0]) <= 1e-13
+
+    def test_round_cap_reported_and_pending_kept(self, monkeypatch):
+        def f(x):
+            return (np.abs(x) ** -0.5)[:, None]
+
+        monkeypatch.setattr(numquad, "CUMULATIVE_MAX_ROUNDS", 3)
+        v, err, ok = quad_cumulative(f, [1.0], 1e-13)
+        assert not ok
+        assert err > 1e-13
+        assert abs(v[0, 0] - 2.0) < 0.1
+        # one round: the unbisected GK15 value, not a dropped interval
+        monkeypatch.setattr(numquad, "CUMULATIVE_MAX_ROUNDS", 1)
+        v1, _, ok1 = quad_cumulative(f, [1.0], 1e-13)
+        single, _, _ = quad_adaptive(f, 0.0, 1.0, 1e-13, max_intervals=1)
+        assert not ok1
+        assert v1[0, 0] == single[0]
+
+    def test_pending_cap_reported(self, monkeypatch):
+        # a singular integrand oscillating fast enough that every piece
+        # keeps failing: the pending intervals double until the cap
+        monkeypatch.setattr(numquad, "CUMULATIVE_MAX_PENDING", 8)
+        sizes = []
+
+        def f(x):
+            sizes.append(len(x))
+            return (np.sin(200.0 / x) / np.sqrt(x))[:, None]
+
+        v, err, ok = quad_cumulative(f, [0.5, 1.0], 1e-13)
+        assert not ok
+        assert len(sizes) < 40 and max(sizes) <= 15 * 8
+        assert err > 1e-13
+        assert np.all(np.isfinite(v))
+
+    @pytest.mark.parametrize("limits", [[], [-0.5, 1.0], [1.0, np.nan]])
+    def test_invalid_limits_rejected(self, limits):
+        with pytest.raises(ValueError):
+            quad_cumulative(self.f, limits, 1e-13)
 
 
 class TestTriRule:
