@@ -63,26 +63,6 @@ def _check_phi(geom: EstimatorGeom) -> None:
         )
 
 
-def epsilon_q(geom: EstimatorGeom, q: int) -> float:
-    """Signed remainder estimate for the order-q truncation.
-
-    Oscillatory in q; tracks the sign and magnitude of the true remainder
-    of the Legendre expansion of 1/R evaluated at the given t.
-    """
-    _check_phi(geom)
-    phi = math.atan2(geom.sin_phi, geom.cos_phi)
-    w = geom.t * geom.cos_phi * complex(math.cos(phi), math.sin(phi))
-    val = (
-        (1.0 + 1.0j)
-        / geom.R_mid
-        * complex(math.cos(phi / 2.0), math.sin(phi / 2.0))
-        / math.sqrt(math.pi * (q + 1) * geom.sin_phi)
-        * w ** (q + 1)
-        / (1.0 - w)
-    )
-    return val.imag
-
-
 def e_q_bound(geom: EstimatorGeom, q: int) -> float:
     """Magnitude bound E_Q on the truncation remainder of 1/R."""
     _check_phi(geom)
@@ -98,15 +78,26 @@ def e_q_bound(geom: EstimatorGeom, q: int) -> float:
     )
 
 
-def e_q_bound_enclosed(geom: EstimatorGeom, q: int) -> float:
-    """E_Q specialised to t = 1 (projection on the element)."""
+def _smallest_order(extents: RadialExtents, z: float, tol: float, q_max: int) -> tuple[int | None, float]:
+    """Smallest Q <= q_max with E_Q <= tol and that E_Q, or (None, inf).
+
+    The loop evaluates ``e_q_bound``'s expression with its order-independent
+    prefix hoisted, in the same left-to-right order, so each E_Q is
+    bit-identical to ``e_q_bound(geom, q)``.
+    """
+    if z == 0.0:
+        return (1, 0.0) if extents.r_min > 0.0 else (None, math.inf)
+    geom = EstimatorGeom.from_extents(extents, z)
     _check_phi(geom)
-    return (
-        (1.0 / geom.R_mid)
-        * math.sqrt(2.0 / (math.pi * geom.sin_phi**3))
-        * geom.cos_phi ** (q + 1)
-        / math.sqrt(q + 1)
-    )
+    t = geom.t
+    denom = math.sqrt((1.0 - t) ** 2 * geom.cos_phi**2 + geom.sin_phi**2)
+    lead = (1.0 / geom.R_mid) * math.sqrt(2.0 / (math.pi * geom.sin_phi))
+    abs_t, cos_phi = abs(t), geom.cos_phi
+    for q in range(1, q_max + 1):
+        e_q = lead * abs_t ** (q + 1) / math.sqrt(q + 1) * cos_phi ** (q + 1) / denom
+        if e_q <= tol:
+            return q, e_q
+    return None, math.inf
 
 
 def q_required(extents: RadialExtents, z: float, tol: float, q_max: int = 512) -> int | None:
@@ -118,13 +109,7 @@ def q_required(extents: RadialExtents, z: float, tol: float, q_max: int = 512) -
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if z == 0.0:
-        return 1 if extents.r_min > 0.0 else None
-    geom = EstimatorGeom.from_extents(extents, z)
-    for q in range(1, q_max + 1):
-        if e_q_bound(geom, q) <= tol:
-            return q
-    return None
+    return _smallest_order(extents, z, tol, q_max)[0]
 
 
 @dataclass
@@ -146,15 +131,7 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if z == 0.0 and extents.r_min == 0.0:
-        return OrderSelection(analytic_required=True)
-    q = q_required(extents, z, tol, q_max=q_cap)
+    q, e_q = _smallest_order(extents, z, tol, q_cap)
     if q is None:
         return OrderSelection(analytic_required=True)
-    geom = EstimatorGeom.from_extents(extents, z) if z != 0.0 else None
-    return OrderSelection(
-        analytic_required=False,
-        q=q,
-        e_q=e_q_bound(geom, q) if geom is not None else 0.0,
-        n_gauss=(q + 2) // 2,
-    )
+    return OrderSelection(analytic_required=False, q=q, e_q=e_q, n_gauss=(q + 2) // 2)

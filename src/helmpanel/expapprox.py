@@ -46,11 +46,6 @@ class ExpApprox:
         """Complex coefficients e_q = c_q + j s_q."""
         return self.cos_coeffs + 1j * self.sin_coeffs
 
-    def eval_complex(self, x) -> np.ndarray:
-        """Evaluate the polynomial approximation of exp(jx)."""
-        x = np.asarray(x, dtype=float)
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
-
 
 def taylor_sin_cos(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Maclaurin coefficients of cos and sin up to degree q."""
@@ -162,15 +157,3 @@ def table_rows():
             for q in range(ap.q + 1):
                 rows.append((label, dx, eps, ap.q, q, ap.cos_coeffs[q], ap.sin_coeffs[q]))
     return rows
-
-
-def sampled_errors(approx: ExpApprox, n: int = 10000) -> tuple[float, float, float]:
-    """Max sampled errors (cos, sin, complex) on Chebyshev-distributed points."""
-    j = np.arange(n)
-    x = approx.delta_x * 0.5 * (1.0 - np.cos(math.pi * (j + 0.5) / n))
-    pc = np.polynomial.polynomial.polyval(x, approx.cos_coeffs)
-    ps = np.polynomial.polynomial.polyval(x, approx.sin_coeffs)
-    ec = np.max(np.abs(pc - np.cos(x)))
-    es = np.max(np.abs(ps - np.sin(x)))
-    ez = np.max(np.abs((pc + 1j * ps) - np.exp(1j * x)))
-    return float(ec), float(es), float(ez)

@@ -80,15 +80,28 @@ class Triangle3:
 
         Written so that non-finite vertices fail the check too.
         """
-        n = np.cross(self.v2 - self.v1, self.v3 - self.v1)
-        d = self.diameter
-        if not (d > 0.0 and np.linalg.norm(n) > 1e-12 * d * d):
-            raise ValueError(
-                "degenerate or non-finite triangle: "
-                f"|area| = {0.5 * np.linalg.norm(n):.3e} "
-                f"below threshold for diameter {d:.3e}"
-            )
-        return n
+        return np.array(_plane(self.v1.tolist(), self.v2.tolist(), self.v3.tolist())[0])
+
+
+def _plane(p1, p2, p3):
+    """Raw normal (v2-v1) x (v3-v1), its norm, v2 - v1 and its length.
+
+    Takes the vertices as coordinate lists.  Raises ValueError for a
+    degenerate (collinear) or non-finite triangle.
+    """
+    ax, ay, az = p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2]
+    bx, by, bz = p3[0] - p1[0], p3[1] - p1[1], p3[2] - p1[2]
+    n = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    nn = math.hypot(*n)
+    l12 = math.dist(p1, p2)
+    d = max(l12, math.dist(p2, p3), math.dist(p3, p1))
+    if not (d > 0.0 and nn > 1e-12 * d * d and math.isfinite(nn)):
+        raise ValueError(
+            "degenerate or non-finite triangle: "
+            f"|area| = {0.5 * nn:.3e} "
+            f"below threshold for diameter {d:.3e}"
+        )
+    return n, nn, (ax, ay, az), l12
 
 
 @dataclass
@@ -173,19 +186,29 @@ def to_local_frame(tri: Triangle3, x) -> tuple[LocalFrame, np.ndarray, float]:
     Returns ``(frame, verts2d, z)`` where ``verts2d`` is the (3, 2) array
     of planar vertex coordinates with the field-point projection at the
     origin, and z is the signed height of the field point above the plane.
+    One request's frame is a handful of 3-vectors, so it is computed in
+    float arithmetic rather than with NumPy calls.
     """
-    x = np.asarray(x, dtype=float)
-    n = tri.normal
-    z = float(np.dot(x - tri.v1, n))
+    p1, p2, p3 = tri.v1.tolist(), tri.v2.tolist(), tri.v3.tolist()
+    (nx, ny, nz), nn, (e1x, e1y, e1z), l12 = _plane(p1, p2, p3)
+    nx, ny, nz = nx / nn, ny / nn, nz / nn
+    e1x, e1y, e1z = e1x / l12, e1y / l12, e1z / l12  # along v2 - v1
+    e2x, e2y, e2z = ny * e1z - nz * e1y, nz * e1x - nx * e1z, nx * e1y - ny * e1x  # n x e1
+    px, py, pz = np.asarray(x, dtype=float).tolist()
+    z = (px - p1[0]) * nx + (py - p1[1]) * ny + (pz - p1[2]) * nz
     if not math.isfinite(z):
         raise ValueError(f"field point {x} is not finite")
-    origin = x - z * n
-    e1 = tri.v2 - tri.v1
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    rot = np.vstack([e1, e2, n])
-    frame = LocalFrame(origin=origin, rotation=rot, z=z)
-    return frame, frame.to_local(tri.vertices)[:, :2], z
+    ox, oy, oz = px - z * nx, py - z * ny, pz - z * nz
+    verts2d = []
+    for vx, vy, vz in (p1, p2, p3):
+        dx, dy, dz = vx - ox, vy - oy, vz - oz
+        verts2d.append((dx * e1x + dy * e1y + dz * e1z, dx * e2x + dy * e2y + dz * e2z))
+    frame = LocalFrame(
+        origin=np.array([ox, oy, oz]),
+        rotation=np.array([[e1x, e1y, e1z], [e2x, e2y, e2z], [nx, ny, nz]]),
+        z=z,
+    )
+    return frame, np.array(verts2d), z
 
 
 def subdivide(verts2d) -> list[SignedSubTriangle]:
@@ -196,12 +219,12 @@ def subdivide(verts2d) -> list[SignedSubTriangle]:
     which happens when the origin lies on an edge line) are dropped.  The
     signed areas of the survivors sum to the area of the input triangle.
     """
-    verts2d = np.asarray(verts2d, dtype=float)
-    r_max = max(float(np.hypot(*v)) for v in verts2d)
+    verts = np.asarray(verts2d, dtype=float).tolist()
+    r_max = max(math.hypot(vx, vy) for vx, vy in verts)
     subs: list[SignedSubTriangle] = []
     for i in range(3):
-        a = verts2d[i]
-        b = verts2d[(i + 1) % 3]
+        a = verts[i]
+        b = verts[(i + 1) % 3]
         ra = math.hypot(a[0], a[1])
         rb = math.hypot(b[0], b[1])
         if ra < DROP_RADIUS_REL * r_max or rb < DROP_RADIUS_REL * r_max:
@@ -229,37 +252,6 @@ def subdivide(verts2d) -> list[SignedSubTriangle]:
     return subs
 
 
-def _point_segment_distance(a, b) -> float:
-    """Distance from the origin to segment [a, b]."""
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*a))
-    t = -float(a @ ab) / denom
-    t = min(1.0, max(0.0, t))
-    p = a + t * ab
-    return float(np.hypot(*p))
-
-
-def origin_inside(verts2d, tol: float) -> bool:
-    """True when the origin lies inside or within tol of the boundary."""
-    verts2d = np.asarray(verts2d, dtype=float)
-    # signed area orientation
-    area2 = (verts2d[1] - verts2d[0])[0] * (verts2d[2] - verts2d[0])[1] - (
-        verts2d[1] - verts2d[0]
-    )[1] * (verts2d[2] - verts2d[0])[0]
-    orient = 1.0 if area2 >= 0.0 else -1.0
-    for i in range(3):
-        a = verts2d[i]
-        b = verts2d[(i + 1) % 3]
-        e = b - a
-        # signed distance of the origin from edge line, positive inside
-        d = orient * (e[0] * (-a[1]) - e[1] * (-a[0])) / math.hypot(e[0], e[1])
-        if d < -tol:
-            return False
-    return True
-
-
 def radial_extents(verts2d) -> RadialExtents:
     """Nearest and farthest radial distance from the origin to the triangle.
 
@@ -267,16 +259,27 @@ def radial_extents(verts2d) -> RadialExtents:
     boundary (within BOUNDARY_TOL_REL of the diameter); r_max is the
     distance to the farthest vertex.
     """
-    verts2d = np.asarray(verts2d, dtype=float)
-    r_max = max(float(np.hypot(*v)) for v in verts2d)
-    diam = max(
-        float(np.hypot(*(verts2d[(i + 1) % 3] - verts2d[i]))) for i in range(3)
-    )
-    if origin_inside(verts2d, tol=BOUNDARY_TOL_REL * diam):
+    verts = np.asarray(verts2d, dtype=float).tolist()
+    # (ax, ay, ex, ey): start and direction of each edge
+    edges = [(a[0], a[1], b[0] - a[0], b[1] - a[1]) for a, b in zip(verts, verts[1:] + verts[:1])]
+    lengths = [math.hypot(ex, ey) for _, _, ex, ey in edges]
+    r_max = max(math.hypot(vx, vy) for vx, vy in verts)
+    tol = BOUNDARY_TOL_REL * max(lengths)
+    # orientation from the signed area; the origin is inside when its
+    # signed distance from every edge line (positive inside) is >= -tol
+    (_, _, e0x, e0y), _, (_, _, e2x, e2y) = edges
+    orient = 1.0 if e0x * -e2y - e0y * -e2x >= 0.0 else -1.0
+    if not any(
+        orient * (ex * -ay - ey * -ax) < -tol * length
+        for (ax, ay, ex, ey), length in zip(edges, lengths)
+    ):
         return RadialExtents(r_min=0.0, r_max=r_max)
-    r_min = min(
-        _point_segment_distance(verts2d[i], verts2d[(i + 1) % 3]) for i in range(3)
-    )
+    r_min = math.inf
+    for ax, ay, ex, ey in edges:
+        # distance from the origin to the segment (ax, ay) + t (ex, ey), 0 <= t <= 1
+        denom = ex * ex + ey * ey
+        t = min(1.0, max(0.0, -(ax * ex + ay * ey) / denom)) if denom > 0.0 else 0.0
+        r_min = min(r_min, math.hypot(ax + t * ex, ay + t * ey))
     return RadialExtents(r_min=r_min, r_max=r_max)
 
 
@@ -294,10 +297,3 @@ def ref_params(sub: SignedSubTriangle, z: float) -> RefGeom:
         theta_lo=-phi,
         theta_hi=sub.theta - phi,
     )
-
-
-def shoelace_area(verts2d) -> float:
-    """Signed area of a planar polygon (positive when counter-clockwise)."""
-    v = np.asarray(verts2d, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))

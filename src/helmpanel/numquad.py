@@ -203,61 +203,69 @@ def polar_nodes(verts2d, n: int, z: float | None = None):
     rbar, and the rest is smoother in theta than in u (whose integrand
     then has singularities near u = +-i s), so theta is kept.  Without z
     every subtriangle uses theta.
+
+    All subtriangles are built at once, as (subtriangle, angle node,
+    radial node) arrays.  An angle node maps to its point on the far side,
+    s e + u e', with e the direction of the perpendicular foot and e' that
+    direction turned by +90 degrees; the radial nodes lie on the segment
+    from the origin to that point, at the fractions rho = (x_g + 1) / 2,
+    with weights rbar^2 rho w_g / 2 (rbar^2 = s^2 + u^2).
     """
-    xg, wg = gauss_rule(n)
-    xs, ys, ws = [], [], []
-    for sub in subdivide(verts2d):
-        geom = ref_params(sub, 0.0)
-        s = geom.s
-        if z is not None and abs(z) >= s:
-            u_lo = s * math.tan(geom.theta_lo)
-            u_hi = s * math.tan(geom.theta_hi)
-            half = 0.5 * (u_hi - u_lo)
-            u = 0.5 * (u_hi + u_lo) + half * xg
-            wth = half * wg * s / (s * s + u * u)
-            th = np.arctan2(u, s)
-            rbar = np.hypot(s, u)
-        else:
-            half = 0.5 * (geom.theta_hi - geom.theta_lo)
-            th = 0.5 * (geom.theta_hi + geom.theta_lo) + half * xg
-            wth = half * wg
-            rbar = s / np.cos(th)
-        r = 0.5 * rbar[:, None] * (xg[None, :] + 1.0)
-        wr = 0.5 * rbar[:, None] * wg[None, :]
-        w = sub.sign * wth[:, None] * wr * r
-        psi = sub.psi1 + geom.phi + th
-        xs.append((r * np.cos(psi)[:, None]).ravel())
-        ys.append((r * np.sin(psi)[:, None]).ravel())
-        ws.append(w.ravel())
-    if not xs:
+    subs = subdivide(verts2d)
+    if not subs:
         return np.zeros(0), np.zeros(0), np.zeros(0)
-    return np.concatenate(xs), np.concatenate(ys), np.concatenate(ws)
+    xg, wg = gauss_rule(n)
+    rows = []
+    for sub in subs:
+        geom = ref_params(sub, 0.0)
+        s, lo, hi = geom.s, geom.theta_lo, geom.theta_hi
+        far = z is not None and abs(z) >= s
+        if far:
+            lo, hi = s * math.tan(lo), s * math.tan(hi)
+        half = 0.5 * (hi - lo)
+        psi = sub.psi1 + geom.phi  # polar angle of e
+        c, sn = math.cos(psi), math.sin(psi)
+        # signed area factor rbar^2 dtheta: (s^2 + u^2) dtheta in theta,
+        # s du in u; its coefficients of 1 and u^2, times half the range
+        sh = sub.sign * half
+        area = (sh * s, 0.0) if far else (sh * s * s, sh)
+        rows.append((far, 0.5 * (hi + lo), half, s, c, sn, *area))
+    far, mid, half, s, c, sn, a0, a1 = np.array(rows).T[:, :, None]
+    # (subtriangle, angle node): the angular variable, its far-side
+    # parameter u = s tan(theta) and the far-side point s e + u e'
+    v = mid + half * xg
+    # sin / cos, not np.tan: NumPy's tan kernel would map about 0.25 MB
+    # of code into a process that calls it nowhere else
+    u = np.where(far, v, s * np.sin(v) / np.cos(v))
+    px = s * c - u * sn
+    py = s * sn + u * c
+    area = (a0 + a1 * (u * u)) * wg
+    # radial nodes r = rho rbar on [0, rbar], weights rbar^2 rho wg / 2
+    rho = 0.5 * (xg + 1.0)
+    x = px[:, :, None] * rho
+    y = py[:, :, None] * rho
+    w = area[:, :, None] * (0.5 * wg * rho)
+    return x.ravel(), y.ravel(), w.ravel()
 
 
 def _kernel_sums(x, y, w, z: float, k: float, want_hyper: bool) -> PanelIntegrals:
     r2 = x * x + y * y
     R = np.sqrt(r2 + z * z)
-    G = np.exp(1j * k * R) / R
-    jk = 1j * k
-    i0 = np.sum(w * G)
-    ix = np.sum(w * x * G)
-    iy = np.sum(w * y * G)
-    dG = (jk - 1.0 / R) * G * (z / R)
-    di0 = np.sum(w * dG)
-    dix = np.sum(w * x * dG)
-    diy = np.sum(w * y * dG)
+    inv_r = 1.0 / R
+    gp = 1j * k - inv_r  # (dG/dR) / G
+    z_r = z * inv_r
+    wG = w * (np.exp(1j * k * R) / R)
+    wdG = wG * gp * z_r  # w dG/dz
     d2 = None
     if want_hyper:
-        gp = jk - 1.0 / R
-        d2G = G * ((gp * gp + 1.0 / R**2) * (z / R) ** 2 + gp * r2 / R**3)
-        d2 = complex(np.sum(w * d2G))
+        d2 = complex((wG * ((gp * gp + inv_r * inv_r) * z_r**2 + gp * r2 * inv_r**3)).sum())
     return PanelIntegrals(
-        i0=complex(i0),
-        ix=complex(ix),
-        iy=complex(iy),
-        di0_dn=-complex(di0),
-        dix_dn=-complex(dix),
-        diy_dn=-complex(diy),
+        i0=complex(wG.sum()),
+        ix=complex((x * wG).sum()),
+        iy=complex((y * wG).sum()),
+        di0_dn=-complex(wdG.sum()),
+        dix_dn=-complex((x * wdG).sum()),
+        diy_dn=-complex((y * wdG).sum()),
         d2i0_dn2=d2,
     )
 

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from helmpanel.estimator import EstimatorGeom, _check_phi
+from helmpanel.expapprox import ExpApprox
 from helmpanel.numquad import quad_adaptive
 
 
@@ -142,3 +144,59 @@ def random_planar_triangle(rng, scale: float = 1.0) -> np.ndarray:
             if area * 2.0 < 0:  # unreachable; keep orientation arbitrary
                 v = v[::-1]
             return v
+
+
+def shoelace_area(verts2d) -> float:
+    """Signed area of a planar polygon (positive when counter-clockwise)."""
+    v = np.asarray(verts2d, dtype=float)
+    x, y = v[:, 0], v[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def epsilon_q(geom: EstimatorGeom, q: int) -> float:
+    """Signed remainder estimate for the order-q truncation.
+
+    Oscillatory in q; tracks the sign and magnitude of the true remainder
+    of the Legendre expansion of 1/R evaluated at the given t.
+    """
+    _check_phi(geom)
+    phi = math.atan2(geom.sin_phi, geom.cos_phi)
+    w = geom.t * geom.cos_phi * complex(math.cos(phi), math.sin(phi))
+    val = (
+        (1.0 + 1.0j)
+        / geom.R_mid
+        * complex(math.cos(phi / 2.0), math.sin(phi / 2.0))
+        / math.sqrt(math.pi * (q + 1) * geom.sin_phi)
+        * w ** (q + 1)
+        / (1.0 - w)
+    )
+    return val.imag
+
+
+def e_q_bound_enclosed(geom: EstimatorGeom, q: int) -> float:
+    """E_Q specialised to t = 1 (projection on the element)."""
+    _check_phi(geom)
+    return (
+        (1.0 / geom.R_mid)
+        * math.sqrt(2.0 / (math.pi * geom.sin_phi**3))
+        * geom.cos_phi ** (q + 1)
+        / math.sqrt(q + 1)
+    )
+
+
+def eval_complex(approx: ExpApprox, x) -> np.ndarray:
+    """Evaluate the polynomial approximation of exp(jx)."""
+    x = np.asarray(x, dtype=float)
+    return np.polynomial.polynomial.polyval(x, approx.coeffs)
+
+
+def sampled_errors(approx: ExpApprox, n: int = 10000) -> tuple[float, float, float]:
+    """Max sampled errors (cos, sin, complex) on Chebyshev-distributed points."""
+    j = np.arange(n)
+    x = approx.delta_x * 0.5 * (1.0 - np.cos(math.pi * (j + 0.5) / n))
+    pc = np.polynomial.polynomial.polyval(x, approx.cos_coeffs)
+    ps = np.polynomial.polynomial.polyval(x, approx.sin_coeffs)
+    ec = np.max(np.abs(pc - np.cos(x)))
+    es = np.max(np.abs(ps - np.sin(x)))
+    ez = np.max(np.abs((pc + 1j * ps) - np.exp(1j * x)))
+    return float(ec), float(es), float(ez)

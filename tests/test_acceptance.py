@@ -18,8 +18,8 @@ import numpy as np
 from helmpanel.analytic import j_chain, k_terms
 from helmpanel.elemints import build_table, l_c, l_s
 from helmpanel.engine import EvalRequest, evaluate, sample_field_point, sample_triangle
-from helmpanel.estimator import EstimatorGeom, e_q_bound, epsilon_q, q_required
-from helmpanel.expapprox import economize, sampled_errors, taylor_degree_for
+from helmpanel.estimator import EstimatorGeom, e_q_bound, q_required
+from helmpanel.expapprox import economize, taylor_degree_for
 from helmpanel.geometry import (
     RadialExtents,
     SignedSubTriangle,
@@ -30,7 +30,14 @@ from helmpanel.geometry import (
 )
 from helmpanel.numquad import adaptive_oracle, polar_integrate, quad_adaptive, quad_cumulative
 
-from helpers import mp_remainder, oracle_pow_plain, oracle_pow_tan, remainder_amplitude
+from helpers import (
+    epsilon_q,
+    mp_remainder,
+    oracle_pow_plain,
+    oracle_pow_tan,
+    remainder_amplitude,
+    sampled_errors,
+)
 
 RNG = np.random.default_rng(1234321)
 TOLS = (1e-3, 1e-6, 1e-9, 1e-12)

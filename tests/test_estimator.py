@@ -10,15 +10,13 @@ from helmpanel.estimator import (
     OrderSelection,
     Q_CAP,
     e_q_bound,
-    e_q_bound_enclosed,
-    epsilon_q,
     q_required,
     select_order,
 )
 from helmpanel.geometry import RadialExtents
 from helmpanel.numquad import gauss_rule
 
-from helpers import legendre_remainder, remainder_amplitude
+from helpers import e_q_bound_enclosed, epsilon_q, legendre_remainder, remainder_amplitude
 
 
 def geom_for(r_max, r_min, z):
@@ -174,3 +172,21 @@ class TestSelectOrder:
         assert isinstance(sel, OrderSelection)
         assert not sel.analytic_required
         assert sel.e_q <= 1e-6
+
+    def test_order_loop_matches_e_q_bound(self):
+        # the order loop hoists E_Q's order-independent prefix; every
+        # selection must be the one a call of e_q_bound per order gives
+        rng = np.random.default_rng(7151)
+        q_max = 48
+        for _ in range(400):
+            r_max = float(rng.uniform(0.1, 3.0))
+            ext = RadialExtents(r_min=float(rng.choice([0.0, rng.uniform(0.0, r_max)])), r_max=r_max)
+            z = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 1.0))
+            tol = float(10.0 ** rng.uniform(-13.0, -3.0))
+            geom = EstimatorGeom.from_extents(ext, z)
+            want = next((q for q in range(1, q_max + 1) if e_q_bound(geom, q) <= tol), None)
+            assert q_required(ext, z, tol, q_max=q_max) == want
+            sel = select_order(ext, z, tol, q_cap=q_max)
+            assert sel.analytic_required == (want is None)
+            if want is not None:
+                assert sel.q == want and sel.e_q == e_q_bound(geom, want)

@@ -9,12 +9,13 @@ from helmpanel.expapprox import (
     DELTA_X_TIERS,
     EPS_TIERS,
     economize,
-    sampled_errors,
     select_approx,
     table_rows,
     taylor_degree_for,
     taylor_sin_cos,
 )
+
+from helpers import eval_complex, sampled_errors
 
 
 class TestTaylor:
@@ -85,7 +86,7 @@ class TestEconomize:
     def test_complex_eval_helper(self):
         ap = economize(math.pi / 4, 1e-12)
         x = np.linspace(0.0, ap.delta_x, 100, endpoint=False)
-        assert np.max(np.abs(ap.eval_complex(x) - np.exp(1j * x))) < 2e-12
+        assert np.max(np.abs(eval_complex(ap, x) - np.exp(1j * x))) < 2e-12
 
 
 class TestSelectApprox:

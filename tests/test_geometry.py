@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from helmpanel.geometry import (
+    BOUNDARY_TOL_REL,
     RadialExtents,
     Triangle3,
     radial_extents,
     ref_params,
-    shoelace_area,
     subdivide,
     to_local_frame,
 )
 
-from helpers import rigid_motion
+from helpers import random_planar_triangle, rigid_motion, shoelace_area
 
 RNG = np.random.default_rng(20240817)
 
@@ -69,6 +69,34 @@ class TestLocalFrame:
                 assert a.r1 == pytest.approx(b.r1, abs=1e-12)
                 assert a.r2 == pytest.approx(b.r2, abs=1e-12)
                 assert a.theta == pytest.approx(b.theta, abs=1e-12)
+
+    def test_matches_numpy_construction(self):
+        # the frame in float arithmetic against np.cross / np.linalg.norm
+        # with the same conventions, over random poses, cyclic vertex
+        # orders and translations up to 1e3 diameters
+        for _ in range(200):
+            planar = random_planar_triangle(RNG, scale=float(10.0 ** RNG.uniform(-2.0, 2.0)))
+            diam = max(np.linalg.norm(planar[i] - planar[i - 1]) for i in range(3))
+            q, _ = rigid_motion(RNG)
+            shift = RNG.normal(size=3)
+            shift *= diam * 10.0 ** RNG.uniform(-1.0, 3.0) / np.linalg.norm(shift)
+            v = np.roll(np.column_stack([planar, np.zeros(3)]), int(RNG.integers(3)), axis=0) @ q.T + shift
+            local = np.array([*RNG.uniform(-1.5, 1.5, 2), RNG.choice([0.0, RNG.uniform(-2.0, 2.0)])])
+            x = q @ (local * diam) + shift
+            frame, verts2d, z = to_local_frame(Triangle3(*v), x)
+
+            n = np.cross(v[1] - v[0], v[2] - v[0])
+            n /= np.linalg.norm(n)
+            e1 = (v[1] - v[0]) / np.linalg.norm(v[1] - v[0])
+            rot = np.vstack([e1, np.cross(n, e1), n])
+            z_ref = float(np.dot(x - v[0], n))
+            scale = diam + np.linalg.norm(shift)
+            assert np.max(np.abs(frame.rotation - rot)) <= 1e-13
+            assert abs(z - z_ref) <= 1e-13 * scale
+            assert frame.z == z
+            ref2d = (v - (x - z_ref * n)) @ rot[:2].T
+            assert np.max(np.abs(verts2d - ref2d)) <= 1e-13 * scale
+            assert np.max(np.abs(frame.origin - (x - z_ref * n))) <= 1e-13 * scale
 
     def test_degenerate_rejected(self):
         tri = tri3((0, 0, 0), (1, 0, 0), (2, 0, 0))
@@ -145,6 +173,17 @@ class TestRadialExtents:
         ext = radial_extents(verts)
         assert ext.r_min == pytest.approx(1.0, abs=1e-14)
         assert ext.r_max == pytest.approx(math.sqrt(0.25 + 4.0), abs=1e-14)
+
+    def test_boundary_tolerance(self):
+        # a projection half the boundary tolerance outside an edge counts
+        # as on the element; ten times that does not
+        base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        gap = BOUNDARY_TOL_REL * math.sqrt(2.0)  # tolerance at this diameter
+        inside = radial_extents(base - [0.5, -0.5 * gap])
+        assert inside.r_min == 0.0
+        outside = radial_extents(base - [0.5, -5.0 * gap])
+        assert outside.r_min > 0.0
+        assert outside.r_min == pytest.approx(5.0 * gap, rel=1e-6)
 
     def test_r_min_vs_dense_boundary_sampling(self):
         ts = np.linspace(0.0, 1.0, 3334)

@@ -7,7 +7,7 @@ import pytest
 
 from helmpanel import numquad
 from helmpanel.engine import SAMPLE_PROJECTIONS
-from helmpanel.geometry import shoelace_area
+from helmpanel.geometry import ref_params, subdivide
 from helmpanel.numquad import (
     adaptive_oracle,
     gauss_rule,
@@ -18,6 +18,8 @@ from helmpanel.numquad import (
     symmetric_rule_integrate,
     tri_rule,
 )
+
+from helpers import shoelace_area
 
 RNG = np.random.default_rng(10501)
 
@@ -139,6 +141,303 @@ FROZEN_ORACLE = {
 }
 
 
+# polar_integrate values (I0, Ix, Iy, dI0/dn, dIx/dn, dIy/dn, d2I0/dn2) on
+# the sample triangle, k = 1, hypersingular on, keyed by (sample
+# projection, z, n).  Frozen from the per-subtriangle node loop that the
+# one-pass construction replaced.  At z = 0.3 above the centroid the
+# subtriangles take theta and u nodes within one call.
+FROZEN_POLAR = {
+    (1, 0.001, 8): (
+        complex(0.889022218065608, 0.4211533349034092),
+        complex(0.2885976393025994, 0.19383448387453484),
+        complex(0.18660286431332762, 0.1246984758400337),
+        complex(0.18824365020262768, 0.0001441865436346768),
+        complex(0.005116318797096913, 6.674029142508468e-05),
+        complex(0.003324285353904385, 4.292292065975077e-05),
+        complex(-186.5864684498245, -0.1441865144686867),
+    ),
+    (1, 0.001, 16): (
+        complex(0.8887706905052112, 0.4211533348971144),
+        complex(0.2885970704567038, 0.19383448386928842),
+        complex(0.18660249477676266, 0.12469847583571311),
+        complex(0.6712563373917707, 0.00014418654363650873),
+        complex(0.006183068088694465, 6.674029142634414e-05),
+        complex(0.004017031643409182, 4.292292065836019e-05),
+        complex(-592.4654593796607, -0.1441865144705187),
+    ),
+    (1, 0.3, 8): (
+        complex(0.5838643258218374, 0.4146944788456317),
+        complex(0.22821997837681354, 0.19084487564024527),
+        complex(0.14746951978049067, 0.12277575738981963),
+        complex(0.8790680457775792, 0.042863498005243916),
+        complex(0.2728531119064212, 0.01983999532909142),
+        complex(0.17666740408794102, 0.012759781150070457),
+        complex(0.9064731950014483, -0.14027032566106803),
+    ),
+    (1, 0.3, 16): (
+        complex(0.5838645048874862, 0.4146944788392552),
+        complex(0.22821993308691144, 0.1908448756349427),
+        complex(0.14746949035913706, 0.12277575738556135),
+        complex(0.879075407837939, 0.042863498005783554),
+        complex(0.27285295797343107, 0.01983999532946205),
+        complex(0.1766672719845665, 0.012759781149656915),
+        complex(0.9066745003655471, -0.14027032566280095),
+    ),
+    (1, 2.0, 8): (
+        complex(-0.10723817207586397, 0.18582261317281937),
+        complex(-0.05125649510827217, 0.08496099910997951),
+        complex(-0.032913943940780274, 0.05467642737476127),
+        complex(0.12898259073647034, 0.18728820011909503),
+        complex(0.057608824411948784, 0.08658897616490704),
+        complex(0.037113931095440506, 0.05569171107795937),
+        complex(0.21076196990448745, -0.006999558012786409),
+    ),
+    (1, 2.0, 16): (
+        complex(-0.10723817207586397, 0.18582261317281937),
+        complex(-0.05125649510827189, 0.08496099910997942),
+        complex(-0.03291394394078011, 0.054676427374761236),
+        complex(0.12898259073646984, 0.18728820011909503),
+        complex(0.0576088244119501, 0.08658897616490699),
+        complex(0.037113931095441276, 0.055691711077959324),
+        complex(0.21076196990448204, -0.0069995580127864155),
+    ),
+    (1, 10.0, 8): (
+        complex(-0.03719255383466983, -0.025169045669920294),
+        complex(-0.017302554259458668, -0.011810431136572435),
+        complex(-0.011124944001642788, -0.0075902205605116145),
+        complex(-0.028823785851756135, 0.03461286001417569),
+        complex(-0.013504408428653539, 0.016086342742628663),
+        complex(-0.008679608502360145, 0.010343508909715367),
+        complex(0.03131665099844782, 0.031951279509170594),
+    ),
+    (1, 10.0, 16): (
+        complex(-0.03719255383466982, -0.025169045669920287),
+        complex(-0.017302554259458654, -0.011810431136572427),
+        complex(-0.011124944001642783, -0.007590220560511609),
+        complex(-0.028823785851756135, 0.034612860014175684),
+        complex(-0.013504408428653528, 0.016086342742628646),
+        complex(-0.008679608502360138, 0.010343508909715358),
+        complex(0.03131665099844781, 0.031951279509170594),
+    ),
+    (2, 0.001, 8): (
+        complex(2.261531149791428, 0.4435023458837326),
+        complex(-0.003641075843767938, -7.839948907444744e-05),
+        complex(-0.001685627280977528, -3.446887139103849e-05),
+        complex(2.4767872675022615, 0.000148697540394695),
+        complex(-1.7212161830062328e-05, -1.5857564036723896e-08),
+        complex(-8.421051949281458e-06, -6.9542738977606205e-09),
+        complex(-2333.6937907406464, -0.148697510581014),
+    ),
+    (2, 0.001, 16): (
+        complex(2.258757450035226, 0.4435040285501216),
+        complex(-0.0036411189283247908, -7.790502179950975e-05),
+        complex(-0.0016856554132634594, -3.4346872925188066e-05),
+        complex(6.819866310462748, 0.00014869819660213968),
+        complex(-0.00010340511584683645, -1.5668597301952026e-08),
+        complex(-4.993805527593598e-05, -6.906543706828249e-09),
+        complex(-2884.328790052236, -0.1486981667883193),
+    ),
+    (2, 0.3, 8): (
+        complex(1.0305131477090361, 0.4368422708021822),
+        complex(-0.0019180703668910948, -7.746832710938192e-05),
+        complex(-0.0008726560389673149, -3.4144742878224055e-05),
+        complex(2.4419904543335695, 0.04420820653529742),
+        complex(-0.006316289176642509, -4.700155915993501e-06),
+        complex(-0.002936548579311332, -2.0704526536526914e-06),
+        complex(7.518729276548573, -0.14469467861888702),
+    ),
+    (2, 0.3, 16): (
+        complex(1.0305133546032068, 0.4368428051832539),
+        complex(-0.0019179577897568134, -7.72022122279975e-05),
+        complex(-0.0008725932395086122, -3.403708236868891e-05),
+        complex(2.441999161936762, 0.04420827018269301),
+        complex(-0.00631427657008965, -4.670343261864267e-06),
+        complex(-0.002935660145909069, -2.058637028814342e-06),
+        complex(7.518918159743274, -0.1446948866901656),
+    ),
+    (2, 2.0, 8): (
+        complex(-0.09695064394144615, 0.20035363062333167),
+        complex(-3.773020368873312e-05, -5.073992222482705e-05),
+        complex(-1.6685413527004964e-05, -2.2372595302338344e-05),
+        complex(0.15081787653130607, 0.19399215889158772),
+        complex(-7.94759457299829e-05, -2.329733791329308e-05),
+        complex(-3.513500961040139e-05, -1.0269589988499278e-05),
+        complex(0.2410452274664698, -0.008287917790591856),
+    ),
+    (2, 2.0, 16): (
+        complex(-0.09695064394144609, 0.20035363062333167),
+        complex(-3.773020368872532e-05, -5.073992222483226e-05),
+        complex(-1.6685413527001494e-05, -2.237259530233661e-05),
+        complex(0.15081787653130635, 0.19399215889158772),
+        complex(-7.947594572991004e-05, -2.329733791329655e-05),
+        complex(-3.5135009610380574e-05, -1.0269589988504482e-05),
+        complex(0.24104522746647228, -0.008287917790591858),
+    ),
+    (2, 10.0, 8): (
+        complex(-0.03763454121325823, -0.02463440309399667),
+        complex(1.5115842207946185e-06, -1.8519440657589238e-06),
+        complex(6.656980282024674e-07, -8.161908922677593e-07),
+        complex(-0.028383813099488973, 0.03515689213365122),
+        complex(-1.5286396619392916e-06, -1.8666810430783762e-06),
+        complex(-6.738208055932782e-07, -8.22237420713013e-07),
+        complex(0.031932501795008505, 0.031635081604681134),
+    ),
+    (2, 10.0, 16): (
+        complex(-0.037634541213258224, -0.024634403093996664),
+        complex(1.5115842207948354e-06, -1.8519440657582733e-06),
+        complex(6.656980282029011e-07, -8.161908922671088e-07),
+        complex(-0.028383813099488966, 0.035156892133651224),
+        complex(-1.5286396619379906e-06, -1.8666810430777257e-06),
+        complex(-6.738208055928445e-07, -8.22237420713013e-07),
+        complex(0.031932501795008505, 0.031635081604681134),
+    ),
+    (3, 0.001, 8): (
+        complex(1.5562880260348828, 0.436824136120212),
+        complex(-0.024063377794363544, -0.01421252788317343),
+        complex(0.29407707299745567, 0.1290177102199281),
+        complex(0.8873812063370478, 0.00014735346349407198),
+        complex(-2.1871509157762523e-05, -4.841609455165408e-06),
+        complex(0.010954320210392419, 4.3796894292479614e-05),
+        complex(-861.8280683400066, -0.14735343387305527),
+    ),
+    (3, 0.001, 16): (
+        complex(1.5551883227978234, 0.43682420984062126),
+        complex(-0.02406327153969888, -0.014212671923109564),
+        complex(0.29407567100206505, 0.12901800862435508),
+        complex(2.822614537555575, 0.00014735351563108486),
+        complex(-0.00010238553487376071, -4.841672430930058e-06),
+        complex(0.012807106487950214, 4.379704079267618e-05),
+        complex(-1867.0639788554472, -0.1473534860100555),
+    ),
+    (3, 0.3, 8): (
+        complex(0.8479917841662681, 0.4302232301864697),
+        complex(-0.01969429303917688, -0.013995645243475106),
+        complex(0.20775730376102391, 0.12705579040380557),
+        complex(1.6817766932153364, 0.0438074465654094),
+        complex(-0.023538622033735232, -0.0014393319963268833),
+        complex(0.3280885943114728, 0.013020281163098057),
+        complex(3.6625816321013254, -0.14337607356363008),
+    ),
+    (3, 0.3, 16): (
+        complex(0.8479916054218051, 0.4302233015737767),
+        complex(-0.019694208073260056, -0.013995786463594676),
+        complex(0.20775700617392198, 0.12705608224963183),
+        complex(1.6817773618606697, 0.04380746203288838),
+        complex(-0.023538600824898892, -0.0014393507017812575),
+        complex(0.3280883995358337, 0.013020324662538284),
+        complex(3.662612018470447, -0.14337612396851157),
+    ),
+    (3, 2.0, 8): (
+        complex(-0.10014825632202434, 0.19600495389578199),
+        complex(0.0035038599607454014, -0.006306904495681862),
+        complex(-0.030998257993745833, 0.057481226970781216),
+        complex(0.14406812592772583, 0.19199309812313264),
+        complex(-0.004452509129069391, -0.006295547191740605),
+        complex(0.041202527755168236, 0.05699000747737637),
+        complex(0.23143707326627805, -0.007902652131524131),
+    ),
+    (3, 2.0, 16): (
+        complex(-0.10014825632202434, 0.19600495389578196),
+        complex(0.003503859960745372, -0.0063069044956818535),
+        complex(-0.030998257993745733, 0.057481226970781174),
+        complex(0.14406812592772567, 0.19199309812313264),
+        complex(-0.004452509129069597, -0.006295547191740598),
+        complex(0.041202527755168694, 0.056990007477376335),
+        complex(0.2314370732662765, -0.007902652131524128),
+    ),
+    (3, 10.0, 8): (
+        complex(-0.03750431811986071, -0.02479343803236572),
+        complex(0.0012433418650716669, 0.0008347425969920841),
+        complex(-0.011211474656473798, -0.007486449526528254),
+        complex(-0.028514985574380224, 0.03499621022646139),
+        complex(0.0009573385570187183, -0.0011581504943517758),
+        complex(-0.008594389429371492, 0.010449783667437419),
+        complex(0.03175025352591228, 0.031729667561094806),
+    ),
+    (3, 10.0, 16): (
+        complex(-0.03750431811986071, -0.024793438032365715),
+        complex(0.0012433418650716647, 0.0008347425969920835),
+        complex(-0.011211474656473791, -0.007486449526528249),
+        complex(-0.02851498557438022, 0.03499621022646139),
+        complex(0.0009573385570187172, -0.0011581504943517745),
+        complex(-0.008594389429371485, 0.010449783667437412),
+        complex(0.03175025352591227, 0.031729667561094806),
+    ),
+    (4, 0.001, 8): (
+        complex(0.4000454209541511, 0.39804734357134663),
+        complex(-0.27816731419542795, -0.30739354226681864),
+        complex(-0.06226154928234927, -0.05938562431608603),
+        complex(-0.1569087535325584, 0.0001394799249576655),
+        complex(-0.00020369831982899878, -0.000108357098062644),
+        complex(-4.804130163651218e-05, -2.085384267027141e-05),
+        complex(149.1553288175931, -0.1394798964708826),
+    ),
+    (4, 0.001, 16): (
+        complex(0.40022401075718417, 0.3980473251214045),
+        complex(-0.2781673266970396, -0.3073934684684652),
+        complex(-0.06226140843028269, -0.059385726502708854),
+        complex(-0.4350056067919611, 0.000139479907051117),
+        complex(-0.0005166678865238814, -0.00010835705882200416),
+        complex(-0.0001541828263464588, -2.0853895393613232e-05),
+        complex(151.89887587399824, -0.13947987856433897),
+    ),
+    (4, 0.3, 8): (
+        complex(0.34610816185608334, 0.39179959647095863),
+        complex(-0.24245881408948353, -0.30253993929524065),
+        complex(-0.05325006294687691, -0.05845151863492945),
+        complex(0.3176812444831065, 0.04146065855976219),
+        complex(-0.21380426642629707, -0.03220862014128185),
+        complex(-0.052216154602003476, -0.006198790252754045),
+        complex(-0.5936755450526576, -0.135655015854959),
+    ),
+    (4, 0.3, 16): (
+        complex(0.3461090824821353, 0.39179957882211636),
+        complex(-0.24245904168363602, -0.302539867253461),
+        complex(-0.05324999606457025, -0.058451618461371604),
+        complex(0.3176906448013997, 0.0414606532502005),
+        complex(-0.21381080269910577, -0.03220860849208712),
+        complex(-0.0522174434152714, -0.006198805905366645),
+        complex(-0.5938631131885312, -0.1356549985709321),
+    ),
+    (4, 2.0, 8): (
+        complex(-0.11659323047488988, 0.17086823882970367),
+        complex(0.09300399292922451, -0.13099854436578298),
+        complex(0.017547131430644743, -0.025426424301851512),
+        complex(0.10859604691254521, 0.18030575816493136),
+        complex(-0.08136596897361732, -0.13990207425550635),
+        complex(-0.016121142535793376, -0.026945541047976654),
+        complex(0.18456240513246217, -0.005670276438627686),
+    ),
+    (4, 2.0, 16): (
+        complex(-0.11659323047489503, 0.1708682388297037),
+        complex(0.09300399292922402, -0.13099854436578295),
+        complex(0.017547131430644857, -0.02542642430185152),
+        complex(0.10859604691250965, 0.18030575816493144),
+        complex(-0.08136596897359848, -0.13990207425550627),
+        complex(-0.016121142535786323, -0.026945541047976654),
+        complex(0.18456240513222266, -0.005670276438627684),
+    ),
+    (4, 10.0, 8): (
+        complex(-0.036713863891707894, -0.025730277268180297),
+        complex(0.02866585448075408, 0.020263273679127676),
+        complex(0.005499064596171711, 0.0038678669780507938),
+        complex(-0.029282157976544623, 0.0340282915560723),
+        complex(0.023025495988960615, -0.026541913550736176),
+        complex(0.004398908613960427, -0.0050947357638773845),
+        complex(0.03065907355444614, 0.032277026028219816),
+    ),
+    (4, 10.0, 16): (
+        complex(-0.036713863891707894, -0.025730277268180304),
+        complex(0.028665854480754066, 0.02026327367912766),
+        complex(0.00549906459617171, 0.003867866978050792),
+        complex(-0.029282157976544626, 0.0340282915560723),
+        complex(0.023025495988960597, -0.026541913550736162),
+        complex(0.004398908613960424, -0.005094735763877384),
+        complex(0.03065907355444614, 0.032277026028219816),
+    ),
+}
+
+
 def verts_rel(proj):
     """Sample triangle shifted so the projection sits at the origin."""
     return VERTS - np.asarray(proj)
@@ -188,6 +487,13 @@ class TestPolarNodes:
         verts = verts_rel((0.45, 0.3))
         _, _, w = polar_nodes(verts, 2, z=10.0)
         assert np.sum(w) == pytest.approx(shoelace_area(verts), abs=1e-14)
+        # z = 0.3 lies between the s of the centroid's subtriangles, so
+        # theta and u nodes mix within one call
+        verts = verts_rel(SAMPLE_PROJECTIONS[2])
+        s = [ref_params(sub, 0.0).s for sub in subdivide(verts)]
+        assert min(s) <= 0.3 < max(s)
+        _, _, w = polar_nodes(verts, 24, z=0.3)
+        assert np.sum(w) == pytest.approx(shoelace_area(verts), abs=1e-14)
 
     def test_polynomial_moment(self):
         # x-moment of the triangle about an arbitrary origin
@@ -198,6 +504,14 @@ class TestPolarNodes:
 
 
 class TestPolarIntegrate:
+    @pytest.mark.parametrize("key", sorted(FROZEN_POLAR))
+    def test_matches_frozen(self, key):
+        proj, z, n = key
+        got = polar_integrate(verts_rel(SAMPLE_PROJECTIONS[proj]), z, 1.0, n, want_hyper=True)
+        names = ("i0", "ix", "iy", "di0_dn", "dix_dn", "diy_dn", "d2i0_dn2")
+        for name, want in zip(names, FROZEN_POLAR[key]):
+            assert abs(getattr(got, name) - want) <= 1e-13 * (1.0 + abs(want)), name
+
     def test_reference_order_matches_oracle(self):
         # 50 x 50 polar Gauss agrees with the adaptive value at z = 1
         verts = verts_rel((0.45, 0.3))
