@@ -21,6 +21,7 @@ returns the one-sided limit from positive z.  All values exclude the
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,127 +36,137 @@ from .geometry import RefGeom
 GREEN_PREFACTOR = 1.0 / (4.0 * math.pi)
 
 
-@dataclass
-class JTerms:
-    """I_{q,c}, I_{q,s} and their z-derivatives, q = 0 .. Q."""
+def _entry(i: int) -> property:
+    """Entry i of ``self.values`` (None past its end), readable and writable."""
 
-    jc: np.ndarray
-    js: np.ndarray
-    djc: np.ndarray
-    djs: np.ndarray
+    def get(self):
+        return self.values[i] if i < len(self.values) else None
+
+    def put(self, value) -> None:
+        self.values[i] = value
+
+    return property(get, put)
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class KTerms:
-    """Per-order expansion terms and their z-derivatives, q = 0 .. Q."""
+    """Per-order expansion terms and their z-derivatives, q = 0 .. Q.
 
-    k0: np.ndarray
-    kx: np.ndarray
-    ky: np.ndarray
-    dk0: np.ndarray
-    dkx: np.ndarray
-    dky: np.ndarray
-    d2k0: np.ndarray | None = None
+    One (6, Q + 1) array, or (7, Q + 1) with the hypersingular row; its
+    rows are read as ``k0``, ``kx``, ``ky``, ``dk0``, ``dkx``, ``dky`` and
+    ``d2k0`` (None without the hypersingular row).
+    """
+
+    values: np.ndarray
+    k0 = _entry(0)
+    kx = _entry(1)
+    ky = _entry(2)
+    dk0 = _entry(3)
+    dkx = _entry(4)
+    dky = _entry(5)
+    d2k0 = _entry(6)
 
 
-@dataclass
+# Component order of PanelIntegrals.values.
+COMPONENTS = ("i0", "ix", "iy", "di0_dn", "dix_dn", "diy_dn", "d2i0_dn2")
+
+
+@dataclass(eq=False, slots=True)
 class PanelIntegrals:
     """Integrals of e^{jkR}/R weighted by {1, x, y} and normal derivatives.
 
+    ``values`` is one complex vector in COMPONENTS order, with 7 entries
+    when the hypersingular term was asked for and 6 otherwise (then
+    ``d2i0_dn2`` is None); each component name reads and writes its entry.
     Normal derivative = -d/dz with the element normal along +z; values at
     z = 0 are one-sided limits from z > 0.  The 1/(4 pi) of the Green's
     function is excluded throughout.
     """
 
-    i0: complex
-    ix: complex
-    iy: complex
-    di0_dn: complex
-    dix_dn: complex
-    diy_dn: complex
-    d2i0_dn2: complex | None = None
-
-    @classmethod
-    def zero(cls, want_hyper: bool = False) -> "PanelIntegrals":
-        return cls(0j, 0j, 0j, 0j, 0j, 0j, 0j if want_hyper else None)
-
-    def __add__(self, other: "PanelIntegrals") -> "PanelIntegrals":
-        hyper = None
-        if self.d2i0_dn2 is not None and other.d2i0_dn2 is not None:
-            hyper = self.d2i0_dn2 + other.d2i0_dn2
-        return PanelIntegrals(
-            self.i0 + other.i0,
-            self.ix + other.ix,
-            self.iy + other.iy,
-            self.di0_dn + other.di0_dn,
-            self.dix_dn + other.dix_dn,
-            self.diy_dn + other.diy_dn,
-            hyper,
-        )
-
-    def __rmul__(self, c) -> "PanelIntegrals":
-        return PanelIntegrals(
-            c * self.i0,
-            c * self.ix,
-            c * self.iy,
-            c * self.di0_dn,
-            c * self.dix_dn,
-            c * self.diy_dn,
-            c * self.d2i0_dn2 if self.d2i0_dn2 is not None else None,
-        )
-
-    def rotated(self, psi: float) -> "PanelIntegrals":
-        """Rotate the in-plane (x, y) components by angle psi."""
-        c, s = math.cos(psi), math.sin(psi)
-        return PanelIntegrals(
-            i0=self.i0,
-            ix=c * self.ix - s * self.iy,
-            iy=s * self.ix + c * self.iy,
-            di0_dn=self.di0_dn,
-            dix_dn=c * self.dix_dn - s * self.diy_dn,
-            diy_dn=s * self.dix_dn + c * self.diy_dn,
-            d2i0_dn2=self.d2i0_dn2,
-        )
+    values: np.ndarray
+    i0 = _entry(0)
+    ix = _entry(1)
+    iy = _entry(2)
+    di0_dn = _entry(3)
+    dix_dn = _entry(4)
+    diy_dn = _entry(5)
+    d2i0_dn2 = _entry(6)
 
 
-def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> JTerms:
+@functools.lru_cache(maxsize=32)
+def _orders(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-order rows for q = 0 .. q_max: q itself, the factors (1, q + 1)
+    of k_terms' s = 0 and s = 1 sources, and its six row divisors."""
+    q = np.arange(q_max + 1.0)
+    return q, np.stack([q**0, q + 1]), np.stack([q + 1, q + 2, q + 2, q + 1, q + 2, q + 2])
+
+
+# (K row, source row) of each coefficient that k_terms sets, in its order.
+# The sources are p = (kS)^q B_p[0], p1 = (kS)^q (q + 1) B_p[1], the same
+# t and t1 of the tan table, then jc, js, djc and djs, where B[s] is the
+# binomial sum of order q + 1 at s.
+_K_POS = tuple(zip(
+    (0, 0),                  # k0:  S p
+    (1, 0), (1, 4),          # kx:  sS p, 2|z| jc
+    (2, 2), (2, 5),          # ky:  sS t, 2|z| js
+    (3, 1),                  # dk0: -sigma p1
+    (4, 1), (4, 4), (4, 6),  # dkx: -sigma s p1, 2 sigma jc, 2|z| djc
+    (5, 3), (5, 5), (5, 7),  # dky: -sigma s t1, 2 sigma js, 2|z| djs
+))
+
+
+def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> np.ndarray:
     """I_{q,c}, I_{q,s} and z-derivatives by upward recursion.
+
+    Returns the rows (I_c, I_s, dI_c/dz, dI_s/dz) of one (4, q_max + 1)
+    array.
 
     Seeds:  I_{0,c} = (s/2) Theta + (|z|/4) L_c  (and the log-cos analogue
     for I_{0,s}); each later order adds an elementary integral of
     (Delta/cos - alpha)^{q+1} and subtracts k|z|(2q+3)/(q+2) times the
     previous order.  The derivative seeds are +/-(L/4 + (s/2S) * integral
-    of {cos, sin}/Delta).
+    of {cos, sin}/Delta).  The recursion is sequential and short, so it
+    runs on floats.
     """
     s, S = geom.s, geom.S
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
     kS = k * S
-    bp, bt = table.binom_plain, table.binom_tan
-    jc = np.zeros(q_max + 1)
-    js = np.zeros(q_max + 1)
-    djc = np.zeros(q_max + 1)
-    djs = np.zeros(q_max + 1)
-    jc[0] = 0.5 * s * table.plain_pow(0) + 0.25 * az * table.lc
-    js[0] = 0.5 * s * table.tan_pow(0) + 0.25 * az * table.ls
-    djc[0] = sigma * (0.25 * table.lc + 0.5 * (s / S) * table.plain_pow(-1))
-    djs[0] = sigma * (0.25 * table.ls + 0.5 * (s / S) * table.tan_pow(-1))
+    kaz = k * az
+    (p_m1, p_0), (t_m1, t_0) = table.powers[:, 2:4].tolist()
+    # binomial sums of order q + 1 at s = 0, 1, indexed [q]
+    (bp, bp1), (bt, bt1) = table.binom[:, :2, 1 : q_max + 1].tolist()
+    c = 0.5 * s * p_0 + 0.25 * az * table.lc
+    sn = 0.5 * s * t_0 + 0.25 * az * table.ls
+    dc = sigma * (0.25 * table.lc + 0.5 * (s / S) * p_m1)
+    ds = sigma * (0.25 * table.ls + 0.5 * (s / S) * t_m1)
+    jc, js, djc, djs = [c], [sn], [dc], [ds]
+    dsrc0 = -sigma * 0.5 * (s / S)
     for q in range(q_max):
         fac = (2 * q + 3) / (q + 2)
-        src = s * kS ** (q + 1) / (2 * (q + 2))
-        dsrc = -sigma * 0.5 * (s / S) * kS ** (q + 1) * (q + 1) / (q + 2)
-        jc[q + 1] = src * bp[0, q + 1] - k * az * fac * jc[q]
-        js[q + 1] = src * bt[0, q + 1] - k * az * fac * js[q]
-        djc[q + 1] = dsrc * bp[1, q + 1] - sigma * fac * k * jc[q] - k * az * fac * djc[q]
-        djs[q + 1] = dsrc * bt[1, q + 1] - sigma * fac * k * js[q] - k * az * fac * djs[q]
-    return JTerms(jc=jc, js=js, djc=djc, djs=djs)
+        kf = kaz * fac
+        sfk = sigma * fac * k
+        kSq1 = kS ** (q + 1)
+        src = s * kSq1 / (2 * (q + 2))
+        dsrc = dsrc0 * kSq1 * (q + 1) / (q + 2)
+        c, sn, dc, ds = (
+            src * bp[q] - kf * c,
+            src * bt[q] - kf * sn,
+            dsrc * bp1[q] - sfk * c - kf * dc,
+            dsrc * bt1[q] - sfk * sn - kf * ds,
+        )
+        jc.append(c)
+        js.append(sn)
+        djc.append(dc)
+        djs.append(ds)
+    return np.array([jc, js, djc, djs])
 
 
 def hypersingular(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> np.ndarray:
     """Second z-derivatives of K_{q,0} (constant-element hypersingular term)."""
-    q = np.arange(q_max + 1)
-    b = table.binom_plain[:, 1 : q_max + 2]
-    return (k * geom.S) ** q / geom.S * (geom.alpha * b[3] + (q + 1) * b[2])
+    q, (_, q1), _ = _orders(q_max)
+    b = table.binom[0, :, 1 : q_max + 2]
+    return (k * geom.S) ** q / geom.S * (geom.alpha * b[3] + q1 * b[2])
 
 
 def k_terms(
@@ -166,32 +177,41 @@ def k_terms(
     table: ElemTable,
     want_hyper: bool = False,
 ) -> KTerms:
-    """All expansion terms K_{q,0/x/y} and z-derivatives for q = 0 .. q_max."""
+    """All expansion terms K_{q,0/x/y} and z-derivatives for q = 0 .. q_max.
+
+    Each row is a short sum of coefficient * source row (see _K_POS) over
+    a per-order divisor:
+
+        k0  = S p / (q+1)         kx  = (sS p + 2|z| jc) / (q+2)
+        dk0 = -sigma p1 / (q+1)   dkx = (-sigma s p1 + 2 sigma jc + 2|z| djc) / (q+2)
+
+    and ky, dky likewise from t, t1, js and djs, so all rows come from one
+    coefficient matrix and one product.
+    """
     s, S = geom.s, geom.S
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
-    jt = j_chain(geom, z, k, q_max, table)
-    q = np.arange(q_max + 1)
-    kSq = (k * S) ** q
-    bp, bp1 = table.binom_plain[:2, 1 : q_max + 2]
-    bt, bt1 = table.binom_tan[:2, 1 : q_max + 2]
-    return KTerms(
-        k0=S * kSq / (q + 1) * bp,
-        kx=s * S * kSq / (q + 2) * bp + 2 * az / (q + 2) * jt.jc,
-        ky=s * S * kSq / (q + 2) * bt + 2 * az / (q + 2) * jt.js,
-        dk0=-sigma * kSq * bp1,
-        dkx=(
-            -sigma * s * kSq * (q + 1) / (q + 2) * bp1
-            + sigma * 2 / (q + 2) * jt.jc
-            + 2 * az / (q + 2) * jt.djc
-        ),
-        dky=(
-            -sigma * s * kSq * (q + 1) / (q + 2) * bt1
-            + sigma * 2 / (q + 2) * jt.js
-            + 2 * az / (q + 2) * jt.djs
-        ),
-        d2k0=hypersingular(geom, z, k, q_max, table) if want_hyper else None,
+    j = j_chain(geom, z, k, q_max, table)
+    q, factor, divisor = _orders(q_max)
+    b = table.binom[:, :2, 1 : q_max + 2] * ((k * S) ** q * factor)
+    coef = np.zeros((6, 8))
+    coef[_K_POS] = (
+        S,                              # k0
+        s * S, 2 * az,                  # kx
+        s * S, 2 * az,                  # ky
+        -sigma,                         # dk0
+        -sigma * s, 2 * sigma, 2 * az,  # dkx
+        -sigma * s, 2 * sigma, 2 * az,  # dky
     )
+    out = np.empty((7 if want_hyper else 6, q_max + 1))
+    np.divide(coef @ np.concatenate([b.reshape(4, -1), j]), divisor, out=out[:6])
+    if want_hyper:
+        out[6] = hypersingular(geom, z, k, q_max, table)
+    return KTerms(out)
+
+
+# Expansion coefficients at k = 0, where the kernel is exactly 1/R.
+_E_LAPLACE = np.ones(1, dtype=complex)
 
 
 def assemble(
@@ -203,41 +223,27 @@ def assemble(
 ) -> PanelIntegrals:
     """Sum the expansion with coefficients e_q and apply exp(jk|z|).
 
-    At k = 0 the kernel is exactly 1/R and the single coefficient e_0 = 1
-    is used, which keeps the imaginary parts identically zero.
+    One product of the term rows with e gives every primed sum.  At k = 0
+    the kernel is exactly 1/R and the single coefficient e_0 = 1 is used,
+    which keeps the imaginary parts identically zero.
     """
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
-    if k == 0.0:
-        e = np.array([1.0 + 0.0j])
-    else:
-        e = approx.coeffs
-    n = min(len(e), len(terms.k0))
-    e = e[:n]
-    i0p = complex(np.dot(e, terms.k0[:n]))
-    ixp = complex(np.dot(e, terms.kx[:n]))
-    iyp = complex(np.dot(e, terms.ky[:n]))
-    di0p = complex(np.dot(e, terms.dk0[:n]))
-    dixp = complex(np.dot(e, terms.dkx[:n]))
-    diyp = complex(np.dot(e, terms.dky[:n]))
+    e = approx.coeffs if k != 0.0 else _E_LAPLACE
+    i0p, ixp, iyp, di0p, dixp, diyp, *d2p = (terms.values @ e).tolist()
     pref = cmath.exp(1j * k * az)
     jk = 1j * k
-    di0_dz = sigma * jk * pref * i0p + pref * di0p
-    dix_dz = sigma * jk * pref * ixp + pref * dixp
-    diy_dz = sigma * jk * pref * iyp + pref * diyp
-    d2 = None
-    if terms.d2k0 is not None:
-        d2i0p = complex(np.dot(e, terms.d2k0[:n]))
-        d2 = pref * (-(k * k) * i0p + 2.0 * sigma * jk * di0p + d2i0p)
-    return PanelIntegrals(
-        i0=pref * i0p,
-        ix=pref * ixp,
-        iy=pref * iyp,
-        di0_dn=-di0_dz,
-        dix_dn=-dix_dz,
-        diy_dn=-diy_dz,
-        d2i0_dn2=d2,
-    )
+    out = [
+        pref * i0p,
+        pref * ixp,
+        pref * iyp,
+        -(sigma * jk * pref * i0p + pref * di0p),
+        -(sigma * jk * pref * ixp + pref * dixp),
+        -(sigma * jk * pref * iyp + pref * diyp),
+    ]
+    if d2p:
+        out.append(pref * (-(k * k) * i0p + 2.0 * sigma * jk * di0p + d2p[0]))
+    return PanelIntegrals(np.array(out))
 
 
 def evaluate_ref(

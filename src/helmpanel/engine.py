@@ -57,9 +57,10 @@ class EvalRequest:
 
     def __post_init__(self):
         self.field_point = np.asarray(self.field_point, dtype=float)
-        if not np.isfinite(self.triangle.vertices).all():
+        tri = self.triangle
+        if not all(map(math.isfinite, tri.v1.tolist() + tri.v2.tolist() + tri.v3.tolist())):
             raise ValueError("triangle vertices must be finite")
-        if not np.isfinite(self.field_point).all():
+        if not all(map(math.isfinite, self.field_point.tolist())):
             raise ValueError("field point must be finite")
         if not (1e-15 <= self.tol <= 1e-2):
             raise ValueError("tol must lie in [1e-15, 1e-2]")
@@ -67,7 +68,7 @@ class EvalRequest:
             raise ValueError("k must be finite and non-negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodInfo:
     """How a result was produced."""
 
@@ -79,7 +80,7 @@ class MethodInfo:
     note: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalReport:
     result: PanelIntegrals | None
     method: MethodInfo
@@ -91,7 +92,7 @@ class EvalReport:
 
 
 def _analytic_eval(verts2d, z, k, tol, want_hyper) -> tuple[PanelIntegrals, MethodInfo]:
-    total = PanelIntegrals.zero(want_hyper)
+    total = [0j] * (7 if want_hyper else 6)
     q_exp = 0
     dx = None
     for sub in subdivide(verts2d):
@@ -99,9 +100,16 @@ def _analytic_eval(verts2d, z, k, tol, want_hyper) -> tuple[PanelIntegrals, Meth
         approx = select_approx(k, sub.r_max, tol)
         q_exp = max(q_exp, approx.q)
         dx = approx.delta_x if dx is None else max(dx, approx.delta_x)
-        part = evaluate_ref(geom, z, k, approx, want_hyper=want_hyper)
-        total = total + sub.sign * part.rotated(sub.psi1 + geom.phi)
-    return total, MethodInfo(kind="analytic", q_expansion=q_exp, delta_x=dx)
+        i0, ix, iy, di0, dix, diy, *d2 = evaluate_ref(geom, z, k, approx, want_hyper=want_hyper).values.tolist()
+        # the subtriangle's sign times the rotation by psi into the element
+        # frame, one 2x2 product on the (ix, iy) and (dix, diy) pairs; on
+        # 2-3 subtriangles scalar arithmetic beats NumPy's per-call cost
+        sign = sub.sign
+        psi = sub.psi1 + geom.phi
+        c, s = sign * math.cos(psi), sign * math.sin(psi)
+        part = (sign * i0, c * ix - s * iy, s * ix + c * iy, sign * di0, c * dix - s * diy, s * dix + c * diy)
+        total = [t + v for t, v in zip(total, part + tuple(sign * v for v in d2))]
+    return PanelIntegrals(np.array(total)), MethodInfo(kind="analytic", q_expansion=q_exp, delta_x=dx)
 
 
 def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None) -> EvalReport:

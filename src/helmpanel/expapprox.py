@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -41,9 +41,9 @@ class ExpApprox:
     cos_coeffs: np.ndarray
     sin_coeffs: np.ndarray
 
-    @property
+    @cached_property
     def coeffs(self) -> np.ndarray:
-        """Complex coefficients e_q = c_q + j s_q."""
+        """Complex coefficients e_q = c_q + j s_q (computed on first use)."""
         return self.cos_coeffs + 1j * self.sin_coeffs
 
 

@@ -84,7 +84,7 @@ class Triangle3:
 
 
 def _plane(p1, p2, p3):
-    """Raw normal (v2-v1) x (v3-v1), its norm, v2 - v1 and its length.
+    """Raw normal (v2-v1) x (v3-v1), its norm, v2 - v1, its length and the diameter.
 
     Takes the vertices as coordinate lists.  Raises ValueError for a
     degenerate (collinear) or non-finite triangle.
@@ -101,7 +101,7 @@ def _plane(p1, p2, p3):
             f"|area| = {0.5 * nn:.3e} "
             f"below threshold for diameter {d:.3e}"
         )
-    return n, nn, (ax, ay, az), l12
+    return n, nn, (ax, ay, az), l12, d
 
 
 @dataclass
@@ -185,12 +185,13 @@ def to_local_frame(tri: Triangle3, x) -> tuple[LocalFrame, np.ndarray, float]:
 
     Returns ``(frame, verts2d, z)`` where ``verts2d`` is the (3, 2) array
     of planar vertex coordinates with the field-point projection at the
-    origin, and z is the signed height of the field point above the plane.
+    origin, and z is the signed height of the field point above the plane,
+    +0.0 when |z| is within BOUNDARY_TOL_REL of the diameter.
     One request's frame is a handful of 3-vectors, so it is computed in
     float arithmetic rather than with NumPy calls.
     """
     p1, p2, p3 = tri.v1.tolist(), tri.v2.tolist(), tri.v3.tolist()
-    (nx, ny, nz), nn, (e1x, e1y, e1z), l12 = _plane(p1, p2, p3)
+    (nx, ny, nz), nn, (e1x, e1y, e1z), l12, diam = _plane(p1, p2, p3)
     nx, ny, nz = nx / nn, ny / nn, nz / nn
     e1x, e1y, e1z = e1x / l12, e1y / l12, e1z / l12  # along v2 - v1
     e2x, e2y, e2z = ny * e1z - nz * e1y, nz * e1x - nx * e1z, nx * e1y - ny * e1x  # n x e1
@@ -198,6 +199,10 @@ def to_local_frame(tri: Triangle3, x) -> tuple[LocalFrame, np.ndarray, float]:
     z = (px - p1[0]) * nx + (py - p1[1]) * ny + (pz - p1[2]) * nz
     if not math.isfinite(z):
         raise ValueError(f"field point {x} is not finite")
+    if abs(z) <= BOUNDARY_TOL_REL * diam:
+        # an in-plane point lands at a roundoff-level z of either sign; the
+        # one-sided limits are taken from z > 0
+        z = 0.0
     ox, oy, oz = px - z * nx, py - z * ny, pz - z * nz
     verts2d = []
     for vx, vy, vz in (p1, p2, p3):

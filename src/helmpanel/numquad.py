@@ -256,18 +256,10 @@ def _kernel_sums(x, y, w, z: float, k: float, want_hyper: bool) -> PanelIntegral
     z_r = z * inv_r
     wG = w * (np.exp(1j * k * R) / R)
     wdG = wG * gp * z_r  # w dG/dz
-    d2 = None
+    vals = [wG.sum(), (x * wG).sum(), (y * wG).sum(), -wdG.sum(), -(x * wdG).sum(), -(y * wdG).sum()]
     if want_hyper:
-        d2 = complex((wG * ((gp * gp + inv_r * inv_r) * z_r**2 + gp * r2 * inv_r**3)).sum())
-    return PanelIntegrals(
-        i0=complex(wG.sum()),
-        ix=complex((x * wG).sum()),
-        iy=complex((y * wG).sum()),
-        di0_dn=-complex(wdG.sum()),
-        dix_dn=-complex((x * wdG).sum()),
-        diy_dn=-complex((y * wdG).sum()),
-        d2i0_dn2=d2,
-    )
+        vals.append((wG * ((gp * gp + inv_r * inv_r) * z_r**2 + gp * r2 * inv_r**3)).sum())
+    return PanelIntegrals(np.array(vals))
 
 
 def polar_integrate(verts2d, z: float, k: float, n: int, want_hyper: bool = False) -> PanelIntegrals:
@@ -279,6 +271,12 @@ def polar_integrate(verts2d, z: float, k: float, n: int, want_hyper: bool = Fals
     """
     x, y, w = polar_nodes(verts2d, n, z)
     return _kernel_sums(x, y, w, z, k, want_hyper)
+
+
+# f_theta's columns (i0, -di0_dn, d2i0_dn2, ix, iy, -dix_dn, -diy_dn) in
+# PanelIntegrals order, and the signs that undo the negations.
+_ORACLE_COLUMNS = [0, 3, 4, 1, 5, 6, 2]
+_ORACLE_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
 
 
 def adaptive_oracle(
@@ -308,7 +306,7 @@ def adaptive_oracle(
     jk = 1j * k
     ez = cmath.exp(1j * k * az)
     subs = subdivide(verts2d)
-    total = PanelIntegrals.zero(want_hyper)
+    total = PanelIntegrals(np.zeros(7 if want_hyper else 6, dtype=complex))
     achieved = 0.0
     converged = True
     if not subs:
@@ -365,16 +363,9 @@ def adaptive_oracle(
         # most (theta_hi - theta_lo) * e, since |cos|, |sin| <= 1
         achieved += err + (geom.theta_hi - geom.theta_lo) * inner_err
         converged = converged and ok
-        part = PanelIntegrals(
-            i0=complex(v[0]),
-            ix=complex(v[3]) if want_xy else 0j,
-            iy=complex(v[4]) if want_xy else 0j,
-            di0_dn=-complex(v[1]),
-            dix_dn=-complex(v[5]) if want_xy else 0j,
-            diy_dn=-complex(v[6]) if want_xy else 0j,
-            d2i0_dn2=complex(v[2]) if want_hyper else None,
-        )
-        total = total + sub.sign * part
+        if not want_xy:
+            v = np.concatenate([v, np.zeros(4)])
+        total.values += sub.sign * (_ORACLE_SIGNS * v[_ORACLE_COLUMNS])[: len(total.values)]
     if return_status:
         return total, {"error": achieved, "converged": converged}
     return total

@@ -329,10 +329,10 @@ def test_criterion_6_term_by_term_oracle_suite():
                 abs(kt.dkx[q] - ko[q, 4]),
                 abs(kt.dky[q] - ko[q, 5]),
                 abs(kt.d2k0[q] - ko[q, 6]),
-                abs(jt.jc[q] - jo[0, q]),
-                abs(jt.js[q] - jo[1, q]),
-                abs(jt.djc[q] - jo[2, q]),
-                abs(jt.djs[q] - jo[3, q]),
+                abs(jt[0][q] - jo[0, q]),
+                abs(jt[1][q] - jo[1, q]),
+                abs(jt[2][q] - jo[2, q]),
+                abs(jt[3][q] - jo[3, q]),
             )
     # elementary integrals, both families, plus L_c and L_s
     worst_elem = 0.0

@@ -1,12 +1,15 @@
 """Expansion terms and assembly against defining-integral oracles."""
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helmpanel.analytic import (
+    COMPONENTS,
     GREEN_PREFACTOR,
     PanelIntegrals,
     evaluate_ref,
@@ -15,6 +18,7 @@ from helmpanel.analytic import (
     k_terms,
 )
 from helmpanel.elemints import build_table
+from helmpanel.engine import EvalRequest, evaluate, sample_field_point, sample_triangle
 from helmpanel.expapprox import economize, select_approx
 from helmpanel.geometry import SignedSubTriangle, ref_params
 from helmpanel.numquad import quad_adaptive
@@ -172,7 +176,7 @@ class TestJChain:
         geom = ref_params(sub, 0.0)
         table = build_table(0.0, geom.theta_lo, geom.theta_hi, 4, alpha_p=1.0)
         jt = j_chain(geom, 0.0, 1.0, 2, table)
-        assert jt.jc[0] == pytest.approx(0.5 * geom.s * sub.theta, rel=1e-13)
+        assert jt[0][0] == pytest.approx(0.5 * geom.s * sub.theta, rel=1e-13)
 
     def test_terms_match_nested_oracle(self):
         sub = SignedSubTriangle(r1=1.0, r2=0.8, theta=1.3, sign=1, psi1=0.0)
@@ -192,8 +196,8 @@ class TestJChain:
 
             v, _, ok = quad_adaptive(f, geom.theta_lo, geom.theta_hi, 5e-12)
             assert ok
-            assert jt.jc[q] == pytest.approx(float(v[0].real), abs=1e-10)
-            assert jt.js[q] == pytest.approx(float(v[1].real), abs=1e-10)
+            assert jt[0][q] == pytest.approx(float(v[0].real), abs=1e-10)
+            assert jt[1][q] == pytest.approx(float(v[1].real), abs=1e-10)
 
     def test_sign_flip(self):
         sub = SignedSubTriangle(r1=1.0, r2=0.8, theta=1.3, sign=1, psi1=0.0)
@@ -207,10 +211,10 @@ class TestJChain:
             return j_chain(geom, z, k, 5, table)
 
         plus, minus = chain(0.45), chain(-0.45)
-        assert np.allclose(plus.jc, minus.jc, rtol=1e-14)
-        assert np.allclose(plus.js, minus.js, rtol=1e-14)
-        assert np.allclose(plus.djc, -minus.djc, rtol=1e-14)
-        assert np.allclose(plus.djs, -minus.djs, rtol=1e-14)
+        assert np.allclose(plus[0], minus[0], rtol=1e-14)
+        assert np.allclose(plus[1], minus[1], rtol=1e-14)
+        assert np.allclose(plus[2], -minus[2], rtol=1e-14)
+        assert np.allclose(plus[3], -minus[3], rtol=1e-14)
 
     def test_derivatives_match_finite_difference(self):
         sub = SignedSubTriangle(r1=1.0, r2=0.8, theta=1.3, sign=1, psi1=0.0)
@@ -225,11 +229,11 @@ class TestJChain:
 
         jt, up, dn = chain(z), chain(z + h), chain(z - h)
         for q in range(7):
-            assert jt.djc[q] == pytest.approx(
-                (up.jc[q] - dn.jc[q]) / (2 * h), rel=1e-6, abs=1e-12
+            assert jt[2][q] == pytest.approx(
+                (up[0][q] - dn[0][q]) / (2 * h), rel=1e-6, abs=1e-12
             )
-            assert jt.djs[q] == pytest.approx(
-                (up.js[q] - dn.js[q]) / (2 * h), rel=1e-6, abs=1e-12
+            assert jt[3][q] == pytest.approx(
+                (up[1][q] - dn[1][q]) / (2 * h), rel=1e-6, abs=1e-12
             )
 
 
@@ -278,15 +282,17 @@ class TestAssemble:
     def test_prefactor_constant_documented(self):
         assert GREEN_PREFACTOR == pytest.approx(1.0 / (4.0 * math.pi))
 
-    def test_panel_integrals_algebra(self):
-        a = PanelIntegrals(1 + 1j, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
-        b = PanelIntegrals(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        c = a + (-1) * b
-        assert c.i0 == 1j
-        assert c.d2i0_dn2 == 6.0
-        rot = PanelIntegrals(0.0, 1.0, 0.0, 0.0, 0.0, 0.0).rotated(math.pi / 2)
-        assert abs(rot.ix) < 1e-15
-        assert rot.iy == pytest.approx(1.0)
+    def test_panel_integrals_vector_and_accessors(self):
+        vals = np.array([1 + 1j, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        res = PanelIntegrals(vals)
+        for i, name in enumerate(COMPONENTS):
+            assert getattr(res, name) == vals[i]
+        res.i0 += 2.0
+        res.d2i0_dn2 = -1j
+        assert res.values[0] == 3 + 1j and vals[6] == -1j
+        no_hyper = PanelIntegrals(np.zeros(6, dtype=complex))
+        assert no_hyper.d2i0_dn2 is None
+        assert no_hyper.diy_dn == 0.0
 
 
 class TestHypersingular:
@@ -355,3 +361,21 @@ class TestHypersingular:
             assert d2[q] == pytest.approx(
                 kS**q / geom.S * float(v[0].real), abs=1e-11
             )
+
+
+def test_evaluate_matches_frozen():
+    """All seven components at the sample projections, against frozen values.
+
+    4 projections x z in {1e-4, 1e-2, 0.3} x k in {0, 1} x tol in
+    {1e-6, 1e-12}, hypersingular term on; bound 1e-14 (1 + |v|).
+    """
+    frozen = json.loads((Path(__file__).parent / "data" / "analytic_frozen.json").read_text())
+    assert len(frozen["rows"]) == 48
+    for idx, z, k, tol, *parts in frozen["rows"]:
+        req = EvalRequest(sample_triangle(), sample_field_point(idx, z), k, tol, True)
+        rep = evaluate(req, method="analytic")
+        assert rep.method.kind == "analytic"
+        for i, name in enumerate(COMPONENTS):
+            want = complex(parts[2 * i], parts[2 * i + 1])
+            got = getattr(rep.result, name)
+            assert abs(got - want) <= 1e-14 * (1 + abs(want)), (idx, z, k, tol, name)

@@ -224,9 +224,19 @@ class TestTable:
     def test_build_table_consistency(self):
         tab = build_table(0.35, -0.5, 0.8, 10)
         assert tab.n_max == 10
-        assert tab.plain_pow(0) == pytest.approx(1.3, abs=1e-14)
-        assert tab.binom_plain.shape == tab.binom_tan.shape == (4, 11)
-        assert tab.binom_plain[1, 0] == tab.plain_pow(-1)
-        assert tab.binom_tan[0, 2] == pytest.approx(
-            binomial_combination(10, 0.35, tab.tan)[0, 2], abs=0.0
+        assert tab.powers[0, 0 + 3] == pytest.approx(1.3, abs=1e-14)
+        assert tab.binom.shape == (2, 4, 11)
+        assert tab.binom[0, 1, 0] == tab.powers[0, -1 + 3]
+        assert tab.binom[1, 0, 2] == pytest.approx(
+            binomial_combination(10, 0.35, tab.powers[1])[0, 2], abs=0.0
         )
+
+    def test_build_table_matches_standalone_tables(self):
+        # in-plane, below ALPHA_ZERO, the tan[-3] series range and beyond
+        for alpha in (0.0, 5e-9, 0.02, 0.35, 0.97):
+            for lo, hi, n in ((-0.6, 0.9, 9), (0.1, 1.2, 3)):
+                tab = build_table(alpha, lo, hi, n)
+                assert np.array_equal(tab.powers[0], build_pow_plain(alpha, lo, hi, n))
+                assert np.array_equal(tab.powers[1], build_pow_tan(alpha, lo, hi, n))
+                assert tab.lc == l_c(alpha, lo, hi)
+                assert tab.ls == l_s(alpha, lo, hi)

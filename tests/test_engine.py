@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helmpanel.analytic import COMPONENTS, PanelIntegrals
 from helmpanel.engine import (
     EvalRequest,
     K_Z_LIMIT,
@@ -156,7 +157,7 @@ class TestConsistency:
         x = sample_field_point(2, 0.07)
         parent = evaluate(request(x, tol=1e-12, hyper=True), method="analytic")
         pf = parent.frame
-        total = None
+        total = np.zeros(7, dtype=complex)
         c = tri.centroid
         for a, b in ((tri.v1, tri.v2), (tri.v2, tri.v3), (tri.v3, tri.v1)):
             child_rep = evaluate(
@@ -165,9 +166,13 @@ class TestConsistency:
             )
             e1c = child_rep.frame.rotation[0]
             psi = math.atan2(float(e1c @ pf.rotation[1]), float(e1c @ pf.rotation[0]))
-            part = child_rep.result.rotated(psi)
-            total = part if total is None else total + part
-        for name in ("i0", "ix", "iy", "di0_dn", "dix_dn", "diy_dn", "d2i0_dn2"):
+            rot = np.array([[math.cos(psi), -math.sin(psi)], [math.sin(psi), math.cos(psi)]])
+            part = child_rep.result.values.copy()
+            part[1:3] = rot @ part[1:3]  # (ix, iy)
+            part[4:6] = rot @ part[4:6]  # (dix_dn, diy_dn)
+            total += part
+        total = PanelIntegrals(total)
+        for name in COMPONENTS:
             got = getattr(total, name)
             want = getattr(parent.result, name)
             assert abs(got - want) <= 1e-10 * (1 + abs(want)), name
@@ -189,6 +194,23 @@ class TestConsistency:
             m2 = abs(moved.ix) ** 2 + abs(moved.iy) ** 2
             b2 = abs(base.ix) ** 2 + abs(base.iy) ** 2
             assert m2 == pytest.approx(b2, rel=1e-12)
+
+    def test_in_plane_point_snaps_to_positive_side(self):
+        # a rotated in-plane point lands at z ~ +-1e-17; the roundoff sign
+        # must not pick the one-sided limit of dI0/dn (a 2 pi jump)
+        from helpers import rigid_motion
+
+        tri = sample_triangle()
+        x = sample_field_point(2, 0.0)
+        base = evaluate(request(x, tol=1e-9), method="analytic")
+        assert base.z == 0.0
+        for _ in range(50):
+            q, t = rigid_motion(RNG)
+            tri_m = Triangle3(q @ tri.v1 + t, q @ tri.v2 + t, q @ tri.v3 + t)
+            moved = evaluate(request(q @ x + t, tri=tri_m, tol=1e-9), method="analytic")
+            assert moved.z == 0.0 and math.copysign(1.0, moved.z) == 1.0
+            diff = abs(moved.result.di0_dn - base.result.di0_dn)
+            assert diff <= 1e-10 * (1 + abs(base.result.di0_dn))
 
     def test_z_symmetry(self):
         up = evaluate(request(sample_field_point(2, 0.4), tol=1e-12), method="analytic")
