@@ -27,13 +27,14 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bem_nearfield", "near_singular", "oracle_sweep")
 SEEDS = (301, 302, 303, 304, 305)
+SECONDS = 25.0
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One benchmark run in ``tree``; its final JSON line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -41,13 +42,13 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
 
 def spread(values: list[float]) -> dict:
     """Median, quartiles and IQR of one metric over the seeds."""
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
 
 
-def record(tree: Path, workload: str, seeds: list[int], seconds: float) -> dict:
-    runs = [run(tree, workload, seed, seconds, 0) for seed in seeds]
-    traced = run(tree, workload, seeds[0], seconds, 1)
+def record(tree: Path, workload: str) -> dict:
+    runs = [run(tree, workload, seed, 0) for seed in SEEDS]
+    traced = run(tree, workload, SEEDS[0], 1)
     units = {name: m["unit"] for name, m in runs[0]["metrics"].items()}
     return {
         "metrics": {
@@ -58,7 +59,7 @@ def record(tree: Path, workload: str, seeds: list[int], seconds: float) -> dict:
         "failed": [r["failed"] for r in runs],
         "correct": all(r["correct"] for r in runs + [traced]),
         "traced": {
-            "seed": seeds[0],
+            "seed": SEEDS[0],
             "metrics": {name: m["value"] for name, m in traced["metrics"].items()},
             "units": {name: m["unit"] for name, m in traced["metrics"].items()},
         },
@@ -70,15 +71,12 @@ def main() -> None:
     ap.add_argument("--tree", type=Path, default=REPO, help="root of the checkout to measure")
     ap.add_argument("--label", required=True, help="entry name in the output, e.g. parent or change")
     ap.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write or update")
-    ap.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
-    ap.add_argument("--seconds", type=float, default=25.0)
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
     args = ap.parse_args()
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.label] = {
-        "seeds": args.seeds,
-        "seconds": args.seconds,
-        "workloads": {wl: record(args.tree.resolve(), wl, args.seeds, args.seconds) for wl in args.workloads},
+        "seeds": list(SEEDS),
+        "seconds": SECONDS,
+        "workloads": {wl: record(args.tree.resolve(), wl) for wl in WORKLOADS},
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 

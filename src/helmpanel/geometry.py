@@ -185,8 +185,10 @@ def to_local_frame(tri: Triangle3, x) -> tuple[LocalFrame, np.ndarray, float]:
 
     Returns ``(frame, verts2d, z)`` where ``verts2d`` is the (3, 2) array
     of planar vertex coordinates with the field-point projection at the
-    origin, and z is the signed height of the field point above the plane,
-    +0.0 when |z| is within BOUNDARY_TOL_REL of the diameter.
+    origin, and z is the signed height of the field point above the plane.
+    Any |z| <= BOUNDARY_TOL_REL * diameter is returned as +0.0, a genuine
+    height below the plane as well as roundoff, so the one-sided limits at
+    such a point are the ones from z > 0.
     One request's frame is a handful of 3-vectors, so it is computed in
     float arithmetic rather than with NumPy calls.
     """

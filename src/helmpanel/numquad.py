@@ -273,12 +273,6 @@ def polar_integrate(verts2d, z: float, k: float, n: int, want_hyper: bool = Fals
     return _kernel_sums(x, y, w, z, k, want_hyper)
 
 
-# f_theta's columns (i0, -di0_dn, d2i0_dn2, ix, iy, -dix_dn, -diy_dn) in
-# PanelIntegrals order, and the signs that undo the negations.
-_ORACLE_COLUMNS = [0, 3, 4, 1, 5, 6, 2]
-_ORACLE_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
-
-
 def adaptive_oracle(
     verts2d,
     z: float,
@@ -316,13 +310,14 @@ def adaptive_oracle(
     need_dm = "dixy" in components
 
     def f_in(t):
-        # x/y radial moment (and its z-derivative) after t^2 = R - |z|:
+        # x/y radial moment (and its normal derivative, -d/dz) after
+        # t^2 = R - |z|:
         # the same for every angle and subtriangle, which enter only
         # through the upper limit tau = sqrt(Rbar - |z|)
         R = az + t * t
         m = 2.0 * np.exp(1j * k * R) * t * t * np.sqrt(t * t + 2.0 * az)
         if need_dm:
-            return np.stack([m, z * (jk - 1.0 / R) * m / R], axis=-1)
+            return np.stack([m, z * (1.0 / R - jk) * m / R], axis=-1)
         return m[:, None]
 
     for sub in subs:
@@ -336,36 +331,32 @@ def adaptive_oracle(
             rbar = geom.s / np.cos(th)
             Rbar = np.sqrt(rbar * rbar + z * z)
             eR = np.exp(1j * k * Rbar)
-            cols = []
             if k == 0.0:
-                inner0 = Rbar - az
+                i0 = Rbar - az
             else:
-                inner0 = (eR - ez) / jk
-            cols.append(inner0)
-            d0 = (z / Rbar) * eR - sigma * ez
-            cols.append(d0)
+                i0 = (eR - ez) / jk
+            di0 = sigma * ez - (z / Rbar) * eR
             hyp = (rbar**2 / Rbar**3 + jk * z * z / Rbar**2) * eR - jk * ez
-            cols.append(hyp)
+            ix = iy = dix = diy = np.zeros_like(i0)
             if want_xy:
                 tau = np.sqrt(np.maximum(Rbar - az, 0.0))
                 v, err, ok = quad_cumulative(f_in, tau, tol_sub * 0.02)
                 inner_err = max(inner_err, err)
                 converged = converged and ok
-                ms = v[:, 0]
-                dms = v[:, 1] if need_dm else np.zeros_like(ms)
                 cpsi = np.cos(psi_f + th)
                 spsi = np.sin(psi_f + th)
-                cols.extend([cpsi * ms, spsi * ms, cpsi * dms, spsi * dms])
-            return np.stack(cols, axis=-1)
+                ix, iy = cpsi * v[:, 0], spsi * v[:, 0]
+                if need_dm:
+                    dix, diy = cpsi * v[:, 1], spsi * v[:, 1]
+            # PanelIntegrals order
+            return np.stack([i0, ix, iy, di0, dix, diy, hyp], axis=-1)
 
         v, err, ok = quad_adaptive(f_theta, geom.theta_lo, geom.theta_hi, tol_sub)
         # an inner error e at every angle node moves the outer value by at
         # most (theta_hi - theta_lo) * e, since |cos|, |sin| <= 1
         achieved += err + (geom.theta_hi - geom.theta_lo) * inner_err
         converged = converged and ok
-        if not want_xy:
-            v = np.concatenate([v, np.zeros(4)])
-        total.values += sub.sign * (_ORACLE_SIGNS * v[_ORACLE_COLUMNS])[: len(total.values)]
+        total.values += sub.sign * v[: len(total.values)]
     if return_status:
         return total, {"error": achieved, "converged": converged}
     return total

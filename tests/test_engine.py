@@ -212,6 +212,20 @@ class TestConsistency:
             diff = abs(moved.result.di0_dn - base.result.di0_dn)
             assert diff <= 1e-10 * (1 + abs(base.result.di0_dn))
 
+    def test_snap_threshold_on_heights_below_the_element(self):
+        # |z| <= BOUNDARY_TOL_REL * diameter counts as +0.0 even when the
+        # point really lies below; beyond it the sign and the side stay
+        tri = sample_triangle()
+        diam = max(np.linalg.norm(tri.v2 - tri.v1), np.linalg.norm(tri.v3 - tri.v2), np.linalg.norm(tri.v1 - tri.v3))
+        base = evaluate(request(sample_field_point(2, 0.0), tol=1e-9), method="analytic").result
+        inside = evaluate(request(sample_field_point(2, -0.5e-12 * diam), tol=1e-9), method="analytic")
+        assert inside.z == 0.0 and math.copysign(1.0, inside.z) == 1.0
+        assert inside.result.di0_dn == base.di0_dn
+        z_out = -2e-12 * diam
+        outside = evaluate(request(sample_field_point(2, z_out), tol=1e-9), method="analytic")
+        assert outside.z == z_out
+        assert abs(outside.result.di0_dn + base.di0_dn) <= 1e-9 * (1 + abs(base.di0_dn))
+
     def test_z_symmetry(self):
         up = evaluate(request(sample_field_point(2, 0.4), tol=1e-12), method="analytic")
         dn = evaluate(request(sample_field_point(2, -0.4), tol=1e-12), method="analytic")
