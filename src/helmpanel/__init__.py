@@ -21,7 +21,7 @@ from .engine import (
 from .estimator import Q_CAP, EstimatorGeom, select_order
 from .expapprox import ExpApprox, economize, select_approx
 from .geometry import RadialExtents, Triangle3, radial_extents, subdivide, to_local_frame
-from .numquad import adaptive_oracle, polar_integrate, symmetric_rule_integrate, tri_rule
+from .numquad import adaptive_oracle, polar_integrate
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,5 @@ __all__ = [
     "to_local_frame",
     "adaptive_oracle",
     "polar_integrate",
-    "symmetric_rule_integrate",
-    "tri_rule",
     "__version__",
 ]

@@ -61,20 +61,14 @@ def _parse_dx(text: str) -> float:
 def cmd_integrate(args) -> int:
     tri = Triangle3.from_flat(_parse_floats(args.tri, 9, "--tri"))
     point = np.array(_parse_floats(args.point, 3, "--point"))
-    try:
-        req = EvalRequest(
-            triangle=tri,
-            field_point=point,
-            k=args.k,
-            tol=args.tol,
-            want_hypersingular=args.hyper,
-        )
-        rep = evaluate(req, method=args.method)
-    # non-finite input or a degenerate triangle; a ValueError raised inside
-    # the library is reported the same way, as an input error
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    req = EvalRequest(
+        triangle=tri,
+        field_point=point,
+        k=args.k,
+        tol=args.tol,
+        want_hypersingular=args.hyper,
+    )
+    rep = evaluate(req, method=args.method)
     res = rep.result
     est = rep.estimator
     print(f"method: {rep.method.kind}")
@@ -124,15 +118,18 @@ def cmd_sweep(args) -> int:
     tols = [float(t) for t in args.tols.split(",")]
     orders = [int(n) for n in args.orders.split(",")]
     if args.steps < 2:
-        print("error: --steps must be >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("--steps must be >= 2")
     if args.log:
         if args.zmin <= 0.0:
-            print("error: --zmin must be > 0 for log spacing", file=sys.stderr)
-            return 2
+            raise ValueError("--zmin must be > 0 for log spacing")
         zs = np.geomspace(args.zmin, args.zmax, args.steps)
     else:
         zs = np.linspace(args.zmin, args.zmax, args.steps)
+    # sweep points in the element frame: origin v1, x-axis along v2 - v1,
+    # z-axis along the normal (ValueError for a degenerate triangle)
+    e1 = (tri.v2 - tri.v1) / np.linalg.norm(tri.v2 - tri.v1)
+    normal = tri.normal
+    axes = np.array([e1, np.cross(normal, e1), normal])
 
     out = sys.stdout
     out.write("# helmpanel sweep\n")
@@ -155,11 +152,9 @@ def cmd_sweep(args) -> int:
     cols += ["oracle_ok"]
     out.write(",".join(cols) + "\n")
 
-    # in-plane frame: origin v1, x-axis along v2 - v1, z along the normal
-    plane, _, _ = to_local_frame(tri, tri.v1)
     for z in zs:
-        point = plane.to_world([px, py, z])
-        _, verts2d, zloc = to_local_frame(tri, point)
+        point = tri.v1 + np.array([px, py, z]) @ axes
+        verts2d, zloc = to_local_frame(tri, point)
         ext = radial_extents(verts2d)
         oracle, status = adaptive_oracle(
             verts2d, zloc, args.k, tol=1e-13, components=("i0", "di0"),
@@ -198,9 +193,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if args.rmax <= 0.0 or args.rmin < 0.0 or args.rmin > args.rmax:
-        print("error: need 0 <= rmin <= rmax, rmax > 0", file=sys.stderr)
-        return 2
+    finite = all(map(math.isfinite, (args.rmin, args.rmax, args.z, args.tol)))
+    if not (finite and 0.0 <= args.rmin <= args.rmax and args.rmax > 0.0):
+        raise ValueError("need finite --rmin, --rmax, --z and --tol, 0 <= rmin <= rmax and rmax > 0")
     ext = RadialExtents(r_min=args.rmin, r_max=args.rmax)
     if args.z == 0.0:
         if ext.r_min > 0.0:
@@ -226,15 +221,15 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_economize(args) -> int:
-    out = sys.stdout
-    out.write("# helmpanel economize: e_q = c_q + j s_q with max|cos-p_c|,max|sin-p_s| <= eps on [0, delta_x)\n")
-    out.write("delta_x,eps,Q,q,c_q,s_q\n")
     if args.all:
         pairs = [(dx, e) for dx in DELTA_X_TIERS for e in EPS_TIERS]
     else:
         pairs = [(args.dx, args.eps)]
-    for dx, eps in pairs:
-        ap = economize(dx, eps)
+    approx = [economize(dx, eps) for dx, eps in pairs]  # ValueError before any output
+    out = sys.stdout
+    out.write("# helmpanel economize: e_q = c_q + j s_q with max|cos-p_c|,max|sin-p_s| <= eps on [0, delta_x)\n")
+    out.write("delta_x,eps,Q,q,c_q,s_q\n")
+    for (dx, eps), ap in zip(pairs, approx):
         for q in range(ap.q + 1):
             out.write(
                 f"{_fmt(dx)},{_fmt(eps)},{ap.q},{q},"
@@ -301,6 +296,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:
         parser.print_usage(sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # non-finite or out-of-range input, or a degenerate triangle; a
+    # ValueError raised inside the library is reported the same way
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

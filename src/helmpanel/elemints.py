@@ -41,12 +41,6 @@ ALPHA_ZERO = 1e-8
 _T3_SERIES_ALPHA = 0.05
 
 
-def _alpha_p_for(alpha: float, alpha_p: float | None) -> float:
-    if alpha_p is not None:
-        return alpha_p
-    return math.sqrt((1.0 - alpha) * (1.0 + alpha))
-
-
 # Series coefficients of asin(x)/x - 1: C(2m, m) / (4^m (2m+1)), m >= 1.
 _ASIN_SERIES = (
     1.0 / 6.0,
@@ -107,13 +101,6 @@ def _endpoint(alpha: float, alpha_p: float, theta: float) -> tuple:
         _asin_ratio_m1(alpha * s),
         math.log1p(alpha * c - alpha * alpha * s * s / (1.0 + d)),
     )
-
-
-def _endpoints(alpha: float, theta_lo: float, theta_hi: float, alpha_p: float | None) -> tuple:
-    """alpha' and the two endpoint tuples of an angle range."""
-    _check_range(theta_lo, theta_hi)
-    alpha_p = _alpha_p_for(alpha, alpha_p)
-    return alpha_p, _endpoint(alpha, alpha_p, theta_lo), _endpoint(alpha, alpha_p, theta_hi)
 
 
 def _pow_plain(alpha: float, alpha_p: float, lo: tuple, hi: tuple, n_max: int) -> list:
@@ -209,7 +196,7 @@ def _pow_tan(alpha: float, lo: tuple, hi: tuple, n_max: int) -> list:
 
 
 def _logs(alpha: float, alpha_p: float, lo: tuple, hi: tuple) -> tuple[float, float]:
-    """L_c and L_s from the endpoint tuples; both zero at alpha = 0 (see l_c)."""
+    """L_c and L_s from the endpoint tuples; both zero at alpha = 0 (see ElemTable)."""
     if alpha == 0.0:
         return 0.0, 0.0
     anti = []
@@ -222,54 +209,6 @@ def _logs(alpha: float, alpha_p: float, lo: tuple, hi: tuple) -> tuple[float, fl
         ))
     (lc_lo, ls_lo), (lc_hi, ls_hi) = anti
     return lc_hi - lc_lo, ls_hi - ls_lo
-
-
-def build_pow_plain(
-    alpha: float,
-    theta_lo: float,
-    theta_hi: float,
-    n_max: int,
-    alpha_p: float | None = None,
-) -> np.ndarray:
-    """Definite integrals of (Delta/cos)^n for n = -3 .. n_max.
-
-    Index the returned array with [n + 3].  Row 0 of ``build_table``'s
-    ``powers``.
-    """
-    alpha_p, lo, hi = _endpoints(alpha, theta_lo, theta_hi, alpha_p)
-    return np.array(_pow_plain(alpha, alpha_p, lo, hi, n_max))
-
-
-def build_pow_tan(
-    alpha: float,
-    theta_lo: float,
-    theta_hi: float,
-    n_max: int,
-    alpha_p: float | None = None,
-) -> np.ndarray:
-    """Definite integrals of (Delta/cos)^n tan for n = -3 .. n_max.
-
-    Index with [n + 3].  Row 1 of ``build_table``'s ``powers``.
-    """
-    _, lo, hi = _endpoints(alpha, theta_lo, theta_hi, alpha_p)
-    return np.array(_pow_tan(alpha, lo, hi, n_max))
-
-
-def l_c(alpha: float, theta_lo: float, theta_hi: float, alpha_p: float | None = None) -> float:
-    """Definite integral of cos * log[(Delta - alpha')/(Delta + alpha')].
-
-    Diverges logarithmically as alpha -> 0; callers only ever use it
-    multiplied by |z| = alpha * S, and at alpha = 0 exactly it is taken as
-    zero by that convention.
-    """
-    alpha_p, lo, hi = _endpoints(alpha, theta_lo, theta_hi, alpha_p)
-    return _logs(alpha, alpha_p, lo, hi)[0]
-
-
-def l_s(alpha: float, theta_lo: float, theta_hi: float, alpha_p: float | None = None) -> float:
-    """Definite integral of sin * log[(Delta - alpha')/(Delta + alpha')]."""
-    alpha_p, lo, hi = _endpoints(alpha, theta_lo, theta_hi, alpha_p)
-    return _logs(alpha, alpha_p, lo, hi)[1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -308,7 +247,11 @@ class ElemTable:
 
     ``powers`` stacks plain (row 0) and tan (row 1), each indexed [n + 3]
     with n = -3 .. n_max; ``binom`` holds their ``binomial_combination``,
-    indexed [family, s, q] with q = 0 .. n_max.
+    indexed [family, s, q] with q = 0 .. n_max.  ``lc`` and ``ls`` are the
+    definite integrals of cos and sin times log[(Delta - alpha')/(Delta + alpha')].
+    L_c diverges logarithmically as alpha -> 0; callers only ever use it
+    multiplied by |z| = alpha * S, so at alpha = 0 exactly both are stored
+    as zero by that convention.
     """
 
     n_max: int
@@ -331,7 +274,10 @@ def build_table(
     both power tables and L_c, L_s; one ``binomial_combination`` serves
     both families.
     """
-    alpha_p, lo, hi = _endpoints(alpha, theta_lo, theta_hi, alpha_p)
+    _check_range(theta_lo, theta_hi)
+    if alpha_p is None:
+        alpha_p = math.sqrt((1.0 - alpha) * (1.0 + alpha))
+    lo, hi = _endpoint(alpha, alpha_p, theta_lo), _endpoint(alpha, alpha_p, theta_hi)
     powers = np.array([_pow_plain(alpha, alpha_p, lo, hi, n_max), _pow_tan(alpha, lo, hi, n_max)])
     lc, ls = _logs(alpha, alpha_p, lo, hi)
     return ElemTable(

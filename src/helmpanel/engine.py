@@ -24,15 +24,7 @@ import numpy as np
 from .analytic import PanelIntegrals, evaluate_ref
 from .estimator import OrderSelection, select_order
 from .expapprox import select_approx
-from .geometry import (
-    LocalFrame,
-    RadialExtents,
-    Triangle3,
-    radial_extents,
-    ref_params,
-    subdivide,
-    to_local_frame,
-)
+from .geometry import Triangle3, radial_extents, ref_params, subdivide, to_local_frame
 from .numquad import polar_integrate
 
 # Stability gate for the analytic path (J-recursion growth factor k|z|).
@@ -85,8 +77,6 @@ class EvalReport:
     result: PanelIntegrals | None
     method: MethodInfo
     estimator: OrderSelection | None
-    extents: RadialExtents | None
-    frame: LocalFrame | None
     z: float | None
     error: str | None = None
 
@@ -123,7 +113,7 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     expansion is inadmissible (k * r_max >= pi/2 or k |z| > pi/2); the
     report notes the fallback.
     """
-    frame, verts2d, z = to_local_frame(req.triangle, req.field_point)
+    verts2d, z = to_local_frame(req.triangle, req.field_point)
     ext = radial_extents(verts2d)
     sel = None if method == "numeric" and n_gauss else select_order(ext, z, req.tol)
 
@@ -132,7 +122,7 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
         res = polar_integrate(verts2d, z, req.k, n, want_hyper=req.want_hypersingular)
         q_est = sel.q if sel is not None else None
         info = MethodInfo(kind="numeric", n_gauss=n, q_estimate=q_est, note=note)
-        return EvalReport(res, info, sel, ext, frame, z)
+        return EvalReport(res, info, sel, z)
 
     def analytic() -> EvalReport:
         if req.k * ext.r_max >= math.pi / 2:
@@ -147,7 +137,7 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
             )
         res, info = _analytic_eval(verts2d, z, req.k, req.tol, req.want_hypersingular)
         info.q_estimate = sel.q
-        return EvalReport(res, info, sel, ext, frame, z)
+        return EvalReport(res, info, sel, z)
 
     if method == "numeric":
         return numeric(n_gauss or sel.n_gauss or N_FALLBACK)
@@ -172,8 +162,6 @@ def evaluate_batch(requests, method: str = "auto") -> list[EvalReport]:
                     result=None,
                     method=MethodInfo(kind="error"),
                     estimator=None,
-                    extents=None,
-                    frame=None,
                     z=None,
                     error=f"{type(exc).__name__}: {exc}",
                 )

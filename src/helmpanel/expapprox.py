@@ -146,14 +146,3 @@ def select_approx(k: float, ell: float, eps: float) -> ExpApprox:
             return economize(dx, eps_tier)
     # unreachable: pi/2 > x_need guaranteed above
     raise AssertionError("no delta_x tier covers the requested range")
-
-
-def table_rows():
-    """All (delta_x, eps, Q, q, c_q, s_q) rows of the coefficient table."""
-    rows = []
-    for dx, label in zip(DELTA_X_TIERS, DELTA_X_LABELS):
-        for eps in EPS_TIERS:
-            ap = economize(dx, eps)
-            for q in range(ap.q + 1):
-                rows.append((label, dx, eps, ap.q, q, ap.cos_coeffs[q], ap.sin_coeffs[q]))
-    return rows

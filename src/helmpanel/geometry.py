@@ -11,7 +11,8 @@ all potential integrals are evaluated on that canonical triangle.
 Conventions fixed here (the analysis leaves them open):
   * element normal = normalize((v2 - v1) x (v3 - v1)),
   * z is the signed component of (field point - v1) along that normal,
-  * the local x-axis is aligned with (v2 - v1),
+  * the local x-axis is aligned with (v2 - v1), the local y-axis is
+    normal x (local x-axis),
 so the planar triangle always has positive (counter-clockwise) orientation
 in local coordinates.
 """
@@ -67,20 +68,16 @@ class Triangle3:
 
     @property
     def normal(self) -> np.ndarray:
-        """Unit normal, (v2-v1) x (v3-v1) normalized; see ``validate``."""
-        n = self.validate()
+        """Unit normal, (v2-v1) x (v3-v1) normalized.
+
+        Raises ValueError for a degenerate (collinear) or non-finite triangle.
+        """
+        n = np.array(_plane(self.v1.tolist(), self.v2.tolist(), self.v3.tolist())[0])
         return n / np.linalg.norm(n)
 
     @property
     def centroid(self) -> np.ndarray:
         return (self.v1 + self.v2 + self.v3) / 3.0
-
-    def validate(self) -> np.ndarray:
-        """Reject degenerate (collinear) triangles; return (v2-v1) x (v3-v1).
-
-        Written so that non-finite vertices fail the check too.
-        """
-        return np.array(_plane(self.v1.tolist(), self.v2.tolist(), self.v3.tolist())[0])
 
 
 def _plane(p1, p2, p3):
@@ -105,26 +102,6 @@ def _plane(p1, p2, p3):
 
 
 @dataclass
-class LocalFrame:
-    """Rigid map between world coordinates and the element frame.
-
-    ``rotation`` has rows (e1, e2, n); a world point p maps to
-    ``rotation @ (p - origin)``.  The field point maps to (0, 0, z).
-    """
-
-    origin: np.ndarray
-    rotation: np.ndarray
-    z: float
-
-    def to_local(self, p) -> np.ndarray:
-        """Local coordinates of a point (3,) or of a stack of points (N, 3)."""
-        return (np.asarray(p, dtype=float) - self.origin) @ self.rotation.T
-
-    def to_world(self, q) -> np.ndarray:
-        return self.origin + self.rotation.T @ np.asarray(q, dtype=float)
-
-
-@dataclass
 class SignedSubTriangle:
     """Origin-centred subtriangle in canonical (r1, r2, Theta) form.
 
@@ -139,10 +116,6 @@ class SignedSubTriangle:
     theta: float
     sign: int
     psi1: float
-
-    @property
-    def area(self) -> float:
-        return 0.5 * self.r1 * self.r2 * math.sin(self.theta)
 
     @property
     def r_max(self) -> float:
@@ -168,9 +141,6 @@ class RefGeom:
     theta_lo: float
     theta_hi: float
 
-    def rbar(self, theta) -> np.ndarray:
-        return self.s / np.cos(theta)
-
 
 @dataclass
 class RadialExtents:
@@ -180,10 +150,10 @@ class RadialExtents:
     r_max: float
 
 
-def to_local_frame(tri: Triangle3, x) -> tuple[LocalFrame, np.ndarray, float]:
+def to_local_frame(tri: Triangle3, x) -> tuple[np.ndarray, float]:
     """Transform a triangle/field-point pair into the element frame.
 
-    Returns ``(frame, verts2d, z)`` where ``verts2d`` is the (3, 2) array
+    Returns ``(verts2d, z)`` where ``verts2d`` is the (3, 2) array
     of planar vertex coordinates with the field-point projection at the
     origin, and z is the signed height of the field point above the plane.
     Any |z| <= BOUNDARY_TOL_REL * diameter is returned as +0.0, a genuine
@@ -210,12 +180,7 @@ def to_local_frame(tri: Triangle3, x) -> tuple[LocalFrame, np.ndarray, float]:
     for vx, vy, vz in (p1, p2, p3):
         dx, dy, dz = vx - ox, vy - oy, vz - oz
         verts2d.append((dx * e1x + dy * e1y + dz * e1z, dx * e2x + dy * e2y + dz * e2z))
-    frame = LocalFrame(
-        origin=np.array([ox, oy, oz]),
-        rotation=np.array([[e1x, e1y, e1z], [e2x, e2y, e2z], [nx, ny, nz]]),
-        z=z,
-    )
-    return frame, np.array(verts2d), z
+    return np.array(verts2d), z
 
 
 def subdivide(verts2d) -> list[SignedSubTriangle]:

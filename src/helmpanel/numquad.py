@@ -17,9 +17,6 @@ r = 0.  Its integrand does not depend on the angle, which enters only
 through the upper limit tau(theta), so each angle panel takes its 15
 radial moments from one cumulative integral (``quad_cumulative``)
 evaluated at the 15 limits.
-
-``tri_rule`` supplies a symmetric positive-weight rule on the triangle
-(exact to polynomial degree 2n-2) for regular integrands.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -360,65 +356,3 @@ def adaptive_oracle(
     if return_status:
         return total, {"error": achieved, "converged": converged}
     return total
-
-
-@dataclass
-class TriRule:
-    """Symmetric quadrature rule on the unit triangle.
-
-    ``bary`` holds barycentric node coordinates; weights are normalized to
-    sum to 1, so the rule integrates as area * sum(w_i * f(node_i)).
-    """
-
-    bary: np.ndarray
-    weights: np.ndarray
-    degree: int
-
-
-@lru_cache(maxsize=8)
-def tri_rule(n: int = 16) -> TriRule:
-    """Symmetrized collapsed-Gauss rule, exact to degree 2n - 2.
-
-    Built from the n x n product Gauss rule on the square mapped by
-    (a, b) -> (a, b(1-a)) and averaged over all six vertex permutations,
-    which makes it fully symmetric with positive weights.
-    """
-    xg, wg = gauss_rule(n)
-    a = 0.5 * (xg + 1.0)
-    wa = 0.5 * wg
-    A, B = np.meshgrid(a, a, indexing="ij")
-    WA, WB = np.meshgrid(wa, wa, indexing="ij")
-    x = A.ravel()
-    y = (B * (1.0 - A)).ravel()
-    w = (WA * WB * (1.0 - A)).ravel()
-    w = w / w.sum()
-    lam = np.column_stack([1.0 - x - y, x, y])
-    barys = []
-    weights = []
-    for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)):
-        barys.append(lam[:, perm])
-        weights.append(w / 6.0)
-    return TriRule(
-        bary=np.vstack(barys), weights=np.concatenate(weights), degree=2 * n - 2
-    )
-
-
-def symmetric_rule_integrate(
-    verts2d, z: float, k: float, rule: TriRule, want_hyper: bool = False
-) -> PanelIntegrals:
-    """Panel integrals by a symmetric triangle rule (regular integrands only).
-
-    Accurate when the field-point projection lies outside the element;
-    near-singular integrands defeat any fixed polynomial rule.
-    """
-    verts2d = np.asarray(verts2d, dtype=float)
-    nodes = rule.bary @ verts2d
-    x, y = nodes[:, 0], nodes[:, 1]
-    area = abs(
-        0.5
-        * (
-            (verts2d[1, 0] - verts2d[0, 0]) * (verts2d[2, 1] - verts2d[0, 1])
-            - (verts2d[1, 1] - verts2d[0, 1]) * (verts2d[2, 0] - verts2d[0, 0])
-        )
-    )
-    return _kernel_sums(x, y, rule.weights * area, z, k, want_hyper)

@@ -8,12 +8,14 @@ stays independent of the recursion/expansion code paths it validates.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from helmpanel.estimator import EstimatorGeom, _check_phi
 from helmpanel.expapprox import ExpApprox
-from helmpanel.numquad import quad_adaptive
+from helmpanel.numquad import gauss_rule, quad_adaptive
 
 
 def delta(alpha_p: float, th):
@@ -146,6 +148,11 @@ def random_planar_triangle(rng, scale: float = 1.0) -> np.ndarray:
             return v
 
 
+def sub_area(sub) -> float:
+    """Unsigned area of a canonical subtriangle, from its two radii and angle."""
+    return 0.5 * sub.r1 * sub.r2 * math.sin(sub.theta)
+
+
 def shoelace_area(verts2d) -> float:
     """Signed area of a planar polygon (positive when counter-clockwise)."""
     v = np.asarray(verts2d, dtype=float)
@@ -200,3 +207,44 @@ def sampled_errors(approx: ExpApprox, n: int = 10000) -> tuple[float, float, flo
     es = np.max(np.abs(ps - np.sin(x)))
     ez = np.max(np.abs((pc + 1j * ps) - np.exp(1j * x)))
     return float(ec), float(es), float(ez)
+
+
+@dataclass
+class TriRule:
+    """Symmetric quadrature rule on the unit triangle.
+
+    ``bary`` holds barycentric node coordinates; weights are normalized to
+    sum to 1, so the rule integrates as area * sum(w_i * f(node_i)).
+    """
+
+    bary: np.ndarray
+    weights: np.ndarray
+    degree: int
+
+
+@lru_cache(maxsize=8)
+def tri_rule(n: int = 16) -> TriRule:
+    """Symmetrized collapsed-Gauss rule, exact to degree 2n - 2.
+
+    Built from the n x n product Gauss rule on the square mapped by
+    (a, b) -> (a, b(1-a)) and averaged over all six vertex permutations,
+    which makes it fully symmetric with positive weights.
+    """
+    xg, wg = gauss_rule(n)
+    a = 0.5 * (xg + 1.0)
+    wa = 0.5 * wg
+    A, B = np.meshgrid(a, a, indexing="ij")
+    WA, WB = np.meshgrid(wa, wa, indexing="ij")
+    x = A.ravel()
+    y = (B * (1.0 - A)).ravel()
+    w = (WA * WB * (1.0 - A)).ravel()
+    w = w / w.sum()
+    lam = np.column_stack([1.0 - x - y, x, y])
+    barys = []
+    weights = []
+    for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)):
+        barys.append(lam[:, perm])
+        weights.append(w / 6.0)
+    return TriRule(
+        bary=np.vstack(barys), weights=np.concatenate(weights), degree=2 * n - 2
+    )

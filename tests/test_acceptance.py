@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from helmpanel.analytic import j_chain, k_terms
-from helmpanel.elemints import build_table, l_c, l_s
+from helmpanel.elemints import build_table
 from helmpanel.engine import EvalRequest, evaluate, sample_field_point, sample_triangle
 from helmpanel.estimator import EstimatorGeom, e_q_bound, q_required
 from helmpanel.expapprox import economize, taylor_degree_for
@@ -57,7 +57,7 @@ def test_criterion_1_tolerance_conformity():
     for idx in (1, 2, 3, 4):
         for z in zs:
             x = sample_field_point(idx, float(z))
-            _, verts2d, zloc = to_local_frame(tri, x)
+            verts2d, zloc = to_local_frame(tri, x)
             oracle = adaptive_oracle(verts2d, zloc, 1.0, tol=1e-13, components=("i0", "di0"))
             for tol in TOLS:
                 rep = evaluate(
@@ -86,7 +86,7 @@ def test_criterion_2_reference_rule_accuracy():
     for idx in (1, 2, 3, 4):
         for z in np.geomspace(0.1, 10.0, 8):
             x = sample_field_point(idx, float(z))
-            _, verts2d, zloc = to_local_frame(tri, x)
+            verts2d, zloc = to_local_frame(tri, x)
             oracle = adaptive_oracle(verts2d, zloc, 1.0, tol=1e-13, components=("i0",))
             got = polar_integrate(verts2d, zloc, 1.0, 50)
             worst = max(worst, abs(got.i0 - oracle.i0) / abs(oracle.i0))
@@ -179,7 +179,7 @@ def test_criterion_5_selection_criterion_validity():
         z_q = None
         for z in zs:
             x = sample_field_point(2, float(z))
-            _, verts2d, zloc = to_local_frame(tri, x)
+            verts2d, zloc = to_local_frame(tri, x)
             ext = radial_extents(verts2d)
             oracle = adaptive_oracle(verts2d, zloc, 1.0, tol=1e-13, components=("i0",))
             err = abs(polar_integrate(verts2d, zloc, 1.0, n).i0 - oracle.i0)
@@ -340,10 +340,8 @@ def test_criterion_6_term_by_term_oracle_suite():
         for _ in range(4):
             lo = float(RNG.uniform(-0.95, 0.4))
             hi = float(RNG.uniform(lo + 0.15, 0.95))
-            from helmpanel.elemints import build_pow_plain, build_pow_tan
-
-            plain = build_pow_plain(alpha, lo, hi, q_max + 1)
-            tan = build_pow_tan(alpha, lo, hi, q_max + 1)
+            tab = build_table(alpha, lo, hi, q_max + 1)
+            plain, tan = tab.powers
             for n in range(-3, q_max + 2):
                 worst_elem = max(
                     worst_elem,
@@ -363,8 +361,8 @@ def test_criterion_6_term_by_term_oracle_suite():
                 assert okq
                 worst_elem = max(
                     worst_elem,
-                    abs(l_c(alpha, lo, hi) - float(v[0].real)),
-                    abs(l_s(alpha, lo, hi) - float(v[1].real)),
+                    abs(tab.lc - float(v[0].real)),
+                    abs(tab.ls - float(v[1].real)),
                 )
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-11 and worst_elem <= 1e-11 and elapsed < 120.0

@@ -10,6 +10,11 @@ import numpy as np
 import pytest
 
 from helmpanel.cli import main
+from helmpanel.engine import SAMPLE_PROJECTIONS
+from helmpanel.estimator import q_required
+from helmpanel.geometry import radial_extents
+
+from helpers import rigid_motion
 
 TRI = "0,0,0,1,0,0,0.4,0.9,0"
 
@@ -75,12 +80,24 @@ class TestIntegrate:
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize(
-        "tri, point",
-        [(TRI, "0.3,nan,0.1"), ("0,0,0,1,0,0,2,0,0", "0.3,0.1,0.1")],
-        ids=["nan_point", "collinear_tri"],
+        "argv",
+        [
+            ["integrate", "--tri", TRI, "--point", "0.3,nan,0.1", "--k", "1"],
+            ["integrate", "--tri", "0,0,0,1,0,0,2,0,0", "--point", "0.3,0.1,0.1", "--k", "1"],
+            ["economize", "--dx", "pi"],
+            ["economize", "--eps", "1e-20"],
+            ["estimate", "--rmax", "1", "--rmin", "0", "--z", "0.1", "--tol", "0"],
+            ["sweep", "--zmin", "0.1", "--zmax", "1", "--steps", "2", "--tols", "abc"],
+            ["sweep", "--zmin", "0.1", "--zmax", "1", "--steps", "2", "--tri", "0,0,0,1,0,0,2,0,0"],
+        ],
+        ids=[
+            "nan_point", "collinear_tri", "economize_dx_pi", "economize_eps_tiny",
+            "estimate_tol_zero", "sweep_bad_tols", "sweep_collinear_tri",
+        ],
     )
-    def test_invalid_input_is_one_error_line(self, tri, point, capsys):
-        code = main(["integrate", "--tri", tri, "--point", point, "--k", "1"])
+    def test_invalid_input_is_one_error_line(self, argv, capsys):
+        # every subcommand reports bad input as one "error:" line, exit 2
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -147,6 +164,30 @@ class TestSweep:
             assert float(r[col["errn_I0_n32"]]) <= 1e-9
             assert float(r[col["oracle_ok"]]) == 1.0
 
+    def test_rigidly_moved_triangle_same_columns(self):
+        # the sweep places its points in the element frame, so a rigidly
+        # moved copy of the sample triangle sees the same z, Q and oracle
+        # verdicts as the sample triangle itself
+        q, t = rigid_motion(np.random.default_rng(4))
+        sample = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.4, 0.9, 0.0]])
+        moved = ",".join(format(v, ".17g") for v in (sample @ q.T + t).ravel())
+        args = ["sweep", "--sample-point", "2", "--zmin", "1e-3", "--zmax", "2.0",
+                "--steps", "5", "--log", "--tols", "1e-6,1e-12", "--orders", "8"]
+        _, out = run_main(args)
+        _, out_moved = run_main(args + ["--tri", moved])
+        header, data = parse_csv(out)
+        header_m, data_m = parse_csv(out_moved)
+        assert header_m == header
+        keep = [i for i, h in enumerate(header) if h == "z" or h.startswith("Q_tol") or h == "oracle_ok"]
+        assert len(keep) == 4
+        assert [[r[i] for i in keep] for r in data_m] == [[r[i] for i in keep] for r in data]
+        # and the Q columns are those of the requested projection
+        ext = radial_extents(sample[:, :2] - SAMPLE_PROJECTIONS[2])
+        for r in data:
+            for tol in (1e-6, 1e-12):
+                q = q_required(ext, float(r[0]), tol)
+                assert int(r[header.index(f"Q_tol{tol:g}")]) == (-1 if q is None else q)
+
     def test_csv_round_trip(self):
         code, out = run_main(
             ["sweep", "--zmin", "0.1", "--zmax", "1.0", "--steps", "2", "--log"]
@@ -192,6 +233,18 @@ class TestEstimate:
         )
         assert code == 0
         assert "analytic required" in out
+
+
+    @pytest.mark.parametrize("flag", ["--z", "--rmin", "--rmax", "--tol"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_input_rejected(self, flag, bad, capsys):
+        argv = {"--rmax": "1", "--rmin": "0", "--z": "0.1", "--tol": "1e-6"}
+        argv[flag] = bad
+        code = main(["estimate", *(v for item in argv.items() for v in item)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: need finite")
 
 
 class TestEconomize:

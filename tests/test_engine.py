@@ -17,7 +17,9 @@ from helmpanel.engine import (
     sample_triangle,
 )
 from helmpanel.geometry import Triangle3, to_local_frame
-from helmpanel.numquad import adaptive_oracle, tri_rule
+from helmpanel.numquad import adaptive_oracle
+
+from helpers import tri_rule
 
 RNG = np.random.default_rng(60901)
 
@@ -86,14 +88,14 @@ class TestSelection:
         z = 1e-4 * tri.diameter
         rep = evaluate(request(sample_field_point(2, z), tol=1e-9))
         assert rep.method.kind == "analytic"
-        _, verts2d, zloc = to_local_frame(tri, sample_field_point(2, z))
+        verts2d, zloc = to_local_frame(tri, sample_field_point(2, z))
         ref = adaptive_oracle(verts2d, zloc, 1.0, tol=1e-13, components=("i0",))
         assert abs(rep.result.i0 - ref.i0) <= 1e-8
 
     def test_tolerance_levels_conform(self):
         tri = sample_triangle()
         x = sample_field_point(2, 0.01)
-        _, verts2d, zloc = to_local_frame(tri, x)
+        verts2d, zloc = to_local_frame(tri, x)
         ref = adaptive_oracle(verts2d, zloc, 1.0, tol=1e-13, components=("i0",))
         loose = evaluate(request(x, tol=1e-3), method="analytic")
         tight = evaluate(request(x, tol=1e-12), method="analytic")
@@ -152,11 +154,13 @@ class TestConsistency:
 
     def test_subdivision_closure(self):
         # parent value equals the sum over its three centroid-split
-        # children; child x/y components are rotated into the parent frame
+        # children; child x/y components are rotated into the parent frame,
+        # whose x-axis runs along v2 - v1 and y-axis along n x (v2 - v1)
         tri = sample_triangle()
         x = sample_field_point(2, 0.07)
         parent = evaluate(request(x, tol=1e-12, hyper=True), method="analytic")
-        pf = parent.frame
+        e1 = (tri.v2 - tri.v1) / np.linalg.norm(tri.v2 - tri.v1)
+        e2 = np.cross(tri.normal, e1)
         total = np.zeros(7, dtype=complex)
         c = tri.centroid
         for a, b in ((tri.v1, tri.v2), (tri.v2, tri.v3), (tri.v3, tri.v1)):
@@ -164,8 +168,8 @@ class TestConsistency:
                 request(x, tol=1e-12, hyper=True, tri=Triangle3(a, b, c)),
                 method="analytic",
             )
-            e1c = child_rep.frame.rotation[0]
-            psi = math.atan2(float(e1c @ pf.rotation[1]), float(e1c @ pf.rotation[0]))
+            e1c = (b - a) / np.linalg.norm(b - a)
+            psi = math.atan2(float(e1c @ e2), float(e1c @ e1))
             rot = np.array([[math.cos(psi), -math.sin(psi)], [math.sin(psi), math.cos(psi)]])
             part = child_rep.result.values.copy()
             part[1:3] = rot @ part[1:3]  # (ix, iy)
@@ -307,18 +311,18 @@ class TestBatch:
 class TestSampleGeometry:
     def test_projection_classes(self):
         tri = sample_triangle()
-        _, verts2d, _ = to_local_frame(tri, sample_field_point(1, 1.0))
+        verts2d, _ = to_local_frame(tri, sample_field_point(1, 1.0))
         from helmpanel.geometry import radial_extents
 
         assert radial_extents(verts2d).r_min == 0.0  # on a vertex
-        _, verts2d, _ = to_local_frame(tri, sample_field_point(4, 1.0))
+        verts2d, _ = to_local_frame(tri, sample_field_point(4, 1.0))
         assert radial_extents(verts2d).r_min > 0.1  # outside
 
     def test_analytic_admissible_at_k1(self):
         # every sample projection keeps k * r_max below pi/2 at k = 1
         tri = sample_triangle()
         for idx in SAMPLE_PROJECTIONS:
-            _, verts2d, _ = to_local_frame(tri, sample_field_point(idx, 0.5))
+            verts2d, _ = to_local_frame(tri, sample_field_point(idx, 0.5))
             from helmpanel.geometry import radial_extents
 
             assert radial_extents(verts2d).r_max < math.pi / 2

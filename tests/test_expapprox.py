@@ -10,7 +10,6 @@ from helmpanel.expapprox import (
     EPS_TIERS,
     economize,
     select_approx,
-    table_rows,
     taylor_degree_for,
     taylor_sin_cos,
 )
@@ -110,8 +109,3 @@ class TestSelectApprox:
         # requests coarser than 1e-3 use the coarsest tier
         ap = select_approx(k=1.0, ell=0.1, eps=1e-2)
         assert ap.eps == 1e-3
-
-    def test_table_rows_cover_grid(self):
-        rows = table_rows()
-        combos = {(r[1], r[2]) for r in rows}
-        assert len(combos) == len(DELTA_X_TIERS) * len(EPS_TIERS)

@@ -15,7 +15,7 @@ from helmpanel.geometry import (
     to_local_frame,
 )
 
-from helpers import random_planar_triangle, rigid_motion, shoelace_area
+from helpers import random_planar_triangle, rigid_motion, shoelace_area, sub_area
 
 RNG = np.random.default_rng(20240817)
 
@@ -27,41 +27,46 @@ def tri3(*rows):
 class TestLocalFrame:
     def test_already_in_frame(self):
         tri = tri3((0, 0, 0), (1, 0, 0), (0.3, 0.8, 0))
-        frame, verts2d, z = to_local_frame(tri, (0.0, 0.0, 1.0))
+        verts2d, z = to_local_frame(tri, (0.0, 0.0, 1.0))
         assert z == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(frame.rotation, np.eye(3), atol=1e-15)
         assert np.allclose(verts2d, [[0, 0], [1, 0], [0.3, 0.8]], atol=1e-15)
 
     def test_round_trip(self):
-        tri = tri3((0, 0, 0), (1, 0, 0), (0.3, 0.8, 0))
-        x = np.array([0.2, 0.2, 0.5])
-        frame, verts2d, z = to_local_frame(tri, x)
-        # all four points map back to themselves
-        for p, local in [
-            (tri.v1, np.array([*verts2d[0], 0.0])),
-            (tri.v2, np.array([*verts2d[1], 0.0])),
-            (tri.v3, np.array([*verts2d[2], 0.0])),
-            (x, np.array([0.0, 0.0, z])),
-        ]:
-            assert np.allclose(frame.to_local(p), local, atol=1e-12)
-            assert np.allclose(frame.to_world(local), p, atol=1e-12)
+        # local coordinates map back to the world vertices through the
+        # documented axes: e1 along v2 - v1, n the normal and e2 = n x e1
+        q, t = rigid_motion(np.random.default_rng(7))
+        tri = tri3(*(q @ p + t for p in ((0, 0, 0), (1, 0, 0), (0.3, 0.8, 0))))
+        x = q @ [0.2, 0.2, 0.5] + t
+        verts2d, z = to_local_frame(tri, x)
+        e1 = (tri.v2 - tri.v1) / np.linalg.norm(tri.v2 - tri.v1)
+        n = tri.normal
+        e2 = np.cross(n, e1)
+        assert z == pytest.approx(0.5, abs=1e-12)
+        for p, (a, b) in zip(tri.vertices, verts2d):
+            assert np.allclose(x - z * n + a * e1 + b * e2, p, atol=1e-12)
 
     def test_rotation_orthonormal(self):
+        # the world-to-local map is a rotation: it keeps every distance
+        # among the vertices and the field point
         for _ in range(20):
             q, t = rigid_motion(RNG)
             tri = tri3(q @ [0, 0, 0] + t, q @ [1, 0, 0] + t, q @ [0.3, 0.8, 0] + t)
-            frame, _, _ = to_local_frame(tri, t + q @ [0.1, 0.3, 0.7])
-            assert np.allclose(frame.rotation @ frame.rotation.T, np.eye(3), atol=1e-12)
+            x = t + q @ [0.1, 0.3, 0.7]
+            verts2d, z = to_local_frame(tri, x)
+            world = np.vstack([tri.vertices, x])
+            local = np.vstack([np.column_stack([verts2d, np.zeros(3)]), [0.0, 0.0, z]])
+            dist = lambda p: np.linalg.norm(p[:, None] - p[None], axis=-1)  # noqa: E731
+            assert np.allclose(dist(local), dist(world), atol=1e-12)
 
     def test_rigid_motion_invariance_of_parameters(self):
         tri = tri3((0, 0, 0), (1, 0, 0), (0.3, 0.8, 0))
         x = np.array([0.4, 0.1, 0.25])
-        _, verts0, z0 = to_local_frame(tri, x)
+        verts0, z0 = to_local_frame(tri, x)
         subs0 = sorted(subdivide(verts0), key=lambda s: s.theta)
         for _ in range(25):
             q, t = rigid_motion(RNG)
             tri_m = Triangle3(q @ tri.v1 + t, q @ tri.v2 + t, q @ tri.v3 + t)
-            _, verts, z = to_local_frame(tri_m, q @ x + t)
+            verts, z = to_local_frame(tri_m, q @ x + t)
             assert z == pytest.approx(z0, abs=1e-12)
             subs = sorted(subdivide(verts), key=lambda s: s.theta)
             for a, b in zip(subs0, subs):
@@ -83,7 +88,7 @@ class TestLocalFrame:
             v = np.roll(np.column_stack([planar, np.zeros(3)]), int(RNG.integers(3)), axis=0) @ q.T + shift
             local = np.array([*RNG.uniform(-1.5, 1.5, 2), RNG.choice([0.0, RNG.uniform(-2.0, 2.0)])])
             x = q @ (local * diam) + shift
-            frame, verts2d, z = to_local_frame(Triangle3(*v), x)
+            verts2d, z = to_local_frame(Triangle3(*v), x)
 
             n = np.cross(v[1] - v[0], v[2] - v[0])
             n /= np.linalg.norm(n)
@@ -91,12 +96,9 @@ class TestLocalFrame:
             rot = np.vstack([e1, np.cross(n, e1), n])
             z_ref = float(np.dot(x - v[0], n))
             scale = diam + np.linalg.norm(shift)
-            assert np.max(np.abs(frame.rotation - rot)) <= 1e-13
             assert abs(z - z_ref) <= 1e-13 * scale
-            assert frame.z == z
             ref2d = (v - (x - z_ref * n)) @ rot[:2].T
             assert np.max(np.abs(verts2d - ref2d)) <= 1e-13 * scale
-            assert np.max(np.abs(frame.origin - (x - z_ref * n))) <= 1e-13 * scale
 
     def test_degenerate_rejected(self):
         tri = tri3((0, 0, 0), (1, 0, 0), (2, 0, 0))
@@ -105,10 +107,10 @@ class TestLocalFrame:
 
     def test_normal_maps_to_plus_z(self):
         tri = tri3((0, 0, 0), (1, 0, 0), (0.3, 0.8, 0))
-        frame, verts2d, _ = to_local_frame(tri, (0.2, 0.2, -0.4))
+        verts2d, z = to_local_frame(tri, (0.2, 0.2, -0.4))
         # orientation preserved: planar triangle counter-clockwise, z signed
         assert shoelace_area(verts2d) > 0
-        assert frame.z == pytest.approx(-0.4, abs=1e-14)
+        assert z == pytest.approx(-0.4, abs=1e-14)
 
 
 class TestSubdivide:
@@ -117,28 +119,28 @@ class TestSubdivide:
         subs = subdivide(verts)
         assert len(subs) == 1
         assert subs[0].sign == 1
-        assert subs[0].area == pytest.approx(shoelace_area(verts), rel=1e-13)
+        assert sub_area(subs[0]) == pytest.approx(shoelace_area(verts), rel=1e-13)
 
     def test_origin_inside(self):
         verts = np.array([[-0.3, -0.2], [0.8, -0.1], [0.1, 0.7]])
         subs = subdivide(verts)
         assert len(subs) == 3
         assert all(s.sign == 1 for s in subs)
-        total = sum(s.sign * s.area for s in subs)
+        total = sum(s.sign * sub_area(s) for s in subs)
         assert total == pytest.approx(shoelace_area(verts), rel=1e-13)
 
     def test_origin_outside_mixed_signs(self):
         verts = np.array([[1.0, 0.5], [2.0, 0.6], [1.2, 1.5]])
         subs = subdivide(verts)
         assert {s.sign for s in subs} == {1, -1}
-        total = sum(s.sign * s.area for s in subs)
+        total = sum(s.sign * sub_area(s) for s in subs)
         assert total == pytest.approx(shoelace_area(verts), rel=1e-12)
 
     def test_origin_on_edge_two_subtriangles(self):
         verts = np.array([[-0.5, 0.0], [0.7, 0.0], [0.1, 0.9]])
         subs = subdivide(verts)
         assert len(subs) == 2
-        total = sum(s.sign * s.area for s in subs)
+        total = sum(s.sign * sub_area(s) for s in subs)
         assert total == pytest.approx(shoelace_area(verts), rel=1e-12)
 
     def test_signed_area_identity_random(self):
@@ -148,7 +150,7 @@ class TestSubdivide:
             origin = RNG.uniform(-2, 2, size=2)
             verts = base - origin
             subs = subdivide(verts)
-            total = sum(s.sign * s.area for s in subs)
+            total = sum(s.sign * sub_area(s) for s in subs)
             assert total == pytest.approx(shoelace_area(verts), rel=1e-12, abs=1e-14)
 
 
@@ -251,5 +253,5 @@ class TestRefParams:
             # shifted polar angle stays strictly inside (-pi/2, pi/2)
             assert -math.pi / 2 < geom.theta_lo <= geom.theta_hi < math.pi / 2
             # far side parameterization hits r1 and r2 at the ends
-            assert geom.rbar(geom.theta_lo) == pytest.approx(sub.r1, rel=1e-12)
-            assert geom.rbar(geom.theta_hi) == pytest.approx(sub.r2, rel=1e-12)
+            assert geom.s / math.cos(geom.theta_lo) == pytest.approx(sub.r1, rel=1e-12)
+            assert geom.s / math.cos(geom.theta_hi) == pytest.approx(sub.r2, rel=1e-12)

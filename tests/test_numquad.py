@@ -1,4 +1,4 @@
-"""Polar quadrature, adaptive oracle, and the symmetric triangle rule."""
+"""Polar quadrature, adaptive oracle, and the symmetric triangle rule of the tests."""
 
 import math
 
@@ -15,11 +15,9 @@ from helmpanel.numquad import (
     polar_nodes,
     quad_adaptive,
     quad_cumulative,
-    symmetric_rule_integrate,
-    tri_rule,
 )
 
-from helpers import shoelace_area
+from helpers import shoelace_area, tri_rule
 
 RNG = np.random.default_rng(10501)
 
@@ -610,6 +608,20 @@ class TestAdaptiveOracle:
         assert abs(o.dix_dn - p.dix_dn) <= 1e-10
         assert abs(o.diy_dn - p.diy_dn) <= 1e-10
 
+    def test_exterior_point_matches_tri_rule(self):
+        # a regular integrand: the symmetric triangle rule, through the
+        # production kernel sums, is an independent check of every component
+        verts = verts_rel((2.0, 1.0))
+        rule = tri_rule(16)
+        nodes = rule.bary @ verts
+        w = rule.weights * shoelace_area(verts)
+        got = numquad._kernel_sums(nodes[:, 0], nodes[:, 1], w, 0.5, 1.0, want_hyper=True)
+        ref = adaptive_oracle(verts, 0.5, 1.0, tol=1e-13, want_hyper=True)
+        assert abs(got.i0 - ref.i0) <= 1e-10
+        assert abs(got.di0_dn - ref.di0_dn) <= 1e-10
+        assert abs(got.ix - ref.ix) <= 1e-10
+        assert abs(got.d2i0_dn2 - ref.d2i0_dn2) <= 1e-9
+
     def test_status_reports_achieved_error(self):
         verts = verts_rel((0.45, 0.3))
         _, status = adaptive_oracle(
@@ -764,32 +776,3 @@ class TestTriRule:
                 got = 0.5 * np.sum(rule.weights * x**p * y**q)
                 # weights are normalized to the physical area (1/2 here)
                 assert got == pytest.approx(0.5 * exact * 2.0, rel=1e-12)
-
-
-class TestSymmetricRuleIntegrate:
-    def test_constant_integrand_gives_area(self):
-        verts = verts_rel((2.0, 1.0))
-        rule = tri_rule(16)
-        got = symmetric_rule_integrate(verts, 0.0, 0.0, rule)
-        # with k = 0, z = 0 and f = e^{jkR}/R the i0 integral is the
-        # Laplace value, so test the area through the node weights instead
-        assert np.sum(rule.weights) == pytest.approx(1.0, abs=1e-13)
-
-    def test_exterior_point_matches_oracle(self):
-        verts = verts_rel((2.0, 1.0))
-        rule = tri_rule(16)
-        got = symmetric_rule_integrate(verts, 0.5, 1.0, rule, want_hyper=True)
-        ref = adaptive_oracle(verts, 0.5, 1.0, tol=1e-13, want_hyper=True)
-        assert abs(got.i0 - ref.i0) <= 1e-10
-        assert abs(got.di0_dn - ref.di0_dn) <= 1e-10
-        assert abs(got.ix - ref.ix) <= 1e-10
-        assert abs(got.d2i0_dn2 - ref.d2i0_dn2) <= 1e-9
-
-    def test_interior_near_field_is_inaccurate(self):
-        # singular integrand defeats the polynomial rule; caller's
-        # responsibility, not an error
-        verts = verts_rel((0.45, 0.3))
-        rule = tri_rule(16)
-        got = symmetric_rule_integrate(verts, 0.01, 1.0, rule)
-        ref = adaptive_oracle(verts, 0.01, 1.0, tol=1e-12, components=("i0",))
-        assert abs(got.i0 - ref.i0) > 1e-4
