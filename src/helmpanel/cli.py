@@ -22,6 +22,7 @@ import numpy as np
 from .engine import (
     EvalRequest,
     SAMPLE_PROJECTIONS,
+    check_tol,
     evaluate,
     sample_triangle,
 )
@@ -117,6 +118,10 @@ def cmd_sweep(args) -> int:
         px, py = SAMPLE_PROJECTIONS[args.sample_point]
     tols = [float(t) for t in args.tols.split(",")]
     orders = [int(n) for n in args.orders.split(",")]
+    for t in tols:
+        check_tol(t)
+    if min(orders) < 1 or args.qmax < 1:
+        raise ValueError("--orders and --qmax must be integers >= 1")
     if args.steps < 2:
         raise ValueError("--steps must be >= 2")
     if args.log:
@@ -125,11 +130,15 @@ def cmd_sweep(args) -> int:
         zs = np.geomspace(args.zmin, args.zmax, args.steps)
     else:
         zs = np.linspace(args.zmin, args.zmax, args.steps)
-    # sweep points in the element frame: origin v1, x-axis along v2 - v1,
-    # z-axis along the normal (ValueError for a degenerate triangle)
-    e1 = (tri.v2 - tri.v1) / np.linalg.norm(tri.v2 - tri.v1)
-    normal = tri.normal
-    axes = np.array([e1, np.cross(normal, e1), normal])
+    # sweep points in the element frame: origin v1, axes e1, e2 and the normal
+    axes = np.array([tri.e1, tri.e2, tri.normal])
+    points = [tri.v1 + np.array([px, py, z]) @ axes for z in zs]
+    # one request per tolerance and one at 1e-12 per point, all built (and
+    # so checked) before the first output line
+    requests = [
+        [EvalRequest(triangle=tri, field_point=p, k=args.k, tol=t) for t in (*tols, 1e-12)]
+        for p in points
+    ]
 
     out = sys.stdout
     out.write("# helmpanel sweep\n")
@@ -152,8 +161,7 @@ def cmd_sweep(args) -> int:
     cols += ["oracle_ok"]
     out.write(",".join(cols) + "\n")
 
-    for z in zs:
-        point = tri.v1 + np.array([px, py, z]) @ axes
+    for z, point, reqs in zip(zs, points, requests):
         verts2d, zloc = to_local_frame(tri, point)
         ext = radial_extents(verts2d)
         oracle, status = adaptive_oracle(
@@ -161,27 +169,11 @@ def cmd_sweep(args) -> int:
             return_status=True,
         )
         row = [_fmt(z)]
-        refs = []
-        for t in tols:
-            rep = evaluate(
-                EvalRequest(triangle=tri, field_point=point, k=args.k, tol=t),
-                method="analytic",
-            )
-            refs.append(rep.result)
-        rep12 = evaluate(
-            EvalRequest(triangle=tri, field_point=point, k=args.k, tol=1e-12),
-            method="analytic",
-        ).result
+        refs = [evaluate(r, method="analytic").result for r in reqs[:-1]]
+        rep12 = evaluate(reqs[-1], method="analytic").result
         row += [_fmt(abs(r.i0 - oracle.i0)) for r in refs]
         row += [_fmt(abs(r.di0_dn - oracle.di0_dn)) for r in refs]
-        nums = [
-            evaluate(
-                EvalRequest(triangle=tri, field_point=point, k=args.k, tol=1e-12),
-                method="numeric",
-                n_gauss=n,
-            ).result
-            for n in orders
-        ]
+        nums = [evaluate(reqs[-1], method="numeric", n_gauss=n).result for n in orders]
         row += [_fmt(abs(r.i0 - rep12.i0)) for r in nums]
         row += [_fmt(abs(r.di0_dn - rep12.di0_dn)) for r in nums]
         for t in tols:
@@ -196,6 +188,7 @@ def cmd_estimate(args) -> int:
     finite = all(map(math.isfinite, (args.rmin, args.rmax, args.z, args.tol)))
     if not (finite and 0.0 <= args.rmin <= args.rmax and args.rmax > 0.0):
         raise ValueError("need finite --rmin, --rmax, --z and --tol, 0 <= rmin <= rmax and rmax > 0")
+    check_tol(args.tol)
     ext = RadialExtents(r_min=args.rmin, r_max=args.rmax)
     if args.z == 0.0:
         if ext.r_min > 0.0:
@@ -282,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_estimate)
 
     pc = sub.add_parser("economize", help="dump sin/cos coefficient table as CSV")
-    pc.add_argument("--dx", type=_parse_dx, default=math.pi / 2, help="pi/16, pi/8, pi/4, pi/2 or float")
+    pc.add_argument("--dx", type=_parse_dx, default=DELTA_X_TIERS[-1], help="pi/16, pi/8, pi/4, pi/2 or float")
     pc.add_argument("--eps", type=float, default=1e-9)
     pc.add_argument("--all", action="store_true", help="emit the full table")
     pc.set_defaults(func=cmd_economize)

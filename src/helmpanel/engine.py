@@ -23,7 +23,7 @@ import numpy as np
 
 from .analytic import PanelIntegrals, evaluate_ref
 from .estimator import OrderSelection, select_order
-from .expapprox import select_approx
+from .expapprox import DELTA_X_TIERS, select_approx
 from .geometry import Triangle3, radial_extents, ref_params, subdivide, to_local_frame
 from .numquad import polar_integrate
 
@@ -31,15 +31,25 @@ from .numquad import polar_integrate
 K_Z_LIMIT = math.pi / 2
 # Gauss order of the high-accuracy numeric fallback and reference.
 N_FALLBACK = 50
-# Floor for the numeric path: the order criterion models only the radial
-# 1/R difficulty, but the angle integrand carries the sec^2-shaped geometry
-# factor r(theta), which needs a minimum resolution at any z.
+# Floor for the estimator's Gauss order: the order criterion models only
+# the radial 1/R difficulty, but the angle integrand carries the
+# sec^2-shaped geometry factor r(theta), which needs a minimum resolution
+# at any z.  A forced order is used as given.
 N_MIN = 8
+# Requested tolerances accepted by EvalRequest and the CLI.
+TOL_RANGE = (1e-15, 1e-2)
+
+
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless tol lies in TOL_RANGE."""
+    lo, hi = TOL_RANGE
+    if not lo <= tol <= hi:
+        raise ValueError(f"tol must lie in [{lo:g}, {hi:g}]")
 
 
 @dataclass
 class EvalRequest:
-    """One panel-integral evaluation."""
+    """One panel-integral evaluation (the triangle validated itself)."""
 
     triangle: Triangle3
     field_point: np.ndarray
@@ -49,13 +59,9 @@ class EvalRequest:
 
     def __post_init__(self):
         self.field_point = np.asarray(self.field_point, dtype=float)
-        tri = self.triangle
-        if not all(map(math.isfinite, tri.v1.tolist() + tri.v2.tolist() + tri.v3.tolist())):
-            raise ValueError("triangle vertices must be finite")
         if not all(map(math.isfinite, self.field_point.tolist())):
             raise ValueError("field point must be finite")
-        if not (1e-15 <= self.tol <= 1e-2):
-            raise ValueError("tol must lie in [1e-15, 1e-2]")
+        check_tol(self.tol)
         if not (0.0 <= self.k < math.inf):
             raise ValueError("k must be finite and non-negative")
 
@@ -66,7 +72,6 @@ class MethodInfo:
 
     kind: str  # "numeric" | "analytic"
     n_gauss: int | None = None
-    q_estimate: int | None = None
     q_expansion: int | None = None
     delta_x: float | None = None
     note: str = ""
@@ -106,26 +111,26 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     """Evaluate panel integrals for one request.
 
     ``method`` is "auto" (estimator-driven selection), "analytic" or
-    "numeric"; forcing "numeric" uses ``n_gauss`` points per direction
-    (defaults to the estimator's choice, or N_FALLBACK; when given, the
-    estimator does not run and the report has none).  A forced
-    analytic request still falls back to n = 50 numeric when the
-    expansion is inadmissible (k * r_max >= pi/2 or k |z| > pi/2); the
-    report notes the fallback.
+    "numeric"; forcing "numeric" uses exactly ``n_gauss`` points per
+    direction, an integer >= 1 (without it, the estimator's choice floored
+    at N_MIN, or N_FALLBACK; when given, the estimator does not run and the
+    report has none).  A forced analytic request still falls back to
+    numeric quadrature (``n_gauss`` or n = 50) when the expansion is
+    inadmissible (k * r_max >= pi/2 or k |z| > pi/2); the report notes the
+    fallback.
     """
+    if n_gauss is not None and not (isinstance(n_gauss, (int, np.integer)) and n_gauss >= 1):
+        raise ValueError(f"n_gauss must be an integer >= 1, got {n_gauss!r}")
     verts2d, z = to_local_frame(req.triangle, req.field_point)
     ext = radial_extents(verts2d)
-    sel = None if method == "numeric" and n_gauss else select_order(ext, z, req.tol)
+    sel = None if method == "numeric" and n_gauss is not None else select_order(ext, z, req.tol)
 
     def numeric(n: int, note: str = "") -> EvalReport:
-        n = max(n, N_MIN)
         res = polar_integrate(verts2d, z, req.k, n, want_hyper=req.want_hypersingular)
-        q_est = sel.q if sel is not None else None
-        info = MethodInfo(kind="numeric", n_gauss=n, q_estimate=q_est, note=note)
-        return EvalReport(res, info, sel, z)
+        return EvalReport(res, MethodInfo(kind="numeric", n_gauss=n, note=note), sel, z)
 
     def analytic() -> EvalReport:
-        if req.k * ext.r_max >= math.pi / 2:
+        if req.k * ext.r_max >= DELTA_X_TIERS[-1]:
             return numeric(
                 n_gauss or N_FALLBACK,
                 note="analytic inadmissible: k*r_max >= pi/2; numeric fallback",
@@ -136,18 +141,15 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
                 note="analytic inadmissible: k|z| > pi/2; numeric fallback",
             )
         res, info = _analytic_eval(verts2d, z, req.k, req.tol, req.want_hypersingular)
-        info.q_estimate = sel.q
         return EvalReport(res, info, sel, z)
 
-    if method == "numeric":
-        return numeric(n_gauss or sel.n_gauss or N_FALLBACK)
-    if method == "analytic":
+    if method == "analytic" or (method == "auto" and sel.analytic_required):
         return analytic()
-    if method != "auto":
+    if method == "numeric" and n_gauss is not None:
+        return numeric(n_gauss)
+    if method not in ("auto", "numeric"):
         raise ValueError(f"unknown method {method!r}")
-    if sel.analytic_required:
-        return analytic()
-    return numeric(sel.n_gauss)
+    return numeric(N_FALLBACK if sel.analytic_required else max(sel.n_gauss, N_MIN))
 
 
 def evaluate_batch(requests, method: str = "auto") -> list[EvalReport]:

@@ -16,6 +16,7 @@ they must cover.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -23,6 +24,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev as _cheb
 
+# The last tier is the element-size limit: the expansion covers k * r < pi/2.
 DELTA_X_TIERS = (math.pi / 16, math.pi / 8, math.pi / 4, math.pi / 2)
 DELTA_X_LABELS = ("pi/16", "pi/8", "pi/4", "pi/2")
 EPS_TIERS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15)
@@ -105,8 +107,8 @@ def economize(delta_x: float, eps: float) -> ExpApprox:
     Each component carries a rigorous uniform error bound <= eps; the
     economized degree never exceeds the Taylor degree for the same eps.
     """
-    if not (0.0 < delta_x <= math.pi / 2 + 1e-15):
-        raise ValueError("delta_x must lie in (0, pi/2]")
+    if not (0.0 < delta_x <= DELTA_X_TIERS[-1] + 1e-15):
+        raise ValueError(f"delta_x must lie in (0, {DELTA_X_LABELS[-1]}]")
     if eps < 1e-15 or eps > 1e-3:
         raise ValueError("eps must lie in [1e-15, 1e-3]")
     n = taylor_degree_for(delta_x, eps)
@@ -127,22 +129,19 @@ def select_approx(k: float, ell: float, eps: float) -> ExpApprox:
     """Table entry covering expansion arguments up to k * ell.
 
     Picks the smallest delta_x tier strictly greater than k * ell and the
-    coarsest tabulated tolerance not exceeding eps.  k * ell >= pi/2
-    violates the standing element-size assumption and is rejected.
+    coarsest tabulated tolerance not exceeding eps.  k * ell >= pi/2 (the
+    last tier) violates the standing element-size assumption and is
+    rejected, as is a NaN k * ell or eps.
     """
     x_need = k * ell
-    if x_need >= math.pi / 2:
+    if math.isnan(x_need):
+        raise ValueError("k*ell is not a number")
+    if x_need >= DELTA_X_TIERS[-1]:
         raise ValueError(
-            f"k*ell = {x_need:.6g} >= pi/2: element too large for the "
-            "expansion (the method assumes k * edge < pi/2)"
+            f"k*ell = {x_need:.6g} >= {DELTA_X_LABELS[-1]}: element too large for the "
+            f"expansion (the method assumes k * edge < {DELTA_X_LABELS[-1]})"
         )
-    if eps < EPS_TIERS[-1]:
-        raise ValueError(f"eps = {eps:g} below the achievable tier {EPS_TIERS[-1]:g}")
-    eps_tier = max((e for e in EPS_TIERS if e <= eps), default=None)
-    if eps_tier is None:
-        eps_tier = EPS_TIERS[0]
-    for dx in DELTA_X_TIERS:
-        if dx > x_need:
-            return economize(dx, eps_tier)
-    # unreachable: pi/2 > x_need guaranteed above
-    raise AssertionError("no delta_x tier covers the requested range")
+    if not eps >= EPS_TIERS[-1]:
+        raise ValueError(f"eps = {eps:g} is below the achievable tier {EPS_TIERS[-1]:g} or not a number")
+    eps_tier = max(e for e in EPS_TIERS if e <= eps)
+    return economize(DELTA_X_TIERS[bisect_right(DELTA_X_TIERS, x_need)], eps_tier)

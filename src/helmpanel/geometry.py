@@ -1,10 +1,11 @@
 """Element-plane geometry for triangular panels.
 
-A world-space triangle and a field point are moved into a local frame in
-which the element lies in the plane z = 0 and the field point sits at
-(0, 0, z).  The planar triangle is then decomposed into up to three signed
-subtriangles, each with one vertex at the origin (the projection of the
-field point).  Each subtriangle is described in a canonical form by the two
+A world-space triangle (``Triangle3``) is validated and given its element
+frame once, when it is built; each field point is then moved into that
+frame, in which the element lies in the plane z = 0 and the field point
+sits at (0, 0, z).  The planar triangle is then decomposed into up to
+three signed subtriangles, each with one vertex at the origin (the
+projection of the field point).  Each subtriangle is described in a canonical form by the two
 radii meeting at the origin, r1 and r2, and the angle Theta between them;
 all potential integrals are evaluated on that canonical triangle.
 
@@ -20,7 +21,7 @@ in local coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,18 +34,49 @@ DROP_RADIUS_REL = 1e-12
 BOUNDARY_TOL_REL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, slots=True, eq=False)
 class Triangle3:
-    """A plane triangle in world coordinates (vertices as 3-vectors)."""
+    """A validated plane triangle in world coordinates, with its element frame.
+
+    The vertices are kept as read-only float64 copies and no attribute can
+    be reassigned.  The frame is computed once, here: the unit normal
+    ``normal`` = normalize((v2 - v1) x (v3 - v1)), ``e1`` along v2 - v1 and
+    ``e2`` = normal x e1, held as floats and returned as 3-vectors.
+    Raises ValueError for non-finite vertices and for a degenerate
+    (collinear) triangle.
+    """
 
     v1: np.ndarray
     v2: np.ndarray
     v3: np.ndarray
+    diameter: float = field(init=False)
+    area: float = field(init=False)
+    # (nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z)
+    _frame: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.v1 = np.asarray(self.v1, dtype=float)
-        self.v2 = np.asarray(self.v2, dtype=float)
-        self.v3 = np.asarray(self.v3, dtype=float)
+        for name in ("v1", "v2", "v3"):
+            v = np.array(getattr(self, name), dtype=float)
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+        p1, p2, p3 = self.v1.tolist(), self.v2.tolist(), self.v3.tolist()
+        if not all(map(math.isfinite, p1 + p2 + p3)):
+            raise ValueError("triangle vertices must be finite")
+        ax, ay, az = p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2]
+        bx, by, bz = p3[0] - p1[0], p3[1] - p1[1], p3[2] - p1[2]
+        nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+        nn = math.hypot(nx, ny, nz)
+        l12 = math.dist(p1, p2)
+        d = max(l12, math.dist(p2, p3), math.dist(p3, p1))
+        if not (d > 0.0 and nn > 1e-12 * d * d and math.isfinite(nn)):
+            msg = f"|area| = {0.5 * nn:.3e} below threshold for diameter {d:.3e}"
+            raise ValueError(f"degenerate or non-finite triangle: {msg}")
+        nx, ny, nz = nx / nn, ny / nn, nz / nn
+        e1x, e1y, e1z = ax / l12, ay / l12, az / l12
+        e2x, e2y, e2z = ny * e1z - nz * e1y, nz * e1x - nx * e1z, nx * e1y - ny * e1x
+        object.__setattr__(self, "diameter", d)
+        object.__setattr__(self, "area", 0.5 * nn)
+        object.__setattr__(self, "_frame", (nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z))
 
     @classmethod
     def from_flat(cls, coords) -> "Triangle3":
@@ -57,48 +89,23 @@ class Triangle3:
         return np.vstack([self.v1, self.v2, self.v3])
 
     @property
-    def diameter(self) -> float:
-        e = (self.v2 - self.v1, self.v3 - self.v2, self.v1 - self.v3)
-        return max(float(np.linalg.norm(v)) for v in e)
-
-    @property
-    def area(self) -> float:
-        n = np.cross(self.v2 - self.v1, self.v3 - self.v1)
-        return 0.5 * float(np.linalg.norm(n))
-
-    @property
     def normal(self) -> np.ndarray:
-        """Unit normal, (v2-v1) x (v3-v1) normalized.
+        """Unit normal, (v2 - v1) x (v3 - v1) normalized."""
+        return np.array(self._frame[:3])
 
-        Raises ValueError for a degenerate (collinear) or non-finite triangle.
-        """
-        n = np.array(_plane(self.v1.tolist(), self.v2.tolist(), self.v3.tolist())[0])
-        return n / np.linalg.norm(n)
+    @property
+    def e1(self) -> np.ndarray:
+        """Unit in-plane axis along v2 - v1 (the local x-axis)."""
+        return np.array(self._frame[3:6])
+
+    @property
+    def e2(self) -> np.ndarray:
+        """Unit in-plane axis normal x e1 (the local y-axis)."""
+        return np.array(self._frame[6:])
 
     @property
     def centroid(self) -> np.ndarray:
         return (self.v1 + self.v2 + self.v3) / 3.0
-
-
-def _plane(p1, p2, p3):
-    """Raw normal (v2-v1) x (v3-v1), its norm, v2 - v1, its length and the diameter.
-
-    Takes the vertices as coordinate lists.  Raises ValueError for a
-    degenerate (collinear) or non-finite triangle.
-    """
-    ax, ay, az = p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2]
-    bx, by, bz = p3[0] - p1[0], p3[1] - p1[1], p3[2] - p1[2]
-    n = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
-    nn = math.hypot(*n)
-    l12 = math.dist(p1, p2)
-    d = max(l12, math.dist(p2, p3), math.dist(p3, p1))
-    if not (d > 0.0 and nn > 1e-12 * d * d and math.isfinite(nn)):
-        raise ValueError(
-            "degenerate or non-finite triangle: "
-            f"|area| = {0.5 * nn:.3e} "
-            f"below threshold for diameter {d:.3e}"
-        )
-    return n, nn, (ax, ay, az), l12, d
 
 
 @dataclass
@@ -151,7 +158,7 @@ class RadialExtents:
 
 
 def to_local_frame(tri: Triangle3, x) -> tuple[np.ndarray, float]:
-    """Transform a triangle/field-point pair into the element frame.
+    """Transform a field point into the triangle's element frame.
 
     Returns ``(verts2d, z)`` where ``verts2d`` is the (3, 2) array
     of planar vertex coordinates with the field-point projection at the
@@ -159,19 +166,16 @@ def to_local_frame(tri: Triangle3, x) -> tuple[np.ndarray, float]:
     Any |z| <= BOUNDARY_TOL_REL * diameter is returned as +0.0, a genuine
     height below the plane as well as roundoff, so the one-sided limits at
     such a point are the ones from z > 0.
-    One request's frame is a handful of 3-vectors, so it is computed in
-    float arithmetic rather than with NumPy calls.
+    The axes come from the triangle, which computed them when it was
+    built; only the per-point work is done here, in float arithmetic.
     """
     p1, p2, p3 = tri.v1.tolist(), tri.v2.tolist(), tri.v3.tolist()
-    (nx, ny, nz), nn, (e1x, e1y, e1z), l12, diam = _plane(p1, p2, p3)
-    nx, ny, nz = nx / nn, ny / nn, nz / nn
-    e1x, e1y, e1z = e1x / l12, e1y / l12, e1z / l12  # along v2 - v1
-    e2x, e2y, e2z = ny * e1z - nz * e1y, nz * e1x - nx * e1z, nx * e1y - ny * e1x  # n x e1
+    nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z = tri._frame
     px, py, pz = np.asarray(x, dtype=float).tolist()
     z = (px - p1[0]) * nx + (py - p1[1]) * ny + (pz - p1[2]) * nz
     if not math.isfinite(z):
         raise ValueError(f"field point {x} is not finite")
-    if abs(z) <= BOUNDARY_TOL_REL * diam:
+    if abs(z) <= BOUNDARY_TOL_REL * tri.diameter:
         # an in-plane point lands at a roundoff-level z of either sign; the
         # one-sided limits are taken from z > 0
         z = 0.0

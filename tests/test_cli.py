@@ -89,10 +89,14 @@ class TestIntegrate:
             ["estimate", "--rmax", "1", "--rmin", "0", "--z", "0.1", "--tol", "0"],
             ["sweep", "--zmin", "0.1", "--zmax", "1", "--steps", "2", "--tols", "abc"],
             ["sweep", "--zmin", "0.1", "--zmax", "1", "--steps", "2", "--tri", "0,0,0,1,0,0,2,0,0"],
+            ["sweep", "--zmin", "0.1", "--zmax", "1", "--steps", "2", "--tols", "0"],
+            ["sweep", "--zmin", "0.1", "--zmax", "1", "--steps", "2", "--orders", "0"],
+            ["estimate", "--rmax", "1", "--rmin", "0", "--z", "0", "--tol", "-1"],
         ],
         ids=[
             "nan_point", "collinear_tri", "economize_dx_pi", "economize_eps_tiny",
             "estimate_tol_zero", "sweep_bad_tols", "sweep_collinear_tri",
+            "sweep_tol_zero", "sweep_order_zero", "estimate_z0_negative_tol",
         ],
     )
     def test_invalid_input_is_one_error_line(self, argv, capsys):

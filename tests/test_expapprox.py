@@ -102,6 +102,13 @@ class TestSelectApprox:
         with pytest.raises(ValueError, match="pi/2"):
             select_approx(k=1.0, ell=1.6, eps=1e-9)
 
+    def test_nan_rejected(self):
+        # NaN never reaches a silent tier or an AssertionError
+        with pytest.raises(ValueError, match="k\\*ell"):
+            select_approx(k=math.nan, ell=0.5, eps=1e-6)
+        with pytest.raises(ValueError, match="eps"):
+            select_approx(k=1.0, ell=0.5, eps=math.nan)
+
     def test_eps_tier_selection(self):
         # 5e-12 is not a tier: falls to the nearest not-coarser tier 1e-12
         ap = select_approx(k=1.0, ell=0.1, eps=5e-12)

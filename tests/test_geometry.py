@@ -24,6 +24,43 @@ def tri3(*rows):
     return Triangle3(*[np.array(r, dtype=float) for r in rows])
 
 
+class TestTriangle3:
+    def test_construction(self):
+        # validated when built, immutable, and its frame matches the
+        # NumPy formulas for the documented conventions
+        with pytest.raises(ValueError, match="vertices"):
+            tri3((0, 0, 0), (1, math.nan, 0), (0, 1, 0))
+        with pytest.raises(ValueError, match="vertices"):
+            tri3((0, 0, 0), (1, 0, 0), (0, 1, math.inf))
+        with pytest.raises(ValueError, match="degenerate"):
+            tri3((0, 0, 0), (1, 1, 1), (3, 3, 3))
+        src = np.array([0.0, 0.0, 0.0])
+        tri = Triangle3(src, (1.0, 0.0, 0.0), (0.3, 0.8, 0.0))
+        src[0] = 5.0  # the triangle holds a copy
+        assert tri.v1[0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            tri.v2[1] = 1.0
+        with pytest.raises(AttributeError):
+            tri.v1 = np.ones(3)
+        with pytest.raises(AttributeError):
+            tri.diameter = 2.0
+        rng = np.random.default_rng(8)  # own stream: RNG feeds the tests below
+        for _ in range(50):
+            q, t = rigid_motion(rng)
+            v = random_planar_triangle(rng, scale=float(10.0 ** rng.uniform(-2.0, 2.0)))
+            v = np.column_stack([v, np.zeros(3)]) @ q.T + t
+            tri = Triangle3(*v)
+            frame = np.array([tri.e1, tri.e2, tri.normal])
+            assert np.allclose(frame @ frame.T, np.eye(3), rtol=0.0, atol=1e-15)
+            assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-14)
+            cross = np.cross(v[1] - v[0], v[2] - v[0])
+            assert np.allclose(tri.normal, cross / np.linalg.norm(cross), rtol=0.0, atol=1e-15)
+            assert np.allclose(tri.e1, (v[1] - v[0]) / np.linalg.norm(v[1] - v[0]), rtol=0.0, atol=1e-15)
+            diam = max(np.linalg.norm(v[i] - v[i - 1]) for i in range(3))
+            assert tri.diameter == pytest.approx(diam, rel=1e-15)
+            assert tri.area == pytest.approx(0.5 * np.linalg.norm(cross), rel=1e-15)
+
+
 class TestLocalFrame:
     def test_already_in_frame(self):
         tri = tri3((0, 0, 0), (1, 0, 0), (0.3, 0.8, 0))
@@ -101,9 +138,8 @@ class TestLocalFrame:
             assert np.max(np.abs(verts2d - ref2d)) <= 1e-13 * scale
 
     def test_degenerate_rejected(self):
-        tri = tri3((0, 0, 0), (1, 0, 0), (2, 0, 0))
         with pytest.raises(ValueError, match="degenerate"):
-            to_local_frame(tri, (0, 0, 1))
+            tri3((0, 0, 0), (1, 0, 0), (2, 0, 0))
 
     def test_normal_maps_to_plus_z(self):
         tri = tri3((0, 0, 0), (1, 0, 0), (0.3, 0.8, 0))
