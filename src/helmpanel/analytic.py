@@ -162,7 +162,7 @@ def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> 
     return np.array([jc, js, djc, djs])
 
 
-def hypersingular(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> np.ndarray:
+def hypersingular(geom: RefGeom, k: float, q_max: int, table: ElemTable) -> np.ndarray:
     """Second z-derivatives of K_{q,0} (constant-element hypersingular term)."""
     q, (_, q1), _ = _orders(q_max)
     b = table.binom[0, :, 1 : q_max + 2]
@@ -206,7 +206,7 @@ def k_terms(
     out = np.empty((7 if want_hyper else 6, q_max + 1))
     np.divide(coef @ np.concatenate([b.reshape(4, -1), j]), divisor, out=out[:6])
     if want_hyper:
-        out[6] = hypersingular(geom, z, k, q_max, table)
+        out[6] = hypersingular(geom, k, q_max, table)
     return KTerms(out)
 
 
@@ -214,13 +214,7 @@ def k_terms(
 _E_LAPLACE = np.ones(1, dtype=complex)
 
 
-def assemble(
-    geom: RefGeom,
-    z: float,
-    k: float,
-    approx: ExpApprox,
-    terms: KTerms,
-) -> PanelIntegrals:
+def assemble(z: float, k: float, approx: ExpApprox, terms: KTerms) -> PanelIntegrals:
     """Sum the expansion with coefficients e_q and apply exp(jk|z|).
 
     One product of the term rows with e gives every primed sum.  At k = 0
@@ -260,7 +254,7 @@ def evaluate_ref(
     """
     q_max = 0 if k == 0.0 else approx.q
     table = build_table(
-        geom.alpha, geom.theta_lo, geom.theta_hi, q_max + 2, alpha_p=geom.alpha_p
+        geom.alpha, geom.theta_lo, geom.theta_hi, q_max + 1, alpha_p=geom.alpha_p
     )
     terms = k_terms(geom, z, k, q_max, table, want_hyper=want_hyper)
-    return assemble(geom, z, k, approx, terms)
+    return assemble(z, k, approx, terms)

@@ -26,7 +26,7 @@ from .engine import (
     evaluate,
     sample_triangle,
 )
-from .estimator import Q_CAP, EstimatorGeom, e_q_bound, q_required, select_order
+from .estimator import Q_CAP, EstimatorGeom, e_q_bound, select_order
 from .expapprox import DELTA_X_LABELS, DELTA_X_TIERS, EPS_TIERS, economize
 from .geometry import RadialExtents, Triangle3, radial_extents, to_local_frame
 
@@ -177,7 +177,7 @@ def cmd_sweep(args) -> int:
         row += [_fmt(abs(r.i0 - rep12.i0)) for r in nums]
         row += [_fmt(abs(r.di0_dn - rep12.di0_dn)) for r in nums]
         for t in tols:
-            q = q_required(ext, zloc, t, q_max=args.qmax)
+            q = select_order(ext, zloc, t, q_cap=args.qmax).q
             row.append(str(q if q is not None else -1))
         row.append("1" if status["converged"] else "0")
         out.write(",".join(row) + "\n")

@@ -8,12 +8,13 @@ strictly inside (-pi/2, pi/2), written in terms of
 with alpha' = sqrt(1 - alpha^2).  Two families are tabulated,
 
     plain[n] = integral (Delta/cos)^n dtheta,        n = -3 .. N,
-    tan[n]   = integral (Delta/cos)^n tan dtheta,    n = -3 .. N,
+    tan[n]   = integral (Delta/cos)^n tan dtheta,    n = -1 .. N,
 
 via upward recursions seeded by closed forms, plus the logarithmic
 integrals L_c and L_s.  Powers of (Delta/cos - alpha), which appear in all
 potential-integral terms, reduce to these tables through the binomial
-expansion.
+expansion; the expansion terms read the plain family at shifts s = 0 .. 3
+and the tan family at s = 0, 1 only.
 
 Numerical notes.  Delta is always computed as hypot(cos, alpha' sin),
 which stays accurate as alpha -> 1, and Delta - alpha' is expanded through
@@ -28,17 +29,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 # alpha below which the in-plane (alpha = 0) closed forms are used.
 ALPHA_ZERO = 1e-8
-
-# alpha below which tan[-3] switches to its series form: the antiderivative
-# difference loses ~3 digits per decade of alpha below this point.
-_T3_SERIES_ALPHA = 0.05
 
 
 # Series coefficients of asin(x)/x - 1: C(2m, m) / (4^m (2m+1)), m >= 1.
@@ -51,12 +47,6 @@ _ASIN_SERIES = (
     10395.0 / 599040.0,
     135135.0 / 9676800.0,
 )
-
-# The eight terms m of the tan[-3] series: C(m, j) (-1)^j for j = 0 .. m,
-# the exponents 2 j + 3 and (3/2)_m / m!.
-_T3_COMB = tuple(tuple(math.comb(m, j) * (-1.0) ** j for j in range(m + 1)) for m in range(8))
-_T3_ODD = tuple(2 * j + 3 for j in range(8))
-_T3_POCH = tuple(math.prod((0.5 + i) / i for i in range(1, m + 1)) for m in range(8))
 
 
 def _asin_ratio_m1(x: float) -> float:
@@ -149,45 +139,18 @@ def _h_table(alpha_p: float, u_lo: float, u_hi: float, m_max: int) -> list:
     return [b - a for a, b in zip(*anti)]
 
 
-def _tan_seed_m3_series(alpha: float, c_lo: float, c_hi: float) -> float:
-    """tan[-3] by series in alpha^2: integral cos^2 sin / Delta^3 dtheta.
-
-    Term m is (3/2)_m / m! alpha^(2m) times minus the integral of
-    cos^2 (1 - cos^2)^m sin, expanded binomially in powers of cos.
-    """
-    d = [(c_hi**o - c_lo**o) / o for o in _T3_ODD]
-    total = 0.0
-    a2m = 1.0
-    for poch, comb in zip(_T3_POCH, _T3_COMB):
-        total -= poch * a2m * sum(map(operator.mul, comb, d))
-        a2m *= alpha * alpha
-    return total
-
-
 def _pow_tan(alpha: float, lo: tuple, hi: tuple, n_max: int) -> list:
-    """tan[n], n = -3 .. n_max, from the endpoint tuples.
+    """tan[n], n = -1 .. n_max, from the endpoint tuples, after two NaN slots.
 
-    Orders n >= 1 follow T_n = alpha^2 T_{n-2} + (1/n) (Delta/cos)^n
-    evaluated at the endpoints.
+    The NaN slots n = -3, -2 keep the layout of ``_pow_plain`` (see
+    ElemTable).  Orders n >= 1 follow T_n = alpha^2 T_{n-2} + (1/n)
+    (Delta/cos)^n evaluated at the endpoints.
     """
-    _, s_lo, c_lo, _, d_lo, _, lu_lo = lo
-    _, s_hi, c_hi, _, d_hi, _, lu_hi = hi
+    _, _, c_lo, _, d_lo, _, lu_lo = lo
+    _, _, c_hi, _, d_hi, _, lu_hi = hi
     a2 = alpha * alpha
-    if alpha < ALPHA_ZERO:
-        out = [-(c_hi**3 - c_lo**3) / 3.0, 0.5 * (s_hi * s_hi - s_lo * s_lo), -(c_hi - c_lo)]
-    else:
-        if alpha < _T3_SERIES_ALPHA:
-            t3 = _tan_seed_m3_series(alpha, c_lo, c_hi)
-        else:
-            t3 = (c_hi / (a2 * d_hi) - lu_hi / (a2 * alpha)) - (
-                c_lo / (a2 * d_lo) - lu_lo / (a2 * alpha)
-            )
-        out = [
-            t3,
-            -(math.log1p(-a2 * s_hi * s_hi) - math.log1p(-a2 * s_lo * s_lo)) / (2.0 * a2),
-            -(lu_hi - lu_lo) / alpha,
-        ]
-    out.append(math.log(c_lo) - math.log(c_hi))
+    t_m1 = -(c_hi - c_lo) if alpha < ALPHA_ZERO else -(lu_hi - lu_lo) / alpha
+    out = [math.nan, math.nan, t_m1, math.log(c_lo) - math.log(c_hi)]
     p_lo = d_lo / c_lo
     p_hi = d_hi / c_hi
     for n in range(1, n_max + 1):
@@ -247,14 +210,16 @@ class ElemTable:
 
     ``powers`` stacks plain (row 0) and tan (row 1), each indexed [n + 3]
     with n = -3 .. n_max; ``binom`` holds their ``binomial_combination``,
-    indexed [family, s, q] with q = 0 .. n_max.  ``lc`` and ``ls`` are the
-    definite integrals of cos and sin times log[(Delta - alpha')/(Delta + alpha')].
-    L_c diverges logarithmically as alpha -> 0; callers only ever use it
-    multiplied by |z| = alpha * S, so at alpha = 0 exactly both are stored
-    as zero by that convention.
+    indexed [family, s, q] with q = 0 .. n_max.  No expansion term reads
+    tan[-3] or tan[-2], so those two slots hold NaN by convention, and with
+    them the tan rows s = 2, 3 of ``binom``: a read of an entry that is not
+    tabulated gives NaN, never a plausible wrong number.  ``lc`` and ``ls``
+    are the definite integrals of cos and sin times
+    log[(Delta - alpha')/(Delta + alpha')].  L_c diverges logarithmically as
+    alpha -> 0; callers only ever use it multiplied by |z| = alpha * S, so
+    at alpha = 0 exactly both are stored as zero by that convention.
     """
 
-    n_max: int
     powers: np.ndarray
     lc: float
     ls: float
@@ -268,7 +233,7 @@ def build_table(
     n_max: int,
     alpha_p: float | None = None,
 ) -> ElemTable:
-    """Build all elementary integrals needed for expansion order n_max - 2.
+    """Build all elementary integrals needed for expansion order n_max - 1.
 
     Each endpoint's trigonometric values are computed once and shared by
     both power tables and L_c, L_s; one ``binomial_combination`` serves
@@ -281,7 +246,6 @@ def build_table(
     powers = np.array([_pow_plain(alpha, alpha_p, lo, hi, n_max), _pow_tan(alpha, lo, hi, n_max)])
     lc, ls = _logs(alpha, alpha_p, lo, hi)
     return ElemTable(
-        n_max=n_max,
         powers=powers,
         lc=lc,
         ls=ls,

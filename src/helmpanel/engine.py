@@ -114,16 +114,19 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     "numeric"; forcing "numeric" uses exactly ``n_gauss`` points per
     direction, an integer >= 1 (without it, the estimator's choice floored
     at N_MIN, or N_FALLBACK; when given, the estimator does not run and the
-    report has none).  A forced analytic request still falls back to
-    numeric quadrature (``n_gauss`` or n = 50) when the expansion is
-    inadmissible (k * r_max >= pi/2 or k |z| > pi/2); the report notes the
-    fallback.
+    report has none).  ``n_gauss`` with any other method is a ValueError.
+    A forced analytic request still falls back to numeric quadrature at
+    n = N_FALLBACK when the expansion is inadmissible (k * r_max >= pi/2 or
+    k |z| > pi/2); the report notes the fallback.
     """
-    if n_gauss is not None and not (isinstance(n_gauss, (int, np.integer)) and n_gauss >= 1):
-        raise ValueError(f"n_gauss must be an integer >= 1, got {n_gauss!r}")
+    if n_gauss is not None:
+        if method != "numeric":
+            raise ValueError(f"n_gauss applies only to method 'numeric', not {method!r}")
+        if not (isinstance(n_gauss, (int, np.integer)) and n_gauss >= 1):
+            raise ValueError(f"n_gauss must be an integer >= 1, got {n_gauss!r}")
     verts2d, z = to_local_frame(req.triangle, req.field_point)
     ext = radial_extents(verts2d)
-    sel = None if method == "numeric" and n_gauss is not None else select_order(ext, z, req.tol)
+    sel = None if n_gauss is not None else select_order(ext, z, req.tol)
 
     def numeric(n: int, note: str = "") -> EvalReport:
         res = polar_integrate(verts2d, z, req.k, n, want_hyper=req.want_hypersingular)
@@ -131,21 +134,15 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
 
     def analytic() -> EvalReport:
         if req.k * ext.r_max >= DELTA_X_TIERS[-1]:
-            return numeric(
-                n_gauss or N_FALLBACK,
-                note="analytic inadmissible: k*r_max >= pi/2; numeric fallback",
-            )
+            return numeric(N_FALLBACK, note="analytic inadmissible: k*r_max >= pi/2; numeric fallback")
         if req.k * abs(z) > K_Z_LIMIT:
-            return numeric(
-                n_gauss or N_FALLBACK,
-                note="analytic inadmissible: k|z| > pi/2; numeric fallback",
-            )
+            return numeric(N_FALLBACK, note="analytic inadmissible: k|z| > pi/2; numeric fallback")
         res, info = _analytic_eval(verts2d, z, req.k, req.tol, req.want_hypersingular)
         return EvalReport(res, info, sel, z)
 
     if method == "analytic" or (method == "auto" and sel.analytic_required):
         return analytic()
-    if method == "numeric" and n_gauss is not None:
+    if n_gauss is not None:
         return numeric(n_gauss)
     if method not in ("auto", "numeric"):
         raise ValueError(f"unknown method {method!r}")

@@ -78,40 +78,6 @@ def e_q_bound(geom: EstimatorGeom, q: int) -> float:
     )
 
 
-def _smallest_order(extents: RadialExtents, z: float, tol: float, q_max: int) -> tuple[int | None, float]:
-    """Smallest Q <= q_max with E_Q <= tol and that E_Q, or (None, inf).
-
-    The loop evaluates ``e_q_bound``'s expression with its order-independent
-    prefix hoisted, in the same left-to-right order, so each E_Q is
-    bit-identical to ``e_q_bound(geom, q)``.
-    """
-    if z == 0.0:
-        return (1, 0.0) if extents.r_min > 0.0 else (None, math.inf)
-    geom = EstimatorGeom.from_extents(extents, z)
-    _check_phi(geom)
-    t = geom.t
-    denom = math.sqrt((1.0 - t) ** 2 * geom.cos_phi**2 + geom.sin_phi**2)
-    lead = (1.0 / geom.R_mid) * math.sqrt(2.0 / (math.pi * geom.sin_phi))
-    abs_t, cos_phi = abs(t), geom.cos_phi
-    for q in range(1, q_max + 1):
-        e_q = lead * abs_t ** (q + 1) / math.sqrt(q + 1) * cos_phi ** (q + 1) / denom
-        if e_q <= tol:
-            return q, e_q
-    return None, math.inf
-
-
-def q_required(extents: RadialExtents, z: float, tol: float, q_max: int = 512) -> int | None:
-    """Smallest Q with E_Q <= tol, or None if none exists up to q_max.
-
-    z = 0 is special: with r_min > 0 the radial integrand r/R is constant
-    so Q = 1; with r_min = 0 the integral is singular and no finite order
-    works.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    return _smallest_order(extents, z, tol, q_max)[0]
-
-
 @dataclass
 class OrderSelection:
     """Outcome of the quadrature-order criterion."""
@@ -125,13 +91,31 @@ class OrderSelection:
 def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CAP) -> OrderSelection:
     """Pick the Gaussian order for 1/R or demand the analytic path.
 
-    Returns the smallest Q with E_Q <= tol together with the per-direction
-    Gauss point count ceil((Q+1)/2); when Q would exceed q_cap the analytic
-    evaluation is required.
+    Returns the smallest Q <= q_cap with E_Q <= tol together with that E_Q
+    and the per-direction Gauss point count ceil((Q+1)/2); when no such Q
+    exists the analytic evaluation is required and ``q`` is None.  z = 0
+    is special: with r_min > 0 the radial integrand r/R is constant so
+    Q = 1; with r_min = 0 the integral is singular and no finite order
+    works.
+
+    The loop evaluates ``e_q_bound``'s expression with its order-independent
+    prefix hoisted, in the same left-to-right order, so each E_Q is
+    bit-identical to ``e_q_bound(geom, q)``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    q, e_q = _smallest_order(extents, z, tol, q_cap)
-    if q is None:
+    if z == 0.0:
+        if extents.r_min > 0.0:
+            return OrderSelection(analytic_required=False, q=1, e_q=0.0, n_gauss=1)
         return OrderSelection(analytic_required=True)
-    return OrderSelection(analytic_required=False, q=q, e_q=e_q, n_gauss=(q + 2) // 2)
+    geom = EstimatorGeom.from_extents(extents, z)
+    _check_phi(geom)
+    t = geom.t
+    denom = math.sqrt((1.0 - t) ** 2 * geom.cos_phi**2 + geom.sin_phi**2)
+    lead = (1.0 / geom.R_mid) * math.sqrt(2.0 / (math.pi * geom.sin_phi))
+    abs_t, cos_phi = abs(t), geom.cos_phi
+    for q in range(1, q_cap + 1):
+        e_q = lead * abs_t ** (q + 1) / math.sqrt(q + 1) * cos_phi ** (q + 1) / denom
+        if e_q <= tol:
+            return OrderSelection(analytic_required=False, q=q, e_q=e_q, n_gauss=(q + 2) // 2)
+    return OrderSelection(analytic_required=True)

@@ -182,7 +182,7 @@ def quad_cumulative(f, limits, tol: float):
     return values, error, converged
 
 
-def polar_nodes(verts2d, n: int, z: float | None = None):
+def polar_nodes(verts2d, n: int, z: float):
     """Quadrature nodes for the polar transformation on a planar triangle.
 
     Returns (x, y, w): plane coordinates and signed weights including the
@@ -192,13 +192,13 @@ def polar_nodes(verts2d, n: int, z: float | None = None):
     The angle direction carries the area factor rbar^2 = s^2 sec^2(theta),
     whose poles at theta = +-pi/2 defeat n Gauss points in theta over a
     wide subtriangle once the kernel is nearly constant across it.  So
-    when the height z of the field point is given and |z| >= s, the n
+    when the height z of the field point satisfies |z| >= s, the n
     angular points of that subtriangle are placed on the far-side
     parameter u = s tan(theta), where dtheta = s du / (s^2 + u^2) makes the
     area factor constant.  For |z| < s the 1/R kernel cancels one power of
     rbar, and the rest is smoother in theta than in u (whose integrand
-    then has singularities near u = +-i s), so theta is kept.  Without z
-    every subtriangle uses theta.
+    then has singularities near u = +-i s), so theta is kept; z = 0 keeps
+    it on every subtriangle.
 
     All subtriangles are built at once, as (subtriangle, angle node,
     radial node) arrays.  An angle node maps to its point on the far side,
@@ -215,7 +215,7 @@ def polar_nodes(verts2d, n: int, z: float | None = None):
     for sub in subs:
         geom = ref_params(sub, 0.0)
         s, lo, hi = geom.s, geom.theta_lo, geom.theta_hi
-        far = z is not None and abs(z) >= s
+        far = abs(z) >= s
         if far:
             lo, hi = s * math.tan(lo), s * math.tan(hi)
         half = 0.5 * (hi - lo)

@@ -18,7 +18,7 @@ import numpy as np
 from helmpanel.analytic import j_chain, k_terms
 from helmpanel.elemints import build_table
 from helmpanel.engine import EvalRequest, evaluate, sample_field_point, sample_triangle
-from helmpanel.estimator import EstimatorGeom, e_q_bound, q_required
+from helmpanel.estimator import EstimatorGeom, e_q_bound, select_order
 from helmpanel.expapprox import economize, taylor_degree_for
 from helmpanel.geometry import (
     RadialExtents,
@@ -183,7 +183,7 @@ def test_criterion_5_selection_criterion_validity():
             ext = radial_extents(verts2d)
             oracle = adaptive_oracle(verts2d, zloc, 1.0, tol=1e-13, components=("i0",))
             err = abs(polar_integrate(verts2d, zloc, 1.0, n).i0 - oracle.i0)
-            q = q_required(ext, zloc, 1e-6, q_max=512)
+            q = select_order(ext, zloc, 1e-6, q_cap=512).q
             if err > 1e-6:
                 z_fail = float(z)
             if q is None or q > 2 * n:
@@ -313,7 +313,7 @@ def test_criterion_6_term_by_term_oracle_suite():
         k = float(RNG.uniform(0.3, 1.2))
         geom = ref_params(sub, z)
         table = build_table(
-            geom.alpha, geom.theta_lo, geom.theta_hi, q_max + 2, alpha_p=geom.alpha_p
+            geom.alpha, geom.theta_lo, geom.theta_hi, q_max + 1, alpha_p=geom.alpha_p
         )
         kt = k_terms(geom, z, k, q_max, table, want_hyper=True)
         jt = j_chain(geom, z, k, q_max, table)
@@ -343,11 +343,10 @@ def test_criterion_6_term_by_term_oracle_suite():
             tab = build_table(alpha, lo, hi, q_max + 1)
             plain, tan = tab.powers
             for n in range(-3, q_max + 2):
-                worst_elem = max(
-                    worst_elem,
-                    abs(plain[n + 3] - oracle_pow_plain(alpha, lo, hi, n)),
-                    abs(tan[n + 3] - oracle_pow_tan(alpha, lo, hi, n)),
-                )
+                worst_elem = max(worst_elem, abs(plain[n + 3] - oracle_pow_plain(alpha, lo, hi, n)))
+            # the tan family is tabulated from n = -1
+            for n in range(-1, q_max + 2):
+                worst_elem = max(worst_elem, abs(tan[n + 3] - oracle_pow_tan(alpha, lo, hi, n)))
             if alpha > 0.0:
                 ap = math.sqrt((1 - alpha) * (1 + alpha))
 

@@ -347,7 +347,7 @@ class TestHypersingular:
         table = build_table(
             geom.alpha, geom.theta_lo, geom.theta_hi, 8, alpha_p=geom.alpha_p
         )
-        d2 = hypersingular(geom, z, k, 4, table)
+        d2 = hypersingular(geom, k, 4, table)
         ap = geom.alpha_p
         kS = k * geom.S
         for q in (0, 2, 4):

@@ -11,7 +11,7 @@ import pytest
 
 from helmpanel.cli import main
 from helmpanel.engine import SAMPLE_PROJECTIONS
-from helmpanel.estimator import q_required
+from helmpanel.estimator import select_order
 from helmpanel.geometry import radial_extents
 
 from helpers import rigid_motion
@@ -189,7 +189,7 @@ class TestSweep:
         ext = radial_extents(sample[:, :2] - SAMPLE_PROJECTIONS[2])
         for r in data:
             for tol in (1e-6, 1e-12):
-                q = q_required(ext, float(r[0]), tol)
+                q = select_order(ext, float(r[0]), tol, q_cap=512).q
                 assert int(r[header.index(f"Q_tol{tol:g}")]) == (-1 if q is None else q)
 
     def test_csv_round_trip(self):

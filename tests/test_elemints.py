@@ -19,7 +19,10 @@ def pow_plain(alpha, lo, hi, n_max):
 
 
 def pow_tan(alpha, lo, hi, n_max):
-    """Integrals of (Delta/cos)^n tan over [lo, hi], indexed as ``pow_plain``."""
+    """Integrals of (Delta/cos)^n tan over [lo, hi], indexed as ``pow_plain``.
+
+    Only n >= -1 is tabulated; the slots n = -3, -2 hold NaN.
+    """
     return build_table(alpha, lo, hi, n_max).powers[1]
 
 
@@ -65,7 +68,7 @@ class TestOracleEquivalence:
 
     def test_tan_alpha03_named_case(self):
         tab = pow_tan(0.3, -0.2, 0.7, 8)
-        for n in range(-3, 9):
+        for n in range(-1, 9):
             assert tab[n + 3] == pytest.approx(
                 oracle_pow_tan(0.3, -0.2, 0.7, n), abs=1e-12
             )
@@ -80,6 +83,7 @@ class TestOracleEquivalence:
             for n in range(-3, 9):
                 vo = oracle_pow_plain(alpha, lo, hi, n)
                 assert abs(plain[n + 3] - vo) <= 1e-12 * (1 + abs(vo)), (alpha, lo, hi, n)
+            for n in range(-1, 9):
                 vo = oracle_pow_tan(alpha, lo, hi, n)
                 assert abs(tan[n + 3] - vo) <= 1e-12 * (1 + abs(vo)), (alpha, lo, hi, n)
 
@@ -92,6 +96,7 @@ class TestOracleEquivalence:
             for n in range(-3, 5):
                 vo = oracle_pow_plain(alpha, -0.3, 0.8, n)
                 assert abs(plain[n + 3] - vo) <= 1e-12 * (1 + abs(vo))
+            for n in range(-1, 5):
                 vo = oracle_pow_tan(alpha, -0.3, 0.8, n)
                 assert abs(tan[n + 3] - vo) <= 1e-12 * (1 + abs(vo))
 
@@ -101,18 +106,19 @@ class TestOracleEquivalence:
         below = pow_plain(0.5e-8, lo, hi, 6)
         above = pow_plain(2e-8, lo, hi, 6)
         assert np.allclose(below, above, rtol=1e-6)
-        below = pow_tan(0.5e-8, lo, hi, 6)
-        above = pow_tan(2e-8, lo, hi, 6)
+        below = pow_tan(0.5e-8, lo, hi, 6)[2:]
+        above = pow_tan(2e-8, lo, hi, 6)[2:]
         assert np.allclose(below, above, rtol=1e-6)
 
 
 class TestProperties:
     def test_interval_additivity(self):
         alpha, a, b, c = 0.45, -0.5, 0.2, 0.9
-        for build in (pow_plain, pow_tan):
-            full = build(alpha, a, c, 6)
-            left = build(alpha, a, b, 6)
-            right = build(alpha, b, c, 6)
+        # tan starts at n = -1 (index 2)
+        for build, first in ((pow_plain, 0), (pow_tan, 2)):
+            full = build(alpha, a, c, 6)[first:]
+            left = build(alpha, a, b, 6)[first:]
+            right = build(alpha, b, c, 6)[first:]
             assert np.allclose(full, left + right, atol=1e-13, rtol=1e-13)
 
     def test_derivative_reproduces_integrand(self):
@@ -126,8 +132,9 @@ class TestProperties:
                 dp = pow_plain(alpha, th - h, th + h, 6)[n + 3] / (2 * h)
                 val = (delta(ap, th) / math.cos(th)) ** n
                 assert dp == pytest.approx(val, rel=1e-8)
-                dt = pow_tan(alpha, th - h, th + h, 6)[n + 3] / (2 * h)
-                assert dt == pytest.approx(val * math.tan(th), rel=1e-8, abs=1e-9)
+                if n >= -1:
+                    dt = pow_tan(alpha, th - h, th + h, 6)[n + 3] / (2 * h)
+                    assert dt == pytest.approx(val * math.tan(th), rel=1e-8, abs=1e-9)
 
     def test_range_touching_pi_over_2_rejected(self):
         with pytest.raises(ValueError):
@@ -180,10 +187,11 @@ class TestBinomialCombination:
     def test_matches_scalar_sum(self):
         # reference: the binomial sum term by term, for every (s, q)
         for alpha in (0.3, 0.7, 0.95):
-            for build in (pow_plain, pow_tan):
+            # the tan family is tabulated from n = -1, so only s <= 1
+            for build, s_max in ((pow_plain, 3), (pow_tan, 1)):
                 tab = build(alpha, -0.4, 0.75, 12)
                 b = binomial_combination(12, alpha, tab)
-                for s in range(4):
+                for s in range(s_max + 1):
                     for q in range(13):
                         terms = [
                             math.comb(q, u) * (-alpha) ** u * tab[q - u - s + 3]
@@ -234,10 +242,20 @@ class TestLogIntegrals:
 class TestTable:
     def test_build_table_consistency(self):
         tab = build_table(0.35, -0.5, 0.8, 10)
-        assert tab.n_max == 10
+        assert tab.powers.shape == (2, 10 + 4)
         assert tab.powers[0, 0 + 3] == pytest.approx(1.3, abs=1e-14)
         assert tab.binom.shape == (2, 4, 11)
         assert tab.binom[0, 1, 0] == tab.powers[0, -1 + 3]
         assert tab.binom[1, 0, 2] == pytest.approx(
             binomial_combination(10, 0.35, tab.powers[1])[0, 2], abs=0.0
         )
+
+    def test_untabulated_tan_entries_are_nan(self):
+        # tan[-3], tan[-2] are not tabulated: they and the tan rows
+        # s = 2, 3 of binom read as NaN, at alpha = 0 and above
+        for alpha in (0.0, 0.35):
+            tab = build_table(alpha, -0.5, 0.8, 6)
+            assert np.isnan(tab.powers[1, :2]).all()
+            assert np.isnan(tab.binom[1, 2:]).all()
+            assert np.isfinite(tab.powers[:, 2:]).all() and np.isfinite(tab.powers[0]).all()
+            assert np.isfinite(tab.binom[0]).all() and np.isfinite(tab.binom[1, :2]).all()

@@ -151,6 +151,14 @@ class TestSelection:
             with pytest.raises(ValueError, match="n_gauss"):
                 evaluate(request(x), method="numeric", n_gauss=bad)
 
+    def test_n_gauss_only_with_forced_numeric(self):
+        # an order for the numeric path is not silently applied to, or
+        # ignored by, the other methods and their fallbacks
+        x = sample_field_point(2, 0.55)
+        for method in ("auto", "analytic"):
+            with pytest.raises(ValueError, match="n_gauss"):
+                evaluate(request(x), method=method, n_gauss=4)
+
 
 class TestConsistency:
     def test_method_agreement_band(self):

@@ -10,7 +10,6 @@ from helmpanel.estimator import (
     OrderSelection,
     Q_CAP,
     e_q_bound,
-    q_required,
     select_order,
 )
 from helmpanel.geometry import RadialExtents
@@ -145,7 +144,7 @@ class TestSelectOrder:
         tol = 1e-6
         ext = RadialExtents(r_min=0.0, r_max=1.0)
         z = 0.3
-        q = q_required(ext, z, tol, q_max=1024)
+        q = select_order(ext, z, tol, q_cap=1024).q
         assert q is not None
         n = (q + 2) // 2
         x, w = gauss_rule(n)
@@ -156,12 +155,12 @@ class TestSelectOrder:
 
     def test_q_required_uncapped(self):
         ext = RadialExtents(0.0, 1.0)
-        q = q_required(ext, 0.2, 1e-6, q_max=512)
+        q = select_order(ext, 0.2, 1e-6, q_cap=512).q
         assert q is not None and q > Q_CAP
         # arbitrarily slow decay as z -> 0
-        assert q_required(ext, 0.01, 1e-6, q_max=512) is None
-        assert q_required(ext, 0.0, 1e-6) is None
-        assert q_required(RadialExtents(0.5, 1.0), 0.0, 1e-6) == 1
+        assert select_order(ext, 0.01, 1e-6, q_cap=512).q is None
+        assert select_order(ext, 0.0, 1e-6, q_cap=512).q is None
+        assert select_order(RadialExtents(0.5, 1.0), 0.0, 1e-6, q_cap=512).q == 1
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
@@ -185,8 +184,8 @@ class TestSelectOrder:
             tol = float(10.0 ** rng.uniform(-13.0, -3.0))
             geom = EstimatorGeom.from_extents(ext, z)
             want = next((q for q in range(1, q_max + 1) if e_q_bound(geom, q) <= tol), None)
-            assert q_required(ext, z, tol, q_max=q_max) == want
             sel = select_order(ext, z, tol, q_cap=q_max)
+            assert sel.q == want
             assert sel.analytic_required == (want is None)
             if want is not None:
                 assert sel.q == want and sel.e_q == e_q_bound(geom, want)

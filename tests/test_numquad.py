@@ -468,13 +468,13 @@ class TestPolarNodes:
             ((0.45, 0.3), 24),
         ):
             verts = verts_rel(proj)
-            _, _, w = polar_nodes(verts, n)
+            _, _, w = polar_nodes(verts, n, 0.0)
             assert np.sum(w) == pytest.approx(shoelace_area(verts), abs=1e-13)
 
     def test_area_error_decays_geometrically(self):
         verts = verts_rel((0.45, 0.3))
         errs = [
-            abs(np.sum(polar_nodes(verts, n)[2]) - shoelace_area(verts))
+            abs(np.sum(polar_nodes(verts, n, 0.0)[2]) - shoelace_area(verts))
             for n in (6, 12)
         ]
         assert errs[1] < 1e-3 * errs[0]
@@ -496,7 +496,7 @@ class TestPolarNodes:
     def test_polynomial_moment(self):
         # x-moment of the triangle about an arbitrary origin
         verts = verts_rel((0.45, 0.3))
-        x, y, w = polar_nodes(verts, 24)
+        x, y, w = polar_nodes(verts, 24, 0.0)
         exact = shoelace_area(verts) * np.mean(verts[:, 0])  # centroid rule
         assert np.sum(w * x) == pytest.approx(exact, abs=1e-13)
 
