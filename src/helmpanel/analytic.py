@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elemints import ElemTable, build_table
-from .expapprox import ExpApprox
+from .expapprox import LAPLACE, ExpApprox
 from .geometry import RefGeom
 
 # Multiply returned values by this to obtain integrals of the Green's
@@ -210,10 +210,6 @@ def k_terms(
     return KTerms(out)
 
 
-# Expansion coefficients at k = 0, where the kernel is exactly 1/R.
-_E_LAPLACE = np.ones(1, dtype=complex)
-
-
 def assemble(z: float, k: float, approx: ExpApprox, terms: KTerms) -> PanelIntegrals:
     """Sum the expansion with coefficients e_q and apply exp(jk|z|).
 
@@ -223,7 +219,7 @@ def assemble(z: float, k: float, approx: ExpApprox, terms: KTerms) -> PanelInteg
     """
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
-    e = approx.coeffs if k != 0.0 else _E_LAPLACE
+    e = approx.coeffs if k != 0.0 else LAPLACE.coeffs
     i0p, ixp, iyp, di0p, dixp, diyp, *d2p = (terms.values @ e).tolist()
     pref = cmath.exp(1j * k * az)
     jk = 1j * k

@@ -190,13 +190,13 @@ def cmd_estimate(args) -> int:
         raise ValueError("need finite --rmin, --rmax, --z and --tol, 0 <= rmin <= rmax and rmax > 0")
     check_tol(args.tol)
     ext = RadialExtents(r_min=args.rmin, r_max=args.rmax)
-    if args.z == 0.0:
-        if ext.r_min > 0.0:
-            print("phi = 0 (z = 0, projection outside): r/R is constant, Q = 1")
-            return 0
-        print("z = 0 with r_min = 0: singular integral, analytic evaluation required")
-        return 0
     sel = select_order(ext, args.z, args.tol)
+    if args.z == 0.0:
+        if sel.analytic_required:
+            print("z = 0 with r_min = 0: singular integral, analytic evaluation required")
+        else:
+            print("phi = 0 (z = 0, projection outside): r/R is constant, Q = 1")
+        return 0
     geom = EstimatorGeom.from_extents(ext, args.z)
     print(
         f"r_mid={_fmt(geom.r_mid)} R_mid={_fmt(geom.R_mid)} "

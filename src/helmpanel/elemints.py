@@ -119,22 +119,23 @@ def _pow_plain(alpha: float, alpha_p: float, lo: tuple, hi: tuple, n_max: int) -
         h = _h_table(alpha_p, lo[3], hi[3], n_max - 2)
         ap2 = alpha_p * alpha_p
         for n in range(1, n_max + 1):
-            out.append(a2 * out[n + 1] + ap2 * h[n])
+            out.append(a2 * out[n + 1] + ap2 * h[n - 1])
     return out
 
 
 def _h_table(alpha_p: float, u_lo: float, u_hi: float, m_max: int) -> list:
-    """Definite integrals of (1 + alpha'^2 u^2)^{m/2} du, m = -2 .. m_max.
+    """Definite integrals of (1 + alpha'^2 u^2)^{m/2} du, m = -1 .. m_max.
 
-    Index with [m + 2].  Upward recursion
+    Index with [m + 1].  Seeds H_{-1} = asinh(alpha' u)/alpha' and H_0 = u,
+    then the upward recursion
     H_m = (u p^m + m H_{m-2}) / (m + 1), p = sqrt(1 + alpha'^2 u^2).
     """
     anti = []
     for u in (u_lo, u_hi):
         p = math.hypot(1.0, alpha_p * u)
-        v = [math.atan(alpha_p * u) / alpha_p, math.asinh(alpha_p * u) / alpha_p]
-        for m in range(0, m_max + 1):
-            v.append((u * p**m + m * v[m]) / (m + 1))
+        v = [math.asinh(alpha_p * u) / alpha_p, u]
+        for m in range(1, m_max + 1):
+            v.append((u * p**m + m * v[m - 1]) / (m + 1))
         anti.append(v)
     return [b - a for a, b in zip(*anti)]
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .analytic import PanelIntegrals, evaluate_ref
 from .estimator import OrderSelection, select_order
-from .expapprox import DELTA_X_TIERS, select_approx
+from .expapprox import DELTA_X_TIERS, LAPLACE, select_approx
 from .geometry import Triangle3, radial_extents, ref_params, subdivide, to_local_frame
 from .numquad import polar_integrate
 
@@ -92,7 +92,7 @@ def _analytic_eval(verts2d, z, k, tol, want_hyper) -> tuple[PanelIntegrals, Meth
     dx = None
     for sub in subdivide(verts2d):
         geom = ref_params(sub, z)
-        approx = select_approx(k, sub.r_max, tol)
+        approx = select_approx(k, sub.r_max, tol) if k != 0.0 else LAPLACE
         q_exp = max(q_exp, approx.q)
         dx = approx.delta_x if dx is None else max(dx, approx.delta_x)
         i0, ix, iy, di0, dix, diy, *d2 = evaluate_ref(geom, z, k, approx, want_hyper=want_hyper).values.tolist()
@@ -117,8 +117,12 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     report has none).  ``n_gauss`` with any other method is a ValueError.
     A forced analytic request still falls back to numeric quadrature at
     n = N_FALLBACK when the expansion is inadmissible (k * r_max >= pi/2 or
-    k |z| > pi/2); the report notes the fallback.
+    k |z| > pi/2); the report notes the fallback.  At k = 0 the analytic
+    report names the order-0 expansion that runs (q_expansion 0, delta_x
+    0.0).  Both arguments are checked before any geometry work.
     """
+    if method not in ("auto", "analytic", "numeric"):
+        raise ValueError(f"unknown method {method!r}")
     if n_gauss is not None:
         if method != "numeric":
             raise ValueError(f"n_gauss applies only to method 'numeric', not {method!r}")
@@ -127,26 +131,20 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     verts2d, z = to_local_frame(req.triangle, req.field_point)
     ext = radial_extents(verts2d)
     sel = None if n_gauss is not None else select_order(ext, z, req.tol)
-
-    def numeric(n: int, note: str = "") -> EvalReport:
-        res = polar_integrate(verts2d, z, req.k, n, want_hyper=req.want_hypersingular)
-        return EvalReport(res, MethodInfo(kind="numeric", n_gauss=n, note=note), sel, z)
-
-    def analytic() -> EvalReport:
-        if req.k * ext.r_max >= DELTA_X_TIERS[-1]:
-            return numeric(N_FALLBACK, note="analytic inadmissible: k*r_max >= pi/2; numeric fallback")
-        if req.k * abs(z) > K_Z_LIMIT:
-            return numeric(N_FALLBACK, note="analytic inadmissible: k|z| > pi/2; numeric fallback")
+    note = ""
+    if n_gauss is not None:
+        n = n_gauss
+    elif method == "numeric" or (method == "auto" and not sel.analytic_required):
+        n = N_FALLBACK if sel.analytic_required else max(sel.n_gauss, N_MIN)
+    elif req.k * ext.r_max >= DELTA_X_TIERS[-1]:
+        n, note = N_FALLBACK, "analytic inadmissible: k*r_max >= pi/2; numeric fallback"
+    elif req.k * abs(z) > K_Z_LIMIT:
+        n, note = N_FALLBACK, "analytic inadmissible: k|z| > pi/2; numeric fallback"
+    else:
         res, info = _analytic_eval(verts2d, z, req.k, req.tol, req.want_hypersingular)
         return EvalReport(res, info, sel, z)
-
-    if method == "analytic" or (method == "auto" and sel.analytic_required):
-        return analytic()
-    if n_gauss is not None:
-        return numeric(n_gauss)
-    if method not in ("auto", "numeric"):
-        raise ValueError(f"unknown method {method!r}")
-    return numeric(N_FALLBACK if sel.analytic_required else max(sel.n_gauss, N_MIN))
+    res = polar_integrate(verts2d, z, req.k, n, want_hyper=req.want_hypersingular)
+    return EvalReport(res, MethodInfo(kind="numeric", n_gauss=n, note=note), sel, z)
 
 
 def evaluate_batch(requests, method: str = "auto") -> list[EvalReport]:

@@ -16,6 +16,7 @@ Q_CAP suffices the analytic evaluation is required instead.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .geometry import RadialExtents
@@ -63,59 +64,54 @@ def _check_phi(geom: EstimatorGeom) -> None:
         )
 
 
-def e_q_bound(geom: EstimatorGeom, q: int) -> float:
-    """Magnitude bound E_Q on the truncation remainder of 1/R."""
-    _check_phi(geom)
-    t = geom.t
-    denom = math.sqrt((1.0 - t) ** 2 * geom.cos_phi**2 + geom.sin_phi**2)
-    return (
-        (1.0 / geom.R_mid)
-        * math.sqrt(2.0 / (math.pi * geom.sin_phi))
-        * abs(t) ** (q + 1)
-        / math.sqrt(q + 1)
-        * geom.cos_phi ** (q + 1)
-        / denom
-    )
-
-
-@dataclass
-class OrderSelection:
-    """Outcome of the quadrature-order criterion."""
-
-    analytic_required: bool
-    q: int | None = None
-    e_q: float | None = None
-    n_gauss: int | None = None
-
-
-def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CAP) -> OrderSelection:
-    """Pick the Gaussian order for 1/R or demand the analytic path.
-
-    Returns the smallest Q <= q_cap with E_Q <= tol together with that E_Q
-    and the per-direction Gauss point count ceil((Q+1)/2); when no such Q
-    exists the analytic evaluation is required and ``q`` is None.  z = 0
-    is special: with r_min > 0 the radial integrand r/R is constant so
-    Q = 1; with r_min = 0 the integral is singular and no finite order
-    works.
-
-    The loop evaluates ``e_q_bound``'s expression with its order-independent
-    prefix hoisted, in the same left-to-right order, so each E_Q is
-    bit-identical to ``e_q_bound(geom, q)``.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if z == 0.0:
-        if extents.r_min > 0.0:
-            return OrderSelection(analytic_required=False, q=1, e_q=0.0, n_gauss=1)
-        return OrderSelection(analytic_required=True)
-    geom = EstimatorGeom.from_extents(extents, z)
+def _e_q_of(geom: EstimatorGeom) -> Callable[[int], float]:
+    """E_Q as a function of Q, with the order-independent factors computed once."""
     _check_phi(geom)
     t = geom.t
     denom = math.sqrt((1.0 - t) ** 2 * geom.cos_phi**2 + geom.sin_phi**2)
     lead = (1.0 / geom.R_mid) * math.sqrt(2.0 / (math.pi * geom.sin_phi))
     abs_t, cos_phi = abs(t), geom.cos_phi
+    return lambda q: lead * abs_t ** (q + 1) / math.sqrt(q + 1) * cos_phi ** (q + 1) / denom
+
+
+def e_q_bound(geom: EstimatorGeom, q: int) -> float:
+    """Magnitude bound E_Q on the truncation remainder of 1/R."""
+    return _e_q_of(geom)(q)
+
+
+@dataclass
+class OrderSelection:
+    """Outcome of the quadrature-order criterion (``q`` None: analytic required)."""
+
+    q: int | None = None
+    e_q: float | None = None
+
+    @property
+    def analytic_required(self) -> bool:
+        return self.q is None
+
+    @property
+    def n_gauss(self) -> int | None:
+        """Gauss points per direction, ceil((Q+1)/2), exact through degree Q."""
+        return None if self.q is None else (self.q + 2) // 2
+
+
+def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CAP) -> OrderSelection:
+    """Pick the Gaussian order for 1/R or demand the analytic path.
+
+    Returns the smallest Q <= q_cap with E_Q <= tol together with that E_Q;
+    when no such Q exists the analytic evaluation is required and ``q`` is
+    None.  z = 0 is special: with r_min > 0 the radial integrand r/R is
+    constant so Q = 1; with r_min = 0 the integral is singular and no
+    finite order works.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if z == 0.0:
+        return OrderSelection(1, 0.0) if extents.r_min > 0.0 else OrderSelection()
+    e_q_of = _e_q_of(EstimatorGeom.from_extents(extents, z))
     for q in range(1, q_cap + 1):
-        e_q = lead * abs_t ** (q + 1) / math.sqrt(q + 1) * cos_phi ** (q + 1) / denom
+        e_q = e_q_of(q)
         if e_q <= tol:
-            return OrderSelection(analytic_required=False, q=q, e_q=e_q, n_gauss=(q + 2) // 2)
-    return OrderSelection(analytic_required=True)
+            return OrderSelection(q, e_q)
+    return OrderSelection()

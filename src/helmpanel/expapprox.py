@@ -49,6 +49,10 @@ class ExpApprox:
         return self.cos_coeffs + 1j * self.sin_coeffs
 
 
+# k = 0: the kernel is exactly 1/R, so the expansion is e = [1] at order 0.
+LAPLACE = ExpApprox(delta_x=0.0, eps=0.0, q=0, cos_coeffs=np.ones(1), sin_coeffs=np.zeros(1))
+
+
 def taylor_sin_cos(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Maclaurin coefficients of cos and sin up to degree q."""
     if q < 0:

@@ -283,9 +283,11 @@ def adaptive_oracle(
     Independent of the expansion machinery: adaptive Gauss-Kronrod in the
     angle with exact (1-weight) or adaptively integrated (x/y-weight)
     radial integrals; the latter come from one ``quad_cumulative`` call
-    per angle panel.  ``components`` limits the work; omitted components
-    are returned as 0.  Derivatives at z = 0 are one-sided limits from
-    z > 0, matching the analytic convention.
+    per angle panel.  ``components`` limits only the x/y-moment work:
+    with neither "ixy" nor "dixy" the x/y entries are returned as 0, and
+    without "dixy" only dIx/dn and dIy/dn are; I0 and dI0/dn (and with
+    ``want_hyper`` d2I0/dn2) are always computed.  Derivatives at z = 0
+    are one-sided limits from z > 0, matching the analytic convention.
 
     With ``return_status`` the achieved error estimate and convergence
     flag are returned alongside the values instead of being discarded;

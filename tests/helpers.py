@@ -121,7 +121,7 @@ def remainder_amplitude(t, z, r_mid, q_trunc) -> float:
     r0 = abs(mp_remainder(t, z, r_mid, q_trunc))
     rm = abs(mp_remainder(t, z, r_mid, q_trunc - 1)) * x
     rp = abs(mp_remainder(t, z, r_mid, q_trunc + 1)) / x if x > 0 else 0.0
-    return max(r0, rm, rp)
+    return float(np.max([r0, rm, rp]))  # a NaN propagates; max(r0, nan) would skip it
 
 
 def rigid_motion(rng) -> tuple[np.ndarray, np.ndarray]:

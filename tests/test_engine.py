@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helmpanel import engine
 from helmpanel.analytic import COMPONENTS, PanelIntegrals
 from helmpanel.engine import (
     EvalRequest,
@@ -45,8 +46,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             request((0, 0, 1), k=-1.0)
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
+    def test_unknown_method(self, monkeypatch):
+        # rejected before any geometry work
+        def no_geometry(*args):
+            raise AssertionError("geometry work before the method check")
+
+        monkeypatch.setattr(engine, "to_local_frame", no_geometry)
+        with pytest.raises(ValueError, match="unknown method 'magic'"):
             evaluate(request((0, 0, 1)), method="magic")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -150,6 +156,16 @@ class TestSelection:
         for bad in (0, -1, 2.0):
             with pytest.raises(ValueError, match="n_gauss"):
                 evaluate(request(x), method="numeric", n_gauss=bad)
+
+    def test_k_zero_reports_the_expansion_that_ran(self):
+        # at k = 0 the kernel is 1/R: the order-0 expansion e = [1] runs,
+        # not an economised table
+        rep = evaluate(request(sample_field_point(2, 1e-3), k=0.0, tol=1e-9))
+        assert rep.method.kind == "analytic"
+        assert rep.method.q_expansion == 0
+        assert rep.method.delta_x == 0.0
+        k1 = evaluate(request(sample_field_point(2, 1e-3), k=1.0, tol=1e-9))
+        assert k1.method.q_expansion > 0 and k1.method.delta_x > 0.0
 
     def test_n_gauss_only_with_forced_numeric(self):
         # an order for the numeric path is not silently applied to, or

@@ -1,5 +1,6 @@
 """A-priori 1/R error estimate against brute-force Legendre remainders."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -172,9 +173,16 @@ class TestSelectOrder:
         assert not sel.analytic_required
         assert sel.e_q <= 1e-6
 
+    def test_selection_stores_only_q(self):
+        assert [f.name for f in dataclasses.fields(OrderSelection)] == ["q", "e_q"]
+        none = OrderSelection()
+        assert none.analytic_required and none.n_gauss is None
+        for q, n in ((1, 1), (2, 2), (5, 3), (32, 17)):
+            sel = OrderSelection(q, 1e-9)
+            assert not sel.analytic_required and sel.n_gauss == n
+
     def test_order_loop_matches_e_q_bound(self):
-        # the order loop hoists E_Q's order-independent prefix; every
-        # selection must be the one a call of e_q_bound per order gives
+        # every selection must be the one a call of e_q_bound per order gives
         rng = np.random.default_rng(7151)
         q_max = 48
         for _ in range(400):
