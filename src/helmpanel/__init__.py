@@ -14,7 +14,6 @@ from .engine import (
     EvalReport,
     EvalRequest,
     evaluate,
-    evaluate_batch,
     sample_field_point,
     sample_triangle,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "EvalReport",
     "EvalRequest",
     "evaluate",
-    "evaluate_batch",
     "sample_field_point",
     "sample_triangle",
     "Q_CAP",

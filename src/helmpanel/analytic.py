@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elemints import ElemTable, build_table
-from .expapprox import LAPLACE, ExpApprox
+from .expapprox import ExpApprox
 from .geometry import RefGeom
 
 # Multiply returned values by this to obtain integrals of the Green's
@@ -213,14 +213,12 @@ def k_terms(
 def assemble(z: float, k: float, approx: ExpApprox, terms: KTerms) -> PanelIntegrals:
     """Sum the expansion with coefficients e_q and apply exp(jk|z|).
 
-    One product of the term rows with e gives every primed sum.  At k = 0
-    the kernel is exactly 1/R and the single coefficient e_0 = 1 is used,
-    which keeps the imaginary parts identically zero.
+    One product of the term rows with e = ``approx.coeffs`` gives every
+    primed sum.
     """
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
-    e = approx.coeffs if k != 0.0 else LAPLACE.coeffs
-    i0p, ixp, iyp, di0p, dixp, diyp, *d2p = (terms.values @ e).tolist()
+    i0p, ixp, iyp, di0p, dixp, diyp, *d2p = (terms.values @ approx.coeffs).tolist()
     pref = cmath.exp(1j * k * az)
     jk = 1j * k
     out = [
@@ -245,12 +243,12 @@ def evaluate_ref(
 ) -> PanelIntegrals:
     """Full expansion evaluation on one reference triangle.
 
-    The x/y components are in the reference frame (x along the
-    perpendicular-foot direction); callers rotate into the element frame.
+    The expansion runs to order ``approx.q``.  The x/y components are in
+    the reference frame (x along the perpendicular-foot direction); callers
+    rotate them by ``geom.psi`` into the element frame.
     """
-    q_max = 0 if k == 0.0 else approx.q
     table = build_table(
-        geom.alpha, geom.theta_lo, geom.theta_hi, q_max + 1, alpha_p=geom.alpha_p
+        geom.alpha, geom.theta_lo, geom.theta_hi, approx.q + 1, alpha_p=geom.alpha_p
     )
-    terms = k_terms(geom, z, k, q_max, table, want_hyper=want_hyper)
+    terms = k_terms(geom, z, k, approx.q, table, want_hyper=want_hyper)
     return assemble(z, k, approx, terms)

@@ -49,7 +49,8 @@ def check_tol(tol: float) -> None:
 
 @dataclass
 class EvalRequest:
-    """One panel-integral evaluation (the triangle validated itself)."""
+    """One panel-integral evaluation (the triangle validated itself); a field
+    point that is not a finite (3,) vector is a ValueError, like a bad k or tol."""
 
     triangle: Triangle3
     field_point: np.ndarray
@@ -59,6 +60,8 @@ class EvalRequest:
 
     def __post_init__(self):
         self.field_point = np.asarray(self.field_point, dtype=float)
+        if self.field_point.shape != (3,):
+            raise ValueError(f"field point must have shape (3,), got {self.field_point.shape}")
         if not all(map(math.isfinite, self.field_point.tolist())):
             raise ValueError("field point must be finite")
         check_tol(self.tol)
@@ -79,14 +82,21 @@ class MethodInfo:
 
 @dataclass(slots=True)
 class EvalReport:
-    result: PanelIntegrals | None
+    """Integrals, how they were produced, the order selection (None when path
+    and order were forced) and the field point's element-frame height z."""
+
+    result: PanelIntegrals
     method: MethodInfo
     estimator: OrderSelection | None
-    z: float | None
-    error: str | None = None
+    z: float
 
 
 def _analytic_eval(verts2d, z, k, tol, want_hyper) -> tuple[PanelIntegrals, MethodInfo]:
+    """Expansion method on the signed subtriangles, summed in the element frame.
+
+    The one place the expansion is picked: at k = 0 the kernel is exactly
+    1/R and ``LAPLACE`` (e_0 = 1) keeps the imaginary parts identically zero.
+    """
     total = [0j] * (7 if want_hyper else 6)
     q_exp = 0
     dx = None
@@ -96,12 +106,11 @@ def _analytic_eval(verts2d, z, k, tol, want_hyper) -> tuple[PanelIntegrals, Meth
         q_exp = max(q_exp, approx.q)
         dx = approx.delta_x if dx is None else max(dx, approx.delta_x)
         i0, ix, iy, di0, dix, diy, *d2 = evaluate_ref(geom, z, k, approx, want_hyper=want_hyper).values.tolist()
-        # the subtriangle's sign times the rotation by psi into the element
-        # frame, one 2x2 product on the (ix, iy) and (dix, diy) pairs; on
-        # 2-3 subtriangles scalar arithmetic beats NumPy's per-call cost
+        # the subtriangle's sign times the rotation by geom.psi into the
+        # element frame, one 2x2 product on the (ix, iy) and (dix, diy) pairs;
+        # on 2-3 subtriangles scalar arithmetic beats NumPy's per-call cost
         sign = sub.sign
-        psi = sub.psi1 + geom.phi
-        c, s = sign * math.cos(psi), sign * math.sin(psi)
+        c, s = sign * math.cos(geom.psi), sign * math.sin(geom.psi)
         part = (sign * i0, c * ix - s * iy, s * ix + c * iy, sign * di0, c * dix - s * diy, s * dix + c * diy)
         total = [t + v for t, v in zip(total, part + tuple(sign * v for v in d2))]
     return PanelIntegrals(np.array(total)), MethodInfo(kind="analytic", q_expansion=q_exp, delta_x=dx)
@@ -112,9 +121,10 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
 
     ``method`` is "auto" (estimator-driven selection), "analytic" or
     "numeric"; forcing "numeric" uses exactly ``n_gauss`` points per
-    direction, an integer >= 1 (without it, the estimator's choice floored
-    at N_MIN, or N_FALLBACK; when given, the estimator does not run and the
-    report has none).  ``n_gauss`` with any other method is a ValueError.
+    direction, an integer >= 1 and not a bool (without it, the estimator's
+    choice floored at N_MIN, or N_FALLBACK; when given, the estimator does
+    not run and the report has none).  ``n_gauss`` with any other method
+    is a ValueError.
     A forced analytic request still falls back to numeric quadrature at
     n = N_FALLBACK when the expansion is inadmissible (k * r_max >= pi/2 or
     k |z| > pi/2); the report notes the fallback.  At k = 0 the analytic
@@ -126,7 +136,7 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     if n_gauss is not None:
         if method != "numeric":
             raise ValueError(f"n_gauss applies only to method 'numeric', not {method!r}")
-        if not (isinstance(n_gauss, (int, np.integer)) and n_gauss >= 1):
+        if isinstance(n_gauss, bool) or not (isinstance(n_gauss, (int, np.integer)) and n_gauss >= 1):
             raise ValueError(f"n_gauss must be an integer >= 1, got {n_gauss!r}")
     verts2d, z = to_local_frame(req.triangle, req.field_point)
     ext = radial_extents(verts2d)
@@ -145,25 +155,6 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
         return EvalReport(res, info, sel, z)
     res = polar_integrate(verts2d, z, req.k, n, want_hyper=req.want_hypersingular)
     return EvalReport(res, MethodInfo(kind="numeric", n_gauss=n, note=note), sel, z)
-
-
-def evaluate_batch(requests, method: str = "auto") -> list[EvalReport]:
-    """Evaluate requests element-wise; failures become per-item records."""
-    reports = []
-    for req in requests:
-        try:
-            reports.append(evaluate(req, method=method))
-        except Exception as exc:  # noqa: BLE001 - batch must never abort
-            reports.append(
-                EvalReport(
-                    result=None,
-                    method=MethodInfo(kind="error"),
-                    estimator=None,
-                    z=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ class Triangle3:
     be reassigned.  The frame is computed once, here: the unit normal
     ``normal`` = normalize((v2 - v1) x (v3 - v1)), ``e1`` along v2 - v1 and
     ``e2`` = normal x e1, held as floats and returned as 3-vectors.
-    Raises ValueError for non-finite vertices and for a degenerate
-    (collinear) triangle.
+    Raises ValueError for a vertex that is not of shape (3,), for
+    non-finite vertices and for a degenerate (collinear) triangle.
     """
 
     v1: np.ndarray
@@ -57,6 +57,8 @@ class Triangle3:
     def __post_init__(self):
         for name in ("v1", "v2", "v3"):
             v = np.array(getattr(self, name), dtype=float)
+            if v.shape != (3,):
+                raise ValueError(f"triangle vertex {name} must have shape (3,), got {v.shape}")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
         p1, p2, p3 = self.v1.tolist(), self.v2.tolist(), self.v3.tolist()
@@ -133,14 +135,15 @@ class SignedSubTriangle:
 class RefGeom:
     """Geometric parameters of the canonical subtriangle.
 
-    phi locates the perpendicular foot from the origin to the far side;
-    s is that perpendicular distance, S^2 = s^2 + z^2, alpha = |z|/S and
-    alpha_p = s/S.  The polar angle measured from the foot direction runs
-    over [theta_lo, theta_hi], strictly inside (-pi/2, pi/2), and the far
-    side is r(theta) = s / cos(theta).
+    psi is the element-plane polar angle of the perpendicular foot from
+    the origin to the far side (reference x/y rotate by it into the
+    element frame); s is that perpendicular distance, S^2 = s^2 + z^2,
+    alpha = |z|/S and alpha_p = s/S.  The polar angle measured from the
+    foot direction runs over [theta_lo, theta_hi], strictly inside
+    (-pi/2, pi/2), and the far side is r(theta) = s / cos(theta).
     """
 
-    phi: float
+    psi: float
     s: float
     S: float
     alpha: float
@@ -265,7 +268,7 @@ def ref_params(sub: SignedSubTriangle, z: float) -> RefGeom:
     s = sub.r1 * math.cos(phi)
     S = math.hypot(s, z)
     return RefGeom(
-        phi=phi,
+        psi=sub.psi1 + phi,
         s=s,
         S=S,
         alpha=abs(z) / S,

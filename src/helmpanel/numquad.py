@@ -219,8 +219,7 @@ def polar_nodes(verts2d, n: int, z: float):
         if far:
             lo, hi = s * math.tan(lo), s * math.tan(hi)
         half = 0.5 * (hi - lo)
-        psi = sub.psi1 + geom.phi  # polar angle of e
-        c, sn = math.cos(psi), math.sin(psi)
+        c, sn = math.cos(geom.psi), math.sin(geom.psi)  # unit vector e
         # signed area factor rbar^2 dtheta: (s^2 + u^2) dtheta in theta,
         # s du in u; its coefficients of 1 and u^2, times half the range
         sh = sub.sign * half
@@ -320,7 +319,6 @@ def adaptive_oracle(
 
     for sub in subs:
         geom = ref_params(sub, z)
-        psi_f = sub.psi1 + geom.phi
         inner_err = 0.0
 
         def f_theta(th):
@@ -341,8 +339,8 @@ def adaptive_oracle(
                 v, err, ok = quad_cumulative(f_in, tau, tol_sub * 0.02)
                 inner_err = max(inner_err, err)
                 converged = converged and ok
-                cpsi = np.cos(psi_f + th)
-                spsi = np.sin(psi_f + th)
+                cpsi = np.cos(geom.psi + th)
+                spsi = np.sin(geom.psi + th)
                 ix, iy = cpsi * v[:, 0], spsi * v[:, 0]
                 if need_dm:
                     dix, diy = cpsi * v[:, 1], spsi * v[:, 1]

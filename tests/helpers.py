@@ -248,3 +248,51 @@ def tri_rule(n: int = 16) -> TriRule:
     return TriRule(
         bary=np.vstack(barys), weights=np.concatenate(weights), degree=2 * n - 2
     )
+
+
+def jittered_icosphere(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed 320-face polyhedron: an icosahedron subdivided twice, its
+    vertices projected to the unit sphere and then moved by a seeded
+    normal jitter of a tenth of the mean edge.
+
+    Returns (vertices (162, 3), faces (320, 3)), every face ordered so
+    that (v2 - v1) x (v3 - v1) points outward.
+    """
+    t = (1.0 + math.sqrt(5.0)) / 2.0
+    verts = [
+        (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),
+        (0, -1, t), (0, 1, t), (0, -1, -t), (0, 1, -t),
+        (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1),
+    ]
+    verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in verts]
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    for _ in range(2):
+        mid: dict[tuple[int, int], int] = {}
+
+        def midpoint(a: int, b: int) -> int:
+            key = (min(a, b), max(a, b))
+            if key not in mid:
+                m = verts[a] + verts[b]
+                verts.append(m / np.linalg.norm(m))
+                mid[key] = len(verts) - 1
+            return mid[key]
+
+        new = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new
+    v = np.array(verts)
+    f = np.array(faces)
+    edges = np.concatenate([v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 1]], v[f[:, 0]] - v[f[:, 2]]])
+    h = float(np.linalg.norm(edges, axis=1).mean())
+    v = v + np.random.default_rng(seed).normal(scale=0.1 * h, size=v.shape)
+    n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    inward = np.einsum("ij,ij->i", n, v[f].mean(axis=1)) < 0.0
+    f[inward] = f[inward][:, ::-1]
+    return v, f

@@ -19,7 +19,7 @@ from helmpanel.analytic import (
 )
 from helmpanel.elemints import build_table
 from helmpanel.engine import EvalRequest, evaluate, sample_field_point, sample_triangle
-from helmpanel.expapprox import economize, select_approx
+from helmpanel.expapprox import LAPLACE, select_approx
 from helmpanel.geometry import SignedSubTriangle, ref_params
 from helmpanel.numquad import quad_adaptive
 
@@ -274,8 +274,7 @@ class TestAssemble:
         sub = SignedSubTriangle(r1=0.9, r2=0.7, theta=1.1, sign=1, psi1=0.0)
         z = 0.3
         geom = ref_params(sub, z)
-        approx = economize(math.pi / 16, 1e-12)
-        res = evaluate_ref(geom, z, 0.0, approx)
+        res = evaluate_ref(geom, z, 0.0, LAPLACE)
         assert res.i0.imag == 0.0
         assert res.di0_dn.imag == 0.0
         o = oracle_k_2d(geom, z, 0.0, 0, lambda r, R, th: r / R)
@@ -318,13 +317,10 @@ class TestHypersingular:
 
         def i0_at(zz):
             geom = ref_params(sub, zz)
-            approx = economize(math.pi / 16, 1e-12)
-            return evaluate_ref(geom, zz, 0.0, approx).i0.real
+            return evaluate_ref(geom, zz, 0.0, LAPLACE).i0.real
 
         geom = ref_params(sub, z)
-        res = evaluate_ref(
-            geom, z, 0.0, economize(math.pi / 16, 1e-12), want_hyper=True
-        )
+        res = evaluate_ref(geom, z, 0.0, LAPLACE, want_hyper=True)
         fd = (i0_at(z + h) - 2 * i0_at(z) + i0_at(z - h)) / h**2
         assert res.d2i0_dn2.imag == 0.0
         assert res.d2i0_dn2.real == pytest.approx(fd, rel=1e-5)

@@ -1,4 +1,4 @@
-"""Top-level evaluation: selection, accumulation, batch semantics."""
+"""Top-level evaluation: validation, selection, accumulation."""
 
 import math
 
@@ -13,7 +13,6 @@ from helmpanel.engine import (
     N_FALLBACK,
     SAMPLE_PROJECTIONS,
     evaluate,
-    evaluate_batch,
     sample_field_point,
     sample_triangle,
 )
@@ -71,6 +70,27 @@ class TestValidation:
     def test_non_finite_wavenumber(self, bad):
         with pytest.raises(ValueError, match="k must"):
             request((0.3, 0.2, 0.1), k=bad)
+
+    @pytest.mark.parametrize("point", [(0.3, 0.2), (0.3, 0.2, 0.1, 0.0), [[0.3, 0.2, 0.1]]])
+    def test_field_point_shape(self, point):
+        with pytest.raises(ValueError, match=r"field point must have shape \(3,\)"):
+            request(point)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_vertex_shape(self, dim):
+        v = np.eye(4)[:3, :dim] + [0.0, 0.5, 0.0, 0.0][:dim]
+        with pytest.raises(ValueError, match=r"vertex v1 must have shape \(3,\)"):
+            Triangle3(*v)
+
+    def test_field_point_changed_after_construction(self):
+        # the request checked its point when built; evaluate checks the
+        # point it is given, through the frame transform
+        req = request(sample_field_point(2, 0.5))
+        req.field_point[2] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            req.triangle.v2[0] = np.inf  # the triangle cannot be changed
+        with pytest.raises(ValueError, match="field point .* not finite"):
+            evaluate(req)
 
 
 class TestSelection:
@@ -153,7 +173,7 @@ class TestSelection:
         n8 = evaluate(request(x), method="numeric", n_gauss=8)
         assert n4.method.n_gauss == 4
         assert n4.result.i0 != n8.result.i0
-        for bad in (0, -1, 2.0):
+        for bad in (0, -1, 2.0, True):
             with pytest.raises(ValueError, match="n_gauss"):
                 evaluate(request(x), method="numeric", n_gauss=bad)
 
@@ -166,6 +186,12 @@ class TestSelection:
         assert rep.method.delta_x == 0.0
         k1 = evaluate(request(sample_field_point(2, 1e-3), k=1.0, tol=1e-9))
         assert k1.method.q_expansion > 0 and k1.method.delta_x > 0.0
+
+    def test_sample_projections_methods(self):
+        near = [evaluate(request(sample_field_point(i, 0.01))) for i in (1, 2, 3)]
+        far = evaluate(request(sample_field_point(4, 5.0)))
+        assert [r.method.kind for r in near] == ["analytic"] * 3
+        assert far.method.kind == "numeric"
 
     def test_n_gauss_only_with_forced_numeric(self):
         # an order for the numeric path is not silently applied to, or
@@ -185,6 +211,14 @@ class TestConsistency:
             n = evaluate(request(x, tol=1e-12), method="numeric", n_gauss=32)
             diff = abs(a.result.i0 - n.result.i0)
             assert diff <= 1e-9 * (1 + abs(a.result.i0))
+
+    def test_evaluation_order_independence(self):
+        # no state carries over from one call to the next
+        reqs = [request(sample_field_point(i, 0.2)) for i in (1, 2, 3, 4)]
+        fwd = [evaluate(r).result.values for r in reqs]
+        rev = [evaluate(r).result.values for r in reqs[::-1]]
+        for a, b in zip(fwd, rev[::-1]):
+            assert a.tobytes() == b.tobytes()
 
     def test_subdivision_closure(self):
         # parent value equals the sum over its three centroid-split
@@ -290,40 +324,6 @@ class TestConsistency:
         ab = coupling(tri_a, tri_b)
         ba = coupling(tri_b, tri_a)
         assert abs(ab - ba) <= 1e-9 * (1 + abs(ab))
-
-
-class TestBatch:
-    def test_empty(self):
-        assert evaluate_batch([]) == []
-
-    def test_four_points_methods(self):
-        reqs = [
-            request(sample_field_point(i, 0.01 if i < 4 else 5.0))
-            for i in (1, 2, 3, 4)
-        ]
-        reps = evaluate_batch(reqs)
-        assert [r.method.kind for r in reps] == [
-            "analytic",
-            "analytic",
-            "analytic",
-            "numeric",
-        ]
-
-    def test_permutation_determinism(self):
-        reqs = [request(sample_field_point(i, 0.2)) for i in (1, 2, 3, 4)]
-        fwd = evaluate_batch(reqs)
-        rev = evaluate_batch(reqs[::-1])
-        for a, b in zip(fwd, rev[::-1]):
-            assert a.result.i0 == b.result.i0
-
-    def test_non_finite_record_keeps_batch_alive(self):
-        nan_point = request(sample_field_point(2, 0.5))
-        nan_point.field_point[2] = np.nan  # changed after the request was checked
-        with pytest.raises(ValueError, match="read-only"):
-            nan_point.triangle.v2[0] = np.inf  # the triangle cannot be changed
-        reps = evaluate_batch([nan_point, request(sample_field_point(2, 0.5))])
-        assert reps[0].error.startswith("ValueError: field point")
-        assert reps[1].error is None
 
 
 class TestSampleGeometry:

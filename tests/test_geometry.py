@@ -250,15 +250,15 @@ class TestRefParams:
         for theta in (0.4, 1.0, 2.4):
             sub = SignedSubTriangle(r1=0.8, r2=0.8, theta=theta, sign=1, psi1=0.0)
             geom = ref_params(sub, 0.3)
-            assert geom.phi == pytest.approx(theta / 2, abs=1e-14)
+            assert geom.psi == pytest.approx(theta / 2, abs=1e-14)  # psi1 = 0
             assert geom.s == pytest.approx(0.8 * math.cos(theta / 2), abs=1e-14)
 
     def test_right_angle(self):
         from helmpanel.geometry import SignedSubTriangle
 
-        sub = SignedSubTriangle(r1=0.9, r2=0.4, theta=math.pi / 2, sign=1, psi1=0.0)
+        sub = SignedSubTriangle(r1=0.9, r2=0.4, theta=math.pi / 2, sign=1, psi1=0.5)
         geom = ref_params(sub, 0.1)
-        assert geom.phi == pytest.approx(math.atan(0.9 / 0.4), abs=1e-14)
+        assert geom.psi == pytest.approx(0.5 + math.atan(0.9 / 0.4), abs=1e-14)
 
     def test_in_plane(self):
         from helmpanel.geometry import SignedSubTriangle
