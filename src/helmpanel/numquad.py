@@ -7,22 +7,22 @@ power of the 1/R singularity.  The angle variable is theta, or the
 far-side parameter u = s tan(theta) when the field point is far from the
 plane (see ``polar_nodes``).
 
-``adaptive_oracle`` is the independent reference: globally adaptive
-Gauss-Kronrod integration of the defining integrals, sharing nothing with
-the expansion/recursion machinery.  For the 1-weighted integrals the
-radial integral has a closed form, so only the angle direction is
-integrated numerically.  The x/y moments need a radial integral in the
-substitution t^2 = R - |z|, which removes the square-root behaviour at
-r = 0.  Its integrand does not depend on the angle, which enters only
-through the upper limit tau(theta), so each angle panel takes its 15
-radial moments from one cumulative integral (``quad_cumulative``)
-evaluated at the 15 limits.
+``adaptive_oracle`` is the independent reference: adaptive Gauss-Kronrod
+integration of the defining integrals, sharing nothing with the
+expansion/recursion machinery.  For the 1-weighted integrals the radial
+integral has a closed form, so only the angle direction is integrated
+numerically, in one round-based pass over the angle ranges of all
+subtriangles laid end to end.  The x/y moments need a radial integral in
+the substitution t^2 = R - |z|, which removes the square-root behaviour
+at r = 0.  Its integrand does not depend on the angle, which enters only
+through the upper limit tau(theta), so each round of the angle pass takes
+the radial moments of all its nodes from one cumulative integral
+(``quad_cumulative``) evaluated at their limits.
 """
 
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from functools import lru_cache
 
@@ -91,39 +91,62 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray):
     return k15, np.max(scaled, axis=1)
 
 
-def quad_adaptive(f, a: float, b: float, tol: float, max_intervals: int = 4000):
-    """Globally adaptive Gauss-Kronrod quadrature of a vector integrand.
+def _gk_rounds(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_rounds: int, max_added: int):
+    """Round-based adaptive GK15 over the intervals [lo_i, hi_i].
+
+    Each round integrates every pending interval in one ``f`` call and
+    bisects those whose estimate exceeds tol * width / total width.  The
+    pass has converged once none does, or once the accepted plus pending
+    estimate is within tol: below the roundoff floor the per-width share
+    can never be met.  When ``max_rounds`` rounds are spent, or bisecting
+    would add more than ``max_added`` intervals to the starting ones, the
+    pending intervals count as they are and the pass has not converged.
+    Returns (left ends, K15 values) of the final intervals, their summed
+    error estimate and the convergence flag.
+    """
+    total = float(np.sum(np.abs(hi - lo)))
+    per_width = tol / total if total > 0.0 else 0.0
+    done_lo, done_v, error, added = [], [], 0.0, 0
+    for rounds in range(1, max_rounds + 1):
+        v, e = _gk15(f, lo, hi)
+        split = e > per_width * np.abs(hi - lo)
+        n_split = np.count_nonzero(split)
+        converged = bool(n_split == 0 or error + float(np.sum(e)) <= tol)
+        if converged or rounds == max_rounds or added + n_split > max_added:
+            split[:] = False
+        done = ~split
+        done_lo.append(lo[done])
+        done_v.append(v[done])
+        error += float(np.sum(e[done]))
+        if not split.any():
+            break
+        added += n_split
+        lo, hi = lo[split], hi[split]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
+    return np.concatenate(done_lo), np.concatenate(done_v), error, converged
+
+
+def quad_adaptive(f, a, b, tol: float, max_intervals: int = 4000):
+    """Adaptive Gauss-Kronrod quadrature of a vector integrand.
 
     ``f`` maps an array of abscissae to an array (npts, ncomp); complex
-    components are fine.  Returns (values, error_estimate, converged);
-    the estimate is the summed per-interval |K15 - G7| (QUADPACK-scaled,
-    see ``_gk15``), a conservative bound for smooth integrands.
+    components are fine.  ``a`` and ``b`` are scalars or equal-length 1-D
+    arrays; the integral is the sum over the intervals [a_i, b_i], taken
+    in rounds by ``_gk_rounds`` with at most ``max_intervals`` intervals.
+    Returns (values, error_estimate, converged); the estimate is the
+    summed per-interval |K15 - G7| (QUADPACK-scaled, see ``_gk15``), a
+    conservative bound for smooth integrands.
     """
-
-    def panel(lo: float, hi: float):
-        v, e = _gk15(f, np.array([lo]), np.array([hi]))
-        return v[0], float(e[0])
-
-    val, err = panel(a, b)
-    heap = [(-err, a, b, val, err)]
-    total = val.copy()
-    total_err = err
-    count = 1
-    while total_err > tol and count < max_intervals:
-        _, lo, hi, v, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = panel(lo, mid)
-        v2, e2 = panel(mid, hi)
-        total = total - v + v1 + v2
-        total_err = total_err - e + e1 + e2
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-        count += 1
-    return total, total_err, total_err <= tol
+    lo, hi = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    # every round but the last adds an interval: the cap bounds the rounds
+    _, v, error, converged = _gk_rounds(f, lo, hi, tol, max_intervals, max_intervals - len(lo))
+    return v.sum(axis=0), error, converged
 
 
-# Limits on one ``quad_cumulative`` pass: bisection rounds, and pending
-# intervals (15 abscissae each per round); it stops rather than exceed them.
+# Limits on one ``quad_cumulative`` pass: bisection rounds, and intervals
+# added to the gaps by bisection (15 abscissae each per round while
+# pending); it stops rather than exceed them.
 CUMULATIVE_MAX_ROUNDS = 40
 CUMULATIVE_MAX_PENDING = 20000
 
@@ -132,13 +155,11 @@ def quad_cumulative(f, limits, tol: float):
     """``int_0^L f`` for every ``L`` in ``limits``, from one adaptive pass.
 
     ``f`` is a vector integrand as in ``quad_adaptive``.  The sorted
-    limits cut [0, max(limits)] into gaps; every pending interval is
-    integrated by GK15 in one ``f`` call per round, and an interval is
-    accepted once its error estimate is within tol * width / max(limits),
-    else bisected.  The accepted pieces are summed per gap and the gaps
+    limits cut [0, max(limits)] into gaps, the starting intervals of one
+    ``_gk_rounds`` pass.  Its pieces are summed per gap and the gaps
     cumulatively, so every returned value is within ``tol`` (by the
     estimate).  Zero and repeated limits give empty gaps.  When
-    ``CUMULATIVE_MAX_ROUNDS`` or ``CUMULATIVE_MAX_PENDING`` stops the bisection,
+    ``CUMULATIVE_MAX_ROUNDS`` or ``CUMULATIVE_MAX_PENDING`` stops the pass,
     the pending intervals still contribute their K15 values and errors,
     and ``converged`` is False.
 
@@ -156,27 +177,12 @@ def quad_cumulative(f, limits, tol: float):
     gap = np.flatnonzero(edges[1:] > edges[:-1])
     if gap.size == 0:
         gap = np.array([0])  # all limits zero: one empty gap gives the shape
-    lo, hi = edges[gap], edges[gap + 1]
-    per_width = tol / edges[-1] if edges[-1] > 0.0 else 0.0
-    pieces = None
-    error = 0.0
-    for rounds in range(1, CUMULATIVE_MAX_ROUNDS + 1):
-        v, e = _gk15(f, lo, hi)
-        if pieces is None:
-            pieces = np.zeros((len(limits), v.shape[1]), dtype=v.dtype)
-        split = e > per_width * (hi - lo)
-        converged = not split.any()
-        if rounds == CUMULATIVE_MAX_ROUNDS or 2 * np.count_nonzero(split) > CUMULATIVE_MAX_PENDING:
-            split[:] = False  # stop: the pending intervals count as they are
-        done = ~split
-        np.add.at(pieces, gap[done], v[done])
-        error += float(np.sum(e[done]))
-        if not split.any():
-            break
-        gap, lo, hi = gap[split], lo[split], hi[split]
-        mid = 0.5 * (lo + hi)
-        gap = np.repeat(gap, 2)
-        lo, hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
+    lo, v, error, converged = _gk_rounds(
+        f, edges[gap], edges[gap + 1], tol, CUMULATIVE_MAX_ROUNDS, CUMULATIVE_MAX_PENDING
+    )
+    # a piece lies in the gap of the last edge at or below its left end
+    pieces = np.zeros((len(limits), v.shape[1]), dtype=v.dtype)
+    np.add.at(pieces, np.searchsorted(edges[1:-1], lo, "right"), v)
     values = np.empty_like(pieces)
     values[order] = np.cumsum(pieces, axis=0)
     return values, error, converged
@@ -281,10 +287,12 @@ def adaptive_oracle(
 
     Independent of the expansion machinery: adaptive Gauss-Kronrod in the
     angle with exact (1-weight) or adaptively integrated (x/y-weight)
-    radial integrals; the latter come from one ``quad_cumulative`` call
-    per angle panel.  ``components`` limits only the x/y-moment work:
-    with neither "ixy" nor "dixy" the x/y entries are returned as 0, and
-    without "dixy" only dIx/dn and dIy/dn are; I0 and dI0/dn (and with
+    radial integrals.  The subtriangles' angle ranges are laid end to end
+    on one axis, so one ``quad_adaptive`` pass covers them all, and each
+    of its rounds takes the radial moments of all its nodes from one
+    ``quad_cumulative`` call.  ``components`` limits only the x/y-moment
+    work: with neither "ixy" nor "dixy" the x/y entries are returned as 0,
+    and without "dixy" only dIx/dn and dIy/dn are; I0 and dI0/dn (and with
     ``want_hyper`` d2I0/dn2) are always computed.  Derivatives at z = 0
     are one-sided limits from z > 0, matching the analytic convention.
 
@@ -298,61 +306,53 @@ def adaptive_oracle(
     ez = cmath.exp(1j * k * az)
     subs = subdivide(verts2d)
     total = PanelIntegrals(np.zeros(7 if want_hyper else 6, dtype=complex))
-    achieved = 0.0
-    converged = True
     if not subs:
         return (total, {"error": 0.0, "converged": True}) if return_status else total
-    tol_sub = tol / len(subs)
     want_xy = "ixy" in components or "dixy" in components
     need_dm = "dixy" in components
+    geoms = [ref_params(sub, z) for sub in subs]
+    s, psi, theta_lo, theta_hi = np.array([(g.s, g.psi, g.theta_lo, g.theta_hi) for g in geoms]).T
+    sign = np.array([sub.sign for sub in subs], dtype=float)
+    # the angle ranges end to end: subtriangle j covers [offsets[j], offsets[j + 1]]
+    offsets = np.concatenate([[0.0], np.cumsum(theta_hi - theta_lo)])
+    inner_err, inner_ok = 0.0, True
 
     def f_in(t):
-        # x/y radial moment (and its normal derivative, -d/dz) after
-        # t^2 = R - |z|:
-        # the same for every angle and subtriangle, which enter only
-        # through the upper limit tau = sqrt(Rbar - |z|)
+        # x/y radial moment (and its normal derivative, -d/dz) after t^2 = R - |z|: the
+        # same for every angle and subtriangle, which enter only through tau = sqrt(Rbar - |z|)
         R = az + t * t
         m = 2.0 * np.exp(1j * k * R) * t * t * np.sqrt(t * t + 2.0 * az)
         if need_dm:
             return np.stack([m, z * (1.0 / R - jk) * m / R], axis=-1)
         return m[:, None]
 
-    for sub in subs:
-        geom = ref_params(sub, z)
-        inner_err = 0.0
+    def f_theta(x):
+        nonlocal inner_err, inner_ok
+        j = np.searchsorted(offsets[1:-1], x, "right")  # the node's subtriangle
+        th = theta_lo[j] + (x - offsets[j])
+        rbar = s[j] / np.cos(th)
+        Rbar = np.sqrt(rbar * rbar + z * z)
+        eR = np.exp(1j * k * Rbar)
+        i0 = Rbar - az if k == 0.0 else (eR - ez) / jk
+        di0 = sigma * ez - (z / Rbar) * eR
+        hyp = (rbar**2 / Rbar**3 + jk * z * z / Rbar**2) * eR - jk * ez
+        ix = iy = dix = diy = np.zeros_like(i0)
+        if want_xy:
+            tau = np.sqrt(np.maximum(Rbar - az, 0.0))
+            v, err, ok = quad_cumulative(f_in, tau, tol * 0.02 / len(subs))
+            inner_err, inner_ok = max(inner_err, err), inner_ok and ok
+            cpsi, spsi = np.cos(psi[j] + th), np.sin(psi[j] + th)
+            ix, iy = cpsi * v[:, 0], spsi * v[:, 0]
+            if need_dm:
+                dix, diy = cpsi * v[:, 1], spsi * v[:, 1]
+        # PanelIntegrals order
+        return sign[j, None] * np.stack([i0, ix, iy, di0, dix, diy, hyp], axis=-1)
 
-        def f_theta(th):
-            nonlocal inner_err, converged
-            th = np.asarray(th)
-            rbar = geom.s / np.cos(th)
-            Rbar = np.sqrt(rbar * rbar + z * z)
-            eR = np.exp(1j * k * Rbar)
-            if k == 0.0:
-                i0 = Rbar - az
-            else:
-                i0 = (eR - ez) / jk
-            di0 = sigma * ez - (z / Rbar) * eR
-            hyp = (rbar**2 / Rbar**3 + jk * z * z / Rbar**2) * eR - jk * ez
-            ix = iy = dix = diy = np.zeros_like(i0)
-            if want_xy:
-                tau = np.sqrt(np.maximum(Rbar - az, 0.0))
-                v, err, ok = quad_cumulative(f_in, tau, tol_sub * 0.02)
-                inner_err = max(inner_err, err)
-                converged = converged and ok
-                cpsi = np.cos(geom.psi + th)
-                spsi = np.sin(geom.psi + th)
-                ix, iy = cpsi * v[:, 0], spsi * v[:, 0]
-                if need_dm:
-                    dix, diy = cpsi * v[:, 1], spsi * v[:, 1]
-            # PanelIntegrals order
-            return np.stack([i0, ix, iy, di0, dix, diy, hyp], axis=-1)
-
-        v, err, ok = quad_adaptive(f_theta, geom.theta_lo, geom.theta_hi, tol_sub)
-        # an inner error e at every angle node moves the outer value by at
-        # most (theta_hi - theta_lo) * e, since |cos|, |sin| <= 1
-        achieved += err + (geom.theta_hi - geom.theta_lo) * inner_err
-        converged = converged and ok
-        total.values += sub.sign * v[: len(total.values)]
+    v, err, ok = quad_adaptive(f_theta, offsets[:-1], offsets[1:], tol)
+    total.values += v[: len(total.values)]
     if return_status:
-        return total, {"error": achieved, "converged": converged}
+        # an inner error e at every angle node moves the outer value by at
+        # most (total angle width) * e, since |cos|, |sin| <= 1
+        achieved = float(err + offsets[-1] * inner_err)
+        return total, {"error": achieved, "converged": ok and inner_ok}
     return total

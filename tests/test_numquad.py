@@ -642,6 +642,41 @@ class TestAdaptiveOracle:
         for name, want in zip(names, FROZEN_ORACLE[key]):
             assert abs(getattr(got, name) - want) <= 1e-13, name
 
+    def test_converges_far_below_tol(self):
+        # the inner radial pieces reach the roundoff floor while their
+        # estimate is already far below the inner tol: the pass must end
+        # converged there, not bisect until its interval cap
+        verts = np.array([[-0.748847, -0.911343], [-0.929882, 0.512319], [0.788729, -0.709364]])
+        _, status = adaptive_oracle(
+            verts, -1.121291815, 2.505329, tol=1e-13, want_hyper=True, return_status=True
+        )
+        assert status["converged"] is True
+        assert isinstance(status["error"], float) and status["error"] <= 1e-13
+
+    @pytest.mark.parametrize("proj", [1, 4])
+    @pytest.mark.parametrize("z", [1e-4, 0.1, 10.0])
+    def test_status_error_bounds_true_error(self, proj, z):
+        # the vertex projection (one subtriangle) and the exterior one
+        # (three signed subtriangles in one pass)
+        verts = verts_rel(SAMPLE_PROJECTIONS[proj])
+        rough, status = adaptive_oracle(verts, z, 1.0, tol=1e-9, return_status=True)
+        fine = adaptive_oracle(verts, z, 1.0, tol=1e-13)
+        assert np.max(np.abs(rough.values - fine.values)) <= status["error"]
+
+    def test_one_outer_pass(self, monkeypatch):
+        calls = []
+        inner = numquad.quad_adaptive
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(numquad, "quad_adaptive", counted)
+        verts = verts_rel(SAMPLE_PROJECTIONS[4])
+        adaptive_oracle(verts, 0.1, 1.0, tol=1e-13, want_hyper=True)
+        assert len(calls) == 1
+        assert len(np.atleast_1d(calls[0][0])) == len(subdivide(verts))
+
 
 class TestQuadAdaptive:
     def test_vector_components(self):
@@ -662,6 +697,23 @@ class TestQuadAdaptive:
         _, err, ok = quad_adaptive(f, 1e-30, 1.0, 1e-13, max_intervals=12)
         assert not ok
         assert err > 1e-13
+
+    def test_several_intervals(self):
+        # a jump at the joint of [0, 0.5] and [0.5, 1]: each interval is
+        # smooth, so one round of 15 nodes each meets tol with no bisection
+        sizes = []
+
+        def f(x):
+            sizes.append(len(x))
+            left = x < 0.5
+            jump = np.where(left, 1.0, -2.0)
+            return np.stack([np.where(left, np.exp(x), np.cos(3 * x)), jump], axis=-1)
+
+        v, err, ok = quad_adaptive(f, np.array([0.0, 0.5]), np.array([0.5, 1.0]), 1e-13)
+        assert ok and err <= 1e-13
+        assert sizes == [30]
+        assert abs(v[0] - (math.exp(0.5) - 1.0 + (math.sin(3.0) - math.sin(1.5)) / 3.0)) <= 1e-13
+        assert abs(v[1] - (-0.5)) <= 1e-13
 
 
 class TestQuadCumulative:
@@ -737,6 +789,22 @@ class TestQuadCumulative:
         assert len(sizes) < 40 and max(sizes) <= 15 * 8
         assert err > 1e-13
         assert np.all(np.isfinite(v))
+
+    def test_starting_gaps_not_capped(self, monkeypatch):
+        # the oracle hands one pass 15 limits per pending angle interval:
+        # the cap counts only intervals added by bisection, not the gaps
+        monkeypatch.setattr(numquad, "CUMULATIVE_MAX_PENDING", 8)
+        sizes = []
+
+        def f(x):
+            sizes.append(len(x))
+            return np.exp(10j * x)[:, None]
+
+        limits = np.append(np.linspace(0.1, 1.0, 10), 2.0)
+        v, err, ok = quad_cumulative(f, limits, 1e-13)
+        assert ok and err <= 1e-13
+        assert len(sizes) > 1  # the last gap was bisected
+        assert np.max(np.abs(v[:, 0] - (np.exp(10j * limits) - 1) / 10j)) <= 1e-13
 
     @pytest.mark.parametrize("limits", [[], [-0.5, 1.0], [1.0, np.nan]])
     def test_invalid_limits_rejected(self, limits):
