@@ -9,7 +9,10 @@ either sign, k uniform in [0, 3]; every call is full-component at tol
 call go to ``--out``.  One JSON line is printed: the number of calls, of
 non-converged calls, the worst status error and the total time; with
 ``--against`` also the worst |v - v_ref| / (1 + |v_ref|) over all
-components and the reference's counts.
+components, the reference's counts, and ``over_bound``: the number of
+inputs with a component where |v - v_ref| exceeds error + error_ref, the
+sum of the two status errors (each is meant to bound its tree's true
+error, so their sum bounds the difference), with the worst such ratio.
 """
 
 from __future__ import annotations
@@ -62,9 +65,12 @@ def main() -> None:
     }
     if args.against:
         ref = np.load(args.against)
-        dev = np.abs(values - ref["values"]) / (1.0 + np.abs(ref["values"]))
+        diff = np.abs(values - ref["values"])
+        ratio = diff.max(axis=1) / (np.array(errors) + ref["errors"])
         summary.update(
-            max_rel_dev=float(dev.max()),
+            max_rel_dev=float((diff / (1.0 + np.abs(ref["values"]))).max()),
+            over_bound=int(np.count_nonzero(ratio > 1.0)),
+            worst_bound_ratio=float(ratio.max()),
             ref_not_converged=int(np.count_nonzero(~ref["converged"])),
             ref_total_s=round(float(ref["seconds"].sum()), 3),
         )

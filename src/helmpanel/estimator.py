@@ -104,14 +104,28 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
     None.  z = 0 is special: with r_min > 0 the radial integrand r/R is
     constant so Q = 1; with r_min = 0 the integral is singular and no
     finite order works.
+
+    For z != 0, |t| cos(phi) < 1, so E_Q does not increase with Q: each
+    step multiplies it by at most sqrt((Q + 1) / (Q + 2)), a fall far above
+    rounding.  So one E_Q at q_cap decides whether any order works, and
+    bisection finds the smallest.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if z == 0.0:
         return OrderSelection(1, 0.0) if extents.r_min > 0.0 else OrderSelection()
     e_q_of = _e_q_of(EstimatorGeom.from_extents(extents, z))
-    for q in range(1, q_cap + 1):
-        e_q = e_q_of(q)
-        if e_q <= tol:
-            return OrderSelection(q, e_q)
-    return OrderSelection()
+    if q_cap < 1:
+        return OrderSelection()
+    lo, hi, e_hi = 1, q_cap, e_q_of(q_cap)
+    if e_hi > tol:
+        return OrderSelection()
+    # invariant: E_hi <= tol, and E_Q > tol for every Q < lo
+    while lo < hi:
+        mid = (lo + hi) // 2
+        e_mid = e_q_of(mid)
+        if e_mid <= tol:
+            hi, e_hi = mid, e_mid
+        else:
+            lo = mid + 1
+    return OrderSelection(hi, e_hi)

@@ -15,9 +15,11 @@ numerically, in one round-based pass over the angle ranges of all
 subtriangles laid end to end.  The x/y moments need a radial integral in
 the substitution t^2 = R - |z|, which removes the square-root behaviour
 at r = 0.  Its integrand does not depend on the angle, which enters only
-through the upper limit tau(theta), so each round of the angle pass takes
-the radial moments of all its nodes from one cumulative integral
-(``quad_cumulative``) evaluated at their limits.
+through the upper limit tau(theta), so one adaptive pass over
+[0, max tau] is made before the angle pass and kept as an
+antiderivative (``kronrod.antiderivative``): whole pieces by their K15
+sums, a partial piece by the integral of its 15-node interpolant.  Every
+round of the angle pass only evaluates it at the limits of its nodes.
 """
 
 from __future__ import annotations
@@ -28,30 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import kronrod
 from .analytic import PanelIntegrals
 from .geometry import ref_params, subdivide
-
-# Gauss-Kronrod 7-15 pair on [-1, 1]: (node, Gauss weight, Kronrod weight).
-_GK15 = (
-    (+0.949107912342759, 0.129484966168870, 0.063092092629979),
-    (-0.949107912342759, 0.129484966168870, 0.063092092629979),
-    (+0.741531185599394, 0.279705391489277, 0.140653259715525),
-    (-0.741531185599394, 0.279705391489277, 0.140653259715525),
-    (+0.405845151377397, 0.381830050505119, 0.190350578064785),
-    (-0.405845151377397, 0.381830050505119, 0.190350578064785),
-    (0.000000000000000, 0.417959183673469, 0.209482141084728),
-    (+0.991455371120813, 0.000000000000000, 0.022935322010529),
-    (-0.991455371120813, 0.000000000000000, 0.022935322010529),
-    (+0.864864423359769, 0.000000000000000, 0.104790010322250),
-    (-0.864864423359769, 0.000000000000000, 0.104790010322250),
-    (+0.586087235467691, 0.000000000000000, 0.169004726639267),
-    (-0.586087235467691, 0.000000000000000, 0.169004726639267),
-    (+0.207784955007898, 0.000000000000000, 0.204432940075298),
-    (-0.207784955007898, 0.000000000000000, 0.204432940075298),
-)
-_GK_X = np.array([row[0] for row in _GK15])
-_GK_WG = np.array([row[1] for row in _GK15])
-_GK_WK = np.array([row[2] for row in _GK15])
 
 
 @lru_cache(maxsize=None)
@@ -63,90 +44,26 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gk15(f, lo: np.ndarray, hi: np.ndarray):
-    """GK15 values and error estimates on the intervals [lo_i, hi_i].
-
-    One call of ``f`` on all 15 * len(lo) abscissae.  Returns the K15
-    values (intervals, ncomp) and, per interval, the largest component
-    of the QUADPACK-style estimate: |K15 - G7| scaled by the interval's
-    deviation-from-mean integral, so that smooth intervals are not held
-    at the raw difference's roundoff floor.
-    """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _GK_X
-    y = np.asarray(f(x.ravel())).reshape(len(lo), len(_GK_X), -1)
-    sk = _GK_WK @ y
-    k15 = half[:, None] * sk
-    g7 = half[:, None] * (_GK_WG @ y)
-    # the Kronrod weights sum to 2, so sk / 2 is the mean of f
-    resasc = half[:, None] * (_GK_WK @ np.abs(y - 0.5 * sk[:, None, :]))
-    e = np.abs(k15 - g7)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(
-            resasc > 0.0,
-            resasc * np.minimum(1.0, (200.0 * e / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
-            e,
-        )
-    return k15, np.max(scaled, axis=1)
-
-
-def _gk_rounds(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_rounds: int, max_added: int):
-    """Round-based adaptive GK15 over the intervals [lo_i, hi_i].
-
-    Each round integrates every pending interval in one ``f`` call and
-    bisects those whose estimate exceeds tol * width / total width.  The
-    pass has converged once none does, or once the accepted plus pending
-    estimate is within tol: below the roundoff floor the per-width share
-    can never be met.  When ``max_rounds`` rounds are spent, or bisecting
-    would add more than ``max_added`` intervals to the starting ones, the
-    pending intervals count as they are and the pass has not converged.
-    Returns (left ends, K15 values) of the final intervals, their summed
-    error estimate and the convergence flag.
-    """
-    total = float(np.sum(np.abs(hi - lo)))
-    per_width = tol / total if total > 0.0 else 0.0
-    done_lo, done_v, error, added = [], [], 0.0, 0
-    for rounds in range(1, max_rounds + 1):
-        v, e = _gk15(f, lo, hi)
-        split = e > per_width * np.abs(hi - lo)
-        n_split = np.count_nonzero(split)
-        converged = bool(n_split == 0 or error + float(np.sum(e)) <= tol)
-        if converged or rounds == max_rounds or added + n_split > max_added:
-            split[:] = False
-        done = ~split
-        done_lo.append(lo[done])
-        done_v.append(v[done])
-        error += float(np.sum(e[done]))
-        if not split.any():
-            break
-        added += n_split
-        lo, hi = lo[split], hi[split]
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
-    return np.concatenate(done_lo), np.concatenate(done_v), error, converged
-
-
 def quad_adaptive(f, a, b, tol: float, max_intervals: int = 4000):
     """Adaptive Gauss-Kronrod quadrature of a vector integrand.
 
     ``f`` maps an array of abscissae to an array (npts, ncomp); complex
     components are fine.  ``a`` and ``b`` are scalars or equal-length 1-D
     arrays; the integral is the sum over the intervals [a_i, b_i], taken
-    in rounds by ``_gk_rounds`` with at most ``max_intervals`` intervals.
-    Returns (values, error_estimate, converged); the estimate is the
-    summed per-interval |K15 - G7| (QUADPACK-scaled, see ``_gk15``), a
-    conservative bound for smooth integrands.
+    in rounds by ``kronrod.gk_rounds`` with at most ``max_intervals``
+    intervals.  Returns (values, error_estimate, converged); the estimate
+    is the summed per-interval |K15 - G7| (QUADPACK-scaled, see
+    ``kronrod.gk15``), a conservative bound for smooth integrands.
     """
     lo, hi = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     # every round but the last adds an interval: the cap bounds the rounds
-    _, v, error, converged = _gk_rounds(f, lo, hi, tol, max_intervals, max_intervals - len(lo))
+    _, v, _, error, converged = kronrod.gk_rounds(f, lo, hi, tol, max_intervals, max_intervals - len(lo))
     return v.sum(axis=0), error, converged
 
 
-# Limits on one ``quad_cumulative`` pass: bisection rounds, and intervals
-# added to the gaps by bisection (15 abscissae each per round while
-# pending); it stops rather than exceed them.
+# Limits on one ``kronrod.antiderivative`` pass: bisection rounds, and
+# intervals added to the starting ones by bisection (15 abscissae each per
+# round while pending); it stops rather than exceed them.
 CUMULATIVE_MAX_ROUNDS = 40
 CUMULATIVE_MAX_PENDING = 20000
 
@@ -154,38 +71,25 @@ CUMULATIVE_MAX_PENDING = 20000
 def quad_cumulative(f, limits, tol: float):
     """``int_0^L f`` for every ``L`` in ``limits``, from one adaptive pass.
 
-    ``f`` is a vector integrand as in ``quad_adaptive``.  The sorted
-    limits cut [0, max(limits)] into gaps, the starting intervals of one
-    ``_gk_rounds`` pass.  Its pieces are summed per gap and the gaps
-    cumulatively, so every returned value is within ``tol`` (by the
-    estimate).  Zero and repeated limits give empty gaps.  When
-    ``CUMULATIVE_MAX_ROUNDS`` or ``CUMULATIVE_MAX_PENDING`` stops the pass,
-    the pending intervals still contribute their K15 values and errors,
-    and ``converged`` is False.
+    ``f`` is a vector integrand as in ``quad_adaptive``.  One
+    ``kronrod.antiderivative`` pass over [0, max(limits)], starting from
+    that single interval whatever the limits, is evaluated at every limit,
+    so every returned value is within ``tol`` (by the estimate).  Zero limits
+    give zero.  When ``CUMULATIVE_MAX_ROUNDS`` or ``CUMULATIVE_MAX_PENDING``
+    stops the pass, the pending intervals still contribute their values
+    and errors, and ``converged`` is False.
 
     Returns (values (len(limits), ncomp), error_estimate, converged);
     the estimate is the summed error of all pieces, which bounds the
-    error of the largest limit's value and so of every value.
+    error of every value.
     """
     limits = np.asarray(limits, dtype=float)
     if limits.ndim != 1 or limits.size == 0 or not np.all((limits >= 0.0) & (limits < np.inf)):
         raise ValueError("limits must be a non-empty 1-D array of finite values >= 0")
-    # a Python sort of the few limits: NumPy's sort kernels would map about
-    # 0.25 MB of code into a process that sorts nothing else
-    order = np.array(sorted(range(limits.size), key=limits.__getitem__))
-    edges = np.concatenate([[0.0], limits[order]])
-    gap = np.flatnonzero(edges[1:] > edges[:-1])
-    if gap.size == 0:
-        gap = np.array([0])  # all limits zero: one empty gap gives the shape
-    lo, v, error, converged = _gk_rounds(
-        f, edges[gap], edges[gap + 1], tol, CUMULATIVE_MAX_ROUNDS, CUMULATIVE_MAX_PENDING
+    F, error, converged = kronrod.antiderivative(
+        f, np.array([0.0, np.max(limits)]), tol, CUMULATIVE_MAX_ROUNDS, CUMULATIVE_MAX_PENDING
     )
-    # a piece lies in the gap of the last edge at or below its left end
-    pieces = np.zeros((len(limits), v.shape[1]), dtype=v.dtype)
-    np.add.at(pieces, np.searchsorted(edges[1:-1], lo, "right"), v)
-    values = np.empty_like(pieces)
-    values[order] = np.cumsum(pieces, axis=0)
-    return values, error, converged
+    return F(limits), error, converged
 
 
 def polar_nodes(verts2d, n: int, z: float):
@@ -288,17 +192,21 @@ def adaptive_oracle(
     Independent of the expansion machinery: adaptive Gauss-Kronrod in the
     angle with exact (1-weight) or adaptively integrated (x/y-weight)
     radial integrals.  The subtriangles' angle ranges are laid end to end
-    on one axis, so one ``quad_adaptive`` pass covers them all, and each
-    of its rounds takes the radial moments of all its nodes from one
-    ``quad_cumulative`` call.  ``components`` limits only the x/y-moment
-    work: with neither "ixy" nor "dixy" the x/y entries are returned as 0,
-    and without "dixy" only dIx/dn and dIy/dn are; I0 and dI0/dn (and with
-    ``want_hyper`` d2I0/dn2) are always computed.  Derivatives at z = 0
-    are one-sided limits from z > 0, matching the analytic convention.
+    on one axis, so one ``quad_adaptive`` pass covers them all.  The radial
+    integral of the x/y moments is one ``kronrod.antiderivative`` pass
+    over [0, max tau], made before the angle pass and evaluated at the
+    limits of its nodes in every round.  ``components`` limits only the x/y-moment
+    work: with neither "ixy" nor "dixy" the x/y entries are returned as 0
+    (and no radial pass is made), and without "dixy" only dIx/dn and
+    dIy/dn are; I0 and dI0/dn (and with ``want_hyper`` d2I0/dn2) are
+    always computed.  Derivatives at z = 0 are one-sided limits from z > 0,
+    matching the analytic convention.
 
     With ``return_status`` the achieved error estimate and convergence
     flag are returned alongside the values instead of being discarded;
-    both include the radial integrals of the x/y moments.
+    both include the radial integrals of the x/y moments.  The estimate
+    also carries their roundoff (see ``kronrod.antiderivative``), so on a
+    converged call it can exceed tol slightly.
     """
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
@@ -315,7 +223,6 @@ def adaptive_oracle(
     sign = np.array([sub.sign for sub in subs], dtype=float)
     # the angle ranges end to end: subtriangle j covers [offsets[j], offsets[j + 1]]
     offsets = np.concatenate([[0.0], np.cumsum(theta_hi - theta_lo)])
-    inner_err, inner_ok = 0.0, True
 
     def f_in(t):
         # x/y radial moment (and its normal derivative, -d/dz) after t^2 = R - |z|: the
@@ -326,8 +233,22 @@ def adaptive_oracle(
             return np.stack([m, z * (1.0 / R - jk) * m / R], axis=-1)
         return m[:, None]
 
+    inner_err, inner_ok = 0.0, True
+    if want_xy:
+        # rbar = s / cos(theta) is largest at an end of its angle range
+        rbar = np.concatenate([s / np.cos(theta_lo), s / np.cos(theta_hi)])
+        tau_max = math.sqrt(max(float(np.max(np.sqrt(rbar * rbar + z * z))) - az, 0.0))
+        # f_in has branch points at t = +-i sqrt(2|z|): start from pieces
+        # halved toward t = 0 until the first is no wider than that (at
+        # most 40 halvings)
+        scale = math.sqrt(2.0 * az)
+        n = math.ceil(math.log2(tau_max / scale)) if 0.0 < scale < tau_max else 0
+        edges = np.append(0.0, tau_max * 0.5 ** np.arange(min(n, 40), -1.0, -1.0))
+        radial, inner_err, inner_ok = kronrod.antiderivative(
+            f_in, edges, tol * 0.02 / len(subs), CUMULATIVE_MAX_ROUNDS, CUMULATIVE_MAX_PENDING
+        )
+
     def f_theta(x):
-        nonlocal inner_err, inner_ok
         j = np.searchsorted(offsets[1:-1], x, "right")  # the node's subtriangle
         th = theta_lo[j] + (x - offsets[j])
         rbar = s[j] / np.cos(th)
@@ -338,9 +259,7 @@ def adaptive_oracle(
         hyp = (rbar**2 / Rbar**3 + jk * z * z / Rbar**2) * eR - jk * ez
         ix = iy = dix = diy = np.zeros_like(i0)
         if want_xy:
-            tau = np.sqrt(np.maximum(Rbar - az, 0.0))
-            v, err, ok = quad_cumulative(f_in, tau, tol * 0.02 / len(subs))
-            inner_err, inner_ok = max(inner_err, err), inner_ok and ok
+            v = radial(np.sqrt(np.maximum(Rbar - az, 0.0)))
             cpsi, spsi = np.cos(psi[j] + th), np.sin(psi[j] + th)
             ix, iy = cpsi * v[:, 0], spsi * v[:, 0]
             if need_dm:

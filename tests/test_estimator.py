@@ -197,3 +197,22 @@ class TestSelectOrder:
             assert sel.analytic_required == (want is None)
             if want is not None:
                 assert sel.q == want and sel.e_q == e_q_bound(geom, want)
+
+    def test_bisection_matches_linear_scan(self):
+        # a grid of geometries, with tol set exactly to an E_Q, just below it
+        # and just above it: the bisection must return what a scan of every
+        # order up to q_cap returns, q and e_q alike
+        for r_max in (0.2, 1.0, 3.0):
+            for frac in (0.0, 0.3, 0.5, 0.9, 1.0):  # r_min / r_max; 0.5 gives t = 0
+                ext = RadialExtents(r_min=frac * r_max, r_max=r_max)
+                for z in (-2.0, -1e-3, 1e-6, 0.05, 0.7, 8.0):
+                    geom = EstimatorGeom.from_extents(ext, z)
+                    e = [e_q_bound(geom, q) for q in range(1, Q_CAP + 1)]
+                    tols = [1e-13, 1e-6, 1e-1]
+                    for q in (1, 2, 7, 16, Q_CAP - 1, Q_CAP):
+                        tols += [e[q - 1], math.nextafter(e[q - 1], 0.0), math.nextafter(e[q - 1], 1.0)]
+                    for tol in (t for t in tols if t > 0.0):
+                        want = next((q for q in range(1, Q_CAP + 1) if e[q - 1] <= tol), None)
+                        sel = select_order(ext, z, tol)
+                        assert sel.q == want
+                        assert sel.e_q == (None if want is None else e[want - 1])

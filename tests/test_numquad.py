@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helmpanel import numquad
+from helmpanel import kronrod, numquad
 from helmpanel.engine import SAMPLE_PROJECTIONS
 from helmpanel.geometry import ref_params, subdivide
 from helmpanel.numquad import (
@@ -677,6 +677,49 @@ class TestAdaptiveOracle:
         assert len(calls) == 1
         assert len(np.atleast_1d(calls[0][0])) == len(subdivide(verts))
 
+    def test_one_radial_pass(self, monkeypatch):
+        # the radial integral of the x/y moments is adapted once, before the
+        # angle pass, however many rounds that pass runs
+        passes, outer_rounds = [], []
+        build, gk15 = kronrod.antiderivative, kronrod.gk15
+
+        def counted_build(*args):
+            passes.append(args[1])
+            return build(*args)
+
+        def counted_gk15(f, lo, hi, tail=None):
+            if tail is None:
+                outer_rounds.append(len(lo))
+            return gk15(f, lo, hi, tail)
+
+        monkeypatch.setattr(kronrod, "antiderivative", counted_build)
+        monkeypatch.setattr(kronrod, "gk15", counted_gk15)
+        verts = verts_rel(SAMPLE_PROJECTIONS[4])
+        adaptive_oracle(verts, 0.1, 1.0, tol=1e-13, want_hyper=True)
+        assert len(passes) == 1 and len(outer_rounds) > 1
+        passes.clear()
+        adaptive_oracle(verts, 0.1, 1.0, tol=1e-13, want_hyper=True, components=("i0",))
+        assert passes == []
+
+    def test_radial_points_per_call(self, monkeypatch):
+        # the radial integrand's points per full-component call on the frozen
+        # sample-triangle cases, 170 on average: one radial pass, shared by
+        # every round of the angle pass
+        points = []
+        build = kronrod.antiderivative
+
+        def counted(f, *args):
+            def g(t):
+                points.append(len(t))
+                return f(t)
+
+            return build(g, *args)
+
+        monkeypatch.setattr(kronrod, "antiderivative", counted)
+        for proj, z in FROZEN_ORACLE:
+            adaptive_oracle(verts_rel(SAMPLE_PROJECTIONS[proj]), z, 1.0, tol=1e-13, want_hyper=True)
+        assert sum(points) / len(FROZEN_ORACLE) <= 1400
+
 
 class TestQuadAdaptive:
     def test_vector_components(self):
@@ -791,8 +834,9 @@ class TestQuadCumulative:
         assert np.all(np.isfinite(v))
 
     def test_starting_gaps_not_capped(self, monkeypatch):
-        # the oracle hands one pass 15 limits per pending angle interval:
-        # the cap counts only intervals added by bisection, not the gaps
+        # many limits, one pass over [0, max(limits)]: the limits start no
+        # intervals of their own, and the cap counts only those added by
+        # bisection
         monkeypatch.setattr(numquad, "CUMULATIVE_MAX_PENDING", 8)
         sizes = []
 
@@ -803,8 +847,28 @@ class TestQuadCumulative:
         limits = np.append(np.linspace(0.1, 1.0, 10), 2.0)
         v, err, ok = quad_cumulative(f, limits, 1e-13)
         assert ok and err <= 1e-13
-        assert len(sizes) > 1  # the last gap was bisected
+        assert len(sizes) > 1  # the pass bisected
         assert np.max(np.abs(v[:, 0] - (np.exp(10j * limits) - 1) / 10j)) <= 1e-13
+
+    @pytest.mark.parametrize("az", [1e-3, 0.3, 2.0])
+    @pytest.mark.parametrize("tol", [1e-7, 1e-11])
+    def test_partial_pieces_within_estimate(self, az, tol):
+        # the oracle's radial moment at k = 0, int_0^tau 2 t^2 sqrt(t^2 + 2|z|) dt,
+        # is int_|z|^Rbar sqrt(R^2 - z^2) dR with R = |z| + t^2, in closed form;
+        # random limits end inside pieces, where the interpolant's integral
+        # must stay within the estimate
+        def f(t):
+            return (2.0 * t * t * np.sqrt(t * t + 2.0 * az))[:, None]
+
+        def closed(tau):
+            R = az + tau * tau
+            w = np.sqrt(R * R - az * az)
+            return 0.5 * (R * w - az * az * np.log(R + w)) + 0.5 * az * az * math.log(az)
+
+        limits = RNG.uniform(0.0, 1.5, size=200)
+        v, err, ok = quad_cumulative(f, limits, tol)
+        assert ok and err <= tol
+        assert np.max(np.abs(v[:, 0] - closed(limits))) <= err
 
     @pytest.mark.parametrize("limits", [[], [-0.5, 1.0], [1.0, np.nan]])
     def test_invalid_limits_rejected(self, limits):
