@@ -115,10 +115,8 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
     if z == 0.0:
         return OrderSelection(1, 0.0) if extents.r_min > 0.0 else OrderSelection()
     e_q_of = _e_q_of(EstimatorGeom.from_extents(extents, z))
-    if q_cap < 1:
-        return OrderSelection()
-    lo, hi, e_hi = 1, q_cap, e_q_of(q_cap)
-    if e_hi > tol:
+    lo, hi = 1, q_cap
+    if hi < lo or (e_hi := e_q_of(hi)) > tol:
         return OrderSelection()
     # invariant: E_hi <= tol, and E_Q > tol for every Q < lo
     while lo < hi:

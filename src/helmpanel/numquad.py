@@ -240,10 +240,13 @@ def adaptive_oracle(
         tau_max = math.sqrt(max(float(np.max(np.sqrt(rbar * rbar + z * z))) - az, 0.0))
         # f_in has branch points at t = +-i sqrt(2|z|): start from pieces
         # halved toward t = 0 until the first is no wider than that (at
-        # most 40 halvings)
+        # most 40 halvings), each cut in three, so that most passes accept
+        # every piece in their first round
         scale = math.sqrt(2.0 * az)
         n = math.ceil(math.log2(tau_max / scale)) if 0.0 < scale < tau_max else 0
-        edges = np.append(0.0, tau_max * 0.5 ** np.arange(min(n, 40), -1.0, -1.0))
+        halved = np.append(0.0, tau_max * 0.5 ** np.arange(min(n, 40), -1.0, -1.0))
+        thirds = halved[:-1, None] + np.diff(halved)[:, None] * np.array([0.0, 1.0, 2.0]) / 3.0
+        edges = np.append(thirds.ravel(), tau_max)
         radial, inner_err, inner_ok = kronrod.antiderivative(
             f_in, edges, tol * 0.02 / len(subs), CUMULATIVE_MAX_ROUNDS, CUMULATIVE_MAX_PENDING
         )

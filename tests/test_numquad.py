@@ -702,9 +702,9 @@ class TestAdaptiveOracle:
         assert passes == []
 
     def test_radial_points_per_call(self, monkeypatch):
-        # the radial integrand's points per full-component call on the frozen
-        # sample-triangle cases, 170 on average: one radial pass, shared by
-        # every round of the angle pass
+        # the radial integrand's points per full-component call on the
+        # frozen sample-triangle cases, about 170 on average: one radial
+        # pass, shared by every round of the angle pass
         points = []
         build = kronrod.antiderivative
 
