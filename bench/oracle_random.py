@@ -12,7 +12,9 @@ non-converged calls, the worst status error and the total time; with
 components, the reference's counts, and ``over_bound``: the number of
 inputs with a component where |v - v_ref| exceeds error + error_ref, the
 sum of the two status errors (each is meant to bound its tree's true
-error, so their sum bounds the difference), with the worst such ratio.
+error, so their sum bounds the difference), with the worst such ratio,
+and ``over_bound_at``: each such input's index in the sequence of
+``inputs`` followed by the names of its components over the bound.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=12)
     args = ap.parse_args()
     sys.path.insert(0, str(args.tree.resolve() / "src"))
+    from helmpanel.analytic import COMPONENTS
     from helmpanel.numquad import adaptive_oracle
 
     values, errors, converged, seconds = [], [], [], []
@@ -66,10 +69,15 @@ def main() -> None:
     if args.against:
         ref = np.load(args.against)
         diff = np.abs(values - ref["values"])
-        ratio = diff.max(axis=1) / (np.array(errors) + ref["errors"])
+        bound = np.array(errors) + ref["errors"]
+        ratio = diff.max(axis=1) / bound
         summary.update(
             max_rel_dev=float((diff / (1.0 + np.abs(ref["values"]))).max()),
             over_bound=int(np.count_nonzero(ratio > 1.0)),
+            over_bound_at=[
+                [int(i), *(COMPONENTS[c] for c in np.flatnonzero(diff[i] > bound[i]))]
+                for i in np.flatnonzero(ratio > 1.0)
+            ],
             worst_bound_ratio=float(ratio.max()),
             ref_not_converged=int(np.count_nonzero(~ref["converged"])),
             ref_total_s=round(float(ref["seconds"].sum()), 3),

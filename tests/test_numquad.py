@@ -1,6 +1,8 @@
 """Polar quadrature, adaptive oracle, and the symmetric triangle rule of the tests."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -664,6 +666,8 @@ class TestAdaptiveOracle:
         assert np.max(np.abs(rough.values - fine.values)) <= status["error"]
 
     def test_one_outer_pass(self, monkeypatch):
+        # one pass, started from pieces that tile every subtriangle's angle
+        # range, laid end to end, none wider than ANGLE_PIECE
         calls = []
         inner = numquad.quad_adaptive
 
@@ -675,7 +679,49 @@ class TestAdaptiveOracle:
         verts = verts_rel(SAMPLE_PROJECTIONS[4])
         adaptive_oracle(verts, 0.1, 1.0, tol=1e-13, want_hyper=True)
         assert len(calls) == 1
-        assert len(np.atleast_1d(calls[0][0])) == len(subdivide(verts))
+        a, b = calls[0]
+        geoms = [ref_params(sub, 0.1) for sub in subdivide(verts)]
+        offsets = np.concatenate([[0.0], np.cumsum([g.theta_hi - g.theta_lo for g in geoms])])
+        assert a[0] == 0.0 and b[-1] == offsets[-1] and np.array_equal(a[1:], b[:-1])
+        assert set(offsets[1:-1]) <= set(a)
+        assert len(a) > len(geoms) and np.max(b - a) <= numquad.ANGLE_PIECE
+
+    def test_first_round_accepts(self, monkeypatch):
+        # the equal starting pieces are narrow enough that most angle
+        # passes accept them all in their first round (3.4 rounds per call
+        # here from one piece per subtriangle)
+        rounds = []
+        gk15 = kronrod.gk15
+
+        def counted(f, lo, hi, tail=None):
+            if tail is None:
+                rounds.append(len(lo))
+            return gk15(f, lo, hi, tail)
+
+        monkeypatch.setattr(kronrod, "gk15", counted)
+        for proj, z in FROZEN_ORACLE:
+            adaptive_oracle(verts_rel(SAMPLE_PROJECTIONS[proj]), z, 1.0, tol=1e-13, want_hyper=True)
+        assert len(rounds) / len(FROZEN_ORACLE) <= 1.5
+
+    @pytest.mark.parametrize("seed, index", [(13, 147), (12, 151)])
+    def test_status_error_covers_angle_roundoff(self, monkeypatch, seed, index):
+        # d2I0/dn2 of about 870 and 490 on these random inputs: two starts of
+        # the angle pass sum in different orders and differ by a few ulps,
+        # far above the GK15 estimates; the status errors carry the sums'
+        # roundoff and so cover that difference
+        spec = importlib.util.spec_from_file_location(
+            "oracle_random", Path(__file__).resolve().parents[1] / "bench" / "oracle_random.py"
+        )
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        verts, z, k = list(bench.inputs(index + 1, seed))[index]
+        runs = []
+        for width in (numquad.ANGLE_PIECE, math.pi / 24):
+            monkeypatch.setattr(numquad, "ANGLE_PIECE", width)
+            runs.append(adaptive_oracle(verts, z, k, tol=1e-13, want_hyper=True, return_status=True))
+        (v1, s1), (v2, s2) = runs
+        assert np.max(np.abs(v1.values)) > 100.0
+        assert np.all(np.abs(v1.values - v2.values) <= s1["error"] + s2["error"])
 
     def test_one_radial_pass(self, monkeypatch):
         # the radial integral of the x/y moments is adapted once, before the
@@ -719,6 +765,18 @@ class TestAdaptiveOracle:
         for proj, z in FROZEN_ORACLE:
             adaptive_oracle(verts_rel(SAMPLE_PROJECTIONS[proj]), z, 1.0, tol=1e-13, want_hyper=True)
         assert sum(points) / len(FROZEN_ORACLE) <= 1400
+
+
+class TestGK15:
+    def test_polynomials_to_degree_22(self):
+        # K15 is exact to degree 22, so only roundoff remains: within 5 eps
+        # of int |f| here, where a 15-digit table reached 19
+        lo, hi = np.array([0.0, -1.0]), np.array([1.0, 2.0])
+        for d in range(23):
+            v, _, _ = kronrod.gk15(lambda x: x[:, None] ** d, lo, hi)
+            exact = np.array([1.0, 2.0 ** (d + 1) - (-1.0) ** (d + 1)]) / (d + 1)
+            mass = np.array([1.0, 2.0 ** (d + 1) + 1.0]) / (d + 1)
+            assert np.all(np.abs(v[:, 0] - exact) <= 8 * np.finfo(float).eps * mass), d
 
 
 class TestQuadAdaptive:
