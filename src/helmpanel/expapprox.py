@@ -11,6 +11,16 @@ error is then at most sqrt(2) times that tolerance.
 Approximations are tabulated for dx in {pi/16, pi/8, pi/4, pi/2} and
 tolerances 1e-3 .. 1e-15, and selected by the largest expansion argument
 they must cover.
+
+Each table is built on first use, on plain Python floats: the Taylor
+series is composed with x(u) = dx/2 (1 + u) by Horner's rule, converted to
+Chebyshev coefficients by the recurrence x T_n = (T_(n-1) + T_(n+1))/2,
+truncated, converted back, and composed with u(x) = 2x/dx - 1.  These are
+the operations ``numpy.polynomial`` performs for the same steps, each
+coefficient an elementwise or two-term sum in the same order, so the
+tables are bit-identical to the ones an earlier version built with it
+(frozen in ``tests/data/economize_frozen.json``), without its
+per-object overhead or its import.
 """
 
 from __future__ import annotations
@@ -21,8 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial import Polynomial
-from numpy.polynomial import chebyshev as _cheb
 
 # The last tier is the element-size limit: the expansion covers k * r < pi/2.
 DELTA_X_TIERS = (math.pi / 16, math.pi / 8, math.pi / 4, math.pi / 2)
@@ -82,26 +90,55 @@ def taylor_degree_for(delta_x: float, eps: float) -> int:
     return n
 
 
-def _economize_component(coeffs: np.ndarray, delta_x: float, budget: float) -> np.ndarray:
+def _compose(coeffs: list[float], a: float, b: float) -> list[float]:
+    """Monomial coefficients of p(a + b t), p(x) = sum_i coeffs[i] x^i (Horner)."""
+    out = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        out = [out[0] * a + c] + [lo * b + hi * a for lo, hi in zip(out, out[1:])] + [out[-1] * b]
+    return out
+
+
+def _poly2cheb(p: list[float]) -> list[float]:
+    """Chebyshev coefficients of sum_i p[i] u^i (Horner with x T_n = (T_(n-1) + T_(n+1))/2)."""
+    res = [p[-1]]
+    for c in reversed(p[:-1]):
+        half = [v / 2 for v in res] + [0.0, 0.0]
+        res = [half[1] + c, res[0] + half[2]] + [lo + hi for lo, hi in zip(half[1:], half[3:])]
+    return res
+
+
+def _cheb2poly(c: list[float]) -> list[float]:
+    """Monomial coefficients of sum_n c[n] T_n(u) (Clenshaw's recurrence, T_(n+1) = 2u T_n - T_(n-1))."""
+    if len(c) < 3:
+        return c
+    c0, c1 = [c[-2]], [c[-1]]
+    for i in range(len(c) - 1, 1, -1):
+        c0, c1 = [c[i - 2] - c1[0]] + [-v for v in c1[1:]], _add(c0, [0.0] + [2 * v for v in c1])
+    return _add(c0, [0.0] + c1)
+
+
+def _add(a: list[float], b: list[float]) -> list[float]:
+    """Sum of two coefficient lists, ``b`` the longer."""
+    return [x + y for x, y in zip(a, b)] + b[len(a) :]
+
+
+def _economize_component(coeffs: np.ndarray, delta_x: float, budget: float) -> list[float]:
     """Drop trailing Chebyshev terms of a polynomial on [0, delta_x).
 
     ``budget`` is the allowed sum of dropped coefficient magnitudes, a
     rigorous bound on the uniform perturbation.  Returns monomial
     coefficients of the reduced polynomial.
     """
-    # map x in [0, dx] to u in [-1, 1]
-    to_u = Polynomial([delta_x / 2.0, delta_x / 2.0])  # x(u)
-    p_u = Polynomial(coeffs)(to_u)
-    ch = _cheb.poly2cheb(p_u.coef)
+    coeffs = coeffs.tolist()
+    while len(coeffs) > 1 and coeffs[-1] == 0.0:  # cos of odd, sin of even degree ends in 0
+        coeffs.pop()
+    ch = _poly2cheb(_compose(coeffs, delta_x / 2.0, delta_x / 2.0))  # x(u), u in [-1, 1]
     degree = len(ch) - 1
     dropped = 0.0
     while degree > 0 and dropped + abs(ch[degree]) <= budget:
         dropped += abs(ch[degree])
         degree -= 1
-    kept = _cheb.cheb2poly(ch[: degree + 1])
-    from_x = Polynomial([-1.0, 2.0 / delta_x])  # u(x)
-    p_x = Polynomial(kept)(from_x)
-    return p_x.coef
+    return _compose(_cheb2poly(ch[: degree + 1]), -1.0, 2.0 / delta_x)  # u(x)
 
 
 @lru_cache(maxsize=64)

@@ -7,8 +7,7 @@ Piessens et al. 1983); its error estimate also carries the roundoff of
 the sum.  ``numquad.quad_adaptive`` sums its pieces.
 ``antiderivative`` keeps them with their samples, so that the integral up
 to any limit can be evaluated afterwards without calling the integrand
-again: ``numquad.quad_cumulative`` and the x/y moments of
-``numquad.adaptive_oracle`` use it.
+again: the x/y moments of ``numquad.adaptive_oracle`` use it.
 """
 
 from __future__ import annotations

@@ -64,35 +64,11 @@ def quad_adaptive(f, a, b, tol: float, max_intervals: int = 4000):
     return v.sum(axis=0), error, converged
 
 
-# Limits on one ``kronrod.antiderivative`` pass: bisection rounds, and
-# intervals added to the starting ones by bisection (15 abscissae each per
-# round while pending); it stops rather than exceed them.
+# Limits on the oracle's ``kronrod.antiderivative`` pass: bisection rounds,
+# and intervals added to the starting ones by bisection (15 abscissae each
+# per round while pending); it stops rather than exceed them.
 CUMULATIVE_MAX_ROUNDS = 40
 CUMULATIVE_MAX_PENDING = 20000
-
-
-def quad_cumulative(f, limits, tol: float):
-    """``int_0^L f`` for every ``L`` in ``limits``, from one adaptive pass.
-
-    ``f`` is a vector integrand as in ``quad_adaptive``.  One
-    ``kronrod.antiderivative`` pass over [0, max(limits)], starting from
-    that single interval whatever the limits, is evaluated at every limit,
-    so every returned value is within ``tol`` (by the estimate).  Zero limits
-    give zero.  When ``CUMULATIVE_MAX_ROUNDS`` or ``CUMULATIVE_MAX_PENDING``
-    stops the pass, the pending intervals still contribute their values
-    and errors, and ``converged`` is False.
-
-    Returns (values (len(limits), ncomp), error_estimate, converged);
-    the estimate is the summed error of all pieces, which bounds the
-    error of every value.
-    """
-    limits = np.asarray(limits, dtype=float)
-    if limits.ndim != 1 or limits.size == 0 or not np.all((limits >= 0.0) & (limits < np.inf)):
-        raise ValueError("limits must be a non-empty 1-D array of finite values >= 0")
-    F, error, converged = kronrod.antiderivative(
-        f, np.array([0.0, np.max(limits)]), tol, CUMULATIVE_MAX_ROUNDS, CUMULATIVE_MAX_PENDING
-    )
-    return F(limits), error, converged
 
 
 def polar_nodes(verts2d, n: int, z: float):
@@ -173,12 +149,19 @@ def _kernel_sums(x, y, w, z: float, k: float, want_hyper: bool) -> PanelIntegral
 def polar_integrate(verts2d, z: float, k: float, n: int, want_hyper: bool = False) -> PanelIntegrals:
     """n x n Gauss quadrature of the panel integrals in polar coordinates.
 
-    The z-derivatives integrate the differentiated kernel; at z = 0 they
-    vanish identically (symmetric value), unlike the one-sided analytic
-    limits.
+    The z-derivatives integrate the differentiated kernel, which vanishes
+    at z = 0.  There ``dI0/dn`` also gets the jump term of the one-sided
+    limit from z > 0, the convention of the analytic path and the oracle:
+    the angle the panel subtends at the projection, sum sign * Theta over
+    the subtriangles (2 pi inside, pi on an edge, the vertex angle at a
+    vertex, 0 outside).  The x/y moments have none, since x = y = 0 at
+    the projection.
     """
     x, y, w = polar_nodes(verts2d, n, z)
-    return _kernel_sums(x, y, w, z, k, want_hyper)
+    res = _kernel_sums(x, y, w, z, k, want_hyper)
+    if z == 0.0:
+        res.values[3] += sum(sub.sign * sub.theta for sub in subdivide(verts2d))
+    return res
 
 
 # Widest starting piece of the oracle's angle pass, in radians: the fastest

@@ -13,9 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from helmpanel import kronrod
 from helmpanel.estimator import EstimatorGeom, _check_phi
 from helmpanel.expapprox import ExpApprox
-from helmpanel.numquad import gauss_rule, quad_adaptive
+from helmpanel.numquad import CUMULATIVE_MAX_PENDING, CUMULATIVE_MAX_ROUNDS, gauss_rule, quad_adaptive
 
 
 def delta(alpha_p: float, th):
@@ -29,6 +30,19 @@ def _adaptive_scaled(f, lo: float, hi: float, rel: float = 1e-13) -> float:
     v, _, ok = quad_adaptive(f, lo, hi, tol)
     assert ok
     return float(v[0].real)
+
+
+def cumulative(f, limits, tol: float, max_rounds: int = CUMULATIVE_MAX_ROUNDS,
+               max_added: int = CUMULATIVE_MAX_PENDING):
+    """``int_0^L f`` for every ``L`` in ``limits``, from one adaptive pass.
+
+    One ``kronrod.antiderivative`` pass over [0, max(limits)], started from
+    that single interval and evaluated at every limit.  Returns (values
+    (len(limits), ncomp), error_estimate, converged).
+    """
+    limits = np.asarray(limits, dtype=float)
+    F, error, converged = kronrod.antiderivative(f, np.array([0.0, limits.max()]), tol, max_rounds, max_added)
+    return F(limits), error, converged
 
 
 def oracle_pow_plain(alpha: float, lo: float, hi: float, n: int) -> float:

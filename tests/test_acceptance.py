@@ -32,9 +32,10 @@ from helmpanel.geometry import (
     ref_params,
     to_local_frame,
 )
-from helmpanel.numquad import adaptive_oracle, polar_integrate, quad_adaptive, quad_cumulative
+from helmpanel.numquad import adaptive_oracle, polar_integrate, quad_adaptive
 
 from helpers import (
+    cumulative,
     epsilon_q,
     mp_remainder,
     oracle_pow_plain,
@@ -259,7 +260,7 @@ def _oracle_k_family(geom, z, k, q_max, tol):
 
     def f_theta(ths):
         ths = np.atleast_1d(ths)
-        v, _, _ = quad_cumulative(f_r, geom.s / np.cos(ths), tol * 0.05)
+        v, _, _ = cumulative(f_r, geom.s / np.cos(ths), tol * 0.05)
         f0, fw, d0, dw, dd0 = np.moveaxis(v.real.reshape(len(ths), n_q, 5), 2, 0)
         c, s = np.cos(ths)[:, None], np.sin(ths)[:, None]
         cols = [f0, fw * c, fw * s, d0, dw * c, dw * s, dd0]
@@ -288,7 +289,7 @@ def _oracle_j_family(geom, z, k, q_max, tol):
         rbar = (geom.s / np.cos(ths))[:, None]
         R_far = np.hypot(rbar, z)
         tau = np.sqrt(np.maximum(R_far - az, 0.0))
-        v, _, _ = quad_cumulative(f_t, tau[:, 0], tol * 0.05)
+        v, _, _ = cumulative(f_t, tau[:, 0], tol * 0.05)
         jq = v.real
         # dJ_q/dz by Leibniz: sigma (k^q rbar (R-|z|)^q / 2R - (2q+1) k J_{q-1})
         kjm1 = np.empty_like(jq)

@@ -1,10 +1,12 @@
 """Command-line interface: output contracts and determinism."""
 
 import io
+import json
 import math
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +269,18 @@ class TestEconomize:
         _, data = parse_csv(out)
         combos = {(r[0], r[1]) for r in data}
         assert len(combos) == 20
+
+    def test_all_entries_match_frozen_tables(self):
+        # 17 significant digits round-trip, so every printed coefficient
+        # reads back as the frozen table's double
+        frozen = json.loads((Path(__file__).parent / "data" / "economize_frozen.json").read_text())
+        want = [
+            (e["q"], float.fromhex(c), float.fromhex(s))
+            for e in frozen["tiers"]
+            for c, s in zip(e["cos"], e["sin"])
+        ]
+        _, data = parse_csv(run_main(["economize", "--all"])[1])
+        assert [(int(r[2]), float(r[4]), float(r[5])) for r in data] == want
 
     def test_regeneration_reproduces_values(self):
         _, out1 = run_main(["economize", "--dx", "pi/4", "--eps", "1e-12"])

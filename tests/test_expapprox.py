@@ -1,11 +1,18 @@
 """Economized sin/cos approximations."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import helmpanel
 from helmpanel.expapprox import (
+    DELTA_X_LABELS,
     DELTA_X_TIERS,
     EPS_TIERS,
     economize,
@@ -62,6 +69,17 @@ class TestEconomize:
                 assert ez <= math.sqrt(2.0) * eps
                 assert ap.q <= taylor_degree_for(dx, eps)
 
+    def test_tables_match_frozen(self):
+        # all 20 tiers bit for bit against the tables numpy.polynomial built
+        frozen = json.loads((Path(__file__).parent / "data" / "economize_frozen.json").read_text())
+        assert len(frozen["tiers"]) == len(DELTA_X_TIERS) * len(EPS_TIERS)
+        for entry in frozen["tiers"]:
+            ap = economize(DELTA_X_TIERS[DELTA_X_LABELS.index(entry["delta_x"])], entry["eps"])
+            key = (entry["delta_x"], entry["eps"])
+            assert ap.q == entry["q"], key
+            assert [c.hex() for c in ap.cos_coeffs.tolist()] == entry["cos"], key
+            assert [c.hex() for c in ap.sin_coeffs.tolist()] == entry["sin"], key
+
     def test_monotone_cost(self):
         for dx in DELTA_X_TIERS:
             qs = [economize(dx, eps).q for eps in EPS_TIERS]
@@ -116,3 +134,22 @@ class TestSelectApprox:
         # requests coarser than 1e-3 use the coarsest tier
         ap = select_approx(k=1.0, ell=0.1, eps=1e-2)
         assert ap.eps == 1e-3
+
+
+def test_import_leaves_numpy_polynomial_out():
+    # the tables are built without numpy.polynomial, so a process that
+    # imports helmpanel does not load it; the Gauss-Legendre rules load it
+    # on first use
+    code = (
+        "import sys, helmpanel\n"
+        "from helmpanel.expapprox import select_approx\n"
+        "select_approx(1.0, 1.0, 1e-15)\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
+        "from helmpanel.numquad import gauss_rule\n"
+        "gauss_rule(4)\n"
+        "assert 'numpy.polynomial' in sys.modules\n"
+    )
+    src = str(Path(helmpanel.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helmpanel import kronrod, numquad
-from helmpanel.engine import SAMPLE_PROJECTIONS
+from helmpanel.engine import N_FALLBACK, SAMPLE_PROJECTIONS, EvalRequest, evaluate, sample_field_point, sample_triangle
 from helmpanel.geometry import ref_params, subdivide
 from helmpanel.numquad import (
     adaptive_oracle,
@@ -16,10 +16,9 @@ from helmpanel.numquad import (
     polar_integrate,
     polar_nodes,
     quad_adaptive,
-    quad_cumulative,
 )
 
-from helpers import shoelace_area, tri_rule
+from helpers import cumulative, shoelace_area, tri_rule
 
 RNG = np.random.default_rng(10501)
 
@@ -543,6 +542,31 @@ class TestPolarIntegrate:
         ref = adaptive_oracle(verts, 0.0, 1.0, tol=1e-13, components=("i0",))
         assert abs(got.i0 - ref.i0) <= 1e-10
 
+    @pytest.mark.parametrize("proj", [1, 2, 3])
+    def test_z_zero_fallback_subtended_angle(self, proj):
+        # at k = 2 the vertex and edge projections exceed the expansion's
+        # k * r_max < pi/2 and fall back to n = 50; at z = 0 its dI0/dn is
+        # the one-sided limit of the analytic path (admissible at k = 1,
+        # and the limit does not depend on k): the subtended angle, which
+        # the analytic value meets within its dI0/dn contract, 100 tol
+        tri = sample_triangle()
+        pt = sample_field_point(proj, 0.0)
+        v1, v2, v3 = VERTS
+        want = {
+            1: math.acos(np.dot(v2 - v1, v3 - v1) / (np.linalg.norm(v2 - v1) * np.linalg.norm(v3 - v1))),
+            2: 2.0 * math.pi,
+            3: math.pi,
+        }[proj]
+        rep = evaluate(EvalRequest(tri, pt, k=2.0, tol=1e-9), method="numeric")
+        assert rep.method.kind == "numeric" and rep.method.n_gauss == N_FALLBACK
+        if proj != 2:
+            auto = evaluate(EvalRequest(tri, pt, k=2.0, tol=1e-9))
+            assert "k*r_max" in auto.method.note and auto.result.di0_dn == rep.result.di0_dn
+        analytic = evaluate(EvalRequest(tri, pt, k=1.0, tol=1e-12), method="analytic")
+        assert analytic.method.kind == "analytic"
+        assert abs(rep.result.di0_dn - want) <= 1e-13
+        assert abs(rep.result.di0_dn - analytic.result.di0_dn) <= 100 * 1e-12
+
     def test_hypersingular_kernel(self):
         verts = verts_rel((0.45, 0.3))
         got = polar_integrate(verts, 0.8, 1.0, 40, want_hyper=True)
@@ -818,13 +842,15 @@ class TestQuadAdaptive:
 
 
 class TestQuadCumulative:
+    """Integrals from 0 to many limits: one ``kronrod.antiderivative`` pass (``helpers.cumulative``)."""
+
     @staticmethod
     def f(x):
         return np.stack([np.exp((1 + 2j) * x), np.cos(3 * x) + 1j * x * x], axis=-1)
 
     def test_closed_form_unsorted_zero_repeated(self):
         limits = np.array([1.3, 0.0, 0.4, 1.3, 2.0, 0.4, 0.0])
-        v, err, ok = quad_cumulative(self.f, limits, 1e-13)
+        v, err, ok = cumulative(self.f, limits, 1e-13)
         assert ok
         assert err <= 1e-13
         want = np.stack(
@@ -839,7 +865,7 @@ class TestQuadCumulative:
         assert np.all(v[limits == 0.0] == 0.0)
 
     def test_all_limits_zero(self):
-        v, err, ok = quad_cumulative(self.f, [0.0, 0.0], 1e-13)
+        v, err, ok = cumulative(self.f, [0.0, 0.0], 1e-13)
         assert ok and err == 0.0
         assert v.shape == (2, 2) and np.all(v == 0.0)
 
@@ -852,50 +878,46 @@ class TestQuadCumulative:
             return m[:, None]
 
         limits = RNG.uniform(0.05, 1.5, size=9)
-        v, _, ok = quad_cumulative(f, limits, 1e-14)
+        v, _, ok = cumulative(f, limits, 1e-14)
         assert ok
         for L, got in zip(limits, v[:, 0]):
             want, _, ok_a = quad_adaptive(f, 0.0, L, 1e-14)
             assert ok_a
             assert abs(got - want[0]) <= 1e-13
 
-    def test_round_cap_reported_and_pending_kept(self, monkeypatch):
+    def test_round_cap_reported_and_pending_kept(self):
         def f(x):
             return (np.abs(x) ** -0.5)[:, None]
 
-        monkeypatch.setattr(numquad, "CUMULATIVE_MAX_ROUNDS", 3)
-        v, err, ok = quad_cumulative(f, [1.0], 1e-13)
+        v, err, ok = cumulative(f, [1.0], 1e-13, max_rounds=3)
         assert not ok
         assert err > 1e-13
         assert abs(v[0, 0] - 2.0) < 0.1
         # one round: the unbisected GK15 value, not a dropped interval
-        monkeypatch.setattr(numquad, "CUMULATIVE_MAX_ROUNDS", 1)
-        v1, _, ok1 = quad_cumulative(f, [1.0], 1e-13)
+        v1, _, ok1 = cumulative(f, [1.0], 1e-13, max_rounds=1)
         single, _, _ = quad_adaptive(f, 0.0, 1.0, 1e-13, max_intervals=1)
         assert not ok1
         assert v1[0, 0] == single[0]
 
-    def test_pending_cap_reported(self, monkeypatch):
+    def test_pending_cap_reported(self):
         # a singular integrand oscillating fast enough that every piece
         # keeps failing: the pending intervals double until the cap
-        monkeypatch.setattr(numquad, "CUMULATIVE_MAX_PENDING", 8)
         sizes = []
 
         def f(x):
             sizes.append(len(x))
             return (np.sin(200.0 / x) / np.sqrt(x))[:, None]
 
-        v, err, ok = quad_cumulative(f, [0.5, 1.0], 1e-13)
+        v, err, ok = cumulative(f, [0.5, 1.0], 1e-13, max_added=8)
         assert not ok
         assert len(sizes) < 40 and max(sizes) <= 15 * 8
         assert err > 1e-13
         assert np.all(np.isfinite(v))
 
-    def test_starting_gaps_not_capped(self, monkeypatch):
+    def test_starting_gaps_not_capped(self):
         # many limits, one pass over [0, max(limits)]: the limits start no
         # intervals of their own, and the cap counts only those added by
         # bisection
-        monkeypatch.setattr(numquad, "CUMULATIVE_MAX_PENDING", 8)
         sizes = []
 
         def f(x):
@@ -903,7 +925,7 @@ class TestQuadCumulative:
             return np.exp(10j * x)[:, None]
 
         limits = np.append(np.linspace(0.1, 1.0, 10), 2.0)
-        v, err, ok = quad_cumulative(f, limits, 1e-13)
+        v, err, ok = cumulative(f, limits, 1e-13, max_added=8)
         assert ok and err <= 1e-13
         assert len(sizes) > 1  # the pass bisected
         assert np.max(np.abs(v[:, 0] - (np.exp(10j * limits) - 1) / 10j)) <= 1e-13
@@ -924,14 +946,9 @@ class TestQuadCumulative:
             return 0.5 * (R * w - az * az * np.log(R + w)) + 0.5 * az * az * math.log(az)
 
         limits = RNG.uniform(0.0, 1.5, size=200)
-        v, err, ok = quad_cumulative(f, limits, tol)
+        v, err, ok = cumulative(f, limits, tol)
         assert ok and err <= tol
         assert np.max(np.abs(v[:, 0] - closed(limits))) <= err
-
-    @pytest.mark.parametrize("limits", [[], [-0.5, 1.0], [1.0, np.nan]])
-    def test_invalid_limits_rejected(self, limits):
-        with pytest.raises(ValueError):
-            quad_cumulative(self.f, limits, 1e-13)
 
 
 class TestTriRule:
