@@ -192,10 +192,11 @@ def cmd_estimate(args) -> int:
     ext = RadialExtents(r_min=args.rmin, r_max=args.rmax)
     sel = select_order(ext, args.z, args.tol)
     if args.z == 0.0:
-        if sel.analytic_required:
+        if args.rmin == 0.0:
             print("z = 0 with r_min = 0: singular integral, analytic evaluation required")
         else:
-            print("phi = 0 (z = 0, projection outside): r/R is constant, Q = 1")
+            print("phi = 0 (z = 0, projection outside): the signed subtriangles cancel in the angle, "
+                  "analytic evaluation required")
         return 0
     geom = EstimatorGeom.from_extents(ext, args.z)
     print(

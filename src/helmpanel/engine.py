@@ -1,10 +1,11 @@
 """Top-level evaluation: method selection, subdivision, accumulation.
 
-For each request the triangle is moved into the element frame, the radial
-extents feed the a-priori 1/R error estimate, and the integrals are then
-computed either by polar Gaussian quadrature at the selected order or, when
-no admissible order exists, by the expansion method on the signed
-subtriangles.
+For each request the field point is moved into the element frame, and one
+walk over the triangle's edges gives the radial extents, which feed the
+a-priori 1/R error estimate, and the signed subtriangles about the
+projection.  The integrals are then computed on those subtriangles either
+by polar Gaussian quadrature at the selected order or, when no admissible
+order exists, by the expansion method.
 
 The expansion path is additionally gated on k |z| <= pi/2: beyond that the
 upward J-recursions amplify roundoff, so the evaluation falls back to
@@ -24,7 +25,9 @@ import numpy as np
 from .analytic import PanelIntegrals, evaluate_ref
 from .estimator import OrderSelection, select_order
 from .expapprox import DELTA_X_TIERS, LAPLACE, select_approx
-from .geometry import Triangle3, radial_extents, ref_params, subdivide, to_local_frame
+# radial_extents and subdivide are bound here, unused, for the layer tracer
+# of perfbench, which wraps them by name until it spans edge_walk
+from .geometry import Triangle3, edge_walk, radial_extents, ref_params, subdivide, to_local_frame  # noqa: F401
 from .numquad import polar_integrate
 
 # Stability gate for the analytic path (J-recursion growth factor k|z|).
@@ -91,8 +94,8 @@ class EvalReport:
     z: float
 
 
-def _analytic_eval(verts2d, z, k, tol, want_hyper) -> tuple[PanelIntegrals, MethodInfo]:
-    """Expansion method on the signed subtriangles, summed in the element frame.
+def _analytic_eval(fan, z, k, tol, want_hyper) -> tuple[PanelIntegrals, MethodInfo]:
+    """Expansion method on the signed subtriangles of ``fan``, summed in the element frame.
 
     The one place the expansion is picked: at k = 0 the kernel is exactly
     1/R and ``LAPLACE`` (e_0 = 1) keeps the imaginary parts identically zero.
@@ -100,7 +103,7 @@ def _analytic_eval(verts2d, z, k, tol, want_hyper) -> tuple[PanelIntegrals, Meth
     total = [0j] * (7 if want_hyper else 6)
     q_exp = 0
     dx = None
-    for sub in subdivide(verts2d):
+    for sub in fan:
         geom = ref_params(sub, z)
         approx = select_approx(k, sub.r_max, tol) if k != 0.0 else LAPLACE
         q_exp = max(q_exp, approx.q)
@@ -129,7 +132,9 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     n = N_FALLBACK when the expansion is inadmissible (k * r_max >= pi/2 or
     k |z| > pi/2); the report notes the fallback.  At k = 0 the analytic
     report names the order-0 expansion that runs (q_expansion 0, delta_x
-    0.0).  Both arguments are checked before any geometry work.
+    0.0).  Both arguments are checked before any geometry work.  The
+    edges are walked once per request (``edge_walk``); its signed
+    subtriangles go to whichever path runs.
     """
     if method not in ("auto", "analytic", "numeric"):
         raise ValueError(f"unknown method {method!r}")
@@ -139,7 +144,7 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
         if isinstance(n_gauss, bool) or not (isinstance(n_gauss, (int, np.integer)) and n_gauss >= 1):
             raise ValueError(f"n_gauss must be an integer >= 1, got {n_gauss!r}")
     verts2d, z = to_local_frame(req.triangle, req.field_point)
-    ext = radial_extents(verts2d)
+    ext, fan = edge_walk(verts2d)
     sel = None if n_gauss is not None else select_order(ext, z, req.tol)
     note = ""
     if n_gauss is not None:
@@ -151,9 +156,9 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     elif req.k * abs(z) > K_Z_LIMIT:
         n, note = N_FALLBACK, "analytic inadmissible: k|z| > pi/2; numeric fallback"
     else:
-        res, info = _analytic_eval(verts2d, z, req.k, req.tol, req.want_hypersingular)
+        res, info = _analytic_eval(fan, z, req.k, req.tol, req.want_hypersingular)
         return EvalReport(res, info, sel, z)
-    res = polar_integrate(verts2d, z, req.k, n, want_hyper=req.want_hypersingular)
+    res = polar_integrate(fan, z, req.k, n, want_hyper=req.want_hypersingular)
     return EvalReport(res, MethodInfo(kind="numeric", n_gauss=n, note=note), sel, z)
 
 

@@ -101,9 +101,12 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
 
     Returns the smallest Q <= q_cap with E_Q <= tol together with that E_Q;
     when no such Q exists the analytic evaluation is required and ``q`` is
-    None.  z = 0 is special: with r_min > 0 the radial integrand r/R is
-    constant so Q = 1; with r_min = 0 the integral is singular and no
-    finite order works.
+    None.  z = 0 demands the analytic path too.  With r_min = 0 the
+    integral is singular and no finite order works.  With r_min > 0 the
+    radial integrand r/R is constant, but the signed subtriangles about an
+    exterior projection are each near-singular in the angle and cancel
+    only in exact arithmetic, a difficulty the 1/R model does not size
+    (its E_Q has no value at phi = 0).
 
     For z != 0, |t| cos(phi) < 1, so E_Q does not increase with Q: each
     step multiplies it by at most sqrt((Q + 1) / (Q + 2)), a fall far above
@@ -113,7 +116,7 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if z == 0.0:
-        return OrderSelection(1, 0.0) if extents.r_min > 0.0 else OrderSelection()
+        return OrderSelection()
     e_q_of = _e_q_of(EstimatorGeom.from_extents(extents, z))
     lo, hi = 1, q_cap
     if hi < lo or (e_hi := e_q_of(hi)) > tol:

@@ -1,11 +1,14 @@
 """Element-plane geometry for triangular panels.
 
 A world-space triangle (``Triangle3``) is validated and given its element
-frame once, when it is built; each field point is then moved into that
-frame, in which the element lies in the plane z = 0 and the field point
-sits at (0, 0, z).  The planar triangle is then decomposed into up to
-three signed subtriangles, each with one vertex at the origin (the
-projection of the field point).  Each subtriangle is described in a canonical form by the two
+frame and its vertices in its own plane once, when it is built; each
+field point is then moved into that frame, in which the element lies in
+the plane z = 0 and the field point sits at (0, 0, z): a height and two
+dot products, then a shift of the three stored plane vertices.  One walk
+over the three edges (``edge_walk``) then gives the nearest and farthest
+distance from the projection (the origin) to the triangle and its
+decomposition into up to three signed subtriangles, each with one vertex
+at the origin.  Each subtriangle is described in a canonical form by the two
 radii meeting at the origin, r1 and r2, and the angle Theta between them;
 all potential integrals are evaluated on that canonical triangle.
 
@@ -41,7 +44,9 @@ class Triangle3:
     The vertices are kept as read-only float64 copies and no attribute can
     be reassigned.  The frame is computed once, here: the unit normal
     ``normal`` = normalize((v2 - v1) x (v3 - v1)), ``e1`` along v2 - v1 and
-    ``e2`` = normal x e1, held as floats and returned as 3-vectors.
+    ``e2`` = normal x e1, held as floats and returned as 3-vectors.  So are
+    the vertices in that frame with v1 at the origin: (0, 0), (|v2 - v1|, 0)
+    and ((v3 - v1).e1, (v3 - v1).e2).
     Raises ValueError for a vertex that is not of shape (3,), for
     non-finite vertices and for a degenerate (collinear) triangle.
     """
@@ -53,6 +58,8 @@ class Triangle3:
     area: float = field(init=False)
     # (nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z)
     _frame: tuple = field(init=False, repr=False)
+    # (x2, x3, y3): the plane vertices relative to v1 are (0, 0), (x2, 0), (x3, y3)
+    _plane: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("v1", "v2", "v3"):
@@ -79,6 +86,8 @@ class Triangle3:
         object.__setattr__(self, "diameter", d)
         object.__setattr__(self, "area", 0.5 * nn)
         object.__setattr__(self, "_frame", (nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z))
+        x3, y3 = bx * e1x + by * e1y + bz * e1z, bx * e2x + by * e2y + bz * e2z
+        object.__setattr__(self, "_plane", (l12, x3, y3))
 
     @classmethod
     def from_flat(cls, coords) -> "Triangle3":
@@ -110,7 +119,7 @@ class Triangle3:
         return (self.v1 + self.v2 + self.v3) / 3.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SignedSubTriangle:
     """Origin-centred subtriangle in canonical (r1, r2, Theta) form.
 
@@ -131,7 +140,7 @@ class SignedSubTriangle:
         return max(self.r1, self.r2)
 
 
-@dataclass
+@dataclass(slots=True)
 class RefGeom:
     """Geometric parameters of the canonical subtriangle.
 
@@ -152,7 +161,7 @@ class RefGeom:
     theta_hi: float
 
 
-@dataclass
+@dataclass(slots=True)
 class RadialExtents:
     """Nearest/farthest distance from the origin to the closed triangle."""
 
@@ -169,97 +178,92 @@ def to_local_frame(tri: Triangle3, x) -> tuple[np.ndarray, float]:
     Any |z| <= BOUNDARY_TOL_REL * diameter is returned as +0.0, a genuine
     height below the plane as well as roundoff, so the one-sided limits at
     such a point are the ones from z > 0.
-    The axes come from the triangle, which computed them when it was
-    built; only the per-point work is done here, in float arithmetic.
+    The axes and the plane vertices come from the triangle, which computed
+    them when it was built; per point, z = n.(x - v1) and the projection's
+    plane coordinates (e1.(x - v1), e2.(x - v1)) are float arithmetic, and
+    the plane vertices are shifted by the latter.
     """
-    p1, p2, p3 = tri.v1.tolist(), tri.v2.tolist(), tri.v3.tolist()
+    p1 = tri.v1.tolist()
     nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z = tri._frame
     px, py, pz = np.asarray(x, dtype=float).tolist()
-    z = (px - p1[0]) * nx + (py - p1[1]) * ny + (pz - p1[2]) * nz
+    dx, dy, dz = px - p1[0], py - p1[1], pz - p1[2]
+    z = dx * nx + dy * ny + dz * nz
     if not math.isfinite(z):
         raise ValueError(f"field point {x} is not finite")
     if abs(z) <= BOUNDARY_TOL_REL * tri.diameter:
         # an in-plane point lands at a roundoff-level z of either sign; the
         # one-sided limits are taken from z > 0
         z = 0.0
-    ox, oy, oz = px - z * nx, py - z * ny, pz - z * nz
-    verts2d = []
-    for vx, vy, vz in (p1, p2, p3):
-        dx, dy, dz = vx - ox, vy - oy, vz - oz
-        verts2d.append((dx * e1x + dy * e1y + dz * e1z, dx * e2x + dy * e2y + dz * e2z))
-    return np.array(verts2d), z
+    ox, oy = dx * e1x + dy * e1y + dz * e1z, dx * e2x + dy * e2y + dz * e2z
+    x2, x3, y3 = tri._plane
+    return np.array(((0.0 - ox, 0.0 - oy), (x2 - ox, 0.0 - oy), (x3 - ox, y3 - oy))), z
+
+
+def edge_walk(verts2d) -> tuple[RadialExtents, list[SignedSubTriangle]]:
+    """Radial extents and signed subtriangles about the origin, in one pass.
+
+    Each edge, from vertex i to vertex i + 1, gives its distance from the
+    origin, the side of its line the origin lies on, and one signed
+    subtriangle, on plain floats.
+
+    Extents: r_min is zero when the origin lies inside the triangle or on
+    its boundary (its signed distance from every edge line, positive
+    inside, is at least -BOUNDARY_TOL_REL times the longest edge), and
+    otherwise the distance to the nearest edge; r_max is the distance to
+    the farthest vertex.
+
+    Fan: slivers (angle below DROP_ANGLE, radius below DROP_RADIUS_REL *
+    r_max, or angle within DROP_ANGLE of pi, which happens when the origin
+    lies on an edge line) are dropped.  The signed areas of the survivors
+    sum to the area of the input triangle.
+    """
+    verts = np.asarray(verts2d, dtype=float).tolist()
+    radii = [math.hypot(vx, vy) for vx, vy in verts]
+    r_max = max(radii)
+    r_drop = DROP_RADIUS_REL * r_max
+    fan: list[SignedSubTriangle] = []
+    # per edge: its length, the origin's distance from the edge line times
+    # the length (positive to the left), and from the segment
+    lengths, sides, dists = [], [], []
+    for i in range(3):
+        (ax, ay), (bx, by) = verts[i], verts[i - 2]
+        ra, rb = radii[i], radii[i - 2]
+        ex, ey = bx - ax, by - ay
+        lengths.append(math.hypot(ex, ey))
+        sides.append(ex * -ay - ey * -ax)
+        # the segment (ax, ay) + t (ex, ey), 0 <= t <= 1
+        denom = ex * ex + ey * ey
+        t = min(1.0, max(0.0, -(ax * ex + ay * ey) / denom)) if denom > 0.0 else 0.0
+        dists.append(math.hypot(ax + t * ex, ay + t * ey))
+        if ra < r_drop or rb < r_drop:
+            continue
+        cross = ax * by - ay * bx
+        theta = math.atan2(abs(cross), ax * bx + ay * by)
+        if theta < DROP_ANGLE or theta > math.pi - DROP_ANGLE:
+            continue
+        if abs(cross) * 0.5 <= r_drop * r_max:
+            continue
+        if cross > 0.0:
+            fan.append(SignedSubTriangle(ra, rb, theta, 1, math.atan2(ay, ax)))
+        else:
+            fan.append(SignedSubTriangle(rb, ra, theta, -1, math.atan2(by, bx)))
+    tol = BOUNDARY_TOL_REL * max(lengths)
+    # orientation from the first and the last edge, v2 - v1 and v1 - v3
+    (x1, y1), (x2, y2), (x3, y3) = verts
+    e0x, e0y, e2x, e2y = x2 - x1, y2 - y1, x1 - x3, y1 - y3
+    orient = 1.0 if e0x * -e2y - e0y * -e2x >= 0.0 else -1.0
+    inside = not any(orient * side < -tol * length for side, length in zip(sides, lengths))
+    return RadialExtents(r_min=0.0 if inside else min(dists), r_max=r_max), fan
 
 
 def subdivide(verts2d) -> list[SignedSubTriangle]:
-    """Split a planar triangle into signed subtriangles about the origin.
-
-    One subtriangle is formed per edge; slivers (angle below DROP_ANGLE,
-    radius below DROP_RADIUS_REL * r_max, or angle within DROP_ANGLE of pi,
-    which happens when the origin lies on an edge line) are dropped.  The
-    signed areas of the survivors sum to the area of the input triangle.
-    """
-    verts = np.asarray(verts2d, dtype=float).tolist()
-    r_max = max(math.hypot(vx, vy) for vx, vy in verts)
-    subs: list[SignedSubTriangle] = []
-    for i in range(3):
-        a = verts[i]
-        b = verts[(i + 1) % 3]
-        ra = math.hypot(a[0], a[1])
-        rb = math.hypot(b[0], b[1])
-        if ra < DROP_RADIUS_REL * r_max or rb < DROP_RADIUS_REL * r_max:
-            continue
-        cross = a[0] * b[1] - a[1] * b[0]
-        dot = a[0] * b[0] + a[1] * b[1]
-        theta = math.atan2(abs(cross), dot)
-        if theta < DROP_ANGLE or theta > math.pi - DROP_ANGLE:
-            continue
-        if abs(cross) * 0.5 <= DROP_RADIUS_REL * r_max * r_max:
-            continue
-        if cross > 0.0:
-            first, r1, r2, sign = a, ra, rb, 1
-        else:
-            first, r1, r2, sign = b, rb, ra, -1
-        subs.append(
-            SignedSubTriangle(
-                r1=r1,
-                r2=r2,
-                theta=theta,
-                sign=sign,
-                psi1=math.atan2(first[1], first[0]),
-            )
-        )
-    return subs
+    """Signed subtriangles of a planar triangle about the origin (``edge_walk``)."""
+    return edge_walk(verts2d)[1]
 
 
 def radial_extents(verts2d) -> RadialExtents:
-    """Nearest and farthest radial distance from the origin to the triangle.
-
-    r_min is zero when the origin lies inside the triangle or on its
-    boundary (within BOUNDARY_TOL_REL of the diameter); r_max is the
-    distance to the farthest vertex.
-    """
-    verts = np.asarray(verts2d, dtype=float).tolist()
-    # (ax, ay, ex, ey): start and direction of each edge
-    edges = [(a[0], a[1], b[0] - a[0], b[1] - a[1]) for a, b in zip(verts, verts[1:] + verts[:1])]
-    lengths = [math.hypot(ex, ey) for _, _, ex, ey in edges]
-    r_max = max(math.hypot(vx, vy) for vx, vy in verts)
-    tol = BOUNDARY_TOL_REL * max(lengths)
-    # orientation from the signed area; the origin is inside when its
-    # signed distance from every edge line (positive inside) is >= -tol
-    (_, _, e0x, e0y), _, (_, _, e2x, e2y) = edges
-    orient = 1.0 if e0x * -e2y - e0y * -e2x >= 0.0 else -1.0
-    if not any(
-        orient * (ex * -ay - ey * -ax) < -tol * length
-        for (ax, ay, ex, ey), length in zip(edges, lengths)
-    ):
-        return RadialExtents(r_min=0.0, r_max=r_max)
-    r_min = math.inf
-    for ax, ay, ex, ey in edges:
-        # distance from the origin to the segment (ax, ay) + t (ex, ey), 0 <= t <= 1
-        denom = ex * ex + ey * ey
-        t = min(1.0, max(0.0, -(ax * ex + ay * ey) / denom)) if denom > 0.0 else 0.0
-        r_min = min(r_min, math.hypot(ax + t * ex, ay + t * ey))
-    return RadialExtents(r_min=r_min, r_max=r_max)
+    """Nearest and farthest distance from the origin to the triangle (``edge_walk``)."""
+    return edge_walk(verts2d)[0]
 
 
 def ref_params(sub: SignedSubTriangle, z: float) -> RefGeom:

@@ -1,11 +1,15 @@
 """Numerical quadrature for panel integrals, plus the validation oracle.
 
-``polar_integrate`` is the production numeric path: the planar triangle is
-split about the origin and an n x n Gauss-Legendre tensor rule applied in
-(angle, r) on each subtriangle, with the polar Jacobian absorbing one
+``polar_integrate`` is the production numeric path: on each signed
+subtriangle of the fan about the origin an n x n Gauss-Legendre tensor
+rule is applied in (angle, r), with the polar Jacobian absorbing one
 power of the 1/R singularity.  The angle variable is theta, or the
 far-side parameter u = s tan(theta) when the field point is far from the
-plane (see ``polar_nodes``).
+plane (see ``polar_nodes``).  The rule is factored by rays: its n radial
+nodes sit at the same fractions of every ray from the origin, so only
+the angle nodes are built per call, the radial template is cached per
+order with the Gauss rule (``polar_rule``), and the kernel is summed along every ray by one
+matrix product before the rays are summed.
 
 ``adaptive_oracle`` is the independent reference: adaptive Gauss-Kronrod
 integration of the defining integrals, sharing nothing with the
@@ -71,12 +75,36 @@ CUMULATIVE_MAX_ROUNDS = 40
 CUMULATIVE_MAX_PENDING = 20000
 
 
-def polar_nodes(verts2d, n: int, z: float):
-    """Quadrature nodes for the polar transformation on a planar triangle.
+@lru_cache(maxsize=None)
+def polar_rule(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The n-point Gauss rule as ``polar_nodes`` and ``_kernel_sums`` read it.
 
-    Returns (x, y, w): plane coordinates and signed weights including the
-    polar Jacobian, so that sum(w * f(x, y)) approximates the area
-    integral of f.  With f = 1 the weights sum to the triangle area.
+    Returns (angle, rho^2, radial): the (x_g, w_g) pairs as Python floats
+    for the angle nodes; the squared fractions rho = (x_g + 1) / 2 of the
+    radial nodes along a ray; and an (n, 2) array whose columns are
+    w_g rho / 2 and w_g rho^2 / 2, the radial weights of the 1- and the
+    x/y-weighted integrals.
+    """
+    xg, wg = gauss_rule(n)
+    rho = 0.5 * (xg + 1.0)
+    radial = np.column_stack([0.5 * wg * rho, 0.5 * wg * rho * rho]).astype(complex)
+    return tuple(zip(xg.tolist(), wg.tolist())), rho * rho, radial
+
+
+def polar_nodes(fan, n: int, z: float):
+    """Ray-factored nodes of the polar n x n rule over a signed fan.
+
+    ``fan`` is the list of signed subtriangles about the projection
+    (``geometry.edge_walk``).  Each of the m = n len(fan) angle nodes
+    spans a ray from the origin to its point on the far side of its
+    subtriangle, and the n radial nodes of every ray lie at the same
+    fractions rho of it (``polar_rule``).  Returns (r2, points, area):
+    r2 = rbar^2 rho^2, the squared plane distance of each of the m n nodes,
+    ray by ray, so ``len(r2)`` is the node count; and per ray its far-side
+    point, an (m, 2) array at distance rbar, and its signed area weight.
+    A function f of the plane point integrates as
+    sum_i area_i sum_g (w_g rho_g / 2) f(rho_g points_i); with f = 1 the
+    area weights sum to twice the triangle area.
 
     The angle direction carries the area factor rbar^2 = s^2 sec^2(theta),
     whose poles at theta = +-pi/2 defeat n Gauss points in theta over a
@@ -89,66 +117,82 @@ def polar_nodes(verts2d, n: int, z: float):
     then has singularities near u = +-i s), so theta is kept; z = 0 keeps
     it on every subtriangle.
 
-    All subtriangles are built at once, as (subtriangle, angle node,
-    radial node) arrays.  An angle node maps to its point on the far side,
-    s e + u e', with e the direction of the perpendicular foot and e' that
-    direction turned by +90 degrees; the radial nodes lie on the segment
-    from the origin to that point, at the fractions rho = (x_g + 1) / 2,
-    with weights rbar^2 rho w_g / 2 (rbar^2 = s^2 + u^2).
+    An angle node maps to its point on the far side, s e + u e', with e
+    the direction of the perpendicular foot and e' that direction turned
+    by +90 degrees, so rbar^2 = s^2 + u^2; its area weight is rbar^2 w_g
+    times half the signed angle range, or s w_g times half the signed u
+    range on the far side.  The few rays per subtriangle are built on
+    Python floats and stacked into one array: at the estimator's orders
+    that is cheaper than a dozen NumPy operations on arrays of a few
+    dozen elements.
     """
-    subs = subdivide(verts2d)
-    if not subs:
-        return np.zeros(0), np.zeros(0), np.zeros(0)
-    xg, wg = gauss_rule(n)
-    rows = []
-    for sub in subs:
+    if not fan:
+        return np.zeros(0), np.zeros((0, 2)), np.zeros(0)
+    angle, rho2, _ = polar_rule(n)
+    rays = []
+    for sub in fan:
         geom = ref_params(sub, 0.0)
         s, lo, hi = geom.s, geom.theta_lo, geom.theta_hi
         far = abs(z) >= s
         if far:
             lo, hi = s * math.tan(lo), s * math.tan(hi)
-        half = 0.5 * (hi - lo)
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         c, sn = math.cos(geom.psi), math.sin(geom.psi)  # unit vector e
         # signed area factor rbar^2 dtheta: (s^2 + u^2) dtheta in theta,
         # s du in u; its coefficients of 1 and u^2, times half the range
         sh = sub.sign * half
-        area = (sh * s, 0.0) if far else (sh * s * s, sh)
-        rows.append((far, 0.5 * (hi + lo), half, s, c, sn, *area))
-    far, mid, half, s, c, sn, a0, a1 = np.array(rows).T[:, :, None]
-    # (subtriangle, angle node): the angular variable, its far-side
-    # parameter u = s tan(theta) and the far-side point s e + u e'
-    v = mid + half * xg
-    # sin / cos, not np.tan: NumPy's tan kernel would map about 0.25 MB
-    # of code into a process that calls it nowhere else
-    u = np.where(far, v, s * np.sin(v) / np.cos(v))
-    px = s * c - u * sn
-    py = s * sn + u * c
-    area = (a0 + a1 * (u * u)) * wg
-    # radial nodes r = rho rbar on [0, rbar], weights rbar^2 rho wg / 2
-    rho = 0.5 * (xg + 1.0)
-    x = px[:, :, None] * rho
-    y = py[:, :, None] * rho
-    w = area[:, :, None] * (0.5 * wg * rho)
-    return x.ravel(), y.ravel(), w.ravel()
+        a0, a1 = (sh * s, 0.0) if far else (sh * s * s, sh)
+        for x, w in angle:
+            v = mid + half * x  # theta, or u itself on the far side
+            u = v if far else s * math.tan(v)
+            u2 = u * u
+            rays += (s * c - u * sn, s * sn + u * c, (a0 + a1 * u2) * w, s * s + u2)
+    table = np.array(rays).reshape(-1, 4)  # (px, py, area, rbar^2) per ray
+    return (table[:, 3:] * rho2).ravel(), table[:, :2], table[:, 2]
 
 
-def _kernel_sums(x, y, w, z: float, k: float, want_hyper: bool) -> PanelIntegrals:
-    r2 = x * x + y * y
-    R = np.sqrt(r2 + z * z)
-    inv_r = 1.0 / R
-    gp = 1j * k - inv_r  # (dG/dR) / G
-    z_r = z * inv_r
-    wG = w * (np.exp(1j * k * R) / R)
-    wdG = wG * gp * z_r  # w dG/dz
-    vals = [wG.sum(), (x * wG).sum(), (y * wG).sum(), -wdG.sum(), -(x * wdG).sum(), -(y * wdG).sum()]
-    if want_hyper:
-        vals.append((wG * ((gp * gp + inv_r * inv_r) * z_r**2 + gp * r2 * inv_r**3)).sum())
-    return PanelIntegrals(np.array(vals))
+def _kernel_sums(r2, points, area, z: float, k: float, want_hyper: bool) -> PanelIntegrals:
+    """The panel integrals from ``polar_nodes``' output, summed ray by ray.
+
+    The kernel rows G = e^{jkR}/R, (dG/dz) / z and, with ``want_hyper``,
+    d2G/dz2 are evaluated at every node and reduced along each ray by one
+    product with ``polar_rule``'s radial weights: rho for the 1-weighted
+    integrals and rho^2 for the x/y moments, since a node lies at rho
+    times its ray's far-side point.  One product with the area weights,
+    and one with the area-weighted far-side points, then sum the rays;
+    the first derivatives take their factor -z (d/dn = -d/dz) last.
+    """
+    rows = np.empty((3 if want_hyper else 2, len(r2)), dtype=complex)
+    out = np.zeros((len(rows), 3), dtype=complex)  # (kernel row, 1 / x / y)
+    if len(area):
+        R = np.sqrt(r2 + z * z)
+        inv_r = 1.0 / R
+        gp = 1j * k - inv_r  # (dG/dR) / G
+        G = rows[0]  # e^{jkR}, as cos + j sin in place: the bits of np.exp
+        kR = k * R
+        np.cos(kR, out=G.real)
+        np.sin(kR, out=G.imag)
+        G *= inv_r
+        np.multiply(G, gp * inv_r, out=rows[1])
+        if want_hyper:
+            z_r = z * inv_r
+            np.multiply(G, (gp * gp + inv_r * inv_r) * z_r**2 + gp * r2 * inv_r**3, out=rows[2])
+        per_ray = rows.reshape(len(rows), len(area), -1) @ polar_rule(len(r2) // len(area))[2]
+        np.matmul(per_ray[:, :, 0], area, out=out[:, 0])
+        np.matmul(per_ray[:, :, 1], points * area[:, None], out=out[:, 1:])
+        out[1] *= -z
+    # a copy: a view would keep all of ``out`` alive with every result
+    return PanelIntegrals(out.ravel()[: len(rows) + 4].copy())
 
 
-def polar_integrate(verts2d, z: float, k: float, n: int, want_hyper: bool = False) -> PanelIntegrals:
+def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -> PanelIntegrals:
     """n x n Gauss quadrature of the panel integrals in polar coordinates.
 
+    ``fan`` is the list of signed subtriangles about the projection, as
+    ``geometry.edge_walk`` (or ``subdivide``) gives it; every subtriangle
+    gets an n x n rule in (angle, radius), with the polar Jacobian
+    absorbing one power of the 1/R singularity (``polar_nodes``), and the
+    kernel is summed along each ray before across rays (``_kernel_sums``).
     The z-derivatives integrate the differentiated kernel, which vanishes
     at z = 0.  There ``dI0/dn`` also gets the jump term of the one-sided
     limit from z > 0, the convention of the analytic path and the oracle:
@@ -157,10 +201,9 @@ def polar_integrate(verts2d, z: float, k: float, n: int, want_hyper: bool = Fals
     vertex, 0 outside).  The x/y moments have none, since x = y = 0 at
     the projection.
     """
-    x, y, w = polar_nodes(verts2d, n, z)
-    res = _kernel_sums(x, y, w, z, k, want_hyper)
+    res = _kernel_sums(*polar_nodes(fan, n, z), z, k, want_hyper)
     if z == 0.0:
-        res.values[3] += sum(sub.sign * sub.theta for sub in subdivide(verts2d))
+        res.values[3] += sum(sub.sign * sub.theta for sub in fan)
     return res
 
 

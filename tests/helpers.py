@@ -16,7 +16,8 @@ import numpy as np
 from helmpanel import kronrod
 from helmpanel.estimator import EstimatorGeom, _check_phi
 from helmpanel.expapprox import ExpApprox
-from helmpanel.numquad import CUMULATIVE_MAX_PENDING, CUMULATIVE_MAX_ROUNDS, gauss_rule, quad_adaptive
+from helmpanel.geometry import subdivide
+from helmpanel.numquad import CUMULATIVE_MAX_PENDING, CUMULATIVE_MAX_ROUNDS, gauss_rule, polar_nodes, quad_adaptive
 
 
 def delta(alpha_p: float, th):
@@ -262,6 +263,39 @@ def tri_rule(n: int = 16) -> TriRule:
     return TriRule(
         bary=np.vstack(barys), weights=np.concatenate(weights), degree=2 * n - 2
     )
+
+
+def flat_nodes(verts2d, n: int, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The polar n x n rule of ``polar_nodes`` node by node: (x, y, w).
+
+    Each ray's far-side point p and area weight a become n nodes rho_g p
+    with weights a w_g rho_g / 2, rho_g = (x_g + 1) / 2, so that
+    sum(w * f(x, y)) approximates the area integral of f.
+    """
+    _, points, area = polar_nodes(subdivide(verts2d), n, z)
+    xg, wg = gauss_rule(n)
+    rho = 0.5 * (xg + 1.0)
+    return np.outer(points[:, 0], rho).ravel(), np.outer(points[:, 1], rho).ravel(), np.outer(area, 0.5 * wg * rho).ravel()
+
+
+def flat_kernel_sums(x, y, w, z: float, k: float, want_hyper: bool = False) -> np.ndarray:
+    """The panel integrals as plain weighted sums over nodes (x, y, w).
+
+    I0, Ix, Iy, dI0/dn, dIx/dn, dIy/dn and, with ``want_hyper``, d2I0/dn2
+    of e^{jkR}/R, R^2 = x^2 + y^2 + z^2, in ``PanelIntegrals`` order,
+    without any jump term at z = 0.
+    """
+    r2 = x * x + y * y
+    R = np.sqrt(r2 + z * z)
+    inv_r = 1.0 / R
+    gp = 1j * k - inv_r  # (dG/dR) / G
+    z_r = z * inv_r
+    wG = w * (np.exp(1j * k * R) / R)
+    wdG = wG * gp * z_r  # w dG/dz
+    vals = [wG.sum(), (x * wG).sum(), (y * wG).sum(), -wdG.sum(), -(x * wdG).sum(), -(y * wdG).sum()]
+    if want_hyper:
+        vals.append((wG * ((gp * gp + inv_r * inv_r) * z_r**2 + gp * r2 * inv_r**3)).sum())
+    return np.array(vals)
 
 
 def jittered_icosphere(seed: int) -> tuple[np.ndarray, np.ndarray]:

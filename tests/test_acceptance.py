@@ -30,6 +30,7 @@ from helmpanel.geometry import (
     Triangle3,
     radial_extents,
     ref_params,
+    subdivide,
     to_local_frame,
 )
 from helmpanel.numquad import adaptive_oracle, polar_integrate, quad_adaptive
@@ -95,7 +96,7 @@ def test_criterion_2_reference_rule_accuracy():
             x = sample_field_point(idx, float(z))
             verts2d, zloc = to_local_frame(tri, x)
             oracle = adaptive_oracle(verts2d, zloc, 1.0, tol=1e-13, components=("i0",))
-            got = polar_integrate(verts2d, zloc, 1.0, 50)
+            got = polar_integrate(subdivide(verts2d), zloc, 1.0, 50)
             devs.append(abs(got.i0 - oracle.i0) / abs(oracle.i0))
     worst = np.max(devs)
     ok = worst <= 1e-8
@@ -191,7 +192,7 @@ def test_criterion_5_selection_criterion_validity():
             verts2d, zloc = to_local_frame(tri, x)
             ext = radial_extents(verts2d)
             oracle = adaptive_oracle(verts2d, zloc, 1.0, tol=1e-13, components=("i0",))
-            err = abs(polar_integrate(verts2d, zloc, 1.0, n).i0 - oracle.i0)
+            err = abs(polar_integrate(subdivide(verts2d), zloc, 1.0, n).i0 - oracle.i0)
             q = select_order(ext, zloc, 1e-6, q_cap=512).q
             if err > 1e-6:
                 z_fail = float(z)

@@ -226,7 +226,7 @@ class TestEstimate:
             ["estimate", "--rmax", "1", "--rmin", "0.3", "--z", "0", "--tol", "1e-6"]
         )
         assert code == 0
-        assert "Q = 1" in out
+        assert "phi = 0" in out and "analytic" in out
         code, out = run_main(
             ["estimate", "--rmax", "1", "--rmin", "0", "--z", "0", "--tol", "1e-6"]
         )

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helmpanel import engine
+from helmpanel import engine, geometry, numquad
 from helmpanel.analytic import COMPONENTS, PanelIntegrals
 from helmpanel.engine import (
     EvalRequest,
@@ -324,6 +324,81 @@ class TestConsistency:
         ab = coupling(tri_a, tri_b)
         ba = coupling(tri_b, tri_a)
         assert abs(ab - ba) <= 1e-9 * (1 + abs(ab))
+
+
+class TestOneEdgeWalk:
+    @pytest.mark.parametrize(
+        "proj, z, k, method, kind, n",
+        [
+            (4, 0.5, 1.0, "auto", "numeric", None),  # estimator's order
+            (2, 1e-3, 1.0, "auto", "analytic", None),
+            (1, 0.0, 2.0, "numeric", "numeric", N_FALLBACK),  # z = 0 jump term
+            (4, 0.3, 1.0, "numeric", "numeric", 4),  # forced order
+        ],
+    )
+    def test_each_path_walks_the_edges_once(self, monkeypatch, proj, z, k, method, kind, n):
+        # evaluate makes the one walk and hands its fan on: neither the
+        # polar rule, nor its jump term, nor the analytic path subdivides
+        walks = []
+        walk = geometry.edge_walk
+
+        def counted(verts2d):
+            walks.append(1)
+            return walk(verts2d)
+
+        def banned(*args):
+            raise AssertionError("the fan was built twice")
+
+        for mod in (engine, geometry):
+            monkeypatch.setattr(mod, "edge_walk", counted)
+        for mod in (engine, numquad):
+            monkeypatch.setattr(mod, "subdivide", banned)
+        monkeypatch.setattr(engine, "radial_extents", banned)
+        rep = evaluate(request(sample_field_point(proj, z), k=k), method=method, n_gauss=n)
+        assert rep.method.kind == kind and len(walks) == 1
+
+
+class TestInPlaneExterior:
+    """Field points in the element plane, outside the element: analytic path."""
+
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    @pytest.mark.parametrize("depth", [0.1, 1e-2, 1e-4])
+    def test_below_an_edge_meets_contract(self, depth, k):
+        # below the edge y = 0 of the sample triangle; the polar rule at
+        # Q = 1 missed I0 here by 14x to 6.7e8x its bound
+        tri = sample_triangle()
+        x = np.array([0.5, -depth, 0.0])
+        verts2d, z = to_local_frame(tri, x)
+        assert z == 0.0
+        ref = adaptive_oracle(verts2d, 0.0, k, tol=1e-13, components=("i0",))
+        for tol in (1e-6, 1e-9, 1e-12):
+            rep = evaluate(request(x, k=k, tol=tol))
+            assert abs(rep.result.i0 - ref.i0) <= 10 * tol
+            assert abs(rep.result.di0_dn - ref.di0_dn) <= 100 * tol
+            assert rep.method.kind == "analytic" and rep.estimator.analytic_required
+
+    def test_flat_plate_block(self):
+        # a 6 x 6 grid of split squares, collocation at the 72 centroids,
+        # every point within 2.5 cells of a panel's centroid against that
+        # panel: 2000 coplanar pairs, 1928 of them exterior (312 misses on
+        # the polar rule at Q = 1)
+        m, k, tol = 6, 1.0, 1e-9
+        h = 1.0 / m
+        panels = []
+        for i in range(m):
+            for j in range(m):
+                a, b, c, d = (np.array([x, y, 0.0]) for x, y in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)))
+                panels += [Triangle3(a * h, b * h, c * h), Triangle3(a * h, c * h, d * h)]
+        points = [p.centroid for p in panels]
+        pairs = [(p, x) for p in panels for x in points if np.linalg.norm(x - p.centroid) <= 2.5 * h]
+        assert len(pairs) == 2000
+        for panel, x in pairs:
+            rep = evaluate(request(x, k=k, tol=tol, tri=panel))
+            verts2d, z = to_local_frame(panel, x)
+            ref = adaptive_oracle(verts2d, z, k, tol=1e-13, components=("i0",))
+            assert abs(rep.result.i0 - ref.i0) <= 10 * tol
+            assert abs(rep.result.di0_dn - ref.di0_dn) <= 100 * tol
+            assert rep.method.kind == "analytic"
 
 
 class TestSampleGeometry:

@@ -7,8 +7,12 @@ import pytest
 
 from helmpanel.geometry import (
     BOUNDARY_TOL_REL,
+    DROP_ANGLE,
+    DROP_RADIUS_REL,
     RadialExtents,
+    SignedSubTriangle,
     Triangle3,
+    edge_walk,
     radial_extents,
     ref_params,
     subdivide,
@@ -137,6 +141,31 @@ class TestLocalFrame:
             ref2d = (v - (x - z_ref * n)) @ rot[:2].T
             assert np.max(np.abs(verts2d - ref2d)) <= 1e-13 * scale
 
+    def test_from_plane_vertices(self):
+        # z is the height formula n.(x - v1) on floats, bit for bit; the
+        # plane coordinates, a shift of the stored plane vertices, agree with
+        # the projected-point construction (v - (x - z n)).e1, .e2 within 8
+        # ulp of the diameter
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for _ in range(300):
+            q, t = rigid_motion(rng)
+            planar = random_planar_triangle(rng, scale=float(10.0 ** rng.uniform(-2.0, 2.0)))
+            diam = max(np.linalg.norm(planar[i] - planar[i - 1]) for i in range(3))
+            tri = Triangle3(*(np.column_stack([planar, np.zeros(3)]) @ q.T + t * diam))
+            x = q @ (np.array([*rng.uniform(-1.5, 1.5, 2), rng.uniform(-2.0, 2.0)]) * diam) + t * diam
+            verts2d, z = to_local_frame(tri, x)
+            (p1x, p1y, p1z), (px, py, pz) = tri.v1.tolist(), x.tolist()
+            nx, ny, nz = tri.normal.tolist()
+            assert z == (px - p1x) * nx + (py - p1y) * ny + (pz - p1z) * nz
+            ox, oy, oz = px - z * nx, py - z * ny, pz - z * nz
+            ref = [
+                [(vx - ox) * ex + (vy - oy) * ey + (vz - oz) * ez for ex, ey, ez in (tri.e1.tolist(), tri.e2.tolist())]
+                for vx, vy, vz in tri.vertices.tolist()
+            ]
+            worst = max(worst, float(np.max(np.abs(verts2d - ref))) / math.ulp(tri.diameter))
+        assert worst <= 8.0
+
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             tri3((0, 0, 0), (1, 0, 0), (2, 0, 0))
@@ -147,6 +176,77 @@ class TestLocalFrame:
         # orientation preserved: planar triangle counter-clockwise, z signed
         assert shoelace_area(verts2d) > 0
         assert z == pytest.approx(-0.4, abs=1e-14)
+
+
+def separate_extents(verts2d) -> RadialExtents:
+    """The extents in a walk of their own, as ``edge_walk`` must give them."""
+    verts = np.asarray(verts2d, dtype=float).tolist()
+    edges = [(a[0], a[1], b[0] - a[0], b[1] - a[1]) for a, b in zip(verts, verts[1:] + verts[:1])]
+    lengths = [math.hypot(ex, ey) for _, _, ex, ey in edges]
+    r_max = max(math.hypot(vx, vy) for vx, vy in verts)
+    tol = BOUNDARY_TOL_REL * max(lengths)
+    (_, _, e0x, e0y), _, (_, _, e2x, e2y) = edges
+    orient = 1.0 if e0x * -e2y - e0y * -e2x >= 0.0 else -1.0
+    if not any(
+        orient * (ex * -ay - ey * -ax) < -tol * length
+        for (ax, ay, ex, ey), length in zip(edges, lengths)
+    ):
+        return RadialExtents(r_min=0.0, r_max=r_max)
+    r_min = math.inf
+    for ax, ay, ex, ey in edges:
+        denom = ex * ex + ey * ey
+        t = min(1.0, max(0.0, -(ax * ex + ay * ey) / denom)) if denom > 0.0 else 0.0
+        r_min = min(r_min, math.hypot(ax + t * ex, ay + t * ey))
+    return RadialExtents(r_min=r_min, r_max=r_max)
+
+
+def separate_fan(verts2d) -> list[SignedSubTriangle]:
+    """The signed subtriangles in a walk of their own, as ``edge_walk`` must give them."""
+    verts = np.asarray(verts2d, dtype=float).tolist()
+    r_max = max(math.hypot(vx, vy) for vx, vy in verts)
+    subs = []
+    for i in range(3):
+        a, b = verts[i], verts[(i + 1) % 3]
+        ra, rb = math.hypot(a[0], a[1]), math.hypot(b[0], b[1])
+        if ra < DROP_RADIUS_REL * r_max or rb < DROP_RADIUS_REL * r_max:
+            continue
+        cross = a[0] * b[1] - a[1] * b[0]
+        theta = math.atan2(abs(cross), a[0] * b[0] + a[1] * b[1])
+        if theta < DROP_ANGLE or theta > math.pi - DROP_ANGLE:
+            continue
+        if abs(cross) * 0.5 <= DROP_RADIUS_REL * r_max * r_max:
+            continue
+        first, r1, r2, sign = (a, ra, rb, 1) if cross > 0.0 else (b, rb, ra, -1)
+        subs.append(SignedSubTriangle(r1, r2, theta, sign, math.atan2(first[1], first[0])))
+    return subs
+
+
+class TestEdgeWalk:
+    def test_matches_separate_walks(self):
+        # bit-identical extents and the same fan as a walk for each, on
+        # random triangles about random origins, their vertices, points on
+        # their edges and inside, and in-plane points of posed triangles
+        rng = np.random.default_rng(41)
+        cases = []
+        for _ in range(400):
+            v = rng.uniform(-1.0, 1.0, size=(3, 2))
+            i, t = int(rng.integers(3)), float(rng.uniform(0.0, 1.0))
+            bary = rng.dirichlet(np.ones(3))
+            for origin in (rng.uniform(-2.0, 2.0, 2), v[i], v[i] + t * (v[i - 2] - v[i]), bary @ v):
+                cases.append(v - origin)
+        for _ in range(100):
+            q, t = rigid_motion(rng)
+            planar = random_planar_triangle(rng)
+            tri = Triangle3(*(np.column_stack([planar, np.zeros(3)]) @ q.T + t))
+            for origin in (planar[0], 0.5 * (planar[0] + planar[1]), planar.mean(axis=0), rng.uniform(-2.0, 2.0, 2)):
+                verts2d, z = to_local_frame(tri, q @ [*origin, 0.0] + t)
+                assert z == 0.0
+                cases.append(verts2d)
+        for verts2d in cases:
+            ext, fan = edge_walk(verts2d)
+            assert ext == separate_extents(verts2d)
+            assert fan == separate_fan(verts2d)
+            assert radial_extents(verts2d) == ext and subdivide(verts2d) == fan
 
 
 class TestSubdivide:

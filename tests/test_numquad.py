@@ -18,7 +18,7 @@ from helmpanel.numquad import (
     quad_adaptive,
 )
 
-from helpers import cumulative, shoelace_area, tri_rule
+from helpers import cumulative, flat_kernel_sums, flat_nodes, shoelace_area, tri_rule
 
 RNG = np.random.default_rng(10501)
 
@@ -469,13 +469,13 @@ class TestPolarNodes:
             ((0.45, 0.3), 24),
         ):
             verts = verts_rel(proj)
-            _, _, w = polar_nodes(verts, n, 0.0)
+            _, _, w = flat_nodes(verts, n, 0.0)
             assert np.sum(w) == pytest.approx(shoelace_area(verts), abs=1e-13)
 
     def test_area_error_decays_geometrically(self):
         verts = verts_rel((0.45, 0.3))
         errs = [
-            abs(np.sum(polar_nodes(verts, n, 0.0)[2]) - shoelace_area(verts))
+            abs(np.sum(flat_nodes(verts, n, 0.0)[2]) - shoelace_area(verts))
             for n in (6, 12)
         ]
         assert errs[1] < 1e-3 * errs[0]
@@ -484,29 +484,42 @@ class TestPolarNodes:
         # with |z| >= s on every subtriangle the angular nodes lie on
         # u = s tan(theta), where the area factor is constant
         verts = verts_rel((0.45, 0.3))
-        _, _, w = polar_nodes(verts, 2, z=10.0)
+        _, _, w = flat_nodes(verts, 2, z=10.0)
         assert np.sum(w) == pytest.approx(shoelace_area(verts), abs=1e-14)
         # z = 0.3 lies between the s of the centroid's subtriangles, so
         # theta and u nodes mix within one call
         verts = verts_rel(SAMPLE_PROJECTIONS[2])
         s = [ref_params(sub, 0.0).s for sub in subdivide(verts)]
         assert min(s) <= 0.3 < max(s)
-        _, _, w = polar_nodes(verts, 24, z=0.3)
+        _, _, w = flat_nodes(verts, 24, z=0.3)
         assert np.sum(w) == pytest.approx(shoelace_area(verts), abs=1e-14)
 
     def test_polynomial_moment(self):
         # x-moment of the triangle about an arbitrary origin
         verts = verts_rel((0.45, 0.3))
-        x, y, w = polar_nodes(verts, 24, 0.0)
+        x, y, w = flat_nodes(verts, 24, 0.0)
         exact = shoelace_area(verts) * np.mean(verts[:, 0])  # centroid rule
         assert np.sum(w * x) == pytest.approx(exact, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_rays(self, n):
+        # n angle nodes per subtriangle, n radial nodes on each ray at the
+        # fractions rho of its far-side point; the node count is len(r2)
+        verts = verts_rel(SAMPLE_PROJECTIONS[4])
+        fan = subdivide(verts)
+        r2, points, area = polar_nodes(fan, n, 0.3)
+        assert len(fan) == 3 and points.shape == (3 * n, 2) and area.shape == (3 * n,)
+        assert len(r2) == 3 * n * n
+        x, y, _ = flat_nodes(verts, n, 0.3)
+        assert np.allclose(r2, x * x + y * y, rtol=1e-14, atol=0.0)
+        assert polar_nodes([], n, 0.3)[0].shape == (0,)
 
 
 class TestPolarIntegrate:
     @pytest.mark.parametrize("key", sorted(FROZEN_POLAR))
     def test_matches_frozen(self, key):
         proj, z, n = key
-        got = polar_integrate(verts_rel(SAMPLE_PROJECTIONS[proj]), z, 1.0, n, want_hyper=True)
+        got = polar_integrate(subdivide(verts_rel(SAMPLE_PROJECTIONS[proj])), z, 1.0, n, want_hyper=True)
         names = ("i0", "ix", "iy", "di0_dn", "dix_dn", "diy_dn", "d2i0_dn2")
         for name, want in zip(names, FROZEN_POLAR[key]):
             assert abs(getattr(got, name) - want) <= 1e-13 * (1.0 + abs(want)), name
@@ -514,7 +527,7 @@ class TestPolarIntegrate:
     def test_reference_order_matches_oracle(self):
         # 50 x 50 polar Gauss agrees with the adaptive value at z = 1
         verts = verts_rel((0.45, 0.3))
-        got = polar_integrate(verts, 1.0, 1.0, 50)
+        got = polar_integrate(subdivide(verts), 1.0, 1.0, 50)
         ref = adaptive_oracle(verts, 1.0, 1.0, tol=1e-13)
         assert abs(got.i0 - ref.i0) <= 1e-8 * abs(ref.i0)
         assert abs(got.di0_dn - ref.di0_dn) <= 1e-8 * abs(ref.di0_dn)
@@ -522,8 +535,8 @@ class TestPolarIntegrate:
     def test_low_order_fails_near_field(self):
         verts = verts_rel((0.45, 0.3))
         ref = adaptive_oracle(verts, 0.05, 1.0, tol=1e-13, components=("i0",))
-        err4 = abs(polar_integrate(verts, 0.05, 1.0, 4).i0 - ref.i0)
-        err32 = abs(polar_integrate(verts, 0.05, 1.0, 32).i0 - ref.i0)
+        err4 = abs(polar_integrate(subdivide(verts), 0.05, 1.0, 4).i0 - ref.i0)
+        err32 = abs(polar_integrate(subdivide(verts), 0.05, 1.0, 32).i0 - ref.i0)
         assert err4 > 100 * err32
 
     @pytest.mark.parametrize("z", [2.0, 10.0, 30.0])
@@ -533,12 +546,12 @@ class TestPolarIntegrate:
         # theta nodes n = 4 missed by 1e-3..7e-5 here
         verts = verts_rel((0.45, 0.3))
         ref = adaptive_oracle(verts, z, 1.0, tol=1e-13, components=("i0",))
-        assert abs(polar_integrate(verts, z, 1.0, 4).i0 - ref.i0) <= 1e-6
+        assert abs(polar_integrate(subdivide(verts), z, 1.0, 4).i0 - ref.i0) <= 1e-6
 
     def test_z_zero_regular(self):
         # exterior projection at z = 0: integrand is e^{jkr}, regular
         verts = verts_rel((2.0, 1.0))
-        got = polar_integrate(verts, 0.0, 1.0, 20)
+        got = polar_integrate(subdivide(verts), 0.0, 1.0, 20)
         ref = adaptive_oracle(verts, 0.0, 1.0, tol=1e-13, components=("i0",))
         assert abs(got.i0 - ref.i0) <= 1e-10
 
@@ -567,13 +580,27 @@ class TestPolarIntegrate:
         assert abs(rep.result.di0_dn - want) <= 1e-13
         assert abs(rep.result.di0_dn - analytic.result.di0_dn) <= 100 * 1e-12
 
+    @pytest.mark.parametrize("n", [2, 8, 50])
+    @pytest.mark.parametrize("z", [0.0, 1e-4, 0.3, 10.0])
+    def test_ray_sums_match_flat_sums(self, n, z):
+        # the kernel summed ray by ray against the same rule summed node by
+        # node (tests/helpers), every component, every sample projection
+        for proj in sorted(SAMPLE_PROJECTIONS):
+            verts = verts_rel(SAMPLE_PROJECTIONS[proj])
+            fan = subdivide(verts)
+            got = polar_integrate(fan, z, 1.0, n, want_hyper=True).values
+            if z == 0.0:
+                got[3] -= sum(sub.sign * sub.theta for sub in fan)
+            want = flat_kernel_sums(*flat_nodes(verts, n, z), z, 1.0, want_hyper=True)
+            assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want))), (proj, got - want)
+
     def test_hypersingular_kernel(self):
         verts = verts_rel((0.45, 0.3))
-        got = polar_integrate(verts, 0.8, 1.0, 40, want_hyper=True)
+        got = polar_integrate(subdivide(verts), 0.8, 1.0, 40, want_hyper=True)
         h = 1e-4
-        up = polar_integrate(verts, 0.8 + h, 1.0, 40).i0
-        dn = polar_integrate(verts, 0.8 - h, 1.0, 40).i0
-        fd = (up - 2 * polar_integrate(verts, 0.8, 1.0, 40).i0 + dn) / h**2
+        up = polar_integrate(subdivide(verts), 0.8 + h, 1.0, 40).i0
+        dn = polar_integrate(subdivide(verts), 0.8 - h, 1.0, 40).i0
+        fd = (up - 2 * polar_integrate(subdivide(verts), 0.8, 1.0, 40).i0 + dn) / h**2
         assert abs(got.d2i0_dn2 - fd) <= 1e-5 * abs(fd)
 
 
@@ -583,7 +610,7 @@ class TestAdaptiveOracle:
         verts = verts_rel((0.45, 0.3))
         z, k = 0.7, 1.0
         o = adaptive_oracle(verts, z, k, tol=1e-13, components=("i0",))
-        p = polar_integrate(verts, z, k, 50)
+        p = polar_integrate(subdivide(verts), z, k, 50)
         assert abs(o.i0 - p.i0) <= 1e-12
 
     def test_near_singular_convergence(self):
@@ -628,7 +655,7 @@ class TestAdaptiveOracle:
         verts = verts_rel((0.45, 0.3))
         z, k = 0.5, 1.0
         o = adaptive_oracle(verts, z, k, tol=1e-12)
-        p = polar_integrate(verts, z, k, 50)
+        p = polar_integrate(subdivide(verts), z, k, 50)
         assert abs(o.ix - p.ix) <= 1e-10
         assert abs(o.iy - p.iy) <= 1e-10
         assert abs(o.dix_dn - p.dix_dn) <= 1e-10
@@ -636,17 +663,18 @@ class TestAdaptiveOracle:
 
     def test_exterior_point_matches_tri_rule(self):
         # a regular integrand: the symmetric triangle rule, through the
-        # production kernel sums, is an independent check of every component
+        # node-by-node kernel sums of the tests, is an independent check of
+        # every component
         verts = verts_rel((2.0, 1.0))
         rule = tri_rule(16)
         nodes = rule.bary @ verts
         w = rule.weights * shoelace_area(verts)
-        got = numquad._kernel_sums(nodes[:, 0], nodes[:, 1], w, 0.5, 1.0, want_hyper=True)
+        i0, ix, _, di0, _, _, d2i0 = flat_kernel_sums(nodes[:, 0], nodes[:, 1], w, 0.5, 1.0, want_hyper=True)
         ref = adaptive_oracle(verts, 0.5, 1.0, tol=1e-13, want_hyper=True)
-        assert abs(got.i0 - ref.i0) <= 1e-10
-        assert abs(got.di0_dn - ref.di0_dn) <= 1e-10
-        assert abs(got.ix - ref.ix) <= 1e-10
-        assert abs(got.d2i0_dn2 - ref.d2i0_dn2) <= 1e-9
+        assert abs(i0 - ref.i0) <= 1e-10
+        assert abs(di0 - ref.di0_dn) <= 1e-10
+        assert abs(ix - ref.ix) <= 1e-10
+        assert abs(d2i0 - ref.d2i0_dn2) <= 1e-9
 
     def test_status_reports_achieved_error(self):
         verts = verts_rel((0.45, 0.3))
