@@ -1,0 +1,193 @@
+"""Send one perfbench pass to two source trees, in one process, and compare.
+
+    python bench/compare_trees.py --tree ../parent-checkout --workload near_singular --seed 301
+    python bench/compare_trees.py --tree ../parent-checkout --workload bem_nearfield --seed 301 \
+        --passes 3 --all-entries --rounds 1
+
+The library of this checkout is imported as ``helmpanel``; the one under
+``--tree``'s ``src`` is imported under the package name ``helmpanel_other``.
+The requests are those of ``perfbench/workloads.py`` for ``--seed`` (read,
+not edited), ``--passes`` passes of them, each in a fresh pose.  A library
+request is rebuilt with each tree's own ``Triangle3`` and ``EvalRequest``;
+an ``oracle_sweep`` item goes to each tree's ``adaptive_oracle`` with the
+arguments of the workload's own call.  ``--all-entries`` makes a
+``bem_nearfield`` pass cover every pool entry instead of the seed's panels.
+
+Each request runs ``--rounds`` times on both trees, alternating which tree
+goes first, and each call's best time is kept.  Printed: the calls whose
+``kind``, ``n_gauss``, ``q_expansion``, ``note`` or ``z`` differ (for the
+oracle, the convergence flag), the worst |v - v_other| / (1 + |v_other|) per
+component (d2I0/dn2 of z = 0 numeric calls on its own line), each side's
+p50 of the best per-call times, and the median of the per-call time
+ratios and the ratio of the summed best times, this tree over the other.
+The last line is JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
+
+import workloads  # noqa: E402
+
+OTHER = "helmpanel_other"
+COMPONENTS = ("i0", "ix", "iy", "di0_dn", "dix_dn", "diy_dn", "d2i0_dn2")
+# d2I0/dn2 of numeric calls at z = 0, reported apart from the other calls
+D2_Z0 = "d2i0_dn2 (numeric, z = 0)"
+# differing calls printed one by one
+SHOW = 20
+
+
+def load_other(tree: Path):
+    """The library under ``tree/src``, imported as the package ``OTHER``."""
+    pkg = tree.resolve() / "src" / "helmpanel"
+    spec = importlib.util.spec_from_file_location(
+        OTHER, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[OTHER] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def library_calls(lib, items):
+    """One ``evaluate`` closure per request, built with ``lib``'s own classes."""
+    calls = []
+    for (req,) in items:
+        tri = lib.Triangle3(req.triangle.v1, req.triangle.v2, req.triangle.v3)
+        mine = lib.EvalRequest(tri, req.field_point, req.k, req.tol, req.want_hypersingular)
+        calls.append(lambda r=mine: lib.evaluate(r))
+    return calls
+
+
+def oracle_calls(lib, items, k: float):
+    """One ``adaptive_oracle`` closure per item, with the workload's arguments."""
+    return [
+        lambda v=verts2d, z=z: lib.adaptive_oracle(
+            v, z, k, tol=workloads.ORACLE_TOL, want_hyper=True, return_status=True
+        )
+        for verts2d, z in items
+    ]
+
+
+def verdict(out) -> tuple:
+    """What must agree between the trees: how a result was produced."""
+    if isinstance(out, BaseException):
+        return ("raised", type(out).__name__, str(out))
+    if isinstance(out, tuple):  # adaptive_oracle with return_status
+        return ("oracle", out[1]["converged"])
+    m = out.method
+    return (m.kind, m.n_gauss, m.q_expansion, m.note, out.z)
+
+
+def values(out):
+    if isinstance(out, BaseException):
+        return None
+    return (out[0] if isinstance(out, tuple) else out.result).values
+
+
+def timed(call):
+    t0 = time.perf_counter()
+    try:
+        out = call()
+    except Exception as exc:  # noqa: BLE001 - a raising call is compared by its verdict
+        out = exc
+    return out, time.perf_counter() - t0
+
+
+def run(mine, other, rounds: int):
+    """Results of both trees and the best time of every call on each."""
+    n = len(mine)
+    best = np.full((2, n), np.inf)
+    results = [[None] * n, [None] * n]
+    for r in range(rounds):
+        for i in range(n):
+            order = (0, 1) if (i + r) % 2 == 0 else (1, 0)
+            for side in order:
+                out, dt = timed((mine, other)[side][i])
+                results[side][i] = out
+                best[side, i] = min(best[side, i], dt)
+    return results, best
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tree", type=Path, required=True, help="root of the other checkout")
+    ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--rounds", type=int, default=3, help="timed calls per request and tree")
+    ap.add_argument("--passes", type=int, default=1, help="passes (poses) of the workload")
+    ap.add_argument("--all-entries", action="store_true", help="bem_nearfield: every pool entry")
+    args = ap.parse_args()
+
+    import helmpanel
+
+    other = load_other(args.tree)
+    wl = workloads.make_workload(args.workload, args.seed)
+    if args.all_entries and args.workload == "bem_nearfield":
+        wl.entries = np.arange(len(wl.pool["pair_panel"]))
+    items, entries = [], []
+    for _ in range(args.passes):
+        p = wl.next_pass()
+        items += p.items
+        entries += p.entries.tolist()
+    if args.workload == "oracle_sweep":
+        mine, theirs = oracle_calls(helmpanel, items, wl.k), oracle_calls(other, items, wl.k)
+    else:
+        mine, theirs = library_calls(helmpanel, items), library_calls(other, items)
+    (res_mine, res_other), best = run(mine, theirs, args.rounds)
+
+    differ = []
+    worst: dict[str, float] = {}
+    for i, (a, b) in enumerate(zip(res_mine, res_other)):
+        va, vb = verdict(a), verdict(b)
+        if va != vb:
+            differ.append(i)
+            if len(differ) <= SHOW:
+                print(f"call {i} (pool entry {entries[i]}): {va} here, {vb} in the other tree")
+            continue
+        xa, xb = values(a), values(b)
+        if xa is None or xb is None:
+            continue
+        if len(xa) != len(xb):
+            differ.append(i)
+            continue
+        rel = (np.abs(xa - xb) / (1.0 + np.abs(xb))).tolist()
+        z0_numeric = va[0] == "numeric" and va[4] == 0.0
+        for c, d in zip(COMPONENTS, rel):
+            name = D2_Z0 if c == "d2i0_dn2" and z0_numeric else c
+            worst[name] = max(worst.get(name, 0.0), d)
+    print(f"{len(differ)} of {len(items)} calls differ in their verdict")
+    for name, d in worst.items():
+        print(f"worst |dv|/(1+|v|) {name}: {d:.3g}")
+    p50 = np.median(best, axis=1) * 1e6
+    ratio = best[0] / best[1]
+    summary = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "calls": len(items),
+        "rounds": args.rounds,
+        "verdicts_differ": len(differ),
+        "worst_rel": worst,
+        "p50_us": {"this": float(p50[0]), "other": float(p50[1])},
+        "median_ratio": float(statistics.median(ratio.tolist())),
+        "total_ratio": float(best[0].sum() / best[1].sum()),
+    }
+    print(f"p50 of best per-call time: {p50[0]:.1f} us here, {p50[1]:.1f} us in the other tree")
+    print(f"time ratio, this tree over the other: median {summary['median_ratio']:.3f}, "
+          f"total {summary['total_ratio']:.3f}")
+    print(json.dumps(summary, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

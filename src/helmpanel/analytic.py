@@ -95,24 +95,31 @@ class PanelIntegrals:
 
 @functools.lru_cache(maxsize=32)
 def _orders(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-order rows for q = 0 .. q_max: q itself, the factors (1, q + 1)
-    of k_terms' s = 0 and s = 1 sources, and its six row divisors."""
+    """Per-order rows for q = 0 .. q_max, as floats: q itself, the factors
+    (1, q + 1) of k_terms' s = 0 and s = 1 sources, and its six row divisors."""
     q = np.arange(q_max + 1.0)
     return q, np.stack([q**0, q + 1]), np.stack([q + 1, q + 2, q + 2, q + 1, q + 2, q + 2])
 
 
-# (K row, source row) of each coefficient that k_terms sets, in its order.
-# The sources are p = (kS)^q B_p[0], p1 = (kS)^q (q + 1) B_p[1], the same
-# t and t1 of the tan table, then jc, js, djc and djs, where B[s] is the
-# binomial sum of order q + 1 at s.
-_K_POS = tuple(zip(
+@functools.lru_cache(maxsize=32)
+def _chain_ratios(q_max: int) -> tuple[tuple[float, float, float], ...]:
+    """(2q+3)/(q+2), (q+1)/(q+2) and 1/(2(q+2)) for the steps q = 0 .. q_max - 1 of j_chain."""
+    return tuple(((2 * q + 3) / (q + 2), (q + 1) / (q + 2), 1 / (2 * (q + 2))) for q in range(q_max))
+
+
+# Flat index, into k_terms' (6, 8) coefficient matrix, of each coefficient
+# it sets, in its order.  Rows are the K rows; the columns, the sources
+# p = (kS)^q B_p[0], p1 = (kS)^q (q + 1) B_p[1], the same t and t1 of the
+# tan table, then jc, js, djc and djs, where B[s] is the binomial sum of
+# order q + 1 at s.
+_K_FLAT = np.ravel_multi_index(tuple(zip(
     (0, 0),                  # k0:  S p
     (1, 0), (1, 4),          # kx:  sS p, 2|z| jc
     (2, 2), (2, 5),          # ky:  sS t, 2|z| js
     (3, 1),                  # dk0: -sigma p1
     (4, 1), (4, 4), (4, 6),  # dkx: -sigma s p1, 2 sigma jc, 2|z| djc
     (5, 3), (5, 5), (5, 7),  # dky: -sigma s t1, 2 sigma js, 2|z| djs
-))
+)), (6, 8))
 
 
 def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> np.ndarray:
@@ -126,7 +133,8 @@ def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> 
     (Delta/cos - alpha)^{q+1} and subtracts k|z|(2q+3)/(q+2) times the
     previous order.  The derivative seeds are +/-(L/4 + (s/2S) * integral
     of {cos, sin}/Delta).  The recursion is sequential and short, so it
-    runs on floats.
+    runs on floats, with its per-order ratios cached per q_max and
+    (kS)^(q+1) kept as a running product.
     """
     s, S = geom.s, geom.S
     az = abs(z)
@@ -142,18 +150,18 @@ def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> 
     ds = sigma * (0.25 * table.ls + 0.5 * (s / S) * t_m1)
     jc, js, djc, djs = [c], [sn], [dc], [ds]
     dsrc0 = -sigma * 0.5 * (s / S)
-    for q in range(q_max):
-        fac = (2 * q + 3) / (q + 2)
+    kSq1 = 1.0
+    for (fac, ratio, half), bp_q, bp1_q, bt_q, bt1_q in zip(_chain_ratios(q_max), bp, bp1, bt, bt1):
         kf = kaz * fac
         sfk = sigma * fac * k
-        kSq1 = kS ** (q + 1)
-        src = s * kSq1 / (2 * (q + 2))
-        dsrc = dsrc0 * kSq1 * (q + 1) / (q + 2)
+        kSq1 *= kS
+        src = s * kSq1 * half
+        dsrc = dsrc0 * kSq1 * ratio
         c, sn, dc, ds = (
-            src * bp[q] - kf * c,
-            src * bt[q] - kf * sn,
-            dsrc * bp1[q] - sfk * c - kf * dc,
-            dsrc * bt1[q] - sfk * sn - kf * ds,
+            src * bp_q - kf * c,
+            src * bt_q - kf * sn,
+            dsrc * bp1_q - sfk * c - kf * dc,
+            dsrc * bt1_q - sfk * sn - kf * ds,
         )
         jc.append(c)
         js.append(sn)
@@ -179,14 +187,16 @@ def k_terms(
 ) -> KTerms:
     """All expansion terms K_{q,0/x/y} and z-derivatives for q = 0 .. q_max.
 
-    Each row is a short sum of coefficient * source row (see _K_POS) over
+    Each row is a short sum of coefficient * source row (see _K_FLAT) over
     a per-order divisor:
 
         k0  = S p / (q+1)         kx  = (sS p + 2|z| jc) / (q+2)
         dk0 = -sigma p1 / (q+1)   dkx = (-sigma s p1 + 2 sigma jc + 2|z| djc) / (q+2)
 
     and ky, dky likewise from t, t1, js and djs, so all rows come from one
-    coefficient matrix and one product.
+    coefficient matrix and one product.  The matrix is filled through the
+    flat index ``_K_FLAT``, built at import, and the per-order rows come
+    from ``_orders``, cached per q_max.
     """
     s, S = geom.s, geom.S
     az = abs(z)
@@ -195,14 +205,14 @@ def k_terms(
     q, factor, divisor = _orders(q_max)
     b = table.binom[:, :2, 1 : q_max + 2] * ((k * S) ** q * factor)
     coef = np.zeros((6, 8))
-    coef[_K_POS] = (
+    coef.put(_K_FLAT, (
         S,                              # k0
         s * S, 2 * az,                  # kx
         s * S, 2 * az,                  # ky
         -sigma,                         # dk0
         -sigma * s, 2 * sigma, 2 * az,  # dkx
         -sigma * s, 2 * sigma, 2 * az,  # dky
-    )
+    ))
     out = np.empty((7 if want_hyper else 6, q_max + 1))
     np.divide(coef @ np.concatenate([b.reshape(4, -1), j]), divisor, out=out[:6])
     if want_hyper:

@@ -22,7 +22,14 @@ which stays accurate as alpha -> 1, and Delta - alpha' is expanded through
 seeds for n = -3..-1 are rearranged so that no term divides a cancellation
 by alpha^2; the raw antiderivatives in the source tables lose all
 precision for small alpha.  Below ALPHA_ZERO the exact alpha = 0 forms are
-used.
+used.  The upward recursions run on the endpoint differences, with the
+powers at each endpoint kept as running products, so no order calls
+``pow``.
+
+Everything that depends only on the order is built once and cached:
+the signed Pascal matrix and its exponents (``_pascal``) and the flat
+index through which one ``take`` gathers the shifted power tables of any
+stack of tables (``_shifted``).
 """
 
 from __future__ import annotations
@@ -126,18 +133,21 @@ def _pow_plain(alpha: float, alpha_p: float, lo: tuple, hi: tuple, n_max: int) -
 def _h_table(alpha_p: float, u_lo: float, u_hi: float, m_max: int) -> list:
     """Definite integrals of (1 + alpha'^2 u^2)^{m/2} du, m = -1 .. m_max.
 
-    Index with [m + 1].  Seeds H_{-1} = asinh(alpha' u)/alpha' and H_0 = u,
-    then the upward recursion
-    H_m = (u p^m + m H_{m-2}) / (m + 1), p = sqrt(1 + alpha'^2 u^2).
+    Index with [m + 1].  Seeds H_{-1} = [asinh(alpha' u)]/alpha' and
+    H_0 = [u], then the upward recursion on the endpoint differences
+    H_m = ([u p^m] + m H_{m-2}) / (m + 1), p = sqrt(1 + alpha'^2 u^2),
+    with [f] = f(u_hi) - f(u_lo) and u p^m kept as a running product at
+    each endpoint.
     """
-    anti = []
-    for u in (u_lo, u_hi):
-        p = math.hypot(1.0, alpha_p * u)
-        v = [math.asinh(alpha_p * u) / alpha_p, u]
-        for m in range(1, m_max + 1):
-            v.append((u * p**m + m * v[m - 1]) / (m + 1))
-        anti.append(v)
-    return [b - a for a, b in zip(*anti)]
+    p_lo = math.hypot(1.0, alpha_p * u_lo)
+    p_hi = math.hypot(1.0, alpha_p * u_hi)
+    h = [(math.asinh(alpha_p * u_hi) - math.asinh(alpha_p * u_lo)) / alpha_p, u_hi - u_lo]
+    a_lo, a_hi = u_lo, u_hi
+    for m in range(1, m_max + 1):
+        a_lo *= p_lo
+        a_hi *= p_hi
+        h.append((a_hi - a_lo + m * h[m - 1]) / (m + 1))
+    return h
 
 
 def _pow_tan(alpha: float, lo: tuple, hi: tuple, n_max: int) -> list:
@@ -145,7 +155,7 @@ def _pow_tan(alpha: float, lo: tuple, hi: tuple, n_max: int) -> list:
 
     The NaN slots n = -3, -2 keep the layout of ``_pow_plain`` (see
     ElemTable).  Orders n >= 1 follow T_n = alpha^2 T_{n-2} + (1/n)
-    (Delta/cos)^n evaluated at the endpoints.
+    [(Delta/cos)^n], the endpoint difference of running powers.
     """
     _, _, c_lo, _, d_lo, _, lu_lo = lo
     _, _, c_hi, _, d_hi, _, lu_hi = hi
@@ -154,8 +164,11 @@ def _pow_tan(alpha: float, lo: tuple, hi: tuple, n_max: int) -> list:
     out = [math.nan, math.nan, t_m1, math.log(c_lo) - math.log(c_hi)]
     p_lo = d_lo / c_lo
     p_hi = d_hi / c_hi
+    pn_lo = pn_hi = 1.0
     for n in range(1, n_max + 1):
-        out.append(a2 * out[n + 1] + (p_hi**n - p_lo**n) / n)
+        pn_lo *= p_lo
+        pn_hi *= p_hi
+        out.append(a2 * out[n + 1] + (pn_hi - pn_lo) / n)
     return out
 
 
@@ -176,18 +189,32 @@ def _logs(alpha: float, alpha_p: float, lo: tuple, hi: tuple) -> tuple[float, fl
 
 
 @functools.lru_cache(maxsize=64)
-def _pascal(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """C(q, m), the exponent q - m, the table index m - s + 3 and 0 .. q_max.
+def _pascal(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(-1)^(q - m) C(q, m), the exponent q - m and the orders 0 .. q_max.
 
-    The first two are indexed [q, m] (C is zero and the exponent clipped
-    to zero above the diagonal), the third [s, m], with q, m = 0 .. q_max
-    and s = 0 .. 3.
+    The first two are indexed [q, m], q, m = 0 .. q_max (the signed
+    binomial is zero and the exponent clipped to zero above the diagonal).
+    The orders are floats, so that alpha^q is one float power per order,
+    and the sign sits here, so that its base alpha is never negative: a
+    negative base takes the slow path of ``pow``, for the same bits.
     """
+    orders = range(q_max + 1)
+    comb = np.array([[(-1.0) ** (i - m) * math.comb(i, m) for m in orders] for i in orders])
     q = np.arange(q_max + 1)
-    comb = np.array([[math.comb(i, m) for m in q] for i in q], dtype=float)
     expo = np.maximum(q[:, None] - q[None, :], 0)
-    shift = q[None, :] - np.arange(4)[:, None] + 3
-    return comb, expo, shift, q
+    return comb, expo, q.astype(float)
+
+
+@functools.lru_cache(maxsize=64)
+def _shifted(q_max: int, shape: tuple) -> np.ndarray:
+    """Flat index of entry [..., m - s + 3] of a table of ``shape``, as [..., s, m].
+
+    One ``take`` through it gathers, for every row of the table, the
+    power table shifted down by s = 0 .. 3, m = 0 .. q_max.
+    """
+    rows = np.arange(math.prod(shape[:-1])).reshape(shape[:-1] + (1, 1)) * shape[-1]
+    m = np.arange(q_max + 1)
+    return rows + (m[None, :] - np.arange(4)[:, None] + 3)
 
 
 def binomial_combination(q_max: int, alpha: float, pow_values: np.ndarray) -> np.ndarray:
@@ -200,9 +227,9 @@ def binomial_combination(q_max: int, alpha: float, pow_values: np.ndarray) -> np
     down by s.  ``pow_values`` is indexed by [..., n + 3] and must reach
     n = q_max.
     """
-    comb, expo, shift, q = _pascal(q_max)
-    signed = comb * ((-alpha) ** q)[expo]
-    return pow_values[..., shift] @ signed.T
+    comb, expo, q = _pascal(q_max)
+    signed = comb * (alpha**q)[expo]
+    return pow_values.take(_shifted(q_max, pow_values.shape)) @ signed.T
 
 
 @dataclass(slots=True)

@@ -110,12 +110,19 @@ def _analytic_eval(fan, z, k, tol, want_hyper) -> tuple[PanelIntegrals, MethodIn
         dx = approx.delta_x if dx is None else max(dx, approx.delta_x)
         i0, ix, iy, di0, dix, diy, *d2 = evaluate_ref(geom, z, k, approx, want_hyper=want_hyper).values.tolist()
         # the subtriangle's sign times the rotation by geom.psi into the
-        # element frame, one 2x2 product on the (ix, iy) and (dix, diy) pairs;
-        # on 2-3 subtriangles scalar arithmetic beats NumPy's per-call cost
+        # element frame, one 2x2 product on the (ix, iy) and (dix, diy) pairs,
+        # added in place; on 2-3 subtriangles scalar arithmetic beats NumPy's
+        # per-call cost
         sign = sub.sign
         c, s = sign * math.cos(geom.psi), sign * math.sin(geom.psi)
-        part = (sign * i0, c * ix - s * iy, s * ix + c * iy, sign * di0, c * dix - s * diy, s * dix + c * diy)
-        total = [t + v for t, v in zip(total, part + tuple(sign * v for v in d2))]
+        total[0] += sign * i0
+        total[1] += c * ix - s * iy
+        total[2] += s * ix + c * iy
+        total[3] += sign * di0
+        total[4] += c * dix - s * diy
+        total[5] += s * dix + c * diy
+        if d2:
+            total[6] += sign * d2[0]
     return PanelIntegrals(np.array(total)), MethodInfo(kind="analytic", q_expansion=q_exp, delta_x=dx)
 
 

@@ -166,13 +166,24 @@ def economize(delta_x: float, eps: float) -> ExpApprox:
     return ExpApprox(delta_x=delta_x, eps=eps, q=q, cos_coeffs=cos_out, sin_coeffs=sin_out)
 
 
+# EPS_TIERS ascending, for the bisection of select_approx.
+_EPS_ASCENDING = EPS_TIERS[::-1]
+
+
+@lru_cache(maxsize=None)
+def _tier_entry(i_dx: int, i_eps: int) -> ExpApprox:
+    """``economize`` at DELTA_X_TIERS[i_dx] and _EPS_ASCENDING[i_eps]."""
+    return economize(DELTA_X_TIERS[i_dx], _EPS_ASCENDING[i_eps])
+
+
 def select_approx(k: float, ell: float, eps: float) -> ExpApprox:
     """Table entry covering expansion arguments up to k * ell.
 
     Picks the smallest delta_x tier strictly greater than k * ell and the
-    coarsest tabulated tolerance not exceeding eps.  k * ell >= pi/2 (the
-    last tier) violates the standing element-size assumption and is
-    rejected, as is a NaN k * ell or eps.
+    coarsest tabulated tolerance not exceeding eps, each by one bisection
+    into its tiers; the entry is cached by the two tier indices.
+    k * ell >= pi/2 (the last tier) violates the standing element-size
+    assumption and is rejected, as is a NaN k * ell or eps.
     """
     x_need = k * ell
     if math.isnan(x_need):
@@ -184,5 +195,4 @@ def select_approx(k: float, ell: float, eps: float) -> ExpApprox:
         )
     if not eps >= EPS_TIERS[-1]:
         raise ValueError(f"eps = {eps:g} is below the achievable tier {EPS_TIERS[-1]:g} or not a number")
-    eps_tier = max(e for e in EPS_TIERS if e <= eps)
-    return economize(DELTA_X_TIERS[bisect_right(DELTA_X_TIERS, x_need)], eps_tier)
+    return _tier_entry(bisect_right(DELTA_X_TIERS, x_need), bisect_right(_EPS_ASCENDING, eps) - 1)

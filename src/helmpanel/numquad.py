@@ -193,18 +193,29 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     gets an n x n rule in (angle, radius), with the polar Jacobian
     absorbing one power of the 1/R singularity (``polar_nodes``), and the
     kernel is summed along each ray before across rays (``_kernel_sums``).
-    The z-derivatives integrate the differentiated kernel, which vanishes
-    at z = 0.  There ``dI0/dn`` also gets the jump term of the one-sided
-    limit from z > 0, the convention of the analytic path and the oracle:
-    the angle the panel subtends at the projection, sum sign * Theta over
-    the subtriangles (2 pi inside, pi on an edge, the vertex angle at a
-    vertex, 0 outside).  The x/y moments have none, since x = y = 0 at
-    the projection.
+
+    At z = 0 the derivatives are the one-sided limits from z > 0, the
+    convention of the analytic path and the oracle, taken ray by ray.
+    The differentiated kernel of the first derivatives vanishes there, so
+    ``dI0/dn`` is the jump term alone: the angle the panel subtends at the
+    projection, sum sign * Theta over the subtriangles (2 pi inside, pi on
+    an edge, the vertex angle at a vertex, 0 outside).  The x/y moments
+    have none, since x = y = 0 at the projection.  ``d2I0/dn2`` is the
+    finite part of the limit: along a ray of far-side distance rbar the
+    radial integral of d2G/dz2 tends to e^{jk rbar}/rbar - jk, so it is
+    that, summed over the rays with their signed angle weights
+    area / rbar^2, and the d2G row is not evaluated.
     """
-    res = _kernel_sums(*polar_nodes(fan, n, z), z, k, want_hyper)
-    if z == 0.0:
-        res.values[3] += sum(sub.sign * sub.theta for sub in fan)
-    return res
+    r2, points, area = polar_nodes(fan, n, z)
+    if z != 0.0:
+        return _kernel_sums(r2, points, area, z, k, want_hyper)
+    res = _kernel_sums(r2, points, area, z, k, False)
+    res.values[3] += sum(sub.sign * sub.theta for sub in fan)
+    if not want_hyper:
+        return res
+    rbar = np.hypot(points[:, 0], points[:, 1])
+    d2 = complex(np.dot(area / (rbar * rbar), np.exp(1j * k * rbar) / rbar - 1j * k))
+    return PanelIntegrals(np.append(res.values, d2))
 
 
 # Widest starting piece of the oracle's angle pass, in radians: the fastest

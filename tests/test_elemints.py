@@ -87,6 +87,21 @@ class TestOracleEquivalence:
                 vo = oracle_pow_tan(alpha, lo, hi, n)
                 assert abs(tan[n + 3] - vo) <= 1e-12 * (1 + abs(vo)), (alpha, lo, hi, n)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1e-9, 1e-3, 0.5, 0.99])
+    def test_production_orders_near_pi_over_2(self, alpha):
+        # every order production reads, n up to 14 = (largest economized
+        # order 13) + 1, over ranges that reach |theta| = 1.45, where
+        # (Delta/cos)^14 is of order 1e12
+        for lo, hi in ((-1.45, 0.9), (-0.3, 1.45), (-1.45, 0.2), (0.9, 1.45), (-1.45, -1.1)):
+            plain = pow_plain(alpha, lo, hi, 14)
+            tan = pow_tan(alpha, lo, hi, 14)
+            for n in range(-3, 15):
+                vo = oracle_pow_plain(alpha, lo, hi, n)
+                assert abs(plain[n + 3] - vo) <= 1e-12 * (1 + abs(vo)), (lo, hi, n)
+            for n in range(-1, 15):
+                vo = oracle_pow_tan(alpha, lo, hi, n)
+                assert abs(tan[n + 3] - vo) <= 1e-12 * (1 + abs(vo)), (lo, hi, n)
+
     def test_small_alpha_stability(self):
         # the raw antiderivatives lose all digits here; the rearranged
         # seeds must not
@@ -199,6 +214,22 @@ class TestBinomialCombination:
                         ]
                         scale = sum(abs(t) for t in terms)
                         assert abs(b[s, q] - sum(terms)) <= 1e-14 * scale, (alpha, s, q)
+
+    def test_stacked_table_equals_row_by_row(self):
+        # build_table passes both families as one (2, n + 4) table; the
+        # result is that of one 1-D call per row, and a deeper stack of
+        # such tables is one call as well
+        for alpha, q_max in ((0.0, 3), (0.35, 8), (0.9, 13)):
+            rows = build_table(alpha, -0.5, 1.2, q_max).powers
+            stacked = binomial_combination(q_max, alpha, rows)
+            assert stacked.shape == (2, 4, q_max + 1)
+            for i in range(2):
+                np.testing.assert_array_equal(stacked[i], binomial_combination(q_max, alpha, rows[i]))
+            deeper = np.stack([rows, 2.0 * rows, -rows])
+            got = binomial_combination(q_max, alpha, deeper)
+            assert got.shape == (3, 2, 4, q_max + 1)
+            for i, table in enumerate(deeper):
+                np.testing.assert_array_equal(got[i], binomial_combination(q_max, alpha, table))
 
 
 class TestLogIntegrals:

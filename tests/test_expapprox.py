@@ -135,6 +135,46 @@ class TestSelectApprox:
         ap = select_approx(k=1.0, ell=0.1, eps=1e-2)
         assert ap.eps == 1e-3
 
+    def test_entry_of_documented_rule_on_grid(self):
+        # the rule, written out: the smallest delta_x tier strictly above
+        # k * ell, and the coarsest eps tier not above eps (the coarsest
+        # tier for any eps above it); the grid holds every tier value and
+        # values between and around the tiers
+        def rule(x, eps):
+            dx = min(t for t in DELTA_X_TIERS if t > x)
+            fine_enough = [e for e in EPS_TIERS if e <= eps]
+            return dx, max(fine_enough)
+
+        xs = [0.0, 1e-12, *DELTA_X_TIERS[:-1]]
+        xs += [0.5 * (a + b) for a, b in zip((0.0,) + DELTA_X_TIERS, DELTA_X_TIERS)]
+        xs += [math.nextafter(t, 0.0) for t in DELTA_X_TIERS]
+        xs += [math.nextafter(t, math.inf) for t in DELTA_X_TIERS[:-1]]
+        epss = [*EPS_TIERS, 5e-3, 1e-2, math.inf]
+        epss += [math.sqrt(a * b) for a, b in zip(EPS_TIERS, EPS_TIERS[1:])]
+        epss += [math.nextafter(e, 0.0) for e in EPS_TIERS[:-1]]
+        epss += [math.nextafter(e, math.inf) for e in EPS_TIERS]
+        for x in xs:
+            for eps in epss:
+                for k, ell in ((1.0, x), (2.0, 0.5 * x)):
+                    if k * ell != x:
+                        continue
+                    dx, tier = rule(x, eps)
+                    got = select_approx(k, ell, eps)
+                    want = economize(dx, tier)
+                    assert (got.delta_x, got.eps, got.q) == (dx, tier, want.q), (x, eps)
+                    np.testing.assert_array_equal(got.coeffs, want.coeffs)
+
+    def test_out_of_range_and_nan_rejected_on_grid(self):
+        for x in (DELTA_X_TIERS[-1], math.nextafter(DELTA_X_TIERS[-1], math.inf), 2.0, math.inf):
+            with pytest.raises(ValueError, match="pi/2"):
+                select_approx(1.0, x, 1e-9)
+        for eps in (math.nextafter(EPS_TIERS[-1], 0.0), 1e-16, 0.0, -1e-9, math.nan):
+            with pytest.raises(ValueError, match="eps"):
+                select_approx(1.0, 0.1, eps)
+        for k, ell in ((math.nan, 0.1), (1.0, math.nan), (math.inf, 0.0)):
+            with pytest.raises(ValueError, match="k\\*ell"):
+                select_approx(k, ell, 1e-9)
+
 
 def test_import_leaves_numpy_polynomial_out():
     # the tables are built without numpy.polynomial, so a process that

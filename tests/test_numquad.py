@@ -580,6 +580,21 @@ class TestPolarIntegrate:
         assert abs(rep.result.di0_dn - want) <= 1e-13
         assert abs(rep.result.di0_dn - analytic.result.di0_dn) <= 100 * 1e-12
 
+    @pytest.mark.parametrize("k", [1.0, 2.0])
+    def test_z_zero_hypersingular_matches_oracle(self, k):
+        # in-plane, d2I0/dn2 of the n = 50 rule is the finite part of the
+        # limit from z > 0, ray by ray: the oracle's value at z = 0, at
+        # every sample projection (at k = 2 the vertex and edge ones are
+        # the engine's numeric fallback)
+        tri = sample_triangle()
+        for proj in sorted(SAMPLE_PROJECTIONS):
+            pt = sample_field_point(proj, 0.0)
+            rep = evaluate(EvalRequest(tri, pt, k=k, tol=1e-9, want_hypersingular=True), method="numeric", n_gauss=50)
+            assert rep.z == 0.0
+            ref = adaptive_oracle(verts_rel(SAMPLE_PROJECTIONS[proj]), 0.0, k, tol=1e-13, want_hyper=True)
+            got = rep.result.d2i0_dn2
+            assert abs(got - ref.d2i0_dn2) <= 1e-12 * max(1.0, abs(ref.d2i0_dn2)), (proj, got, ref.d2i0_dn2)
+
     @pytest.mark.parametrize("n", [2, 8, 50])
     @pytest.mark.parametrize("z", [0.0, 1e-4, 0.3, 10.0])
     def test_ray_sums_match_flat_sums(self, n, z):
@@ -589,9 +604,13 @@ class TestPolarIntegrate:
             verts = verts_rel(SAMPLE_PROJECTIONS[proj])
             fan = subdivide(verts)
             got = polar_integrate(fan, z, 1.0, n, want_hyper=True).values
-            if z == 0.0:
-                got[3] -= sum(sub.sign * sub.theta for sub in fan)
             want = flat_kernel_sums(*flat_nodes(verts, n, z), z, 1.0, want_hyper=True)
+            if z == 0.0:
+                # dI0/dn is the jump term there, and d2I0/dn2 the finite
+                # part of its limit (test_z_zero_hypersingular_matches_oracle),
+                # not the flat rule's divergent sum of d2G
+                got[3] -= sum(sub.sign * sub.theta for sub in fan)
+                got, want = got[:6], want[:6]
             assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want))), (proj, got - want)
 
     def test_hypersingular_kernel(self):
