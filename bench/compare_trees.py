@@ -19,8 +19,10 @@ goes first, and each call's best time is kept.  Printed: the calls whose
 oracle, the convergence flag), the worst |v - v_other| / (1 + |v_other|) per
 component (d2I0/dn2 of z = 0 numeric calls on its own line), each side's
 p50 of the best per-call times, and the median of the per-call time
-ratios and the ratio of the summed best times, this tree over the other.
-The last line is JSON.
+ratios and the ratio of the summed best times, this tree over the other,
+for all calls and for each kind of call (analytic, numeric, oracle, as
+this tree's verdict names it).  The last line is JSON.  The exit status
+is 1 when any verdict differs, so that a script can gate on it.
 """
 
 from __future__ import annotations
@@ -172,6 +174,15 @@ def main() -> None:
         print(f"worst |dv|/(1+|v|) {name}: {d:.3g}")
     p50 = np.median(best, axis=1) * 1e6
     ratio = best[0] / best[1]
+    kinds = np.array([verdict(out)[0] for out in res_mine])
+    by_kind = {}
+    for kind in sorted(set(kinds.tolist())):
+        sel = kinds == kind
+        by_kind[kind] = {
+            "calls": int(sel.sum()),
+            "median_ratio": float(np.median(ratio[sel])),
+            "total_ratio": float(best[0, sel].sum() / best[1, sel].sum()),
+        }
     summary = {
         "workload": args.workload,
         "seed": args.seed,
@@ -182,11 +193,16 @@ def main() -> None:
         "p50_us": {"this": float(p50[0]), "other": float(p50[1])},
         "median_ratio": float(statistics.median(ratio.tolist())),
         "total_ratio": float(best[0].sum() / best[1].sum()),
+        "by_kind": by_kind,
     }
     print(f"p50 of best per-call time: {p50[0]:.1f} us here, {p50[1]:.1f} us in the other tree")
     print(f"time ratio, this tree over the other: median {summary['median_ratio']:.3f}, "
           f"total {summary['total_ratio']:.3f}")
+    for kind, r in by_kind.items():
+        print(f"  {kind} ({r['calls']} calls): median {r['median_ratio']:.3f}, total {r['total_ratio']:.3f}")
     print(json.dumps(summary, sort_keys=True))
+    if differ:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

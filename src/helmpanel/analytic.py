@@ -13,6 +13,13 @@ J_q against cos and sin.  z-derivatives follow by differentiating each
 term; the second z-derivative (hypersingular term) is provided for the
 zeroth-order integral only.
 
+``k_terms`` computes the primed sums in one pass over the orders, on
+Python floats: it carries the J recursion, forms each order's terms and
+adds them times e_q, so no per-order table is built.  ``j_chain`` and
+``hypersingular`` write the same recursion and hypersingular term out per
+order, as arrays; production does not call them, and the tests check
+them against their defining integrals and the pass against them.
+
 Sign convention: formulas use |z| with the upper sign for z > 0; z = 0
 returns the one-sided limit from positive z.  All values exclude the
 1/(4 pi) of the free-space Green's function (GREEN_PREFACTOR).
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,25 +54,6 @@ def _entry(i: int) -> property:
         self.values[i] = value
 
     return property(get, put)
-
-
-@dataclass(eq=False, slots=True)
-class KTerms:
-    """Per-order expansion terms and their z-derivatives, q = 0 .. Q.
-
-    One (6, Q + 1) array, or (7, Q + 1) with the hypersingular row; its
-    rows are read as ``k0``, ``kx``, ``ky``, ``dk0``, ``dkx``, ``dky`` and
-    ``d2k0`` (None without the hypersingular row).
-    """
-
-    values: np.ndarray
-    k0 = _entry(0)
-    kx = _entry(1)
-    ky = _entry(2)
-    dk0 = _entry(3)
-    dkx = _entry(4)
-    dky = _entry(5)
-    d2k0 = _entry(6)
 
 
 # Component order of PanelIntegrals.values.
@@ -94,39 +83,17 @@ class PanelIntegrals:
 
 
 @functools.lru_cache(maxsize=32)
-def _orders(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-order rows for q = 0 .. q_max, as floats: q itself, the factors
-    (1, q + 1) of k_terms' s = 0 and s = 1 sources, and its six row divisors."""
-    q = np.arange(q_max + 1.0)
-    return q, np.stack([q**0, q + 1]), np.stack([q + 1, q + 2, q + 2, q + 1, q + 2, q + 2])
-
-
-@functools.lru_cache(maxsize=32)
 def _chain_ratios(q_max: int) -> tuple[tuple[float, float, float], ...]:
     """(2q+3)/(q+2), (q+1)/(q+2) and 1/(2(q+2)) for the steps q = 0 .. q_max - 1 of j_chain."""
     return tuple(((2 * q + 3) / (q + 2), (q + 1) / (q + 2), 1 / (2 * (q + 2))) for q in range(q_max))
-
-
-# Flat index, into k_terms' (6, 8) coefficient matrix, of each coefficient
-# it sets, in its order.  Rows are the K rows; the columns, the sources
-# p = (kS)^q B_p[0], p1 = (kS)^q (q + 1) B_p[1], the same t and t1 of the
-# tan table, then jc, js, djc and djs, where B[s] is the binomial sum of
-# order q + 1 at s.
-_K_FLAT = np.ravel_multi_index(tuple(zip(
-    (0, 0),                  # k0:  S p
-    (1, 0), (1, 4),          # kx:  sS p, 2|z| jc
-    (2, 2), (2, 5),          # ky:  sS t, 2|z| js
-    (3, 1),                  # dk0: -sigma p1
-    (4, 1), (4, 4), (4, 6),  # dkx: -sigma s p1, 2 sigma jc, 2|z| djc
-    (5, 3), (5, 5), (5, 7),  # dky: -sigma s t1, 2 sigma js, 2|z| djs
-)), (6, 8))
 
 
 def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> np.ndarray:
     """I_{q,c}, I_{q,s} and z-derivatives by upward recursion.
 
     Returns the rows (I_c, I_s, dI_c/dz, dI_s/dz) of one (4, q_max + 1)
-    array.
+    array.  This is the per-order reference form of the recursion that
+    k_terms carries inline; production runs k_terms' pass.
 
     Seeds:  I_{0,c} = (s/2) Theta + (|z|/4) L_c  (and the log-cos analogue
     for I_{0,s}); each later order adds an elementary integral of
@@ -171,64 +138,94 @@ def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> 
 
 
 def hypersingular(geom: RefGeom, k: float, q_max: int, table: ElemTable) -> np.ndarray:
-    """Second z-derivatives of K_{q,0} (constant-element hypersingular term)."""
-    q, (_, q1), _ = _orders(q_max)
+    """Second z-derivatives of K_{q,0} (constant-element hypersingular term).
+
+    The per-order reference form of the d2K_{q,0} term that k_terms forms
+    inline, one array over q = 0 .. q_max; production runs k_terms' pass.
+    """
+    q = np.arange(q_max + 1.0)
     b = table.binom[0, :, 1 : q_max + 2]
-    return (k * geom.S) ** q / geom.S * (geom.alpha * b[3] + q1 * b[2])
+    return (k * geom.S) ** q / geom.S * (geom.alpha * b[3] + (q + 1) * b[2])
 
 
 def k_terms(
     geom: RefGeom,
     z: float,
     k: float,
-    q_max: int,
     table: ElemTable,
+    e: list[complex],
     want_hyper: bool = False,
-) -> KTerms:
-    """All expansion terms K_{q,0/x/y} and z-derivatives for q = 0 .. q_max.
+) -> list[complex]:
+    """The primed sums I' = sum_q e_q K_q, q = 0 .. len(e) - 1, in one pass.
 
-    Each row is a short sum of coefficient * source row (see _K_FLAT) over
-    a per-order divisor:
+    Returns [I0', Ix', Iy', dI0'/dz, dIx'/dz, dIy'/dz], with d2I0'/dz2
+    appended when ``want_hyper``.  One loop over the orders, on Python
+    floats, carries j_chain's recursion for (I_c, I_s, dI_c/dz, dI_s/dz),
+    forms each term from the binomial sums B of order q + 1 (p = (kS)^q
+    B_plain[0], p1 = (kS)^q (q+1) B_plain[1], t and t1 likewise from the
+    tan family),
 
-        k0  = S p / (q+1)         kx  = (sS p + 2|z| jc) / (q+2)
-        dk0 = -sigma p1 / (q+1)   dkx = (-sigma s p1 + 2 sigma jc + 2|z| djc) / (q+2)
+        K0  = S p / (q+1)         Kx  = (sS p + 2|z| I_c) / (q+2)
+        dK0 = -sigma p1 / (q+1)   dKx = (-sigma s p1 + 2 sigma I_c + 2|z| dI_c) / (q+2)
+        d2K0 = (kS)^q / S (alpha B_plain[3] + (q+1) B_plain[2]),
 
-    and ky, dky likewise from t, t1, js and djs, so all rows come from one
-    coefficient matrix and one product.  The matrix is filled through the
-    flat index ``_K_FLAT``, built at import, and the per-order rows come
-    from ``_orders``, cached per q_max.
+    Ky and dKy likewise from t, t1, I_s and dI_s, and adds each term times
+    e_q to its sum; no per-order table is built.  ``table`` must reach
+    order len(e).  j_chain and hypersingular are the same recursion and
+    term written per order.
     """
     s, S = geom.s, geom.S
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
-    j = j_chain(geom, z, k, q_max, table)
-    q, factor, divisor = _orders(q_max)
-    b = table.binom[:, :2, 1 : q_max + 2] * ((k * S) ** q * factor)
-    coef = np.zeros((6, 8))
-    coef.put(_K_FLAT, (
-        S,                              # k0
-        s * S, 2 * az,                  # kx
-        s * S, 2 * az,                  # ky
-        -sigma,                         # dk0
-        -sigma * s, 2 * sigma, 2 * az,  # dkx
-        -sigma * s, 2 * sigma, 2 * az,  # dky
-    ))
-    out = np.empty((7 if want_hyper else 6, q_max + 1))
-    np.divide(coef @ np.concatenate([b.reshape(4, -1), j]), divisor, out=out[:6])
-    if want_hyper:
-        out[6] = hypersingular(geom, k, q_max, table)
-    return KTerms(out)
+    kS = k * S
+    kaz = k * az
+    sS, az2, sig2, msig, msig_s = s * S, 2.0 * az, 2.0 * sigma, -sigma, -sigma * s
+    alpha = geom.alpha
+    (p_m1, p_0), (t_m1, t_0) = table.powers[:, 2:4].tolist()
+    # binomial sums of order q + 1, indexed [family][shift][q]
+    (bp, bp1, b2, b3), (bt, bt1, _, _) = table.binom[:, :, 1 : len(e) + 1].tolist()
+    c = 0.5 * s * p_0 + 0.25 * az * table.lc
+    sn = 0.5 * s * t_0 + 0.25 * az * table.ls
+    dc = sigma * (0.25 * table.lc + 0.5 * (s / S) * p_m1)
+    ds = sigma * (0.25 * table.ls + 0.5 * (s / S) * t_m1)
+    dsrc0 = -sigma * 0.5 * (s / S)
+    kSq = 1.0
+    i0 = ix = iy = d0 = dx = dy = d2 = 0j
+    for q1, e_q, (fac, ratio, half), bp_q, bp1_q, b2_q, b3_q, bt_q, bt1_q in zip(
+        itertools.count(1.0), e, _chain_ratios(len(e)), bp, bp1, b2, b3, bt, bt1
+    ):
+        q2 = q1 + 1.0
+        p = bp_q * kSq
+        t = bt_q * kSq
+        p1 = bp1_q * (kSq * q1)
+        t1 = bt1_q * (kSq * q1)
+        i0 += e_q * (S * p / q1)
+        ix += e_q * ((sS * p + az2 * c) / q2)
+        iy += e_q * ((sS * t + az2 * sn) / q2)
+        d0 += e_q * (msig * p1 / q1)
+        dx += e_q * ((msig_s * p1 + sig2 * c + az2 * dc) / q2)
+        dy += e_q * ((msig_s * t1 + sig2 * sn + az2 * ds) / q2)
+        d2 += e_q * (kSq / S * (alpha * b3_q + q1 * b2_q))
+        # j_chain's step to order q + 1 (one step past the last order is unused)
+        kf = kaz * fac
+        sfk = sigma * fac * k
+        kSq *= kS
+        src = s * kSq * half
+        dsrc = dsrc0 * kSq * ratio
+        c, sn, dc, ds = (
+            src * bp_q - kf * c,
+            src * bt_q - kf * sn,
+            dsrc * bp1_q - sfk * c - kf * dc,
+            dsrc * bt1_q - sfk * sn - kf * ds,
+        )
+    return [i0, ix, iy, d0, dx, dy, d2] if want_hyper else [i0, ix, iy, d0, dx, dy]
 
 
-def assemble(z: float, k: float, approx: ExpApprox, terms: KTerms) -> PanelIntegrals:
-    """Sum the expansion with coefficients e_q and apply exp(jk|z|).
-
-    One product of the term rows with e = ``approx.coeffs`` gives every
-    primed sum.
-    """
+def assemble(z: float, k: float, sums: list[complex]) -> PanelIntegrals:
+    """Apply exp(jk|z|) and the z-derivatives of that factor to k_terms' sums."""
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
-    i0p, ixp, iyp, di0p, dixp, diyp, *d2p = (terms.values @ approx.coeffs).tolist()
+    i0p, ixp, iyp, di0p, dixp, diyp, *d2p = sums
     pref = cmath.exp(1j * k * az)
     jk = 1j * k
     out = [
@@ -260,5 +257,5 @@ def evaluate_ref(
     table = build_table(
         geom.alpha, geom.theta_lo, geom.theta_hi, approx.q + 1, alpha_p=geom.alpha_p
     )
-    terms = k_terms(geom, z, k, approx.q, table, want_hyper=want_hyper)
-    return assemble(z, k, approx, terms)
+    sums = k_terms(geom, z, k, table, approx.coeffs.tolist(), want_hyper=want_hyper)
+    return assemble(z, k, sums)

@@ -150,7 +150,7 @@ def economize(delta_x: float, eps: float) -> ExpApprox:
     """
     if not (0.0 < delta_x <= DELTA_X_TIERS[-1] + 1e-15):
         raise ValueError(f"delta_x must lie in (0, {DELTA_X_LABELS[-1]}]")
-    if eps < 1e-15 or eps > 1e-3:
+    if not 1e-15 <= eps <= 1e-3:  # written so that a NaN eps fails it
         raise ValueError("eps must lie in [1e-15, 1e-3]")
     n = taylor_degree_for(delta_x, eps)
     cos_c, sin_c = taylor_sin_cos(n)

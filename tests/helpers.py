@@ -2,7 +2,9 @@
 
 Everything here evaluates defining integrals directly (adaptive quadrature,
 Legendre recurrences, closed antiderivatives from first principles) and
-stays independent of the recursion/expansion code paths it validates.
+stays independent of the recursion/expansion code paths it validates,
+except ``k_rows``, which reads the per-order terms K_q out of the
+production ``k_terms`` for the tests to check them.
 """
 
 from __future__ import annotations
@@ -10,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from helmpanel import kronrod
+from helmpanel.analytic import k_terms
 from helmpanel.estimator import EstimatorGeom, _check_phi
 from helmpanel.expapprox import ExpApprox
 from helmpanel.geometry import subdivide
@@ -64,6 +68,23 @@ def oracle_pow_tan(alpha: float, lo: float, hi: float, n: int) -> float:
         return (((delta(ap, th) / np.cos(th)) ** n) * np.tan(th))[:, None]
 
     return _adaptive_scaled(f, lo, hi)
+
+
+# k_rows' attribute names, in k_terms' order of sums.
+K_ROWS = ("k0", "kx", "ky", "dk0", "dkx", "dky", "d2k0")
+
+
+def k_rows(geom, z: float, k: float, q_max: int, table, want_hyper: bool = False) -> SimpleNamespace:
+    """K_q, q = 0 .. q_max, as rows named by K_ROWS (``d2k0`` only with ``want_hyper``).
+
+    Column q is ``k_terms`` at the unit coefficients e = delta_q, whose sum
+    is the single term K_q.
+    """
+    cols = [
+        k_terms(geom, z, k, table, [float(m == q) for m in range(q_max + 1)], want_hyper)
+        for q in range(q_max + 1)
+    ]
+    return SimpleNamespace(**dict(zip(K_ROWS, np.array(cols).real.T)))
 
 
 def legendre_p(q: int, x: float) -> float:

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from helmpanel.analytic import j_chain, k_terms
+from helmpanel.analytic import j_chain
 from helmpanel.elemints import build_table
 from helmpanel.engine import EvalRequest, evaluate, sample_field_point, sample_triangle
 from helmpanel.estimator import EstimatorGeom, e_q_bound, select_order
@@ -38,6 +38,7 @@ from helmpanel.numquad import adaptive_oracle, polar_integrate, quad_adaptive
 from helpers import (
     cumulative,
     epsilon_q,
+    k_rows,
     mp_remainder,
     oracle_pow_plain,
     oracle_pow_tan,
@@ -325,7 +326,7 @@ def test_criterion_6_term_by_term_oracle_suite():
         table = build_table(
             geom.alpha, geom.theta_lo, geom.theta_hi, q_max + 1, alpha_p=geom.alpha_p
         )
-        kt = k_terms(geom, z, k, q_max, table, want_hyper=True)
+        kt = k_rows(geom, z, k, q_max, table, want_hyper=True)
         jt = j_chain(geom, z, k, q_max, table)
         ko = _oracle_k_family(geom, z, k, q_max, tol=3e-13)
         jo = _oracle_j_family(geom, z, k, q_max, tol=3e-13)

@@ -23,7 +23,7 @@ from helmpanel.expapprox import LAPLACE, select_approx
 from helmpanel.geometry import SignedSubTriangle, ref_params
 from helmpanel.numquad import quad_adaptive
 
-from helpers import sub_area
+from helpers import k_rows, sub_area
 
 RNG = np.random.default_rng(2718)
 
@@ -103,7 +103,7 @@ class TestKTerms:
             self.geom.alpha, self.geom.theta_lo, self.geom.theta_hi, 10,
             alpha_p=self.geom.alpha_p,
         )
-        self.kt = k_terms(self.geom, self.z, self.k, 8, self.table, want_hyper=True)
+        self.kt = k_rows(self.geom, self.z, self.k, 8, self.table, want_hyper=True)
 
     def test_terms_match_2d_oracle(self):
         for q in range(0, 9, 2):
@@ -126,7 +126,7 @@ class TestKTerms:
             table = build_table(
                 geom.alpha, geom.theta_lo, geom.theta_hi, 10, alpha_p=geom.alpha_p
             )
-            return k_terms(geom, z, self.k, 8, table, want_hyper=False)
+            return k_rows(geom, z, self.k, 8, table, want_hyper=False)
 
         up, dn = kt_at(self.z + h), kt_at(self.z - h)
         for q in (0, 3, 7):
@@ -139,7 +139,7 @@ class TestKTerms:
         # z = 0: K_{0,0} = s * [log(sec + tan)] over the angle range
         geom = ref_params(self.sub, 0.0)
         table = build_table(0.0, geom.theta_lo, geom.theta_hi, 4, alpha_p=1.0)
-        kt = k_terms(geom, 0.0, 0.0, 0, table)
+        kt = k_rows(geom, 0.0, 0.0, 0, table)
         closed = geom.s * (
             math.asinh(math.tan(geom.theta_hi)) - math.asinh(math.tan(geom.theta_lo))
         )
@@ -155,7 +155,7 @@ class TestKTerms:
         table = build_table(
             geom.alpha, geom.theta_lo, geom.theta_hi, 4, alpha_p=geom.alpha_p
         )
-        kt = k_terms(geom, z, 1e-3, 0, table)
+        kt = k_rows(geom, z, 1e-3, 0, table)
         assert kt.k0[0] == pytest.approx(sub_area(sub) / z, rel=1e-6)
 
     def test_random_geometries_against_oracle(self):
@@ -166,10 +166,72 @@ class TestKTerms:
             table = build_table(
                 geom.alpha, geom.theta_lo, geom.theta_hi, 8, alpha_p=geom.alpha_p
             )
-            kt = k_terms(geom, z, k, 6, table)
+            kt = k_rows(geom, z, k, 6, table)
             for q in (0, 3, 6):
                 o0 = oracle_k_2d(geom, z, k, q, lambda r, R, th: r / R)
                 assert kt.k0[q] == pytest.approx(o0, abs=1e-11)
+
+
+def reference_rows(geom, z, k, q_max, table, want_hyper):
+    """K_q, q = 0 .. q_max, by the per-order formulas from j_chain, hypersingular and the table."""
+    s, S = geom.s, geom.S
+    az = abs(z)
+    sigma = 1.0 if z >= 0.0 else -1.0
+    q = np.arange(q_max + 1.0)
+    kSq = (k * S) ** q
+    (bp, bp1), (bt, bt1) = table.binom[:, :2, 1 : q_max + 2]
+    p, t, p1, t1 = kSq * bp, kSq * bt, kSq * (q + 1) * bp1, kSq * (q + 1) * bt1
+    jc, js, djc, djs = j_chain(geom, z, k, q_max, table)
+    rows = [
+        S * p / (q + 1),
+        (s * S * p + 2 * az * jc) / (q + 2),
+        (s * S * t + 2 * az * js) / (q + 2),
+        -sigma * p1 / (q + 1),
+        (-sigma * s * p1 + 2 * sigma * jc + 2 * az * djc) / (q + 2),
+        (-sigma * s * t1 + 2 * sigma * js + 2 * az * djs) / (q + 2),
+    ]
+    if want_hyper:
+        rows.append(hypersingular(geom, k, q_max, table))
+    return np.array(rows)
+
+
+def test_fused_pass_matches_per_order_rows():
+    """k_terms' one pass against the per-order rows built from j_chain and hypersingular.
+
+    Random subtriangles at z > 0, z < 0 and z = 0, for k > 0 and k = 0,
+    with and without the hypersingular row: each unit coefficient vector
+    e = delta_q gives row q, and each production coefficient vector gives
+    the e-weighted sum of the rows, both to 1e-14 (1 + |v|).
+    """
+    rng = np.random.default_rng(4242)
+    checked = 0
+    for trial in range(24):
+        sub, z = random_geom(rng, z_lo=1e-4, z_hi=0.8)
+        if trial % 3 == 0:
+            z = 0.0
+        k = 0.0 if trial % 4 == 0 else float(rng.uniform(0.2, 1.2))
+        geom = ref_params(sub, z)
+
+        def table_to(q_max):
+            return build_table(geom.alpha, geom.theta_lo, geom.theta_hi, q_max + 1, alpha_p=geom.alpha_p)
+
+        if k == 0.0:
+            approxes, q_max = [LAPLACE], 6
+        else:
+            approxes = [select_approx(k, sub.r_max, tol) for tol in (1e-6, 1e-9, 1e-12)]
+            q_max = max(a.q for a in approxes)
+        table = table_to(q_max)
+        for want_hyper in (False, True):
+            ref = reference_rows(geom, z, k, q_max, table, want_hyper)
+            got = np.array(list(vars(k_rows(geom, z, k, q_max, table, want_hyper)).values()))
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref) / (1 + np.abs(ref))) <= 1e-14, (trial, want_hyper)
+            for approx in approxes:
+                sums = np.array(k_terms(geom, z, k, table_to(approx.q), approx.coeffs.tolist(), want_hyper))
+                want = ref[:, : approx.q + 1] @ approx.coeffs
+                assert np.max(np.abs(sums - want) / (1 + np.abs(want))) <= 1e-14, (trial, approx.q)
+                checked += 1
+    assert checked >= 80
 
 
 class TestJChain:

@@ -88,6 +88,7 @@ class TestIntegrate:
             ["integrate", "--tri", "0,0,0,1,0,0,2,0,0", "--point", "0.3,0.1,0.1", "--k", "1"],
             ["economize", "--dx", "pi"],
             ["economize", "--eps", "1e-20"],
+            ["economize", "--eps", "nan"],
             ["estimate", "--rmax", "1", "--rmin", "0", "--z", "0.1", "--tol", "0"],
             ["sweep", "--zmin", "0.1", "--zmax", "1", "--steps", "2", "--tols", "abc"],
             ["sweep", "--zmin", "0.1", "--zmax", "1", "--steps", "2", "--tri", "0,0,0,1,0,0,2,0,0"],
@@ -96,7 +97,7 @@ class TestIntegrate:
             ["estimate", "--rmax", "1", "--rmin", "0", "--z", "0", "--tol", "-1"],
         ],
         ids=[
-            "nan_point", "collinear_tri", "economize_dx_pi", "economize_eps_tiny",
+            "nan_point", "collinear_tri", "economize_dx_pi", "economize_eps_tiny", "economize_eps_nan",
             "estimate_tol_zero", "sweep_bad_tols", "sweep_collinear_tri",
             "sweep_tol_zero", "sweep_order_zero", "estimate_z0_negative_tol",
         ],

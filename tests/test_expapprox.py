@@ -100,6 +100,10 @@ class TestEconomize:
         with pytest.raises(ValueError):
             economize(2.0, 1e-9)
 
+    def test_nan_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps"):
+            economize(math.pi / 2, math.nan)
+
     def test_complex_eval_helper(self):
         ap = economize(math.pi / 4, 1e-12)
         x = np.linspace(0.0, ap.delta_x, 100, endpoint=False)
