@@ -15,9 +15,11 @@ arguments of the workload's own call.  ``--all-entries`` makes a
 
 Each request runs ``--rounds`` times on both trees, alternating which tree
 goes first, and each call's best time is kept.  Printed: the calls whose
-``kind``, ``n_gauss``, ``q_expansion``, ``note`` or ``z`` differ (for the
-oracle, the convergence flag), the worst |v - v_other| / (1 + |v_other|) per
-component (d2I0/dn2 of z = 0 numeric calls on its own line), each side's
+``kind``, ``n_gauss``, ``q_expansion``, ``note``, ``z`` or estimator order
+``q`` differ (for the oracle, the convergence flag), the worst
+|v - v_other| / (1 + |v_other|) per component (d2I0/dn2 of z = 0 numeric
+calls on its own line) and the worst |e_q - e_q_other| / e_q_other of the
+estimator's bound, each side's
 p50 of the best per-call times, and the median of the per-call time
 ratios and the ratio of the summed best times, this tree over the other,
 for all calls and for each kind of call (analytic, numeric, oracle, as
@@ -46,6 +48,8 @@ OTHER = "helmpanel_other"
 COMPONENTS = ("i0", "ix", "iy", "di0_dn", "dix_dn", "diy_dn", "d2i0_dn2")
 # d2I0/dn2 of numeric calls at z = 0, reported apart from the other calls
 D2_Z0 = "d2i0_dn2 (numeric, z = 0)"
+# the estimator's bound, compared relative to the other tree's
+E_Q = "e_q"
 # differing calls printed one by one
 SHOW = 20
 
@@ -89,7 +93,16 @@ def verdict(out) -> tuple:
     if isinstance(out, tuple):  # adaptive_oracle with return_status
         return ("oracle", out[1]["converged"])
     m = out.method
-    return (m.kind, m.n_gauss, m.q_expansion, m.note, out.z)
+    # n_gauss = max((q + 2) // 2, N_MIN) hides a changed order below q = 15
+    q = None if out.estimator is None else out.estimator.q
+    return (m.kind, m.n_gauss, m.q_expansion, m.note, out.z, q)
+
+
+def e_q(out) -> float | None:
+    """The estimator's bound E_Q, when it ran and found an order."""
+    if isinstance(out, (BaseException, tuple)) or out.estimator is None:
+        return None
+    return out.estimator.e_q
 
 
 def values(out):
@@ -158,6 +171,9 @@ def main() -> None:
             if len(differ) <= SHOW:
                 print(f"call {i} (pool entry {entries[i]}): {va} here, {vb} in the other tree")
             continue
+        ea, eb = e_q(a), e_q(b)
+        if ea is not None and eb is not None:
+            worst[E_Q] = max(worst.get(E_Q, 0.0), abs(ea - eb) / eb)
         xa, xb = values(a), values(b)
         if xa is None or xb is None:
             continue
@@ -171,7 +187,7 @@ def main() -> None:
             worst[name] = max(worst.get(name, 0.0), d)
     print(f"{len(differ)} of {len(items)} calls differ in their verdict")
     for name, d in worst.items():
-        print(f"worst |dv|/(1+|v|) {name}: {d:.3g}")
+        print(f"worst {'|de|/e' if name == E_Q else '|dv|/(1+|v|)'} {name}: {d:.3g}")
     p50 = np.median(best, axis=1) * 1e6
     ratio = best[0] / best[1]
     kinds = np.array([verdict(out)[0] for out in res_mine])

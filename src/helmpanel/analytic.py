@@ -221,8 +221,8 @@ def k_terms(
     return [i0, ix, iy, d0, dx, dy, d2] if want_hyper else [i0, ix, iy, d0, dx, dy]
 
 
-def assemble(z: float, k: float, sums: list[complex]) -> PanelIntegrals:
-    """Apply exp(jk|z|) and the z-derivatives of that factor to k_terms' sums."""
+def assemble(z: float, k: float, sums: list[complex]) -> list[complex]:
+    """Apply exp(jk|z|) and its z-derivatives to k_terms' sums; a list in COMPONENTS order."""
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
     i0p, ixp, iyp, di0p, dixp, diyp, *d2p = sums
@@ -238,7 +238,7 @@ def assemble(z: float, k: float, sums: list[complex]) -> PanelIntegrals:
     ]
     if d2p:
         out.append(pref * (-(k * k) * i0p + 2.0 * sigma * jk * di0p + d2p[0]))
-    return PanelIntegrals(np.array(out))
+    return out
 
 
 def evaluate_ref(
@@ -247,12 +247,13 @@ def evaluate_ref(
     k: float,
     approx: ExpApprox,
     want_hyper: bool = False,
-) -> PanelIntegrals:
+) -> list[complex]:
     """Full expansion evaluation on one reference triangle.
 
-    The expansion runs to order ``approx.q``.  The x/y components are in
-    the reference frame (x along the perpendicular-foot direction); callers
-    rotate them by ``geom.psi`` into the element frame.
+    The expansion runs to order ``approx.q``; the values come as a list in
+    COMPONENTS order (``assemble``).  The x/y components are in the
+    reference frame (x along the perpendicular-foot direction); callers
+    rotate them by the subtriangle's foot direction into the element frame.
     """
     table = build_table(
         geom.alpha, geom.theta_lo, geom.theta_hi, approx.q + 1, alpha_p=geom.alpha_p

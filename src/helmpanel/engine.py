@@ -26,8 +26,8 @@ from .analytic import PanelIntegrals, evaluate_ref
 from .estimator import OrderSelection, select_order
 from .expapprox import DELTA_X_TIERS, LAPLACE, select_approx
 # radial_extents and subdivide are bound here, unused, for the layer tracer
-# of perfbench, which wraps them by name until it spans edge_walk
-from .geometry import Triangle3, edge_walk, radial_extents, ref_params, subdivide, to_local_frame  # noqa: F401
+# of perfbench, which wraps them by name until it spans the walk
+from .geometry import Triangle3, radial_extents, ref_params, subdivide, to_local_frame, walk  # noqa: F401
 from .numquad import polar_integrate
 
 # Stability gate for the analytic path (J-recursion growth factor k|z|).
@@ -108,13 +108,13 @@ def _analytic_eval(fan, z, k, tol, want_hyper) -> tuple[PanelIntegrals, MethodIn
         approx = select_approx(k, sub.r_max, tol) if k != 0.0 else LAPLACE
         q_exp = max(q_exp, approx.q)
         dx = approx.delta_x if dx is None else max(dx, approx.delta_x)
-        i0, ix, iy, di0, dix, diy, *d2 = evaluate_ref(geom, z, k, approx, want_hyper=want_hyper).values.tolist()
-        # the subtriangle's sign times the rotation by geom.psi into the
-        # element frame, one 2x2 product on the (ix, iy) and (dix, diy) pairs,
-        # added in place; on 2-3 subtriangles scalar arithmetic beats NumPy's
-        # per-call cost
+        i0, ix, iy, di0, dix, diy, *d2 = evaluate_ref(geom, z, k, approx, want_hyper=want_hyper)
+        # the subtriangle's sign times the rotation by its foot direction psi
+        # into the element frame, one 2x2 product on the (ix, iy) and
+        # (dix, diy) pairs, added in place; on 2-3 subtriangles scalar
+        # arithmetic beats NumPy's per-call cost
         sign = sub.sign
-        c, s = sign * math.cos(geom.psi), sign * math.sin(geom.psi)
+        c, s = sign * sub.cos_psi, sign * sub.sin_psi
         total[0] += sign * i0
         total[1] += c * ix - s * iy
         total[2] += s * ix + c * iy
@@ -140,8 +140,8 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     k |z| > pi/2); the report notes the fallback.  At k = 0 the analytic
     report names the order-0 expansion that runs (q_expansion 0, delta_x
     0.0).  Both arguments are checked before any geometry work.  The
-    edges are walked once per request (``edge_walk``); its signed
-    subtriangles go to whichever path runs.
+    edges are walked once per request (``walk`` on ``Triangle3.edges``);
+    its signed subtriangles go to whichever path runs.
     """
     if method not in ("auto", "analytic", "numeric"):
         raise ValueError(f"unknown method {method!r}")
@@ -151,7 +151,7 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
         if isinstance(n_gauss, bool) or not (isinstance(n_gauss, (int, np.integer)) and n_gauss >= 1):
             raise ValueError(f"n_gauss must be an integer >= 1, got {n_gauss!r}")
     verts2d, z = to_local_frame(req.triangle, req.field_point)
-    ext, fan = edge_walk(verts2d)
+    ext, fan = walk(verts2d, req.triangle.edges)
     sel = None if n_gauss is not None else select_order(ext, z, req.tol)
     note = ""
     if n_gauss is not None:

@@ -16,7 +16,6 @@ Q_CAP suffices the analytic evaluation is required instead.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .geometry import RadialExtents
@@ -25,6 +24,18 @@ from .geometry import RadialExtents
 # analytic path; 32 corresponds to the 16-point-rule regime studied in the
 # error-analysis test cases.
 Q_CAP = 32
+
+
+def _reduced(r_min: float, r_max: float, z: float) -> tuple[float, float, float, float, float]:
+    """(r_mid, R_mid, cos_phi, sin_phi, t) from the radial extents and z."""
+    r_mid = 0.5 * r_max
+    R_mid = math.hypot(r_mid, z)
+    # t = 1 when the projection lies on the element, negative when the
+    # nearest point is beyond the radial midpoint (r_min > r_mid); the
+    # magnitude bound uses |t|, so the sign only feeds the denominator.
+    # Clamping covers rounding: r_min <= r_max keeps t >= -1 anyway.
+    t = (r_mid - r_min) / r_mid if r_mid > 0.0 else 0.0
+    return r_mid, R_mid, r_mid / R_mid, abs(z) / R_mid, min(1.0, max(-1.0, t))
 
 
 @dataclass
@@ -39,47 +50,36 @@ class EstimatorGeom:
 
     @classmethod
     def from_extents(cls, extents: RadialExtents, z: float) -> "EstimatorGeom":
-        r_mid = 0.5 * extents.r_max
-        R_mid = math.hypot(r_mid, z)
-        # t = 1 when the projection lies on the element, negative when the
-        # nearest point is beyond the radial midpoint (r_min > r_mid); the
-        # magnitude bound uses |t|, so the sign only feeds the denominator.
-        # Clamping covers rounding: r_min <= r_max keeps t >= -1 anyway.
-        t = (r_mid - extents.r_min) / r_mid if r_mid > 0.0 else 0.0
-        t = min(1.0, max(-1.0, t))
-        return cls(
-            r_mid=r_mid,
-            R_mid=R_mid,
-            cos_phi=r_mid / R_mid,
-            sin_phi=abs(z) / R_mid,
-            t=t,
-        )
+        return cls(*_reduced(extents.r_min, extents.r_max, z))
 
 
-def _check_phi(geom: EstimatorGeom) -> None:
-    if geom.sin_phi == 0.0:
+def _check_phi(sin_phi: float) -> None:
+    if sin_phi == 0.0:
         raise ValueError(
             "phi = 0 (field point in the element plane): 1/R is constant "
             "along r and the estimate does not apply"
         )
 
 
-def _e_q_of(geom: EstimatorGeom) -> Callable[[int], float]:
-    """E_Q as a function of Q, with the order-independent factors computed once."""
-    _check_phi(geom)
-    t = geom.t
-    denom = math.sqrt((1.0 - t) ** 2 * geom.cos_phi**2 + geom.sin_phi**2)
-    lead = (1.0 / geom.R_mid) * math.sqrt(2.0 / (math.pi * geom.sin_phi))
-    abs_t, cos_phi = abs(t), geom.cos_phi
-    return lambda q: lead * abs_t ** (q + 1) / math.sqrt(q + 1) * cos_phi ** (q + 1) / denom
+def _e_q_factors(R_mid: float, cos_phi: float, sin_phi: float, t: float) -> tuple[float, float, float, float]:
+    """The order-independent factors of E_Q: (lead, |t|, cos_phi, denom)."""
+    _check_phi(sin_phi)
+    denom = math.sqrt((1.0 - t) ** 2 * cos_phi**2 + sin_phi**2)
+    lead = (1.0 / R_mid) * math.sqrt(2.0 / (math.pi * sin_phi))
+    return lead, abs(t), cos_phi, denom
+
+
+def _e_q(q: int, lead: float, abs_t: float, cos_phi: float, denom: float) -> float:
+    """E_Q from its order-independent factors (``_e_q_factors``)."""
+    return lead * abs_t ** (q + 1) / math.sqrt(q + 1) * cos_phi ** (q + 1) / denom
 
 
 def e_q_bound(geom: EstimatorGeom, q: int) -> float:
     """Magnitude bound E_Q on the truncation remainder of 1/R."""
-    return _e_q_of(geom)(q)
+    return _e_q(q, *_e_q_factors(geom.R_mid, geom.cos_phi, geom.sin_phi, geom.t))
 
 
-@dataclass
+@dataclass(slots=True)
 class OrderSelection:
     """Outcome of the quadrature-order criterion (``q`` None: analytic required)."""
 
@@ -117,14 +117,15 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
         raise ValueError("tol must be positive")
     if z == 0.0:
         return OrderSelection()
-    e_q_of = _e_q_of(EstimatorGeom.from_extents(extents, z))
+    _, R_mid, cos_phi, sin_phi, t = _reduced(extents.r_min, extents.r_max, z)
+    lead, abs_t, cos_phi, denom = _e_q_factors(R_mid, cos_phi, sin_phi, t)
     lo, hi = 1, q_cap
-    if hi < lo or (e_hi := e_q_of(hi)) > tol:
+    if hi < lo or (e_hi := _e_q(hi, lead, abs_t, cos_phi, denom)) > tol:
         return OrderSelection()
     # invariant: E_hi <= tol, and E_Q > tol for every Q < lo
     while lo < hi:
         mid = (lo + hi) // 2
-        e_mid = e_q_of(mid)
+        e_mid = _e_q(mid, lead, abs_t, cos_phi, denom)
         if e_mid <= tol:
             hi, e_hi = mid, e_mid
         else:

@@ -1,16 +1,18 @@
 """Element-plane geometry for triangular panels.
 
 A world-space triangle (``Triangle3``) is validated and given its element
-frame and its vertices in its own plane once, when it is built; each
-field point is then moved into that frame, in which the element lies in
-the plane z = 0 and the field point sits at (0, 0, z): a height and two
-dot products, then a shift of the three stored plane vertices.  One walk
-over the three edges (``edge_walk``) then gives the nearest and farthest
-distance from the projection (the origin) to the triangle and its
-decomposition into up to three signed subtriangles, each with one vertex
-at the origin.  Each subtriangle is described in a canonical form by the two
-radii meeting at the origin, r1 and r2, and the angle Theta between them;
-all potential integrals are evaluated on that canonical triangle.
+frame, its vertices in its own plane and each edge's unit tangent once,
+when it is built; each field point is then moved into that frame, in which
+the element lies in the plane z = 0 and the field point sits at (0, 0, z):
+a height and two dot products, then a shift of the three stored plane
+vertices.  Per point, each edge gives from its tangent the signed distance
+d_e of the projection (the origin) from its line and the along-edge
+coordinates of its two ends.  One walk over the three edges (``walk``)
+reads only these: the nearest and farthest distance from the origin to the
+triangle, and its decomposition into up to three signed subtriangles, each
+with one vertex at the origin and an edge as its far side, given by its
+reference parameters: s = |d_e|, the foot direction (plus or minus the
+edge's unit normal) and theta = atan(along / s) at its two ends.
 
 Conventions fixed here (the analysis leaves them open):
   * element normal = normalize((v2 - v1) x (v3 - v1)),
@@ -46,7 +48,8 @@ class Triangle3:
     ``normal`` = normalize((v2 - v1) x (v3 - v1)), ``e1`` along v2 - v1 and
     ``e2`` = normal x e1, held as floats and returned as 3-vectors.  So are
     the vertices in that frame with v1 at the origin: (0, 0), (|v2 - v1|, 0)
-    and ((v3 - v1).e1, (v3 - v1).e2).
+    and ((v3 - v1).e1, (v3 - v1).e2), and ``edges``, the frame of each edge
+    in that plane (``edge_frame``).
     Raises ValueError for a vertex that is not of shape (3,), for
     non-finite vertices and for a degenerate (collinear) triangle.
     """
@@ -60,6 +63,7 @@ class Triangle3:
     _frame: tuple = field(init=False, repr=False)
     # (x2, x3, y3): the plane vertices relative to v1 are (0, 0), (x2, 0), (x3, y3)
     _plane: tuple = field(init=False, repr=False)
+    edges: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("v1", "v2", "v3"):
@@ -88,6 +92,7 @@ class Triangle3:
         object.__setattr__(self, "_frame", (nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z))
         x3, y3 = bx * e1x + by * e1y + bz * e1z, bx * e2x + by * e2y + bz * e2z
         object.__setattr__(self, "_plane", (l12, x3, y3))
+        object.__setattr__(self, "edges", edge_frame(((0.0, 0.0), (l12, 0.0), (x3, y3))))
 
     @classmethod
     def from_flat(cls, coords) -> "Triangle3":
@@ -121,19 +126,30 @@ class Triangle3:
 
 @dataclass(slots=True)
 class SignedSubTriangle:
-    """Origin-centred subtriangle in canonical (r1, r2, Theta) form.
+    """Origin-centred subtriangle, in the frame of its far side.
 
-    ``psi1`` is the polar angle, in element-plane coordinates, of the side
-    of length r1; the subtriangle is swept counter-clockwise from psi1
-    through Theta.  ``sign`` is +1 when the subtriangle adds to the parent
-    triangle and -1 when its contribution must be subtracted.
+    The far side lies at distance ``s``; (``cos_psi``, ``sin_psi``) is the
+    direction of its perpendicular foot, at element-plane angle psi
+    (reference x/y rotate by it into the element frame).  From the foot, the
+    polar angle runs over [theta_lo, theta_hi] inside (-pi/2, pi/2),
+    counter-clockwise from the side of length r1 to the one of length r2,
+    and the far side is r(theta) = s / cos(theta).  ``sign`` is -1 when the
+    subtriangle's contribution must be subtracted from the parent's.
     """
 
     r1: float
     r2: float
-    theta: float
     sign: int
-    psi1: float
+    s: float
+    cos_psi: float
+    sin_psi: float
+    theta_lo: float
+    theta_hi: float
+
+    @property
+    def theta(self) -> float:
+        """The angle Theta at the origin."""
+        return self.theta_hi - self.theta_lo
 
     @property
     def r_max(self) -> float:
@@ -142,17 +158,12 @@ class SignedSubTriangle:
 
 @dataclass(slots=True)
 class RefGeom:
-    """Geometric parameters of the canonical subtriangle.
+    """The subtriangle's reference parameters at height z.
 
-    psi is the element-plane polar angle of the perpendicular foot from
-    the origin to the far side (reference x/y rotate by it into the
-    element frame); s is that perpendicular distance, S^2 = s^2 + z^2,
-    alpha = |z|/S and alpha_p = s/S.  The polar angle measured from the
-    foot direction runs over [theta_lo, theta_hi], strictly inside
-    (-pi/2, pi/2), and the far side is r(theta) = s / cos(theta).
+    s, theta_lo and theta_hi are the subtriangle's; S^2 = s^2 + z^2,
+    alpha = |z|/S and alpha_p = s/S.
     """
 
-    psi: float
     s: float
     S: float
     alpha: float
@@ -169,12 +180,12 @@ class RadialExtents:
     r_max: float
 
 
-def to_local_frame(tri: Triangle3, x) -> tuple[np.ndarray, float]:
+def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
     """Transform a field point into the triangle's element frame.
 
-    Returns ``(verts2d, z)`` where ``verts2d`` is the (3, 2) array
-    of planar vertex coordinates with the field-point projection at the
-    origin, and z is the signed height of the field point above the plane.
+    Returns ``(verts2d, z)`` where ``verts2d`` holds the three planar
+    vertices as (x, y) pairs of floats, with the field-point projection at
+    the origin, and z is the signed height of the field point above the plane.
     Any |z| <= BOUNDARY_TOL_REL * diameter is returned as +0.0, a genuine
     height below the plane as well as roundoff, so the one-sided limits at
     such a point are the ones from z > 0.
@@ -196,64 +207,85 @@ def to_local_frame(tri: Triangle3, x) -> tuple[np.ndarray, float]:
         z = 0.0
     ox, oy = dx * e1x + dy * e1y + dz * e1z, dx * e2x + dy * e2y + dz * e2z
     x2, x3, y3 = tri._plane
-    return np.array(((0.0 - ox, 0.0 - oy), (x2 - ox, 0.0 - oy), (x3 - ox, y3 - oy))), z
+    return ((0.0 - ox, 0.0 - oy), (x2 - ox, 0.0 - oy), (x3 - ox, y3 - oy)), z
+
+
+def edge_frame(verts) -> tuple:
+    """The edge constants ``walk`` reads, from three (x, y) vertices.
+
+    (t0x, t0y, t1x, t1y, t2x, t2y, orient, tol): the unit tangent of each
+    edge, from vertex i to vertex i + 1 ((0, 0) at length zero); orient, +1
+    when v2 - v1 turns left into v1 - v3 and -1 otherwise; and
+    BOUNDARY_TOL_REL times the longest edge.  None changes under a shift.
+    """
+    tangents, lengths = [], []
+    for (ax, ay), (bx, by) in zip(verts, (*verts[1:], verts[0])):
+        ex, ey = bx - ax, by - ay
+        length = math.hypot(ex, ey)
+        lengths.append(length)
+        tangents += (ex / length, ey / length) if length > 0.0 else (0.0, 0.0)
+    t0x, t0y, _, _, t2x, t2y = tangents
+    orient = 1 if t0x * -t2y - t0y * -t2x >= 0.0 else -1
+    return (*tangents, orient, BOUNDARY_TOL_REL * max(lengths))
+
+
+def walk(verts, edges) -> tuple[RadialExtents, list[SignedSubTriangle]]:
+    """Radial extents and signed subtriangles about the origin, in one pass.
+
+    ``verts`` are three (x, y) vertices about the origin and ``edges`` their
+    ``edge_frame`` (``Triangle3.edges``).  The edge from a = vertex i to
+    b = vertex i + 1, unit tangent t, gives on plain floats the signed
+    distance d = a x t (b x t from the nearer end; positive to the left)
+    and the along-edge coordinates a.t and b.t, measured from the foot.
+
+    Extents: r_min is zero when the origin lies inside the triangle or on
+    its boundary (orient * d >= -tol on every edge), otherwise the distance
+    to the nearest edge, |d| or the distance to an end.  r_max is the
+    distance to the farthest vertex.
+
+    Fan: the subtriangle on each edge has s = |d|; sign +1 and the foot
+    along (t_y, -t_x) when d > 0, else sign -1 and the opposite direction;
+    theta = atan(along / s) at its ends, counter-clockwise.  Slivers (a
+    radius below DROP_RADIUS_REL * r_max, area below DROP_RADIUS_REL *
+    r_max^2, angle below DROP_ANGLE or within DROP_ANGLE of pi, as on an
+    edge line) are dropped; the survivors' signed areas sum to the area.
+    """
+    (ax, ay), (bx, by), (cx, cy) = verts
+    t0x, t0y, t1x, t1y, t2x, t2y, orient, tol = edges
+    ra, rb, rc = math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy)
+    r_max = max(ra, rb, rc)
+    r_drop = DROP_RADIUS_REL * r_max
+    a_drop = r_drop * r_max
+    fan: list[SignedSubTriangle] = []
+    inside = True
+    near = []
+    for px, py, rp, qx, qy, rq, tx, ty in (
+        (ax, ay, ra, bx, by, rb, t0x, t0y),
+        (bx, by, rb, cx, cy, rc, t1x, t1y),
+        (cx, cy, rc, ax, ay, ra, t2x, t2y),
+    ):
+        # from the nearer end, whose rounding is the smaller next to s
+        d = px * ty - py * tx if rp <= rq else qx * ty - qy * tx
+        lo, hi = px * tx + py * ty, qx * tx + qy * ty
+        if orient * d < -tol:
+            inside = False
+        near.append(rp if lo >= 0.0 else rq if hi <= 0.0 else abs(d))
+        s = abs(d)
+        if rp < r_drop or rq < r_drop or s * (hi - lo) * 0.5 <= a_drop:
+            continue
+        if d > 0.0:
+            sub = SignedSubTriangle(rp, rq, 1, s, ty, -tx, math.atan(lo / s), math.atan(hi / s))
+        else:
+            sub = SignedSubTriangle(rq, rp, -1, s, -ty, tx, math.atan(-hi / s), math.atan(-lo / s))
+        if DROP_ANGLE <= sub.theta <= math.pi - DROP_ANGLE:
+            fan.append(sub)
+    return RadialExtents(r_min=0.0 if inside else min(near), r_max=r_max), fan
 
 
 def edge_walk(verts2d) -> tuple[RadialExtents, list[SignedSubTriangle]]:
-    """Radial extents and signed subtriangles about the origin, in one pass.
-
-    Each edge, from vertex i to vertex i + 1, gives its distance from the
-    origin, the side of its line the origin lies on, and one signed
-    subtriangle, on plain floats.
-
-    Extents: r_min is zero when the origin lies inside the triangle or on
-    its boundary (its signed distance from every edge line, positive
-    inside, is at least -BOUNDARY_TOL_REL times the longest edge), and
-    otherwise the distance to the nearest edge; r_max is the distance to
-    the farthest vertex.
-
-    Fan: slivers (angle below DROP_ANGLE, radius below DROP_RADIUS_REL *
-    r_max, or angle within DROP_ANGLE of pi, which happens when the origin
-    lies on an edge line) are dropped.  The signed areas of the survivors
-    sum to the area of the input triangle.
-    """
+    """``walk`` on bare plane vertices: the edge frame is derived from ``verts2d``."""
     verts = np.asarray(verts2d, dtype=float).tolist()
-    radii = [math.hypot(vx, vy) for vx, vy in verts]
-    r_max = max(radii)
-    r_drop = DROP_RADIUS_REL * r_max
-    fan: list[SignedSubTriangle] = []
-    # per edge: its length, the origin's distance from the edge line times
-    # the length (positive to the left), and from the segment
-    lengths, sides, dists = [], [], []
-    for i in range(3):
-        (ax, ay), (bx, by) = verts[i], verts[i - 2]
-        ra, rb = radii[i], radii[i - 2]
-        ex, ey = bx - ax, by - ay
-        lengths.append(math.hypot(ex, ey))
-        sides.append(ex * -ay - ey * -ax)
-        # the segment (ax, ay) + t (ex, ey), 0 <= t <= 1
-        denom = ex * ex + ey * ey
-        t = min(1.0, max(0.0, -(ax * ex + ay * ey) / denom)) if denom > 0.0 else 0.0
-        dists.append(math.hypot(ax + t * ex, ay + t * ey))
-        if ra < r_drop or rb < r_drop:
-            continue
-        cross = ax * by - ay * bx
-        theta = math.atan2(abs(cross), ax * bx + ay * by)
-        if theta < DROP_ANGLE or theta > math.pi - DROP_ANGLE:
-            continue
-        if abs(cross) * 0.5 <= r_drop * r_max:
-            continue
-        if cross > 0.0:
-            fan.append(SignedSubTriangle(ra, rb, theta, 1, math.atan2(ay, ax)))
-        else:
-            fan.append(SignedSubTriangle(rb, ra, theta, -1, math.atan2(by, bx)))
-    tol = BOUNDARY_TOL_REL * max(lengths)
-    # orientation from the first and the last edge, v2 - v1 and v1 - v3
-    (x1, y1), (x2, y2), (x3, y3) = verts
-    e0x, e0y, e2x, e2y = x2 - x1, y2 - y1, x1 - x3, y1 - y3
-    orient = 1.0 if e0x * -e2y - e0y * -e2x >= 0.0 else -1.0
-    inside = not any(orient * side < -tol * length for side, length in zip(sides, lengths))
-    return RadialExtents(r_min=0.0 if inside else min(dists), r_max=r_max), fan
+    return walk(verts, edge_frame(verts))
 
 
 def subdivide(verts2d) -> list[SignedSubTriangle]:
@@ -268,15 +300,6 @@ def radial_extents(verts2d) -> RadialExtents:
 
 def ref_params(sub: SignedSubTriangle, z: float) -> RefGeom:
     """Reference-triangle parameters for one subtriangle at height z."""
-    phi = math.atan((sub.r1 - sub.r2 * math.cos(sub.theta)) / (sub.r2 * math.sin(sub.theta)))
-    s = sub.r1 * math.cos(phi)
+    s = sub.s
     S = math.hypot(s, z)
-    return RefGeom(
-        psi=sub.psi1 + phi,
-        s=s,
-        S=S,
-        alpha=abs(z) / S,
-        alpha_p=s / S,
-        theta_lo=-phi,
-        theta_hi=sub.theta - phi,
-    )
+    return RefGeom(s=s, S=S, alpha=abs(z) / S, alpha_p=s / S, theta_lo=sub.theta_lo, theta_hi=sub.theta_hi)

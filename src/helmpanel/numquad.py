@@ -95,7 +95,7 @@ def polar_nodes(fan, n: int, z: float):
     """Ray-factored nodes of the polar n x n rule over a signed fan.
 
     ``fan`` is the list of signed subtriangles about the projection
-    (``geometry.edge_walk``).  Each of the m = n len(fan) angle nodes
+    (``geometry.walk``).  Each of the m = n len(fan) angle nodes
     spans a ray from the origin to its point on the far side of its
     subtriangle, and the n radial nodes of every ray lie at the same
     fractions rho of it (``polar_rule``).  Returns (r2, points, area):
@@ -131,13 +131,12 @@ def polar_nodes(fan, n: int, z: float):
     angle, rho2, _ = polar_rule(n)
     rays = []
     for sub in fan:
-        geom = ref_params(sub, 0.0)
-        s, lo, hi = geom.s, geom.theta_lo, geom.theta_hi
+        s, lo, hi = sub.s, sub.theta_lo, sub.theta_hi
         far = abs(z) >= s
         if far:
             lo, hi = s * math.tan(lo), s * math.tan(hi)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        c, sn = math.cos(geom.psi), math.sin(geom.psi)  # unit vector e
+        c, sn = sub.cos_psi, sub.sin_psi  # unit vector e
         # signed area factor rbar^2 dtheta: (s^2 + u^2) dtheta in theta,
         # s du in u; its coefficients of 1 and u^2, times half the range
         sh = sub.sign * half
@@ -189,7 +188,7 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     """n x n Gauss quadrature of the panel integrals in polar coordinates.
 
     ``fan`` is the list of signed subtriangles about the projection, as
-    ``geometry.edge_walk`` (or ``subdivide``) gives it; every subtriangle
+    ``geometry.walk`` (or ``subdivide``) gives it; every subtriangle
     gets an n x n rule in (angle, radius), with the polar Jacobian
     absorbing one power of the 1/R singularity (``polar_nodes``), and the
     kernel is summed along each ray before across rays (``_kernel_sums``).
@@ -267,7 +266,8 @@ def adaptive_oracle(
     want_xy = "ixy" in components or "dixy" in components
     need_dm = "dixy" in components
     geoms = [ref_params(sub, z) for sub in subs]
-    s, psi, theta_lo, theta_hi = np.array([(g.s, g.psi, g.theta_lo, g.theta_hi) for g in geoms]).T
+    psi = np.array([math.atan2(sub.sin_psi, sub.cos_psi) for sub in subs])
+    s, theta_lo, theta_hi = np.array([(g.s, g.theta_lo, g.theta_hi) for g in geoms]).T
     sign = np.array([sub.sign for sub in subs], dtype=float)
     # the angle ranges end to end: subtriangle j covers [offsets[j], offsets[j + 1]],
     # cut in Python arithmetic (no further NumPy kernels in an oracle-only process)

@@ -20,7 +20,7 @@ from helmpanel import kronrod
 from helmpanel.analytic import k_terms
 from helmpanel.estimator import EstimatorGeom, _check_phi
 from helmpanel.expapprox import ExpApprox
-from helmpanel.geometry import subdivide
+from helmpanel.geometry import SignedSubTriangle, subdivide
 from helmpanel.numquad import CUMULATIVE_MAX_PENDING, CUMULATIVE_MAX_ROUNDS, gauss_rule, polar_nodes, quad_adaptive
 
 
@@ -184,6 +184,21 @@ def random_planar_triangle(rng, scale: float = 1.0) -> np.ndarray:
             return v
 
 
+def canonical_sub(r1: float, r2: float, theta: float, sign: int = 1, psi1: float = 0.0) -> SignedSubTriangle:
+    """The subtriangle with sides r1, r2 at angle Theta from polar angle psi1, by the atan route.
+
+    phi = atan((r1 - r2 cos Theta) / (r2 sin Theta)) is the angle from the
+    side r1 to the perpendicular foot on the far side, so s = r1 cos(phi),
+    the foot lies at psi = psi1 + phi and the sides at theta_lo = -phi and
+    theta_hi = Theta - phi from it: the canonical (r1, r2, Theta, psi1)
+    formulas, the reference for the reference parameters ``geometry.walk``
+    derives from each edge.
+    """
+    phi = math.atan((r1 - r2 * math.cos(theta)) / (r2 * math.sin(theta)))
+    psi = psi1 + phi
+    return SignedSubTriangle(r1, r2, sign, r1 * math.cos(phi), math.cos(psi), math.sin(psi), -phi, theta - phi)
+
+
 def sub_area(sub) -> float:
     """Unsigned area of a canonical subtriangle, from its two radii and angle."""
     return 0.5 * sub.r1 * sub.r2 * math.sin(sub.theta)
@@ -202,7 +217,7 @@ def epsilon_q(geom: EstimatorGeom, q: int) -> float:
     Oscillatory in q; tracks the sign and magnitude of the true remainder
     of the Legendre expansion of 1/R evaluated at the given t.
     """
-    _check_phi(geom)
+    _check_phi(geom.sin_phi)
     phi = math.atan2(geom.sin_phi, geom.cos_phi)
     w = geom.t * geom.cos_phi * complex(math.cos(phi), math.sin(phi))
     val = (
@@ -218,7 +233,7 @@ def epsilon_q(geom: EstimatorGeom, q: int) -> float:
 
 def e_q_bound_enclosed(geom: EstimatorGeom, q: int) -> float:
     """E_Q specialised to t = 1 (projection on the element)."""
-    _check_phi(geom)
+    _check_phi(geom.sin_phi)
     return (
         (1.0 / geom.R_mid)
         * math.sqrt(2.0 / (math.pi * geom.sin_phi**3))

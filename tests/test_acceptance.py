@@ -26,7 +26,6 @@ from helmpanel.estimator import EstimatorGeom, e_q_bound, select_order
 from helmpanel.expapprox import economize, taylor_degree_for
 from helmpanel.geometry import (
     RadialExtents,
-    SignedSubTriangle,
     Triangle3,
     radial_extents,
     ref_params,
@@ -36,6 +35,7 @@ from helmpanel.geometry import (
 from helmpanel.numquad import adaptive_oracle, polar_integrate, quad_adaptive
 
 from helpers import (
+    canonical_sub,
     cumulative,
     epsilon_q,
     k_rows,
@@ -313,12 +313,10 @@ def test_criterion_6_term_by_term_oracle_suite():
     q_max = 10
     devs = []
     for trial in range(50):
-        sub = SignedSubTriangle(
+        sub = canonical_sub(
             r1=float(RNG.uniform(0.4, 1.3)),
             r2=float(RNG.uniform(0.4, 1.3)),
             theta=float(RNG.uniform(0.35, 2.3)),
-            sign=1,
-            psi1=0.0,
         )
         z = float(RNG.uniform(0.05, 0.7)) * (1.0 if trial % 2 else -1.0)
         k = float(RNG.uniform(0.3, 1.2))

@@ -20,21 +20,24 @@ from helmpanel.analytic import (
 from helmpanel.elemints import build_table
 from helmpanel.engine import EvalRequest, evaluate, sample_field_point, sample_triangle
 from helmpanel.expapprox import LAPLACE, select_approx
-from helmpanel.geometry import SignedSubTriangle, ref_params
+from helmpanel.geometry import ref_params
 from helmpanel.numquad import quad_adaptive
 
-from helpers import k_rows, sub_area
+from helpers import canonical_sub, k_rows, sub_area
 
 RNG = np.random.default_rng(2718)
 
 
+def ref_integrals(*args, **kwargs) -> PanelIntegrals:
+    """``evaluate_ref``'s list of values, read through PanelIntegrals' accessors."""
+    return PanelIntegrals(np.array(evaluate_ref(*args, **kwargs)))
+
+
 def random_geom(rng, z_lo=0.05, z_hi=0.8):
-    sub = SignedSubTriangle(
+    sub = canonical_sub(
         r1=float(rng.uniform(0.4, 1.4)),
         r2=float(rng.uniform(0.4, 1.4)),
         theta=float(rng.uniform(0.3, 2.4)),
-        sign=1,
-        psi1=0.0,
     )
     z = float(rng.uniform(z_lo, z_hi)) * (1 if rng.uniform() < 0.5 else -1)
     return sub, z
@@ -95,7 +98,7 @@ def oracle_jq_theta(geom, z, k, q):
 
 class TestKTerms:
     def setup_method(self):
-        self.sub = SignedSubTriangle(r1=0.9, r2=0.7, theta=1.1, sign=1, psi1=0.0)
+        self.sub = canonical_sub(0.9, 0.7, 1.1)
         self.z = 0.5
         self.k = 1.0
         self.geom = ref_params(self.sub, self.z)
@@ -236,14 +239,14 @@ def test_fused_pass_matches_per_order_rows():
 
 class TestJChain:
     def test_seed_in_plane(self):
-        sub = SignedSubTriangle(r1=0.8, r2=0.6, theta=0.9, sign=1, psi1=0.0)
+        sub = canonical_sub(0.8, 0.6, 0.9)
         geom = ref_params(sub, 0.0)
         table = build_table(0.0, geom.theta_lo, geom.theta_hi, 4, alpha_p=1.0)
         jt = j_chain(geom, 0.0, 1.0, 2, table)
         assert jt[0][0] == pytest.approx(0.5 * geom.s * sub.theta, rel=1e-13)
 
     def test_terms_match_nested_oracle(self):
-        sub = SignedSubTriangle(r1=1.0, r2=0.8, theta=1.3, sign=1, psi1=0.0)
+        sub = canonical_sub(1.0, 0.8, 1.3)
         z, k = 0.45, 0.9
         geom = ref_params(sub, z)
         table = build_table(
@@ -264,7 +267,7 @@ class TestJChain:
             assert jt[1][q] == pytest.approx(float(v[1].real), abs=1e-10)
 
     def test_sign_flip(self):
-        sub = SignedSubTriangle(r1=1.0, r2=0.8, theta=1.3, sign=1, psi1=0.0)
+        sub = canonical_sub(1.0, 0.8, 1.3)
         k = 0.9
 
         def chain(z):
@@ -281,7 +284,7 @@ class TestJChain:
         assert np.allclose(plus[3], -minus[3], rtol=1e-14)
 
     def test_derivatives_match_finite_difference(self):
-        sub = SignedSubTriangle(r1=1.0, r2=0.8, theta=1.3, sign=1, psi1=0.0)
+        sub = canonical_sub(1.0, 0.8, 1.3)
         k, z, h = 0.9, 0.45, 1e-5
 
         def chain(zz):
@@ -303,11 +306,11 @@ class TestJChain:
 
 class TestAssemble:
     def test_full_i0_matches_complex_oracle(self):
-        sub = SignedSubTriangle(r1=0.9, r2=0.7, theta=1.1, sign=1, psi1=0.0)
+        sub = canonical_sub(0.9, 0.7, 1.1)
         z, k = 0.35, 1.0
         geom = ref_params(sub, z)
         approx = select_approx(k, sub.r_max, 1e-12)
-        res = evaluate_ref(geom, z, k, approx)
+        res = ref_integrals(geom, z, k, approx)
 
         def f_theta(ths):
             ths = np.atleast_1d(ths)
@@ -325,18 +328,18 @@ class TestAssemble:
         assert abs(res.i0 - complex(v[0])) <= 1e-11
 
     def test_tolerance_levels_agree(self):
-        sub = SignedSubTriangle(r1=0.9, r2=0.7, theta=1.1, sign=1, psi1=0.0)
+        sub = canonical_sub(0.9, 0.7, 1.1)
         z, k = 0.2, 1.0
         geom = ref_params(sub, z)
-        loose = evaluate_ref(geom, z, k, select_approx(k, sub.r_max, 1e-3))
-        tight = evaluate_ref(geom, z, k, select_approx(k, sub.r_max, 1e-12))
+        loose = ref_integrals(geom, z, k, select_approx(k, sub.r_max, 1e-3))
+        tight = ref_integrals(geom, z, k, select_approx(k, sub.r_max, 1e-12))
         assert abs(loose.i0 - tight.i0) <= 2e-3
 
     def test_k_zero_is_real_laplace(self):
-        sub = SignedSubTriangle(r1=0.9, r2=0.7, theta=1.1, sign=1, psi1=0.0)
+        sub = canonical_sub(0.9, 0.7, 1.1)
         z = 0.3
         geom = ref_params(sub, z)
-        res = evaluate_ref(geom, z, 0.0, LAPLACE)
+        res = ref_integrals(geom, z, 0.0, LAPLACE)
         assert res.i0.imag == 0.0
         assert res.di0_dn.imag == 0.0
         o = oracle_k_2d(geom, z, 0.0, 0, lambda r, R, th: r / R)
@@ -360,46 +363,46 @@ class TestAssemble:
 
 class TestHypersingular:
     def test_matches_second_finite_difference(self):
-        sub = SignedSubTriangle(r1=0.9, r2=0.7, theta=1.1, sign=1, psi1=0.0)
+        sub = canonical_sub(0.9, 0.7, 1.1)
         k, z, h = 1.0, 0.5, 1e-3
 
         def i0_at(zz):
             geom = ref_params(sub, zz)
             approx = select_approx(k, sub.r_max, 1e-15)
-            return evaluate_ref(geom, zz, k, approx).i0
+            return ref_integrals(geom, zz, k, approx).i0
 
         geom = ref_params(sub, z)
-        res = evaluate_ref(geom, z, k, select_approx(k, sub.r_max, 1e-15), want_hyper=True)
+        res = ref_integrals(geom, z, k, select_approx(k, sub.r_max, 1e-15), want_hyper=True)
         fd = (i0_at(z + h) - 2 * i0_at(z) + i0_at(z - h)) / h**2
         assert abs(res.d2i0_dn2 - fd) <= 1e-5 * abs(fd)
 
     def test_laplace_case(self):
-        sub = SignedSubTriangle(r1=0.9, r2=0.7, theta=1.1, sign=1, psi1=0.0)
+        sub = canonical_sub(0.9, 0.7, 1.1)
         z, h = 0.5, 1e-3
 
         def i0_at(zz):
             geom = ref_params(sub, zz)
-            return evaluate_ref(geom, zz, 0.0, LAPLACE).i0.real
+            return ref_integrals(geom, zz, 0.0, LAPLACE).i0.real
 
         geom = ref_params(sub, z)
-        res = evaluate_ref(geom, z, 0.0, LAPLACE, want_hyper=True)
+        res = ref_integrals(geom, z, 0.0, LAPLACE, want_hyper=True)
         fd = (i0_at(z + h) - 2 * i0_at(z) + i0_at(z - h)) / h**2
         assert res.d2i0_dn2.imag == 0.0
         assert res.d2i0_dn2.real == pytest.approx(fd, rel=1e-5)
 
     def test_far_field_asymptote(self):
         # d2I0/dz2 -> area * d2/dz2 (e^{jkz}/z) as z -> infinity
-        sub = SignedSubTriangle(r1=0.9, r2=0.7, theta=1.1, sign=1, psi1=0.0)
+        sub = canonical_sub(0.9, 0.7, 1.1)
         k = 1e-4
         z = 1e3 * sub.r_max
         geom = ref_params(sub, z)
-        res = evaluate_ref(geom, z, k, select_approx(k, sub.r_max, 1e-15), want_hyper=True)
+        res = ref_integrals(geom, z, k, select_approx(k, sub.r_max, 1e-15), want_hyper=True)
         g = cmath.exp(1j * k * z)
         asym = sub_area(sub) * g * (-k * k - 2j * k / z + 2.0 / (z * z)) / z
         assert abs(res.d2i0_dn2 - asym) <= 1e-4 * abs(asym)
 
     def test_hypersingular_terms_against_defining_integral(self):
-        sub = SignedSubTriangle(r1=1.0, r2=0.8, theta=1.2, sign=1, psi1=0.0)
+        sub = canonical_sub(1.0, 0.8, 1.2)
         z, k = 0.4, 0.8
         geom = ref_params(sub, z)
         table = build_table(

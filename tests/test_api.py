@@ -3,6 +3,9 @@
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import helmpanel
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -18,3 +21,22 @@ def test_readme_library_use_runs():
     section = text[text.index("## Library use") :]
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(block, f"{README}:Library use", "exec"), {})
+
+
+def test_reused_triangle_gives_the_same_reports():
+    # a Triangle3 derives its frame and its edges' frames once; reusing it
+    # across field points gives the reports a fresh triangle per point does
+    rng = np.random.default_rng(50)
+    verts = rng.uniform(-1.0, 1.0, size=(3, 3))
+    shared = helmpanel.Triangle3(*verts)
+    for _ in range(50):
+        u, v = rng.uniform(-1.5, 1.5, size=2)
+        h = rng.choice([0.0, 10.0 ** rng.uniform(-4.0, 0.0)])
+        x = shared.v1 + u * shared.e1 + v * shared.e2 + h * shared.normal
+        tol = float(rng.choice([1e-6, 1e-9, 1e-12]))
+        a = helmpanel.evaluate(helmpanel.EvalRequest(shared, x, 1.0, tol, want_hypersingular=True))
+        b = helmpanel.evaluate(helmpanel.EvalRequest(helmpanel.Triangle3(*verts), x, 1.0, tol, want_hypersingular=True))
+        assert a.result.values.tobytes() == b.result.values.tobytes()
+        assert (a.method, a.estimator, a.z) == (b.method, b.estimator, b.z)
+    with pytest.raises(AttributeError):
+        shared.edges = (0.0,) * len(shared.edges)

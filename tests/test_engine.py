@@ -340,17 +340,17 @@ class TestOneEdgeWalk:
         # evaluate makes the one walk and hands its fan on: neither the
         # polar rule, nor its jump term, nor the analytic path subdivides
         walks = []
-        walk = geometry.edge_walk
+        walk = geometry.walk
 
-        def counted(verts2d):
+        def counted(verts, edges):
             walks.append(1)
-            return walk(verts2d)
+            return walk(verts, edges)
 
         def banned(*args):
             raise AssertionError("the fan was built twice")
 
         for mod in (engine, geometry):
-            monkeypatch.setattr(mod, "edge_walk", counted)
+            monkeypatch.setattr(mod, "walk", counted)
         for mod in (engine, numquad):
             monkeypatch.setattr(mod, "subdivide", banned)
         monkeypatch.setattr(engine, "radial_extents", banned)

@@ -1,9 +1,11 @@
 """Geometry: frames, subdivision, radial extents, reference parameters."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from helmpanel.geometry import (
     BOUNDARY_TOL_REL,
@@ -12,14 +14,16 @@ from helmpanel.geometry import (
     RadialExtents,
     SignedSubTriangle,
     Triangle3,
+    edge_frame,
     edge_walk,
     radial_extents,
     ref_params,
     subdivide,
     to_local_frame,
+    walk,
 )
 
-from helpers import random_planar_triangle, rigid_motion, shoelace_area, sub_area
+from helpers import canonical_sub, random_planar_triangle, rigid_motion, shoelace_area, sub_area
 
 RNG = np.random.default_rng(20240817)
 
@@ -163,7 +167,7 @@ class TestLocalFrame:
                 [(vx - ox) * ex + (vy - oy) * ey + (vz - oz) * ez for ex, ey, ez in (tri.e1.tolist(), tri.e2.tolist())]
                 for vx, vy, vz in tri.vertices.tolist()
             ]
-            worst = max(worst, float(np.max(np.abs(verts2d - ref))) / math.ulp(tri.diameter))
+            worst = max(worst, float(np.max(np.abs(np.subtract(verts2d, ref)))) / math.ulp(tri.diameter))
         assert worst <= 8.0
 
     def test_degenerate_rejected(self):
@@ -179,7 +183,7 @@ class TestLocalFrame:
 
 
 def separate_extents(verts2d) -> RadialExtents:
-    """The extents in a walk of their own, as ``edge_walk`` must give them."""
+    """The extents in a walk of their own, by the clamped foot point and its hypot."""
     verts = np.asarray(verts2d, dtype=float).tolist()
     edges = [(a[0], a[1], b[0] - a[0], b[1] - a[1]) for a, b in zip(verts, verts[1:] + verts[:1])]
     lengths = [math.hypot(ex, ey) for _, _, ex, ey in edges]
@@ -201,7 +205,12 @@ def separate_extents(verts2d) -> RadialExtents:
 
 
 def separate_fan(verts2d) -> list[SignedSubTriangle]:
-    """The signed subtriangles in a walk of their own, as ``edge_walk`` must give them."""
+    """The signed subtriangles in canonical form, by the atan route (``canonical_sub``).
+
+    Each kept edge gives Theta = atan2(|a x b|, a.b) and the polar angle psi1
+    of the side the subtriangle starts from, with the slivers dropped by
+    Theta and the cross product.
+    """
     verts = np.asarray(verts2d, dtype=float).tolist()
     r_max = max(math.hypot(vx, vy) for vx, vy in verts)
     subs = []
@@ -217,23 +226,72 @@ def separate_fan(verts2d) -> list[SignedSubTriangle]:
         if abs(cross) * 0.5 <= DROP_RADIUS_REL * r_max * r_max:
             continue
         first, r1, r2, sign = (a, ra, rb, 1) if cross > 0.0 else (b, rb, ra, -1)
-        subs.append(SignedSubTriangle(r1, r2, theta, sign, math.atan2(first[1], first[0])))
+        subs.append(canonical_sub(r1, r2, theta, sign, math.atan2(first[1], first[0])))
     return subs
+
+
+def off_line(rng, v, rel: float) -> np.ndarray:
+    """A point ``rel`` diameters off the line of a random edge of ``v``, beside or past its ends."""
+    i = int(rng.integers(3))
+    a, b = v[i], v[(i + 1) % 3]
+    e = b - a
+    diam = max(np.linalg.norm(v[j] - v[j - 1]) for j in range(3))
+    normal = np.array([-e[1], e[0]]) / np.linalg.norm(e)
+    return a + rng.uniform(-1.0, 2.0) * e + rng.choice([-1.0, 1.0]) * rel * diam * normal
+
+
+def walk_cases(rng, n: int) -> list[np.ndarray]:
+    """Plane triangles about the origin: random triangles (either orientation)
+    about random points, their vertices, points on and inside them, and
+    points 1e-10 and 1e-14 diameters off an edge's line."""
+    cases = []
+    for _ in range(n):
+        v = rng.uniform(-1.0, 1.0, size=(3, 2))
+        i, t = int(rng.integers(3)), float(rng.uniform(0.0, 1.0))
+        bary = rng.dirichlet(np.ones(3))
+        origins = (rng.uniform(-2.0, 2.0, 2), v[i], v[i] + t * (v[i - 2] - v[i]), bary @ v)
+        for origin in (*origins, off_line(rng, v, 1e-10), off_line(rng, v, 1e-14)):
+            cases.append(v - origin)
+    return cases
+
+
+def param_distance(a, b, r_max: float) -> float:
+    """Largest difference of two subtriangles' reference parameters (s relative to r_max)."""
+    return max(
+        abs(a.s - b.s) / r_max,
+        abs(a.theta_lo - b.theta_lo),
+        abs(a.theta_hi - b.theta_hi),
+        abs(a.cos_psi - b.cos_psi),
+        abs(a.sin_psi - b.sin_psi),
+    )
+
+
+def canonical_at_50_digits(verts2d, sub) -> SimpleNamespace:
+    """The canonical formulas of ``canonical_sub`` at 50 digits, for the edge that gave ``sub``."""
+    with mp.workdps(50):
+        verts = [(mp.mpf(x), mp.mpf(y)) for x, y in np.asarray(verts2d, dtype=float).tolist()]
+        ends = [(a, b) if sub.sign > 0 else (b, a) for a, b in zip(verts, verts[1:] + verts[:1])]
+        first, second = min(ends, key=lambda e: abs(mp.hypot(*e[0]) - sub.r1) + abs(mp.hypot(*e[1]) - sub.r2))
+        r1, r2 = mp.hypot(*first), mp.hypot(*second)
+        cross = first[0] * second[1] - first[1] * second[0]
+        theta = mp.atan2(abs(cross), first[0] * second[0] + first[1] * second[1])
+        phi = mp.atan((r1 - r2 * mp.cos(theta)) / (r2 * mp.sin(theta)))
+        psi = mp.atan2(first[1], first[0]) + phi
+        return SimpleNamespace(
+            s=float(r1 * mp.cos(phi)), cos_psi=float(mp.cos(psi)), sin_psi=float(mp.sin(psi)),
+            theta_lo=float(-phi), theta_hi=float(theta - phi),
+        )
 
 
 class TestEdgeWalk:
     def test_matches_separate_walks(self):
-        # bit-identical extents and the same fan as a walk for each, on
-        # random triangles about random origins, their vertices, points on
-        # their edges and inside, and in-plane points of posed triangles
+        # the same extents (r_min from |d_e| within a few ulp of the
+        # hypot of the clamped foot) and the same subtriangles as a walk
+        # for each, on random triangles about random origins, their
+        # vertices, points on their edges and inside, points just off an
+        # edge's line, and in-plane points of posed triangles
         rng = np.random.default_rng(41)
-        cases = []
-        for _ in range(400):
-            v = rng.uniform(-1.0, 1.0, size=(3, 2))
-            i, t = int(rng.integers(3)), float(rng.uniform(0.0, 1.0))
-            bary = rng.dirichlet(np.ones(3))
-            for origin in (rng.uniform(-2.0, 2.0, 2), v[i], v[i] + t * (v[i - 2] - v[i]), bary @ v):
-                cases.append(v - origin)
+        cases = walk_cases(rng, 400)
         for _ in range(100):
             q, t = rigid_motion(rng)
             planar = random_planar_triangle(rng)
@@ -244,9 +302,63 @@ class TestEdgeWalk:
                 cases.append(verts2d)
         for verts2d in cases:
             ext, fan = edge_walk(verts2d)
-            assert ext == separate_extents(verts2d)
-            assert fan == separate_fan(verts2d)
+            ref = separate_extents(verts2d)
+            assert ext.r_max == ref.r_max and (ext.r_min == 0.0) == (ref.r_min == 0.0)
+            assert abs(ext.r_min - ref.r_min) <= 4e-16 * ref.r_max
+            want = separate_fan(verts2d)
+            assert [(s.sign, s.r1, s.r2) for s in fan] == [(s.sign, s.r1, s.r2) for s in want]
             assert radial_extents(verts2d) == ext and subdivide(verts2d) == fan
+
+    def test_reference_parameters_match_canonical_formulas(self):
+        # s, the foot direction and the angle range from each edge's d_e and
+        # along-edge coordinates, against the atan route from (r1, r2,
+        # Theta, psi1) (``canonical_sub``): lengths relative to r_max,
+        # angles and direction cosines absolute, in both orientations and
+        # all projection classes, including projections 1e-10 and 1e-14 off
+        # an edge's line.  Where the two differ by more than 1e-14, the same
+        # canonical formulas at 50 digits show the float atan route off
+        # (it loses digits on thin subtriangles) and the walk within 1e-15
+        rng = np.random.default_rng(43)
+        worst, kept_near_line, ill = 0.0, 0, 0
+        for verts2d in walk_cases(rng, 500):
+            ext, fan = edge_walk(verts2d)
+            for got, want in zip(fan, separate_fan(verts2d), strict=True):
+                assert -math.pi / 2 < got.theta_lo < got.theta_hi < math.pi / 2
+                dev = param_distance(got, want, ext.r_max)
+                if dev > 1e-14:
+                    exact = canonical_at_50_digits(verts2d, got)
+                    assert param_distance(got, exact, ext.r_max) <= 1e-15
+                    assert dev <= param_distance(want, exact, ext.r_max) + 1e-15
+                    ill += 1
+                worst = max(worst, dev)
+                kept_near_line += got.s < 1e-8 * ext.r_max
+        assert kept_near_line > 100  # the 1e-10 cases keep their thin subtriangles
+        assert ill <= 5 and worst <= 1e-13
+
+    def test_triangle_path_is_the_raw_path(self):
+        # evaluate walks with the edge frame the Triangle3 stored; edge_walk
+        # derives it from its input.  With the triangle in the world's z = 0
+        # plane, v1 at the origin, v2 on the x-axis and every coordinate a
+        # multiple of 2^-10, the shift of the plane vertices is exact, so
+        # both paths see the same edges and must agree bit for bit
+        rng = np.random.default_rng(47)
+        grid = lambda *shape: rng.integers(-1024, 1025, size=shape) / 1024.0  # noqa: E731
+        checked = 0
+        for _ in range(200):
+            x2, (x3, y3) = abs(grid()) + 0.25, grid(2)
+            if abs(y3) < 0.25:
+                continue
+            plane = np.array([[0.0, 0.0], [x2, 0.0], [x3, abs(y3)]])
+            tri = Triangle3(*np.column_stack([plane, np.zeros(3)]))
+            assert tri.edges == edge_frame(plane.tolist())
+            i = int(rng.integers(3))
+            for origin in (plane[i], 0.5 * (plane[i] + plane[i - 2]), (plane[0] + plane[1] + 2.0 * plane[2]) / 4.0, grid(2) * 2.0):
+                verts2d, _ = to_local_frame(tri, [*origin, float(grid())])
+                ext, fan = walk(verts2d, tri.edges)
+                raw_ext, raw_fan = edge_walk(np.array(verts2d))
+                assert ext == raw_ext and fan == raw_fan
+                checked += 1
+        assert checked > 500
 
 
 class TestSubdivide:
@@ -345,49 +457,42 @@ class TestRadialExtents:
 
 class TestRefParams:
     def test_isoceles_symmetry(self):
-        from helmpanel.geometry import SignedSubTriangle
-
+        # apex at the origin: the foot on the far side bisects the apex angle
         for theta in (0.4, 1.0, 2.4):
-            sub = SignedSubTriangle(r1=0.8, r2=0.8, theta=theta, sign=1, psi1=0.0)
-            geom = ref_params(sub, 0.3)
-            assert geom.psi == pytest.approx(theta / 2, abs=1e-14)  # psi1 = 0
-            assert geom.s == pytest.approx(0.8 * math.cos(theta / 2), abs=1e-14)
+            (sub,) = subdivide([[0.0, 0.0], [0.8, 0.0], [0.8 * math.cos(theta), 0.8 * math.sin(theta)]])
+            assert math.atan2(sub.sin_psi, sub.cos_psi) == pytest.approx(theta / 2, abs=1e-14)
+            assert sub.theta_lo == pytest.approx(-theta / 2, abs=1e-14)
+            assert ref_params(sub, 0.3).s == pytest.approx(0.8 * math.cos(theta / 2), abs=1e-14)
 
     def test_right_angle(self):
-        from helmpanel.geometry import SignedSubTriangle
-
-        sub = SignedSubTriangle(r1=0.9, r2=0.4, theta=math.pi / 2, sign=1, psi1=0.5)
-        geom = ref_params(sub, 0.1)
-        assert geom.psi == pytest.approx(0.5 + math.atan(0.9 / 0.4), abs=1e-14)
+        # right angle at the origin, side r1 = 0.9 at polar angle 0.5
+        c, s = math.cos(0.5), math.sin(0.5)
+        (sub,) = subdivide([[0.0, 0.0], [0.9 * c, 0.9 * s], [-0.4 * s, 0.4 * c]])
+        assert (sub.r1, sub.sign) == (pytest.approx(0.9), 1)
+        assert math.atan2(sub.sin_psi, sub.cos_psi) == pytest.approx(0.5 + math.atan(0.9 / 0.4), abs=1e-14)
+        assert sub.theta == pytest.approx(math.pi / 2, abs=1e-14)
 
     def test_in_plane(self):
-        from helmpanel.geometry import SignedSubTriangle
-
-        sub = SignedSubTriangle(r1=0.9, r2=0.4, theta=1.2, sign=1, psi1=0.0)
+        sub = canonical_sub(0.9, 0.4, 1.2)
         geom = ref_params(sub, 0.0)
         assert geom.alpha == 0.0
         assert geom.alpha_p == 1.0
-        assert geom.S == geom.s
+        assert geom.S == geom.s == sub.s
 
     def test_invariants_random(self):
-        from helmpanel.geometry import SignedSubTriangle
-
         for _ in range(200):
-            sub = SignedSubTriangle(
-                r1=RNG.uniform(0.1, 2.0),
-                r2=RNG.uniform(0.1, 2.0),
-                theta=RNG.uniform(0.05, math.pi - 0.05),
-                sign=1,
-                psi1=0.0,
-            )
+            verts = RNG.uniform(-1.0, 1.0, size=(3, 2))
             z = RNG.uniform(-1.0, 1.0)
-            geom = ref_params(sub, z)
-            assert geom.s > 0
-            assert geom.S == pytest.approx(math.hypot(geom.s, z), rel=1e-15)
-            assert 0.0 <= geom.alpha < 1.0
-            assert geom.alpha**2 + geom.alpha_p**2 == pytest.approx(1.0, abs=1e-14)
-            # shifted polar angle stays strictly inside (-pi/2, pi/2)
-            assert -math.pi / 2 < geom.theta_lo <= geom.theta_hi < math.pi / 2
-            # far side parameterization hits r1 and r2 at the ends
-            assert geom.s / math.cos(geom.theta_lo) == pytest.approx(sub.r1, rel=1e-12)
-            assert geom.s / math.cos(geom.theta_hi) == pytest.approx(sub.r2, rel=1e-12)
+            for sub in subdivide(verts):
+                geom = ref_params(sub, z)
+                assert geom.s > 0
+                assert (geom.theta_lo, geom.theta_hi) == (sub.theta_lo, sub.theta_hi)
+                assert geom.S == pytest.approx(math.hypot(geom.s, z), rel=1e-15)
+                assert 0.0 <= geom.alpha < 1.0
+                assert geom.alpha**2 + geom.alpha_p**2 == pytest.approx(1.0, abs=1e-14)
+                assert sub.cos_psi**2 + sub.sin_psi**2 == pytest.approx(1.0, abs=1e-15)
+                # shifted polar angle stays strictly inside (-pi/2, pi/2)
+                assert -math.pi / 2 < geom.theta_lo <= geom.theta_hi < math.pi / 2
+                # far side parameterization hits r1 and r2 at the ends
+                assert geom.s / math.cos(geom.theta_lo) == pytest.approx(sub.r1, rel=1e-12)
+                assert geom.s / math.cos(geom.theta_hi) == pytest.approx(sub.r2, rel=1e-12)

@@ -144,7 +144,11 @@ FROZEN_ORACLE = {
 # the sample triangle, k = 1, hypersingular on, keyed by (sample
 # projection, z, n).  Frozen from the per-subtriangle node loop that the
 # one-pass construction replaced.  At z = 0.3 above the centroid the
-# subtriangles take theta and u nodes within one call.
+# subtriangles take theta and u nodes within one call.  The centroid lies
+# exactly 0.3 from the edge y = 0: the (2, 0.3) entries are frozen from the
+# per-edge frame, whose s = |d_e| = 0.3 takes u nodes there, where the
+# earlier s = r1 cos(phi) = 0.30000000000000004 took theta nodes (both
+# within 1.1e-5 of the oracle at n = 8 and 9.4e-11 at n = 16).
 FROZEN_POLAR = {
     (1, 0.001, 8): (
         complex(0.889022218065608, 0.4211533349034092),
@@ -237,22 +241,22 @@ FROZEN_POLAR = {
         complex(-2884.328790052236, -0.1486981667883193),
     ),
     (2, 0.3, 8): (
-        complex(1.0305131477090361, 0.4368422708021822),
-        complex(-0.0019180703668910948, -7.746832710938192e-05),
-        complex(-0.0008726560389673149, -3.4144742878224055e-05),
-        complex(2.4419904543335695, 0.04420820653529742),
-        complex(-0.006316289176642509, -4.700155915993501e-06),
-        complex(-0.002936548579311332, -2.0704526536526914e-06),
-        complex(7.518729276548573, -0.14469467861888702),
+        complex(1.0305129561345177, 0.43684257682970645),
+        complex(-0.00191811294029322, -7.722868622514069e-05),
+        complex(-0.0008725953157866797, -3.420036018984318e-05),
+        complex(2.441988722005806, 0.0442082429751522),
+        complex(-0.006317034232454643, -4.6729210701090845e-06),
+        complex(-0.00293608900959991, -2.07739657422549e-06),
+        complex(7.51869274017426, -0.14469479774552896),
     ),
     (2, 0.3, 16): (
-        complex(1.0305133546032068, 0.4368428051832539),
-        complex(-0.0019179577897568134, -7.72022122279975e-05),
-        complex(-0.0008725932395086122, -3.403708236868891e-05),
-        complex(2.441999161936762, 0.04420827018269301),
-        complex(-0.00631427657008965, -4.670343261864267e-06),
-        complex(-0.002935660145909069, -2.058637028814342e-06),
-        complex(7.518918159743274, -0.1446948866901656),
+        complex(1.0305133546031033, 0.43684280518325813),
+        complex(-0.0019179577900343414, -7.720221212283359e-05),
+        complex(-0.000872593239485328, -3.403708236380433e-05),
+        complex(2.4419991619375776, 0.04420827018269921),
+        complex(-0.006314276573642195, -4.670343242618505e-06),
+        complex(-0.0029356601461408257, -2.058637029679583e-06),
+        complex(7.518918159785937, -0.14469488669018568),
     ),
     (2, 2.0, 8): (
         complex(-0.09695064394144615, 0.20035363062333167),
