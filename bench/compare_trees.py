@@ -17,13 +17,15 @@ Each request runs ``--rounds`` times on both trees, alternating which tree
 goes first, and each call's best time is kept.  Printed: the calls whose
 ``kind``, ``n_gauss``, ``q_expansion``, ``note``, ``z`` or estimator order
 ``q`` differ (for the oracle, the convergence flag), the worst
-|v - v_other| / (1 + |v_other|) per component (d2I0/dn2 of z = 0 numeric
-calls on its own line) and the worst |e_q - e_q_other| / e_q_other of the
-estimator's bound, each side's
-p50 of the best per-call times, and the median of the per-call time
-ratios and the ratio of the summed best times, this tree over the other,
-for all calls and for each kind of call (analytic, numeric, oracle, as
-this tree's verdict names it).  The last line is JSON.  The exit status
+|v - v_other| / (1 + |v_other|) per component (dI0/dn and d2I0/dn2 of
+z = 0 numeric calls each on its own line) and the worst
+|e_q - e_q_other| / e_q_other of the estimator's bound, each side's
+p50 of the best per-call times, and, for all calls and for each kind of
+call (analytic, numeric, oracle, as this tree's verdict names it), the
+median of the per-call time ratios and the ratio of the summed best
+times, this tree over the other, and how many calls of the kind agree in
+their verdict but not bit for bit in their values (and how many of those
+are at z = 0).  The last line is JSON.  The exit status
 is 1 when any verdict differs, so that a script can gate on it.
 """
 
@@ -46,7 +48,8 @@ import workloads  # noqa: E402
 
 OTHER = "helmpanel_other"
 COMPONENTS = ("i0", "ix", "iy", "di0_dn", "dix_dn", "diy_dn", "d2i0_dn2")
-# d2I0/dn2 of numeric calls at z = 0, reported apart from the other calls
+# dI0/dn and d2I0/dn2 of numeric calls at z = 0, reported apart from the other calls
+DI0_Z0 = "di0_dn (numeric, z = 0)"
 D2_Z0 = "d2i0_dn2 (numeric, z = 0)"
 # the estimator's bound, compared relative to the other tree's
 E_Q = "e_q"
@@ -164,6 +167,7 @@ def main() -> None:
 
     differ = []
     worst: dict[str, float] = {}
+    not_identical, at_z0 = np.zeros((2, len(items)), dtype=bool)
     for i, (a, b) in enumerate(zip(res_mine, res_other)):
         va, vb = verdict(a), verdict(b)
         if va != vb:
@@ -180,10 +184,12 @@ def main() -> None:
         if len(xa) != len(xb):
             differ.append(i)
             continue
+        not_identical[i] = not np.array_equal(xa, xb)
+        at_z0[i] = va[0] != "oracle" and va[4] == 0.0
         rel = (np.abs(xa - xb) / (1.0 + np.abs(xb))).tolist()
-        z0_numeric = va[0] == "numeric" and va[4] == 0.0
+        z0_numeric = va[0] == "numeric" and at_z0[i]
         for c, d in zip(COMPONENTS, rel):
-            name = D2_Z0 if c == "d2i0_dn2" and z0_numeric else c
+            name = {"di0_dn": DI0_Z0, "d2i0_dn2": D2_Z0}.get(c, c) if z0_numeric else c
             worst[name] = max(worst.get(name, 0.0), d)
     print(f"{len(differ)} of {len(items)} calls differ in their verdict")
     for name, d in worst.items():
@@ -198,6 +204,8 @@ def main() -> None:
             "calls": int(sel.sum()),
             "median_ratio": float(np.median(ratio[sel])),
             "total_ratio": float(best[0, sel].sum() / best[1, sel].sum()),
+            "values_not_identical": int(not_identical[sel].sum()),
+            "values_not_identical_z0": int((not_identical & at_z0)[sel].sum()),
         }
     summary = {
         "workload": args.workload,
@@ -215,7 +223,9 @@ def main() -> None:
     print(f"time ratio, this tree over the other: median {summary['median_ratio']:.3f}, "
           f"total {summary['total_ratio']:.3f}")
     for kind, r in by_kind.items():
-        print(f"  {kind} ({r['calls']} calls): median {r['median_ratio']:.3f}, total {r['total_ratio']:.3f}")
+        print(f"  {kind} ({r['calls']} calls): median {r['median_ratio']:.3f}, total {r['total_ratio']:.3f}; "
+              f"{r['values_not_identical']} not bit-identical in their values, "
+              f"{r['values_not_identical_z0']} of them at z = 0")
     print(json.dumps(summary, sort_keys=True))
     if differ:
         sys.exit(1)

@@ -111,10 +111,11 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
     For z != 0, |t| cos(phi) < 1, so E_Q does not increase with Q: each
     step multiplies it by at most sqrt((Q + 1) / (Q + 2)), a fall far above
     rounding.  So one E_Q at q_cap decides whether any order works, and
-    bisection finds the smallest.
+    bisection finds the smallest.  A tol not > 0, a z not finite or
+    extents outside 0 <= r_min <= r_max < inf are a ValueError.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0.0 and math.isfinite(z) and 0.0 <= extents.r_min <= extents.r_max < math.inf):
+        raise ValueError("need tol > 0, a finite z and extents 0 <= r_min <= r_max < inf")
     if z == 0.0:
         return OrderSelection()
     _, R_mid, cos_phi, sin_phi, t = _reduced(extents.r_min, extents.r_max, z)

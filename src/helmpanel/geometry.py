@@ -283,8 +283,12 @@ def walk(verts, edges) -> tuple[RadialExtents, list[SignedSubTriangle]]:
 
 
 def edge_walk(verts2d) -> tuple[RadialExtents, list[SignedSubTriangle]]:
-    """``walk`` on bare plane vertices: the edge frame is derived from ``verts2d``."""
-    verts = np.asarray(verts2d, dtype=float).tolist()
+    """``walk`` on bare plane vertices: the edge frame is derived from ``verts2d``,
+    which must be three finite (x, y) pairs (a ValueError otherwise)."""
+    plane = np.asarray(verts2d, dtype=float)
+    if plane.shape != (3, 2) or not np.isfinite(plane).all():
+        raise ValueError(f"plane vertices must be three finite (x, y) pairs, got {verts2d!r}")
+    verts = plane.tolist()
     return walk(verts, edge_frame(verts))
 
 

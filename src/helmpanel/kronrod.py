@@ -12,6 +12,7 @@ again: the x/y moments of ``numquad.adaptive_oracle`` use it.
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import lru_cache
 
@@ -140,7 +141,8 @@ def gk_rounds(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_rounds: int, ma
     estimate is within tol: below the roundoff floor the per-width share
     can never be met.  When ``max_rounds`` rounds are spent, or bisecting
     would add more than ``max_added`` intervals to the starting ones, the
-    pending intervals count as they are and the pass has not converged.
+    pending intervals count as they are and the pass has not converged,
+    as it has not, at once, when that estimate is not finite.
     With ``tail`` (as in ``gk15``) the estimate also covers integrals
     that end at a node, and the samples of the final intervals are kept.
     Returns (left ends, K15 values, samples or None) of the final
@@ -156,8 +158,10 @@ def gk_rounds(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_rounds: int, ma
         v, e, y = gk15(f, lo, hi, tail)
         split = e > per_width * np.abs(hi - lo)
         n_split = np.count_nonzero(split)
-        converged = bool(n_split == 0 or error + float(np.sum(e)) <= tol)
-        if converged or rounds == max_rounds or added + n_split > max_added:
+        estimate = error + float(np.sum(e))
+        finite = math.isfinite(estimate)
+        converged = finite and bool(n_split == 0 or estimate <= tol)
+        if converged or not finite or rounds == max_rounds or added + n_split > max_added:
             split[:] = False
         done = ~split
         done_lo.append(lo[done])

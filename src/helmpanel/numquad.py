@@ -1,15 +1,17 @@
 """Numerical quadrature for panel integrals, plus the validation oracle.
 
-``polar_integrate`` is the production numeric path: on each signed
-subtriangle of the fan about the origin an n x n Gauss-Legendre tensor
-rule is applied in (angle, r), with the polar Jacobian absorbing one
-power of the 1/R singularity.  The angle variable is theta, or the
-far-side parameter u = s tan(theta) when the field point is far from the
-plane (see ``polar_nodes``).  The rule is factored by rays: its n radial
-nodes sit at the same fractions of every ray from the origin, so only
-the angle nodes are built per call, the radial template is cached per
-order with the Gauss rule (``polar_rule``), and the kernel is summed along every ray by one
-matrix product before the rays are summed.
+``polar_integrate`` is the production numeric path, the whole rule in
+one function: on each signed subtriangle of the fan about the origin an
+n x n Gauss-Legendre tensor rule is applied in (angle, r), with the
+polar Jacobian absorbing one power of the 1/R singularity.  The angle
+variable is theta, or the far-side parameter u = s tan(theta) when the
+field point is far from the plane (see ``polar_nodes``).  The rule is
+factored by rays: its n radial nodes sit at the same fractions of every
+ray from the origin, so only the angle nodes are built per call, the
+radial template is cached per order with the Gauss rule
+(``polar_rule``), and the kernel is summed along every ray by one matrix
+product before the rays are summed.  At z = 0 only G is evaluated: both
+normal-derivative limits come from the rays' own angle weights.
 
 ``adaptive_oracle`` is the independent reference: adaptive Gauss-Kronrod
 integration of the defining integrals, sharing nothing with the
@@ -77,7 +79,7 @@ CUMULATIVE_MAX_PENDING = 20000
 
 @lru_cache(maxsize=None)
 def polar_rule(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The n-point Gauss rule as ``polar_nodes`` and ``_kernel_sums`` read it.
+    """The n-point Gauss rule as ``polar_nodes`` and ``polar_integrate`` read it.
 
     Returns (angle, rho^2, radial): the (x_g, w_g) pairs as Python floats
     for the angle nodes; the squared fractions rho = (x_g + 1) / 2 of the
@@ -126,8 +128,6 @@ def polar_nodes(fan, n: int, z: float):
     that is cheaper than a dozen NumPy operations on arrays of a few
     dozen elements.
     """
-    if not fan:
-        return np.zeros(0), np.zeros((0, 2)), np.zeros(0)
     angle, rho2, _ = polar_rule(n)
     rays = []
     for sub in fan:
@@ -146,75 +146,62 @@ def polar_nodes(fan, n: int, z: float):
             u = v if far else s * math.tan(v)
             u2 = u * u
             rays += (s * c - u * sn, s * sn + u * c, (a0 + a1 * u2) * w, s * s + u2)
-    table = np.array(rays).reshape(-1, 4)  # (px, py, area, rbar^2) per ray
+    table = np.array(rays).reshape(-1, 4)  # (px, py, area, rbar^2) per ray; (0, 4) for no rays
     return (table[:, 3:] * rho2).ravel(), table[:, :2], table[:, 2]
-
-
-def _kernel_sums(r2, points, area, z: float, k: float, want_hyper: bool) -> PanelIntegrals:
-    """The panel integrals from ``polar_nodes``' output, summed ray by ray.
-
-    The kernel rows G = e^{jkR}/R, (dG/dz) / z and, with ``want_hyper``,
-    d2G/dz2 are evaluated at every node and reduced along each ray by one
-    product with ``polar_rule``'s radial weights: rho for the 1-weighted
-    integrals and rho^2 for the x/y moments, since a node lies at rho
-    times its ray's far-side point.  One product with the area weights,
-    and one with the area-weighted far-side points, then sum the rays;
-    the first derivatives take their factor -z (d/dn = -d/dz) last.
-    """
-    rows = np.empty((3 if want_hyper else 2, len(r2)), dtype=complex)
-    out = np.zeros((len(rows), 3), dtype=complex)  # (kernel row, 1 / x / y)
-    if len(area):
-        R = np.sqrt(r2 + z * z)
-        inv_r = 1.0 / R
-        gp = 1j * k - inv_r  # (dG/dR) / G
-        G = rows[0]  # e^{jkR}, as cos + j sin in place: the bits of np.exp
-        kR = k * R
-        np.cos(kR, out=G.real)
-        np.sin(kR, out=G.imag)
-        G *= inv_r
-        np.multiply(G, gp * inv_r, out=rows[1])
-        if want_hyper:
-            z_r = z * inv_r
-            np.multiply(G, (gp * gp + inv_r * inv_r) * z_r**2 + gp * r2 * inv_r**3, out=rows[2])
-        per_ray = rows.reshape(len(rows), len(area), -1) @ polar_rule(len(r2) // len(area))[2]
-        np.matmul(per_ray[:, :, 0], area, out=out[:, 0])
-        np.matmul(per_ray[:, :, 1], points * area[:, None], out=out[:, 1:])
-        out[1] *= -z
-    # a copy: a view would keep all of ``out`` alive with every result
-    return PanelIntegrals(out.ravel()[: len(rows) + 4].copy())
 
 
 def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -> PanelIntegrals:
     """n x n Gauss quadrature of the panel integrals in polar coordinates.
 
-    ``fan`` is the list of signed subtriangles about the projection, as
-    ``geometry.walk`` (or ``subdivide``) gives it; every subtriangle
-    gets an n x n rule in (angle, radius), with the polar Jacobian
-    absorbing one power of the 1/R singularity (``polar_nodes``), and the
-    kernel is summed along each ray before across rays (``_kernel_sums``).
+    ``fan`` is the list of signed subtriangles about the projection
+    (``geometry.walk`` or ``subdivide``); ``polar_nodes`` gives its rays.
+    The kernel rows G = e^{jkR}/R, (dG/dz) / z and, with ``want_hyper``,
+    d2G/dz2 are evaluated at every node and reduced along each ray by
+    ``polar_rule(n)``'s radial weights (rho for the 1-weighted integrals,
+    rho^2 for the x/y moments, since a node lies at rho times its ray's
+    far-side point), then across the rays by the area weights and the
+    area-weighted far-side points; the first derivatives take their
+    factor -z (d/dn = -d/dz) last.
 
-    At z = 0 the derivatives are the one-sided limits from z > 0, the
-    convention of the analytic path and the oracle, taken ray by ray.
-    The differentiated kernel of the first derivatives vanishes there, so
-    ``dI0/dn`` is the jump term alone: the angle the panel subtends at the
-    projection, sum sign * Theta over the subtriangles (2 pi inside, pi on
-    an edge, the vertex angle at a vertex, 0 outside).  The x/y moments
-    have none, since x = y = 0 at the projection.  ``d2I0/dn2`` is the
-    finite part of the limit: along a ray of far-side distance rbar the
-    radial integral of d2G/dz2 tends to e^{jk rbar}/rbar - jk, so it is
-    that, summed over the rays with their signed angle weights
-    area / rbar^2, and the d2G row is not evaluated.
+    At z = 0 only G is evaluated, and the derivatives are the one-sided
+    limits from z > 0 (the convention of the analytic path and the
+    oracle), taken ray by ray with the ray's signed angle weight
+    w = area / rbar^2, rbar its far-side distance.  dG/dz vanishes there,
+    so ``dI0/dn`` is the jump term sum w, the angle the panel subtends
+    (2 pi inside, pi on an edge, the vertex angle at a vertex, 0 outside;
+    over a subtriangle the w sum to sign * Theta), and the x/y moments
+    have none.  ``d2I0/dn2`` is the finite part of the limit: along a ray
+    the radial integral of d2G/dz2 tends to e^{jk rbar}/rbar - jk.
     """
     r2, points, area = polar_nodes(fan, n, z)
+    out = np.zeros((3 if want_hyper else 2, 3), dtype=complex)  # (kernel row, 1 / x / y)
+    rows = np.empty((1 if z == 0.0 else len(out), len(r2)), dtype=complex)
+    R = np.sqrt(r2 + z * z)
+    inv_r = 1.0 / R
+    G = rows[0]  # e^{jkR}, as cos + j sin in place: the bits of np.exp
+    kR = k * R
+    np.cos(kR, out=G.real)
+    np.sin(kR, out=G.imag)
+    G *= inv_r
     if z != 0.0:
-        return _kernel_sums(r2, points, area, z, k, want_hyper)
-    res = _kernel_sums(r2, points, area, z, k, False)
-    res.values[3] += sum(sub.sign * sub.theta for sub in fan)
-    if not want_hyper:
-        return res
-    rbar = np.hypot(points[:, 0], points[:, 1])
-    d2 = complex(np.dot(area / (rbar * rbar), np.exp(1j * k * rbar) / rbar - 1j * k))
-    return PanelIntegrals(np.append(res.values, d2))
+        gp = 1j * k - inv_r  # (dG/dR) / G
+        np.multiply(G, gp * inv_r, out=rows[1])
+        if want_hyper:
+            z_r = z * inv_r
+            np.multiply(G, (gp * gp + inv_r * inv_r) * z_r**2 + gp * r2 * inv_r**3, out=rows[2])
+    per_ray = rows.reshape(len(rows), len(area), n) @ polar_rule(n)[2]
+    np.matmul(per_ray[:, :, 0], area, out=out[: len(rows), 0])
+    np.matmul(per_ray[:, :, 1], points * area[:, None], out=out[: len(rows), 1:])
+    if z != 0.0:
+        out[1] *= -z
+    else:
+        rbar = np.hypot(points[:, 0], points[:, 1])
+        w = area / (rbar * rbar)
+        out[1, 0] = w.sum()
+        if want_hyper:
+            out[2, 0] = np.dot(w, np.exp(1j * k * rbar) / rbar - 1j * k)
+    # a copy: a view would keep all of ``out`` alive with every result
+    return PanelIntegrals(out.ravel()[: len(out) + 4].copy())
 
 
 # Widest starting piece of the oracle's angle pass, in radians: the fastest
@@ -254,7 +241,11 @@ def adaptive_oracle(
     largest component's integral of |f| (``kronrod.gk_rounds``).  So a
     converged call reports more than tol where a component is of order
     1e2 or more (d2I0/dn2 just above a panel): 1e-13 is below one ulp there.
+    A z or k not finite, a k < 0, a tol not > 0 or vertices that are not
+    three finite (x, y) pairs (``geometry.edge_walk``) are a ValueError.
     """
+    if not (math.isfinite(z) and 0.0 <= k < math.inf and tol > 0.0):
+        raise ValueError("the oracle needs a finite z, a finite k >= 0 and tol > 0")
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
     jk = 1j * k

@@ -169,6 +169,25 @@ class TestSelectOrder:
         with pytest.raises(ValueError):
             select_order(RadialExtents(0.0, 1.0), 0.5, -1.0)
 
+    @pytest.mark.parametrize(
+        "r_min, r_max, z, tol",
+        [
+            (0.0, 1.0, 0.1, math.nan),
+            (0.0, 1.0, math.nan, 1e-6),
+            (0.0, 1.0, math.inf, 1e-6),
+            (0.0, 1.0, -math.inf, 1e-6),
+            (0.0, math.inf, 0.1, 1e-6),
+            (0.0, math.nan, 0.1, 1e-6),
+            (math.nan, 1.0, 0.1, 1e-6),
+            (-0.1, 1.0, 0.1, 1e-6),
+            (0.6, 0.5, 0.1, 1e-6),
+            (0.0, 1.0, 0.0, math.nan),  # z = 0 is answered without E_Q, but not for a NaN tol
+        ],
+    )
+    def test_non_finite_or_inconsistent_input_raises(self, r_min, r_max, z, tol):
+        with pytest.raises(ValueError):
+            select_order(RadialExtents(r_min, r_max), z, tol)
+
     def test_returns_selection_dataclass(self):
         sel = select_order(RadialExtents(0.0, 1.0), 1.5, 1e-6)
         assert isinstance(sel, OrderSelection)

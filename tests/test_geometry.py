@@ -361,6 +361,22 @@ class TestEdgeWalk:
         assert checked > 500
 
 
+    @pytest.mark.parametrize(
+        "verts",
+        [
+            [[math.inf, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            [[0.0, 0.0], [1.0, 0.0], [0.0, math.nan]],
+            [[math.nan, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            [[0.0, 0.0], [1.0, 0.0]],
+            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        ],
+    )
+    def test_rejects_all_but_three_finite_pairs(self, verts):
+        for fn in (edge_walk, subdivide, radial_extents):
+            with pytest.raises(ValueError, match="three finite"):
+                fn(verts)
+
+
 class TestSubdivide:
     def test_origin_at_vertex(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])

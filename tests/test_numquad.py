@@ -516,10 +516,19 @@ class TestPolarNodes:
         assert len(r2) == 3 * n * n
         x, y, _ = flat_nodes(verts, n, 0.3)
         assert np.allclose(r2, x * x + y * y, rtol=1e-14, atol=0.0)
-        assert polar_nodes([], n, 0.3)[0].shape == (0,)
+        # an empty fan has no rays: the ray table reshapes to (0, 4)
+        r2, points, area = polar_nodes([], n, 0.3)
+        assert r2.shape == (0,) and points.shape == (0, 2) and area.shape == (0,)
 
 
 class TestPolarIntegrate:
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("want_hyper", [False, True])
+    @pytest.mark.parametrize("z", [0.0, 0.3])
+    def test_empty_fan_gives_zeros(self, z, want_hyper, n):
+        got = polar_integrate([], z, 1.0, n, want_hyper=want_hyper).values
+        assert got.shape == (7 if want_hyper else 6,) and not got.any()
+
     @pytest.mark.parametrize("key", sorted(FROZEN_POLAR))
     def test_matches_frozen(self, key):
         proj, z, n = key
@@ -699,6 +708,23 @@ class TestAdaptiveOracle:
         assert abs(ix - ref.ix) <= 1e-10
         assert abs(d2i0 - ref.d2i0_dn2) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "verts, z, k, tol",
+        [
+            (VERTS, math.nan, 1.0, 1e-13),
+            (VERTS, math.inf, 1.0, 1e-13),
+            (VERTS, 0.5, math.nan, 1e-13),
+            (VERTS, 0.5, math.inf, 1e-13),
+            (VERTS, 0.5, -1.0, 1e-13),
+            (VERTS, 0.5, 1.0, 0.0),
+            (VERTS, 0.5, 1.0, math.nan),
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, math.nan]], 0.5, 1.0, 1e-13),
+        ],
+    )
+    def test_non_finite_input_raises(self, verts, z, k, tol):
+        with pytest.raises(ValueError):
+            adaptive_oracle(verts, z, k, tol=tol, want_hyper=True, return_status=True)
+
     def test_status_reports_achieved_error(self):
         verts = verts_rel((0.45, 0.3))
         _, status = adaptive_oracle(
@@ -873,6 +899,20 @@ class TestQuadAdaptive:
         _, err, ok = quad_adaptive(f, 1e-30, 1.0, 1e-13, max_intervals=12)
         assert not ok
         assert err > 1e-13
+
+    def test_nan_integrand_not_converged(self):
+        # NaN on part of the range: an estimate that is not finite ends the
+        # pass in its first round, not converged, with no bisection of the
+        # finite part (whose kink alone would take several rounds)
+        calls = []
+
+        def f(x):
+            calls.append(len(x))
+            return np.where(x < 0.3, np.nan, np.sqrt(np.abs(x - 0.75)))[:, None]
+
+        v, err, ok = quad_adaptive(f, np.array([0.0, 0.5]), np.array([0.5, 1.0]), 1e-10)
+        assert not ok and math.isnan(err) and math.isnan(v[0].real)
+        assert calls == [30]
 
     def test_several_intervals(self):
         # a jump at the joint of [0, 0.5] and [0.5, 1]: each interval is
