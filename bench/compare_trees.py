@@ -15,8 +15,8 @@ arguments of the workload's own call.  ``--all-entries`` makes a
 
 Each request runs ``--rounds`` times on both trees, alternating which tree
 goes first, and each call's best time is kept.  Printed: the calls whose
-``kind``, ``n_gauss``, ``q_expansion``, ``note``, ``z`` or estimator order
-``q`` differ (for the oracle, the convergence flag), the worst
+``kind``, ``n_gauss``, ``q_expansion``, ``delta_x``, ``note``, ``z`` or
+estimator order ``q`` differ (for the oracle, the convergence flag), the worst
 |v - v_other| / (1 + |v_other|) per component (dI0/dn and d2I0/dn2 of
 z = 0 numeric calls each on its own line) and the worst
 |e_q - e_q_other| / e_q_other of the estimator's bound, each side's
@@ -98,7 +98,7 @@ def verdict(out) -> tuple:
     m = out.method
     # n_gauss = max((q + 2) // 2, N_MIN) hides a changed order below q = 15
     q = None if out.estimator is None else out.estimator.q
-    return (m.kind, m.n_gauss, m.q_expansion, m.note, out.z, q)
+    return (m.kind, m.n_gauss, m.q_expansion, m.delta_x, m.note, out.z, q)
 
 
 def e_q(out) -> float | None:
@@ -185,7 +185,7 @@ def main() -> None:
             differ.append(i)
             continue
         not_identical[i] = not np.array_equal(xa, xb)
-        at_z0[i] = va[0] != "oracle" and va[4] == 0.0
+        at_z0[i] = va[0] != "oracle" and a.z == 0.0
         rel = (np.abs(xa - xb) / (1.0 + np.abs(xb))).tolist()
         z0_numeric = va[0] == "numeric" and at_z0[i]
         for c, d in zip(COMPONENTS, rel):

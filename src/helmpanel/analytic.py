@@ -31,6 +31,7 @@ import cmath
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,9 +109,10 @@ def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> 
     sigma = 1.0 if z >= 0.0 else -1.0
     kS = k * S
     kaz = k * az
-    (p_m1, p_0), (t_m1, t_0) = table.powers[:, 2:4].tolist()
+    p_m1, p_0 = table.plain[2:4]
+    t_m1, t_0 = table.tan[:2]
     # binomial sums of order q + 1 at s = 0, 1, indexed [q]
-    (bp, bp1), (bt, bt1) = table.binom[:, :2, 1 : q_max + 1].tolist()
+    bp, bp1, _, _, bt, bt1 = table.binom[:, 1 : q_max + 1].tolist()
     c = 0.5 * s * p_0 + 0.25 * az * table.lc
     sn = 0.5 * s * t_0 + 0.25 * az * table.ls
     dc = sigma * (0.25 * table.lc + 0.5 * (s / S) * p_m1)
@@ -144,26 +146,18 @@ def hypersingular(geom: RefGeom, k: float, q_max: int, table: ElemTable) -> np.n
     inline, one array over q = 0 .. q_max; production runs k_terms' pass.
     """
     q = np.arange(q_max + 1.0)
-    b = table.binom[0, :, 1 : q_max + 2]
+    b = table.binom[:, 1 : q_max + 2]
     return (k * geom.S) ** q / geom.S * (geom.alpha * b[3] + (q + 1) * b[2])
 
 
-def k_terms(
-    geom: RefGeom,
-    z: float,
-    k: float,
-    table: ElemTable,
-    e: list[complex],
-    want_hyper: bool = False,
-) -> list[complex]:
+def k_terms(geom: RefGeom, z: float, k: float, table: ElemTable, e: Sequence[complex]) -> list[complex]:
     """The primed sums I' = sum_q e_q K_q, q = 0 .. len(e) - 1, in one pass.
 
-    Returns [I0', Ix', Iy', dI0'/dz, dIx'/dz, dIy'/dz], with d2I0'/dz2
-    appended when ``want_hyper``.  One loop over the orders, on Python
-    floats, carries j_chain's recursion for (I_c, I_s, dI_c/dz, dI_s/dz),
-    forms each term from the binomial sums B of order q + 1 (p = (kS)^q
-    B_plain[0], p1 = (kS)^q (q+1) B_plain[1], t and t1 likewise from the
-    tan family),
+    Returns [I0', Ix', Iy', dI0'/dz, dIx'/dz, dIy'/dz, d2I0'/dz2].  One
+    loop over the orders, on Python floats, carries j_chain's recursion
+    for (I_c, I_s, dI_c/dz, dI_s/dz), forms each term from the rows of
+    binomial sums B of order q + 1 (p = (kS)^q B_plain[0],
+    p1 = (kS)^q (q+1) B_plain[1], t and t1 likewise from the tan family),
 
         K0  = S p / (q+1)         Kx  = (sS p + 2|z| I_c) / (q+2)
         dK0 = -sigma p1 / (q+1)   dKx = (-sigma s p1 + 2 sigma I_c + 2|z| dI_c) / (q+2)
@@ -181,9 +175,10 @@ def k_terms(
     kaz = k * az
     sS, az2, sig2, msig, msig_s = s * S, 2.0 * az, 2.0 * sigma, -sigma, -sigma * s
     alpha = geom.alpha
-    (p_m1, p_0), (t_m1, t_0) = table.powers[:, 2:4].tolist()
-    # binomial sums of order q + 1, indexed [family][shift][q]
-    (bp, bp1, b2, b3), (bt, bt1, _, _) = table.binom[:, :, 1 : len(e) + 1].tolist()
+    p_m1, p_0 = table.plain[2:4]
+    t_m1, t_0 = table.tan[:2]
+    # binomial sums of order q + 1, indexed [row][q]
+    bp, bp1, b2, b3, bt, bt1 = table.binom[:, 1 : len(e) + 1].tolist()
     c = 0.5 * s * p_0 + 0.25 * az * table.lc
     sn = 0.5 * s * t_0 + 0.25 * az * table.ls
     dc = sigma * (0.25 * table.lc + 0.5 * (s / S) * p_m1)
@@ -218,45 +213,38 @@ def k_terms(
             dsrc * bp1_q - sfk * c - kf * dc,
             dsrc * bt1_q - sfk * sn - kf * ds,
         )
-    return [i0, ix, iy, d0, dx, dy, d2] if want_hyper else [i0, ix, iy, d0, dx, dy]
+    return [i0, ix, iy, d0, dx, dy, d2]
 
 
 def assemble(z: float, k: float, sums: list[complex]) -> list[complex]:
-    """Apply exp(jk|z|) and its z-derivatives to k_terms' sums; a list in COMPONENTS order."""
+    """Apply exp(jk|z|) and its z-derivatives to k_terms' sums; all seven, in COMPONENTS order."""
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
-    i0p, ixp, iyp, di0p, dixp, diyp, *d2p = sums
+    i0p, ixp, iyp, di0p, dixp, diyp, d2p = sums
     pref = cmath.exp(1j * k * az)
     jk = 1j * k
-    out = [
+    return [
         pref * i0p,
         pref * ixp,
         pref * iyp,
         -(sigma * jk * pref * i0p + pref * di0p),
         -(sigma * jk * pref * ixp + pref * dixp),
         -(sigma * jk * pref * iyp + pref * diyp),
+        pref * (-(k * k) * i0p + 2.0 * sigma * jk * di0p + d2p),
     ]
-    if d2p:
-        out.append(pref * (-(k * k) * i0p + 2.0 * sigma * jk * di0p + d2p[0]))
-    return out
 
 
-def evaluate_ref(
-    geom: RefGeom,
-    z: float,
-    k: float,
-    approx: ExpApprox,
-    want_hyper: bool = False,
-) -> list[complex]:
+def evaluate_ref(geom: RefGeom, z: float, k: float, approx: ExpApprox) -> list[complex]:
     """Full expansion evaluation on one reference triangle.
 
-    The expansion runs to order ``approx.q``; the values come as a list in
-    COMPONENTS order (``assemble``).  The x/y components are in the
-    reference frame (x along the perpendicular-foot direction); callers
-    rotate them by the subtriangle's foot direction into the element frame.
+    The expansion runs to order ``approx.q``, with the coefficients
+    ``approx.coeffs`` as they are cached; the values come as a list of all
+    seven components in COMPONENTS order (``assemble``).  The x/y
+    components are in the reference frame (x along the perpendicular-foot
+    direction); callers rotate them by the subtriangle's foot direction
+    into the element frame.
     """
     table = build_table(
         geom.alpha, geom.theta_lo, geom.theta_hi, approx.q + 1, alpha_p=geom.alpha_p
     )
-    sums = k_terms(geom, z, k, table, approx.coeffs.tolist(), want_hyper=want_hyper)
-    return assemble(z, k, sums)
+    return assemble(z, k, k_terms(geom, z, k, table, approx.coeffs))

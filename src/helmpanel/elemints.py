@@ -26,10 +26,10 @@ used.  The upward recursions run on the endpoint differences, with the
 powers at each endpoint kept as running products, so no order calls
 ``pow``.
 
-Everything that depends only on the order is built once and cached:
-the signed Pascal matrix and its exponents (``_pascal``) and the flat
-index through which one ``take`` gathers the shifted power tables of any
-stack of tables (``_shifted``).
+Everything that depends only on the order is built once and cached
+(``_pascal``): the signed Pascal matrix, its exponents and the index
+through which one ``take`` gathers the six shifted rows the expansion
+terms read from the two tables laid end to end.
 """
 
 from __future__ import annotations
@@ -151,24 +151,23 @@ def _h_table(alpha_p: float, u_lo: float, u_hi: float, m_max: int) -> list:
 
 
 def _pow_tan(alpha: float, lo: tuple, hi: tuple, n_max: int) -> list:
-    """tan[n], n = -1 .. n_max, from the endpoint tuples, after two NaN slots.
+    """tan[n], n = -1 .. n_max, from the endpoint tuples, indexed [n + 1].
 
-    The NaN slots n = -3, -2 keep the layout of ``_pow_plain`` (see
-    ElemTable).  Orders n >= 1 follow T_n = alpha^2 T_{n-2} + (1/n)
-    [(Delta/cos)^n], the endpoint difference of running powers.
+    Orders n >= 1 follow T_n = alpha^2 T_{n-2} + (1/n) [(Delta/cos)^n],
+    the endpoint difference of running powers.
     """
     _, _, c_lo, _, d_lo, _, lu_lo = lo
     _, _, c_hi, _, d_hi, _, lu_hi = hi
     a2 = alpha * alpha
     t_m1 = -(c_hi - c_lo) if alpha < ALPHA_ZERO else -(lu_hi - lu_lo) / alpha
-    out = [math.nan, math.nan, t_m1, math.log(c_lo) - math.log(c_hi)]
+    out = [t_m1, math.log(c_lo) - math.log(c_hi)]
     p_lo = d_lo / c_lo
     p_hi = d_hi / c_hi
     pn_lo = pn_hi = 1.0
     for n in range(1, n_max + 1):
         pn_lo *= p_lo
         pn_hi *= p_hi
-        out.append(a2 * out[n + 1] + (pn_hi - pn_lo) / n)
+        out.append(a2 * out[n - 1] + (pn_hi - pn_lo) / n)
     return out
 
 
@@ -189,66 +188,59 @@ def _logs(alpha: float, alpha_p: float, lo: tuple, hi: tuple) -> tuple[float, fl
 
 
 @functools.lru_cache(maxsize=64)
-def _pascal(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(-1)^(q - m) C(q, m), the exponent q - m and the orders 0 .. q_max.
+def _pascal(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(-1)^(q - m) C(q, m), the exponent q - m, the orders 0 .. q_max and the row index.
 
     The first two are indexed [q, m], q, m = 0 .. q_max (the signed
     binomial is zero and the exponent clipped to zero above the diagonal).
     The orders are floats, so that alpha^q is one float power per order,
     and the sign sits here, so that its base alpha is never negative: a
-    negative base takes the slow path of ``pow``, for the same bits.
+    negative base takes the slow path of ``pow``, for the same bits.  The
+    row index, (6, q_max + 1), picks entry [r, m] of the rows that
+    ``binomial_combination`` returns: plain[m - s] for s = 0 .. 3, then
+    tan[m - s] for s = 0, 1, from plain[n + 3] and tan[n + 1] laid end to
+    end.
     """
     orders = range(q_max + 1)
     comb = np.array([[(-1.0) ** (i - m) * math.comb(i, m) for m in orders] for i in orders])
     q = np.arange(q_max + 1)
     expo = np.maximum(q[:, None] - q[None, :], 0)
-    return comb, expo, q.astype(float)
+    start = np.array([3, 2, 1, 0, q_max + 5, q_max + 4])  # where row r's m = 0 sits
+    return comb, expo, q.astype(float), start[:, None] + q
 
 
-@functools.lru_cache(maxsize=64)
-def _shifted(q_max: int, shape: tuple) -> np.ndarray:
-    """Flat index of entry [..., m - s + 3] of a table of ``shape``, as [..., s, m].
+def binomial_combination(q_max: int, alpha: float, powers: np.ndarray) -> np.ndarray:
+    """integral (Delta/cos - alpha)^q (Delta/cos)^{-s} [tan] dtheta from the tables.
 
-    One ``take`` through it gathers, for every row of the table, the
-    power table shifted down by s = 0 .. 3, m = 0 .. q_max.
+    ``powers`` is plain[n + 3], n = -3 .. q_max, followed by tan[n + 1],
+    n = -1 .. q_max (length 2 q_max + 6).  Returns the six rows the
+    expansion terms read, indexed [r, q], q = 0 .. q_max: the plain family
+    at s = 0 .. 3 (r = s), then the tan family at s = 0, 1 (r = 4 + s).
+    Since (x - alpha)^q = sum_m C(q, m) (-alpha)^{q-m} x^m, each row is
+    the signed-Pascal matrix applied to its table shifted down by s: one
+    ``take`` gathers the six shifted tables, one product applies it.
     """
-    rows = np.arange(math.prod(shape[:-1])).reshape(shape[:-1] + (1, 1)) * shape[-1]
-    m = np.arange(q_max + 1)
-    return rows + (m[None, :] - np.arange(4)[:, None] + 3)
-
-
-def binomial_combination(q_max: int, alpha: float, pow_values: np.ndarray) -> np.ndarray:
-    """integral (Delta/cos - alpha)^q (Delta/cos)^{-s} dtheta from a table.
-
-    Returns an array indexed [..., s, q], s = 0 .. 3, q = 0 .. q_max, with
-    one leading axis per leading axis of ``pow_values`` (one power table
-    per row).  Since (x - alpha)^q = sum_m C(q, m) (-alpha)^{q-m} x^m,
-    row s is the signed-Pascal matrix applied to the power table shifted
-    down by s.  ``pow_values`` is indexed by [..., n + 3] and must reach
-    n = q_max.
-    """
-    comb, expo, q = _pascal(q_max)
+    comb, expo, q, rows = _pascal(q_max)
     signed = comb * (alpha**q)[expo]
-    return pow_values.take(_shifted(q_max, pow_values.shape)) @ signed.T
+    return powers.take(rows) @ signed.T
 
 
 @dataclass(slots=True)
 class ElemTable:
     """Tabulated elementary integrals for one (alpha, angle-range) pair.
 
-    ``powers`` stacks plain (row 0) and tan (row 1), each indexed [n + 3]
-    with n = -3 .. n_max; ``binom`` holds their ``binomial_combination``,
-    indexed [family, s, q] with q = 0 .. n_max.  No expansion term reads
-    tan[-3] or tan[-2], so those two slots hold NaN by convention, and with
-    them the tan rows s = 2, 3 of ``binom``: a read of an entry that is not
-    tabulated gives NaN, never a plausible wrong number.  ``lc`` and ``ls``
-    are the definite integrals of cos and sin times
+    ``plain`` holds plain[n] at [n + 3], n = -3 .. n_max, and ``tan``
+    holds tan[n] at [n + 1], n = -1 .. n_max, as Python floats; ``binom``
+    holds their ``binomial_combination``, (6, n_max + 1): the plain rows
+    s = 0 .. 3, then the tan rows s = 0, 1.  ``lc`` and ``ls`` are the
+    definite integrals of cos and sin times
     log[(Delta - alpha')/(Delta + alpha')].  L_c diverges logarithmically as
     alpha -> 0; callers only ever use it multiplied by |z| = alpha * S, so
     at alpha = 0 exactly both are stored as zero by that convention.
     """
 
-    powers: np.ndarray
+    plain: list[float]
+    tan: list[float]
     lc: float
     ls: float
     binom: np.ndarray
@@ -271,11 +263,7 @@ def build_table(
     if alpha_p is None:
         alpha_p = math.sqrt((1.0 - alpha) * (1.0 + alpha))
     lo, hi = _endpoint(alpha, alpha_p, theta_lo), _endpoint(alpha, alpha_p, theta_hi)
-    powers = np.array([_pow_plain(alpha, alpha_p, lo, hi, n_max), _pow_tan(alpha, lo, hi, n_max)])
+    plain = _pow_plain(alpha, alpha_p, lo, hi, n_max)
+    tan = _pow_tan(alpha, lo, hi, n_max)
     lc, ls = _logs(alpha, alpha_p, lo, hi)
-    return ElemTable(
-        powers=powers,
-        lc=lc,
-        ls=ls,
-        binom=binomial_combination(n_max, alpha, powers),
-    )
+    return ElemTable(plain, tan, lc, ls, binomial_combination(n_max, alpha, np.array(plain + tan)))

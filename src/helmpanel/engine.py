@@ -99,8 +99,10 @@ def _analytic_eval(fan, z, k, tol, want_hyper) -> tuple[PanelIntegrals, MethodIn
 
     The one place the expansion is picked: at k = 0 the kernel is exactly
     1/R and ``LAPLACE`` (e_0 = 1) keeps the imaginary parts identically zero.
+    ``evaluate_ref`` gives all seven components; d2I0/dn2 is kept only
+    with ``want_hyper``.
     """
-    total = [0j] * (7 if want_hyper else 6)
+    total = [0j] * 7
     q_exp = 0
     dx = None
     for sub in fan:
@@ -108,7 +110,7 @@ def _analytic_eval(fan, z, k, tol, want_hyper) -> tuple[PanelIntegrals, MethodIn
         approx = select_approx(k, sub.r_max, tol) if k != 0.0 else LAPLACE
         q_exp = max(q_exp, approx.q)
         dx = approx.delta_x if dx is None else max(dx, approx.delta_x)
-        i0, ix, iy, di0, dix, diy, *d2 = evaluate_ref(geom, z, k, approx, want_hyper=want_hyper)
+        i0, ix, iy, di0, dix, diy, d2 = evaluate_ref(geom, z, k, approx)
         # the subtriangle's sign times the rotation by its foot direction psi
         # into the element frame, one 2x2 product on the (ix, iy) and
         # (dix, diy) pairs, added in place; on 2-3 subtriangles scalar
@@ -121,9 +123,9 @@ def _analytic_eval(fan, z, k, tol, want_hyper) -> tuple[PanelIntegrals, MethodIn
         total[3] += sign * di0
         total[4] += c * dix - s * diy
         total[5] += s * dix + c * diy
-        if d2:
-            total[6] += sign * d2[0]
-    return PanelIntegrals(np.array(total)), MethodInfo(kind="analytic", q_expansion=q_exp, delta_x=dx)
+        total[6] += sign * d2
+    info = MethodInfo(kind="analytic", q_expansion=q_exp, delta_x=dx)
+    return PanelIntegrals(np.array(total if want_hyper else total[:6])), info
 
 
 def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None) -> EvalReport:

@@ -52,9 +52,9 @@ class ExpApprox:
     sin_coeffs: np.ndarray
 
     @cached_property
-    def coeffs(self) -> np.ndarray:
-        """Complex coefficients e_q = c_q + j s_q (computed on first use)."""
-        return self.cos_coeffs + 1j * self.sin_coeffs
+    def coeffs(self) -> tuple[complex, ...]:
+        """Complex coefficients e_q = c_q + j s_q as Python complex numbers (built on first use)."""
+        return tuple((self.cos_coeffs + 1j * self.sin_coeffs).tolist())
 
 
 # k = 0: the kernel is exactly 1/R, so the expansion is e = [1] at order 0.

@@ -99,28 +99,30 @@ def gk15(f, lo: np.ndarray, hi: np.ndarray, tail=None):
     difference's roundoff floor.  With ``tail`` (from ``_interp_tables``)
     it is at least the largest integral, from the left end to a node, of
     the interpolant's two highest Legendre terms, unscaled: the error of
-    the interpolant's integrals that end inside the interval.
+    the interpolant's integrals that end inside the interval.  A sample
+    that is not finite gives an estimate that is not finite, without a
+    warning (0 inf, inf - inf), and ``gk_rounds`` ends the pass there.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _GK_X
     y = np.asarray(f(x.ravel())).reshape(len(lo), len(_GK_X), -1)
-    sk = _GK_WK @ y
-    k15 = half[:, None] * sk
-    g7 = half[:, None] * (_GK_WG @ y)
-    # the Kronrod weights sum to 2, so sk / 2 is the mean of f
-    resasc = half[:, None] * (_GK_WK @ np.abs(y - 0.5 * sk[:, None, :]))
-    e = np.abs(k15 - g7)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sk = _GK_WK @ y
+        k15 = half[:, None] * sk
+        g7 = half[:, None] * (_GK_WG @ y)
+        # the Kronrod weights sum to 2, so sk / 2 is the mean of f
+        resasc = half[:, None] * (_GK_WK @ np.abs(y - 0.5 * sk[:, None, :]))
+        e = np.abs(k15 - g7)
         scaled = np.where(
             resasc > 0.0,
             resasc * np.minimum(1.0, (200.0 * e / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
             e,
         )
-    if tail is not None:
-        (r13, r14), q = tail
-        top = np.abs(q[:, :1, None] * (r13 @ y) + q[:, 1:, None] * (r14 @ y))
-        scaled = np.maximum(scaled, half[:, None] * np.max(top, axis=0))
+        if tail is not None:
+            (r13, r14), q = tail
+            top = np.abs(q[:, :1, None] * (r13 @ y) + q[:, 1:, None] * (r14 @ y))
+            scaled = np.maximum(scaled, half[:, None] * np.max(top, axis=0))
     return k15, np.max(scaled, axis=1), y
 
 

@@ -172,7 +172,10 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     over a subtriangle the w sum to sign * Theta), and the x/y moments
     have none.  ``d2I0/dn2`` is the finite part of the limit: along a ray
     the radial integral of d2G/dz2 tends to e^{jk rbar}/rbar - jk.
+    A z or k that is not finite, or a k < 0, is a ValueError.
     """
+    if not (math.isfinite(z) and 0.0 <= k < math.inf):
+        raise ValueError("polar_integrate needs a finite z and a finite k >= 0")
     r2, points, area = polar_nodes(fan, n, z)
     out = np.zeros((3 if want_hyper else 2, 3), dtype=complex)  # (kernel row, 1 / x / y)
     rows = np.empty((1 if z == 0.0 else len(out), len(r2)), dtype=complex)
@@ -204,6 +207,9 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     return PanelIntegrals(out.ravel()[: len(out) + 4].copy())
 
 
+# The names ``adaptive_oracle`` accepts in ``components``.
+ORACLE_COMPONENTS = ("i0", "ixy", "di0", "dixy")
+
 # Widest starting piece of the oracle's angle pass, in radians: the fastest
 # of pi/6 .. pi/16 on the oracle_sweep pool, 1.2 rounds per call.
 ANGLE_PIECE = math.pi / 12
@@ -215,7 +221,7 @@ def adaptive_oracle(
     k: float,
     tol: float = 1e-13,
     want_hyper: bool = False,
-    components: tuple[str, ...] = ("i0", "ixy", "di0", "dixy"),
+    components: tuple[str, ...] = ORACLE_COMPONENTS,
     return_status: bool = False,
 ):
     """Adaptive reference evaluation of the panel integrals.
@@ -241,11 +247,14 @@ def adaptive_oracle(
     largest component's integral of |f| (``kronrod.gk_rounds``).  So a
     converged call reports more than tol where a component is of order
     1e2 or more (d2I0/dn2 just above a panel): 1e-13 is below one ulp there.
-    A z or k not finite, a k < 0, a tol not > 0 or vertices that are not
-    three finite (x, y) pairs (``geometry.edge_walk``) are a ValueError.
+    A z or k not finite, a k < 0, a tol not > 0, a name in ``components``
+    outside ORACLE_COMPONENTS or vertices that are not three finite
+    (x, y) pairs (``geometry.edge_walk``) are a ValueError.
     """
     if not (math.isfinite(z) and 0.0 <= k < math.inf and tol > 0.0):
         raise ValueError("the oracle needs a finite z, a finite k >= 0 and tol > 0")
+    if not set(components) <= set(ORACLE_COMPONENTS):
+        raise ValueError(f"components must be names among {ORACLE_COMPONENTS}, got {components!r}")
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
     jk = 1j * k

@@ -74,16 +74,13 @@ def oracle_pow_tan(alpha: float, lo: float, hi: float, n: int) -> float:
 K_ROWS = ("k0", "kx", "ky", "dk0", "dkx", "dky", "d2k0")
 
 
-def k_rows(geom, z: float, k: float, q_max: int, table, want_hyper: bool = False) -> SimpleNamespace:
-    """K_q, q = 0 .. q_max, as rows named by K_ROWS (``d2k0`` only with ``want_hyper``).
+def k_rows(geom, z: float, k: float, q_max: int, table) -> SimpleNamespace:
+    """K_q, q = 0 .. q_max, as rows named by K_ROWS.
 
     Column q is ``k_terms`` at the unit coefficients e = delta_q, whose sum
     is the single term K_q.
     """
-    cols = [
-        k_terms(geom, z, k, table, [float(m == q) for m in range(q_max + 1)], want_hyper)
-        for q in range(q_max + 1)
-    ]
+    cols = [k_terms(geom, z, k, table, [float(m == q) for m in range(q_max + 1)]) for q in range(q_max + 1)]
     return SimpleNamespace(**dict(zip(K_ROWS, np.array(cols).real.T)))
 
 

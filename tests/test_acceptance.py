@@ -324,7 +324,7 @@ def test_criterion_6_term_by_term_oracle_suite():
         table = build_table(
             geom.alpha, geom.theta_lo, geom.theta_hi, q_max + 1, alpha_p=geom.alpha_p
         )
-        kt = k_rows(geom, z, k, q_max, table, want_hyper=True)
+        kt = k_rows(geom, z, k, q_max, table)
         jt = j_chain(geom, z, k, q_max, table)
         ko = _oracle_k_family(geom, z, k, q_max, tol=3e-13)
         jo = _oracle_j_family(geom, z, k, q_max, tol=3e-13)
@@ -350,12 +350,11 @@ def test_criterion_6_term_by_term_oracle_suite():
             lo = float(RNG.uniform(-0.95, 0.4))
             hi = float(RNG.uniform(lo + 0.15, 0.95))
             tab = build_table(alpha, lo, hi, q_max + 1)
-            plain, tan = tab.powers
             for n in range(-3, q_max + 2):
-                elem_devs.append(abs(plain[n + 3] - oracle_pow_plain(alpha, lo, hi, n)))
+                elem_devs.append(abs(tab.plain[n + 3] - oracle_pow_plain(alpha, lo, hi, n)))
             # the tan family is tabulated from n = -1
             for n in range(-1, q_max + 2):
-                elem_devs.append(abs(tan[n + 3] - oracle_pow_tan(alpha, lo, hi, n)))
+                elem_devs.append(abs(tab.tan[n + 1] - oracle_pow_tan(alpha, lo, hi, n)))
             if alpha > 0.0:
                 ap = math.sqrt((1 - alpha) * (1 + alpha))
 

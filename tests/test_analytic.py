@@ -106,7 +106,7 @@ class TestKTerms:
             self.geom.alpha, self.geom.theta_lo, self.geom.theta_hi, 10,
             alpha_p=self.geom.alpha_p,
         )
-        self.kt = k_rows(self.geom, self.z, self.k, 8, self.table, want_hyper=True)
+        self.kt = k_rows(self.geom, self.z, self.k, 8, self.table)
 
     def test_terms_match_2d_oracle(self):
         for q in range(0, 9, 2):
@@ -129,7 +129,7 @@ class TestKTerms:
             table = build_table(
                 geom.alpha, geom.theta_lo, geom.theta_hi, 10, alpha_p=geom.alpha_p
             )
-            return k_rows(geom, z, self.k, 8, table, want_hyper=False)
+            return k_rows(geom, z, self.k, 8, table)
 
         up, dn = kt_at(self.z + h), kt_at(self.z - h)
         for q in (0, 3, 7):
@@ -175,14 +175,14 @@ class TestKTerms:
                 assert kt.k0[q] == pytest.approx(o0, abs=1e-11)
 
 
-def reference_rows(geom, z, k, q_max, table, want_hyper):
+def reference_rows(geom, z, k, q_max, table):
     """K_q, q = 0 .. q_max, by the per-order formulas from j_chain, hypersingular and the table."""
     s, S = geom.s, geom.S
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
     q = np.arange(q_max + 1.0)
     kSq = (k * S) ** q
-    (bp, bp1), (bt, bt1) = table.binom[:, :2, 1 : q_max + 2]
+    bp, bp1, _, _, bt, bt1 = table.binom[:, 1 : q_max + 2]
     p, t, p1, t1 = kSq * bp, kSq * bt, kSq * (q + 1) * bp1, kSq * (q + 1) * bt1
     jc, js, djc, djs = j_chain(geom, z, k, q_max, table)
     rows = [
@@ -192,9 +192,8 @@ def reference_rows(geom, z, k, q_max, table, want_hyper):
         -sigma * p1 / (q + 1),
         (-sigma * s * p1 + 2 * sigma * jc + 2 * az * djc) / (q + 2),
         (-sigma * s * t1 + 2 * sigma * js + 2 * az * djs) / (q + 2),
+        hypersingular(geom, k, q_max, table),
     ]
-    if want_hyper:
-        rows.append(hypersingular(geom, k, q_max, table))
     return np.array(rows)
 
 
@@ -202,7 +201,7 @@ def test_fused_pass_matches_per_order_rows():
     """k_terms' one pass against the per-order rows built from j_chain and hypersingular.
 
     Random subtriangles at z > 0, z < 0 and z = 0, for k > 0 and k = 0,
-    with and without the hypersingular row: each unit coefficient vector
+    all seven rows: each unit coefficient vector
     e = delta_q gives row q, and each production coefficient vector gives
     the e-weighted sum of the rows, both to 1e-14 (1 + |v|).
     """
@@ -224,17 +223,16 @@ def test_fused_pass_matches_per_order_rows():
             approxes = [select_approx(k, sub.r_max, tol) for tol in (1e-6, 1e-9, 1e-12)]
             q_max = max(a.q for a in approxes)
         table = table_to(q_max)
-        for want_hyper in (False, True):
-            ref = reference_rows(geom, z, k, q_max, table, want_hyper)
-            got = np.array(list(vars(k_rows(geom, z, k, q_max, table, want_hyper)).values()))
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref) / (1 + np.abs(ref))) <= 1e-14, (trial, want_hyper)
-            for approx in approxes:
-                sums = np.array(k_terms(geom, z, k, table_to(approx.q), approx.coeffs.tolist(), want_hyper))
-                want = ref[:, : approx.q + 1] @ approx.coeffs
-                assert np.max(np.abs(sums - want) / (1 + np.abs(want))) <= 1e-14, (trial, approx.q)
-                checked += 1
-    assert checked >= 80
+        ref = reference_rows(geom, z, k, q_max, table)
+        got = np.array(list(vars(k_rows(geom, z, k, q_max, table)).values()))
+        assert got.shape == ref.shape == (7, q_max + 1)
+        assert np.max(np.abs(got - ref) / (1 + np.abs(ref))) <= 1e-14, trial
+        for approx in approxes:
+            sums = np.array(k_terms(geom, z, k, table_to(approx.q), approx.coeffs))
+            want = ref[:, : approx.q + 1] @ approx.coeffs
+            assert np.max(np.abs(sums - want) / (1 + np.abs(want))) <= 1e-14, (trial, approx.q)
+            checked += 1
+    assert checked >= 40
 
 
 class TestJChain:
@@ -372,7 +370,7 @@ class TestHypersingular:
             return ref_integrals(geom, zz, k, approx).i0
 
         geom = ref_params(sub, z)
-        res = ref_integrals(geom, z, k, select_approx(k, sub.r_max, 1e-15), want_hyper=True)
+        res = ref_integrals(geom, z, k, select_approx(k, sub.r_max, 1e-15))
         fd = (i0_at(z + h) - 2 * i0_at(z) + i0_at(z - h)) / h**2
         assert abs(res.d2i0_dn2 - fd) <= 1e-5 * abs(fd)
 
@@ -385,7 +383,7 @@ class TestHypersingular:
             return ref_integrals(geom, zz, 0.0, LAPLACE).i0.real
 
         geom = ref_params(sub, z)
-        res = ref_integrals(geom, z, 0.0, LAPLACE, want_hyper=True)
+        res = ref_integrals(geom, z, 0.0, LAPLACE)
         fd = (i0_at(z + h) - 2 * i0_at(z) + i0_at(z - h)) / h**2
         assert res.d2i0_dn2.imag == 0.0
         assert res.d2i0_dn2.real == pytest.approx(fd, rel=1e-5)
@@ -396,7 +394,7 @@ class TestHypersingular:
         k = 1e-4
         z = 1e3 * sub.r_max
         geom = ref_params(sub, z)
-        res = ref_integrals(geom, z, k, select_approx(k, sub.r_max, 1e-15), want_hyper=True)
+        res = ref_integrals(geom, z, k, select_approx(k, sub.r_max, 1e-15))
         g = cmath.exp(1j * k * z)
         asym = sub_area(sub) * g * (-k * k - 2j * k / z + 2.0 / (z * z)) / z
         assert abs(res.d2i0_dn2 - asym) <= 1e-4 * abs(asym)

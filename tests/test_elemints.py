@@ -15,15 +15,12 @@ RNG = np.random.default_rng(991)
 
 def pow_plain(alpha, lo, hi, n_max):
     """Integrals of (Delta/cos)^n over [lo, hi], n = -3 .. n_max, indexed [n + 3]."""
-    return build_table(alpha, lo, hi, n_max).powers[0]
+    return np.array(build_table(alpha, lo, hi, n_max).plain)
 
 
 def pow_tan(alpha, lo, hi, n_max):
-    """Integrals of (Delta/cos)^n tan over [lo, hi], indexed as ``pow_plain``.
-
-    Only n >= -1 is tabulated; the slots n = -3, -2 hold NaN.
-    """
-    return build_table(alpha, lo, hi, n_max).powers[1]
+    """Integrals of (Delta/cos)^n tan over [lo, hi], n = -1 .. n_max, indexed [n + 1]."""
+    return np.array(build_table(alpha, lo, hi, n_max).tan)
 
 
 def l_c(alpha, lo, hi):
@@ -49,8 +46,8 @@ class TestInPlaneClosedForms:
     def test_tan_seeds(self):
         th = 0.7
         tab = pow_tan(0.0, 0.0, th, 2)
-        assert tab[-1 + 3] == pytest.approx(1.0 - math.cos(th), abs=1e-15)
-        assert tab[0 + 3] == pytest.approx(-math.log(math.cos(th)), abs=1e-15)
+        assert tab[-1 + 1] == pytest.approx(1.0 - math.cos(th), abs=1e-15)
+        assert tab[0 + 1] == pytest.approx(-math.log(math.cos(th)), abs=1e-15)
 
 
 class TestOracleEquivalence:
@@ -69,7 +66,7 @@ class TestOracleEquivalence:
     def test_tan_alpha03_named_case(self):
         tab = pow_tan(0.3, -0.2, 0.7, 8)
         for n in range(-1, 9):
-            assert tab[n + 3] == pytest.approx(
+            assert tab[n + 1] == pytest.approx(
                 oracle_pow_tan(0.3, -0.2, 0.7, n), abs=1e-12
             )
 
@@ -85,7 +82,7 @@ class TestOracleEquivalence:
                 assert abs(plain[n + 3] - vo) <= 1e-12 * (1 + abs(vo)), (alpha, lo, hi, n)
             for n in range(-1, 9):
                 vo = oracle_pow_tan(alpha, lo, hi, n)
-                assert abs(tan[n + 3] - vo) <= 1e-12 * (1 + abs(vo)), (alpha, lo, hi, n)
+                assert abs(tan[n + 1] - vo) <= 1e-12 * (1 + abs(vo)), (alpha, lo, hi, n)
 
     @pytest.mark.parametrize("alpha", [0.0, 1e-9, 1e-3, 0.5, 0.99])
     def test_production_orders_near_pi_over_2(self, alpha):
@@ -100,7 +97,7 @@ class TestOracleEquivalence:
                 assert abs(plain[n + 3] - vo) <= 1e-12 * (1 + abs(vo)), (lo, hi, n)
             for n in range(-1, 15):
                 vo = oracle_pow_tan(alpha, lo, hi, n)
-                assert abs(tan[n + 3] - vo) <= 1e-12 * (1 + abs(vo)), (lo, hi, n)
+                assert abs(tan[n + 1] - vo) <= 1e-12 * (1 + abs(vo)), (lo, hi, n)
 
     def test_small_alpha_stability(self):
         # the raw antiderivatives lose all digits here; the rearranged
@@ -113,7 +110,7 @@ class TestOracleEquivalence:
                 assert abs(plain[n + 3] - vo) <= 1e-12 * (1 + abs(vo))
             for n in range(-1, 5):
                 vo = oracle_pow_tan(alpha, -0.3, 0.8, n)
-                assert abs(tan[n + 3] - vo) <= 1e-12 * (1 + abs(vo))
+                assert abs(tan[n + 1] - vo) <= 1e-12 * (1 + abs(vo))
 
     def test_threshold_continuity(self):
         # values on both sides of the alpha = 0 switch agree
@@ -121,19 +118,18 @@ class TestOracleEquivalence:
         below = pow_plain(0.5e-8, lo, hi, 6)
         above = pow_plain(2e-8, lo, hi, 6)
         assert np.allclose(below, above, rtol=1e-6)
-        below = pow_tan(0.5e-8, lo, hi, 6)[2:]
-        above = pow_tan(2e-8, lo, hi, 6)[2:]
+        below = pow_tan(0.5e-8, lo, hi, 6)
+        above = pow_tan(2e-8, lo, hi, 6)
         assert np.allclose(below, above, rtol=1e-6)
 
 
 class TestProperties:
     def test_interval_additivity(self):
         alpha, a, b, c = 0.45, -0.5, 0.2, 0.9
-        # tan starts at n = -1 (index 2)
-        for build, first in ((pow_plain, 0), (pow_tan, 2)):
-            full = build(alpha, a, c, 6)[first:]
-            left = build(alpha, a, b, 6)[first:]
-            right = build(alpha, b, c, 6)[first:]
+        for build in (pow_plain, pow_tan):
+            full = build(alpha, a, c, 6)
+            left = build(alpha, a, b, 6)
+            right = build(alpha, b, c, 6)
             assert np.allclose(full, left + right, atol=1e-13, rtol=1e-13)
 
     def test_derivative_reproduces_integrand(self):
@@ -148,7 +144,7 @@ class TestProperties:
                 val = (delta(ap, th) / math.cos(th)) ** n
                 assert dp == pytest.approx(val, rel=1e-8)
                 if n >= -1:
-                    dt = pow_tan(alpha, th - h, th + h, 6)[n + 3] / (2 * h)
+                    dt = pow_tan(alpha, th - h, th + h, 6)[n + 1] / (2 * h)
                     assert dt == pytest.approx(val * math.tan(th), rel=1e-8, abs=1e-9)
 
     def test_range_touching_pi_over_2_rejected(self):
@@ -158,25 +154,31 @@ class TestProperties:
             pow_tan(0.3, -math.pi / 2, 0.2, 4)
 
 
+def binom(alpha, lo, hi, q_max):
+    """``binomial_combination`` of both families over [lo, hi], and the two tables."""
+    plain, tan = pow_plain(alpha, lo, hi, q_max), pow_tan(alpha, lo, hi, q_max)
+    return binomial_combination(q_max, alpha, np.concatenate([plain, tan])), plain, tan
+
+
 class TestBinomialCombination:
     def test_empty_binomial(self):
-        tab = pow_plain(0.4, -0.3, 0.6, 4)
-        b = binomial_combination(4, 0.4, tab)
-        assert b.shape == (4, 5)
+        b, plain, tan = binom(0.4, -0.3, 0.6, 4)
+        assert b.shape == (6, 5)
         for s in (0, 1, 2, 3):
-            assert b[s, 0] == tab[-s + 3]
+            assert b[s, 0] == plain[-s + 3]
+        for s in (0, 1):
+            assert b[4 + s, 0] == tan[-s + 1]
 
     def test_alpha_zero_single_term(self):
-        tab = pow_plain(0.0, -0.3, 0.6, 6)
-        b = binomial_combination(6, 0.0, tab)
+        b, plain, tan = binom(0.0, -0.3, 0.6, 6)
         for q in (1, 3, 5):
             for s in (0, 2):
-                assert b[s, q] == tab[q - s + 3]
+                assert b[s, q] == plain[q - s + 3]
+            assert b[5, q] == tan[q - 1 + 1]
 
     def test_named_case_against_oracle(self):
         # q=3, s=1, alpha=0.5 over [-0.2, 0.7]; frozen adaptive value
-        tab = pow_plain(0.5, -0.2, 0.7, 4)
-        got = binomial_combination(4, 0.5, tab)[1, 3]
+        got = build_table(0.5, -0.2, 0.7, 4).binom[1, 3]
         assert got == pytest.approx(0.1504446417421232, abs=1e-12)
 
     def test_random_cases_against_oracle(self):
@@ -186,7 +188,6 @@ class TestBinomialCombination:
             lo, hi = -0.4, 0.75
             q = int(RNG.integers(1, 7))
             s = int(RNG.integers(0, 4))
-            tab = pow_plain(alpha, lo, hi, q + 1)
 
             def f(th):
                 th = np.asarray(th)
@@ -195,41 +196,26 @@ class TestBinomialCombination:
 
             v, _, ok = quad_adaptive(f, lo, hi, 1e-13)
             assert ok
-            assert binomial_combination(q, alpha, tab)[s, q] == pytest.approx(
-                float(v[0].real), abs=5e-12
-            )
+            assert build_table(alpha, lo, hi, q).binom[s, q] == pytest.approx(float(v[0].real), abs=5e-12)
 
     def test_matches_scalar_sum(self):
-        # reference: the binomial sum term by term, for every (s, q)
-        for alpha in (0.3, 0.7, 0.95):
-            # the tan family is tabulated from n = -1, so only s <= 1
-            for build, s_max in ((pow_plain, 3), (pow_tan, 1)):
-                tab = build(alpha, -0.4, 0.75, 12)
-                b = binomial_combination(12, alpha, tab)
-                for s in range(s_max + 1):
-                    for q in range(13):
-                        terms = [
-                            math.comb(q, u) * (-alpha) ** u * tab[q - u - s + 3]
-                            for u in range(q + 1)
-                        ]
-                        scale = sum(abs(t) for t in terms)
-                        assert abs(b[s, q] - sum(terms)) <= 1e-14 * scale, (alpha, s, q)
-
-    def test_stacked_table_equals_row_by_row(self):
-        # build_table passes both families as one (2, n + 4) table; the
-        # result is that of one 1-D call per row, and a deeper stack of
-        # such tables is one call as well
-        for alpha, q_max in ((0.0, 3), (0.35, 8), (0.9, 13)):
-            rows = build_table(alpha, -0.5, 1.2, q_max).powers
-            stacked = binomial_combination(q_max, alpha, rows)
-            assert stacked.shape == (2, 4, q_max + 1)
-            for i in range(2):
-                np.testing.assert_array_equal(stacked[i], binomial_combination(q_max, alpha, rows[i]))
-            deeper = np.stack([rows, 2.0 * rows, -rows])
-            got = binomial_combination(q_max, alpha, deeper)
-            assert got.shape == (3, 2, 4, q_max + 1)
-            for i, table in enumerate(deeper):
-                np.testing.assert_array_equal(got[i], binomial_combination(q_max, alpha, table))
+        # reference: the binomial sum term by term, for each of the six
+        # rows (plain s = 0 .. 3, tan s = 0, 1) and every q; build_table's
+        # rows are binomial_combination's
+        for alpha in (0.0, 0.3, 0.7, 0.95):
+            b, plain, tan = binom(alpha, -0.4, 0.75, 12)
+            np.testing.assert_array_equal(build_table(alpha, -0.4, 0.75, 12).binom, b)
+            assert b.shape == (6, 13)
+            for row, (tab, s, first) in enumerate(
+                [(plain, s, 3) for s in range(4)] + [(tan, s, 1) for s in range(2)]
+            ):
+                for q in range(13):
+                    terms = [
+                        math.comb(q, u) * (-alpha) ** u * tab[q - u - s + first]
+                        for u in range(q + 1)
+                    ]
+                    scale = sum(abs(t) for t in terms)
+                    assert abs(b[row, q] - sum(terms)) <= 1e-14 * scale, (alpha, row, q)
 
 
 class TestLogIntegrals:
@@ -273,20 +259,19 @@ class TestLogIntegrals:
 class TestTable:
     def test_build_table_consistency(self):
         tab = build_table(0.35, -0.5, 0.8, 10)
-        assert tab.powers.shape == (2, 10 + 4)
-        assert tab.powers[0, 0 + 3] == pytest.approx(1.3, abs=1e-14)
-        assert tab.binom.shape == (2, 4, 11)
-        assert tab.binom[0, 1, 0] == tab.powers[0, -1 + 3]
-        assert tab.binom[1, 0, 2] == pytest.approx(
-            binomial_combination(10, 0.35, tab.powers[1])[0, 2], abs=0.0
+        assert (len(tab.plain), len(tab.tan)) == (10 + 4, 10 + 2)
+        assert tab.plain[0 + 3] == pytest.approx(1.3, abs=1e-14)
+        assert tab.binom.shape == (6, 11)
+        assert tab.binom[1, 0] == tab.plain[-1 + 3]
+        assert tab.binom[5, 0] == tab.tan[-1 + 1]
+        np.testing.assert_array_equal(
+            tab.binom, binomial_combination(10, 0.35, np.array(tab.plain + tab.tan))
         )
 
-    def test_untabulated_tan_entries_are_nan(self):
-        # tan[-3], tan[-2] are not tabulated: they and the tan rows
-        # s = 2, 3 of binom read as NaN, at alpha = 0 and above
-        for alpha in (0.0, 0.35):
-            tab = build_table(alpha, -0.5, 0.8, 6)
-            assert np.isnan(tab.powers[1, :2]).all()
-            assert np.isnan(tab.binom[1, 2:]).all()
-            assert np.isfinite(tab.powers[:, 2:]).all() and np.isfinite(tab.powers[0]).all()
-            assert np.isfinite(tab.binom[0]).all() and np.isfinite(tab.binom[1, :2]).all()
+    @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.35, 0.999])
+    def test_every_entry_is_finite(self, alpha):
+        # only entries that are read are tabulated: no placeholder slots
+        for n_max in (0, 6, 14):
+            tab = build_table(alpha, -0.5, 0.8, n_max)
+            assert np.isfinite(tab.plain).all() and np.isfinite(tab.tan).all()
+            assert np.isfinite(tab.binom).all()

@@ -220,6 +220,18 @@ class TestConsistency:
         for a, b in zip(fwd, rev[::-1]):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    def test_hypersingular_flag_keeps_the_other_six(self, k):
+        # the expansion always forms all seven components; without the
+        # flag the first six are returned as they are, bit for bit
+        for proj in SAMPLE_PROJECTIONS:
+            for z in (0.0, 1e-3, 0.05):
+                x = sample_field_point(proj, z)
+                full, six = (evaluate(request(x, k=k, hyper=h), method="analytic") for h in (True, False))
+                assert full.method.kind == six.method.kind == "analytic"
+                assert six.result.d2i0_dn2 is None and full.result.d2i0_dn2 is not None
+                assert six.result.values.tobytes() == full.result.values[:6].tobytes()
+
     def test_subdivision_closure(self):
         # parent value equals the sum over its three centroid-split
         # children; child x/y components are rotated into the parent frame,

@@ -529,6 +529,11 @@ class TestPolarIntegrate:
         got = polar_integrate([], z, 1.0, n, want_hyper=want_hyper).values
         assert got.shape == (7 if want_hyper else 6,) and not got.any()
 
+    @pytest.mark.parametrize("z, k", [(math.nan, 1.0), (math.inf, 1.0), (0.3, math.nan), (0.3, math.inf), (0.3, -1.0)])
+    def test_non_finite_input_raises(self, z, k):
+        with pytest.raises(ValueError):
+            polar_integrate(subdivide(VERTS), z, k, 8)
+
     @pytest.mark.parametrize("key", sorted(FROZEN_POLAR))
     def test_matches_frozen(self, key):
         proj, z, n = key
@@ -725,6 +730,11 @@ class TestAdaptiveOracle:
         with pytest.raises(ValueError):
             adaptive_oracle(verts, z, k, tol=tol, want_hyper=True, return_status=True)
 
+    @pytest.mark.parametrize("components", [("ix", "iy"), ("i0", "d2i0"), "ixy"])
+    def test_unknown_component_raises(self, components):
+        with pytest.raises(ValueError, match="components"):
+            adaptive_oracle(VERTS, 0.5, 1.0, tol=1e-13, components=components)
+
     def test_status_reports_achieved_error(self):
         verts = verts_rel((0.45, 0.3))
         _, status = adaptive_oracle(
@@ -913,6 +923,14 @@ class TestQuadAdaptive:
         v, err, ok = quad_adaptive(f, np.array([0.0, 0.5]), np.array([0.5, 1.0]), 1e-10)
         assert not ok and math.isnan(err) and math.isnan(v[0].real)
         assert calls == [30]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_integrand_warns_not(self, bad):
+        # 0 inf (the G7 weights of the Kronrod-only nodes) and inf - inf
+        # stay inside gk15, which the suite's warnings-as-errors would show
+        v, err, ok = quad_adaptive(lambda x: np.full((len(x), 1), bad), 0.0, 0.3, 1e-10)
+        assert not ok and not math.isfinite(err)
+        assert v[0] == bad or (math.isnan(bad) and math.isnan(v[0]))
 
     def test_several_intervals(self):
         # a jump at the joint of [0, 0.5] and [0.5, 1]: each interval is
