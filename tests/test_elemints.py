@@ -217,6 +217,20 @@ class TestBinomialCombination:
                     scale = sum(abs(t) for t in terms)
                     assert abs(b[row, q] - sum(terms)) <= 1e-14 * scale, (alpha, row, q)
 
+    def test_stacked_table_equals_row_by_row(self):
+        # build_table passes both families as one stacked table to a single
+        # call; each row is that of its own family alone, and the other
+        # family's entries play no part in it
+        for alpha, q_max in ((0.0, 3), (0.35, 8), (0.9, 13)):
+            b, plain, tan = binom(alpha, -0.5, 1.2, q_max)
+            assert b.shape == (6, q_max + 1)
+            np.testing.assert_array_equal(build_table(alpha, -0.5, 1.2, q_max).binom, b)
+            only_plain = binomial_combination(q_max, alpha, np.concatenate([plain, 0.0 * tan]))
+            only_tan = binomial_combination(q_max, alpha, np.concatenate([0.0 * plain, tan]))
+            np.testing.assert_array_equal(b[:4], only_plain[:4])
+            np.testing.assert_array_equal(b[4:], only_tan[4:])
+            assert not only_plain[4:].any() and not only_tan[:4].any()
+
 
 class TestLogIntegrals:
     def test_empty_interval(self):
