@@ -3,28 +3,51 @@
 Everything here is a definite integral over [theta_lo, theta_hi], a range
 strictly inside (-pi/2, pi/2), written in terms of
 
-    Delta^2 = 1 - alpha^2 sin^2(theta),    0 <= alpha < 1,
+    Delta^2 = 1 - alpha^2 sin^2(theta),    p = Delta / cos(theta),
 
-with alpha' = sqrt(1 - alpha^2).  Two families are tabulated,
+with 0 <= alpha <= 1 and alpha' = sqrt(1 - alpha^2).  Two families are
+tabulated,
 
-    plain[n] = integral (Delta/cos)^n dtheta,        n = -3 .. N,
-    tan[n]   = integral (Delta/cos)^n tan dtheta,    n = -1 .. N,
+    plain[n] = integral p^n dtheta,        n = -3 .. N,
+    tan[n]   = integral p^n tan dtheta,    n = -1 .. N,
 
-via upward recursions seeded by closed forms, plus the logarithmic
-integrals L_c and L_s.  Powers of (Delta/cos - alpha), which appear in all
-potential-integral terms, reduce to these tables through the binomial
-expansion; the expansion terms read the plain family at shifts s = 0 .. 3
-and the tan family at s = 0, 1 only.
+plus the logarithmic integrals L_c and L_s.  Powers of (p - alpha), which
+appear in all potential-integral terms, reduce to these tables through the
+binomial expansion; the expansion terms read the plain family at shifts
+s = 0 .. 3 and the tan family at s = 0, 1 only.
 
-Numerical notes.  Delta is always computed as hypot(cos, alpha' sin),
-which stays accurate as alpha -> 1, and Delta - alpha' is expanded through
-(Delta - alpha')(Delta + alpha') = alpha^2 cos^2(theta).  The closed-form
-seeds for n = -3..-1 are rearranged so that no term divides a cancellation
-by alpha^2; the raw antiderivatives in the source tables lose all
-precision for small alpha.  Below ALPHA_ZERO the exact alpha = 0 forms are
-used.  The upward recursions run on the endpoint differences, with the
-powers at each endpoint kept as running products, so no order calls
-``pow``.
+Seeds.  plain[-3 .. 1], tan[-1], tan[0], L_c and L_s are closed-form
+antiderivatives, evaluated at each end and differenced.  Delta is
+hypot(cos, alpha' sin), with alpha' passed in: when alpha = |z|/S rounds
+to 1 just above an edge's line, alpha' = s/S still holds its digits.  No
+form cancels, at either limit of alpha:
+
+- asin(alpha sin) = atan2(alpha sin, Delta), which stays accurate near
+  theta = +-pi/2 as alpha -> 1, where asin's argument is near 1;
+  (asin(x) - x)/x is summed as a series for small x, since the seeds for
+  n = -3 .. -1 divide it by alpha^2;
+- 1 - sin^2/(1 + Delta) = (cos^2 + Delta)/(1 + Delta);
+- log(alpha cos + Delta) is taken directly when the sum is below 1/2, and
+  as log1p(alpha cos - alpha^2 sin^2/(1 + Delta)) otherwise, where the sum
+  is near 1 (small alpha).
+
+Below ALPHA_ZERO the exact alpha = 0 forms of plain[-3 .. -1] and tan[-1]
+are used.
+
+Orders.  Both families run upward on endpoint differences
+[f] = f(theta_hi) - f(theta_lo), with the powers of p at each end kept as
+running products, so no order calls ``pow``:
+
+    tan[n] = alpha^2 tan[n-2] + [p^n] / n,
+    (n-1) plain[n] = alpha'^2 [p^(n-2) tan] + (n - 2 + alpha^2 (n-1)) plain[n-2]
+                     - alpha^2 (n-2) plain[n-4],                       n >= 2.
+
+Both come from d p / dtheta = tan (p^2 - alpha^2) / p: the first from the
+derivative of p^n, the second from that of p^(n-2) tan, with
+1 + tan^2 = (p^2 - alpha^2) / alpha'^2.  At alpha = 0 the second is the
+reduction formula for the integral of sec^n.  Its odd orders start from
+plain[1] = alpha^2 plain[-1] + alpha' [asinh(alpha' tan)], which divides
+by nothing, so alpha' may be 0.
 
 Everything that depends only on the order is built once and cached
 (``_pascal``): the signed Pascal matrix, its exponents and the index
@@ -56,11 +79,12 @@ _ASIN_SERIES = (
 )
 
 
-def _asin_ratio_m1(x: float) -> float:
-    """(asin(x) - x) / x with full absolute accuracy near 0.
+def _asin_ratio_m1(x: float, d: float) -> float:
+    """(asin(x) - x) / x with full absolute accuracy, given d = sqrt(1 - x^2).
 
-    The direct difference leaves an O(eps) absolute error that callers
-    amplify by 1/alpha^2; the series keeps the error O(x^16).
+    Near 0 the direct difference leaves an O(eps) absolute error that
+    callers amplify by 1/alpha^2, so the series is summed (error O(x^16));
+    elsewhere asin(x) is atan2(x, d).
     """
     if abs(x) < 0.1:
         x2 = x * x
@@ -68,7 +92,7 @@ def _asin_ratio_m1(x: float) -> float:
         for c in reversed(_ASIN_SERIES):
             acc = x2 * (c + acc)
         return acc
-    return (math.asin(x) - x) / x
+    return (math.atan2(x, d) - x) / x
 
 
 def _check_range(theta_lo: float, theta_hi: float) -> None:
@@ -78,113 +102,6 @@ def _check_range(theta_lo: float, theta_hi: float) -> None:
             f"angle range [{theta_lo}, {theta_hi}] must lie strictly inside "
             "(-pi/2, pi/2)"
         )
-
-
-def _endpoint(alpha: float, alpha_p: float, theta: float) -> tuple:
-    """Everything the closed forms read at one angle endpoint.
-
-    (theta, sin, cos, tan, Delta, (asin(x) - x)/x with x = alpha sin, and
-    log(alpha cos + Delta) evaluated as log1p of a small quantity).
-    """
-    s = math.sin(theta)
-    c = math.cos(theta)
-    d = math.hypot(c, alpha_p * s)
-    return (
-        theta,
-        s,
-        c,
-        math.tan(theta),
-        d,
-        _asin_ratio_m1(alpha * s),
-        math.log1p(alpha * c - alpha * alpha * s * s / (1.0 + d)),
-    )
-
-
-def _pow_plain(alpha: float, alpha_p: float, lo: tuple, hi: tuple, n_max: int) -> list:
-    """plain[n], n = -3 .. n_max, from the endpoint tuples.
-
-    The seeds n = -3 .. -1 are closed-form antiderivatives; orders n >= 1
-    come from the recursion G_n = alpha^2 G_{n-2} + alpha'^2 H_{n-2}, where
-    H_m is the integral of (1 + alpha'^2 u^2)^{m/2} in u = tan(theta).
-    """
-    a2 = alpha * alpha
-    anti = []
-    for th, s, c, u, d, asin_m1, _ in (lo, hi):
-        if alpha < ALPHA_ZERO:
-            anti.append((s - s**3 / 3.0, 0.5 * (s * c + th), s))
-            continue
-        # n = -3: sin * [ (asin(x)-x)/x + alpha^2 (1 - sin^2/(1+Delta)) / Delta ] / alpha^2
-        g = a2 * u / ((1.0 + alpha_p) * (1.0 + alpha_p * u * u))
-        anti.append((
-            s * (asin_m1 + a2 * (1.0 - s * s / (1.0 + d)) / d) / a2,
-            th / (1.0 + alpha_p) + alpha_p * math.atan(g) / a2,
-            s * (1.0 + asin_m1),
-        ))
-    out = [b - a for a, b in zip(*anti)]
-    out.append(hi[0] - lo[0])
-    if n_max >= 1:
-        h = _h_table(alpha_p, lo[3], hi[3], n_max - 2)
-        ap2 = alpha_p * alpha_p
-        for n in range(1, n_max + 1):
-            out.append(a2 * out[n + 1] + ap2 * h[n - 1])
-    return out
-
-
-def _h_table(alpha_p: float, u_lo: float, u_hi: float, m_max: int) -> list:
-    """Definite integrals of (1 + alpha'^2 u^2)^{m/2} du, m = -1 .. m_max.
-
-    Index with [m + 1].  Seeds H_{-1} = [asinh(alpha' u)]/alpha' and
-    H_0 = [u], then the upward recursion on the endpoint differences
-    H_m = ([u p^m] + m H_{m-2}) / (m + 1), p = sqrt(1 + alpha'^2 u^2),
-    with [f] = f(u_hi) - f(u_lo) and u p^m kept as a running product at
-    each endpoint.
-    """
-    p_lo = math.hypot(1.0, alpha_p * u_lo)
-    p_hi = math.hypot(1.0, alpha_p * u_hi)
-    h = [(math.asinh(alpha_p * u_hi) - math.asinh(alpha_p * u_lo)) / alpha_p, u_hi - u_lo]
-    a_lo, a_hi = u_lo, u_hi
-    for m in range(1, m_max + 1):
-        a_lo *= p_lo
-        a_hi *= p_hi
-        h.append((a_hi - a_lo + m * h[m - 1]) / (m + 1))
-    return h
-
-
-def _pow_tan(alpha: float, lo: tuple, hi: tuple, n_max: int) -> list:
-    """tan[n], n = -1 .. n_max, from the endpoint tuples, indexed [n + 1].
-
-    Orders n >= 1 follow T_n = alpha^2 T_{n-2} + (1/n) [(Delta/cos)^n],
-    the endpoint difference of running powers.
-    """
-    _, _, c_lo, _, d_lo, _, lu_lo = lo
-    _, _, c_hi, _, d_hi, _, lu_hi = hi
-    a2 = alpha * alpha
-    t_m1 = -(c_hi - c_lo) if alpha < ALPHA_ZERO else -(lu_hi - lu_lo) / alpha
-    out = [t_m1, math.log(c_lo) - math.log(c_hi)]
-    p_lo = d_lo / c_lo
-    p_hi = d_hi / c_hi
-    pn_lo = pn_hi = 1.0
-    for n in range(1, n_max + 1):
-        pn_lo *= p_lo
-        pn_hi *= p_hi
-        out.append(a2 * out[n - 1] + (pn_hi - pn_lo) / n)
-    return out
-
-
-def _logs(alpha: float, alpha_p: float, lo: tuple, hi: tuple) -> tuple[float, float]:
-    """L_c and L_s from the endpoint tuples; both zero at alpha = 0 (see ElemTable)."""
-    if alpha == 0.0:
-        return 0.0, 0.0
-    anti = []
-    for _, s, c, _, d, asin_m1, lu in (lo, hi):
-        w = 2.0 * (math.log(alpha * c) - math.log(d + alpha_p))
-        m = 2.0 * math.copysign(1.0, s) * math.log((d + alpha_p * abs(s)) / c) if s != 0.0 else 0.0
-        anti.append((
-            s * w + m - 2.0 * alpha_p * s * (1.0 + asin_m1),
-            -c * w + 2.0 * alpha_p * lu / alpha,
-        ))
-    (lc_lo, ls_lo), (lc_hi, ls_hi) = anti
-    return lc_hi - lc_lo, ls_hi - ls_lo
 
 
 @functools.lru_cache(maxsize=64)
@@ -206,7 +123,10 @@ def _pascal(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     q = np.arange(q_max + 1)
     expo = np.maximum(q[:, None] - q[None, :], 0)
     start = np.array([3, 2, 1, 0, q_max + 5, q_max + 4])  # where row r's m = 0 sits
-    return comb, expo, q.astype(float), start[:, None] + q
+    out = comb, expo, q.astype(float), start[:, None] + q
+    for a in out:
+        a.flags.writeable = False  # cached and shared
+    return out
 
 
 def binomial_combination(q_max: int, alpha: float, powers: np.ndarray) -> np.ndarray:
@@ -255,15 +175,54 @@ def build_table(
 ) -> ElemTable:
     """Build all elementary integrals needed for expansion order n_max - 1.
 
-    Each endpoint's trigonometric values are computed once and shared by
-    both power tables and L_c, L_s; one ``binomial_combination`` serves
-    both families.
+    One loop over the two ends evaluates every seed's antiderivative from
+    that end's sin, cos, tan and Delta; one loop over the orders runs both
+    recursions (see the module docstring); one ``binomial_combination``
+    serves both families.  ``alpha_p`` defaults to sqrt(1 - alpha^2).
     """
     _check_range(theta_lo, theta_hi)
     if alpha_p is None:
         alpha_p = math.sqrt((1.0 - alpha) * (1.0 + alpha))
-    lo, hi = _endpoint(alpha, alpha_p, theta_lo), _endpoint(alpha, alpha_p, theta_hi)
-    plain = _pow_plain(alpha, alpha_p, lo, hi, n_max)
-    tan = _pow_tan(alpha, lo, hi, n_max)
-    lc, ls = _logs(alpha, alpha_p, lo, hi)
+    a2 = alpha * alpha
+    ends = []
+    for th in (theta_lo, theta_hi):
+        s, c, t = math.sin(th), math.cos(th), math.tan(th)
+        d = math.hypot(c, alpha_p * s)
+        # p3, p2, p1, t1: antiderivatives of plain[-3], plain[-2], plain[-1], tan[-1]
+        if alpha < ALPHA_ZERO:
+            p3, p2, p1, t1 = s - s**3 / 3.0, 0.5 * (s * c + th), s, -c
+        else:
+            asin_m1 = _asin_ratio_m1(alpha * s, d)
+            g = a2 * t / ((1.0 + alpha_p) * (1.0 + alpha_p * t * t))
+            v = alpha * c + d
+            lu = math.log(v) if v < 0.5 else math.log1p(alpha * c - a2 * s * s / (1.0 + d))
+            p3 = s * (asin_m1 + a2 * (c * c + d) / ((1.0 + d) * d)) / a2
+            p2 = th / (1.0 + alpha_p) + alpha_p * math.atan(g) / a2
+            p1 = s * (1.0 + asin_m1)
+            t1 = -lu / alpha
+        ash = math.asinh(alpha_p * t)
+        lc = ls = 0.0  # alpha = 0: see ElemTable
+        if alpha != 0.0:
+            w = 2.0 * (math.log(alpha * c) - math.log(d + alpha_p))
+            lc = s * w + 2.0 * ash - 2.0 * alpha_p * p1
+            ls = -c * w - 2.0 * alpha_p * t1
+        ends.append(((p3, p2, p1, th, t1, -math.log(c), ash, lc, ls), d / c, t))
+    (lo, p_lo, tp_lo), (hi, p_hi, tp_hi) = ends
+    seeds = [b - a for a, b in zip(lo, hi)]
+    plain, tan, (ash, lc, ls) = seeds[:4], seeds[4:6], seeds[6:]
+    ap2 = alpha_p * alpha_p
+    pn_lo = pn_hi = 1.0  # p^n; tp_* is p^(n-2) tan
+    for n in range(1, n_max + 1):
+        pn_lo *= p_lo
+        pn_hi *= p_hi
+        tan.append(a2 * tan[n - 1] + (pn_hi - pn_lo) / n)
+        if n == 1:
+            plain.append(a2 * plain[2] + alpha_p * ash)
+            continue
+        plain.append(
+            (ap2 * (tp_hi - tp_lo) + (n - 2 + a2 * (n - 1)) * plain[n + 1] - a2 * (n - 2) * plain[n - 1])
+            / (n - 1)
+        )
+        tp_lo *= p_lo
+        tp_hi *= p_hi
     return ElemTable(plain, tan, lc, ls, binomial_combination(n_max, alpha, np.array(plain + tan)))

@@ -41,15 +41,22 @@ EPS_TIERS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15)
 _TAYLOR_FRACTION = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpApprox:
-    """Polynomial pair approximating (cos x, sin x) on [0, delta_x)."""
+    """Polynomial pair approximating (cos x, sin x) on [0, delta_x).
+
+    Entries are cached and shared, so the instance is frozen and its
+    coefficient arrays are made read-only.
+    """
 
     delta_x: float
     eps: float
     q: int
     cos_coeffs: np.ndarray
     sin_coeffs: np.ndarray
+
+    def __post_init__(self):
+        self.cos_coeffs.flags.writeable = self.sin_coeffs.flags.writeable = False
 
     @cached_property
     def coeffs(self) -> tuple[complex, ...]:
@@ -183,11 +190,11 @@ def select_approx(k: float, ell: float, eps: float) -> ExpApprox:
     coarsest tabulated tolerance not exceeding eps, each by one bisection
     into its tiers; the entry is cached by the two tier indices.
     k * ell >= pi/2 (the last tier) violates the standing element-size
-    assumption and is rejected, as is a NaN k * ell or eps.
+    assumption and is rejected, as is a negative or NaN k * ell or a NaN eps.
     """
     x_need = k * ell
-    if math.isnan(x_need):
-        raise ValueError("k*ell is not a number")
+    if not x_need >= 0.0:  # written so that a NaN fails it
+        raise ValueError(f"k*ell = {x_need:g} is negative or not a number")
     if x_need >= DELTA_X_TIERS[-1]:
         raise ValueError(
             f"k*ell = {x_need:.6g} >= {DELTA_X_LABELS[-1]}: element too large for the "

@@ -85,7 +85,10 @@ def _interp_tables():
     qmon = np.zeros((16, 15))
     for n in range(15):
         qmon[: n + 2, n] = leg.leg2poly(qleg[: n + 2, n])
-    return coef, qmon, (coef[13:], leg.legval(_GK_X, qleg[:, 13:]).T)
+    tail = coef[13:], leg.legval(_GK_X, qleg[:, 13:]).T
+    for a in (coef, qmon, *tail):
+        a.flags.writeable = False  # cached and shared
+    return coef, qmon, tail
 
 
 def gk15(f, lo: np.ndarray, hi: np.ndarray, tail=None):

@@ -49,6 +49,7 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise ValueError("n must be >= 1")
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False  # cached and shared
     return x, w
 
 
@@ -90,7 +91,9 @@ def polar_rule(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     xg, wg = gauss_rule(n)
     rho = 0.5 * (xg + 1.0)
     radial = np.column_stack([0.5 * wg * rho, 0.5 * wg * rho * rho]).astype(complex)
-    return tuple(zip(xg.tolist(), wg.tolist())), rho * rho, radial
+    rho2 = rho * rho
+    rho2.flags.writeable = radial.flags.writeable = False  # cached and shared
+    return tuple(zip(xg.tolist(), wg.tolist())), rho2, radial
 
 
 def polar_nodes(fan, n: int, z: float):

@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, and README's example runs."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 import helmpanel
+from helmpanel import elemints, kronrod, numquad
+from helmpanel.expapprox import LAPLACE, economize, select_approx
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -40,3 +43,20 @@ def test_reused_triangle_gives_the_same_reports():
         assert (a.method, a.estimator, a.z) == (b.method, b.estimator, b.z)
     with pytest.raises(AttributeError):
         shared.edges = (0.0,) * len(shared.edges)
+
+
+def test_cached_tables_cannot_be_edited():
+    # every call of these returns the same cached objects: an edit by one
+    # caller would change every later evaluation in the process
+    entry = economize(np.pi / 4, 1e-9)
+    assert select_approx(1.0, 0.1, 1e-9) is select_approx(1.0, 0.1, 1e-9)
+    arrays = [LAPLACE.cos_coeffs, LAPLACE.sin_coeffs, entry.cos_coeffs, entry.sin_coeffs]
+    arrays += [*numquad.gauss_rule(6), *numquad.polar_rule(6)[1:], *elemints._pascal(4)]
+    coef, qmon, tail = kronrod._interp_tables()
+    for a in [*arrays, coef, qmon, *tail]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 2.0
+    for approx in (entry, LAPLACE):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            approx.q = 0
+    assert entry.coeffs is entry.coeffs  # cached_property still caches on the frozen class

@@ -1,6 +1,8 @@
 """Elementary integral tables against closed forms and adaptive quadrature."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,3 +291,26 @@ class TestTable:
             tab = build_table(alpha, -0.5, 0.8, n_max)
             assert np.isfinite(tab.plain).all() and np.isfinite(tab.tan).all()
             assert np.isfinite(tab.binom).all()
+
+
+REFERENCE = json.loads((Path(__file__).parent / "data" / "elem_reference.json").read_text())["entries"]
+
+
+@pytest.mark.parametrize(
+    "entry", REFERENCE, ids=[f"{e['alpha']:g}-{e['alpha_p']}-{e['theta_lo']:.4g}-{e['theta_hi']:.4g}" for e in REFERENCE]
+)
+def test_against_independent_reference(entry):
+    # mpmath values that share no code with the library (bench/elem_reference.py),
+    # every order production reads and beyond, ranges out to pi/2 - 1e-4, and
+    # the sliver a point just above an edge's line makes: alpha rounded to
+    # 1.0 with alpha' = 1e-9 given, where plain[-3] was off by 3.2e-8 and
+    # tan[-1] by 1.4e-7
+    kw = {} if entry["alpha_p"] is None else {"alpha_p": entry["alpha_p"]}
+    tab = build_table(entry["alpha"], entry["theta_lo"], entry["theta_hi"], 17, **kw)
+    got = {f"plain[{n}]": tab.plain[n + 3] for n in range(-3, 18)}
+    got.update({f"tan[{n}]": tab.tan[n + 1] for n in range(-1, 18)}, lc=tab.lc, ls=tab.ls)
+    want = {f"{fam}[{n}]": v for fam in ("plain", "tan") for n, v in entry[fam].items()}
+    want.update({name: entry[name] for name in ("lc", "ls") if entry.get(name)})  # none at alpha = 0
+    assert len(want) >= 40
+    for name, (value, scale) in want.items():
+        assert abs(got[name] - value) <= 1e-14 * max(1.0, scale), name

@@ -413,6 +413,27 @@ class TestInPlaneExterior:
             assert rep.method.kind == "analytic"
 
 
+class TestJustAboveAnEdgeLine:
+    """Projections just above an edge's line: alpha = |z|/S is 1 or within 1e-14 of it."""
+
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    @pytest.mark.parametrize("z", [0.01, 0.1])
+    @pytest.mark.parametrize("offset", [1e-10, 1e-9])
+    def test_forced_analytic_meets_contract(self, offset, z, k):
+        # y = 0 is an edge of the sample triangle; on the sliver subtriangle
+        # beside it alpha' = offset/S holds the digits alpha has lost, and
+        # seed forms that cancelled there missed I0 by up to 200x, dI0/dn by
+        # up to 200x and d2I0/dn2 by up to 3700x
+        tol = 1e-12
+        x = np.array([0.5, offset, z])
+        rep = evaluate(request(x, k=k, tol=tol, hyper=True), method="analytic")
+        verts2d, zloc = to_local_frame(sample_triangle(), x)
+        ref = adaptive_oracle(verts2d, zloc, k, tol=1e-14, want_hyper=True)
+        assert abs(rep.result.i0 - ref.i0) <= 10 * tol
+        assert abs(rep.result.di0_dn - ref.di0_dn) <= 100 * tol
+        assert abs(rep.result.d2i0_dn2 - ref.d2i0_dn2) <= 100 * tol * max(1.0, abs(ref.d2i0_dn2))
+
+
 class TestSampleGeometry:
     def test_projection_classes(self):
         tri = sample_triangle()

@@ -131,6 +131,12 @@ class TestSelectApprox:
         with pytest.raises(ValueError, match="eps"):
             select_approx(k=1.0, ell=0.5, eps=math.nan)
 
+    @pytest.mark.parametrize("k, ell", [(-1.0, 0.5), (1.0, -0.5), (-math.inf, 0.1)])
+    def test_negative_argument_rejected(self, k, ell):
+        # the expansion covers [0, delta_x) only
+        with pytest.raises(ValueError, match="k\\*ell .* negative"):
+            select_approx(k, ell, 1e-9)
+
     def test_eps_tier_selection(self):
         # 5e-12 is not a tier: falls to the nearest not-coarser tier 1e-12
         ap = select_approx(k=1.0, ell=0.1, eps=5e-12)
