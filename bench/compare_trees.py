@@ -19,7 +19,9 @@ goes first, and each call's best time is kept.  Printed: the calls whose
 estimator order ``q`` differ (for the oracle, the convergence flag), the worst
 |v - v_other| / (1 + |v_other|) per component (dI0/dn and d2I0/dn2 of
 z = 0 numeric calls each on its own line) and the worst
-|e_q - e_q_other| / e_q_other of the estimator's bound, each side's
+|e_q - e_q_other| / e_q_other of the estimator's bound, per component
+the number of calls that move by more than ``BEYOND`` (1e-14) times
+(1 + |v_other|) and how many calls do so in any component, each side's
 p50 of the best per-call times, and, for all calls and for each kind of
 call (analytic, numeric, oracle, as this tree's verdict names it), the
 median of the per-call time ratios and the ratio of the summed best
@@ -55,6 +57,8 @@ D2_Z0 = "d2i0_dn2 (numeric, z = 0)"
 E_Q = "e_q"
 # differing calls printed one by one
 SHOW = 20
+# a call moves beyond rounding when |v - v_other| > BEYOND (1 + |v_other|)
+BEYOND = 1e-14
 
 
 def load_other(tree: Path):
@@ -167,6 +171,8 @@ def main() -> None:
 
     differ = []
     worst: dict[str, float] = {}
+    beyond: dict[str, int] = {}
+    calls_beyond = 0
     not_identical, at_z0 = np.zeros((2, len(items)), dtype=bool)
     for i, (a, b) in enumerate(zip(res_mine, res_other)):
         va, vb = verdict(a), verdict(b)
@@ -191,9 +197,15 @@ def main() -> None:
         for c, d in zip(COMPONENTS, rel):
             name = {"di0_dn": DI0_Z0, "d2i0_dn2": D2_Z0}.get(c, c) if z0_numeric else c
             worst[name] = max(worst.get(name, 0.0), d)
+            beyond[name] = beyond.get(name, 0) + (d > BEYOND)
+        calls_beyond += max(rel) > BEYOND
     print(f"{len(differ)} of {len(items)} calls differ in their verdict")
     for name, d in worst.items():
-        print(f"worst {'|de|/e' if name == E_Q else '|dv|/(1+|v|)'} {name}: {d:.3g}")
+        if name == E_Q:
+            print(f"worst |de|/e {name}: {d:.3g}")
+        else:
+            print(f"worst |dv|/(1+|v|) {name}: {d:.3g}; {beyond[name]} calls beyond {BEYOND:g}")
+    print(f"{calls_beyond} calls move beyond {BEYOND:g} (1+|v|) in some component")
     p50 = np.median(best, axis=1) * 1e6
     ratio = best[0] / best[1]
     kinds = np.array([verdict(out)[0] for out in res_mine])
@@ -214,6 +226,8 @@ def main() -> None:
         "rounds": args.rounds,
         "verdicts_differ": len(differ),
         "worst_rel": worst,
+        "beyond_rel": beyond,
+        "calls_beyond": calls_beyond,
         "p50_us": {"this": float(p50[0]), "other": float(p50[1])},
         "median_ratio": float(statistics.median(ratio.tolist())),
         "total_ratio": float(best[0].sum() / best[1].sum()),

@@ -217,7 +217,9 @@ def k_terms(geom: RefGeom, z: float, k: float, table: ElemTable, e: Sequence[com
 
 
 def assemble(z: float, k: float, sums: list[complex]) -> list[complex]:
-    """Apply exp(jk|z|) and its z-derivatives to k_terms' sums; all seven, in COMPONENTS order."""
+    """Apply exp(jk|z|) and its z-derivatives to k_terms' sums; all seven, in COMPONENTS order.
+
+    Linear in the sums and fixed by z and k, so the engine applies it once, to the fan's total."""
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
     i0p, ixp, iyp, di0p, dixp, diyp, d2p = sums
@@ -235,16 +237,16 @@ def assemble(z: float, k: float, sums: list[complex]) -> list[complex]:
 
 
 def evaluate_ref(geom: RefGeom, z: float, k: float, approx: ExpApprox) -> list[complex]:
-    """Full expansion evaluation on one reference triangle.
+    """k_terms' sums on one reference triangle, before ``assemble``.
 
     The expansion runs to order ``approx.q``, with the coefficients
-    ``approx.coeffs`` as they are cached; the values come as a list of all
-    seven components in COMPONENTS order (``assemble``).  The x/y
-    components are in the reference frame (x along the perpendicular-foot
-    direction); callers rotate them by the subtriangle's foot direction
-    into the element frame.
+    ``approx.coeffs`` as they are cached; the sums come as a list of all
+    seven components in COMPONENTS order.  The x/y components are in the
+    reference frame (x along the perpendicular-foot direction); callers
+    sign and rotate each subtriangle's sums into the element frame, add
+    them, and apply ``assemble``, which commutes with the rotation, once.
     """
     table = build_table(
         geom.alpha, geom.theta_lo, geom.theta_hi, approx.q + 1, alpha_p=geom.alpha_p
     )
-    return assemble(z, k, k_terms(geom, z, k, table, approx.coeffs))
+    return k_terms(geom, z, k, table, approx.coeffs)

@@ -46,17 +46,15 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
 
 
 def _parse_dx(text: str) -> float:
-    """Accept 'pi/16' style labels or a plain float."""
+    """Accept 'pi/16' style labels or a plain float; anything else is a ValueError."""
     t = text.strip().lower().replace(" ", "")
     for label, dx in zip(DELTA_X_LABELS, DELTA_X_TIERS):
         if t == label:
             return dx
-    if t == "pi":
-        return math.pi
     try:
         return float(t)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad delta-x {text!r}") from None
+        raise ValueError(f"bad delta-x {text!r}") from None
 
 
 def cmd_integrate(args) -> int:
@@ -218,7 +216,7 @@ def cmd_economize(args) -> int:
     if args.all:
         pairs = [(dx, e) for dx in DELTA_X_TIERS for e in EPS_TIERS]
     else:
-        pairs = [(args.dx, args.eps)]
+        pairs = [(_parse_dx(args.dx), args.eps)]
     approx = [economize(dx, eps) for dx, eps in pairs]  # ValueError before any output
     out = sys.stdout
     out.write("# helmpanel economize: e_q = c_q + j s_q with max|cos-p_c|,max|sin-p_s| <= eps on [0, delta_x)\n")
@@ -276,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_estimate)
 
     pc = sub.add_parser("economize", help="dump sin/cos coefficient table as CSV")
-    pc.add_argument("--dx", type=_parse_dx, default=DELTA_X_TIERS[-1], help="pi/16, pi/8, pi/4, pi/2 or float")
+    pc.add_argument("--dx", default=DELTA_X_LABELS[-1], help="pi/16, pi/8, pi/4, pi/2 or float")
     pc.add_argument("--eps", type=float, default=1e-9)
     pc.add_argument("--all", action="store_true", help="emit the full table")
     pc.set_defaults(func=cmd_economize)

@@ -5,7 +5,8 @@ walk over the triangle's edges gives the radial extents, which feed the
 a-priori 1/R error estimate, and the signed subtriangles about the
 projection.  The integrals are then computed on those subtriangles either
 by polar Gaussian quadrature at the selected order or, when no admissible
-order exists, by the expansion method.
+order exists, by the expansion method, with one expansion entry and one
+``assemble`` per request.
 
 The expansion path is additionally gated on k |z| <= pi/2: beyond that the
 upward J-recursions amplify roundoff, so the evaluation falls back to
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import PanelIntegrals, evaluate_ref
+from .analytic import PanelIntegrals, assemble, evaluate_ref
 from .estimator import OrderSelection, select_order
-from .expapprox import DELTA_X_TIERS, LAPLACE, select_approx
+from .expapprox import DELTA_X_TIERS, select_approx
 # radial_extents and subdivide are bound here, unused, for the layer tracer
 # of perfbench, which wraps them by name until it spans the walk
 from .geometry import Triangle3, radial_extents, ref_params, subdivide, to_local_frame, walk  # noqa: F401
@@ -50,10 +51,11 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in [{lo:g}, {hi:g}]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalRequest:
     """One panel-integral evaluation (the triangle validated itself); a field
-    point that is not a finite (3,) vector is a ValueError, like a bad k or tol."""
+    point that is not a finite (3,) vector is a ValueError, like a bad k or tol.
+    Checked once, so frozen; ``evaluate`` checks the (writable) point again."""
 
     triangle: Triangle3
     field_point: np.ndarray
@@ -62,7 +64,7 @@ class EvalRequest:
     want_hypersingular: bool = False
 
     def __post_init__(self):
-        self.field_point = np.asarray(self.field_point, dtype=float)
+        object.__setattr__(self, "field_point", np.asarray(self.field_point, dtype=float))
         if self.field_point.shape != (3,):
             raise ValueError(f"field point must have shape (3,), got {self.field_point.shape}")
         if not all(map(math.isfinite, self.field_point.tolist())):
@@ -94,27 +96,19 @@ class EvalReport:
     z: float
 
 
-def _analytic_eval(fan, z, k, tol, want_hyper) -> tuple[PanelIntegrals, MethodInfo]:
-    """Expansion method on the signed subtriangles of ``fan``, summed in the element frame.
+def _analytic_eval(fan, z, k, approx, want_hyper) -> PanelIntegrals:
+    """Expansion method on the signed subtriangles of ``fan`` with the request's entry ``approx``.
 
-    The one place the expansion is picked: at k = 0 the kernel is exactly
-    1/R and ``LAPLACE`` (e_0 = 1) keeps the imaginary parts identically zero.
-    ``evaluate_ref`` gives all seven components; d2I0/dn2 is kept only
-    with ``want_hyper``.
+    Per subtriangle only the angle tables and ``k_terms``' sums are formed
+    (``evaluate_ref``); they are signed, rotated into the element frame and
+    added, and ``assemble`` applies e^{jk|z|} and its z-derivatives once,
+    to the total.  d2I0/dn2 is kept only with ``want_hyper``.
     """
     total = [0j] * 7
-    q_exp = 0
-    dx = None
     for sub in fan:
-        geom = ref_params(sub, z)
-        approx = select_approx(k, sub.r_max, tol) if k != 0.0 else LAPLACE
-        q_exp = max(q_exp, approx.q)
-        dx = approx.delta_x if dx is None else max(dx, approx.delta_x)
-        i0, ix, iy, di0, dix, diy, d2 = evaluate_ref(geom, z, k, approx)
-        # the subtriangle's sign times the rotation by its foot direction psi
-        # into the element frame, one 2x2 product on the (ix, iy) and
-        # (dix, diy) pairs, added in place; on 2-3 subtriangles scalar
-        # arithmetic beats NumPy's per-call cost
+        i0, ix, iy, di0, dix, diy, d2 = evaluate_ref(ref_params(sub, z), z, k, approx)
+        # sign times the rotation by the foot direction psi, one 2x2 product on the
+        # (ix, iy) and (dix, diy) pairs: on 2-3 subtriangles scalar beats NumPy
         sign = sub.sign
         c, s = sign * sub.cos_psi, sign * sub.sin_psi
         total[0] += sign * i0
@@ -124,8 +118,8 @@ def _analytic_eval(fan, z, k, tol, want_hyper) -> tuple[PanelIntegrals, MethodIn
         total[4] += c * dix - s * diy
         total[5] += s * dix + c * diy
         total[6] += sign * d2
-    info = MethodInfo(kind="analytic", q_expansion=q_exp, delta_x=dx)
-    return PanelIntegrals(np.array(total if want_hyper else total[:6])), info
+    values = assemble(z, k, total)
+    return PanelIntegrals(np.array(values if want_hyper else values[:6]))
 
 
 def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None) -> EvalReport:
@@ -139,9 +133,10 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     is a ValueError.
     A forced analytic request still falls back to numeric quadrature at
     n = N_FALLBACK when the expansion is inadmissible (k * r_max >= pi/2 or
-    k |z| > pi/2); the report notes the fallback.  At k = 0 the analytic
-    report names the order-0 expansion that runs (q_expansion 0, delta_x
-    0.0).  Both arguments are checked before any geometry work.  The
+    k |z| > pi/2); the report notes the fallback.  Otherwise one entry,
+    ``select_approx`` at k * r_max, runs on every subtriangle, and the
+    report names it (at k = 0 the order-0 ``LAPLACE``: q_expansion 0,
+    delta_x 0.0).  Both arguments are checked before any geometry work.  The
     edges are walked once per request (``walk`` on ``Triangle3.edges``);
     its signed subtriangles go to whichever path runs.
     """
@@ -165,8 +160,9 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     elif req.k * abs(z) > K_Z_LIMIT:
         n, note = N_FALLBACK, "analytic inadmissible: k|z| > pi/2; numeric fallback"
     else:
-        res, info = _analytic_eval(fan, z, req.k, req.tol, req.want_hypersingular)
-        return EvalReport(res, info, sel, z)
+        approx = select_approx(req.k, ext.r_max, req.tol)
+        info = MethodInfo(kind="analytic", q_expansion=approx.q, delta_x=approx.delta_x)
+        return EvalReport(_analytic_eval(fan, z, req.k, approx, req.want_hypersingular), info, sel, z)
     res = polar_integrate(fan, z, req.k, n, want_hyper=req.want_hypersingular)
     return EvalReport(res, MethodInfo(kind="numeric", n_gauss=n, note=note), sel, z)
 
@@ -194,6 +190,8 @@ SAMPLE_PROJECTIONS: dict[int, tuple[float, float]] = {
 
 
 def sample_field_point(index: int, z: float) -> np.ndarray:
-    """Field point above sample projection ``index`` at height z."""
+    """Field point above sample projection ``index`` (a key of SAMPLE_PROJECTIONS) at height z."""
+    if index not in SAMPLE_PROJECTIONS:
+        raise ValueError(f"sample projection index must be one of {sorted(SAMPLE_PROJECTIONS)}, got {index!r}")
     px, py = SAMPLE_PROJECTIONS[index]
     return np.array([px, py, z])

@@ -9,8 +9,8 @@ magnitudes -- stays below the requested tolerance; the combined complex
 error is then at most sqrt(2) times that tolerance.
 
 Approximations are tabulated for dx in {pi/16, pi/8, pi/4, pi/2} and
-tolerances 1e-3 .. 1e-15, and selected by the largest expansion argument
-they must cover.
+tolerances 1e-3 .. 1e-15; ``select_approx`` picks one per analytic
+request, by the largest expansion argument k r_max it must cover.
 
 Each table is built on first use, on plain Python floats: the Taylor
 series is composed with x(u) = dx/2 (1 + u) by Horner's rule, converted to
@@ -173,24 +173,17 @@ def economize(delta_x: float, eps: float) -> ExpApprox:
     return ExpApprox(delta_x=delta_x, eps=eps, q=q, cos_coeffs=cos_out, sin_coeffs=sin_out)
 
 
-# EPS_TIERS ascending, for the bisection of select_approx.
-_EPS_ASCENDING = EPS_TIERS[::-1]
-
-
-@lru_cache(maxsize=None)
-def _tier_entry(i_dx: int, i_eps: int) -> ExpApprox:
-    """``economize`` at DELTA_X_TIERS[i_dx] and _EPS_ASCENDING[i_eps]."""
-    return economize(DELTA_X_TIERS[i_dx], _EPS_ASCENDING[i_eps])
+_EPS_ASCENDING = EPS_TIERS[::-1]  # for the bisection of select_approx
 
 
 def select_approx(k: float, ell: float, eps: float) -> ExpApprox:
-    """Table entry covering expansion arguments up to k * ell.
+    """Table entry covering expansion arguments up to k * ell; ``LAPLACE`` at k = 0.
 
     Picks the smallest delta_x tier strictly greater than k * ell and the
-    coarsest tabulated tolerance not exceeding eps, each by one bisection
-    into its tiers; the entry is cached by the two tier indices.
-    k * ell >= pi/2 (the last tier) violates the standing element-size
-    assumption and is rejected, as is a negative or NaN k * ell or a NaN eps.
+    coarsest tabulated tolerance not exceeding eps, by one bisection each,
+    from ``economize``'s cache.  k * ell >= pi/2 (the last tier) violates
+    the standing element-size assumption and is rejected, as is a negative
+    or NaN k * ell or a NaN eps, at k = 0 too.
     """
     x_need = k * ell
     if not x_need >= 0.0:  # written so that a NaN fails it
@@ -202,4 +195,7 @@ def select_approx(k: float, ell: float, eps: float) -> ExpApprox:
         )
     if not eps >= EPS_TIERS[-1]:
         raise ValueError(f"eps = {eps:g} is below the achievable tier {EPS_TIERS[-1]:g} or not a number")
-    return _tier_entry(bisect_right(DELTA_X_TIERS, x_need), bisect_right(_EPS_ASCENDING, eps) - 1)
+    if k == 0.0:
+        return LAPLACE
+    delta_x = DELTA_X_TIERS[bisect_right(DELTA_X_TIERS, x_need)]
+    return economize(delta_x, _EPS_ASCENDING[bisect_right(_EPS_ASCENDING, eps) - 1])

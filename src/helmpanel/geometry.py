@@ -132,9 +132,9 @@ class SignedSubTriangle:
     direction of its perpendicular foot, at element-plane angle psi
     (reference x/y rotate by it into the element frame).  From the foot, the
     polar angle runs over [theta_lo, theta_hi] inside (-pi/2, pi/2),
-    counter-clockwise from the side of length r1 to the one of length r2,
-    and the far side is r(theta) = s / cos(theta).  ``sign`` is -1 when the
-    subtriangle's contribution must be subtracted from the parent's.
+    counter-clockwise from the side of length r1 to the one of length r2
+    (the walk's r_max, which picks the request's expansion, bounds both),
+    and the far side is r(theta) = s / cos(theta); ``sign`` -1 subtracts it.
     """
 
     r1: float
@@ -150,10 +150,6 @@ class SignedSubTriangle:
     def theta(self) -> float:
         """The angle Theta at the origin."""
         return self.theta_hi - self.theta_lo
-
-    @property
-    def r_max(self) -> float:
-        return max(self.r1, self.r2)
 
 
 @dataclass(slots=True)

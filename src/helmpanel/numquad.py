@@ -237,11 +237,12 @@ def adaptive_oracle(
     integral of the x/y moments is one ``kronrod.antiderivative`` pass
     over [0, max tau], made before the angle pass and evaluated at the
     limits of its nodes in every round.  ``components`` limits only the x/y-moment
-    work: with neither "ixy" nor "dixy" the x/y entries are returned as 0
-    (and no radial pass is made), and without "dixy" only dIx/dn and
-    dIy/dn are; I0 and dI0/dn (and with ``want_hyper`` d2I0/dn2) are
-    always computed.  Derivatives at z = 0 are one-sided limits from z > 0,
-    matching the analytic convention.
+    work: "ixy" and "dixy" each give the moments and their normal
+    derivatives, and with neither the x/y entries are returned as 0 (and no
+    radial pass is made); I0 and dI0/dn are always computed.  d2I0/dn2 is
+    integrated only with ``want_hyper``, so otherwise it steers neither the
+    refinement nor the estimate.  Derivatives at z = 0 are one-sided limits
+    from z > 0, matching the analytic convention.
 
     With ``return_status`` the achieved error estimate and convergence
     flag are returned alongside the values instead of being discarded;
@@ -267,7 +268,6 @@ def adaptive_oracle(
     if not subs:
         return (total, {"error": 0.0, "converged": True}) if return_status else total
     want_xy = "ixy" in components or "dixy" in components
-    need_dm = "dixy" in components
     geoms = [ref_params(sub, z) for sub in subs]
     psi = np.array([math.atan2(sub.sin_psi, sub.cos_psi) for sub in subs])
     s, theta_lo, theta_hi = np.array([(g.s, g.theta_lo, g.theta_hi) for g in geoms]).T
@@ -286,9 +286,7 @@ def adaptive_oracle(
         # same for every angle and subtriangle, which enter only through tau = sqrt(Rbar - |z|)
         R = az + t * t
         m = 2.0 * np.exp(1j * k * R) * t * t * np.sqrt(t * t + 2.0 * az)
-        if need_dm:
-            return np.stack([m, z * (1.0 / R - jk) * m / R], axis=-1)
-        return m[:, None]
+        return np.stack([m, z * (1.0 / R - jk) * m / R], axis=-1)
 
     inner_err, inner_ok = 0.0, True
     if want_xy:
@@ -316,19 +314,20 @@ def adaptive_oracle(
         eR = np.exp(1j * k * Rbar)
         i0 = Rbar - az if k == 0.0 else (eR - ez) / jk
         di0 = sigma * ez - (z / Rbar) * eR
-        hyp = (rbar**2 / Rbar**3 + jk * z * z / Rbar**2) * eR - jk * ez
         ix = iy = dix = diy = np.zeros_like(i0)
         if want_xy:
             v = radial(np.sqrt(np.maximum(Rbar - az, 0.0)))
             cpsi, spsi = np.cos(psi[j] + th), np.sin(psi[j] + th)
-            ix, iy = cpsi * v[:, 0], spsi * v[:, 0]
-            if need_dm:
-                dix, diy = cpsi * v[:, 1], spsi * v[:, 1]
-        # PanelIntegrals order
-        return sign[j, None] * np.stack([i0, ix, iy, di0, dix, diy, hyp], axis=-1)
+            ix, iy, dix, diy = cpsi * v[:, 0], spsi * v[:, 0], cpsi * v[:, 1], spsi * v[:, 1]
+        # PanelIntegrals order; d2I0/dn2 only when asked for, so that
+        # neither the refinement nor the estimate follows a column not returned
+        cols = [i0, ix, iy, di0, dix, diy]
+        if want_hyper:
+            cols.append((rbar**2 / Rbar**3 + jk * z * z / Rbar**2) * eR - jk * ez)
+        return sign[j, None] * np.stack(cols, axis=-1)
 
     v, err, ok = quad_adaptive(f_theta, cuts[:-1], cuts[1:], tol)
-    total.values += v[: len(total.values)]
+    total.values += v
     if return_status:
         # an inner error e at every angle node moves the outer value by at
         # most (total angle width) * e, since |cos|, |sin| <= 1

@@ -12,6 +12,7 @@ from helmpanel.analytic import (
     COMPONENTS,
     GREEN_PREFACTOR,
     PanelIntegrals,
+    assemble,
     evaluate_ref,
     hypersingular,
     j_chain,
@@ -28,9 +29,9 @@ from helpers import canonical_sub, k_rows, sub_area
 RNG = np.random.default_rng(2718)
 
 
-def ref_integrals(*args, **kwargs) -> PanelIntegrals:
-    """``evaluate_ref``'s list of values, read through PanelIntegrals' accessors."""
-    return PanelIntegrals(np.array(evaluate_ref(*args, **kwargs)))
+def ref_integrals(geom, z, k, approx) -> PanelIntegrals:
+    """``evaluate_ref``'s sums through ``assemble``, read through PanelIntegrals' accessors."""
+    return PanelIntegrals(np.array(assemble(z, k, evaluate_ref(geom, z, k, approx))))
 
 
 def random_geom(rng, z_lo=0.05, z_hi=0.8):
@@ -153,7 +154,7 @@ class TestKTerms:
     def test_far_field_limit(self):
         # K_{0,0} -> area / |z| as z -> infinity (k-independent term)
         sub = self.sub
-        z = 1e3 * sub.r_max
+        z = 1e3 * max(sub.r1, sub.r2)
         geom = ref_params(sub, z)
         table = build_table(
             geom.alpha, geom.theta_lo, geom.theta_hi, 4, alpha_p=geom.alpha_p
@@ -220,7 +221,7 @@ def test_fused_pass_matches_per_order_rows():
         if k == 0.0:
             approxes, q_max = [LAPLACE], 6
         else:
-            approxes = [select_approx(k, sub.r_max, tol) for tol in (1e-6, 1e-9, 1e-12)]
+            approxes = [select_approx(k, max(sub.r1, sub.r2), tol) for tol in (1e-6, 1e-9, 1e-12)]
             q_max = max(a.q for a in approxes)
         table = table_to(q_max)
         ref = reference_rows(geom, z, k, q_max, table)
@@ -307,7 +308,7 @@ class TestAssemble:
         sub = canonical_sub(0.9, 0.7, 1.1)
         z, k = 0.35, 1.0
         geom = ref_params(sub, z)
-        approx = select_approx(k, sub.r_max, 1e-12)
+        approx = select_approx(k, max(sub.r1, sub.r2), 1e-12)
         res = ref_integrals(geom, z, k, approx)
 
         def f_theta(ths):
@@ -329,8 +330,8 @@ class TestAssemble:
         sub = canonical_sub(0.9, 0.7, 1.1)
         z, k = 0.2, 1.0
         geom = ref_params(sub, z)
-        loose = ref_integrals(geom, z, k, select_approx(k, sub.r_max, 1e-3))
-        tight = ref_integrals(geom, z, k, select_approx(k, sub.r_max, 1e-12))
+        loose = ref_integrals(geom, z, k, select_approx(k, max(sub.r1, sub.r2), 1e-3))
+        tight = ref_integrals(geom, z, k, select_approx(k, max(sub.r1, sub.r2), 1e-12))
         assert abs(loose.i0 - tight.i0) <= 2e-3
 
     def test_k_zero_is_real_laplace(self):
@@ -366,11 +367,11 @@ class TestHypersingular:
 
         def i0_at(zz):
             geom = ref_params(sub, zz)
-            approx = select_approx(k, sub.r_max, 1e-15)
+            approx = select_approx(k, max(sub.r1, sub.r2), 1e-15)
             return ref_integrals(geom, zz, k, approx).i0
 
         geom = ref_params(sub, z)
-        res = ref_integrals(geom, z, k, select_approx(k, sub.r_max, 1e-15))
+        res = ref_integrals(geom, z, k, select_approx(k, max(sub.r1, sub.r2), 1e-15))
         fd = (i0_at(z + h) - 2 * i0_at(z) + i0_at(z - h)) / h**2
         assert abs(res.d2i0_dn2 - fd) <= 1e-5 * abs(fd)
 
@@ -392,9 +393,9 @@ class TestHypersingular:
         # d2I0/dz2 -> area * d2/dz2 (e^{jkz}/z) as z -> infinity
         sub = canonical_sub(0.9, 0.7, 1.1)
         k = 1e-4
-        z = 1e3 * sub.r_max
+        z = 1e3 * max(sub.r1, sub.r2)
         geom = ref_params(sub, z)
-        res = ref_integrals(geom, z, k, select_approx(k, sub.r_max, 1e-15))
+        res = ref_integrals(geom, z, k, select_approx(k, max(sub.r1, sub.r2), 1e-15))
         g = cmath.exp(1j * k * z)
         asym = sub_area(sub) * g * (-k * k - 2j * k / z + 2.0 / (z * z)) / z
         assert abs(res.d2i0_dn2 - asym) <= 1e-4 * abs(asym)

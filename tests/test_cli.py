@@ -111,6 +111,30 @@ class TestIntegrate:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "tri, message",
+        [("0,0,0,1,0,0,0.4,0.9,x", "error: bad --tri: could not convert string to float: 'x'"),
+         ("0,0,0,1,0,0,0.4,0.9", "error: --tri needs 9 comma-separated values")],
+    )
+    def test_unparsable_list_prints_usage_and_error(self, tri, message, capsys):
+        # _parse_floats' errors reach main's ArgumentTypeError handler
+        code = main(["integrate", "--tri", tri, "--point", "0.3,0.2,0.1", "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: ") and lines[-1] == message
+
+    def test_fallback_prints_note(self):
+        # k * r_max >= pi/2 on the sample triangle at k = 3: the forced
+        # expansion falls back to numeric quadrature and says why
+        code, out = run_main(
+            ["integrate", "--tri", TRI, "--point", "0.467,0.3,0.01", "--k", "3", "--method", "analytic"]
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:3] == ["method: numeric", "n_gauss: 50",
+                             "note: analytic inadmissible: k*r_max >= pi/2; numeric fallback"]
+
     def test_hyper_flag_adds_component(self):
         code, out = run_main(
             ["integrate", "--tri", TRI, "--point", "0.467,0.3,0.5", "--k", "1",
@@ -194,6 +218,33 @@ class TestSweep:
             for tol in (1e-6, 1e-12):
                 q = select_order(ext, float(r[0]), tol, q_cap=512).q
                 assert int(r[header.index(f"Q_tol{tol:g}")]) == (-1 if q is None else q)
+
+    def test_proj_matches_sample_point(self):
+        # --proj places the sweep above the given projection, here sample point 3
+        args = ["sweep", "--zmin", "0.1", "--zmax", "1.0", "--steps", "2", "--log", "--tols", "1e-6", "--orders", "8"]
+        _, by_proj = run_main(args + ["--proj", "0.5,0"])
+        _, by_index = run_main(args + ["--sample-point", "3"])
+        assert by_proj == by_index
+
+    def test_linear_spacing(self):
+        code, out = run_main(
+            ["sweep", "--zmin", "0.1", "--zmax", "0.5", "--steps", "3", "--tols", "1e-6", "--orders", "8"]
+        )
+        assert code == 0
+        _, data = parse_csv(out)
+        assert [r[0] for r in data] == [format(z, ".17g") for z in np.linspace(0.1, 0.5, 3)]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(["--zmin", "0.1", "--steps", "1"], "error: --steps must be >= 2"),
+         (["--zmin", "0", "--steps", "2", "--log"], "error: --zmin must be > 0 for log spacing"),
+         (["--zmin", "-0.1", "--steps", "2", "--log"], "error: --zmin must be > 0 for log spacing")],
+    )
+    def test_bad_z_grid_is_one_error_line(self, extra, message, capsys):
+        code = main(["sweep", "--zmax", "1.0", *extra])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == [message]
 
     def test_csv_round_trip(self):
         code, out = run_main(
@@ -293,3 +344,11 @@ class TestEconomize:
         assert code == 0
         _, data = parse_csv(out)
         assert float(data[0][0]) == pytest.approx(math.pi / 8)
+
+    @pytest.mark.parametrize("dx", ["pi", "pi/3", "abc"])
+    def test_bad_dx_label(self, dx, capsys):
+        # pi lies outside (0, pi/2]; labels are only the four tiers
+        code = main(["economize", "--dx", dx])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == [f"error: bad delta-x {dx!r}"]

@@ -1,12 +1,13 @@
 """Top-level evaluation: validation, selection, accumulation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from helmpanel import engine, geometry, numquad
-from helmpanel.analytic import COMPONENTS, PanelIntegrals
+from helmpanel.analytic import COMPONENTS, PanelIntegrals, assemble, evaluate_ref
 from helmpanel.engine import (
     EvalRequest,
     K_Z_LIMIT,
@@ -16,6 +17,7 @@ from helmpanel.engine import (
     sample_field_point,
     sample_triangle,
 )
+from helmpanel.expapprox import select_approx
 from helmpanel.geometry import Triangle3, to_local_frame
 from helmpanel.numquad import adaptive_oracle
 
@@ -91,6 +93,23 @@ class TestValidation:
             req.triangle.v2[0] = np.inf  # the triangle cannot be changed
         with pytest.raises(ValueError, match="field point .* not finite"):
             evaluate(req)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("triangle", None), ("field_point", (0.3, 0.2, 0.1)), ("k", 2.0), ("tol", 0.5),
+         ("want_hypersingular", True)],
+    )
+    def test_fields_cannot_be_reassigned(self, field, value):
+        # the fields were checked when the request was built
+        req = request(sample_field_point(2, 0.5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(req, field, value)
+        assert req.tol == 1e-9
+
+    @pytest.mark.parametrize("index", [0, 5, -1])
+    def test_unknown_sample_projection(self, index):
+        with pytest.raises(ValueError, match=r"one of \[1, 2, 3, 4\]"):
+            sample_field_point(index, 0.1)
 
 
 class TestSelection:
@@ -186,6 +205,35 @@ class TestSelection:
         assert rep.method.delta_x == 0.0
         k1 = evaluate(request(sample_field_point(2, 1e-3), k=1.0, tol=1e-9))
         assert k1.method.q_expansion > 0 and k1.method.delta_x > 0.0
+
+    def test_one_expansion_per_request(self, monkeypatch):
+        # outside the sample triangle at k = 0.7 the fan's subtriangles reach
+        # 0.96 and 1.33, arguments in the pi/4 and pi/2 tiers: the request
+        # still runs, and reports, the one entry that covers k * r_max, and
+        # assemble's factor is applied once, to the signed, rotated sum
+        k, tol = 0.7, 1e-9
+        req = request(sample_field_point(4, 0.05), k=k, tol=tol, hyper=True)
+        verts2d, z = to_local_frame(req.triangle, req.field_point)
+        ext, fan = geometry.walk(verts2d, req.triangle.edges)
+        assert len({select_approx(k, max(sub.r1, sub.r2), tol).delta_x for sub in fan}) == 2
+        calls = {"select_approx": 0, "assemble": 0}
+        for name in calls:
+            def counted(*args, fn=getattr(engine, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(engine, name, counted)
+        rep = evaluate(req, method="analytic")
+        assert calls == {"select_approx": 1, "assemble": 1}
+        approx = select_approx(k, ext.r_max, tol)
+        assert (rep.method.kind, rep.method.q_expansion, rep.method.delta_x) == ("analytic", approx.q, approx.delta_x)
+        # the same entry, assembled per subtriangle and then rotated
+        want = np.zeros(7, dtype=complex)
+        for sub in fan:
+            i0, ix, iy, di0, dix, diy, d2 = assemble(z, k, evaluate_ref(geometry.ref_params(sub, z), z, k, approx))
+            c, s = sub.cos_psi, sub.sin_psi
+            want += sub.sign * np.array([i0, c * ix - s * iy, s * ix + c * iy, di0, c * dix - s * diy,
+                                         s * dix + c * diy, d2])
+        assert np.max(np.abs(rep.result.values - want) / (1.0 + np.abs(want))) <= 1e-14
 
     def test_sample_projections_methods(self):
         near = [evaluate(request(sample_field_point(i, 0.01))) for i in (1, 2, 3)]

@@ -15,6 +15,7 @@ from helmpanel.expapprox import (
     DELTA_X_LABELS,
     DELTA_X_TIERS,
     EPS_TIERS,
+    LAPLACE,
     economize,
     select_approx,
     taylor_degree_for,
@@ -130,6 +131,17 @@ class TestSelectApprox:
             select_approx(k=math.nan, ell=0.5, eps=1e-6)
         with pytest.raises(ValueError, match="eps"):
             select_approx(k=1.0, ell=0.5, eps=math.nan)
+
+    def test_k_zero_gives_laplace_after_the_checks(self):
+        # at k = 0 the kernel is exactly 1/R: e = [1] at order 0, whatever ell and eps
+        for ell in (0.0, 0.3, 1e6):
+            for eps in (1e-15, 1e-9, 1e-2):
+                assert select_approx(0.0, ell, eps) is LAPLACE
+        # the checks run first, so bad input still raises at k = 0
+        with pytest.raises(ValueError, match="eps"):
+            select_approx(0.0, 0.3, math.nan)
+        with pytest.raises(ValueError, match="k\\*ell"):
+            select_approx(0.0, math.inf, 1e-9)
 
     @pytest.mark.parametrize("k, ell", [(-1.0, 0.5), (1.0, -0.5), (-math.inf, 0.1)])
     def test_negative_argument_rejected(self, k, ell):

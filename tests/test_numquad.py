@@ -735,6 +735,36 @@ class TestAdaptiveOracle:
         with pytest.raises(ValueError, match="components"):
             adaptive_oracle(VERTS, 0.5, 1.0, tol=1e-13, components=components)
 
+    def test_status_error_follows_only_returned_columns(self):
+        # without want_hyper, d2I0/dn2 is neither integrated nor judged: it
+        # no longer steers the refinement or the roundoff term of the estimate
+        verts = verts_rel(SAMPLE_PROJECTIONS[2])
+        errors = [
+            adaptive_oracle(
+                verts, 1e-4, 1.0, tol=1e-13, want_hyper=hyper, components=("i0", "di0"),
+                return_status=True,
+            )[1]["error"]
+            for hyper in (False, True)
+        ]
+        assert errors[0] < errors[1]
+
+    def test_ixy_and_dixy_name_the_same_work(self):
+        # either name gives the x/y moments and their normal derivatives
+        verts = verts_rel(SAMPLE_PROJECTIONS[2])
+        a = adaptive_oracle(verts, 0.05, 1.0, components=("ixy",))
+        b = adaptive_oracle(verts, 0.05, 1.0, components=("dixy",))
+        np.testing.assert_array_equal(a.values, b.values)
+        assert a.dix_dn != 0.0
+
+    @pytest.mark.parametrize("want_hyper", [False, True])
+    def test_empty_fan_gives_zeros(self, want_hyper):
+        # collinear vertices through the projection subtend no angle
+        got, status = adaptive_oracle(
+            [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], 0.3, 1.0, want_hyper=want_hyper, return_status=True
+        )
+        np.testing.assert_array_equal(got.values, np.zeros(7 if want_hyper else 6))
+        assert status == {"error": 0.0, "converged": True}
+
     def test_status_reports_achieved_error(self):
         verts = verts_rel((0.45, 0.3))
         _, status = adaptive_oracle(
