@@ -25,7 +25,8 @@ the number of calls that move by more than ``BEYOND`` (1e-14) times
 p50 of the best per-call times, and, for all calls and for each kind of
 call (analytic, numeric, oracle, as this tree's verdict names it), the
 median of the per-call time ratios and the ratio of the summed best
-times, this tree over the other, and how many calls of the kind agree in
+times, this tree over the other; per kind also each side's p50 of the
+best per-call times and how many calls of the kind agree in
 their verdict but not bit for bit in their values (and how many of those
 are at z = 0).  The last line is JSON.  The exit status
 is 1 when any verdict differs, so that a script can gate on it.
@@ -216,6 +217,7 @@ def main() -> None:
             "calls": int(sel.sum()),
             "median_ratio": float(np.median(ratio[sel])),
             "total_ratio": float(best[0, sel].sum() / best[1, sel].sum()),
+            "p50_us": {"this": float(np.median(best[0, sel]) * 1e6), "other": float(np.median(best[1, sel]) * 1e6)},
             "values_not_identical": int(not_identical[sel].sum()),
             "values_not_identical_z0": int((not_identical & at_z0)[sel].sum()),
         }
@@ -237,7 +239,8 @@ def main() -> None:
     print(f"time ratio, this tree over the other: median {summary['median_ratio']:.3f}, "
           f"total {summary['total_ratio']:.3f}")
     for kind, r in by_kind.items():
-        print(f"  {kind} ({r['calls']} calls): median {r['median_ratio']:.3f}, total {r['total_ratio']:.3f}; "
+        print(f"  {kind} ({r['calls']} calls): p50 {r['p50_us']['this']:.1f} us here, {r['p50_us']['other']:.1f} us "
+              f"in the other tree; median {r['median_ratio']:.3f}, total {r['total_ratio']:.3f}; "
               f"{r['values_not_identical']} not bit-identical in their values, "
               f"{r['values_not_identical_z0']} of them at z = 0")
     print(json.dumps(summary, sort_keys=True))

@@ -15,14 +15,25 @@ log[(Delta - alpha')/(Delta + alpha')], taken as
 2 log(alpha cos / (Delta + alpha')), which does not cancel (none at
 alpha = 0, where the library stores them as 0).  Each comes with the
 integral of its |integrand|: every integrand keeps its sign on either
-side of u = 0, so that is the sum of the two sides' |values|.  A value is
-kept only when mpmath's error estimate is below 1e-20 of that integral.
+side of u = 0, so that is the sum of the two sides' |values|.
+
+It also writes the rows the expansion terms read, at n = 0 .. 17:
+P_s[n] = integral (p - alpha)^n p^(-s) dtheta, s = 0 .. 3, and
+T_s[n] = integral (p - alpha)^n p^(-s) tan dtheta, s = 0, 1, with
+p - alpha taken as alpha'^2 (1 + u^2) / (p + alpha), which does not
+cancel.  Each comes with the integral of (p + alpha)^n p^(-s) [|tan|], the
+scale of the binomial sum over the powers of p: it is that sum with every
+term taken positive, sum_m C(n, m) alpha^(n-m) times the |integrand|
+integral of plain[m - s] (or tan[m - s]), so it needs no quadrature of
+its own, and each row's integrand is divided by it for the quadrature.
+A value is kept only when mpmath's error estimate is below 1e-20 of its
+scale.
 
 The grid is alpha in {0, 1e-9, 1e-3, 0.3, 0.95, 0.99999} over four
 ranges, and one sliver: the table is built with alpha = 1.0 and
 alpha' = 1e-9 given explicitly (as for a point 1e-9 S off an edge's line,
 where |z|/S rounds to 1), and mpmath takes alpha = sqrt(1 - alpha'^2).
-It runs a few minutes on one core.
+It runs about six minutes on one core.
 """
 
 from __future__ import annotations
@@ -41,6 +52,8 @@ RANGES = ((-1.5, 1.5), (-0.2, 0.3), (1.0, math.pi / 2 - 1e-4), (-math.pi / 2 + 1
 SLIVER = (1.0, 1e-9, -math.pi / 2 + 2.5e-10, math.pi / 2 - 2e-10)  # alpha, alpha', range
 PLAIN = range(-3, 18)
 TAN = range(-1, 18)
+ORDERS = range(18)
+ROWS = (("P0", 0, False), ("P1", 1, False), ("P2", 2, False), ("P3", 3, False), ("T0", 0, True), ("T1", 1, True))
 KEEP = mp.mpf("1e-20")
 
 
@@ -73,20 +86,42 @@ def case(alpha, alpha_p, theta_lo, theta_hi):
         a = mp.sqrt(1 - ap * ap)
     u_lo, u_hi = mp.tan(mp.mpf(theta_lo)), mp.tan(mp.mpf(theta_hi))
     dropped = []
+    scales = {}  # (family, n) -> integral of |integrand|, at full precision
 
-    def kept(name, f):
-        v, s, e = integral(f, u_lo, u_hi)
+    def kept(name, f, scale=None):
+        """f's integral and scale; a given scale divides f first, since mpmath's error target is absolute."""
+        if scale is None:
+            v, s, e = integral(f, u_lo, u_hi)
+        else:
+            v, _, e = integral(lambda u: f(u) / scale, u_lo, u_hi)
+            v, s, e = v * scale, scale, e * scale
         if e > KEEP * s:
             dropped.append(name)
-            return None
-        return [float(v), float(s)]
+            return None, s
+        return [float(v), float(s)], s
 
     def p(u):
         return mp.sqrt(1 + (ap * u) ** 2)
 
+    def weight(tan):
+        return (lambda u: u / (1 + u * u)) if tan else (lambda u: 1 / (1 + u * u))
+
     entry = {"alpha": alpha, "alpha_p": alpha_p, "theta_lo": theta_lo, "theta_hi": theta_hi}
-    for name, orders, weight in (("plain", PLAIN, lambda u: 1 / (1 + u * u)), ("tan", TAN, lambda u: u / (1 + u * u))):
-        values = {str(n): kept(f"{name}[{n}]", lambda u, n=n: p(u) ** n * weight(u)) for n in orders}
+    for name, orders, tan in (("plain", PLAIN, False), ("tan", TAN, True)):
+        values = {}
+        for n in orders:
+            values[str(n)], scales[name, n] = kept(f"{name}[{n}]", lambda u, n=n, w=weight(tan): p(u) ** n * w(u))
+        entry[name] = {n: v for n, v in values.items() if v is not None}
+    for name, s, tan in ROWS:
+        family = "tan" if tan else "plain"
+        values = {}
+        for n in ORDERS:
+            scale = mp.fsum(mp.binomial(n, m) * a ** (n - m) * scales[family, m - s] for m in range(n + 1))
+            values[str(n)], _ = kept(
+                f"{name}[{n}]",
+                lambda u, n=n, s=s, w=weight(tan): (ap * ap * (1 + u * u) / (p(u) + a)) ** n * p(u) ** -s * w(u),
+                scale,
+            )
         entry[name] = {n: v for n, v in values.items() if v is not None}
     if alpha != 0.0:
         # cos = 1/sqrt(1+u^2), Delta = p cos, log term 2 log(alpha cos / (Delta + alpha'))
@@ -94,8 +129,8 @@ def case(alpha, alpha_p, theta_lo, theta_hi):
             c = 1 / mp.sqrt(1 + u * u)
             return 2 * mp.log(a * c / (p(u) * c + ap))
 
-        entry["lc"] = kept("lc", lambda u: log_term(u) / (1 + u * u) ** 1.5)
-        entry["ls"] = kept("ls", lambda u: log_term(u) * u / (1 + u * u) ** 1.5)
+        entry["lc"] = kept("lc", lambda u: log_term(u) / (1 + u * u) ** 1.5)[0]
+        entry["ls"] = kept("ls", lambda u: log_term(u) * u / (1 + u * u) ** 1.5)[0]
     return entry, dropped
 
 
@@ -116,7 +151,9 @@ def main() -> None:
     about = (
         "mpmath reference for elemints.build_table, written by bench/elem_reference.py "
         f"at {args.dps} digits.  Per entry: plain[n] and tan[n] keyed by n, lc, ls, "
-        "each as [value, integral of |integrand|]; alpha_p, when not null, is passed to "
+        "each as [value, integral of |integrand|], and the rows P0 .. P3, T0, T1 keyed "
+        "by n = 0 .. 17, each as [value, integral of (p + alpha)^n p^-s [|tan|]]; "
+        "alpha_p, when not null, is passed to "
         "build_table with alpha = 1.0, and mpmath used alpha = sqrt(1 - alpha_p^2)."
     )
     args.out.write_text(json.dumps({"about": about, "entries": entries}, indent=1) + "\n")

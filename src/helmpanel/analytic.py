@@ -3,7 +3,7 @@
 The Helmholtz kernel is written exp(jk|z|) exp(jk(R - |z|))/R and the
 second exponential replaced by the economized polynomial
 sum_q e_q (k(R - |z|))^q.  Term-by-term radial integration then leaves
-one-dimensional angle integrals that reduce to the elementary tables:
+one-dimensional angle integrals that reduce to the elementary rows:
 
     I0' = sum_q e_q K_{q,0},   Ix' = sum_q e_q K_{q,x},   Iy' = ...,
 
@@ -111,8 +111,6 @@ def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> 
     kaz = k * az
     p_m1, p_0 = table.plain[2:4]
     t_m1, t_0 = table.tan[:2]
-    # binomial sums of order q + 1 at s = 0, 1, indexed [q]
-    bp, bp1, _, _, bt, bt1 = table.binom[:, 1 : q_max + 1].tolist()
     c = 0.5 * s * p_0 + 0.25 * az * table.lc
     sn = 0.5 * s * t_0 + 0.25 * az * table.ls
     dc = sigma * (0.25 * table.lc + 0.5 * (s / S) * p_m1)
@@ -120,7 +118,8 @@ def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> 
     jc, js, djc, djs = [c], [sn], [dc], [ds]
     dsrc0 = -sigma * 0.5 * (s / S)
     kSq1 = 1.0
-    for (fac, ratio, half), bp_q, bp1_q, bt_q, bt1_q in zip(_chain_ratios(q_max), bp, bp1, bt, bt1):
+    # table.rows[q] is order q + 1; the plain and tan rows at s = 0, 1 feed the chain
+    for (fac, ratio, half), (bp_q, bp1_q, _, _, bt_q, bt1_q) in zip(_chain_ratios(q_max), table.rows):
         kf = kaz * fac
         sfk = sigma * fac * k
         kSq1 *= kS
@@ -146,7 +145,7 @@ def hypersingular(geom: RefGeom, k: float, q_max: int, table: ElemTable) -> np.n
     inline, one array over q = 0 .. q_max; production runs k_terms' pass.
     """
     q = np.arange(q_max + 1.0)
-    b = table.binom[:, 1 : q_max + 2]
+    b = np.array(table.rows[: q_max + 1]).T
     return (k * geom.S) ** q / geom.S * (geom.alpha * b[3] + (q + 1) * b[2])
 
 
@@ -155,13 +154,13 @@ def k_terms(geom: RefGeom, z: float, k: float, table: ElemTable, e: Sequence[com
 
     Returns [I0', Ix', Iy', dI0'/dz, dIx'/dz, dIy'/dz, d2I0'/dz2].  One
     loop over the orders, on Python floats, carries j_chain's recursion
-    for (I_c, I_s, dI_c/dz, dI_s/dz), forms each term from the rows of
-    binomial sums B of order q + 1 (p = (kS)^q B_plain[0],
-    p1 = (kS)^q (q+1) B_plain[1], t and t1 likewise from the tan family),
+    for (I_c, I_s, dI_c/dz, dI_s/dz), forms each term from the table's
+    rows at order q + 1 (``elemints``: p = (kS)^q P_0, p1 = (kS)^q (q+1) P_1,
+    t and t1 likewise from T_0 and T_1),
 
         K0  = S p / (q+1)         Kx  = (sS p + 2|z| I_c) / (q+2)
         dK0 = -sigma p1 / (q+1)   dKx = (-sigma s p1 + 2 sigma I_c + 2|z| dI_c) / (q+2)
-        d2K0 = (kS)^q / S (alpha B_plain[3] + (q+1) B_plain[2]),
+        d2K0 = (kS)^q / S (alpha P_3 + (q+1) P_2),
 
     Ky and dKy likewise from t, t1, I_s and dI_s, and adds each term times
     e_q to its sum; no per-order table is built.  ``table`` must reach
@@ -177,8 +176,6 @@ def k_terms(geom: RefGeom, z: float, k: float, table: ElemTable, e: Sequence[com
     alpha = geom.alpha
     p_m1, p_0 = table.plain[2:4]
     t_m1, t_0 = table.tan[:2]
-    # binomial sums of order q + 1, indexed [row][q]
-    bp, bp1, b2, b3, bt, bt1 = table.binom[:, 1 : len(e) + 1].tolist()
     c = 0.5 * s * p_0 + 0.25 * az * table.lc
     sn = 0.5 * s * t_0 + 0.25 * az * table.ls
     dc = sigma * (0.25 * table.lc + 0.5 * (s / S) * p_m1)
@@ -186,8 +183,8 @@ def k_terms(geom: RefGeom, z: float, k: float, table: ElemTable, e: Sequence[com
     dsrc0 = -sigma * 0.5 * (s / S)
     kSq = 1.0
     i0 = ix = iy = d0 = dx = dy = d2 = 0j
-    for q1, e_q, (fac, ratio, half), bp_q, bp1_q, b2_q, b3_q, bt_q, bt1_q in zip(
-        itertools.count(1.0), e, _chain_ratios(len(e)), bp, bp1, b2, b3, bt, bt1
+    for q1, e_q, (fac, ratio, half), (bp_q, bp1_q, b2_q, b3_q, bt_q, bt1_q) in zip(
+        itertools.count(1.0), e, _chain_ratios(len(e)), table.rows
     ):
         q2 = q1 + 1.0
         p = bp_q * kSq

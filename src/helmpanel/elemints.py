@@ -5,22 +5,22 @@ strictly inside (-pi/2, pi/2), written in terms of
 
     Delta^2 = 1 - alpha^2 sin^2(theta),    p = Delta / cos(theta),
 
-with 0 <= alpha <= 1 and alpha' = sqrt(1 - alpha^2).  Two families are
-tabulated,
+with 0 <= alpha <= 1 and alpha' = sqrt(1 - alpha^2).  The expansion terms
+read six rows of integrals of powers of u = p - alpha,
 
-    plain[n] = integral p^n dtheta,        n = -3 .. N,
-    tan[n]   = integral p^n tan dtheta,    n = -1 .. N,
+    P_s[n] = integral u^n p^(-s) dtheta,           s = 0 .. 3,
+    T_s[n] = integral u^n p^(-s) tan dtheta,       s = 0, 1,
 
-plus the logarithmic integrals L_c and L_s.  Powers of (p - alpha), which
-appear in all potential-integral terms, reduce to these tables through the
-binomial expansion; the expansion terms read the plain family at shifts
-s = 0 .. 3 and the tan family at s = 0, 1 only.
+at the orders n = 1 .. N, from the seeds plain[n] = integral p^n dtheta,
+n = -3 .. 0, tan[n] = integral p^n tan dtheta, n = -1, 0 (the rows at
+n = 0), and the logarithmic integrals L_c and L_s.
 
-Seeds.  plain[-3 .. 1], tan[-1], tan[0], L_c and L_s are closed-form
-antiderivatives, evaluated at each end and differenced.  Delta is
-hypot(cos, alpha' sin), with alpha' passed in: when alpha = |z|/S rounds
-to 1 just above an edge's line, alpha' = s/S still holds its digits.  No
-form cancels, at either limit of alpha:
+Seeds.  plain[-3 .. 0], tan[-1], tan[0], L_c, L_s and
+[asinh(alpha' tan)] are closed-form antiderivatives, evaluated at
+each end and differenced.  Delta is hypot(cos, alpha' sin), with alpha'
+passed in: when alpha = |z|/S rounds to 1 just above an edge's line,
+alpha' = s/S still holds its digits.  No form cancels, at either limit of
+alpha:
 
 - asin(alpha sin) = atan2(alpha sin, Delta), which stays accurate near
   theta = +-pi/2 as alpha -> 1, where asin's argument is near 1;
@@ -34,25 +34,41 @@ form cancels, at either limit of alpha:
 Below ALPHA_ZERO the exact alpha = 0 forms of plain[-3 .. -1] and tan[-1]
 are used.
 
-Orders.  Both families run upward on endpoint differences
-[f] = f(theta_hi) - f(theta_lo), with the powers of p at each end kept as
-running products, so no order calls ``pow``:
+Orders.  One loop over the orders (``binomial_combination``) runs all six
+rows upward on endpoint differences [f] = f(theta_hi) - f(theta_lo), in
+O(N) float steps, with the powers of u at each end kept as running
+products, so no order calls ``pow``, and the factors of the P_1 step
+cached per N (``_steps``).  At each end u is taken as
+alpha'^2 / (cos (Delta + alpha cos)), which does not cancel.  From
+dp/dtheta = tan (p^2 - alpha^2) / p and p^2 - alpha^2 = u (u + 2 alpha):
 
-    tan[n] = alpha^2 tan[n-2] + [p^n] / n,
-    (n-1) plain[n] = alpha'^2 [p^(n-2) tan] + (n - 2 + alpha^2 (n-1)) plain[n-2]
-                     - alpha^2 (n-2) plain[n-4],                       n >= 2.
+- d(u^n)/dtheta = n u^n tan (1 + alpha/p), so that
+      T_0[n] = [u^n] / n - alpha T_1[n];
+- u/p = 1 - alpha/p gives the shift identity
+      X_s[n] = X_(s-1)[n-1] - alpha X_s[n-1],
+  for T_1 and for P_2, P_3, and read the other way, with u = p - alpha,
+      P_0[n] = P_1[n+1] + alpha P_1[n];
+- d(u^m tan)/dtheta, with sec^2 = u (u + 2 alpha) / alpha'^2, gives
+      (m+1) P_1[m+3] = alpha'^2 [u^m tan] - (4m+3) alpha P_1[m+2]
+                       - ((4m+2) alpha^2 - m alpha'^2) P_1[m+1]
+                       + 2 m alpha alpha'^2 P_1[m],
+  from P_1[0] = plain[-1], P_1[1] = plain[0] - alpha plain[-1] and
+  P_1[2] = [alpha' asinh(alpha' tan)] + 2 alpha^2 plain[-1] - 2 alpha plain[0].
+  At alpha = 0 it is the reduction formula for the integral of sec^n.
 
-Both come from d p / dtheta = tan (p^2 - alpha^2) / p: the first from the
-derivative of p^n, the second from that of p^(n-2) tan, with
-1 + tan^2 = (p^2 - alpha^2) / alpha'^2.  At alpha = 0 the second is the
-reduction formula for the integral of sec^n.  Its odd orders start from
-plain[1] = alpha^2 plain[-1] + alpha' [asinh(alpha' tan)], which divides
-by nothing, so alpha' may be 0.
-
-Everything that depends only on the order is built once and cached
-(``_pascal``): the signed Pascal matrix, its exponents and the index
-through which one ``take`` gathers the six shifted rows the expansion
-terms read from the two tables laid end to end.
+Why upward.  The P_1 recursion's homogeneous solutions grow like
+(1 - alpha)^m, (-2 alpha)^m and (-1 - alpha)^m (its characteristic
+polynomial is (x + 2 alpha)(x^2 + 2 alpha x - alpha'^2)), so an upward
+run amplifies a rounding error by up to (1 + alpha)^m; the other rows'
+steps amplify by alpha^m or (2 alpha)^m at most.  Where u stays below
+1 + alpha over the range, the wanted row is subdominant and loses digits
+relative to its own value, as upward runs do (Gautschi, "Computational
+aspects of three-term recurrence relations", SIAM Review 9, 1967).  But
+since p >= 1 the scale, the integral of (p + alpha)^n p^(-s) [|tan|],
+grows at least as (1 + alpha)^n: every row stays within a few eps of its
+scale, which is the rounding the binomial sum over the powers of p that
+it equals carries, and all the expansion terms need.  A downward run
+would need starting values at the top order, which have no closed form.
 """
 
 from __future__ import annotations
@@ -60,8 +76,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 # alpha below which the in-plane (alpha = 0) closed forms are used.
 ALPHA_ZERO = 1e-8
@@ -104,56 +118,58 @@ def _check_range(theta_lo: float, theta_hi: float) -> None:
         )
 
 
-@functools.lru_cache(maxsize=64)
-def _pascal(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(-1)^(q - m) C(q, m), the exponent q - m, the orders 0 .. q_max and the row index.
+@functools.lru_cache(maxsize=32)
+def _steps(n_max: int) -> tuple[tuple[float, float, float, float, float], ...]:
+    """n, 4n - 1, 4n - 2, n - 1 and 2n - 2 as floats, n = 1 .. n_max: the P_1 step's factors at m = n - 1."""
+    return tuple((float(n), 4.0 * n - 1.0, 4.0 * n - 2.0, n - 1.0, 2.0 * n - 2.0) for n in range(1, n_max + 1))
 
-    The first two are indexed [q, m], q, m = 0 .. q_max (the signed
-    binomial is zero and the exponent clipped to zero above the diagonal).
-    The orders are floats, so that alpha^q is one float power per order,
-    and the sign sits here, so that its base alpha is never negative: a
-    negative base takes the slow path of ``pow``, for the same bits.  The
-    row index, (6, q_max + 1), picks entry [r, m] of the rows that
-    ``binomial_combination`` returns: plain[m - s] for s = 0 .. 3, then
-    tan[m - s] for s = 0, 1, from plain[n + 3] and tan[n + 1] laid end to
-    end.
+
+def binomial_combination(
+    n_max: int, alpha: float, alpha_p: float, plain: list[float], tan: list[float], ash: float, ends
+) -> list[tuple[float, ...]]:
+    """The six rows integral (p - alpha)^n p^(-s) [tan] dtheta, n = 1 .. n_max.
+
+    These are the binomial combinations of the powers of p that the name
+    keeps; one loop over the orders computes them by the O(n_max)
+    recursions of the module docstring, on floats, from the seeds:
+    ``plain`` is plain[-3 .. 0], ``tan`` is tan[-1 .. 0], ``ash`` is
+    [asinh(alpha' tan)] and ``ends`` holds (u, tan theta) at theta_lo,
+    then at theta_hi.  Entry n - 1 is the tuple (P_0, P_1, P_2, P_3, T_0,
+    T_1) at order n.
     """
-    orders = range(q_max + 1)
-    comb = np.array([[(-1.0) ** (i - m) * math.comb(i, m) for m in orders] for i in orders])
-    q = np.arange(q_max + 1)
-    expo = np.maximum(q[:, None] - q[None, :], 0)
-    start = np.array([3, 2, 1, 0, q_max + 5, q_max + 4])  # where row r's m = 0 sits
-    out = comb, expo, q.astype(float), start[:, None] + q
-    for a in out:
-        a.flags.writeable = False  # cached and shared
-    return out
-
-
-def binomial_combination(q_max: int, alpha: float, powers: np.ndarray) -> np.ndarray:
-    """integral (Delta/cos - alpha)^q (Delta/cos)^{-s} [tan] dtheta from the tables.
-
-    ``powers`` is plain[n + 3], n = -3 .. q_max, followed by tan[n + 1],
-    n = -1 .. q_max (length 2 q_max + 6).  Returns the six rows the
-    expansion terms read, indexed [r, q], q = 0 .. q_max: the plain family
-    at s = 0 .. 3 (r = s), then the tan family at s = 0, 1 (r = 4 + s).
-    Since (x - alpha)^q = sum_m C(q, m) (-alpha)^{q-m} x^m, each row is
-    the signed-Pascal matrix applied to its table shifted down by s: one
-    ``take`` gathers the six shifted tables, one product applies it.
-    """
-    comb, expo, q, rows = _pascal(q_max)
-    signed = comb * (alpha**q)[expo]
-    return powers.take(rows) @ signed.T
+    p3, p2, p1, theta = plain
+    t1, t0 = tan
+    (u_lo, w_lo), (u_hi, w_hi) = ends  # w: u^(n-1) tan at each end
+    a2, ap2 = alpha * alpha, alpha_p * alpha_p
+    aap2 = alpha * ap2
+    # P_1[n - 1], P_1[n], P_1[n + 1]
+    r0, r1, r2 = p1, theta - alpha * p1, alpha_p * ash + 2.0 * (a2 * p1 - alpha * theta)
+    rows = []
+    un_lo = un_hi = 1.0  # u^n
+    for n, c3, c2, m, m2 in _steps(n_max):
+        un_lo *= u_lo
+        un_hi *= u_hi
+        p3 = p2 - alpha * p3
+        p2 = r0 - alpha * p2
+        t1 = t0 - alpha * t1
+        t0 = (un_hi - un_lo) / n - alpha * t1
+        rows.append((r2 + alpha * r1, r1, p2, p3, t0, t1))
+        # P_1[n + 2] by the step at m = n - 1 (one past the last order is unused)
+        r0, r1, r2 = r1, r2, (ap2 * (w_hi - w_lo) - c3 * alpha * r2 - (c2 * a2 - m * ap2) * r1 + m2 * aap2 * r0) / n
+        w_lo *= u_lo
+        w_hi *= u_hi
+    return rows
 
 
 @dataclass(slots=True)
 class ElemTable:
-    """Tabulated elementary integrals for one (alpha, angle-range) pair.
+    """Elementary integrals for one (alpha, angle-range) pair, as Python floats.
 
-    ``plain`` holds plain[n] at [n + 3], n = -3 .. n_max, and ``tan``
-    holds tan[n] at [n + 1], n = -1 .. n_max, as Python floats; ``binom``
-    holds their ``binomial_combination``, (6, n_max + 1): the plain rows
-    s = 0 .. 3, then the tan rows s = 0, 1.  ``lc`` and ``ls`` are the
-    definite integrals of cos and sin times
+    ``plain`` holds plain[n] at [n + 3], n = -3 .. 0, and ``tan`` holds
+    tan[n] at [n + 1], n = -1, 0: the rows at order 0.  ``rows[q]`` is the
+    tuple (P_0, P_1, P_2, P_3, T_0, T_1) at order q + 1, the order that
+    expansion term q reads, q = 0 .. n_max - 1 (``binomial_combination``).
+    ``lc`` and ``ls`` are the definite integrals of cos and sin times
     log[(Delta - alpha')/(Delta + alpha')].  L_c diverges logarithmically as
     alpha -> 0; callers only ever use it multiplied by |z| = alpha * S, so
     at alpha = 0 exactly both are stored as zero by that convention.
@@ -163,7 +179,7 @@ class ElemTable:
     tan: list[float]
     lc: float
     ls: float
-    binom: np.ndarray
+    rows: list[tuple[float, ...]]
 
 
 def build_table(
@@ -175,15 +191,16 @@ def build_table(
 ) -> ElemTable:
     """Build all elementary integrals needed for expansion order n_max - 1.
 
-    One loop over the two ends evaluates every seed's antiderivative from
-    that end's sin, cos, tan and Delta; one loop over the orders runs both
-    recursions (see the module docstring); one ``binomial_combination``
-    serves both families.  ``alpha_p`` defaults to sqrt(1 - alpha^2).
+    One loop over the two ends evaluates every seed's antiderivative, and
+    u, from that end's sin, cos, tan and Delta; one ``binomial_combination``
+    runs the rows to order n_max (see the module docstring).  ``alpha_p``
+    defaults to sqrt(1 - alpha^2).
     """
     _check_range(theta_lo, theta_hi)
     if alpha_p is None:
         alpha_p = math.sqrt((1.0 - alpha) * (1.0 + alpha))
     a2 = alpha * alpha
+    ap2 = alpha_p * alpha_p
     ends = []
     for th in (theta_lo, theta_hi):
         s, c, t = math.sin(th), math.cos(th), math.tan(th)
@@ -206,23 +223,8 @@ def build_table(
             w = 2.0 * (math.log(alpha * c) - math.log(d + alpha_p))
             lc = s * w + 2.0 * ash - 2.0 * alpha_p * p1
             ls = -c * w - 2.0 * alpha_p * t1
-        ends.append(((p3, p2, p1, th, t1, -math.log(c), ash, lc, ls), d / c, t))
-    (lo, p_lo, tp_lo), (hi, p_hi, tp_hi) = ends
-    seeds = [b - a for a, b in zip(lo, hi)]
-    plain, tan, (ash, lc, ls) = seeds[:4], seeds[4:6], seeds[6:]
-    ap2 = alpha_p * alpha_p
-    pn_lo = pn_hi = 1.0  # p^n; tp_* is p^(n-2) tan
-    for n in range(1, n_max + 1):
-        pn_lo *= p_lo
-        pn_hi *= p_hi
-        tan.append(a2 * tan[n - 1] + (pn_hi - pn_lo) / n)
-        if n == 1:
-            plain.append(a2 * plain[2] + alpha_p * ash)
-            continue
-        plain.append(
-            (ap2 * (tp_hi - tp_lo) + (n - 2 + a2 * (n - 1)) * plain[n + 1] - a2 * (n - 2) * plain[n - 1])
-            / (n - 1)
-        )
-        tp_lo *= p_lo
-        tp_hi *= p_hi
-    return ElemTable(plain, tan, lc, ls, binomial_combination(n_max, alpha, np.array(plain + tan)))
+        ends.append(((p3, p2, p1, th, t1, -math.log(c), ash, lc, ls), (ap2 / (c * (d + alpha * c)), t)))
+    (lo, end_lo), (hi, end_hi) = ends
+    p3, p2, p1, theta, t1, t0, ash, lc, ls = [b - a for a, b in zip(lo, hi)]
+    plain, tan = [p3, p2, p1, theta], [t1, t0]
+    return ElemTable(plain, tan, lc, ls, binomial_combination(n_max, alpha, alpha_p, plain, tan, ash, (end_lo, end_hi)))

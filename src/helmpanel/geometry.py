@@ -132,13 +132,12 @@ class SignedSubTriangle:
     direction of its perpendicular foot, at element-plane angle psi
     (reference x/y rotate by it into the element frame).  From the foot, the
     polar angle runs over [theta_lo, theta_hi] inside (-pi/2, pi/2),
-    counter-clockwise from the side of length r1 to the one of length r2
-    (the walk's r_max, which picks the request's expansion, bounds both),
-    and the far side is r(theta) = s / cos(theta); ``sign`` -1 subtracts it.
+    counter-clockwise, and the far side is r(theta) = s / cos(theta), so
+    the sides from the origin have lengths s / cos at either end (the
+    walk's r_max, which picks the request's expansion, bounds both);
+    ``sign`` -1 subtracts it.
     """
 
-    r1: float
-    r2: float
     sign: int
     s: float
     cos_psi: float
@@ -270,9 +269,9 @@ def walk(verts, edges) -> tuple[RadialExtents, list[SignedSubTriangle]]:
         if rp < r_drop or rq < r_drop or s * (hi - lo) * 0.5 <= a_drop:
             continue
         if d > 0.0:
-            sub = SignedSubTriangle(rp, rq, 1, s, ty, -tx, math.atan(lo / s), math.atan(hi / s))
+            sub = SignedSubTriangle(1, s, ty, -tx, math.atan(lo / s), math.atan(hi / s))
         else:
-            sub = SignedSubTriangle(rq, rp, -1, s, -ty, tx, math.atan(-hi / s), math.atan(-lo / s))
+            sub = SignedSubTriangle(-1, s, -ty, tx, math.atan(-hi / s), math.atan(-lo / s))
         if DROP_ANGLE <= sub.theta <= math.pi - DROP_ANGLE:
             fan.append(sub)
     return RadialExtents(r_min=0.0 if inside else min(near), r_max=r_max), fan

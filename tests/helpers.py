@@ -4,7 +4,8 @@ Everything here evaluates defining integrals directly (adaptive quadrature,
 Legendre recurrences, closed antiderivatives from first principles) and
 stays independent of the recursion/expansion code paths it validates,
 except ``k_rows``, which reads the per-order terms K_q out of the
-production ``k_terms`` for the tests to check them.
+production ``k_terms``, and ``table_rows``, which lays out an
+``ElemTable``'s seeds and rows, for the tests to check them.
 """
 
 from __future__ import annotations
@@ -68,6 +69,70 @@ def oracle_pow_tan(alpha: float, lo: float, hi: float, n: int) -> float:
         return (((delta(ap, th) / np.cos(th)) ** n) * np.tan(th))[:, None]
 
     return _adaptive_scaled(f, lo, hi)
+
+
+def oracle_pow(family: str, alpha: float, lo: float, hi: float, n: int) -> float:
+    """``oracle_pow_plain`` or ``oracle_pow_tan``, by family name."""
+    return (oracle_pow_plain if family == "plain" else oracle_pow_tan)(alpha, lo, hi, n)
+
+
+# (family, s) of the six rows, in the order of each ElemTable.rows tuple:
+# row (family, s) at order n integrates (p - alpha)^n p^(-s), times tan for "tan"
+ROW_KINDS = (("plain", 0), ("plain", 1), ("plain", 2), ("plain", 3), ("tan", 0), ("tan", 1))
+
+
+def table_rows(table) -> np.ndarray:
+    """The six rows of ``table`` at orders 0 .. n_max, (6, n_max + 1); order 0 is the seeds."""
+    (p3, p2, p1, p0), (t1, t0) = table.plain, table.tan
+    return np.column_stack([(p0, p1, p2, p3, t0, t1), *table.rows])
+
+
+def oracle_rows(alpha: float, lo: float, hi: float, n_max: int):
+    """The six rows at orders 0 .. n_max and their scales, by adaptive quadrature.
+
+    Row (family, s) at order n is the integral of (p - alpha)^n p^(-s)
+    [tan]; its scale is the integral of (p + alpha)^n p^(-s) [|tan|], the
+    size of the binomial sum over the powers of p that it equals.
+    p - alpha is taken as alpha'^2 / (cos (Delta + alpha cos)), which does
+    not cancel.  One vector quadrature takes all of them, each divided by
+    1 + its rough size, so that the tolerance 1e-13 holds per component.
+    Returns (values, scales), each (6, n_max + 1).
+    """
+    ap = math.sqrt((1 - alpha) * (1 + alpha))
+    n = np.arange(n_max + 1.0)
+    s = np.array([float(k) for _, k in ROW_KINDS])[:, None]
+    is_tan = np.array([fam == "tan" for fam, _ in ROW_KINDS])[:, None]
+
+    def f(th, norm=1.0):
+        th = np.asarray(th)[:, None, None]
+        c = np.cos(th)
+        d = delta(ap, th)
+        p = d / c
+        w = np.where(is_tan, np.tan(th), 1.0) * p**-s
+        vals = (ap * ap / (c * (d + alpha * c))) ** n * w
+        scales = (p + alpha) ** n * np.abs(w)
+        return np.concatenate([vals, scales], axis=1).reshape(len(th), -1) / norm
+
+    rough, _, _ = quad_adaptive(f, lo, hi, 1e-6)
+    norm = 1.0 + np.abs(rough.real)
+    v, _, ok = quad_adaptive(lambda th: f(th, norm), lo, hi, 1e-13)
+    assert ok
+    values, scales = (v.real * norm).reshape(2, 6, n_max + 1)
+    return values, scales
+
+
+def powers_from_rows(rows: np.ndarray, alpha: float) -> list[tuple[str, int, float]]:
+    """The power integrals reassembled from each row: (family, n - s, value).
+
+    p^n = sum_m C(n, m) alpha^(n - m) (p - alpha)^m, so row (family, s)
+    at orders 0 .. n gives family[n - s] = integral p^(n - s) [tan] by a
+    sum of terms of one sign for the plain family.
+    """
+    out = []
+    for (family, s), row in zip(ROW_KINDS, rows.tolist()):
+        for n in range(len(row)):
+            out.append((family, n - s, math.fsum(math.comb(n, m) * alpha ** (n - m) * row[m] for m in range(n + 1))))
+    return out
 
 
 # k_rows' attribute names, in k_terms' order of sums.
@@ -193,12 +258,18 @@ def canonical_sub(r1: float, r2: float, theta: float, sign: int = 1, psi1: float
     """
     phi = math.atan((r1 - r2 * math.cos(theta)) / (r2 * math.sin(theta)))
     psi = psi1 + phi
-    return SignedSubTriangle(r1, r2, sign, r1 * math.cos(phi), math.cos(psi), math.sin(psi), -phi, theta - phi)
+    return SignedSubTriangle(sign, r1 * math.cos(phi), math.cos(psi), math.sin(psi), -phi, theta - phi)
+
+
+def radii(sub) -> tuple[float, float]:
+    """The subtriangle's two sides from the origin, s / cos(theta) at theta_lo and at theta_hi."""
+    return sub.s / math.cos(sub.theta_lo), sub.s / math.cos(sub.theta_hi)
 
 
 def sub_area(sub) -> float:
     """Unsigned area of a canonical subtriangle, from its two radii and angle."""
-    return 0.5 * sub.r1 * sub.r2 * math.sin(sub.theta)
+    r1, r2 = radii(sub)
+    return 0.5 * r1 * r2 * math.sin(sub.theta)
 
 
 def shoelace_area(verts2d) -> float:

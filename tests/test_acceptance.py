@@ -40,10 +40,12 @@ from helpers import (
     epsilon_q,
     k_rows,
     mp_remainder,
-    oracle_pow_plain,
-    oracle_pow_tan,
+    oracle_pow,
+    oracle_rows,
+    powers_from_rows,
     remainder_amplitude,
     sampled_errors,
+    table_rows,
 )
 
 RNG = np.random.default_rng(1234321)
@@ -343,18 +345,22 @@ def test_criterion_6_term_by_term_oracle_suite():
                 abs(jt[3][q] - jo[3, q]),
             ]
     worst = np.max(devs)
-    # elementary integrals, both families, plus L_c and L_s
+    # elementary integrals: the six rows the K terms read, the power
+    # integrals of both families reassembled from them, plus L_c and L_s
     elem_devs = []
     for alpha in (0.0, 0.3, 0.6, 0.9, 0.99):
         for _ in range(4):
             lo = float(RNG.uniform(-0.95, 0.4))
             hi = float(RNG.uniform(lo + 0.15, 0.95))
             tab = build_table(alpha, lo, hi, q_max + 1)
-            for n in range(-3, q_max + 2):
-                elem_devs.append(abs(tab.plain[n + 3] - oracle_pow_plain(alpha, lo, hi, n)))
-            # the tan family is tabulated from n = -1
-            for n in range(-1, q_max + 2):
-                elem_devs.append(abs(tab.tan[n + 1] - oracle_pow_tan(alpha, lo, hi, n)))
+            got = table_rows(tab)
+            elem_devs += np.abs(got - oracle_rows(alpha, lo, hi, q_max + 1)[0]).ravel().tolist()
+            # plain[n] from n = -3, tan[n] from n = -1, each from every row that reaches it
+            oracle = {}
+            for family, n, value in powers_from_rows(got, alpha):
+                if (family, n) not in oracle:
+                    oracle[family, n] = oracle_pow(family, alpha, lo, hi, n)
+                elem_devs.append(abs(value - oracle[family, n]))
             if alpha > 0.0:
                 ap = math.sqrt((1 - alpha) * (1 + alpha))
 

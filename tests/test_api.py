@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import helmpanel
-from helmpanel import elemints, kronrod, numquad
+from helmpanel import kronrod, numquad
 from helmpanel.expapprox import LAPLACE, economize, select_approx
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -51,7 +51,7 @@ def test_cached_tables_cannot_be_edited():
     entry = economize(np.pi / 4, 1e-9)
     assert select_approx(1.0, 0.1, 1e-9) is select_approx(1.0, 0.1, 1e-9)
     arrays = [LAPLACE.cos_coeffs, LAPLACE.sin_coeffs, entry.cos_coeffs, entry.sin_coeffs]
-    arrays += [*numquad.gauss_rule(6), *numquad.polar_rule(6)[1:], *elemints._pascal(4)]
+    arrays += [*numquad.gauss_rule(6), *numquad.polar_rule(6)[1:]]
     coef, qmon, tail = kronrod._interp_tables()
     for a in [*arrays, coef, qmon, *tail]:
         with pytest.raises(ValueError, match="read-only"):

@@ -21,7 +21,7 @@ from helmpanel.expapprox import select_approx
 from helmpanel.geometry import Triangle3, to_local_frame
 from helmpanel.numquad import adaptive_oracle
 
-from helpers import tri_rule
+from helpers import radii, tri_rule
 
 RNG = np.random.default_rng(60901)
 
@@ -215,7 +215,7 @@ class TestSelection:
         req = request(sample_field_point(4, 0.05), k=k, tol=tol, hyper=True)
         verts2d, z = to_local_frame(req.triangle, req.field_point)
         ext, fan = geometry.walk(verts2d, req.triangle.edges)
-        assert len({select_approx(k, max(sub.r1, sub.r2), tol).delta_x for sub in fan}) == 2
+        assert len({select_approx(k, max(radii(sub)), tol).delta_x for sub in fan}) == 2
         calls = {"select_approx": 0, "assemble": 0}
         for name in calls:
             def counted(*args, fn=getattr(engine, name), name=name):
