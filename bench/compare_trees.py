@@ -28,8 +28,22 @@ median of the per-call time ratios and the ratio of the summed best
 times, this tree over the other; per kind also each side's p50 of the
 best per-call times and how many calls of the kind agree in
 their verdict but not bit for bit in their values (and how many of those
-are at z = 0).  The last line is JSON.  The exit status
-is 1 when any verdict differs, so that a script can gate on it.
+are at z = 0).
+
+``--subtriangles`` adds the layer below: on every request that both trees
+ran analytically, each tree's own walk gives the signed subtriangles, and
+each tree's ``analytic.evaluate_ref`` runs on each of them, with the
+reference parameters and the expansion entry built before the clock
+starts, ``--rounds`` times, alternating, best time kept.  Printed: the
+number of subtriangles, each side's p50 per subtriangle, the median of
+the per-subtriangle time ratios and the ratio of the summed best times,
+and the worst |v - v_other| / (1 + |v_other|) of the seven sums.  In one
+process this resolves a change to the analytic layer that the traced
+per-layer times of a perfbench run, which drift by about 15% between
+runs, do not.
+
+The last line is JSON.  The exit status is 1 when any verdict differs,
+so that a script can gate on it.
 """
 
 from __future__ import annotations
@@ -82,6 +96,49 @@ def library_calls(lib, items):
         mine = lib.EvalRequest(tri, req.field_point, req.k, req.tol, req.want_hypersingular)
         calls.append(lambda r=mine: lib.evaluate(r))
     return calls
+
+
+def subtriangle_calls(lib, items):
+    """Per request, one ``evaluate_ref`` closure per subtriangle of ``lib``'s own walk."""
+    geometry, analytic = lib.geometry, lib.analytic
+    per_request = []
+    for (req,) in items:
+        tri = lib.Triangle3(req.triangle.v1, req.triangle.v2, req.triangle.v3)
+        verts2d, z = geometry.to_local_frame(tri, req.field_point)
+        ext, fan = geometry.walk(verts2d, tri.edges)
+        approx = lib.select_approx(req.k, ext.r_max, req.tol)
+        per_request.append([
+            lambda g=geometry.ref_params(sub, z), z=z, k=req.k, a=approx: analytic.evaluate_ref(g, z, k, a)
+            for sub in fan
+        ])
+    return per_request
+
+
+def compare_subtriangles(lib, other, items, rounds: int) -> dict:
+    """Time and compare both trees' ``evaluate_ref`` on the subtriangles of ``items``."""
+    mine, theirs = [], []
+    for a, b in zip(subtriangle_calls(lib, items), subtriangle_calls(other, items)):
+        if len(a) == len(b):  # a walk that differs is a verdict the request level reports
+            mine += a
+            theirs += b
+    (res_mine, res_other), best = run(mine, theirs, rounds)
+    worst = max(
+        (float(np.max(np.abs(np.subtract(a, b)) / (1.0 + np.abs(b)))) for a, b in zip(res_mine, res_other)),
+        default=0.0,
+    )
+    ratio = best[0] / best[1]
+    out = {
+        "subtriangles": len(mine),
+        "p50_us": {"this": float(np.median(best[0]) * 1e6), "other": float(np.median(best[1]) * 1e6)},
+        "median_ratio": float(np.median(ratio)),
+        "total_ratio": float(best[0].sum() / best[1].sum()),
+        "worst_rel": worst,
+    }
+    print(f"evaluate_ref on {out['subtriangles']} subtriangles of the analytic calls: p50 "
+          f"{out['p50_us']['this']:.2f} us here, {out['p50_us']['other']:.2f} us in the other tree; "
+          f"median ratio {out['median_ratio']:.3f}, total {out['total_ratio']:.3f}; "
+          f"worst |dv|/(1+|v|) {worst:.3g}")
+    return out
 
 
 def oracle_calls(lib, items, k: float):
@@ -151,6 +208,8 @@ def main() -> None:
     ap.add_argument("--rounds", type=int, default=3, help="timed calls per request and tree")
     ap.add_argument("--passes", type=int, default=1, help="passes (poses) of the workload")
     ap.add_argument("--all-entries", action="store_true", help="bem_nearfield: every pool entry")
+    ap.add_argument("--subtriangles", action="store_true",
+                    help="also time evaluate_ref on each analytic request's subtriangles")
     args = ap.parse_args()
 
     import helmpanel
@@ -243,6 +302,10 @@ def main() -> None:
               f"in the other tree; median {r['median_ratio']:.3f}, total {r['total_ratio']:.3f}; "
               f"{r['values_not_identical']} not bit-identical in their values, "
               f"{r['values_not_identical_z0']} of them at z = 0")
+    if args.subtriangles and args.workload != "oracle_sweep":
+        differ_set = set(differ)
+        analytic = [item for i, item in enumerate(items) if i not in differ_set and kinds[i] == "analytic"]
+        summary["subtriangles"] = compare_subtriangles(helmpanel, other, analytic, args.rounds)
     print(json.dumps(summary, sort_keys=True))
     if differ:
         sys.exit(1)

@@ -14,11 +14,14 @@ term; the second z-derivative (hypersingular term) is provided for the
 zeroth-order integral only.
 
 ``k_terms`` computes the primed sums in one pass over the orders, on
-Python floats: it carries the J recursion, forms each order's terms and
-adds them times e_q, so no per-order table is built.  ``j_chain`` and
-``hypersingular`` write the same recursion and hypersingular term out per
-order, as arrays; production does not call them, and the tests check
-them against their defining integrals and the pass against them.
+Python floats.  It carries the J recursion in variables scaled by
+(kS)^-q, whose step reads no k, folds (kS)^q into each order's
+coefficient, and adds each order's terms times the coefficient's real
+pair to 14 float sums, so no per-order table and no complex arithmetic
+is needed in the loop.  ``j_chain`` and ``hypersingular`` write the same
+recursion, unscaled, and the hypersingular term out per order, as
+arrays; production does not call them, and the tests check them against
+their defining integrals and the pass against them.
 
 Sign convention: formulas use |z| with the upper sign for z > 0; z = 0
 returns the one-sided limit from positive z.  All values exclude the
@@ -28,8 +31,6 @@ returns the one-sided limit from positive z.  All values exclude the
 from __future__ import annotations
 
 import cmath
-import functools
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -83,27 +84,28 @@ class PanelIntegrals:
     d2i0_dn2 = _entry(6)
 
 
-@functools.lru_cache(maxsize=32)
-def _chain_ratios(q_max: int) -> tuple[tuple[float, float, float], ...]:
-    """(2q+3)/(q+2), (q+1)/(q+2) and 1/(2(q+2)) for the steps q = 0 .. q_max - 1 of j_chain."""
-    return tuple(((2 * q + 3) / (q + 2), (q + 1) / (q + 2), 1 / (2 * (q + 2))) for q in range(q_max))
+def _check_depth(table: ElemTable, orders: int) -> None:
+    """Raise ValueError unless ``table`` has rows up to order ``orders``."""
+    if len(table.rows) < orders:
+        raise ValueError(f"table reaches order {len(table.rows)}; the expansion reads order {orders}")
 
 
 def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> np.ndarray:
     """I_{q,c}, I_{q,s} and z-derivatives by upward recursion.
 
     Returns the rows (I_c, I_s, dI_c/dz, dI_s/dz) of one (4, q_max + 1)
-    array.  This is the per-order reference form of the recursion that
-    k_terms carries inline; production runs k_terms' pass.
+    array.  This is the per-order reference form, in unscaled variables,
+    of the recursion that k_terms carries scaled; production runs k_terms'
+    pass.  ``table`` must reach order q_max.
 
     Seeds:  I_{0,c} = (s/2) Theta + (|z|/4) L_c  (and the log-cos analogue
     for I_{0,s}); each later order adds an elementary integral of
     (Delta/cos - alpha)^{q+1} and subtracts k|z|(2q+3)/(q+2) times the
     previous order.  The derivative seeds are +/-(L/4 + (s/2S) * integral
     of {cos, sin}/Delta).  The recursion is sequential and short, so it
-    runs on floats, with its per-order ratios cached per q_max and
-    (kS)^(q+1) kept as a running product.
+    runs on floats, with (kS)^(q+1) kept as a running product.
     """
+    _check_depth(table, q_max)
     s, S = geom.s, geom.S
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
@@ -119,7 +121,8 @@ def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> 
     dsrc0 = -sigma * 0.5 * (s / S)
     kSq1 = 1.0
     # table.rows[q] is order q + 1; the plain and tan rows at s = 0, 1 feed the chain
-    for (fac, ratio, half), (bp_q, bp1_q, _, _, bt_q, bt1_q) in zip(_chain_ratios(q_max), table.rows):
+    for q, (bp_q, bp1_q, _, _, bt_q, bt1_q) in zip(range(q_max), table.rows):
+        fac, ratio, half = (2 * q + 3) / (q + 2), (q + 1) / (q + 2), 1 / (2 * (q + 2))
         kf = kaz * fac
         sfk = sigma * fac * k
         kSq1 *= kS
@@ -149,31 +152,42 @@ def hypersingular(geom: RefGeom, k: float, q_max: int, table: ElemTable) -> np.n
     return (k * geom.S) ** q / geom.S * (geom.alpha * b[3] + (q + 1) * b[2])
 
 
-def k_terms(geom: RefGeom, z: float, k: float, table: ElemTable, e: Sequence[complex]) -> list[complex]:
-    """The primed sums I' = sum_q e_q K_q, q = 0 .. len(e) - 1, in one pass.
+def k_terms(geom: RefGeom, z: float, k: float, table: ElemTable, terms: Sequence[tuple[float, ...]]) -> list[complex]:
+    """The primed sums I' = sum_q e_q K_q, q = 0 .. len(terms) - 1, in one pass.
 
-    Returns [I0', Ix', Iy', dI0'/dz, dIx'/dz, dIy'/dz, d2I0'/dz2].  One
-    loop over the orders, on Python floats, carries j_chain's recursion
-    for (I_c, I_s, dI_c/dz, dI_s/dz), forms each term from the table's
-    rows at order q + 1 (``elemints``: p = (kS)^q P_0, p1 = (kS)^q (q+1) P_1,
-    t and t1 likewise from T_0 and T_1),
+    Returns [I0', Ix', Iy', dI0'/dz, dIx'/dz, dIy'/dz, d2I0'/dz2].
+    ``terms`` holds one tuple per order (``expapprox.expansion_terms``:
+    e_q's real pair and the order's factors), and ``table`` must reach
+    order len(terms), or ValueError.  One loop over the orders, on Python
+    floats, carries j_chain's recursion in the scaled variables
+    A_q = I_{q,c} / (kS)^q and A'_q = (dI_{q,c}/dz) / (kS)^q, whose step
+    reads no k (alpha = |z|/S):
 
-        K0  = S p / (q+1)         Kx  = (sS p + 2|z| I_c) / (q+2)
-        dK0 = -sigma p1 / (q+1)   dKx = (-sigma s p1 + 2 sigma I_c + 2|z| dI_c) / (q+2)
-        d2K0 = (kS)^q / S (alpha P_3 + (q+1) P_2),
+        A_{q+1}  = s/(2(q+2)) P_0 - alpha (2q+3)/(q+2) A_q
+        A'_{q+1} = -sigma s/(2S) (q+1)/(q+2) P_1 - sigma/S (2q+3)/(q+2) A_q
+                   - alpha (2q+3)/(q+2) A'_q,
 
-    Ky and dKy likewise from t, t1, I_s and dI_s, and adds each term times
-    e_q to its sum; no per-order table is built.  ``table`` must reach
-    order len(e).  j_chain and hypersingular are the same recursion and
-    term written per order.
+    B_q and B'_q likewise from I_{q,s} on T_0 and T_1, with P_s, T_s the
+    table's rows at order q + 1 (``elemints``).  Each order's terms, less
+    their factor (kS)^q,
+
+        K0  = S P_0 / (q+1)             Kx  = (sS P_0 + 2|z| A_q) / (q+2)
+        dK0 = -sigma P_1                dKx = (-sigma s (q+1) P_1 + 2 sigma A_q + 2|z| A'_q) / (q+2)
+        d2K0 = (alpha P_3 + (q+1) P_2) / S,
+
+    Ky and dKy likewise from T_0, T_1, B_q and B'_q, are added times the
+    real pair of e_q (kS)^q to 14 float sums; S, -sigma and 1/S are
+    applied to the K0, dK0 and d2K0 sums after the loop.  j_chain and
+    hypersingular are the same recursion, unscaled, and term written per
+    order.
     """
+    _check_depth(table, len(terms))
     s, S = geom.s, geom.S
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
-    kS = k * S
-    kaz = k * az
-    sS, az2, sig2, msig, msig_s = s * S, 2.0 * az, 2.0 * sigma, -sigma, -sigma * s
     alpha = geom.alpha
+    kS = k * S
+    sS, az2, sig2, msig_s, sig_S = s * S, 2.0 * az, 2.0 * sigma, -sigma * s, sigma / S
     p_m1, p_0 = table.plain[2:4]
     t_m1, t_0 = table.tan[:2]
     c = 0.5 * s * p_0 + 0.25 * az * table.lc
@@ -181,36 +195,51 @@ def k_terms(geom: RefGeom, z: float, k: float, table: ElemTable, e: Sequence[com
     dc = sigma * (0.25 * table.lc + 0.5 * (s / S) * p_m1)
     ds = sigma * (0.25 * table.ls + 0.5 * (s / S) * t_m1)
     dsrc0 = -sigma * 0.5 * (s / S)
-    kSq = 1.0
-    i0 = ix = iy = d0 = dx = dy = d2 = 0j
-    for q1, e_q, (fac, ratio, half), (bp_q, bp1_q, b2_q, b3_q, bt_q, bt1_q) in zip(
-        itertools.count(1.0), e, _chain_ratios(len(e)), table.rows
-    ):
-        q2 = q1 + 1.0
-        p = bp_q * kSq
-        t = bt_q * kSq
-        p1 = bp1_q * (kSq * q1)
-        t1 = bt1_q * (kSq * q1)
-        i0 += e_q * (S * p / q1)
-        ix += e_q * ((sS * p + az2 * c) / q2)
-        iy += e_q * ((sS * t + az2 * sn) / q2)
-        d0 += e_q * (msig * p1 / q1)
-        dx += e_q * ((msig_s * p1 + sig2 * c + az2 * dc) / q2)
-        dy += e_q * ((msig_s * t1 + sig2 * sn + az2 * ds) / q2)
-        d2 += e_q * (kSq / S * (alpha * b3_q + q1 * b2_q))
-        # j_chain's step to order q + 1 (one step past the last order is unused)
-        kf = kaz * fac
-        sfk = sigma * fac * k
+    kSq = 1.0  # (kS)^q; c, sn, dc, ds hold A_q, B_q, A'_q, B'_q (order 0: J_0 unscaled)
+    i0r = i0i = ixr = ixi = iyr = iyi = d0r = d0i = dxr = dxi = dyr = dyi = d2r = d2i = 0.0
+    for (er, ei, q1, iq2, fac, ratio, half), (bp, bp1, b2, b3, bt, bt1) in zip(terms, table.rows):
+        er *= kSq
+        ei *= kSq
         kSq *= kS
-        src = s * kSq * half
-        dsrc = dsrc0 * kSq * ratio
-        c, sn, dc, ds = (
-            src * bp_q - kf * c,
-            src * bt_q - kf * sn,
-            dsrc * bp1_q - sfk * c - kf * dc,
-            dsrc * bt1_q - sfk * sn - kf * ds,
-        )
-    return [i0, ix, iy, d0, dx, dy, d2]
+        a = bp / q1
+        i0r += er * a
+        i0i += ei * a
+        a = (sS * bp + az2 * c) * iq2
+        ixr += er * a
+        ixi += ei * a
+        a = (sS * bt + az2 * sn) * iq2
+        iyr += er * a
+        iyi += ei * a
+        d0r += er * bp1
+        d0i += ei * bp1
+        a = (msig_s * q1 * bp1 + sig2 * c + az2 * dc) * iq2
+        dxr += er * a
+        dxi += ei * a
+        a = (msig_s * q1 * bt1 + sig2 * sn + az2 * ds) * iq2
+        dyr += er * a
+        dyi += ei * a
+        a = alpha * b3 + q1 * b2
+        d2r += er * a
+        d2i += ei * a
+        # the scaled J step to order q + 1, dc and ds first since they read A_q and B_q
+        # (the step past the last order is unused; skipping it measured no faster)
+        af = alpha * fac
+        sf = sig_S * fac
+        src = s * half
+        dsrc = dsrc0 * ratio
+        dc = dsrc * bp1 - sf * c - af * dc
+        ds = dsrc * bt1 - sf * sn - af * ds
+        c = src * bp - af * c
+        sn = src * bt - af * sn
+    return [
+        complex(S * i0r, S * i0i),
+        complex(ixr, ixi),
+        complex(iyr, iyi),
+        complex(-sigma * d0r, -sigma * d0i),
+        complex(dxr, dxi),
+        complex(dyr, dyi),
+        complex(d2r / S, d2i / S),
+    ]
 
 
 def assemble(z: float, k: float, sums: list[complex]) -> list[complex]:
@@ -236,8 +265,8 @@ def assemble(z: float, k: float, sums: list[complex]) -> list[complex]:
 def evaluate_ref(geom: RefGeom, z: float, k: float, approx: ExpApprox) -> list[complex]:
     """k_terms' sums on one reference triangle, before ``assemble``.
 
-    The expansion runs to order ``approx.q``, with the coefficients
-    ``approx.coeffs`` as they are cached; the sums come as a list of all
+    The expansion runs to order ``approx.q``, with the per-order tuples
+    ``approx.terms`` as they are cached; the sums come as a list of all
     seven components in COMPONENTS order.  The x/y components are in the
     reference frame (x along the perpendicular-foot direction); callers
     sign and rotate each subtriangle's sums into the element frame, add
@@ -246,4 +275,4 @@ def evaluate_ref(geom: RefGeom, z: float, k: float, approx: ExpApprox) -> list[c
     table = build_table(
         geom.alpha, geom.theta_lo, geom.theta_hi, approx.q + 1, alpha_p=geom.alpha_p
     )
-    return k_terms(geom, z, k, table, approx.coeffs)
+    return k_terms(geom, z, k, table, approx.terms)

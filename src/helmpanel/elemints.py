@@ -13,11 +13,14 @@ read six rows of integrals of powers of u = p - alpha,
 
 at the orders n = 1 .. N, from the seeds plain[n] = integral p^n dtheta,
 n = -3 .. 0, tan[n] = integral p^n tan dtheta, n = -1, 0 (the rows at
-n = 0), and the logarithmic integrals L_c and L_s.
+n = 0), and the logarithmic integrals L_c and L_s.  Expansion term q
+reads the rows at order q + 1 (``analytic.k_terms``, which leaves their
+factor (kS)^q to the coefficients).
 
 Seeds.  plain[-3 .. 0], tan[-1], tan[0], L_c, L_s and
 [asinh(alpha' tan)] are closed-form antiderivatives, evaluated at
-each end and differenced.  Delta is hypot(cos, alpha' sin), with alpha'
+each end into one tuple and differenced (plain[0] = theta_hi -
+theta_lo directly).  Delta is hypot(cos, alpha' sin), with alpha'
 passed in: when alpha = |z|/S rounds to 1 just above an edge's line,
 alpha' = s/S still holds its digits.  No form cancels, at either limit of
 alpha:
@@ -79,43 +82,8 @@ from dataclasses import dataclass
 
 # alpha below which the in-plane (alpha = 0) closed forms are used.
 ALPHA_ZERO = 1e-8
-
-
-# Series coefficients of asin(x)/x - 1: C(2m, m) / (4^m (2m+1)), m >= 1.
-_ASIN_SERIES = (
-    1.0 / 6.0,
-    3.0 / 40.0,
-    15.0 / 336.0,
-    105.0 / 3456.0,
-    945.0 / 42240.0,
-    10395.0 / 599040.0,
-    135135.0 / 9676800.0,
-)
-
-
-def _asin_ratio_m1(x: float, d: float) -> float:
-    """(asin(x) - x) / x with full absolute accuracy, given d = sqrt(1 - x^2).
-
-    Near 0 the direct difference leaves an O(eps) absolute error that
-    callers amplify by 1/alpha^2, so the series is summed (error O(x^16));
-    elsewhere asin(x) is atan2(x, d).
-    """
-    if abs(x) < 0.1:
-        x2 = x * x
-        acc = 0.0
-        for c in reversed(_ASIN_SERIES):
-            acc = x2 * (c + acc)
-        return acc
-    return (math.atan2(x, d) - x) / x
-
-
-def _check_range(theta_lo: float, theta_hi: float) -> None:
-    margin = 1e-12
-    if not (-math.pi / 2 + margin < theta_lo <= theta_hi < math.pi / 2 - margin):
-        raise ValueError(
-            f"angle range [{theta_lo}, {theta_hi}] must lie strictly inside "
-            "(-pi/2, pi/2)"
-        )
+# Angle ranges must lie strictly inside (-THETA_MAX, THETA_MAX).
+THETA_MAX = math.pi / 2 - 1e-12
 
 
 @functools.lru_cache(maxsize=32)
@@ -191,12 +159,16 @@ def build_table(
 ) -> ElemTable:
     """Build all elementary integrals needed for expansion order n_max - 1.
 
-    One loop over the two ends evaluates every seed's antiderivative, and
-    u, from that end's sin, cos, tan and Delta; one ``binomial_combination``
-    runs the rows to order n_max (see the module docstring).  ``alpha_p``
-    defaults to sqrt(1 - alpha^2).
+    One loop over the two ends evaluates every seed's antiderivative but
+    plain[0]'s, u and tan theta from that end's sin, cos, tan and Delta, as
+    one tuple per end; the seeds are the differences of the two tuples, and
+    plain[0] is theta_hi - theta_lo.  One ``binomial_combination`` runs the
+    rows to order n_max (see the module docstring).  ``alpha_p`` defaults
+    to sqrt(1 - alpha^2); a range not inside (-THETA_MAX, THETA_MAX) is a
+    ValueError.
     """
-    _check_range(theta_lo, theta_hi)
+    if not -THETA_MAX < theta_lo <= theta_hi < THETA_MAX:
+        raise ValueError(f"angle range [{theta_lo}, {theta_hi}] must lie strictly inside (-pi/2, pi/2)")
     if alpha_p is None:
         alpha_p = math.sqrt((1.0 - alpha) * (1.0 + alpha))
     a2 = alpha * alpha
@@ -209,7 +181,16 @@ def build_table(
         if alpha < ALPHA_ZERO:
             p3, p2, p1, t1 = s - s**3 / 3.0, 0.5 * (s * c + th), s, -c
         else:
-            asin_m1 = _asin_ratio_m1(alpha * s, d)
+            # asin_m1 = (asin(x) - x) / x at x = alpha sin; near 0 by its series
+            # sum_m C(2m, m) / (4^m (2m+1)) x^2m, m = 1 .. 7 (error O(x^16)), since the
+            # direct difference leaves an O(eps) absolute error that p3 divides by alpha^2
+            x = alpha * s
+            if abs(x) < 0.1:
+                x2 = x * x
+                asin_m1 = x2 * (1.0 / 6.0 + x2 * (3.0 / 40.0 + x2 * (15.0 / 336.0 + x2 * (105.0 / 3456.0 + x2 * (
+                    945.0 / 42240.0 + x2 * (10395.0 / 599040.0 + x2 * (135135.0 / 9676800.0)))))))
+            else:
+                asin_m1 = (math.atan2(x, d) - x) / x
             g = a2 * t / ((1.0 + alpha_p) * (1.0 + alpha_p * t * t))
             v = alpha * c + d
             lu = math.log(v) if v < 0.5 else math.log1p(alpha * c - a2 * s * s / (1.0 + d))
@@ -223,8 +204,8 @@ def build_table(
             w = 2.0 * (math.log(alpha * c) - math.log(d + alpha_p))
             lc = s * w + 2.0 * ash - 2.0 * alpha_p * p1
             ls = -c * w - 2.0 * alpha_p * t1
-        ends.append(((p3, p2, p1, th, t1, -math.log(c), ash, lc, ls), (ap2 / (c * (d + alpha * c)), t)))
-    (lo, end_lo), (hi, end_hi) = ends
-    p3, p2, p1, theta, t1, t0, ash, lc, ls = [b - a for a, b in zip(lo, hi)]
-    plain, tan = [p3, p2, p1, theta], [t1, t0]
-    return ElemTable(plain, tan, lc, ls, binomial_combination(n_max, alpha, alpha_p, plain, tan, ash, (end_lo, end_hi)))
+        ends.append((p3, p2, p1, t1, -math.log(c), ash, lc, ls, ap2 / (c * (d + alpha * c)), t))
+    (p3, p2, p1, t1, t0, ash, lc, ls, u_lo, w_lo), (p3h, p2h, p1h, t1h, t0h, ashh, lch, lsh, u_hi, w_hi) = ends
+    plain, tan = [p3h - p3, p2h - p2, p1h - p1, theta_hi - theta_lo], [t1h - t1, t0h - t0]
+    rows = binomial_combination(n_max, alpha, alpha_p, plain, tan, ashh - ash, ((u_lo, w_lo), (u_hi, w_hi)))
+    return ElemTable(plain, tan, lch - lc, lsh - ls, rows)

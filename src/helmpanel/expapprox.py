@@ -63,6 +63,23 @@ class ExpApprox:
         """Complex coefficients e_q = c_q + j s_q as Python complex numbers (built on first use)."""
         return tuple((self.cos_coeffs + 1j * self.sin_coeffs).tolist())
 
+    @cached_property
+    def terms(self) -> tuple[tuple[float, ...], ...]:
+        """``expansion_terms`` of ``coeffs``, the per-order tuples ``analytic.k_terms`` reads (built on first use)."""
+        return expansion_terms(self.coeffs)
+
+
+def expansion_terms(coeffs) -> tuple[tuple[float, ...], ...]:
+    """Per order q, (c_q, s_q, q+1, 1/(q+2), (2q+3)/(q+2), (q+1)/(q+2), 1/(2(q+2))) as floats.
+
+    The real pair of e_q = c_q + j s_q, and the factors of ``analytic.k_terms``'
+    terms and of its J step from order q to q + 1, for any coefficient sequence.
+    """
+    return tuple(
+        (e.real, e.imag, q + 1.0, 1.0 / (q + 2), (2 * q + 3) / (q + 2), (q + 1) / (q + 2), 1.0 / (2 * (q + 2)))
+        for q, e in enumerate(coeffs)
+    )
+
 
 # k = 0: the kernel is exactly 1/R, so the expansion is e = [1] at order 0.
 LAPLACE = ExpApprox(delta_x=0.0, eps=0.0, q=0, cos_coeffs=np.ones(1), sin_coeffs=np.zeros(1))

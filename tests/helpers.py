@@ -20,7 +20,7 @@ import numpy as np
 from helmpanel import kronrod
 from helmpanel.analytic import k_terms
 from helmpanel.estimator import EstimatorGeom, _check_phi
-from helmpanel.expapprox import ExpApprox
+from helmpanel.expapprox import ExpApprox, expansion_terms
 from helmpanel.geometry import SignedSubTriangle, subdivide
 from helmpanel.numquad import CUMULATIVE_MAX_PENDING, CUMULATIVE_MAX_ROUNDS, gauss_rule, polar_nodes, quad_adaptive
 
@@ -142,10 +142,10 @@ K_ROWS = ("k0", "kx", "ky", "dk0", "dkx", "dky", "d2k0")
 def k_rows(geom, z: float, k: float, q_max: int, table) -> SimpleNamespace:
     """K_q, q = 0 .. q_max, as rows named by K_ROWS.
 
-    Column q is ``k_terms`` at the unit coefficients e = delta_q, whose sum
-    is the single term K_q.
+    Column q is ``k_terms`` at the unit coefficients e = delta_q (through
+    ``expansion_terms``), whose sum is the single term K_q.
     """
-    cols = [k_terms(geom, z, k, table, [float(m == q) for m in range(q_max + 1)]) for q in range(q_max + 1)]
+    cols = [k_terms(geom, z, k, table, expansion_terms([float(m == q) for m in range(q_max + 1)])) for q in range(q_max + 1)]
     return SimpleNamespace(**dict(zip(K_ROWS, np.array(cols).real.T)))
 
 

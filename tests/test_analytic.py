@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -20,8 +21,8 @@ from helmpanel.analytic import (
 )
 from helmpanel.elemints import build_table
 from helmpanel.engine import EvalRequest, evaluate, sample_field_point, sample_triangle
-from helmpanel.expapprox import LAPLACE, select_approx
-from helmpanel.geometry import ref_params
+from helmpanel.expapprox import DELTA_X_TIERS, EPS_TIERS, LAPLACE, economize, select_approx
+from helmpanel.geometry import ref_params, to_local_frame, walk
 from helmpanel.numquad import quad_adaptive
 
 from helpers import canonical_sub, k_rows, radii, sub_area
@@ -230,11 +231,160 @@ def test_fused_pass_matches_per_order_rows():
         assert got.shape == ref.shape == (7, q_max + 1)
         assert np.max(np.abs(got - ref) / (1 + np.abs(ref))) <= 1e-14, trial
         for approx in approxes:
-            sums = np.array(k_terms(geom, z, k, table_to(approx.q), approx.coeffs))
+            sums = np.array(k_terms(geom, z, k, table_to(approx.q), approx.terms))
             want = ref[:, : approx.q + 1] @ approx.coeffs
             assert np.max(np.abs(sums - want) / (1 + np.abs(want))) <= 1e-14, (trial, approx.q)
             checked += 1
     assert checked >= 40
+
+
+def assert_pass_matches_reference(geom, z, k, approx, bound=1e-14):
+    """k_terms' scaled pass against the unscaled per-order rows of reference_rows.
+
+    Each order's terms (``k_rows``, unit coefficients) and the e-weighted
+    sum at ``approx``'s own coefficients, to ``bound`` (1 + |v|); returns
+    the worst deviation seen.
+    """
+    q_max = approx.q
+    table = build_table(geom.alpha, geom.theta_lo, geom.theta_hi, q_max + 1, alpha_p=geom.alpha_p)
+    ref = reference_rows(geom, z, k, q_max, table)
+    got = np.array(list(vars(k_rows(geom, z, k, q_max, table)).values()))
+    dev = float(np.max(np.abs(got - ref) / (1 + np.abs(ref))))
+    want = ref @ approx.coeffs
+    sums = np.array(k_terms(geom, z, k, table, approx.terms))
+    dev = max(dev, float(np.max(np.abs(sums - want) / (1 + np.abs(want)))))
+    assert dev <= bound, (geom, z, k, approx.q)
+    return dev
+
+
+def mp_reference_rows(geom, z, k, q_max, table):
+    """reference_rows' per-order formulas at 40 digits, from the same float table, as floats."""
+    with mp.workdps(40):
+        s, S, az, kk, alpha = (mp.mpf(v) for v in (geom.s, geom.S, abs(z), k, geom.alpha))
+        sigma = 1 if z >= 0.0 else -1
+        kS = kk * S
+        p_m1, p_0 = (mp.mpf(v) for v in table.plain[2:4])
+        t_m1, t_0 = (mp.mpf(v) for v in table.tan[:2])
+        lc, ls = mp.mpf(table.lc), mp.mpf(table.ls)
+        c, sn = s / 2 * p_0 + az / 4 * lc, s / 2 * t_0 + az / 4 * ls
+        dc, ds = sigma * (lc / 4 + s / (2 * S) * p_m1), sigma * (ls / 4 + s / (2 * S) * t_m1)
+        cols = []
+        for q in range(q_max + 1):
+            bp, bp1, b2, b3, bt, bt1 = (mp.mpf(v) for v in table.rows[q])
+            kSq = kS**q
+            p, t, p1, t1 = kSq * bp, kSq * bt, kSq * (q + 1) * bp1, kSq * (q + 1) * bt1
+            cols.append([
+                S * p / (q + 1),
+                (s * S * p + 2 * az * c) / (q + 2),
+                (s * S * t + 2 * az * sn) / (q + 2),
+                -sigma * p1 / (q + 1),
+                (-sigma * s * p1 + 2 * sigma * c + 2 * az * dc) / (q + 2),
+                (-sigma * s * t1 + 2 * sigma * sn + 2 * az * ds) / (q + 2),
+                kSq / S * (alpha * b3 + (q + 1) * b2),
+            ])
+            fac = mp.mpf(2 * q + 3) / (q + 2)
+            src = s * kS ** (q + 1) / (2 * (q + 2))
+            dsrc = -sigma * s / (2 * S) * kS ** (q + 1) * (q + 1) / (q + 2)
+            kf = kk * az * fac
+            c, sn, dc, ds = (
+                src * bp - kf * c,
+                src * bt - kf * sn,
+                dsrc * bp1 - sigma * fac * kk * c - kf * dc,
+                dsrc * bt1 - sigma * fac * kk * sn - kf * ds,
+            )
+        return np.array([[float(v) for v in col] for col in cols]).T
+
+
+class TestScaledPass:
+    """k_terms carries J_q / (kS)^q; the unscaled j_chain, hypersingular and rows are the reference."""
+
+    @pytest.mark.parametrize("delta_x", DELTA_X_TIERS)
+    @pytest.mark.parametrize("eps", EPS_TIERS)
+    def test_every_table_entry(self, delta_x, eps):
+        # at the q of every (delta_x, eps) entry, up to 13, with k r_max just inside
+        # delta_x, on near-singular heights |z| <= 0.1 (larger k|z|: the next test)
+        approx = economize(delta_x, eps)
+        rng = np.random.default_rng([int(delta_x * 1e6), int(-math.log10(eps))])
+        for trial in range(4):
+            sub, z = random_geom(rng, z_lo=1e-4, z_hi=0.1)
+            z = 0.0 if trial == 0 else z
+            k = 0.99 * delta_x / max(radii(sub))
+            assert_pass_matches_reference(ref_params(sub, z), z, k, approx)
+
+    def test_as_accurate_as_unscaled_up_to_the_k_z_gate(self):
+        # Both forms amplify rounding by up to about (2 k|z|)^q, so at q = 13 and
+        # k|z| near 1 their single terms leave each other by more than 1e-14 (9 of
+        # these 60 cases, by up to 7.5e-12 of 1 + |v|, where both miss the
+        # recursion in extended precision by up to 1.8e-11).  Against the 40-digit
+        # recursion from the same table, the scaled pass is as accurate as the
+        # unscaled forms, case by case within the scatter of rounding, and in the
+        # median and the total; its e-weighted sums, where the high orders carry
+        # coefficients of 1e-10 and less, stay within 1e-14 (4e-16 seen).
+        approx = economize(math.pi / 2, 1e-15)
+        rng = np.random.default_rng(1357)
+        errs = []
+        while len(errs) < 60:
+            sub, z = random_geom(rng, z_lo=1e-4, z_hi=0.8)
+            k = 0.99 * (math.pi / 2) / max(radii(sub))
+            if k * abs(z) > math.pi / 2:  # engine.K_Z_LIMIT
+                continue
+            geom = ref_params(sub, z)
+            table = build_table(geom.alpha, geom.theta_lo, geom.theta_hi, approx.q + 1, alpha_p=geom.alpha_p)
+            exact = mp_reference_rows(geom, z, k, approx.q, table)
+            unscaled = reference_rows(geom, z, k, approx.q, table)
+            scaled = np.array(list(vars(k_rows(geom, z, k, approx.q, table)).values()))
+            errs.append([np.max(np.abs(v - exact) / (1 + np.abs(exact))) for v in (unscaled, scaled)])
+            want = exact @ approx.coeffs
+            sums = np.array(k_terms(geom, z, k, table, approx.terms))
+            assert np.max(np.abs(sums - want) / (1 + np.abs(want))) <= 1e-14
+        unscaled, scaled = np.array(errs).T
+        assert np.all(scaled <= 1e-14 + 8 * unscaled)
+        assert np.median(scaled / unscaled) <= 1.25
+        assert scaled.sum() <= 1.25 * unscaled.sum()
+
+    @pytest.mark.parametrize("z", [0.3, -1e-3, 0.0])
+    def test_k_s_close_to_half_pi(self, z):
+        approx = economize(math.pi / 2, 1e-15)
+        assert approx.q == 13
+        geom = ref_params(canonical_sub(1.0, 0.8, 1.3), z)
+        k = (math.pi / 2) * (1 - 1e-9) / geom.S
+        assert_pass_matches_reference(geom, z, k, approx)
+
+    @pytest.mark.parametrize("z", [0.4, -0.05, 0.0])
+    def test_k_zero(self, z):
+        # (kS)^q is 1 at q = 0 and 0 above: only the order-0 term survives
+        geom = ref_params(canonical_sub(0.9, 0.7, 1.1), z)
+        for approx in (LAPLACE, economize(math.pi / 2, 1e-15)):
+            assert_pass_matches_reference(geom, z, 0.0, approx)
+
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    @pytest.mark.parametrize("z", [0.01, 0.1])
+    @pytest.mark.parametrize("offset", [1e-10, 1e-9])
+    def test_just_above_an_edge_line(self, offset, z, k):
+        # the projections of test_engine's TestJustAboveAnEdgeLine: alpha = |z|/S
+        # within 1e-14 of 1 on the sliver subtriangle beside the edge y = 0
+        tri = sample_triangle()
+        verts2d, zloc = to_local_frame(tri, np.array([0.5, offset, z]))
+        ext, fan = walk(verts2d, tri.edges)
+        approx = select_approx(k, ext.r_max, 1e-12)
+        geoms = [ref_params(sub, zloc) for sub in fan]
+        assert max(g.alpha for g in geoms) > 1 - 1e-12
+        for geom in geoms:
+            assert_pass_matches_reference(geom, zloc, k, approx)
+
+
+def test_short_table_is_an_error():
+    # a table two orders deep under a six-term expansion: zip would drop orders 2 .. 5
+    geom = ref_params(canonical_sub(0.9, 0.7, 1.1), 0.3)
+    table = build_table(geom.alpha, geom.theta_lo, geom.theta_hi, 2, alpha_p=geom.alpha_p)
+    approx = economize(math.pi / 4, 1e-9)
+    assert approx.q == 7
+    with pytest.raises(ValueError, match="order"):
+        k_terms(geom, 0.3, 1.0, table, approx.terms[:6])
+    with pytest.raises(ValueError, match="order"):
+        j_chain(geom, 0.3, 1.0, 5, table)
+    assert len(k_terms(geom, 0.3, 1.0, table, approx.terms[:2])) == 7
+    assert j_chain(geom, 0.3, 1.0, 2, table).shape == (4, 3)
 
 
 class TestJChain:

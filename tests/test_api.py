@@ -60,3 +60,4 @@ def test_cached_tables_cannot_be_edited():
         with pytest.raises(dataclasses.FrozenInstanceError):
             approx.q = 0
     assert entry.coeffs is entry.coeffs  # cached_property still caches on the frozen class
+    assert entry.terms is entry.terms and isinstance(entry.terms, tuple)  # tuples of tuples: nothing to edit

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helmpanel
 from helmpanel.cli import main
 from helmpanel.engine import SAMPLE_PROJECTIONS
 from helmpanel.estimator import select_order
@@ -58,6 +60,18 @@ class TestIntegrate:
             f = machine.split(",")[2:]
             vals[tol] = complex(float(f[0]), float(f[1]))
         assert abs(vals["1e-9"] - vals["1e-12"]) <= 1e-8
+
+    def test_python_m_helmpanel_runs_integrate(self):
+        # the package runs as a module from a source checkout, with no install
+        argv = ["integrate", "--tri", TRI, "--point", "0.45,0.3,0.001", "--k", "1", "--tol", "1e-9", "--hyper"]
+        src = str(Path(helmpanel.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        r = subprocess.run([sys.executable, "-m", "helmpanel", *argv], capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        code, out = run_main(argv)
+        assert code == 0
+        assert r.stdout == out
+        assert [ln for ln in r.stdout.splitlines() if ln.startswith("RESULT,analytic,")]
 
     def test_missing_args_usage_error(self):
         r = subprocess.run(
