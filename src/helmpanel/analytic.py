@@ -156,7 +156,7 @@ def k_terms(geom: RefGeom, z: float, k: float, table: ElemTable, terms: Sequence
     """The primed sums I' = sum_q e_q K_q, q = 0 .. len(terms) - 1, in one pass.
 
     Returns [I0', Ix', Iy', dI0'/dz, dIx'/dz, dIy'/dz, d2I0'/dz2].
-    ``terms`` holds one tuple per order (``expapprox.expansion_terms``:
+    ``terms`` holds one tuple per order (``ExpApprox.terms``:
     e_q's real pair and the order's factors), and ``table`` must reach
     order len(terms), or ValueError.  One loop over the orders, on Python
     floats, carries j_chain's recursion in the scaled variables

@@ -116,8 +116,6 @@ def cmd_sweep(args) -> int:
         px, py = SAMPLE_PROJECTIONS[args.sample_point]
     tols = [float(t) for t in args.tols.split(",")]
     orders = [int(n) for n in args.orders.split(",")]
-    for t in tols:
-        check_tol(t)
     if min(orders) < 1 or args.qmax < 1:
         raise ValueError("--orders and --qmax must be integers >= 1")
     if args.steps < 2:
@@ -222,11 +220,8 @@ def cmd_economize(args) -> int:
     out.write("# helmpanel economize: e_q = c_q + j s_q with max|cos-p_c|,max|sin-p_s| <= eps on [0, delta_x)\n")
     out.write("delta_x,eps,Q,q,c_q,s_q\n")
     for (dx, eps), ap in zip(pairs, approx):
-        for q in range(ap.q + 1):
-            out.write(
-                f"{_fmt(dx)},{_fmt(eps)},{ap.q},{q},"
-                f"{_fmt(ap.cos_coeffs[q])},{_fmt(ap.sin_coeffs[q])}\n"
-            )
+        for q, e in enumerate(ap.coeffs):
+            out.write(f"{_fmt(dx)},{_fmt(eps)},{ap.q},{q},{_fmt(e.real)},{_fmt(e.imag)}\n")
     return 0
 
 
@@ -295,7 +290,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -29,7 +29,7 @@ from .expapprox import DELTA_X_TIERS, select_approx
 # radial_extents and subdivide are bound here, unused, for the layer tracer
 # of perfbench, which wraps them by name until it spans the walk
 from .geometry import Triangle3, radial_extents, ref_params, subdivide, to_local_frame, walk  # noqa: F401
-from .numquad import polar_integrate
+from .numquad import check_order, polar_integrate
 
 # Stability gate for the analytic path (J-recursion growth factor k|z|).
 K_Z_LIMIT = math.pi / 2
@@ -145,8 +145,7 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     if n_gauss is not None:
         if method != "numeric":
             raise ValueError(f"n_gauss applies only to method 'numeric', not {method!r}")
-        if isinstance(n_gauss, bool) or not (isinstance(n_gauss, (int, np.integer)) and n_gauss >= 1):
-            raise ValueError(f"n_gauss must be an integer >= 1, got {n_gauss!r}")
+        check_order(n_gauss)
     verts2d, z = to_local_frame(req.triangle, req.field_point)
     ext, fan = walk(verts2d, req.triangle.edges)
     sel = None if n_gauss is not None else select_order(ext, z, req.tol)

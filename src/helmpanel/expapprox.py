@@ -29,8 +29,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-
-import numpy as np
+from itertools import zip_longest
 
 # The last tier is the element-size limit: the expansion covers k * r < pi/2.
 DELTA_X_TIERS = (math.pi / 16, math.pi / 8, math.pi / 4, math.pi / 2)
@@ -43,54 +42,46 @@ _TAYLOR_FRACTION = 0.1
 
 @dataclass(frozen=True)
 class ExpApprox:
-    """Polynomial pair approximating (cos x, sin x) on [0, delta_x).
+    """Polynomial sum_q e_q x^q approximating e^{jx} = cos x + j sin x on [0, delta_x).
 
-    Entries are cached and shared, so the instance is frozen and its
-    coefficient arrays are made read-only.
+    ``coeffs`` holds e_q = c_q + j s_q as Python complex numbers: c_q is
+    ``.real`` (the cos polynomial), s_q ``.imag`` (the sin polynomial).
+    Entries are cached and shared, so the instance is frozen and holds
+    only tuples.
     """
 
     delta_x: float
     eps: float
-    q: int
-    cos_coeffs: np.ndarray
-    sin_coeffs: np.ndarray
+    coeffs: tuple[complex, ...]
 
-    def __post_init__(self):
-        self.cos_coeffs.flags.writeable = self.sin_coeffs.flags.writeable = False
-
-    @cached_property
-    def coeffs(self) -> tuple[complex, ...]:
-        """Complex coefficients e_q = c_q + j s_q as Python complex numbers (built on first use)."""
-        return tuple((self.cos_coeffs + 1j * self.sin_coeffs).tolist())
+    @property
+    def q(self) -> int:
+        """Expansion order, the degree of the polynomial."""
+        return len(self.coeffs) - 1
 
     @cached_property
     def terms(self) -> tuple[tuple[float, ...], ...]:
-        """``expansion_terms`` of ``coeffs``, the per-order tuples ``analytic.k_terms`` reads (built on first use)."""
-        return expansion_terms(self.coeffs)
+        """Per order q, (c_q, s_q, q+1, 1/(q+2), (2q+3)/(q+2), (q+1)/(q+2), 1/(2(q+2))) as floats (built on first use).
 
-
-def expansion_terms(coeffs) -> tuple[tuple[float, ...], ...]:
-    """Per order q, (c_q, s_q, q+1, 1/(q+2), (2q+3)/(q+2), (q+1)/(q+2), 1/(2(q+2))) as floats.
-
-    The real pair of e_q = c_q + j s_q, and the factors of ``analytic.k_terms``'
-    terms and of its J step from order q to q + 1, for any coefficient sequence.
-    """
-    return tuple(
-        (e.real, e.imag, q + 1.0, 1.0 / (q + 2), (2 * q + 3) / (q + 2), (q + 1) / (q + 2), 1.0 / (2 * (q + 2)))
-        for q, e in enumerate(coeffs)
-    )
+        The real pair of e_q and the factors of ``analytic.k_terms``' terms
+        and of its J step from order q to q + 1.
+        """
+        return tuple(
+            (e.real, e.imag, q + 1.0, 1.0 / (q + 2), (2 * q + 3) / (q + 2), (q + 1) / (q + 2), 1.0 / (2 * (q + 2)))
+            for q, e in enumerate(self.coeffs)
+        )
 
 
 # k = 0: the kernel is exactly 1/R, so the expansion is e = [1] at order 0.
-LAPLACE = ExpApprox(delta_x=0.0, eps=0.0, q=0, cos_coeffs=np.ones(1), sin_coeffs=np.zeros(1))
+LAPLACE = ExpApprox(delta_x=0.0, eps=0.0, coeffs=(1 + 0j,))
 
 
-def taylor_sin_cos(q: int) -> tuple[np.ndarray, np.ndarray]:
+def taylor_sin_cos(q: int) -> tuple[list[float], list[float]]:
     """Maclaurin coefficients of cos and sin up to degree q."""
     if q < 0:
         raise ValueError("degree must be non-negative")
-    cos_c = np.zeros(q + 1)
-    sin_c = np.zeros(q + 1)
+    cos_c = [0.0] * (q + 1)
+    sin_c = [0.0] * (q + 1)
     for m in range(q + 1):
         term = (-1.0) ** (m // 2) / math.factorial(m)
         if m % 2 == 0:
@@ -146,16 +137,15 @@ def _add(a: list[float], b: list[float]) -> list[float]:
     return [x + y for x, y in zip(a, b)] + b[len(a) :]
 
 
-def _economize_component(coeffs: np.ndarray, delta_x: float, budget: float) -> list[float]:
+def _economize_component(coeffs: list[float], delta_x: float, budget: float) -> list[float]:
     """Drop trailing Chebyshev terms of a polynomial on [0, delta_x).
 
     ``budget`` is the allowed sum of dropped coefficient magnitudes, a
     rigorous bound on the uniform perturbation.  Returns monomial
     coefficients of the reduced polynomial.
     """
-    coeffs = coeffs.tolist()
     while len(coeffs) > 1 and coeffs[-1] == 0.0:  # cos of odd, sin of even degree ends in 0
-        coeffs.pop()
+        coeffs = coeffs[:-1]
     ch = _poly2cheb(_compose(coeffs, delta_x / 2.0, delta_x / 2.0))  # x(u), u in [-1, 1]
     degree = len(ch) - 1
     dropped = 0.0
@@ -182,12 +172,8 @@ def economize(delta_x: float, eps: float) -> ExpApprox:
     budget = eps - taylor_bound
     pc = _economize_component(cos_c, delta_x, budget)
     ps = _economize_component(sin_c, delta_x, budget)
-    q = max(len(pc), len(ps)) - 1
-    cos_out = np.zeros(q + 1)
-    sin_out = np.zeros(q + 1)
-    cos_out[: len(pc)] = pc
-    sin_out[: len(ps)] = ps
-    return ExpApprox(delta_x=delta_x, eps=eps, q=q, cos_coeffs=cos_out, sin_coeffs=sin_out)
+    coeffs = tuple(complex(c, s) for c, s in zip_longest(pc, ps, fillvalue=0.0))
+    return ExpApprox(delta_x=delta_x, eps=eps, coeffs=coeffs)
 
 
 _EPS_ASCENDING = EPS_TIERS[::-1]  # for the bisection of select_approx

@@ -43,6 +43,12 @@ from .analytic import PanelIntegrals
 from .geometry import ref_params, subdivide
 
 
+def check_order(n) -> None:
+    """Raise ValueError unless the Gauss order n is an integer >= 1 (a bool is not)."""
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"n_gauss must be an integer >= 1, got {n!r}")
+
+
 @lru_cache(maxsize=None)
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1]."""
@@ -175,10 +181,12 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     over a subtriangle the w sum to sign * Theta), and the x/y moments
     have none.  ``d2I0/dn2`` is the finite part of the limit: along a ray
     the radial integral of d2G/dz2 tends to e^{jk rbar}/rbar - jk.
-    A z or k that is not finite, or a k < 0, is a ValueError.
+    A z or k that is not finite, a k < 0, or an n that ``check_order``
+    rejects is a ValueError.
     """
     if not (math.isfinite(z) and 0.0 <= k < math.inf):
         raise ValueError("polar_integrate needs a finite z and a finite k >= 0")
+    check_order(n)
     r2, points, area = polar_nodes(fan, n, z)
     out = np.zeros((3 if want_hyper else 2, 3), dtype=complex)  # (kernel row, 1 / x / y)
     rows = np.empty((1 if z == 0.0 else len(out), len(r2)), dtype=complex)

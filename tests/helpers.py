@@ -20,7 +20,7 @@ import numpy as np
 from helmpanel import kronrod
 from helmpanel.analytic import k_terms
 from helmpanel.estimator import EstimatorGeom, _check_phi
-from helmpanel.expapprox import ExpApprox, expansion_terms
+from helmpanel.expapprox import ExpApprox
 from helmpanel.geometry import SignedSubTriangle, subdivide
 from helmpanel.numquad import CUMULATIVE_MAX_PENDING, CUMULATIVE_MAX_ROUNDS, gauss_rule, polar_nodes, quad_adaptive
 
@@ -142,10 +142,11 @@ K_ROWS = ("k0", "kx", "ky", "dk0", "dkx", "dky", "d2k0")
 def k_rows(geom, z: float, k: float, q_max: int, table) -> SimpleNamespace:
     """K_q, q = 0 .. q_max, as rows named by K_ROWS.
 
-    Column q is ``k_terms`` at the unit coefficients e = delta_q (through
-    ``expansion_terms``), whose sum is the single term K_q.
+    Column q is ``k_terms`` at the unit coefficients e = delta_q (the
+    ``terms`` of an ``ExpApprox`` holding them), whose sum is the single term K_q.
     """
-    cols = [k_terms(geom, z, k, table, expansion_terms([float(m == q) for m in range(q_max + 1)])) for q in range(q_max + 1)]
+    unit = [ExpApprox(0.0, 0.0, tuple(complex(m == q) for m in range(q_max + 1))) for q in range(q_max + 1)]
+    cols = [k_terms(geom, z, k, table, e.terms) for e in unit]
     return SimpleNamespace(**dict(zip(K_ROWS, np.array(cols).real.T)))
 
 
@@ -320,8 +321,8 @@ def sampled_errors(approx: ExpApprox, n: int = 10000) -> tuple[float, float, flo
     """Max sampled errors (cos, sin, complex) on Chebyshev-distributed points."""
     j = np.arange(n)
     x = approx.delta_x * 0.5 * (1.0 - np.cos(math.pi * (j + 0.5) / n))
-    pc = np.polynomial.polynomial.polyval(x, approx.cos_coeffs)
-    ps = np.polynomial.polynomial.polyval(x, approx.sin_coeffs)
+    pc = np.polynomial.polynomial.polyval(x, [e.real for e in approx.coeffs])
+    ps = np.polynomial.polynomial.polyval(x, [e.imag for e in approx.coeffs])
     ec = np.max(np.abs(pc - np.cos(x)))
     es = np.max(np.abs(ps - np.sin(x)))
     ez = np.max(np.abs((pc + 1j * ps) - np.exp(1j * x)))

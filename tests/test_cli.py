@@ -30,6 +30,13 @@ def run_main(argv):
     return code, buf.getvalue()
 
 
+def run_module(argv):
+    """``python -m helmpanel`` in a subprocess, on the source tree of the imported package (no install needed)."""
+    src = str(Path(helmpanel.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "helmpanel", *argv], capture_output=True, text=True, env=env)
+
+
 def parse_csv(text):
     rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     header = rows[0].split(",")
@@ -64,9 +71,7 @@ class TestIntegrate:
     def test_python_m_helmpanel_runs_integrate(self):
         # the package runs as a module from a source checkout, with no install
         argv = ["integrate", "--tri", TRI, "--point", "0.45,0.3,0.001", "--k", "1", "--tol", "1e-9", "--hyper"]
-        src = str(Path(helmpanel.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        r = subprocess.run([sys.executable, "-m", "helmpanel", *argv], capture_output=True, text=True, env=env)
+        r = run_module(argv)
         assert r.returncode == 0, r.stderr
         code, out = run_main(argv)
         assert code == 0
@@ -74,21 +79,12 @@ class TestIntegrate:
         assert [ln for ln in r.stdout.splitlines() if ln.startswith("RESULT,analytic,")]
 
     def test_missing_args_usage_error(self):
-        r = subprocess.run(
-            [sys.executable, "-m", "helmpanel.cli", "integrate"],
-            capture_output=True,
-            text=True,
-        )
+        r = run_module(["integrate"])
         assert r.returncode != 0
         assert "usage" in (r.stderr + r.stdout).lower()
 
     def test_malformed_triangle_rejected(self):
-        r = subprocess.run(
-            [sys.executable, "-m", "helmpanel.cli", "integrate", "--tri", "1,2",
-             "--point", "0,0,1", "--k", "1"],
-            capture_output=True,
-            text=True,
-        )
+        r = run_module(["integrate", "--tri", "1,2", "--point", "0,0,1", "--k", "1"])
         assert r.returncode == 2
         assert "usage" in r.stderr.lower()
         errors = [ln for ln in r.stderr.splitlines() if ln.startswith("error:")]

@@ -71,15 +71,20 @@ class TestEconomize:
                 assert ap.q <= taylor_degree_for(dx, eps)
 
     def test_tables_match_frozen(self):
-        # all 20 tiers bit for bit against the tables numpy.polynomial built
+        # all 20 tiers bit for bit against the tables numpy.polynomial built;
+        # on every entry the order and the per-order terms agree with coeffs
         frozen = json.loads((Path(__file__).parent / "data" / "economize_frozen.json").read_text())
         assert len(frozen["tiers"]) == len(DELTA_X_TIERS) * len(EPS_TIERS)
         for entry in frozen["tiers"]:
             ap = economize(DELTA_X_TIERS[DELTA_X_LABELS.index(entry["delta_x"])], entry["eps"])
             key = (entry["delta_x"], entry["eps"])
             assert ap.q == entry["q"], key
-            assert [c.hex() for c in ap.cos_coeffs.tolist()] == entry["cos"], key
-            assert [c.hex() for c in ap.sin_coeffs.tolist()] == entry["sin"], key
+            assert [e.real.hex() for e in ap.coeffs] == entry["cos"], key
+            assert [e.imag.hex() for e in ap.coeffs] == entry["sin"], key
+        for ap in [economize(dx, eps) for dx in DELTA_X_TIERS for eps in EPS_TIERS] + [LAPLACE]:
+            assert ap.q == len(ap.coeffs) - 1, (ap.delta_x, ap.eps)
+            for q, e in enumerate(ap.coeffs):
+                assert [v.hex() for v in ap.terms[q][:2]] == [e.real.hex(), e.imag.hex()], (ap.delta_x, ap.eps, q)
 
     def test_monotone_cost(self):
         for dx in DELTA_X_TIERS:
@@ -90,8 +95,8 @@ class TestEconomize:
     def test_endpoint_coefficients(self):
         for dx in DELTA_X_TIERS:
             ap = economize(dx, 1e-9)
-            assert abs(ap.cos_coeffs[0] - 1.0) <= 1e-9
-            assert abs(ap.sin_coeffs[0]) <= 1e-9
+            assert abs(ap.coeffs[0].real - 1.0) <= 1e-9
+            assert abs(ap.coeffs[0].imag) <= 1e-9
 
     def test_tolerance_range_enforced(self):
         with pytest.raises(ValueError):

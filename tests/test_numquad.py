@@ -534,6 +534,12 @@ class TestPolarIntegrate:
         with pytest.raises(ValueError):
             polar_integrate(subdivide(VERTS), z, k, 8)
 
+    @pytest.mark.parametrize("n", [2.0, True, 0, -3])
+    def test_bad_order_raises(self, n):
+        # the check evaluate makes on a forced n_gauss, not an error from inside NumPy
+        with pytest.raises(ValueError, match="n_gauss"):
+            polar_integrate(subdivide(VERTS), 0.3, 1.0, n)
+
     @pytest.mark.parametrize("key", sorted(FROZEN_POLAR))
     def test_matches_frozen(self, key):
         proj, z, n = key
