@@ -1,7 +1,8 @@
-"""Record the benchmark of one source tree into a BENCH_<n>.json file.
+"""Record the benchmark of one source tree, or of a parent and a change in pairs, into a BENCH_<n>.json file.
 
     python bench/record.py --label change --out BENCH_6.json
     python bench/record.py --tree ../parent-checkout --label parent --out BENCH_6.json
+    python bench/record.py --parent ../parent-checkout --pairs 10 --seeds 501-510 --out BENCH_33.json
 
 For every workload, ``perfbench/run.py`` runs once per seed with
 ``--trace 0`` (end-to-end metrics) and once more with ``--trace 1`` on the
@@ -13,6 +14,18 @@ in the file are left as they are.  Per workload an entry holds, for every
 end-to-end metric, the median, the quartiles and their distance (IQR) over
 the seeds, plus ``attempted``, ``failed`` (per seed) and ``correct`` (all
 runs).
+
+With ``--parent``, the tree under ``--parent`` and ``--tree`` (this
+checkout by default) run alternately: pair i takes seed i of ``--seeds``
+(cycling when there are more pairs than seeds), and the parent goes first
+in the even pairs, the change in the odd ones, so that a host that changes
+speed for minutes at a time weighs on both alike; each tree's one traced
+run follows the pairs.  The ``parent`` and ``change`` entries are written
+as above, one value per pair, and ``pairs`` adds, per workload and for
+every end-to-end metric of ``BENCHMARK.json``, the wins of each tree
+(ties count for neither), the median of the paired differences (change
+minus parent) against the parent's IQR, and whether ``failed`` is the
+same on every pair.
 """
 
 from __future__ import annotations
@@ -28,6 +41,8 @@ REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bem_nearfield", "near_singular", "oracle_sweep")
 SEEDS = (301, 302, 303, 304, 305)
 SECONDS = 25.0
+# end-to-end metric name -> "higher" or "lower", the direction that is better
+BETTER = {m["name"]: m["better"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -46,9 +61,8 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
 
 
-def record(tree: Path, workload: str) -> dict:
-    runs = [run(tree, workload, seed, 0) for seed in SEEDS]
-    traced = run(tree, workload, SEEDS[0], 1)
+def entry(runs: list[dict], traced: dict, seed: int) -> dict:
+    """One label's record of one workload, from its untraced runs and one traced run on ``seed``."""
     units = {name: m["unit"] for name, m in runs[0]["metrics"].items()}
     return {
         "metrics": {
@@ -59,25 +73,94 @@ def record(tree: Path, workload: str) -> dict:
         "failed": [r["failed"] for r in runs],
         "correct": all(r["correct"] for r in runs + [traced]),
         "traced": {
-            "seed": SEEDS[0],
+            "seed": seed,
             "metrics": {name: m["value"] for name, m in traced["metrics"].items()},
             "units": {name: m["unit"] for name, m in traced["metrics"].items()},
         },
     }
 
 
+def record(tree: Path, workload: str) -> dict:
+    return entry([run(tree, workload, seed, 0) for seed in SEEDS], run(tree, workload, SEEDS[0], 1), SEEDS[0])
+
+
+def pair_summary(parent: list[dict], change: list[dict]) -> dict:
+    """The paired comparison of one workload's runs, ``parent[i]`` against ``change[i]``.
+
+    Per end-to-end metric (``BETTER``): each tree's wins, a tie counting for
+    neither; the median of the differences change - parent; the parent's
+    IQR; and ``beyond_iqr``, whether that median is larger than the IQR.
+    ``failed_same`` says whether both trees failed as often on every pair.
+    """
+    out = {"failed_same": [p["failed"] for p in parent] == [c["failed"] for c in change], "metrics": {}}
+    for name, better in BETTER.items():
+        a = [p["metrics"][name]["value"] for p in parent]
+        b = [c["metrics"][name]["value"] for c in change]
+        sign = 1.0 if better == "higher" else -1.0
+        diff = statistics.median(y - x for x, y in zip(a, b))
+        iqr = spread(a)["iqr"]
+        out["metrics"][name] = {
+            "better": better,
+            "wins": {
+                "parent": sum(sign * (y - x) < 0 for x, y in zip(a, b)),
+                "change": sum(sign * (y - x) > 0 for x, y in zip(a, b)),
+            },
+            "median_diff": diff,
+            "parent_iqr": iqr,
+            "beyond_iqr": abs(diff) > iqr,
+        }
+    return out
+
+
+def record_pairs(trees: dict[str, Path], workload: str, seeds: list[int]) -> dict[str, dict]:
+    """Both trees' entries of one workload and their ``pair_summary``, from alternating runs."""
+    runs = {label: [] for label in trees}
+    for i, seed in enumerate(seeds):
+        for label in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            runs[label].append(run(trees[label], workload, seed, 0))
+    traced = {label: run(trees[label], workload, seeds[0], 1) for label in ("parent", "change")}
+    out = {label: entry(runs[label], traced[label], seeds[0]) for label in trees}
+    out["pairs"] = pair_summary(runs["parent"], runs["change"])
+    return out
+
+
+def seed_range(text: str) -> list[int]:
+    """``a-b`` as the seeds a .. b, or one seed."""
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", type=Path, default=REPO, help="root of the checkout to measure")
-    ap.add_argument("--label", required=True, help="entry name in the output, e.g. parent or change")
+    ap.add_argument("--label", help="entry name in the output, e.g. parent or change (one tree only)")
     ap.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write or update")
+    ap.add_argument("--parent", type=Path, help="root of the parent checkout: run it and --tree in pairs")
+    ap.add_argument("--pairs", type=int, help="number of pairs per workload (with --parent; default: one per seed)")
+    ap.add_argument("--seeds", type=seed_range, help="seeds a-b of the pairs (with --parent)")
     args = ap.parse_args()
+    if (args.parent is None) == (args.label is None):
+        ap.error("give either --label (one tree) or --parent (pairs)")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc[args.label] = {
-        "seeds": list(SEEDS),
-        "seconds": SECONDS,
-        "workloads": {wl: record(args.tree.resolve(), wl) for wl in WORKLOADS},
-    }
+    if args.label is not None:
+        doc[args.label] = {
+            "seeds": list(SEEDS),
+            "seconds": SECONDS,
+            "workloads": {wl: record(args.tree.resolve(), wl) for wl in WORKLOADS},
+        }
+    else:
+        if not args.seeds:
+            ap.error("--parent needs --seeds")
+        n = args.pairs or len(args.seeds)
+        if n < 2:
+            ap.error("--pairs must be at least 2")
+        seeds = [args.seeds[i % len(args.seeds)] for i in range(n)]
+        trees = {"parent": args.parent.resolve(), "change": args.tree.resolve()}
+        done = {wl: record_pairs(trees, wl, seeds) for wl in WORKLOADS}
+        for label in trees:
+            doc[label] = {"seeds": seeds, "seconds": SECONDS, "workloads": {wl: done[wl][label] for wl in WORKLOADS}}
+        doc["pairs"] = {"count": n, "first": ["parent" if i % 2 == 0 else "change" for i in range(n)],
+                        "workloads": {wl: done[wl]["pairs"] for wl in WORKLOADS}}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 

@@ -90,6 +90,19 @@ def _check_depth(table: ElemTable, orders: int) -> None:
         raise ValueError(f"table reaches order {len(table.rows)}; the expansion reads order {orders}")
 
 
+def _j_seeds(geom: RefGeom, az: float, sigma: float, table: ElemTable) -> tuple[float, float, float, float]:
+    """I_{0,c}, I_{0,s} and their z-derivatives: the J chain's order-0 values.
+
+    I_{0,c} = (s/2) Theta + (|z|/4) L_c, and the log-cos analogue for I_{0,s};
+    the derivative seeds are +/-(L/4 + (alpha'/2) * integral of {cos, sin}/Delta),
+    with alpha' = s/S as ``geom.alpha_p`` holds it.
+    """
+    s, ap, lc, ls = geom.s, geom.alpha_p, table.lc, table.ls
+    (p_m1, p_0), (t_m1, t_0) = table.plain[2:4], table.tan
+    return (0.5 * s * p_0 + 0.25 * az * lc, 0.5 * s * t_0 + 0.25 * az * ls,
+            sigma * (0.25 * lc + 0.5 * ap * p_m1), sigma * (0.25 * ls + 0.5 * ap * t_m1))
+
+
 def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> np.ndarray:
     """I_{q,c}, I_{q,s} and z-derivatives by upward recursion.
 
@@ -98,27 +111,20 @@ def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> 
     of the recursion that k_terms carries scaled; production runs k_terms'
     pass.  ``table`` must reach order q_max.
 
-    Seeds:  I_{0,c} = (s/2) Theta + (|z|/4) L_c  (and the log-cos analogue
-    for I_{0,s}); each later order adds an elementary integral of
-    (Delta/cos - alpha)^{q+1} and subtracts k|z|(2q+3)/(q+2) times the
-    previous order.  The derivative seeds are +/-(L/4 + (s/2S) * integral
-    of {cos, sin}/Delta).  The recursion is sequential and short, so it
-    runs on floats, with (kS)^(q+1) kept as a running product.
+    It starts from ``_j_seeds``; each later order adds an elementary
+    integral of (Delta/cos - alpha)^{q+1} and subtracts k|z|(2q+3)/(q+2)
+    times the previous order.  The recursion is sequential and short, so
+    it runs on floats, with (kS)^(q+1) kept as a running product.
     """
     _check_depth(table, q_max)
-    s, S = geom.s, geom.S
+    s = geom.s
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
-    kS = k * S
+    kS = k * geom.S
     kaz = k * az
-    p_m1, p_0 = table.plain[2:4]
-    t_m1, t_0 = table.tan[:2]
-    c = 0.5 * s * p_0 + 0.25 * az * table.lc
-    sn = 0.5 * s * t_0 + 0.25 * az * table.ls
-    dc = sigma * (0.25 * table.lc + 0.5 * (s / S) * p_m1)
-    ds = sigma * (0.25 * table.ls + 0.5 * (s / S) * t_m1)
+    c, sn, dc, ds = _j_seeds(geom, az, sigma, table)
     jc, js, djc, djs = [c], [sn], [dc], [ds]
-    dsrc0 = -sigma * 0.5 * (s / S)
+    dsrc0 = -sigma * 0.5 * geom.alpha_p
     kSq1 = 1.0
     # table.rows[q] is order q + 1; the plain and tan rows at s = 0, 1 feed the chain
     for q, (bp_q, bp1_q, _, _, bt_q, bt1_q) in zip(range(q_max), table.rows):
@@ -188,13 +194,8 @@ def k_terms(geom: RefGeom, z: float, k: float, table: ElemTable, terms: Sequence
     alpha = geom.alpha
     kS = k * S
     sS, az2, sig2, msig_s, sig_S = s * S, 2.0 * az, 2.0 * sigma, -sigma * s, sigma / S
-    p_m1, p_0 = table.plain[2:4]
-    t_m1, t_0 = table.tan[:2]
-    c = 0.5 * s * p_0 + 0.25 * az * table.lc
-    sn = 0.5 * s * t_0 + 0.25 * az * table.ls
-    dc = sigma * (0.25 * table.lc + 0.5 * (s / S) * p_m1)
-    ds = sigma * (0.25 * table.ls + 0.5 * (s / S) * t_m1)
-    dsrc0 = -sigma * 0.5 * (s / S)
+    c, sn, dc, ds = _j_seeds(geom, az, sigma, table)
+    dsrc0 = -sigma * 0.5 * geom.alpha_p
     kSq = 1.0  # (kS)^q; c, sn, dc, ds hold A_q, B_q, A'_q, B'_q (order 0: J_0 unscaled)
     i0r = i0i = ixr = ixi = iyr = iyi = d0r = d0i = dxr = dxi = dyr = dyi = d2r = d2i = 0.0
     for (er, ei, q1, iq2, fac, ratio, half), (bp, bp1, b2, b3, bt, bt1) in zip(terms, table.rows):
@@ -272,7 +273,5 @@ def evaluate_ref(geom: RefGeom, z: float, k: float, approx: ExpApprox) -> list[c
     sign and rotate each subtriangle's sums into the element frame, add
     them, and apply ``assemble``, which commutes with the rotation, once.
     """
-    table = build_table(
-        geom.alpha, geom.theta_lo, geom.theta_hi, approx.q + 1, alpha_p=geom.alpha_p
-    )
+    table = build_table(geom.alpha, geom.theta_lo, geom.theta_hi, approx.q + 1, alpha_p=geom.alpha_p)
     return k_terms(geom, z, k, table, approx.terms)

@@ -21,9 +21,10 @@ Seeds.  plain[-3 .. 0], tan[-1], tan[0], L_c, L_s and
 [asinh(alpha' tan)] are closed-form antiderivatives, evaluated at
 each end into one tuple and differenced (plain[0] = theta_hi -
 theta_lo directly).  Delta is hypot(cos, alpha' sin), with alpha'
-passed in: when alpha = |z|/S rounds to 1 just above an edge's line,
-alpha' = s/S still holds its digits.  No form cancels, at either limit of
-alpha:
+= s/S passed in by the caller (``geometry.RefGeom.alpha_p``), never
+formed here: when alpha = |z|/S rounds to 1 just above an edge's line,
+sqrt(1 - alpha^2) is 0, but s/S still holds its digits.  No form
+cancels, at either limit of alpha:
 
 - asin(alpha sin) = atan2(alpha sin, Delta), which stays accurate near
   theta = +-pi/2 as alpha -> 1, where asin's argument is near 1;
@@ -150,27 +151,23 @@ class ElemTable:
     rows: list[tuple[float, ...]]
 
 
-def build_table(
-    alpha: float,
-    theta_lo: float,
-    theta_hi: float,
-    n_max: int,
-    alpha_p: float | None = None,
-) -> ElemTable:
+def build_table(alpha: float, theta_lo: float, theta_hi: float, n_max: int, *, alpha_p: float) -> ElemTable:
     """Build all elementary integrals needed for expansion order n_max - 1.
 
     One loop over the two ends evaluates every seed's antiderivative but
     plain[0]'s, u and tan theta from that end's sin, cos, tan and Delta, as
     one tuple per end; the seeds are the differences of the two tuples, and
     plain[0] is theta_hi - theta_lo.  One ``binomial_combination`` runs the
-    rows to order n_max (see the module docstring).  ``alpha_p`` defaults
-    to sqrt(1 - alpha^2); a range not inside (-THETA_MAX, THETA_MAX) is a
+    rows to order n_max (see the module docstring).  ``alpha_p`` is the
+    caller's alpha' = s/S (``geometry.RefGeom.alpha_p``), which keeps its
+    digits where alpha rounds to 1.  An alpha or alpha_p outside [0, 1]
+    (NaN included), or a range not inside (-THETA_MAX, THETA_MAX), is a
     ValueError.
     """
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= alpha_p <= 1.0):
+        raise ValueError(f"need 0 <= alpha <= 1 and 0 <= alpha_p <= 1, got {alpha!r} and {alpha_p!r}")
     if not -THETA_MAX < theta_lo <= theta_hi < THETA_MAX:
         raise ValueError(f"angle range [{theta_lo}, {theta_hi}] must lie strictly inside (-pi/2, pi/2)")
-    if alpha_p is None:
-        alpha_p = math.sqrt((1.0 - alpha) * (1.0 + alpha))
     a2 = alpha * alpha
     ap2 = alpha_p * alpha_p
     ends = []

@@ -29,6 +29,15 @@ def delta(alpha_p: float, th):
     return np.hypot(np.cos(th), alpha_p * np.sin(th))
 
 
+def alpha_prime(alpha: float) -> float:
+    """alpha' = sqrt((1 - alpha)(1 + alpha)), for tests that build a table at a bare alpha.
+
+    ``build_table`` takes alpha' from its caller; production passes s/S,
+    which keeps its digits where this form rounds to 0.
+    """
+    return math.sqrt((1.0 - alpha) * (1.0 + alpha))
+
+
 def _adaptive_scaled(f, lo: float, hi: float, rel: float = 1e-13) -> float:
     """Adaptive quadrature with tolerance scaled to the integral size."""
     rough, _, _ = quad_adaptive(f, lo, hi, 1e-6)

@@ -35,6 +35,7 @@ from helmpanel.geometry import (
 from helmpanel.numquad import adaptive_oracle, polar_integrate, quad_adaptive
 
 from helpers import (
+    alpha_prime,
     canonical_sub,
     cumulative,
     epsilon_q,
@@ -352,7 +353,7 @@ def test_criterion_6_term_by_term_oracle_suite():
         for _ in range(4):
             lo = float(RNG.uniform(-0.95, 0.4))
             hi = float(RNG.uniform(lo + 0.15, 0.95))
-            tab = build_table(alpha, lo, hi, q_max + 1)
+            tab = build_table(alpha, lo, hi, q_max + 1, alpha_p=alpha_prime(alpha))
             got = table_rows(tab)
             elem_devs += np.abs(got - oracle_rows(alpha, lo, hi, q_max + 1)[0]).ravel().tolist()
             # plain[n] from n = -3, tan[n] from n = -1, each from every row that reaches it

@@ -12,32 +12,32 @@ from helmpanel import elemints
 from helmpanel.elemints import binomial_combination, build_table
 from helmpanel.numquad import quad_adaptive
 
-from helpers import ROW_KINDS, delta, oracle_pow, oracle_rows, powers_from_rows, table_rows
+from helpers import ROW_KINDS, alpha_prime, delta, oracle_pow, oracle_rows, powers_from_rows, table_rows
 
 RNG = np.random.default_rng(991)
 
 
 def pow_plain(alpha, lo, hi):
     """Integrals of (Delta/cos)^n over [lo, hi], n = -3 .. 0, indexed [n + 3]: the plain seeds."""
-    return np.array(build_table(alpha, lo, hi, 0).plain)
+    return np.array(build_table(alpha, lo, hi, 0, alpha_p=alpha_prime(alpha)).plain)
 
 
 def pow_tan(alpha, lo, hi):
     """Integrals of (Delta/cos)^n tan over [lo, hi], n = -1, 0, indexed [n + 1]: the tan seeds."""
-    return np.array(build_table(alpha, lo, hi, 0).tan)
+    return np.array(build_table(alpha, lo, hi, 0, alpha_p=alpha_prime(alpha)).tan)
 
 
 def rows(alpha, lo, hi, n_max):
     """``table_rows`` of ``build_table`` over [lo, hi]: the six rows at orders 0 .. n_max."""
-    return table_rows(build_table(alpha, lo, hi, n_max))
+    return table_rows(build_table(alpha, lo, hi, n_max, alpha_p=alpha_prime(alpha)))
 
 
 def l_c(alpha, lo, hi):
-    return build_table(alpha, lo, hi, 0).lc
+    return build_table(alpha, lo, hi, 0, alpha_p=alpha_prime(alpha)).lc
 
 
 def l_s(alpha, lo, hi):
-    return build_table(alpha, lo, hi, 0).ls
+    return build_table(alpha, lo, hi, 0, alpha_p=alpha_prime(alpha)).ls
 
 
 def check_rows(alpha, lo, hi, n_max, rel=1e-12, abs_=0.0):
@@ -164,14 +164,14 @@ class TestProperties:
 
 def ends(alpha, lo, hi):
     """(u, tan theta) at lo and at hi, u = p - alpha written as alpha'^2 / (cos (Delta + alpha cos))."""
-    ap = math.sqrt((1 - alpha) * (1 + alpha))
+    ap = alpha_prime(alpha)
     return tuple((ap * ap / (math.cos(th) * (delta(ap, th) + alpha * math.cos(th))), math.tan(th)) for th in (lo, hi))
 
 
 def direct(alpha, lo, hi, n_max, plain=None, tan=None, ash=None):
     """``binomial_combination`` called on the seeds of ``build_table`` (or those given)."""
-    ap = math.sqrt((1 - alpha) * (1 + alpha))
-    tab = build_table(alpha, lo, hi, 0)
+    ap = alpha_prime(alpha)
+    tab = build_table(alpha, lo, hi, 0, alpha_p=ap)
     if ash is None:
         ash = math.asinh(ap * math.tan(hi)) - math.asinh(ap * math.tan(lo))
     plain = tab.plain if plain is None else plain
@@ -198,7 +198,7 @@ class TestBinomialCombination:
     def test_empty_binomial(self):
         # no rows at n_max = 0; order 0 of every row is its seed
         assert direct(0.4, -0.3, 0.6, 0) == []
-        tab = build_table(0.4, -0.3, 0.6, 4)
+        tab = build_table(0.4, -0.3, 0.6, 4, alpha_p=alpha_prime(0.4))
         assert len(tab.rows) == 4 and all(len(r) == 6 for r in tab.rows)
         got = table_rows(tab)
         for s in (0, 1, 2, 3):
@@ -219,7 +219,7 @@ class TestBinomialCombination:
 
     def test_named_case_against_oracle(self):
         # q=3, s=1, alpha=0.5 over [-0.2, 0.7]; frozen adaptive value
-        got = build_table(0.5, -0.2, 0.7, 4).rows[3 - 1][1]
+        got = build_table(0.5, -0.2, 0.7, 4, alpha_p=alpha_prime(0.5)).rows[3 - 1][1]
         assert got == pytest.approx(0.1504446417421232, abs=1e-12)
 
     def test_random_cases_against_oracle(self):
@@ -237,7 +237,8 @@ class TestBinomialCombination:
 
             v, _, ok = quad_adaptive(f, lo, hi, 1e-13)
             assert ok
-            assert build_table(alpha, lo, hi, q).rows[q - 1][s] == pytest.approx(float(v[0].real), abs=5e-12)
+            tab = build_table(alpha, lo, hi, q, alpha_p=alpha_prime(alpha))
+            assert tab.rows[q - 1][s] == pytest.approx(float(v[0].real), abs=5e-12)
 
     def test_matches_scalar_sum(self):
         # reference: the binomial sum term by term over power integrals
@@ -271,7 +272,7 @@ class TestBinomialCombination:
 
             with pytest.MonkeyPatch.context() as mpatch:
                 mpatch.setattr(elemints, "binomial_combination", counted)
-                tab = build_table(alpha, -0.5, 1.2, q_max)
+                tab = build_table(alpha, -0.5, 1.2, q_max, alpha_p=alpha_prime(alpha))
             assert len(calls) == 1 and len(tab.rows) == q_max
             both = direct(alpha, -0.5, 1.2, q_max)
             assert tab.rows == both
@@ -321,7 +322,7 @@ class TestLogIntegrals:
 
 class TestTable:
     def test_build_table_consistency(self):
-        tab = build_table(0.35, -0.5, 0.8, 10)
+        tab = build_table(0.35, -0.5, 0.8, 10, alpha_p=alpha_prime(0.35))
         assert (len(tab.plain), len(tab.tan), len(tab.rows)) == (4, 2, 10)
         assert tab.plain[0 + 3] == pytest.approx(1.3, abs=1e-14)
         assert all(len(r) == 6 and all(type(v) is float for v in r) for r in tab.rows)
@@ -331,9 +332,25 @@ class TestTable:
     def test_every_entry_is_finite(self, alpha):
         # only entries that are read are tabulated: no placeholder slots
         for n_max in (0, 6, 14):
-            tab = build_table(alpha, -0.5, 0.8, n_max)
+            tab = build_table(alpha, -0.5, 0.8, n_max, alpha_p=alpha_prime(alpha))
             assert len(tab.rows) == n_max
             assert np.isfinite(table_rows(tab)).all()
+
+    @pytest.mark.parametrize(
+        "alpha, alpha_p",
+        [(-0.1, 1.0), (1.0 + 1e-15, 0.0), (math.nan, 0.5), (0.5, -0.1), (0.5, 1.0 + 1e-15), (0.5, math.nan)],
+    )
+    def test_alpha_outside_unit_interval_raises(self, alpha, alpha_p):
+        # NaN fails both comparisons, so a NaN alpha or alpha' cannot build a NaN table
+        with pytest.raises(ValueError, match="alpha"):
+            build_table(alpha, -0.5, 0.8, 4, alpha_p=alpha_p)
+
+    def test_alpha_p_comes_from_the_caller(self):
+        # no default: sqrt(1 - alpha^2) is 0 just above an edge's line, where s/S still holds digits
+        with pytest.raises(TypeError):
+            build_table(0.5, -0.5, 0.8, 4)
+        with pytest.raises(TypeError):
+            build_table(0.5, -0.5, 0.8, 4, alpha_prime(0.5))
 
 
 REFERENCE = json.loads((Path(__file__).parent / "data" / "elem_reference.json").read_text())["entries"]
@@ -350,8 +367,8 @@ def test_against_independent_reference(entry):
     # a point just above an edge's line makes: alpha rounded to 1.0 with
     # alpha' = 1e-9 given, where plain[-3] was off by 3.2e-8 and tan[-1]
     # by 1.4e-7
-    kw = {} if entry["alpha_p"] is None else {"alpha_p": entry["alpha_p"]}
-    tab = build_table(entry["alpha"], entry["theta_lo"], entry["theta_hi"], 17, **kw)
+    ap = alpha_prime(entry["alpha"]) if entry["alpha_p"] is None else entry["alpha_p"]
+    tab = build_table(entry["alpha"], entry["theta_lo"], entry["theta_hi"], 17, alpha_p=ap)
     got = {f"plain[{n}]": tab.plain[n + 3] for n in range(-3, 1)}
     got.update({f"tan[{n}]": tab.tan[n + 1] for n in range(-1, 1)}, lc=tab.lc, ls=tab.ls)
     for row, (family, s) in zip(table_rows(tab).tolist(), ROW_KINDS):

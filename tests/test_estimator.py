@@ -52,6 +52,12 @@ class TestFormulas:
         with pytest.raises(ValueError, match="phi"):
             epsilon_q(g, 3)
 
+    @pytest.mark.parametrize("q", [-1, 2.0, True, math.nan])
+    def test_bad_order_rejected(self, q):
+        # q = -1 would divide by sqrt(q + 1) = 0; a float or bool is no order
+        with pytest.raises(ValueError, match="q must be"):
+            e_q_bound(geom_for(1.0, 0.0, 0.3), q)
+
     def test_magnitude_envelope_bounds_signed_estimate(self):
         # E_Q is the modulus of the complex series whose imaginary part
         # is epsilon_Q
@@ -187,6 +193,16 @@ class TestSelectOrder:
     def test_non_finite_or_inconsistent_input_raises(self, r_min, r_max, z, tol):
         with pytest.raises(ValueError):
             select_order(RadialExtents(r_min, r_max), z, tol)
+
+    @pytest.mark.parametrize("q_cap", [math.nan, 40.0, True])
+    def test_q_cap_not_an_int_raises(self, q_cap):
+        # the bisection would return q = nan for a NaN cap, and a float order for 40.0
+        with pytest.raises(ValueError, match="q_cap"):
+            select_order(RadialExtents(0.0, 1.0), 1.5, 1e-6, q_cap=q_cap)
+
+    @pytest.mark.parametrize("q_cap", [0, -5])
+    def test_q_cap_below_one_requires_analytic(self, q_cap):
+        assert select_order(RadialExtents(0.0, 1.0), 1.5, 1e-6, q_cap=q_cap).analytic_required
 
     def test_returns_selection_dataclass(self):
         sel = select_order(RadialExtents(0.0, 1.0), 1.5, 1e-6)
