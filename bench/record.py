@@ -1,31 +1,27 @@
-"""Record the benchmark of one source tree, or of a parent and a change in pairs, into a BENCH_<n>.json file.
+"""Record the benchmark of a parent and a change, in alternating pairs, into a BENCH_<n>.json file.
 
-    python bench/record.py --label change --out BENCH_6.json
-    python bench/record.py --tree ../parent-checkout --label parent --out BENCH_6.json
-    python bench/record.py --parent ../parent-checkout --pairs 10 --seeds 501-510 --out BENCH_33.json
+    python bench/record.py --parent ../parent-checkout --seeds 501-510 --out BENCH_33.json
+    python bench/record.py --tree ../change-checkout --parent ../parent-checkout --seeds 501-510 --out BENCH_33.json
 
-For every workload, ``perfbench/run.py`` runs once per seed with
-``--trace 0`` (end-to-end metrics) and once more with ``--trace 1`` on the
-first seed (per-layer metrics), each from the root of ``--tree``.  Only the
-last line of each run, its JSON result, is read; all timing is the
-benchmark's own.  The file keeps one entry per ``--label``, so the parent
-and the change of one pull request sit side by side; other labels already
-in the file are left as they are.  Per workload an entry holds, for every
-end-to-end metric, the median, the quartiles and their distance (IQR) over
-the seeds, plus ``attempted``, ``failed`` (per seed) and ``correct`` (all
-runs).
+For every workload, ``perfbench/run.py`` runs with ``--trace 0``
+(end-to-end metrics) on the tree under ``--parent`` and on ``--tree``
+(this checkout by default) alternately, each from the root of its tree:
+pair i takes seed i of ``--seeds``, and the parent goes first in the even
+pairs, the change in the odd ones, so that a host that changes speed for
+minutes at a time weighs on both alike.  One ``--trace 1`` run per tree
+on the first seed (per-layer metrics) follows the pairs.  Only the last
+line of each run, its JSON result, is read; all timing is the
+benchmark's own.
 
-With ``--parent``, the tree under ``--parent`` and ``--tree`` (this
-checkout by default) run alternately: pair i takes seed i of ``--seeds``
-(cycling when there are more pairs than seeds), and the parent goes first
-in the even pairs, the change in the odd ones, so that a host that changes
-speed for minutes at a time weighs on both alike; each tree's one traced
-run follows the pairs.  The ``parent`` and ``change`` entries are written
-as above, one value per pair, and ``pairs`` adds, per workload and for
-every end-to-end metric of ``BENCHMARK.json``, the wins of each tree
-(ties count for neither), the median of the paired differences (change
-minus parent) against the parent's IQR, and whether ``failed`` is the
-same on every pair.
+The ``parent`` and ``change`` entries keep the keys of the earlier
+BENCH files: per workload, for every end-to-end metric, the median, the
+quartiles and their distance (IQR) over the pairs, plus ``attempted``,
+``failed`` (per pair) and ``correct`` (all runs).  ``pairs`` adds, per
+workload and for every end-to-end metric of ``BENCHMARK.json``, the wins
+of each tree (ties count for neither), the median of the paired
+differences (change minus parent) against the parent's IQR, and whether
+``failed`` is the same on every pair.  Other entries already in the file
+are left as they are.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bem_nearfield", "near_singular", "oracle_sweep")
-SEEDS = (301, 302, 303, 304, 305)
 SECONDS = 25.0
 # end-to-end metric name -> "higher" or "lower", the direction that is better
 BETTER = {m["name"]: m["better"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -56,7 +51,7 @@ def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def spread(values: list[float]) -> dict:
-    """Median, quartiles and IQR of one metric over the seeds."""
+    """Median, quartiles and IQR of one metric over the runs."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
 
@@ -78,10 +73,6 @@ def entry(runs: list[dict], traced: dict, seed: int) -> dict:
             "units": {name: m["unit"] for name, m in traced["metrics"].items()},
         },
     }
-
-
-def record(tree: Path, workload: str) -> dict:
-    return entry([run(tree, workload, seed, 0) for seed in SEEDS], run(tree, workload, SEEDS[0], 1), SEEDS[0])
 
 
 def pair_summary(parent: list[dict], change: list[dict]) -> dict:
@@ -132,35 +123,21 @@ def seed_range(text: str) -> list[int]:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--tree", type=Path, default=REPO, help="root of the checkout to measure")
-    ap.add_argument("--label", help="entry name in the output, e.g. parent or change (one tree only)")
+    ap.add_argument("--tree", type=Path, default=REPO, help="root of the change's checkout")
+    ap.add_argument("--parent", type=Path, required=True, help="root of the parent's checkout")
+    ap.add_argument("--seeds", type=seed_range, required=True, help="seeds a-b, one pair per seed")
     ap.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write or update")
-    ap.add_argument("--parent", type=Path, help="root of the parent checkout: run it and --tree in pairs")
-    ap.add_argument("--pairs", type=int, help="number of pairs per workload (with --parent; default: one per seed)")
-    ap.add_argument("--seeds", type=seed_range, help="seeds a-b of the pairs (with --parent)")
     args = ap.parse_args()
-    if (args.parent is None) == (args.label is None):
-        ap.error("give either --label (one tree) or --parent (pairs)")
+    seeds = args.seeds
+    if len(seeds) < 2:
+        ap.error("--seeds must give at least 2 seeds")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    if args.label is not None:
-        doc[args.label] = {
-            "seeds": list(SEEDS),
-            "seconds": SECONDS,
-            "workloads": {wl: record(args.tree.resolve(), wl) for wl in WORKLOADS},
-        }
-    else:
-        if not args.seeds:
-            ap.error("--parent needs --seeds")
-        n = args.pairs or len(args.seeds)
-        if n < 2:
-            ap.error("--pairs must be at least 2")
-        seeds = [args.seeds[i % len(args.seeds)] for i in range(n)]
-        trees = {"parent": args.parent.resolve(), "change": args.tree.resolve()}
-        done = {wl: record_pairs(trees, wl, seeds) for wl in WORKLOADS}
-        for label in trees:
-            doc[label] = {"seeds": seeds, "seconds": SECONDS, "workloads": {wl: done[wl][label] for wl in WORKLOADS}}
-        doc["pairs"] = {"count": n, "first": ["parent" if i % 2 == 0 else "change" for i in range(n)],
-                        "workloads": {wl: done[wl]["pairs"] for wl in WORKLOADS}}
+    trees = {"parent": args.parent.resolve(), "change": args.tree.resolve()}
+    done = {wl: record_pairs(trees, wl, seeds) for wl in WORKLOADS}
+    for label in trees:
+        doc[label] = {"seeds": seeds, "seconds": SECONDS, "workloads": {wl: done[wl][label] for wl in WORKLOADS}}
+    doc["pairs"] = {"count": len(seeds), "first": ["parent" if i % 2 == 0 else "change" for i in range(len(seeds))],
+                    "workloads": {wl: done[wl]["pairs"] for wl in WORKLOADS}}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 

@@ -90,17 +90,21 @@ def _check_depth(table: ElemTable, orders: int) -> None:
         raise ValueError(f"table reaches order {len(table.rows)}; the expansion reads order {orders}")
 
 
-def _j_seeds(geom: RefGeom, az: float, sigma: float, table: ElemTable) -> tuple[float, float, float, float]:
-    """I_{0,c}, I_{0,s} and their z-derivatives: the J chain's order-0 values.
+def _j_seeds(geom: RefGeom, z: float, table: ElemTable) -> tuple[float, float, float, float, float, float, float]:
+    """The J chain's order-0 state: (|z|, sigma, I_{0,c}, I_{0,s}, dI_{0,c}/dz, dI_{0,s}/dz, dsrc0).
 
-    I_{0,c} = (s/2) Theta + (|z|/4) L_c, and the log-cos analogue for I_{0,s};
-    the derivative seeds are +/-(L/4 + (alpha'/2) * integral of {cos, sin}/Delta),
-    with alpha' = s/S as ``geom.alpha_p`` holds it.
+    sigma is the sign of z (+1 at z = 0).  I_{0,c} = (s/2) Theta +
+    (|z|/4) L_c, and the log-cos analogue for I_{0,s}; the derivative seeds
+    are +/-(L/4 + (alpha'/2) * integral of {cos, sin}/Delta), with
+    alpha' = s/S as ``geom.alpha_p`` holds it, and dsrc0 = -sigma alpha'/2
+    is the derivative source's factor at order 0.
     """
+    az = abs(z)
+    sigma = 1.0 if z >= 0.0 else -1.0
     s, ap, lc, ls = geom.s, geom.alpha_p, table.lc, table.ls
     (p_m1, p_0), (t_m1, t_0) = table.plain[2:4], table.tan
-    return (0.5 * s * p_0 + 0.25 * az * lc, 0.5 * s * t_0 + 0.25 * az * ls,
-            sigma * (0.25 * lc + 0.5 * ap * p_m1), sigma * (0.25 * ls + 0.5 * ap * t_m1))
+    return (az, sigma, 0.5 * s * p_0 + 0.25 * az * lc, 0.5 * s * t_0 + 0.25 * az * ls,
+            sigma * (0.25 * lc + 0.5 * ap * p_m1), sigma * (0.25 * ls + 0.5 * ap * t_m1), -sigma * 0.5 * ap)
 
 
 def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> np.ndarray:
@@ -118,13 +122,10 @@ def j_chain(geom: RefGeom, z: float, k: float, q_max: int, table: ElemTable) -> 
     """
     _check_depth(table, q_max)
     s = geom.s
-    az = abs(z)
-    sigma = 1.0 if z >= 0.0 else -1.0
+    az, sigma, c, sn, dc, ds, dsrc0 = _j_seeds(geom, z, table)
     kS = k * geom.S
     kaz = k * az
-    c, sn, dc, ds = _j_seeds(geom, az, sigma, table)
     jc, js, djc, djs = [c], [sn], [dc], [ds]
-    dsrc0 = -sigma * 0.5 * geom.alpha_p
     kSq1 = 1.0
     # table.rows[q] is order q + 1; the plain and tan rows at s = 0, 1 feed the chain
     for q, (bp_q, bp1_q, _, _, bt_q, bt1_q) in zip(range(q_max), table.rows):
@@ -189,13 +190,10 @@ def k_terms(geom: RefGeom, z: float, k: float, table: ElemTable, terms: Sequence
     """
     _check_depth(table, len(terms))
     s, S = geom.s, geom.S
-    az = abs(z)
-    sigma = 1.0 if z >= 0.0 else -1.0
+    az, sigma, c, sn, dc, ds, dsrc0 = _j_seeds(geom, z, table)
     alpha = geom.alpha
     kS = k * S
     sS, az2, sig2, msig_s, sig_S = s * S, 2.0 * az, 2.0 * sigma, -sigma * s, sigma / S
-    c, sn, dc, ds = _j_seeds(geom, az, sigma, table)
-    dsrc0 = -sigma * 0.5 * geom.alpha_p
     kSq = 1.0  # (kS)^q; c, sn, dc, ds hold A_q, B_q, A'_q, B'_q (order 0: J_0 unscaled)
     i0r = i0i = ixr = ixi = iyr = iyi = d0r = d0i = dxr = dxi = dyr = dyi = d2r = d2i = 0.0
     for (er, ei, q1, iq2, fac, ratio, half), (bp, bp1, b2, b3, bt, bt1) in zip(terms, table.rows):

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import RadialExtents
 
 # Largest polynomial order handled by quadrature before switching to the
@@ -76,9 +78,9 @@ def _e_q(q: int, lead: float, abs_t: float, cos_phi: float, denom: float) -> flo
 
 def e_q_bound(geom: EstimatorGeom, q: int) -> float:
     """Magnitude bound E_Q on the truncation remainder of 1/R; q must be an integer >= 0."""
-    if isinstance(q, bool) or not (isinstance(q, int) and q >= 0):
+    if isinstance(q, bool) or not (isinstance(q, (int, np.integer)) and q >= 0):
         raise ValueError(f"q must be an integer >= 0, got {q!r}")
-    return _e_q(q, *_e_q_factors(geom.R_mid, geom.cos_phi, geom.sin_phi, geom.t))
+    return _e_q(int(q), *_e_q_factors(geom.R_mid, geom.cos_phi, geom.sin_phi, geom.t))
 
 
 @dataclass(slots=True)
@@ -115,18 +117,18 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
     rounding.  So one E_Q at q_cap decides whether any order works, and
     bisection finds the smallest.  A tol not > 0, a z not finite,
     extents outside 0 <= r_min <= r_max < inf or a q_cap that is not an
-    int (a bool is not) are a ValueError; a q_cap < 1 requires the
+    integer (Python or NumPy; a bool is not) are a ValueError; a q_cap < 1 requires the
     analytic path.
     """
     if not (tol > 0.0 and math.isfinite(z) and 0.0 <= extents.r_min <= extents.r_max < math.inf):
         raise ValueError("need tol > 0, a finite z and extents 0 <= r_min <= r_max < inf")
-    if isinstance(q_cap, bool) or not isinstance(q_cap, int):
+    if isinstance(q_cap, bool) or not isinstance(q_cap, (int, np.integer)):
         raise ValueError(f"q_cap must be an int, got {q_cap!r}")
     if z == 0.0:
         return OrderSelection()
     _, R_mid, cos_phi, sin_phi, t = _reduced(extents.r_min, extents.r_max, z)
     lead, abs_t, cos_phi, denom = _e_q_factors(R_mid, cos_phi, sin_phi, t)
-    lo, hi = 1, q_cap
+    lo, hi = 1, int(q_cap)
     if hi < lo or (e_hi := _e_q(hi, lead, abs_t, cos_phi, denom)) > tol:
         return OrderSelection()
     # invariant: E_hi <= tol, and E_Q > tol for every Q < lo

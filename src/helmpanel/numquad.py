@@ -49,19 +49,14 @@ def check_order(n) -> None:
         raise ValueError(f"n_gauss must be an integer >= 1, got {n!r}")
 
 
+@lru_cache(maxsize=None, typed=True)
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], cached per n.
+    """Gauss-Legendre nodes and weights on [-1, 1], cached per n and its type.
 
-    ``check_order`` runs before the cache is read: an entry made for
-    np.int64(2) answers 2.0, and one for np.int64(1) answers True, so a
-    check in the cached body would run only on a miss.
+    The cache is typed so that 2.0 or True never reads the entry of 2 or
+    1: a bad order is always a miss, and ``check_order`` rejects it.
     """
     check_order(n)
-    return _gauss_rule(n)
-
-
-@lru_cache(maxsize=None)
-def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False  # cached and shared
     return x, w

@@ -58,6 +58,11 @@ class TestFormulas:
         with pytest.raises(ValueError, match="q must be"):
             e_q_bound(geom_for(1.0, 0.0, 0.3), q)
 
+    def test_numpy_integer_order_accepted(self):
+        # the same value as for a Python int; NumPy's own power differs in the last bit
+        g = geom_for(1.0, 0.0, 0.3)
+        assert e_q_bound(g, np.int64(7)) == e_q_bound(g, 7)
+
     def test_magnitude_envelope_bounds_signed_estimate(self):
         # E_Q is the modulus of the complex series whose imaginary part
         # is epsilon_Q
@@ -199,6 +204,12 @@ class TestSelectOrder:
         # the bisection would return q = nan for a NaN cap, and a float order for 40.0
         with pytest.raises(ValueError, match="q_cap"):
             select_order(RadialExtents(0.0, 1.0), 1.5, 1e-6, q_cap=q_cap)
+
+    def test_numpy_integer_q_cap_accepted(self):
+        # numquad.check_order takes NumPy integers as orders too
+        sel = select_order(RadialExtents(0.0, 1.0), 1.5, 1e-6, q_cap=np.int64(40))
+        assert sel == select_order(RadialExtents(0.0, 1.0), 1.5, 1e-6, q_cap=40)
+        assert type(sel.q) is int
 
     @pytest.mark.parametrize("q_cap", [0, -5])
     def test_q_cap_below_one_requires_analytic(self, q_cap):

@@ -537,8 +537,8 @@ class TestPolarIntegrate:
     @pytest.mark.parametrize("n", [2.0, True, 0, -3])
     def test_bad_order_raises(self, n):
         # the check evaluate makes on a forced n_gauss, not an error from inside NumPy;
-        # gauss_rule makes it before its cache, whose entries for np.int64(2) and
-        # np.int64(1) would answer 2.0 and True
+        # gauss_rule's cache is typed, so its entries for np.int64(2) and np.int64(1)
+        # never answer 2.0 and True
         gauss_rule(np.int64(1)), gauss_rule(np.int64(2))
         with pytest.raises(ValueError, match="n_gauss"):
             polar_integrate(subdivide(VERTS), 0.3, 1.0, n)
