@@ -42,8 +42,14 @@ process this resolves a change to the analytic layer that the traced
 per-layer times of a perfbench run, which drift by about 15% between
 runs, do not.
 
-The last line is JSON.  The exit status is 1 when any verdict differs,
-so that a script can gate on it.
+Both trees' results also go through the workload's own ``check``
+against the stored references (a call that raised fails it); printed:
+each tree's failures and the calls whose pass or fail differs between
+the trees, with their pool entries.
+
+The last line is JSON.  The exit status is 1 when any verdict or any
+pass/fail against the references differs, so that a script can gate on
+it.
 """
 
 from __future__ import annotations
@@ -176,6 +182,16 @@ def values(out):
     return (out[0] if isinstance(out, tuple) else out.result).values
 
 
+def contract(wl, passes, results) -> np.ndarray:
+    """Per call, whether the workload's own ``check`` passes it against the stored references."""
+    ok, start = [], 0
+    for p in passes:
+        chunk = results[start : start + len(p.items)]
+        ok.append(wl.check(p, [None if isinstance(out, BaseException) else out for out in chunk]))
+        start += len(p.items)
+    return np.concatenate(ok)
+
+
 def timed(call):
     t0 = time.perf_counter()
     try:
@@ -218,11 +234,9 @@ def main() -> None:
     wl = workloads.make_workload(args.workload, args.seed)
     if args.all_entries and args.workload == "bem_nearfield":
         wl.entries = np.arange(len(wl.pool["pair_panel"]))
-    items, entries = [], []
-    for _ in range(args.passes):
-        p = wl.next_pass()
-        items += p.items
-        entries += p.entries.tolist()
+    passes = [wl.next_pass() for _ in range(args.passes)]
+    items = [item for p in passes for item in p.items]
+    entries = [e for p in passes for e in p.entries.tolist()]
     if args.workload == "oracle_sweep":
         mine, theirs = oracle_calls(helmpanel, items, wl.k), oracle_calls(other, items, wl.k)
     else:
@@ -260,6 +274,15 @@ def main() -> None:
             beyond[name] = beyond.get(name, 0) + (d > BEYOND)
         calls_beyond += max(rel) > BEYOND
     print(f"{len(differ)} of {len(items)} calls differ in their verdict")
+    passed = [contract(wl, passes, res) for res in (res_mine, res_other)]
+    failed = [int((~ok).sum()) for ok in passed]
+    contract_differ = np.flatnonzero(passed[0] != passed[1]).tolist()
+    for i in contract_differ[:SHOW]:
+        print(f"call {i} (pool entry {entries[i]}): "
+              f"{'passes' if passed[0][i] else 'fails'} the contract here, "
+              f"{'passes' if passed[1][i] else 'fails'} it in the other tree")
+    print(f"{len(contract_differ)} of {len(items)} calls differ in their pass/fail against the references; "
+          f"failed {failed[0]} here, {failed[1]} in the other tree")
     for name, d in worst.items():
         if name == E_Q:
             print(f"worst |de|/e {name}: {d:.3g}")
@@ -286,6 +309,8 @@ def main() -> None:
         "calls": len(items),
         "rounds": args.rounds,
         "verdicts_differ": len(differ),
+        "contract_differ": len(contract_differ),
+        "failed": {"this": failed[0], "other": failed[1]},
         "worst_rel": worst,
         "beyond_rel": beyond,
         "calls_beyond": calls_beyond,
@@ -307,7 +332,7 @@ def main() -> None:
         analytic = [item for i, item in enumerate(items) if i not in differ_set and kinds[i] == "analytic"]
         summary["subtriangles"] = compare_subtriangles(helmpanel, other, analytic, args.rounds)
     print(json.dumps(summary, sort_keys=True))
-    if differ:
+    if differ or contract_differ:
         sys.exit(1)
 
 

@@ -63,6 +63,25 @@ def _inverse(a: np.ndarray) -> np.ndarray:
     return m[:, n:]
 
 
+def _legval(u: float, c: list[float]) -> float:
+    """sum_n c[n] P_n(u), len(c) >= 2, by the Clenshaw recurrence of ``numpy.polynomial.legendre.legval``."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * u * ((2 * nd - 1) / nd)
+    return c0 + c1 * u
+
+
+def _leg2poly(c: list[float]) -> list[float]:
+    """Monomial coefficients of sum_n c[n] P_n(u), len(c) >= 2, as ``numpy.polynomial.legendre.leg2poly`` runs it."""
+    c0, c1 = [c[-2]], [c[-1]]
+    for i in range(len(c) - 1, 1, -1):
+        up = [v * (2 * i - 1) / i for v in [0.0] + c1]  # u c1 (2i - 1) / i
+        low = [c[i - 2] - c1[0] * (i - 1) / i] + [-(v * (i - 1) / i) for v in c1[1:]]
+        c0, c1 = low, [a + b for a, b in zip(c0, up)] + up[len(c0) :]
+    up = [0.0] + c1
+    return [a + b for a, b in zip(c0, up)] + up[len(c0) :]
+
+
 @lru_cache(maxsize=None)
 def _interp_tables():
     """Tables for integrating the interpolant of a GK15 piece's samples y.
@@ -77,15 +96,35 @@ def _interp_tables():
     - ``tail``: ``coef``'s last two rows and Q_13, Q_14 at the nodes (15,
       2), for ``gk15``'s estimate of integrals that end inside a piece.
 
-    Built on first use, so that importing the module builds nothing.
+    Built on first use, so that importing the module builds nothing, on
+    Python floats: the Legendre values at the nodes by the three-term
+    recurrence, Q_n = (P_(n+1) - P_(n-1)) / (2n + 1) with the constant
+    that makes Q_n(-1) = 0, and its monomials and values by Clenshaw's
+    recurrence.  These are the operations ``numpy.polynomial.legendre``'s
+    ``legvander``, ``legint``, ``leg2poly`` and ``legval`` perform, in
+    their order, so the tables equal theirs bit for bit (a test holds
+    them to it) without importing ``numpy.polynomial``.
     """
-    leg = np.polynomial.legendre
-    coef = _inverse(leg.legvander(_GK_X, 14))
-    qleg = leg.legint(np.eye(15), lbnd=-1)  # Q_0 .. Q_14 as Legendre series, by column
-    qmon = np.zeros((16, 15))
+    nodes = _GK_X.tolist()
+    vander = []  # P_0 .. P_14 at each node
+    for u in nodes:
+        p = [1.0, u]
+        for i in range(2, 15):
+            p.append((p[i - 1] * u * (2 * i - 1) - p[i - 2] * (i - 1)) / i)
+        vander.append(p)
+    coef = _inverse(np.array(vander))
+    qleg = []  # Q_0 .. Q_14 as Legendre series of 16 terms
     for n in range(15):
-        qmon[: n + 2, n] = leg.leg2poly(qleg[: n + 2, n])
-    tail = coef[13:], leg.legval(_GK_X, qleg[:, 13:]).T
+        q = [0.0] * 16
+        q[n + 1] = 1.0 / (2 * n + 1)
+        if n >= 2:  # Q_1's P_0 term, like Q_0's, is left to the constant
+            q[n - 1] = -q[n + 1]
+        q[0] = 0.0 - _legval(-1.0, q)
+        qleg.append(q)
+    qmon = np.zeros((16, 15))
+    for n, q in enumerate(qleg):
+        qmon[: n + 2, n] = _leg2poly(q[: n + 2])
+    tail = coef[13:], np.array([[_legval(u, qleg[13]), _legval(u, qleg[14])] for u in nodes])
     for a in (coef, qmon, *tail):
         a.flags.writeable = False  # cached and shared
     return coef, qmon, tail

@@ -43,21 +43,73 @@ from .analytic import PanelIntegrals
 from .geometry import ref_params, subdivide
 
 
+def _is_count(n) -> bool:
+    """Whether n is an integer >= 1, Python or NumPy, and not a bool."""
+    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
+
+
 def check_order(n) -> None:
     """Raise ValueError unless the Gauss order n is an integer >= 1 (a bool is not)."""
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not _is_count(n):
         raise ValueError(f"n_gauss must be an integer >= 1, got {n!r}")
+
+
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_(n-1)(x) and P_n(x) at a float x, each correctly rounded.
+
+    The three-term recurrence k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2)
+    run exactly, on integers: with x = m / s (s a power of two),
+    Q_k = k! s^k P_k(x) obeys Q_k = (2k - 1) m Q_(k-1) - (k - 1)^2 s^2 Q_(k-2),
+    and only the two quotients are rounded.
+    """
+    m, s = x.as_integer_ratio()
+    shift = 2 * (s.bit_length() - 1)  # s^2 = 2^shift
+    q0, q1 = 1, m
+    for k in range(2, n + 1):
+        q0, q1 = q1, (2 * k - 1) * m * q1 - ((k - 1) ** 2 * q0 << shift)
+    d = math.factorial(n) * s**n
+    return q0 * (n * s) / d, q1 / d
 
 
 @lru_cache(maxsize=None, typed=True)
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], cached per n and its type.
+    """Gauss-Legendre nodes and weights on [-1, 1], ascending, cached per n and its type.
+
+    Each node x >= 0 is found by Newton's method on P_n from
+    cos(pi (i - 1/4) / (n + 1/2)), i = 1 .. ceil(n / 2) (0 exactly for odd
+    n), with P_n and P_(n-1) evaluated exactly at the float iterate
+    (``_legendre``), so the iteration stops on the double nearest the
+    root.  Its weight is 2 / ((1 - x^2) P_n'(x)^2), taken from the rounded
+    node to the root by the last Newton step d = P_n / P_n': the factor
+    1 + 2 x d / (1 - x^2) removes the first-order change, whose rate
+    2x / (1 - x^2) would cost up to 6e-15 at n = 17.  The negative half
+    mirrors the positive one.  Against 40-digit rules, nodes are within
+    half an ulp and weights within 3 machine epsilons up to n = 100
+    (``numpy.polynomial.legendre.leggauss``, which also maps LAPACK into
+    the process: 1.5e-14 at n = 17, 9.6e-13 at n = 50).  The exact
+    integers grow to about 60 n bits, so a rule costs O(n^3) bit
+    operations; the library reads n = 8 .. 17 and 50.
 
     The cache is typed so that 2.0 or True never reads the entry of 2 or
     1: a bad order is always a miss, and ``check_order`` rejects it.
     """
     check_order(n)
-    x, w = np.polynomial.legendre.leggauss(n)
+    n = int(n)
+    xs, ws = [], []  # the nodes in (0, 1), and 0 for odd n, descending
+    for i in range(1, (n + 1) // 2 + 1):
+        x = 0.0 if 2 * i == n + 1 else math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            pm, p = _legendre(n, x)
+            c = (1.0 - x) * (1.0 + x)
+            dp = n * (pm - x * p) / c
+            step = p / dp
+            if x - step == x:
+                break
+            x -= step
+        xs.append(x)
+        ws.append(2.0 / (c * dp * dp) * (1.0 + 2.0 * x * step / c))
+    half = n // 2  # nodes below 0
+    x, w = np.array([-v for v in xs[:half]] + xs[::-1]), np.array(ws[:half] + ws[::-1])
     x.flags.writeable = w.flags.writeable = False  # cached and shared
     return x, w
 
@@ -72,9 +124,17 @@ def quad_adaptive(f, a, b, tol: float, max_intervals: int = 4000):
     intervals.  Returns (values, error_estimate, converged); the estimate
     is the summed per-interval |K15 - G7| (QUADPACK-scaled, see
     ``kronrod.gk15``), a conservative bound for smooth integrands, plus
-    the roundoff of the sum.
+    the roundoff of the sum.  A tol not > 0, a ``max_intervals`` that is
+    not an integer >= 1 (a bool is not) or an ``a`` and ``b`` of different
+    lengths are a ValueError, raised before ``f`` is called.
     """
+    if not tol > 0.0:  # written so that a NaN fails it
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if not _is_count(max_intervals):
+        raise ValueError(f"max_intervals must be an integer >= 1, got {max_intervals!r}")
     lo, hi = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if lo.shape != hi.shape:
+        raise ValueError(f"a and b must have the same length, got {lo.shape} and {hi.shape}")
     # every round but the last adds an interval: the cap bounds the rounds
     _, v, _, error, converged = kronrod.gk_rounds(f, lo, hi, tol, max_intervals, max_intervals - len(lo))
     return v.sum(axis=0), error, converged

@@ -204,17 +204,18 @@ class TestSelectApprox:
 
 
 def test_import_leaves_numpy_polynomial_out():
-    # the tables are built without numpy.polynomial, so a process that
-    # imports helmpanel does not load it; the Gauss-Legendre rules load it
-    # on first use
+    # the economized tables, the Gauss-Legendre rules and the oracle's
+    # interpolation tables are all built without numpy.polynomial, so no
+    # process that imports helmpanel loads it
     code = (
         "import sys, helmpanel\n"
         "from helmpanel.expapprox import select_approx\n"
         "select_approx(1.0, 1.0, 1e-15)\n"
         "assert 'numpy.polynomial' not in sys.modules\n"
-        "from helmpanel.numquad import gauss_rule\n"
-        "gauss_rule(4)\n"
-        "assert 'numpy.polynomial' in sys.modules\n"
+        "from helmpanel.numquad import adaptive_oracle, gauss_rule\n"
+        "gauss_rule(50)\n"
+        "adaptive_oracle([(-0.3, -0.2), (0.7, -0.2), (0.1, 0.6)], 1e-3, 1.0, want_hyper=True)\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
     )
     src = str(Path(helmpanel.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

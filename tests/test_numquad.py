@@ -4,6 +4,7 @@ import importlib.util
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -459,6 +460,26 @@ class TestGaussRule:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             gauss_rule(0)
+
+    @pytest.mark.parametrize("n", [*range(1, 18), 50])
+    def test_matches_40_digit_rule(self, n):
+        # the reference: a few 40-digit Newton steps on P_n from each double
+        # node, and the weight 2 / ((1 - x^2) P_n'(x)^2) at the root.  Bounds
+        # with a margin over what the rule reaches (half an ulp, 2.5 machine
+        # epsilons); numpy.polynomial.legendre.leggauss reaches 1.5e-14 at
+        # n = 17 and 9.6e-13 at n = 50
+        x, w = gauss_rule(n)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        with mpmath.workdps(40):
+            for xi, wi in zip(x.tolist(), w.tolist()):
+                t = mpmath.mpf(xi)
+                for _ in range(4):
+                    p = mpmath.legendre(n, t)
+                    dp = n * (mpmath.legendre(n - 1, t) - t * p) / (1 - t * t)
+                    t -= p / dp
+                dp = n * (mpmath.legendre(n - 1, t) - t * mpmath.legendre(n, t)) / (1 - t * t)
+                assert abs(xi - t) <= math.ulp(float(t)), (n, xi)
+                assert abs(wi / (2 / ((1 - t * t) * dp * dp)) - 1) <= 1e-15, (n, xi)
 
 
 class TestPolarNodes:
@@ -930,8 +951,56 @@ class TestGK15:
             mass = np.array([1.0, 2.0 ** (d + 1) + 1.0]) / (d + 1)
             assert np.all(np.abs(v[:, 0] - exact) <= 8 * np.finfo(float).eps * mass), d
 
+    def test_interp_tables_match_numpy_polynomial(self):
+        # built on floats, the tables equal numpy.polynomial's build bit for bit
+        leg = np.polynomial.legendre
+        coef = kronrod._inverse(leg.legvander(kronrod._GK_X, 14))
+        qleg = leg.legint(np.eye(15), lbnd=-1)
+        qmon = np.zeros((16, 15))
+        for n in range(15):
+            qmon[: n + 2, n] = leg.leg2poly(qleg[: n + 2, n])
+        want = coef, qmon, coef[13:], leg.legval(kronrod._GK_X, qleg[:, 13:]).T
+        c, q, (r, t) = kronrod._interp_tables()
+        for got, ref in zip((c, q, r, t), want):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
 
 class TestQuadAdaptive:
+    @staticmethod
+    def counted_sin(calls):
+        def f(x):
+            calls.append(len(x))
+            return np.sin(x)[:, None]
+
+        return f
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-10, 0.0])
+    def test_tol_not_positive_raises(self, tol):
+        # a NaN tol returned the first round as converged, a negative one
+        # bisected to the interval cap
+        calls = []
+        with pytest.raises(ValueError, match="tol"):
+            quad_adaptive(self.counted_sin(calls), 0.0, 1.0, tol)
+        assert calls == []
+
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, True, None])
+    def test_max_intervals_not_a_count_raises(self, cap):
+        # 0 and -3 ended in NumPy's "need at least one array to
+        # concatenate", 2.5 in a TypeError
+        calls = []
+        with pytest.raises(ValueError, match="max_intervals"):
+            quad_adaptive(self.counted_sin(calls), 0.0, 1.0, 1e-10, max_intervals=cap)
+        assert calls == []
+
+    @pytest.mark.parametrize("a, b", [([0.0, 0.5], [0.5]), (0.0, [0.5, 1.0]), ([0.0, 0.5, 1.0], [0.5, 1.0])])
+    def test_ends_of_different_lengths_raise(self, a, b):
+        # they broadcast: a = [0, 0.5], b = [0.5] returned the integral of
+        # sin over [0, 0.5] alone
+        calls = []
+        with pytest.raises(ValueError, match="a and b"):
+            quad_adaptive(self.counted_sin(calls), a, b, 1e-10)
+        assert calls == []
+
     def test_vector_components(self):
         def f(x):
             x = np.asarray(x)
