@@ -13,8 +13,10 @@ an ``oracle_sweep`` item goes to each tree's ``adaptive_oracle`` with the
 arguments of the workload's own call.  ``--all-entries`` makes a
 ``bem_nearfield`` pass cover every pool entry instead of the seed's panels.
 
-Each request runs ``--rounds`` times on both trees, alternating which tree
-goes first, and each call's best time is kept.  Printed: the calls whose
+Each request first runs once on both trees, untimed, so that lazy set-up
+(cached tables, first imports) is not timed as a call; then it runs
+``--rounds`` times on both trees, alternating which tree goes first, and
+each call's best time is kept.  Printed: the calls whose
 ``kind``, ``n_gauss``, ``q_expansion``, ``delta_x``, ``note``, ``z`` or
 estimator order ``q`` differ (for the oracle, the convergence flag), the worst
 |v - v_other| / (1 + |v_other|) per component (dI0/dn and d2I0/dn2 of
@@ -202,7 +204,9 @@ def timed(call):
 
 
 def run(mine, other, rounds: int):
-    """Results of both trees and the best time of every call on each."""
+    """Results of both trees and the best time of every call on each, after one untimed call of each."""
+    for call in (*mine, *other):
+        timed(call)
     n = len(mine)
     best = np.full((2, n), np.inf)
     results = [[None] * n, [None] * n]

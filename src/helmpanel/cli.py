@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands:
-  integrate   evaluate one triangle / field point and print the result
-  sweep       error-vs-z curves (analytic vs oracle, numeric orders, Q) as CSV
+  integrate   evaluate one triangle / field point and print the report,
+              its components in analytic.COMPONENTS order
+  sweep       error-vs-z curves (analytic vs oracle, numeric orders, Q up
+              to SWEEP_Q_CAP) as CSV, one evaluation per tolerance and order
   estimate    quadrature-order criterion for given radial extents
   economize   dump economized sin/cos coefficient tables as CSV
 
@@ -20,6 +22,7 @@ import sys
 import numpy as np
 
 from .engine import (
+    METHODS,
     EvalRequest,
     SAMPLE_PROJECTIONS,
     check_tol,
@@ -29,6 +32,12 @@ from .engine import (
 from .estimator import Q_CAP, EstimatorGeom, e_q_bound, select_order
 from .expapprox import DELTA_X_LABELS, DELTA_X_TIERS, EPS_TIERS, economize
 from .geometry import RadialExtents, Triangle3, radial_extents, to_local_frame
+
+# Printed names of PanelIntegrals.values, in analytic.COMPONENTS order.
+LABELS = ("I0", "Ix", "Iy", "dI0/dn", "dIx/dn", "dIy/dn", "d2I0/dn2")
+# sweep's Q columns search orders up to this, past the estimator's Q_CAP,
+# so that they show the order a tolerance needs and not only the cap.
+SWEEP_Q_CAP = 512
 
 
 def _fmt(x: float) -> str:
@@ -68,7 +77,6 @@ def cmd_integrate(args) -> int:
         want_hypersingular=args.hyper,
     )
     rep = evaluate(req, method=args.method)
-    res = rep.result
     est = rep.estimator
     print(f"method: {rep.method.kind}")
     if rep.method.kind == "numeric":
@@ -83,23 +91,10 @@ def cmd_integrate(args) -> int:
         else:
             print(f"estimator: Q = {est.q}  E_Q = {_fmt(est.e_q)}")
     print(f"z: {_fmt(rep.z)}")
-    rows = [
-        ("I0", res.i0),
-        ("Ix", res.ix),
-        ("Iy", res.iy),
-        ("dI0/dn", res.di0_dn),
-        ("dIx/dn", res.dix_dn),
-        ("dIy/dn", res.diy_dn),
-    ]
-    if res.d2i0_dn2 is not None:
-        rows.append(("d2I0/dn2", res.d2i0_dn2))
-    for name, v in rows:
+    values = rep.result.values.tolist()  # 6 components, or 7 with --hyper
+    for name, v in zip(LABELS, values):
         print(f"{name}: {_fmt(v.real)} {'+' if v.imag >= 0 else '-'} {_fmt(abs(v.imag))}j")
-    machine = ",".join(
-        ["RESULT", rep.method.kind]
-        + [_fmt(v) for pair in ((c.real, c.imag) for _, c in rows) for v in pair]
-    )
-    print(machine)
+    print(",".join(["RESULT", rep.method.kind] + [_fmt(x) for v in values for x in (v.real, v.imag)]))
     return 0
 
 
@@ -116,8 +111,8 @@ def cmd_sweep(args) -> int:
         px, py = SAMPLE_PROJECTIONS[args.sample_point]
     tols = [float(t) for t in args.tols.split(",")]
     orders = [int(n) for n in args.orders.split(",")]
-    if min(orders) < 1 or args.qmax < 1:
-        raise ValueError("--orders and --qmax must be integers >= 1")
+    if min(orders) < 1:
+        raise ValueError("--orders must be integers >= 1")
     if args.steps < 2:
         raise ValueError("--steps must be >= 2")
     if args.log:
@@ -129,10 +124,11 @@ def cmd_sweep(args) -> int:
     # sweep points in the element frame: origin v1, axes e1, e2 and the normal
     axes = np.array([tri.e1, tri.e2, tri.normal])
     points = [tri.v1 + np.array([px, py, z]) @ axes for z in zs]
-    # one request per tolerance and one at 1e-12 per point, all built (and
-    # so checked) before the first output line
+    # per point, one request per distinct tolerance, the numeric columns'
+    # reference 1e-12 among them, all built (and so checked) before the
+    # first output line
     requests = [
-        [EvalRequest(triangle=tri, field_point=p, k=args.k, tol=t) for t in (*tols, 1e-12)]
+        {t: EvalRequest(triangle=tri, field_point=p, k=args.k, tol=t) for t in dict.fromkeys((*tols, 1e-12))}
         for p in points
     ]
 
@@ -147,7 +143,7 @@ def cmd_sweep(args) -> int:
         f"log={int(args.log)} tols={args.tols} orders={args.orders}\n"
     )
     out.write("# err_* columns: |value - adaptive oracle (tol 1e-13)|;\n")
-    out.write(f"# errn_* columns: |numeric(n) - analytic(1e-12)|; Q: order with E_Q <= tol (-1: none <= {args.qmax})\n")
+    out.write(f"# errn_* columns: |numeric(n) - analytic(1e-12)|; Q: order with E_Q <= tol (-1: none <= {SWEEP_Q_CAP})\n")
     cols = ["z"]
     cols += [f"err_I0_tol{t:g}" for t in tols]
     cols += [f"err_dI0_tol{t:g}" for t in tols]
@@ -165,15 +161,14 @@ def cmd_sweep(args) -> int:
             return_status=True,
         )
         row = [_fmt(z)]
-        refs = [evaluate(r, method="analytic").result for r in reqs[:-1]]
-        rep12 = evaluate(reqs[-1], method="analytic").result
-        row += [_fmt(abs(r.i0 - oracle.i0)) for r in refs]
-        row += [_fmt(abs(r.di0_dn - oracle.di0_dn)) for r in refs]
-        nums = [evaluate(reqs[-1], method="numeric", n_gauss=n).result for n in orders]
-        row += [_fmt(abs(r.i0 - rep12.i0)) for r in nums]
-        row += [_fmt(abs(r.di0_dn - rep12.di0_dn)) for r in nums]
+        refs = {t: evaluate(r, method="analytic").result for t, r in reqs.items()}
+        row += [_fmt(abs(refs[t].i0 - oracle.i0)) for t in tols]
+        row += [_fmt(abs(refs[t].di0_dn - oracle.di0_dn)) for t in tols]
+        nums = [evaluate(reqs[1e-12], method="numeric", n_gauss=n).result for n in orders]
+        row += [_fmt(abs(r.i0 - refs[1e-12].i0)) for r in nums]
+        row += [_fmt(abs(r.di0_dn - refs[1e-12].di0_dn)) for r in nums]
         for t in tols:
-            q = select_order(ext, zloc, t, q_cap=args.qmax).q
+            q = select_order(ext, zloc, t, q_cap=SWEEP_Q_CAP).q
             row.append(str(q if q is not None else -1))
         row.append("1" if status["converged"] else "0")
         out.write(",".join(row) + "\n")
@@ -239,9 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--k", type=float, required=True, help="wavenumber")
     pi.add_argument("--tol", type=float, default=1e-9, help="requested tolerance")
     pi.add_argument("--hyper", action="store_true", help="also compute d2I0/dn2")
-    pi.add_argument(
-        "--method", choices=("auto", "analytic", "numeric"), default="auto"
-    )
+    pi.add_argument("--method", choices=METHODS, default="auto")
     pi.set_defaults(func=cmd_integrate)
 
     ps = sub.add_parser("sweep", help="error-vs-z sweep as CSV on stdout")
@@ -258,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--log", action="store_true", help="log-spaced z values")
     ps.add_argument("--tols", default="1e-3,1e-6,1e-9,1e-12")
     ps.add_argument("--orders", default="4,8,16,32")
-    ps.add_argument("--qmax", type=int, default=512)
     ps.set_defaults(func=cmd_sweep)
 
     pe = sub.add_parser("estimate", help="quadrature-order criterion")

@@ -42,6 +42,8 @@ N_FALLBACK = 50
 N_MIN = 8
 # Requested tolerances accepted by EvalRequest and the CLI.
 TOL_RANGE = (1e-15, 1e-2)
+# Values of evaluate's ``method``; ``integrate --method`` offers the same.
+METHODS = ("auto", "analytic", "numeric")
 
 
 def check_tol(tol: float) -> None:
@@ -140,7 +142,7 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     edges are walked once per request (``walk`` on ``Triangle3.edges``);
     its signed subtriangles go to whichever path runs.
     """
-    if method not in ("auto", "analytic", "numeric"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if n_gauss is not None:
         if method != "numeric":

@@ -98,13 +98,17 @@ def taylor_degree_for(delta_x: float, eps: float) -> int:
     """Smallest degree whose Taylor remainder bound is below eps/10.
 
     The remainder of either series truncated at degree n is bounded by
-    delta_x^(n+1) / (n+1)! on [0, delta_x).
+    delta_x^(n+1) / (n+1)! on [0, delta_x).  A delta_x outside (0, pi/2]
+    or an eps outside [1e-15, 1e-3], the range ``economize`` tabulates,
+    is a ValueError.
     """
+    if not (0.0 < delta_x <= DELTA_X_TIERS[-1] + 1e-15):  # written so that a NaN fails it
+        raise ValueError(f"delta_x must lie in (0, {DELTA_X_LABELS[-1]}]")
+    if not 1e-15 <= eps <= 1e-3:
+        raise ValueError("eps must lie in [1e-15, 1e-3]")
     n = 0
     while delta_x ** (n + 1) / math.factorial(n + 1) > eps * _TAYLOR_FRACTION:
         n += 1
-        if n > 200:
-            raise ValueError("tolerance unattainable")
     return n
 
 
@@ -164,11 +168,8 @@ def economize(delta_x: float, eps: float) -> ExpApprox:
 
     Each component carries a rigorous uniform error bound <= eps; the
     economized degree never exceeds the Taylor degree for the same eps.
+    ``taylor_degree_for`` rejects a delta_x or eps outside the tabulated range.
     """
-    if not (0.0 < delta_x <= DELTA_X_TIERS[-1] + 1e-15):
-        raise ValueError(f"delta_x must lie in (0, {DELTA_X_LABELS[-1]}]")
-    if not 1e-15 <= eps <= 1e-3:  # written so that a NaN eps fails it
-        raise ValueError("eps must lie in [1e-15, 1e-3]")
     n = taylor_degree_for(delta_x, eps)
     cos_c, sin_c = taylor_sin_cos(n)
     taylor_bound = delta_x ** (n + 1) / math.factorial(n + 1)
@@ -188,12 +189,12 @@ def select_approx(k: float, ell: float, eps: float) -> ExpApprox:
     Picks the smallest delta_x tier strictly greater than k * ell and the
     coarsest tabulated tolerance not exceeding eps, by one bisection each,
     from ``economize``'s cache.  k * ell >= pi/2 (the last tier) violates
-    the standing element-size assumption and is rejected, as is a negative
-    or NaN k * ell or a NaN eps, at k = 0 too.
+    the standing element-size assumption and is rejected, as is a k, an
+    ell or a k * ell that is negative or NaN, or a NaN eps, at k = 0 too.
     """
     x_need = k * ell
-    if not x_need >= 0.0:  # written so that a NaN fails it
-        raise ValueError(f"k*ell = {x_need:g} is negative or not a number")
+    if not (k >= 0.0 and ell >= 0.0 and x_need >= 0.0):  # written so that a NaN fails it
+        raise ValueError(f"k*ell = {x_need:g} (k = {k:g}, ell = {ell:g}): negative or not a number")
     if x_need >= DELTA_X_TIERS[-1]:
         raise ValueError(
             f"k*ell = {x_need:.6g} >= {DELTA_X_LABELS[-1]}: element too large for the "

@@ -187,12 +187,17 @@ def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
     The axes and the plane vertices come from the triangle, which computed
     them when it was built; per point, z = n.(x - v1) and the projection's
     plane coordinates (e1.(x - v1), e2.(x - v1)) are float arithmetic, and
-    the plane vertices are shifted by the latter.
+    the plane vertices are shifted by the latter.  A point that is not of
+    shape (3,) is a ValueError, with ``EvalRequest``'s message.
     """
     p1 = tri.v1.tolist()
     nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z = tri._frame
-    px, py, pz = np.asarray(x, dtype=float).tolist()
-    dx, dy, dz = px - p1[0], py - p1[1], pz - p1[2]
+    point = np.asarray(x, dtype=float)
+    try:  # a point of another shape fails to unpack or, as (3, 1), to subtract
+        px, py, pz = point.tolist()
+        dx, dy, dz = px - p1[0], py - p1[1], pz - p1[2]
+    except (TypeError, ValueError):
+        raise ValueError(f"field point must have shape (3,), got {point.shape}") from None
     z = dx * nx + dy * ny + dz * nz
     if not math.isfinite(z):
         raise ValueError(f"field point {x} is not finite")

@@ -1,5 +1,6 @@
 """Command-line interface: output contracts and determinism."""
 
+import argparse
 import io
 import json
 import math
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 import helmpanel
-from helmpanel.cli import main
-from helmpanel.engine import SAMPLE_PROJECTIONS
+from helmpanel import cli
+from helmpanel.analytic import COMPONENTS
+from helmpanel.cli import build_parser, main
+from helmpanel.engine import METHODS, SAMPLE_PROJECTIONS, EvalRequest, evaluate, sample_triangle
 from helmpanel.estimator import select_order
 from helmpanel.geometry import radial_extents
 
@@ -145,6 +148,35 @@ class TestIntegrate:
         assert lines[:3] == ["method: numeric", "n_gauss: 50",
                              "note: analytic inadmissible: k*r_max >= pi/2; numeric fallback"]
 
+    @pytest.mark.parametrize("method", ["analytic", "numeric"])
+    @pytest.mark.parametrize("hyper", [False, True])
+    def test_components_in_library_order(self, method, hyper):
+        # one line per component in analytic.COMPONENTS order, each the
+        # library's value, and the RESULT line holds them in that order
+        label = {"i0": "I0", "ix": "Ix", "iy": "Iy", "di0_dn": "dI0/dn",
+                 "dix_dn": "dIx/dn", "diy_dn": "dIy/dn", "d2i0_dn2": "d2I0/dn2"}
+        point = [0.467, 0.3, 0.2]
+        argv = ["integrate", "--tri", TRI, "--point", "0.467,0.3,0.2", "--k", "1", "--method", method]
+        code, out = run_main(argv + ["--hyper"] * hyper)
+        assert code == 0
+        res = evaluate(EvalRequest(sample_triangle(), point, 1.0, want_hypersingular=hyper), method=method).result
+        names = COMPONENTS if hyper else COMPONENTS[:6]
+        lines = out.splitlines()
+        start = lines.index(next(ln for ln in lines if ln.startswith("z: "))) + 1
+        assert [ln.split(": ")[0] for ln in lines[start:-1]] == [label[c] for c in names]
+        fields = lines[-1].split(",")
+        assert fields[:2] == ["RESULT", method]
+        got = [complex(float(re), float(im)) for re, im in zip(fields[2::2], fields[3::2])]
+        assert got == [getattr(res, c) for c in names]
+
+    def test_method_choices_are_the_engines(self):
+        # integrate --method offers exactly the values evaluate accepts
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in sub.choices["integrate"]._actions if a.dest == "method")
+        assert tuple(method.choices) == METHODS
+        for m in METHODS:
+            assert run_main(["integrate", "--tri", TRI, "--point", "0.467,0.3,0.2", "--k", "1", "--method", m])[0] == 0
+
     def test_hyper_flag_adds_component(self):
         code, out = run_main(
             ["integrate", "--tri", TRI, "--point", "0.467,0.3,0.5", "--k", "1",
@@ -228,6 +260,30 @@ class TestSweep:
             for tol in (1e-6, 1e-12):
                 q = select_order(ext, float(r[0]), tol, q_cap=512).q
                 assert int(r[header.index(f"Q_tol{tol:g}")]) == (-1 if q is None else q)
+
+    @pytest.mark.parametrize(
+        "tols, distinct", [(None, (1e-3, 1e-6, 1e-9, 1e-12)), ("1e-6", (1e-6, 1e-12)), ("1e-12,1e-6,1e-12", (1e-12, 1e-6))]
+    )
+    def test_one_evaluate_per_tolerance_and_order(self, tols, distinct, monkeypatch):
+        # per z, one analytic call per distinct tolerance (the numeric
+        # columns' reference 1e-12 among them) and one numeric call per order
+        calls = []
+
+        def counting(req, method="auto", n_gauss=None):
+            calls.append((req.field_point[2], method, req.tol if n_gauss is None else n_gauss))
+            return evaluate(req, method=method, n_gauss=n_gauss)
+
+        monkeypatch.setattr(cli, "evaluate", counting)
+        argv = ["sweep", "--zmin", "0.1", "--zmax", "1.0", "--steps", "3", "--log", "--orders", "8,16"]
+        code, _ = run_main(argv + (["--tols", tols] if tols else []))
+        assert code == 0
+        zs = sorted({c[0] for c in calls})
+        assert len(zs) == 3
+        for z in zs:
+            analytic = [c[2] for c in calls if c[0] == z and c[1] == "analytic"]
+            numeric = [c[2] for c in calls if c[0] == z and c[1] == "numeric"]
+            assert sorted(analytic) == sorted(distinct)
+            assert numeric == [8, 16]
 
     def test_proj_matches_sample_point(self):
         # --proj places the sweep above the given projection, here sample point 3

@@ -50,6 +50,19 @@ class TestTaylor:
         with pytest.raises(ValueError):
             taylor_sin_cos(-1)
 
+    @pytest.mark.parametrize(
+        "delta_x, eps",
+        [(math.pi / 2, 0.0), (math.pi / 2, -1.0), (math.pi / 2, 1e-300), (math.pi / 2, math.nan),
+         (math.pi / 2, 1e-2), (math.inf, 1e-9), (100.0, 1e-9), (math.nan, 1e-9), (-0.5, 1e-9), (0.0, 1e-9)],
+    )
+    def test_degree_outside_the_tables_rejected(self, delta_x, eps):
+        # the pairs economize rejects; a vanishing eps or a large delta_x
+        # overflowed the remainder bound, a NaN eps or a NaN or negative
+        # delta_x gave degree 0
+        for f in (taylor_degree_for, economize):
+            with pytest.raises(ValueError, match="^(delta_x|eps) must lie in"):
+                f(delta_x, eps)
+
 
 class TestEconomize:
     def test_count_reduction_at_1e9(self):
@@ -148,9 +161,10 @@ class TestSelectApprox:
         with pytest.raises(ValueError, match="k\\*ell"):
             select_approx(0.0, math.inf, 1e-9)
 
-    @pytest.mark.parametrize("k, ell", [(-1.0, 0.5), (1.0, -0.5), (-math.inf, 0.1)])
+    @pytest.mark.parametrize("k, ell", [(-1.0, 0.5), (1.0, -0.5), (-math.inf, 0.1), (-1.0, -0.5)])
     def test_negative_argument_rejected(self, k, ell):
-        # the expansion covers [0, delta_x) only
+        # the expansion covers [0, delta_x) only; each factor is checked, so
+        # two negative ones with a positive product are rejected too
         with pytest.raises(ValueError, match="k\\*ell .* negative"):
             select_approx(k, ell, 1e-9)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from helmpanel.engine import EvalRequest
 from helmpanel.geometry import (
     BOUNDARY_TOL_REL,
     DROP_ANGLE,
@@ -102,6 +103,16 @@ class TestLocalFrame:
             local = np.vstack([np.column_stack([verts2d, np.zeros(3)]), [0.0, 0.0, z]])
             dist = lambda p: np.linalg.norm(p[:, None] - p[None], axis=-1)  # noqa: E731
             assert np.allclose(dist(local), dist(world), atol=1e-12)
+
+    @pytest.mark.parametrize("x", [5.0, [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]], ids=["scalar", "two", "four"])
+    def test_point_of_wrong_shape_rejected(self, x):
+        # the message EvalRequest gives, not a tuple-unpacking error
+        tri = tri3((0, 0, 0), (1, 0, 0), (0.3, 0.8, 0))
+        with pytest.raises(ValueError, match="^field point must have shape \\(3,\\), got ") as here:
+            to_local_frame(tri, x)
+        with pytest.raises(ValueError) as request:
+            EvalRequest(tri, x, 1.0)
+        assert str(here.value) == str(request.value)
 
     def test_rigid_motion_invariance_of_parameters(self):
         tri = tri3((0, 0, 0), (1, 0, 0), (0.3, 0.8, 0))
