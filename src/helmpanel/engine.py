@@ -18,6 +18,7 @@ tolerance; the combined budget is about twice the request.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,11 +54,12 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in [{lo:g}, {hi:g}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalRequest:
     """One panel-integral evaluation (the triangle validated itself); a field
-    point that is not a finite (3,) vector is a ValueError, like a bad k or tol.
-    Checked once, so frozen; ``evaluate`` checks the (writable) point again."""
+    point that is not a finite (3,) vector is a ValueError, like a bad k or tol
+    (a bool k included).  Checked once, so frozen; ``evaluate`` checks the
+    (writable) point again."""
 
     triangle: Triangle3
     field_point: np.ndarray
@@ -72,19 +74,24 @@ class EvalRequest:
         if not all(map(math.isfinite, self.field_point.tolist())):
             raise ValueError("field point must be finite")
         check_tol(self.tol)
-        if not (0.0 <= self.k < math.inf):
-            raise ValueError("k must be finite and non-negative")
+        if isinstance(self.k, (bool, np.bool_)) or not (0.0 <= self.k < math.inf):
+            raise ValueError(f"k must be finite and non-negative, not a bool, got {self.k!r}")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class MethodInfo:
-    """How a result was produced."""
+    """How a result was produced; one shared instance per distinct value (``_method_info``)."""
 
     kind: str  # "numeric" | "analytic"
     n_gauss: int | None = None
     q_expansion: int | None = None
     delta_x: float | None = None
     note: str = ""
+
+
+# (kind, n_gauss, q_expansion, delta_x, note) -> the one MethodInfo the reports share:
+# one per Gauss order and note, one per expansion entry
+_method_info = functools.cache(MethodInfo)
 
 
 @dataclass(slots=True)
@@ -153,7 +160,7 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     sel = None if n_gauss is not None else select_order(ext, z, req.tol)
     note = ""
     if n_gauss is not None:
-        n = n_gauss
+        n = int(n_gauss)  # a NumPy integer too: the shared MethodInfo holds an int
     elif method == "numeric" or (method == "auto" and not sel.analytic_required):
         n = N_FALLBACK if sel.analytic_required else max(sel.n_gauss, N_MIN)
     elif req.k * ext.r_max >= DELTA_X_TIERS[-1]:
@@ -162,10 +169,10 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
         n, note = N_FALLBACK, "analytic inadmissible: k|z| > pi/2; numeric fallback"
     else:
         approx = select_approx(req.k, ext.r_max, req.tol)
-        info = MethodInfo(kind="analytic", q_expansion=approx.q, delta_x=approx.delta_x)
+        info = _method_info("analytic", None, approx.q, approx.delta_x, "")
         return EvalReport(_analytic_eval(fan, z, req.k, approx, req.want_hypersingular), info, sel, z)
     res = polar_integrate(fan, z, req.k, n, want_hyper=req.want_hypersingular)
-    return EvalReport(res, MethodInfo(kind="numeric", n_gauss=n, note=note), sel, z)
+    return EvalReport(res, _method_info("numeric", n, None, None, note), sel, z)
 
 
 # ---------------------------------------------------------------------------

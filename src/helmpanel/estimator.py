@@ -83,9 +83,10 @@ def e_q_bound(geom: EstimatorGeom, q: int) -> float:
     return _e_q(int(q), *_e_q_factors(geom.R_mid, geom.cos_phi, geom.sin_phi, geom.t))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class OrderSelection:
-    """Outcome of the quadrature-order criterion (``q`` None: analytic required)."""
+    """Outcome of the quadrature-order criterion (``q`` None: analytic required,
+    one shared instance, ``ANALYTIC_REQUIRED``)."""
 
     q: int | None = None
     e_q: float | None = None
@@ -98,6 +99,9 @@ class OrderSelection:
     def n_gauss(self) -> int | None:
         """Gauss points per direction, ceil((Q+1)/2), exact through degree Q."""
         return None if self.q is None else (self.q + 2) // 2
+
+
+ANALYTIC_REQUIRED = OrderSelection()
 
 
 def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CAP) -> OrderSelection:
@@ -125,12 +129,12 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
     if isinstance(q_cap, bool) or not isinstance(q_cap, (int, np.integer)):
         raise ValueError(f"q_cap must be an int, got {q_cap!r}")
     if z == 0.0:
-        return OrderSelection()
+        return ANALYTIC_REQUIRED
     _, R_mid, cos_phi, sin_phi, t = _reduced(extents.r_min, extents.r_max, z)
     lead, abs_t, cos_phi, denom = _e_q_factors(R_mid, cos_phi, sin_phi, t)
     lo, hi = 1, int(q_cap)
     if hi < lo or (e_hi := _e_q(hi, lead, abs_t, cos_phi, denom)) > tol:
-        return OrderSelection()
+        return ANALYTIC_REQUIRED
     # invariant: E_hi <= tol, and E_Q > tol for every Q < lo
     while lo < hi:
         mid = (lo + hi) // 2

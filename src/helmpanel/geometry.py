@@ -26,7 +26,8 @@ in local coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,41 +39,46 @@ DROP_RADIUS_REL = 1e-12
 # Tolerance (relative to triangle diameter) for the origin-on-boundary test.
 BOUNDARY_TOL_REL = 1e-12
 
+# Triangle3's block: 31 machine doubles in the order to_local_frame and walk
+# read them.  v1, normal, e1, e2, the plane vertices (x2, x3, y3) and the
+# diameter are _LOCAL, the first 16; edge_frame's tuple, its orient a 64-bit
+# integer, is _EDGES; v2, v3 and the area close it.
+_BLOCK = struct.Struct("16d6dqd7d")
+_LOCAL = struct.Struct("16d")
+_EDGES = struct.Struct("6dqd")
+_DOUBLE = struct.Struct("d")
+# byte offsets into the block
+_V1, _NORMAL, _E1, _E2, _DIAMETER, _EDGE_FRAME, _V2, _V3, _AREA = 0, 24, 48, 72, 120, 128, 192, 216, 240
 
-@dataclass(frozen=True, slots=True, eq=False)
+
 class Triangle3:
     """A validated plane triangle in world coordinates, with its element frame.
 
-    The vertices are kept as read-only float64 copies and no attribute can
-    be reassigned.  The frame is computed once, here: the unit normal
-    ``normal`` = normalize((v2 - v1) x (v3 - v1)), ``e1`` along v2 - v1 and
-    ``e2`` = normal x e1, held as floats and returned as 3-vectors.  So are
-    the vertices in that frame with v1 at the origin: (0, 0), (|v2 - v1|, 0)
-    and ((v3 - v1).e1, (v3 - v1).e2), and ``edges``, the frame of each edge
-    in that plane (``edge_frame``).
+    Everything the triangle holds is computed once, here, and packed into
+    one immutable block (``bytes``) in the order ``to_local_frame`` and
+    ``walk`` read it: v1; the unit normal ``normal`` =
+    normalize((v2 - v1) x (v3 - v1)), ``e1`` along v2 - v1 and ``e2`` =
+    normal x e1; the vertices in that frame with v1 at the origin, (0, 0),
+    (|v2 - v1|, 0) and ((v3 - v1).e1, (v3 - v1).e2), as their three
+    non-zero coordinates; ``diameter``; ``edges``, the frame of each edge in
+    that plane (``edge_frame``); v2, v3 and ``area``.  The vertices and the
+    frame are returned as read-only arrays on the block (``vertices`` and
+    ``centroid`` as new arrays), and no attribute can be assigned; a pickled
+    or copied triangle is built again from its vertices.
     Raises ValueError for a vertex that is not of shape (3,), for
     non-finite vertices and for a degenerate (collinear) triangle.
     """
 
-    v1: np.ndarray
-    v2: np.ndarray
-    v3: np.ndarray
-    diameter: float = field(init=False)
-    area: float = field(init=False)
-    # (nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z)
-    _frame: tuple = field(init=False, repr=False)
-    # (x2, x3, y3): the plane vertices relative to v1 are (0, 0), (x2, 0), (x3, y3)
-    _plane: tuple = field(init=False, repr=False)
-    edges: tuple = field(init=False, repr=False)
+    __slots__ = ("_block",)
 
-    def __post_init__(self):
-        for name in ("v1", "v2", "v3"):
-            v = np.array(getattr(self, name), dtype=float)
+    def __init__(self, v1, v2, v3):
+        points = []
+        for name, v in (("v1", v1), ("v2", v2), ("v3", v3)):
+            v = np.asarray(v, dtype=float)
             if v.shape != (3,):
                 raise ValueError(f"triangle vertex {name} must have shape (3,), got {v.shape}")
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-        p1, p2, p3 = self.v1.tolist(), self.v2.tolist(), self.v3.tolist()
+            points.append(v.tolist())
+        p1, p2, p3 = points
         if not all(map(math.isfinite, p1 + p2 + p3)):
             raise ValueError("triangle vertices must be finite")
         ax, ay, az = p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2]
@@ -87,12 +93,25 @@ class Triangle3:
         nx, ny, nz = nx / nn, ny / nn, nz / nn
         e1x, e1y, e1z = ax / l12, ay / l12, az / l12
         e2x, e2y, e2z = ny * e1z - nz * e1y, nz * e1x - nx * e1z, nx * e1y - ny * e1x
-        object.__setattr__(self, "diameter", d)
-        object.__setattr__(self, "area", 0.5 * nn)
-        object.__setattr__(self, "_frame", (nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z))
         x3, y3 = bx * e1x + by * e1y + bz * e1z, bx * e2x + by * e2y + bz * e2z
-        object.__setattr__(self, "_plane", (l12, x3, y3))
-        object.__setattr__(self, "edges", edge_frame(((0.0, 0.0), (l12, 0.0), (x3, y3))))
+        edges = edge_frame(((0.0, 0.0), (l12, 0.0), (x3, y3)))
+        frame = (nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z)
+        block = _BLOCK.pack(*p1, *frame, l12, x3, y3, d, *edges, *p2, *p3, 0.5 * nn)
+        object.__setattr__(self, "_block", block)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Triangle3 is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Triangle3 is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy build the triangle again from its vertices
+        return Triangle3, (self.v1, self.v2, self.v3)
+
+    def __repr__(self) -> str:
+        v1, v2, v3 = self.vertices.tolist()
+        return f"Triangle3(v1={v1}, v2={v2}, v3={v3})"
 
     @classmethod
     def from_flat(cls, coords) -> "Triangle3":
@@ -100,28 +119,58 @@ class Triangle3:
         c = np.asarray(coords, dtype=float).reshape(3, 3)
         return cls(c[0], c[1], c[2])
 
+    def _vector(self, offset: int) -> np.ndarray:
+        return np.frombuffer(self._block, count=3, offset=offset)
+
+    @property
+    def v1(self) -> np.ndarray:
+        return self._vector(_V1)
+
+    @property
+    def v2(self) -> np.ndarray:
+        return self._vector(_V2)
+
+    @property
+    def v3(self) -> np.ndarray:
+        return self._vector(_V3)
+
     @property
     def vertices(self) -> np.ndarray:
+        """The vertices as the rows of a new (3, 3) array."""
         return np.vstack([self.v1, self.v2, self.v3])
 
     @property
     def normal(self) -> np.ndarray:
         """Unit normal, (v2 - v1) x (v3 - v1) normalized."""
-        return np.array(self._frame[:3])
+        return self._vector(_NORMAL)
 
     @property
     def e1(self) -> np.ndarray:
         """Unit in-plane axis along v2 - v1 (the local x-axis)."""
-        return np.array(self._frame[3:6])
+        return self._vector(_E1)
 
     @property
     def e2(self) -> np.ndarray:
         """Unit in-plane axis normal x e1 (the local y-axis)."""
-        return np.array(self._frame[6:])
+        return self._vector(_E2)
 
     @property
     def centroid(self) -> np.ndarray:
         return (self.v1 + self.v2 + self.v3) / 3.0
+
+    @property
+    def diameter(self) -> float:
+        """The longest edge."""
+        return _DOUBLE.unpack_from(self._block, _DIAMETER)[0]
+
+    @property
+    def edges(self) -> tuple:
+        """``edge_frame`` of the plane vertices: the edge constants ``walk`` reads."""
+        return _EDGES.unpack_from(self._block, _EDGE_FRAME)
+
+    @property
+    def area(self) -> float:
+        return _DOUBLE.unpack_from(self._block, _AREA)[0]
 
 
 @dataclass(slots=True)
@@ -185,28 +234,27 @@ def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
     height below the plane as well as roundoff, so the one-sided limits at
     such a point are the ones from z > 0.
     The axes and the plane vertices come from the triangle, which computed
-    them when it was built; per point, z = n.(x - v1) and the projection's
-    plane coordinates (e1.(x - v1), e2.(x - v1)) are float arithmetic, and
-    the plane vertices are shifted by the latter.  A point that is not of
-    shape (3,) is a ValueError, with ``EvalRequest``'s message.
+    them when it was built (one unpack of the first 16 values of its block);
+    per point, z = n.(x - v1) and the projection's plane coordinates
+    (e1.(x - v1), e2.(x - v1)) are float arithmetic, and the plane vertices
+    are shifted by the latter.  A point that is not of shape (3,) is a
+    ValueError, with ``EvalRequest``'s message.
     """
-    p1 = tri.v1.tolist()
-    nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z = tri._frame
+    p1x, p1y, p1z, nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z, x2, x3, y3, diameter = _LOCAL.unpack_from(tri._block)
     point = np.asarray(x, dtype=float)
     try:  # a point of another shape fails to unpack or, as (3, 1), to subtract
         px, py, pz = point.tolist()
-        dx, dy, dz = px - p1[0], py - p1[1], pz - p1[2]
+        dx, dy, dz = px - p1x, py - p1y, pz - p1z
     except (TypeError, ValueError):
         raise ValueError(f"field point must have shape (3,), got {point.shape}") from None
     z = dx * nx + dy * ny + dz * nz
     if not math.isfinite(z):
         raise ValueError(f"field point {x} is not finite")
-    if abs(z) <= BOUNDARY_TOL_REL * tri.diameter:
+    if abs(z) <= BOUNDARY_TOL_REL * diameter:
         # an in-plane point lands at a roundoff-level z of either sign; the
         # one-sided limits are taken from z > 0
         z = 0.0
     ox, oy = dx * e1x + dy * e1y + dz * e1z, dx * e2x + dy * e2y + dz * e2z
-    x2, x3, y3 = tri._plane
     return ((0.0 - ox, 0.0 - oy), (x2 - ox, 0.0 - oy), (x3 - ox, y3 - oy)), z
 
 
@@ -279,7 +327,7 @@ def walk(verts, edges) -> tuple[RadialExtents, list[SignedSubTriangle]]:
             sub = SignedSubTriangle(-1, s, -ty, tx, math.atan(-hi / s), math.atan(-lo / s))
         if DROP_ANGLE <= sub.theta <= math.pi - DROP_ANGLE:
             fan.append(sub)
-    return RadialExtents(r_min=0.0 if inside else min(near), r_max=r_max), fan
+    return RadialExtents(0.0 if inside else min(near), r_max), fan
 
 
 def edge_walk(verts2d) -> tuple[RadialExtents, list[SignedSubTriangle]]:
@@ -306,4 +354,4 @@ def ref_params(sub: SignedSubTriangle, z: float) -> RefGeom:
     """Reference-triangle parameters for one subtriangle at height z."""
     s = sub.s
     S = math.hypot(s, z)
-    return RefGeom(s=s, S=S, alpha=abs(z) / S, alpha_p=s / S, theta_lo=sub.theta_lo, theta_hi=sub.theta_hi)
+    return RefGeom(s, S, abs(z) / S, s / S, sub.theta_lo, sub.theta_hi)

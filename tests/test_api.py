@@ -1,6 +1,8 @@
 """The public surface: every exported name resolves, and README's example runs."""
 
+import copy
 import dataclasses
+import pickle
 import re
 from pathlib import Path
 
@@ -43,6 +45,27 @@ def test_reused_triangle_gives_the_same_reports():
         assert (a.method, a.estimator, a.z) == (b.method, b.estimator, b.z)
     with pytest.raises(AttributeError):
         shared.edges = (0.0,) * len(shared.edges)
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+)
+def test_copied_triangle_is_the_same_triangle(clone):
+    # a pickled or copied Triangle3 is built again from its vertices: the
+    # same values, as read-only, and the same reports (a restored state
+    # once had writable vertices that an edit moved away from its frame)
+    tri = helmpanel.sample_triangle()
+    twin = clone(tri)
+    for name in ("v1", "v2", "v3", "vertices", "normal", "e1", "e2", "centroid"):
+        assert getattr(twin, name).tobytes() == getattr(tri, name).tobytes()
+    assert (twin.edges, twin.diameter, twin.area) == (tri.edges, tri.diameter, tri.area)
+    with pytest.raises(ValueError, match="read-only"):
+        twin.v1[0] = 0.3
+    x = helmpanel.sample_field_point(2, 0.1)
+    a = helmpanel.evaluate(helmpanel.EvalRequest(tri, x, 1.0, want_hypersingular=True))
+    b = helmpanel.evaluate(helmpanel.EvalRequest(twin, x, 1.0, want_hypersingular=True))
+    assert a.result.values.tobytes() == b.result.values.tobytes()
+    assert (a.method, a.estimator, a.z) == (b.method, b.estimator, b.z)
 
 
 def test_cached_tables_cannot_be_edited():

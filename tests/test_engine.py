@@ -73,6 +73,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="k must"):
             request((0.3, 0.2, 0.1), k=bad)
 
+    @pytest.mark.parametrize("bad", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
+    def test_bool_wavenumber(self, bad):
+        # a bool is not a wavenumber, as it is not a Gauss order
+        with pytest.raises(ValueError, match="k must"):
+            request((0.3, 0.2, 0.1), k=bad)
+
     @pytest.mark.parametrize("point", [(0.3, 0.2), (0.3, 0.2, 0.1, 0.0), [[0.3, 0.2, 0.1]]])
     def test_field_point_shape(self, point):
         with pytest.raises(ValueError, match=r"field point must have shape \(3,\)"):
@@ -195,6 +201,25 @@ class TestSelection:
         for bad in (0, -1, 2.0, True):
             with pytest.raises(ValueError, match="n_gauss"):
                 evaluate(request(x), method="numeric", n_gauss=bad)
+
+    def test_reports_share_one_frozen_method_info(self):
+        # one MethodInfo per path, order and note, and one per expansion
+        # entry: reports refer to it; the analytic-required selection is one
+        # frozen instance too
+        x, y = sample_field_point(2, 0.55), sample_field_point(2, 0.56)
+        a, b = evaluate(request(x)), evaluate(request(y))
+        assert a.method.kind == "numeric" and a.method.n_gauss == b.method.n_gauss
+        assert a.method is b.method
+        forced = evaluate(request(x), method="numeric", n_gauss=np.int64(a.method.n_gauss))
+        assert forced.method is a.method and type(forced.method.n_gauss) is int
+        c, d = evaluate(request(sample_field_point(1, 0.01))), evaluate(request(sample_field_point(3, 0.01)))
+        assert c.method.kind == "analytic" and (c.method.q_expansion, c.method.delta_x) == (
+            d.method.q_expansion, d.method.delta_x)
+        assert c.method is d.method
+        assert c.estimator is d.estimator and c.estimator.analytic_required
+        for shared, field in ((a.method, "n_gauss"), (c.method, "note"), (c.estimator, "q")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(shared, field, None)
 
     def test_k_zero_reports_the_expansion_that_ran(self):
         # at k = 0 the kernel is 1/R: the order-0 expansion e = [1] runs,

@@ -1,6 +1,7 @@
 """Geometry: frames, subdivision, radial extents, reference parameters."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,6 +69,78 @@ class TestTriangle3:
             diam = max(np.linalg.norm(v[i] - v[i - 1]) for i in range(3))
             assert tri.diameter == pytest.approx(diam, rel=1e-15)
             assert tri.area == pytest.approx(0.5 * np.linalg.norm(cross), rel=1e-15)
+
+    def test_attributes_are_a_fresh_derivation(self):
+        # every attribute read back from the one block is, bit for bit, what
+        # the documented formulas give on plain floats from the vertices;
+        # to_local_frame at v1 returns the stored plane vertices
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            v = rng.uniform(-1.0, 1.0, size=(3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            tri = Triangle3(*v)
+            (p1x, p1y, p1z), (p2x, p2y, p2z), (p3x, p3y, p3z) = v.tolist()
+            ax, ay, az = p2x - p1x, p2y - p1y, p2z - p1z
+            bx, by, bz = p3x - p1x, p3y - p1y, p3z - p1z
+            nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+            nn = math.hypot(nx, ny, nz)
+            nx, ny, nz = nx / nn, ny / nn, nz / nn
+            l12 = math.dist(v[0], v[1])
+            e1x, e1y, e1z = ax / l12, ay / l12, az / l12
+            e2x, e2y, e2z = ny * e1z - nz * e1y, nz * e1x - nx * e1z, nx * e1y - ny * e1x
+            x3, y3 = bx * e1x + by * e1y + bz * e1z, bx * e2x + by * e2y + bz * e2z
+            want = {
+                "v1": v[0], "v2": v[1], "v3": v[2], "vertices": v, "centroid": (v[0] + v[1] + v[2]) / 3.0,
+                "normal": np.array([nx, ny, nz]), "e1": np.array([e1x, e1y, e1z]),
+                "e2": np.array([e2x, e2y, e2z]),
+            }
+            for name, value in want.items():
+                got = getattr(tri, name)
+                assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
+            diameter = max(l12, math.dist(v[1], v[2]), math.dist(v[2], v[0]))
+            assert type(tri.diameter) is float and tri.diameter == diameter
+            assert type(tri.area) is float and tri.area == 0.5 * nn
+            edges = edge_frame(((0.0, 0.0), (l12, 0.0), (x3, y3)))
+            assert tri.edges == edges and list(map(type, tri.edges)) == list(map(type, edges))
+            assert to_local_frame(tri, v[0]) == (((0.0, 0.0), (l12, 0.0), (x3, y3)), 0.0)
+
+    def test_nothing_can_be_changed(self):
+        # the vertices and the frame are read-only views of the block, which
+        # no assignment or deletion reaches; vertices and centroid are copies
+        tri = tri3((0, 0, 0), (1, 0, 0), (0.3, 0.8, 0))
+        for name in ("v1", "v2", "v3", "normal", "e1", "e2"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(tri, name)[0] = 0.5
+        tri.vertices[0, 0] = 0.5
+        tri.centroid[0] = 0.5
+        assert tri.vertices[0, 0] == 0.0 and tri.centroid[0] == pytest.approx(1.3 / 3.0)
+        for name in ("v1", "v2", "v3", "vertices", "normal", "e1", "e2", "centroid", "diameter", "area",
+                     "edges", "_block", "other"):
+            with pytest.raises(AttributeError):
+                setattr(tri, name, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(tri, name)
+        assert tri.v1.tolist() == [0.0, 0.0, 0.0] and tri.area == pytest.approx(0.4)
+
+    def test_repr_names_the_vertices(self):
+        tri = tri3((0.1, 0, 0), (1, 0, 0), (0.3, 0.8, 1 / 3))
+        assert repr(tri) == f"Triangle3(v1=[0.1, 0.0, 0.0], v2=[1.0, 0.0, 0.0], v3=[0.3, 0.8, {1 / 3!r}])"
+        again = eval(repr(tri), {"Triangle3": Triangle3})
+        assert again.vertices.tobytes() == tri.vertices.tobytes()
+
+    def test_footprint(self):
+        # one block of 31 values per triangle: under 600 bytes, where three
+        # vertex arrays and four tuples of floats took over 1 000
+        verts = np.random.default_rng(37).uniform(-1.0, 1.0, size=(1000, 3, 3))
+        tris = [None] * len(verts)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i, v in enumerate(verts):
+                tris[i] = Triangle3(v[0], v[1], v[2])
+            per_triangle = (tracemalloc.get_traced_memory()[0] - before) / len(tris)
+        finally:
+            tracemalloc.stop()
+        assert per_triangle < 600
 
 
 class TestLocalFrame:
