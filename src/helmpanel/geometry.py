@@ -107,7 +107,7 @@ class Triangle3:
 
     def __reduce__(self):
         # pickle and copy build the triangle again from its vertices
-        return Triangle3, (self.v1, self.v2, self.v3)
+        return type(self), (self.v1, self.v2, self.v3)
 
     def __repr__(self) -> str:
         v1, v2, v3 = self.vertices.tolist()
