@@ -13,10 +13,16 @@ an ``oracle_sweep`` item goes to each tree's ``adaptive_oracle`` with the
 arguments of the workload's own call.  ``--all-entries`` makes a
 ``bem_nearfield`` pass cover every pool entry instead of the seed's panels.
 
-Each request first runs once on both trees, untimed, so that lazy set-up
-(cached tables, first imports) is not timed as a call; then it runs
-``--rounds`` times on both trees, alternating which tree goes first, and
-each call's best time is kept.  Printed: the calls whose
+Each request runs ``--rounds`` times on both trees, alternating which
+tree goes first, and each call's best time is kept.  In every round the
+request first runs once on both trees, untimed, right before its two
+timed calls, so lazy set-up (cached tables, first imports) is not timed
+and neither timed call is the first to run the request's code path: the
+first of a pair runs about 20% slower on ``bem_nearfield``'s analytic
+calls, which splits the per-call ratios into two clusters whose median
+follows whichever tree went first more often.  The garbage collector is
+off while the calls run, as in ``timeit``, so that its pauses do not land
+on whichever call crosses its threshold.  Printed: the calls whose
 ``kind``, ``n_gauss``, ``q_expansion``, ``delta_x``, ``note``, ``z`` or
 estimator order ``q`` differ (for the oracle, the convergence flag), the worst
 |v - v_other| / (1 + |v_other|) per component (dI0/dn and d2I0/dn2 of
@@ -57,6 +63,7 @@ it.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import statistics
@@ -204,19 +211,23 @@ def timed(call):
 
 
 def run(mine, other, rounds: int):
-    """Results of both trees and the best time of every call on each, after one untimed call of each."""
-    for call in (*mine, *other):
-        timed(call)
+    """Results of both trees and the best time of every call on each, each timed pair after an untimed one."""
     n = len(mine)
     best = np.full((2, n), np.inf)
     results = [[None] * n, [None] * n]
-    for r in range(rounds):
-        for i in range(n):
-            order = (0, 1) if (i + r) % 2 == 0 else (1, 0)
-            for side in order:
-                out, dt = timed((mine, other)[side][i])
-                results[side][i] = out
-                best[side, i] = min(best[side, i], dt)
+    gc.disable()
+    try:
+        for r in range(rounds):
+            for i in range(n):
+                order = (0, 1) if (i + r) % 2 == 0 else (1, 0)
+                for side in order:
+                    timed((mine, other)[side][i])
+                for side in order:
+                    out, dt = timed((mine, other)[side][i])
+                    results[side][i] = out
+                    best[side, i] = min(best[side, i], dt)
+    finally:
+        gc.enable()
     return results, best
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +49,8 @@ def _entry(i: int) -> property:
     """Entry i of ``self.values`` (None past its end), readable and writable."""
 
     def get(self):
-        return self.values[i] if i < len(self.values) else None
+        values = self.values
+        return values[i] if i < len(values) else None
 
     def put(self, value) -> None:
         self.values[i] = value
@@ -62,19 +62,51 @@ def _entry(i: int) -> property:
 COMPONENTS = ("i0", "ix", "iy", "di0_dn", "dix_dn", "diy_dn", "d2i0_dn2")
 
 
-@dataclass(eq=False, slots=True)
+def _packed(values) -> bytearray:
+    """A new buffer of ``values`` as complex doubles; ValueError unless they are 6 or 7, in one dimension."""
+    v = np.asarray(values, dtype=complex)
+    if v.shape not in ((6,), (7,)):
+        raise ValueError(f"PanelIntegrals takes 6 or 7 values in one dimension, got shape {v.shape}")
+    return bytearray(v)
+
+
 class PanelIntegrals:
     """Integrals of e^{jkR}/R weighted by {1, x, y} and normal derivatives.
 
     ``values`` is one complex vector in COMPONENTS order, with 7 entries
     when the hypersingular term was asked for and 6 otherwise (then
     ``d2i0_dn2`` is None); each component name reads and writes its entry.
+    The values are copied, as complex, into a buffer the object owns (a
+    ``bytearray``, 16 bytes per value), and ``values`` is a writable array
+    on that buffer: an edit through it or through a component name
+    persists, and assigning ``values`` copies into a new buffer.  Values
+    that are not 6 or 7 in one dimension are a ValueError.  A pickled or
+    copied instance has a buffer of its own.
     Normal derivative = -d/dz with the element normal along +z; values at
     z = 0 are one-sided limits from z > 0.  The 1/(4 pi) of the Green's
     function is excluded throughout.
     """
 
-    values: np.ndarray
+    __slots__ = ("_buf",)
+
+    def __init__(self, values):
+        self._buf = _packed(values)
+
+    def __reduce__(self):
+        # pickle and copy build the copy from the values, into a buffer of its own
+        return type(self), (self.values,)
+
+    def __repr__(self) -> str:
+        return f"PanelIntegrals(values={self.values!r})"
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.frombuffer(self._buf, dtype=complex)
+
+    @values.setter
+    def values(self, values) -> None:
+        self._buf = _packed(values)
+
     i0 = _entry(0)
     ix = _entry(1)
     iy = _entry(2)

@@ -18,8 +18,10 @@ tolerance; the combined budget is about twice the request.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,28 +56,59 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in [{lo:g}, {hi:g}]")
 
 
-@dataclass(frozen=True, slots=True)
+# EvalRequest's field point: three machine doubles
+_POINT = struct.Struct("3d")
+
+
 class EvalRequest:
-    """One panel-integral evaluation (the triangle validated itself); a field
-    point that is not a finite (3,) vector is a ValueError, like a bad k or tol
-    (a bool k included).  Checked once, so frozen; ``evaluate`` checks the
-    (writable) point again."""
+    """One panel-integral evaluation, checked once, when it is built.
 
-    triangle: Triangle3
-    field_point: np.ndarray
-    k: float
-    tol: float = 1e-9
-    want_hypersingular: bool = False
+    The triangle validated itself.  A field point that is not a finite (3,)
+    vector, a k that is a bool, negative or not finite, a tol outside
+    TOL_RANGE or a ``want_hypersingular`` that is not a Python or NumPy bool
+    is a ValueError.  The point is copied into three packed doubles
+    (``_point``), so a later edit of the caller's array does not reach the
+    request; ``field_point`` returns it as a read-only (3,) array, and
+    ``evaluate`` reads it with one unpack.  No field can be assigned
+    (``dataclasses.FrozenInstanceError``); a pickled or copied request is
+    built again from its fields.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "field_point", np.asarray(self.field_point, dtype=float))
-        if self.field_point.shape != (3,):
-            raise ValueError(f"field point must have shape (3,), got {self.field_point.shape}")
-        if not all(map(math.isfinite, self.field_point.tolist())):
+    __slots__ = ("triangle", "_point", "k", "tol", "want_hypersingular")
+
+    def __init__(self, triangle: Triangle3, field_point, k: float, tol: float = 1e-9,
+                 want_hypersingular: bool = False):
+        point = np.asarray(field_point, dtype=float)
+        if point.shape != (3,):
+            raise ValueError(f"field point must have shape (3,), got {point.shape}")
+        xyz = point.tolist()
+        if not all(map(math.isfinite, xyz)):
             raise ValueError("field point must be finite")
-        check_tol(self.tol)
-        if isinstance(self.k, (bool, np.bool_)) or not (0.0 <= self.k < math.inf):
-            raise ValueError(f"k must be finite and non-negative, not a bool, got {self.k!r}")
+        check_tol(tol)
+        if isinstance(k, (bool, np.bool_)) or not (0.0 <= k < math.inf):
+            raise ValueError(f"k must be finite and non-negative, not a bool, got {k!r}")
+        if not isinstance(want_hypersingular, (bool, np.bool_)):
+            raise ValueError(f"want_hypersingular must be a bool, got {want_hypersingular!r}")
+        fields = (triangle, _POINT.pack(*xyz), k, tol, bool(want_hypersingular))
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.triangle, self.field_point, self.k, self.tol, self.want_hypersingular)
+
+    def __repr__(self) -> str:
+        return (f"EvalRequest(triangle={self.triangle!r}, field_point={self.field_point!r}, k={self.k!r}, "
+                f"tol={self.tol!r}, want_hypersingular={self.want_hypersingular!r})")
+
+    @property
+    def field_point(self) -> np.ndarray:
+        return np.frombuffer(self._point)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,12 +130,18 @@ _method_info = functools.cache(MethodInfo)
 @dataclass(slots=True)
 class EvalReport:
     """Integrals, how they were produced, the order selection (None when path
-    and order were forced) and the field point's element-frame height z."""
+    and order were forced) and the field point's element-frame height z.
+    The report owns its integrals' values buffer; a pickled or copied
+    report has one of its own."""
 
     result: PanelIntegrals
     method: MethodInfo
     estimator: OrderSelection | None
     z: float
+
+    def __reduce__(self):
+        # pickle and copy give the copy a values buffer of its own
+        return type(self), (PanelIntegrals(self.result.values), self.method, self.estimator, self.z)
 
 
 def _analytic_eval(fan, z, k, approx, want_hyper) -> PanelIntegrals:
@@ -128,7 +167,7 @@ def _analytic_eval(fan, z, k, approx, want_hyper) -> PanelIntegrals:
         total[5] += s * dix + c * diy
         total[6] += sign * d2
     values = assemble(z, k, total)
-    return PanelIntegrals(np.array(values if want_hyper else values[:6]))
+    return PanelIntegrals(values if want_hyper else values[:6])
 
 
 def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None) -> EvalReport:
@@ -155,7 +194,7 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
         if method != "numeric":
             raise ValueError(f"n_gauss applies only to method 'numeric', not {method!r}")
         check_order(n_gauss)
-    verts2d, z = to_local_frame(req.triangle, req.field_point)
+    verts2d, z = to_local_frame(req.triangle, _POINT.unpack(req._point))
     ext, fan = walk(verts2d, req.triangle.edges)
     sel = None if n_gauss is not None else select_order(ext, z, req.tol)
     note = ""

@@ -237,16 +237,17 @@ def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
     them when it was built (one unpack of the first 16 values of its block);
     per point, z = n.(x - v1) and the projection's plane coordinates
     (e1.(x - v1), e2.(x - v1)) are float arithmetic, and the plane vertices
-    are shifted by the latter.  A point that is not of shape (3,) is a
-    ValueError, with ``EvalRequest``'s message.
+    are shifted by the latter.  A tuple is read as it is, as three floats
+    (``evaluate`` passes its request's unpacked point); anything else as an
+    array.  A point that is not of shape (3,) is a ValueError, with
+    ``EvalRequest``'s message.
     """
     p1x, p1y, p1z, nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z, x2, x3, y3, diameter = _LOCAL.unpack_from(tri._block)
-    point = np.asarray(x, dtype=float)
     try:  # a point of another shape fails to unpack or, as (3, 1), to subtract
-        px, py, pz = point.tolist()
+        px, py, pz = x if type(x) is tuple else np.asarray(x, dtype=float).tolist()
         dx, dy, dz = px - p1x, py - p1y, pz - p1z
     except (TypeError, ValueError):
-        raise ValueError(f"field point must have shape (3,), got {point.shape}") from None
+        raise ValueError(f"field point must have shape (3,), got {np.shape(x)}") from None
     z = dx * nx + dy * ny + dz * nz
     if not math.isfinite(z):
         raise ValueError(f"field point {x} is not finite")

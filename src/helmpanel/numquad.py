@@ -277,8 +277,7 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
         out[1, 0] = w.sum()
         if want_hyper:
             out[2, 0] = np.dot(w, np.exp(1j * k * rbar) / rbar - 1j * k)
-    # a copy: a view would keep all of ``out`` alive with every result
-    return PanelIntegrals(out.ravel()[: len(out) + 4].copy())
+    return PanelIntegrals(out.ravel()[: len(out) + 4])
 
 
 # The names ``adaptive_oracle`` accepts in ``components``.

@@ -505,10 +505,26 @@ class TestAssemble:
             assert getattr(res, name) == vals[i]
         res.i0 += 2.0
         res.d2i0_dn2 = -1j
-        assert res.values[0] == 3 + 1j and vals[6] == -1j
+        assert res.values[0] == 3 + 1j and res.values[6] == -1j
+        assert vals[0] == 1 + 1j and vals[6] == 7.0  # the values were copied in
         no_hyper = PanelIntegrals(np.zeros(6, dtype=complex))
         assert no_hyper.d2i0_dn2 is None
         assert no_hyper.diy_dn == 0.0
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros(8), np.zeros((1, 7)), np.zeros((2, 3)), [], 1.0])
+    def test_panel_integrals_takes_six_or_seven_values(self, bad):
+        # three values once read i0 = 0.0, a float, and di0_dn = None
+        with pytest.raises(ValueError, match="6 or 7 values"):
+            PanelIntegrals(bad)
+
+    def test_panel_integrals_stores_complex(self):
+        res = PanelIntegrals([1, 2, 3, 4, 5, 6])  # a list was kept as a list
+        assert res.values.dtype == complex and res.values.tolist() == [1, 2, 3, 4, 5, 6]
+        assert type(res.i0) is np.complex128
+        res.values = np.arange(7.0)  # assignment copies and checks too
+        assert res.values.dtype == complex and res.d2i0_dn2 == 6.0
+        with pytest.raises(ValueError, match="6 or 7 values"):
+            res.values = np.zeros(5)
 
 
 class TestHypersingular:

@@ -68,6 +68,39 @@ def test_copied_triangle_is_the_same_triangle(clone):
     assert (a.method, a.estimator, a.z) == (b.method, b.estimator, b.z)
 
 
+@pytest.mark.parametrize(
+    "clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+)
+def test_copied_report_owns_its_values(clone):
+    # a PanelIntegrals owns its buffer, and so does a copy of it or of its
+    # report: the same bytes, and an edit of either does not reach the other
+    x = helmpanel.sample_field_point(2, 0.1)
+    rep = helmpanel.evaluate(helmpanel.EvalRequest(helmpanel.sample_triangle(), x, 1.0, want_hypersingular=True))
+    twin = clone(rep)
+    assert (twin.method, twin.estimator, twin.z) == (rep.method, rep.estimator, rep.z)
+    for res, res_twin in ((rep.result, clone(rep.result)), (rep.result, twin.result)):
+        assert type(res_twin) is helmpanel.PanelIntegrals
+        want = res.values.tobytes()
+        assert res_twin.values.tobytes() == want
+        res_twin.i0 += 1.0
+        res_twin.values[1] = 0.0
+        assert res.values.tobytes() == want
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+)
+def test_copied_request_is_the_same_request(clone):
+    tri = helmpanel.sample_triangle()
+    req = helmpanel.EvalRequest(tri, helmpanel.sample_field_point(2, 0.1), 1.0, 1e-6, np.True_)
+    twin = clone(req)
+    assert twin.field_point.tobytes() == req.field_point.tobytes()
+    assert (twin.k, twin.tol, twin.want_hypersingular) == (1.0, 1e-6, True)
+    assert repr(twin) == repr(req)
+    a, b = helmpanel.evaluate(req), helmpanel.evaluate(twin)
+    assert a.result.values.tobytes() == b.result.values.tobytes()
+
+
 def test_cached_tables_cannot_be_edited():
     # every call of these returns the same cached objects: an edit by one
     # caller would change every later evaluation in the process

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,14 +92,63 @@ class TestValidation:
             Triangle3(*v)
 
     def test_field_point_changed_after_construction(self):
-        # the request checked its point when built; evaluate checks the
-        # point it is given, through the frame transform
+        # the request copied its checked point when built: the point it
+        # returns and its triangle are read-only, so evaluate runs on both
+        # as they were checked
         req = request(sample_field_point(2, 0.5))
-        req.field_point[2] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            req.field_point[2] = np.nan
         with pytest.raises(ValueError, match="read-only"):
             req.triangle.v2[0] = np.inf  # the triangle cannot be changed
-        with pytest.raises(ValueError, match="field point .* not finite"):
-            evaluate(req)
+        assert evaluate(req).z == 0.5
+
+    def test_caller_edit_of_its_point_does_not_reach_the_request(self):
+        x = sample_field_point(2, 0.1)
+        req = request(x)
+        want = evaluate(req).result.values.tobytes()
+        x[2] = 0.5
+        assert req.field_point.tolist() == [1.4 / 3.0, 0.3, 0.1]
+        rep = evaluate(req)
+        assert rep.z == 0.1 and rep.result.values.tobytes() == want
+
+    @pytest.mark.parametrize("bad", ["no", None, 0, 1, 1.0, np.array([True])])
+    def test_want_hypersingular_is_a_bool(self, bad):
+        # a truthy string once returned seven components and None six
+        with pytest.raises(ValueError, match="want_hypersingular must be a bool"):
+            request((0.3, 0.2, 0.1), hyper=bad)
+
+    @pytest.mark.parametrize("flag, n", [(np.True_, 7), (np.False_, 6), (True, 7), (False, 6)])
+    def test_want_hypersingular_takes_a_numpy_bool(self, flag, n):
+        req = request((0.3, 0.2, 0.1), hyper=flag)
+        assert req.want_hypersingular is bool(flag)
+        assert len(evaluate(req).result.values) == n
+
+    def test_request_and_report_footprint(self):
+        # a request holds its point in 24 packed bytes, a report its seven
+        # values in one bytearray: under 150 and 325 bytes, where a (3,)
+        # array and a (7,) array took about 184 and 351 (the numeric path at
+        # a forced low order keeps the traced calls quick)
+        tri = sample_triangle()
+        points = np.array([sample_field_point(1 + i % 4, 0.01 * (1 + i % 10)) for i in range(1000)])
+        reqs = [None] * len(points)
+        reps = [None] * len(points)
+        for x in points[:40]:
+            evaluate(request(x, hyper=True, tri=tri), method="numeric", n_gauss=2)  # cached rule and method info
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i, x in enumerate(points):
+                reqs[i] = EvalRequest(tri, x, 1.0, 1e-9, True)
+            per_request = (tracemalloc.get_traced_memory()[0] - before) / len(reqs)
+            before = tracemalloc.get_traced_memory()[0]
+            for i, req in enumerate(reqs):
+                reps[i] = evaluate(req, method="numeric", n_gauss=2)
+            per_report = (tracemalloc.get_traced_memory()[0] - before) / len(reps)
+        finally:
+            tracemalloc.stop()
+        assert {len(rep.result.values) for rep in reps} == {7}
+        assert per_request < 150
+        assert per_report < 325
 
     @pytest.mark.parametrize(
         "field, value",
