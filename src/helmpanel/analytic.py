@@ -62,14 +62,6 @@ def _entry(i: int) -> property:
 COMPONENTS = ("i0", "ix", "iy", "di0_dn", "dix_dn", "diy_dn", "d2i0_dn2")
 
 
-def _packed(values) -> bytearray:
-    """A new buffer of ``values`` as complex doubles; ValueError unless they are 6 or 7, in one dimension."""
-    v = np.asarray(values, dtype=complex)
-    if v.shape not in ((6,), (7,)):
-        raise ValueError(f"PanelIntegrals takes 6 or 7 values in one dimension, got shape {v.shape}")
-    return bytearray(v)
-
-
 class PanelIntegrals:
     """Integrals of e^{jkR}/R weighted by {1, x, y} and normal derivatives.
 
@@ -90,7 +82,7 @@ class PanelIntegrals:
     __slots__ = ("_buf",)
 
     def __init__(self, values):
-        self._buf = _packed(values)
+        self.values = values
 
     def __reduce__(self):
         # pickle and copy build the copy from the values, into a buffer of its own
@@ -105,7 +97,10 @@ class PanelIntegrals:
 
     @values.setter
     def values(self, values) -> None:
-        self._buf = _packed(values)
+        v = np.asarray(values, dtype=complex)
+        if v.shape not in ((6,), (7,)):
+            raise ValueError(f"PanelIntegrals takes 6 or 7 values in one dimension, got shape {v.shape}")
+        self._buf = bytearray(v.tobytes())  # measured quicker than bytearray(v)
 
     i0 = _entry(0)
     ix = _entry(1)
