@@ -28,7 +28,7 @@ import numpy as np
 
 from .analytic import PanelIntegrals, assemble, evaluate_ref
 from .estimator import OrderSelection, select_order
-from .expapprox import DELTA_X_TIERS, select_approx
+from .expapprox import DELTA_X_TIERS, check_k, select_approx
 # radial_extents and subdivide are bound here, unused, for the layer tracer
 # of perfbench, which wraps them by name until it spans the walk
 from .geometry import Triangle3, radial_extents, ref_params, subdivide, to_local_frame, walk  # noqa: F401
@@ -85,8 +85,7 @@ class EvalRequest:
         if not all(map(math.isfinite, xyz)):
             raise ValueError("field point must be finite")
         check_tol(tol)
-        if isinstance(k, (bool, np.bool_)) or not (0.0 <= k < math.inf):
-            raise ValueError(f"k must be finite and non-negative, not a bool, got {k!r}")
+        check_k(k)
         if not isinstance(want_hypersingular, (bool, np.bool_)):
             raise ValueError(f"want_hypersingular must be a bool, got {want_hypersingular!r}")
         fields = (triangle, _POINT.pack(*xyz), k, tol, bool(want_hypersingular))

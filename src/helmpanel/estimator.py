@@ -28,14 +28,21 @@ from .geometry import RadialExtents
 Q_CAP = 32
 
 
+def _check_geometry(extents: RadialExtents, z: float) -> None:
+    """Raise ValueError unless z is finite and 0 <= r_min <= r_max < inf."""
+    if not (math.isfinite(z) and 0.0 <= extents.r_min <= extents.r_max < math.inf):
+        raise ValueError(f"need a finite z and extents 0 <= r_min <= r_max < inf, got {extents!r} and z = {z!r}")
+
+
 def _reduced(r_min: float, r_max: float, z: float) -> tuple[float, float, float, float, float]:
-    """(r_mid, R_mid, cos_phi, sin_phi, t) from the radial extents and z."""
+    """(r_mid, R_mid, cos_phi, sin_phi, t) from radial extents and a z that ``_check_geometry`` passed."""
     r_mid = 0.5 * r_max
     R_mid = math.hypot(r_mid, z)
     # t = 1 when the projection lies on the element, negative when the
     # nearest point is beyond the radial midpoint (r_min > r_mid); the
     # magnitude bound uses |t|, so the sign only feeds the denominator.
-    # Clamping covers rounding: r_min <= r_max keeps t >= -1 anyway.
+    # Clamping covers rounding: r_min <= r_max keeps t >= -1 but for a
+    # subnormal r_max, whose half rounds.
     t = (r_mid - r_min) / r_mid if r_mid > 0.0 else 0.0
     return r_mid, R_mid, r_mid / R_mid, abs(z) / R_mid, min(1.0, max(-1.0, t))
 
@@ -52,6 +59,8 @@ class EstimatorGeom:
 
     @classmethod
     def from_extents(cls, extents: RadialExtents, z: float) -> "EstimatorGeom":
+        """The reduced geometry at height z; a ValueError for what ``select_order`` rejects."""
+        _check_geometry(extents, z)
         return cls(*_reduced(extents.r_min, extents.r_max, z))
 
 
@@ -124,8 +133,9 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
     integer (Python or NumPy; a bool is not) are a ValueError; a q_cap < 1 requires the
     analytic path.
     """
-    if not (tol > 0.0 and math.isfinite(z) and 0.0 <= extents.r_min <= extents.r_max < math.inf):
-        raise ValueError("need tol > 0, a finite z and extents 0 <= r_min <= r_max < inf")
+    if not tol > 0.0:  # written so that a NaN fails it
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    _check_geometry(extents, z)
     if isinstance(q_cap, bool) or not isinstance(q_cap, (int, np.integer)):
         raise ValueError(f"q_cap must be an int, got {q_cap!r}")
     if z == 0.0:

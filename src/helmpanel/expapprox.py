@@ -79,6 +79,18 @@ class ExpApprox:
 LAPLACE = ExpApprox(delta_x=0.0, eps=0.0, coeffs=(1 + 0j,))
 
 
+def check_k(k) -> None:
+    """Raise ValueError unless the wavenumber k is finite, >= 0 and not a bool.
+
+    A Python or NumPy bool (a NumPy one is known by its dtype, so this
+    module needs no NumPy) would otherwise run as k = 0 or 1.
+    ``EvalRequest``, ``select_approx``, ``polar_integrate`` and
+    ``adaptive_oracle`` all check k here.
+    """
+    if isinstance(k, bool) or getattr(k, "dtype", None) == bool or not 0.0 <= k < math.inf:
+        raise ValueError(f"k must be finite and non-negative, not a bool, got {k!r}")
+
+
 def taylor_sin_cos(q: int) -> tuple[list[float], list[float]]:
     """Maclaurin coefficients of cos and sin up to degree q."""
     if q < 0:
@@ -190,11 +202,13 @@ def select_approx(k: float, ell: float, eps: float) -> ExpApprox:
     coarsest tabulated tolerance not exceeding eps, by one bisection each,
     from ``economize``'s cache.  k * ell >= pi/2 (the last tier) violates
     the standing element-size assumption and is rejected, as is a k, an
-    ell or a k * ell that is negative or NaN, or a NaN eps, at k = 0 too.
+    ell or a k * ell that is negative or NaN, a k that ``check_k`` rejects
+    (a bool among them) or a NaN eps, at k = 0 too.
     """
     x_need = k * ell
     if not (k >= 0.0 and ell >= 0.0 and x_need >= 0.0):  # written so that a NaN fails it
         raise ValueError(f"k*ell = {x_need:g} (k = {k:g}, ell = {ell:g}): negative or not a number")
+    check_k(k)  # a bool, or an infinite k
     if x_need >= DELTA_X_TIERS[-1]:
         raise ValueError(
             f"k*ell = {x_need:.6g} >= {DELTA_X_LABELS[-1]}: element too large for the "

@@ -27,17 +27,24 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 # Subtriangles thinner than these thresholds contribute below double
-# precision noise and would poison the sin(Theta)-derived recursions.
+# precision noise and would poison the sin(Theta)-derived recursions:
+# ``walk`` drops an angle below DROP_ANGLE (or within it of pi) and an area
+# up to DROP_RADIUS_REL * r_max^2, which covers every subtriangle with an
+# end within DROP_RADIUS_REL * r_max of the origin.
 DROP_ANGLE = 1e-10
 DROP_RADIUS_REL = 1e-12
 
 # Tolerance (relative to triangle diameter) for the origin-on-boundary test.
 BOUNDARY_TOL_REL = 1e-12
+
+# Largest height |z| whose square is finite (``check_height``).
+Z_MAX = math.sqrt(sys.float_info.max)
 
 # Triangle3's block: 31 machine doubles in the order to_local_frame and walk
 # read them.  v1, normal, e1, e2, the plane vertices (x2, x3, y3) and the
@@ -240,7 +247,8 @@ def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
     are shifted by the latter.  A tuple is read as it is, as three floats
     (``evaluate`` passes its request's unpacked point); anything else as an
     array.  A point that is not of shape (3,) is a ValueError, with
-    ``EvalRequest``'s message.
+    ``EvalRequest``'s message, and so is a height that ``check_height``
+    rejects.
     """
     p1x, p1y, p1z, nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z, x2, x3, y3, diameter = _LOCAL.unpack_from(tri._block)
     try:  # a point of another shape fails to unpack or, as (3, 1), to subtract
@@ -249,14 +257,24 @@ def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
     except (TypeError, ValueError):
         raise ValueError(f"field point must have shape (3,), got {np.shape(x)}") from None
     z = dx * nx + dy * ny + dz * nz
-    if not math.isfinite(z):
-        raise ValueError(f"field point {x} is not finite")
+    check_height(z)
     if abs(z) <= BOUNDARY_TOL_REL * diameter:
         # an in-plane point lands at a roundoff-level z of either sign; the
         # one-sided limits are taken from z > 0
         z = 0.0
     ox, oy = dx * e1x + dy * e1y + dz * e1z, dx * e2x + dy * e2y + dz * e2z
     return ((0.0 - ox, 0.0 - oy), (x2 - ox, 0.0 - oy), (x3 - ox, y3 - oy)), z
+
+
+def check_height(z: float) -> None:
+    """Raise ValueError unless the height z is finite and so is z^2: |z| <= Z_MAX.
+
+    The kernel reads R^2 = r^2 + z^2, so above Z_MAX = sqrt(sys.float_info.max),
+    about 1.34e154, the numeric path would return NaN values and the
+    oracle fail to cut its radial pass.
+    """
+    if not abs(z) <= Z_MAX:  # written so that a NaN fails it
+        raise ValueError(f"height z = {z!r}: it or its square is not finite (|z| > {Z_MAX:.4g})")
 
 
 def edge_frame(verts) -> tuple:
@@ -294,17 +312,22 @@ def walk(verts, edges) -> tuple[RadialExtents, list[SignedSubTriangle]]:
 
     Fan: the subtriangle on each edge has s = |d|; sign +1 and the foot
     along (t_y, -t_x) when d > 0, else sign -1 and the opposite direction;
-    theta = atan(along / s) at its ends, counter-clockwise.  Slivers (a
-    radius below DROP_RADIUS_REL * r_max, area below DROP_RADIUS_REL *
-    r_max^2, angle below DROP_ANGLE or within DROP_ANGLE of pi, as on an
-    edge line) are dropped; the survivors' signed areas sum to the area.
+    theta = atan(along / s) at its ends, counter-clockwise.  Two tests drop
+    slivers: an area s (b.t - a.t) / 2 not above a_drop = DROP_RADIUS_REL *
+    r_max^2, and an angle Theta below DROP_ANGLE or within DROP_ANGLE of pi
+    (as on an edge line).  An edge with an end within DROP_RADIUS_REL *
+    r_max of the origin needs no test of its own: d is taken from that end,
+    so s is below that radius, b.t - a.t is at most r_max plus it, and the
+    area falls below a_drop.  The survivors' signed areas sum to the signed
+    area of ``verts`` (negative when they run clockwise) less the dropped
+    slivers', each at most a_drop by the area test and at most
+    r_max^2 sin(DROP_ANGLE) / 2 = 50 a_drop by the angle test.
     """
     (ax, ay), (bx, by), (cx, cy) = verts
     t0x, t0y, t1x, t1y, t2x, t2y, orient, tol = edges
     ra, rb, rc = math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy)
     r_max = max(ra, rb, rc)
-    r_drop = DROP_RADIUS_REL * r_max
-    a_drop = r_drop * r_max
+    a_drop = DROP_RADIUS_REL * r_max * r_max
     fan: list[SignedSubTriangle] = []
     inside = True
     near = []
@@ -320,7 +343,7 @@ def walk(verts, edges) -> tuple[RadialExtents, list[SignedSubTriangle]]:
             inside = False
         near.append(rp if lo >= 0.0 else rq if hi <= 0.0 else abs(d))
         s = abs(d)
-        if rp < r_drop or rq < r_drop or s * (hi - lo) * 0.5 <= a_drop:
+        if s * (hi - lo) * 0.5 <= a_drop:
             continue
         if d > 0.0:
             sub = SignedSubTriangle(1, s, ty, -tx, math.atan(lo / s), math.atan(hi / s))
@@ -342,12 +365,17 @@ def edge_walk(verts2d) -> tuple[RadialExtents, list[SignedSubTriangle]]:
 
 
 def subdivide(verts2d) -> list[SignedSubTriangle]:
-    """Signed subtriangles of a planar triangle about the origin (``edge_walk``)."""
+    """Signed subtriangles of a planar triangle about the origin (``edge_walk``).
+
+    Their signed areas sum to the signed area of ``verts2d``, so a clockwise
+    order negates every integral over them (``Triangle3``'s plane vertices
+    run counter-clockwise)."""
     return edge_walk(verts2d)[1]
 
 
 def radial_extents(verts2d) -> RadialExtents:
-    """Nearest and farthest distance from the origin to the triangle (``edge_walk``)."""
+    """Nearest and farthest distance from the origin to the triangle (``edge_walk``),
+    bit for bit the same in either vertex order, unlike the fan."""
     return edge_walk(verts2d)[0]
 
 

@@ -158,7 +158,7 @@ def gk15(f, lo: np.ndarray, hi: np.ndarray, tail=None):
         e = np.abs(k15 - g7)
         scaled = np.where(
             resasc > 0.0,
-            resasc * np.minimum(1.0, (200.0 * e / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
+            resasc * np.minimum(1.0, (200.0 * e / resasc) ** 1.5),  # not taken where resasc is 0 or NaN
             e,
         )
         if tail is not None:

@@ -40,7 +40,8 @@ import numpy as np
 
 from . import kronrod
 from .analytic import PanelIntegrals
-from .geometry import ref_params, subdivide
+from .expapprox import check_k
+from .geometry import check_height, ref_params, subdivide
 
 
 def _is_count(n) -> bool:
@@ -227,6 +228,8 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
 
     ``fan`` is the list of signed subtriangles about the projection
     (``geometry.walk`` or ``subdivide``); ``polar_nodes`` gives its rays.
+    A fan of bare plane vertices carries their orientation: that of a
+    clockwise order gives every component negated.
     The kernel rows G = e^{jkR}/R, (dG/dz) / z and, with ``want_hyper``,
     d2G/dz2 are evaluated at every node and reduced along each ray by
     ``polar_rule(n)``'s radial weights (rho for the 1-weighted integrals,
@@ -244,11 +247,13 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     over a subtriangle the w sum to sign * Theta), and the x/y moments
     have none.  ``d2I0/dn2`` is the finite part of the limit: along a ray
     the radial integral of d2G/dz2 tends to e^{jk rbar}/rbar - jk.
-    A z or k that is not finite, a k < 0, or an n that ``check_order``
-    rejects is a ValueError.
+    A z that ``geometry.check_height`` rejects (|z| above about 1.34e154,
+    whose square is not finite), a k that ``expapprox.check_k`` rejects
+    (not finite, negative or a bool) or an n that ``check_order`` rejects
+    is a ValueError.
     """
-    if not (math.isfinite(z) and 0.0 <= k < math.inf):
-        raise ValueError("polar_integrate needs a finite z and a finite k >= 0")
+    check_height(z)
+    check_k(k)
     check_order(n)
     r2, points, area = polar_nodes(fan, n, z)
     out = np.zeros((3 if want_hyper else 2, 3), dtype=complex)  # (kernel row, 1 / x / y)
@@ -301,8 +306,10 @@ def adaptive_oracle(
 
     Independent of the expansion machinery: adaptive Gauss-Kronrod in the
     angle with exact (1-weight) or adaptively integrated (x/y-weight)
-    radial integrals.  The subtriangles' angle ranges are laid end to end
-    on one axis, so one ``quad_adaptive`` pass covers them all, from
+    radial integrals.  ``verts2d`` are orientation-signed, as in
+    ``geometry.subdivide``: a clockwise order negates every component.
+    The subtriangles' angle ranges are laid end to end on one axis, so
+    one ``quad_adaptive`` pass covers them all, from
     equal starting pieces no wider than ``ANGLE_PIECE``.  The radial
     integral of the x/y moments is one ``kronrod.antiderivative`` pass
     over [0, max tau], made before the angle pass and evaluated at the
@@ -321,12 +328,15 @@ def adaptive_oracle(
     largest component's integral of |f| (``kronrod.gk_rounds``).  So a
     converged call reports more than tol where a component is of order
     1e2 or more (d2I0/dn2 just above a panel): 1e-13 is below one ulp there.
-    A z or k not finite, a k < 0, a tol not > 0, a name in ``components``
-    outside ORACLE_COMPONENTS or vertices that are not three finite
-    (x, y) pairs (``geometry.edge_walk``) are a ValueError.
+    A z that ``geometry.check_height`` rejects, a k that
+    ``expapprox.check_k`` rejects (a bool among them), a tol not > 0, a
+    name in ``components`` outside ORACLE_COMPONENTS or vertices that are
+    not three finite (x, y) pairs (``geometry.edge_walk``) are a ValueError.
     """
-    if not (math.isfinite(z) and 0.0 <= k < math.inf and tol > 0.0):
-        raise ValueError("the oracle needs a finite z, a finite k >= 0 and tol > 0")
+    check_height(z)
+    check_k(k)
+    if not tol > 0.0:  # written so that a NaN fails it
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     if not set(components) <= set(ORACLE_COMPONENTS):
         raise ValueError(f"components must be names among {ORACLE_COMPONENTS}, got {components!r}")
     az = abs(z)
@@ -347,7 +357,7 @@ def adaptive_oracle(
     offsets = np.concatenate([[0.0], np.cumsum(theta_hi - theta_lo)])
     cuts = []
     for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        n = max(1, math.ceil((b - a) / ANGLE_PIECE))
+        n = math.ceil((b - a) / ANGLE_PIECE)  # >= 1: the walk keeps Theta >= DROP_ANGLE
         cuts += [a + (b - a) * i / n for i in range(n)]
     cuts = np.array(cuts + [offsets[-1]])
 

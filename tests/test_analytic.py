@@ -517,6 +517,11 @@ class TestAssemble:
         with pytest.raises(ValueError, match="6 or 7 values"):
             PanelIntegrals(bad)
 
+    def test_panel_integrals_repr_shows_the_values(self):
+        res = PanelIntegrals([1, 2j, 3, 4, 5, 6])
+        assert repr(res) == f"PanelIntegrals(values={res.values!r})"
+        assert repr(res).startswith("PanelIntegrals(values=array([1.+0.j, 0.+2.j, 3.+0.j,")
+
     def test_panel_integrals_stores_complex(self):
         res = PanelIntegrals([1, 2, 3, 4, 5, 6])  # a list was kept as a list
         assert res.values.dtype == complex and res.values.tolist() == [1, 2, 3, 4, 5, 6]

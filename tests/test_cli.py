@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -80,6 +81,16 @@ class TestIntegrate:
         assert code == 0
         assert r.stdout == out
         assert [ln for ln in r.stdout.splitlines() if ln.startswith("RESULT,analytic,")]
+
+    def test_module_entry_in_this_process(self, monkeypatch, capsys):
+        # helmpanel.__main__ as python -m runs it, here rather than in a
+        # subprocess: it exits with main's status and prints main's output
+        argv = ["integrate", "--tri", TRI, "--point", "0.45,0.3,0.001", "--k", "1", "--tol", "1e-9"]
+        monkeypatch.setattr(sys, "argv", ["helmpanel", *argv])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("helmpanel", run_name="__main__")
+        assert done.value.code == 0
+        assert capsys.readouterr().out == run_main(argv)[1]
 
     def test_missing_args_usage_error(self):
         r = run_module(["integrate"])

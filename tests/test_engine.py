@@ -162,6 +162,34 @@ class TestValidation:
             setattr(req, field, value)
         assert req.tol == 1e-9
 
+    @pytest.mark.parametrize("field", ["triangle", "field_point", "_point", "k", "tol", "want_hypersingular"])
+    def test_fields_cannot_be_deleted(self, field):
+        req = request(sample_field_point(2, 0.5))
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field {field!r}"):
+            delattr(req, field)
+        assert req.tol == 1e-9 and req.field_point.tolist() == [1.4 / 3.0, 0.3, 0.5]
+
+    @pytest.mark.parametrize("z", [1e155, -1e155, math.nextafter(geometry.Z_MAX, math.inf)])
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    @pytest.mark.parametrize("method", ["auto", "numeric", "analytic"])
+    def test_height_whose_square_overflows(self, z, k, method):
+        # z = 1e155 over the sample triangle once returned NaN values on the
+        # numeric path (n = 8) with a RuntimeWarning; the request itself is finite
+        req = request((0.4, 0.3, z), k=k, tol=1e-6)
+        with pytest.raises(ValueError, match="square"):
+            evaluate(req, method)
+        with pytest.raises(ValueError, match="square"):
+            to_local_frame(req.triangle, (0.4, 0.3, z))
+
+    @pytest.mark.parametrize("z", [1e154, -1e154, geometry.Z_MAX])
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    def test_largest_heights_evaluate(self, z, k):
+        with np.errstate(all="raise", under="ignore"):  # subnormal dI/dn terms are fine
+            rep = evaluate(request((0.4, 0.3, z), k=k, tol=1e-6, hyper=True))
+        assert rep.z == z and (rep.method.kind, rep.method.n_gauss) == ("numeric", 8)
+        assert np.isfinite(rep.result.values).all()
+        assert abs(rep.result.i0) == pytest.approx(0.45 / abs(z), rel=1e-12)
+
     @pytest.mark.parametrize("index", [0, 5, -1])
     def test_unknown_sample_projection(self, index):
         with pytest.raises(ValueError, match=r"one of \[1, 2, 3, 4\]"):

@@ -199,6 +199,29 @@ class TestSelectOrder:
         with pytest.raises(ValueError):
             select_order(RadialExtents(r_min, r_max), z, tol)
 
+    @pytest.mark.parametrize(
+        "r_min, r_max, z",
+        [(2.0, 1.0, 0.3), (math.nan, 1.0, 0.3), (0.0, 1.0, math.nan), (0.0, math.inf, 0.3)],
+        ids=["r_min>r_max", "nan_r_min", "nan_z", "inf_r_max"],
+    )
+    def test_reduced_geometry_rejects_what_selection_rejects(self, r_min, r_max, z):
+        # from_extents once gave t = -1 for the first two (the clamp took
+        # the NaN), an e_q_bound of NaN for the third and a "phi = 0" error
+        # for the fourth; both entry points check with one predicate
+        ext = RadialExtents(r_min, r_max)
+        with pytest.raises(ValueError, match="need a finite z and extents") as reduced:
+            EstimatorGeom.from_extents(ext, z)
+        with pytest.raises(ValueError) as selection:
+            select_order(ext, z, 1e-6)
+        assert str(reduced.value) == str(selection.value)
+
+    def test_clamp_decides_for_a_subnormal_r_max(self):
+        # r_max = 5 ulp of the smallest subnormal: r_max / 2 rounds down to
+        # 2 ulp, and (r_mid - r_min) / r_mid would read -1.5 without the clamp
+        r = 5 * math.ulp(0.0)
+        assert (0.5 * r - r) / (0.5 * r) == -1.5
+        assert EstimatorGeom.from_extents(RadialExtents(r, r), 1.0).t == -1.0
+
     @pytest.mark.parametrize("q_cap", [math.nan, 40.0, True])
     def test_q_cap_not_an_int_raises(self, q_cap):
         # the bisection would return q = nan for a NaN cap, and a float order for 40.0

@@ -16,6 +16,7 @@ from helmpanel.expapprox import (
     DELTA_X_TIERS,
     EPS_TIERS,
     LAPLACE,
+    check_k,
     economize,
     select_approx,
     taylor_degree_for,
@@ -167,6 +168,17 @@ class TestSelectApprox:
         # two negative ones with a positive product are rejected too
         with pytest.raises(ValueError, match="k\\*ell .* negative"):
             select_approx(k, ell, 1e-9)
+
+    @pytest.mark.parametrize("k", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
+    def test_bool_wavenumber_rejected(self, k):
+        # select_approx(True, 0.5, 1e-9) once returned the pi/2 entry at q = 7;
+        # the message is EvalRequest's
+        with pytest.raises(ValueError, match="k must be finite and non-negative, not a bool"):
+            select_approx(k, 0.5, 1e-9)
+
+    @pytest.mark.parametrize("k", [0, 0.0, 1, 2.5, np.float64(0.5), np.int64(3), np.float32(0.25)])
+    def test_check_k_accepts_numbers(self, k):
+        check_k(k)
 
     def test_eps_tier_selection(self):
         # 5e-12 is not a tier: falls to the nearest not-coarser tier 1e-12

@@ -465,6 +465,64 @@ class TestEdgeWalk:
                 fn(verts)
 
 
+def contract_cases(rng, n: int) -> list[np.ndarray]:
+    """Random triangles in both orientations about a vertex, a point 1e-18 to
+    1e-8 from it, a point on an edge, one inside and one outside (out to
+    1e8).  None lies just off an edge's line away from its ends, where the
+    angle test drops larger slivers (``test_angle_test_slivers``)."""
+    cases = []
+    for _ in range(n):
+        v = rng.uniform(-1.0, 1.0, size=(3, 2))
+        i = int(rng.integers(3))
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        near = v[i] + 10.0 ** rng.uniform(-18.0, -8.0) * np.array([math.cos(t), math.sin(t)])
+        on_edge = v[i] + rng.uniform(0.0, 1.0) * (v[i - 2] - v[i])
+        far = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(0.0, 8.0)
+        for origin in (v[i], near, on_edge, rng.dirichlet(np.ones(3)) @ v, far):
+            cases += [v - origin, v[::-1] - origin]
+    return cases
+
+
+class TestWalkContract:
+    def check_contract(self, verts2d, slivers: float) -> None:
+        # the walk's documented contract: no survivor with an end within
+        # DROP_RADIUS_REL * r_max of the origin, none with an area up to
+        # a_drop or an angle outside [DROP_ANGLE, pi - DROP_ANGLE], and the
+        # signed areas summing to the shoelace area (negative when
+        # clockwise) less the dropped slivers, ``slivers`` times a_drop
+        ext, fan = edge_walk(verts2d)
+        a_drop = DROP_RADIUS_REL * ext.r_max * ext.r_max
+        total = 0.0
+        for sub in fan:
+            assert min(radii(sub)) > DROP_RADIUS_REL * ext.r_max
+            area = 0.5 * sub.s * sub.s * (math.tan(sub.theta_hi) - math.tan(sub.theta_lo))
+            assert area > a_drop
+            assert DROP_ANGLE <= sub.theta <= math.pi - DROP_ANGLE
+            total += sub.sign * area
+        assert abs(total - shoelace_area(verts2d)) <= slivers * a_drop
+
+    def test_random_triangles_both_orientations(self):
+        rng = np.random.default_rng(53)
+        cases = contract_cases(rng, 300)
+        for verts2d in cases:
+            self.check_contract(verts2d, 3.0)
+        # the cases reach what the contract is about: a vertex within the
+        # radius, and clockwise triangles whose fans sum to a negative area
+        r = [np.hypot(*c.T) for c in cases]
+        assert sum(ri.min() < DROP_RADIUS_REL * ri.max() for ri in r) > 500
+        assert sum(shoelace_area(c) < 0.0 for c in cases) == len(cases) // 2
+        # the extents, unlike the fan, do not depend on the order
+        for verts2d, reversed_order in zip(cases[::2], cases[1::2]):
+            assert radial_extents(reversed_order) == radial_extents(verts2d)
+
+    def test_angle_test_slivers(self):
+        # off an edge's line by 1e-10 of the diameter the angle test drops
+        # slivers of up to r_max^2 sin(DROP_ANGLE) / 2 = 50 a_drop
+        rng = np.random.default_rng(59)
+        for verts2d in walk_cases(rng, 300):
+            self.check_contract(verts2d, 150.0)
+
+
 class TestSubdivide:
     def test_origin_at_vertex(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])

@@ -10,7 +10,7 @@ import pytest
 
 from helmpanel import kronrod, numquad
 from helmpanel.engine import N_FALLBACK, SAMPLE_PROJECTIONS, EvalRequest, evaluate, sample_field_point, sample_triangle
-from helmpanel.geometry import ref_params, subdivide
+from helmpanel.geometry import Z_MAX, ref_params, subdivide
 from helmpanel.numquad import (
     adaptive_oracle,
     gauss_rule,
@@ -555,6 +555,28 @@ class TestPolarIntegrate:
         with pytest.raises(ValueError):
             polar_integrate(subdivide(VERTS), z, k, 8)
 
+    @pytest.mark.parametrize("k", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
+    def test_bool_wavenumber_raises(self, k):
+        # polar_integrate(fan, 0.1, True, 8) once ran as k = 1
+        with pytest.raises(ValueError, match="k must be finite and non-negative, not a bool"):
+            polar_integrate(subdivide(VERTS), 0.1, k, 8)
+
+    @pytest.mark.parametrize("z", [1e155, -1e155, math.nextafter(Z_MAX, math.inf)])
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    def test_height_whose_square_overflows_raises(self, z, k):
+        # z = 1e155 once returned NaN values with a RuntimeWarning from np.cos or np.multiply
+        with pytest.raises(ValueError, match="square"):
+            polar_integrate(subdivide(verts_rel((0.4, 0.3))), z, k, 8, want_hyper=True)
+
+    @pytest.mark.parametrize("z", [1e154, -1e154, Z_MAX, -Z_MAX])
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    def test_largest_heights_give_finite_values(self, z, k):
+        # the bound is the float range's: up to Z_MAX the kernel is finite
+        with np.errstate(all="raise", under="ignore"):  # subnormal dI/dn terms are fine
+            got = polar_integrate(subdivide(verts_rel((0.4, 0.3))), z, k, 8, want_hyper=True).values
+        assert np.isfinite(got).all()
+        assert abs(got[0]) == pytest.approx(0.45 / abs(z), rel=1e-12)
+
     @pytest.mark.parametrize("n", [2.0, True, 0, -3])
     def test_bad_order_raises(self, n):
         # the check evaluate makes on a forced n_gauss, not an error from inside NumPy;
@@ -761,6 +783,25 @@ class TestAdaptiveOracle:
     def test_non_finite_input_raises(self, verts, z, k, tol):
         with pytest.raises(ValueError):
             adaptive_oracle(verts, z, k, tol=tol, want_hyper=True, return_status=True)
+
+    @pytest.mark.parametrize("k", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
+    def test_bool_wavenumber_raises(self, k):
+        # adaptive_oracle(verts, 0.1, True) once ran as k = 1
+        with pytest.raises(ValueError, match="k must be finite and non-negative, not a bool"):
+            adaptive_oracle(VERTS, 0.1, k)
+
+    @pytest.mark.parametrize("z", [1e155, -1e155, math.nextafter(Z_MAX, math.inf)])
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    def test_height_whose_square_overflows_raises(self, z, k):
+        # z = 1e155 once raised OverflowError: cannot convert float infinity to integer
+        with pytest.raises(ValueError, match="square"):
+            adaptive_oracle(verts_rel((0.4, 0.3)), z, k, tol=1e-6)
+
+    @pytest.mark.parametrize("z", [1e154, -Z_MAX])
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    def test_largest_heights_give_finite_values(self, z, k):
+        got, status = adaptive_oracle(verts_rel((0.4, 0.3)), z, k, tol=1e-6, return_status=True)
+        assert np.isfinite(got.values).all() and status["converged"]
 
     @pytest.mark.parametrize("components", [("ix", "iy"), ("i0", "d2i0"), "ixy"])
     def test_unknown_component_raises(self, components):
