@@ -18,7 +18,6 @@ tolerance; the combined budget is about twice the request.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import struct
@@ -31,7 +30,7 @@ from .estimator import OrderSelection, select_order
 from .expapprox import DELTA_X_TIERS, check_k, select_approx
 # radial_extents and subdivide are bound here, unused, for the layer tracer
 # of perfbench, which wraps them by name until it spans the walk
-from .geometry import Triangle3, radial_extents, ref_params, subdivide, to_local_frame, walk  # noqa: F401
+from .geometry import Frozen, Triangle3, radial_extents, ref_params, subdivide, to_local_frame, walk  # noqa: F401
 from .numquad import check_order, polar_integrate
 
 # Stability gate for the analytic path (J-recursion growth factor k|z|).
@@ -60,7 +59,7 @@ def check_tol(tol: float) -> None:
 _POINT = struct.Struct("3d")
 
 
-class EvalRequest:
+class EvalRequest(Frozen):
     """One panel-integral evaluation, checked once, when it is built.
 
     The triangle validated itself.  A field point that is not a finite (3,)
@@ -69,8 +68,9 @@ class EvalRequest:
     is a ValueError.  The point is copied into three packed doubles
     (``_point``), so a later edit of the caller's array does not reach the
     request; ``field_point`` returns it as a read-only (3,) array, and
-    ``evaluate`` reads it with one unpack.  No field can be assigned
-    (``dataclasses.FrozenInstanceError``); a pickled or copied request is
+    ``evaluate`` reads it with one unpack.  No field, property or other
+    name can be assigned or deleted (``Frozen``:
+    ``dataclasses.FrozenInstanceError``); a pickled or copied request is
     built again from its fields.
     """
 
@@ -91,12 +91,6 @@ class EvalRequest:
         fields = (triangle, _POINT.pack(*xyz), k, tol, bool(want_hypersingular))
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), (self.triangle, self.field_point, self.k, self.tol, self.want_hypersingular)

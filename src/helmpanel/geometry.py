@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -58,7 +58,32 @@ _DOUBLE = struct.Struct("d")
 _V1, _NORMAL, _E1, _E2, _DIAMETER, _EDGE_FRAME, _V2, _V3, _AREA = 0, 24, 48, 72, 120, 128, 192, 216, 240
 
 
-class Triangle3:
+class Frozen:
+    """Base of the library's immutable input records (``Triangle3``, ``EvalRequest``).
+
+    A subclass fills its ``__slots__`` once, in ``__init__``, through
+    ``object.__setattr__``; after that, assigning or deleting a slot, a
+    property or any other name raises ``dataclasses.FrozenInstanceError``
+    (an ``AttributeError``).  A subclass keeps a ``__reduce__`` that builds
+    it again from its arguments, since restoring the slots' state would
+    call the raising ``__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _vector(offset: int, doc: str | None = None) -> property:
+    """Three doubles of ``self._block`` from byte ``offset``, as a read-only array."""
+    return property(lambda self: np.frombuffer(self._block, count=3, offset=offset), doc=doc)
+
+
+class Triangle3(Frozen):
     """A validated plane triangle in world coordinates, with its element frame.
 
     Everything the triangle holds is computed once, here, and packed into
@@ -70,8 +95,9 @@ class Triangle3:
     non-zero coordinates; ``diameter``; ``edges``, the frame of each edge in
     that plane (``edge_frame``); v2, v3 and ``area``.  The vertices and the
     frame are returned as read-only arrays on the block (``vertices`` and
-    ``centroid`` as new arrays), and no attribute can be assigned; a pickled
-    or copied triangle is built again from its vertices.
+    ``centroid`` as new arrays).  No attribute can be assigned or deleted
+    (``Frozen``: ``dataclasses.FrozenInstanceError``); a pickled or copied
+    triangle is built again from its vertices.
     Raises ValueError for a vertex that is not of shape (3,), for
     non-finite vertices and for a degenerate (collinear) triangle.
     """
@@ -106,12 +132,6 @@ class Triangle3:
         block = _BLOCK.pack(*p1, *frame, l12, x3, y3, d, *edges, *p2, *p3, 0.5 * nn)
         object.__setattr__(self, "_block", block)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Triangle3 is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Triangle3 is immutable: cannot delete {name!r}")
-
     def __reduce__(self):
         # pickle and copy build the triangle again from its vertices
         return type(self), (self.v1, self.v2, self.v3)
@@ -126,40 +146,17 @@ class Triangle3:
         c = np.asarray(coords, dtype=float).reshape(3, 3)
         return cls(c[0], c[1], c[2])
 
-    def _vector(self, offset: int) -> np.ndarray:
-        return np.frombuffer(self._block, count=3, offset=offset)
-
-    @property
-    def v1(self) -> np.ndarray:
-        return self._vector(_V1)
-
-    @property
-    def v2(self) -> np.ndarray:
-        return self._vector(_V2)
-
-    @property
-    def v3(self) -> np.ndarray:
-        return self._vector(_V3)
+    v1 = _vector(_V1)
+    v2 = _vector(_V2)
+    v3 = _vector(_V3)
+    normal = _vector(_NORMAL, "Unit normal, (v2 - v1) x (v3 - v1) normalized.")
+    e1 = _vector(_E1, "Unit in-plane axis along v2 - v1 (the local x-axis).")
+    e2 = _vector(_E2, "Unit in-plane axis normal x e1 (the local y-axis).")
 
     @property
     def vertices(self) -> np.ndarray:
         """The vertices as the rows of a new (3, 3) array."""
         return np.vstack([self.v1, self.v2, self.v3])
-
-    @property
-    def normal(self) -> np.ndarray:
-        """Unit normal, (v2 - v1) x (v3 - v1) normalized."""
-        return self._vector(_NORMAL)
-
-    @property
-    def e1(self) -> np.ndarray:
-        """Unit in-plane axis along v2 - v1 (the local x-axis)."""
-        return self._vector(_E1)
-
-    @property
-    def e2(self) -> np.ndarray:
-        """Unit in-plane axis normal x e1 (the local y-axis)."""
-        return self._vector(_E2)
 
     @property
     def centroid(self) -> np.ndarray:

@@ -403,7 +403,7 @@ def adaptive_oracle(
         # neither the refinement nor the estimate follows a column not returned
         cols = [i0, ix, iy, di0, dix, diy]
         if want_hyper:
-            cols.append((rbar**2 / Rbar**3 + jk * z * z / Rbar**2) * eR - jk * ez)
+            cols.append(((rbar / Rbar) ** 2 / Rbar + jk * z * z / Rbar**2) * eR - jk * ez)
         return sign[j, None] * np.stack(cols, axis=-1)
 
     v, err, ok = quad_adaptive(f_theta, cuts[:-1], cuts[1:], tol)

@@ -2,8 +2,12 @@
 
 import copy
 import dataclasses
+import json
+import os
 import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,3 +122,61 @@ def test_cached_tables_cannot_be_edited():
             approx.coeffs = ()
         assert isinstance(approx.coeffs, tuple)  # a tuple of complex numbers: nothing to edit
     assert entry.terms is entry.terms and isinstance(entry.terms, tuple)  # tuples of tuples: nothing to edit
+
+
+@pytest.mark.parametrize(
+    "record, name",
+    [("triangle", "_block"), ("triangle", "v1"), ("triangle", "edges"), ("triangle", "other"),
+     ("request", "k"), ("request", "triangle"), ("request", "field_point"), ("request", "other")],
+)
+def test_input_records_are_frozen(record, name):
+    # Triangle3 and EvalRequest share one freeze rule: a field, a property
+    # or an unknown name can be neither assigned nor deleted
+    tri = helmpanel.sample_triangle()
+    req = helmpanel.EvalRequest(tri, helmpanel.sample_field_point(2, 0.1), 1.0)
+    obj = tri if record == "triangle" else req
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field {name!r}"):
+        setattr(obj, name, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field {name!r}"):
+        delattr(obj, name)
+    assert tri.v1.tolist() == [0.0, 0.0, 0.0] and req.k == 1.0 and req.triangle is tri
+
+
+# Every path of evaluate (numeric, analytic, in-plane analytic, n = 50
+# fallback; k = 3), one full-component oracle call and the CLI's table,
+# sweep and estimate commands; prints the paths taken and the loaded
+# numpy.polynomial modules as JSON.
+NO_POLYNOMIAL_SCRIPT = """
+import contextlib, io, json, sys
+import helmpanel as hp
+from helmpanel import cli
+from helmpanel.numquad import adaptive_oracle
+
+sample = hp.sample_triangle()
+small = hp.Triangle3((0.0, 0.0, 0.0), (0.3, 0.0, 0.0), (0.12, 0.27, 0.0))
+cases = [(sample, hp.sample_field_point(2, 0.5), "auto"), (small, (0.14, 0.09, 1e-4), "auto"),
+         (small, (0.14, 0.09, 0.0), "auto"), (sample, hp.sample_field_point(2, 1e-3), "analytic")]
+paths = []
+for tri, x, method in cases:
+    rep = hp.evaluate(hp.EvalRequest(tri, x, 3.0, 1e-9, want_hypersingular=True), method)
+    paths.append([rep.method.kind, rep.method.n_gauss, rep.z])
+adaptive_oracle(sample.vertices[:, :2] - (0.4, 0.3), 0.1, 3.0, want_hyper=True)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["economize", "--all"]),
+             cli.main(["sweep", "--zmin", "0.01", "--zmax", "0.1", "--steps", "2", "--tols", "1e-6", "--orders", "4"]),
+             cli.main(["estimate", "--rmax", "1", "--rmin", "0.1", "--z", "0.01", "--tol", "1e-9"])]
+print(json.dumps([paths, codes, sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))]))
+"""
+
+
+def test_no_path_imports_numpy_polynomial():
+    # the economised tables and the Gauss and Kronrod rules are built without
+    # numpy.polynomial (and the LAPACK it maps), in a fresh interpreter
+    src = str(Path(helmpanel.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", NO_POLYNOMIAL_SCRIPT], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    paths, codes, loaded = json.loads(run.stdout)
+    assert paths == [["numeric", 16, 0.5], ["analytic", None, 1e-4], ["analytic", None, 0.0], ["numeric", 50, 1e-3]]
+    assert codes == [0, 0, 0]
+    assert loaded == []

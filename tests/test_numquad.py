@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -802,6 +803,19 @@ class TestAdaptiveOracle:
     def test_largest_heights_give_finite_values(self, z, k):
         got, status = adaptive_oracle(verts_rel((0.4, 0.3)), z, k, tol=1e-6, return_status=True)
         assert np.isfinite(got.values).all() and status["converged"]
+
+    @pytest.mark.parametrize("z", [6e102, 1e154])
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    def test_largest_heights_with_hypersingular(self, z, k):
+        # d2I0/dn2 up to Z_MAX: no intermediate of its radial term, (rbar / Rbar)^2 / Rbar,
+        # leaves the float range (Rbar^3 would above |z| = 5.6e102)
+        verts = verts_rel((0.4, 0.3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = adaptive_oracle(verts, z, k, tol=1e-13, want_hyper=True).values
+        want = polar_integrate(subdivide(verts), z, k, 16, want_hyper=True).values
+        assert np.isfinite(got).all()
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
 
     @pytest.mark.parametrize("components", [("ix", "iy"), ("i0", "d2i0"), "ixy"])
     def test_unknown_component_raises(self, components):
