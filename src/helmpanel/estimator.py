@@ -29,9 +29,9 @@ Q_CAP = 32
 
 
 def _check_geometry(extents: RadialExtents, z: float) -> None:
-    """Raise ValueError unless z is finite and 0 <= r_min <= r_max < inf."""
-    if not (math.isfinite(z) and 0.0 <= extents.r_min <= extents.r_max < math.inf):
-        raise ValueError(f"need a finite z and extents 0 <= r_min <= r_max < inf, got {extents!r} and z = {z!r}")
+    """Raise ValueError unless z is finite, 0 <= r_min <= r_max < inf and r_max > 0."""
+    if not (math.isfinite(z) and 0.0 <= extents.r_min <= extents.r_max < math.inf and extents.r_max > 0.0):
+        raise ValueError(f"need a finite z and extents 0 <= r_min <= r_max < inf, r_max > 0: {extents!r}, z = {z!r}")
 
 
 def _reduced(r_min: float, r_max: float, z: float) -> tuple[float, float, float, float, float]:
@@ -75,8 +75,8 @@ def _check_phi(sin_phi: float) -> None:
 def _e_q_factors(R_mid: float, cos_phi: float, sin_phi: float, t: float) -> tuple[float, float, float, float]:
     """The order-independent factors of E_Q: (lead, |t|, cos_phi, denom)."""
     _check_phi(sin_phi)
-    denom = math.sqrt((1.0 - t) ** 2 * cos_phi**2 + sin_phi**2)
-    lead = (1.0 / R_mid) * math.sqrt(2.0 / (math.pi * sin_phi))
+    denom = math.hypot((1.0 - t) * cos_phi, sin_phi)  # no square under- or overflows
+    lead = math.sqrt(2.0 / math.pi) / (R_mid * math.sqrt(sin_phi))  # finite for a subnormal sin_phi
     return lead, abs(t), cos_phi, denom
 
 
@@ -128,10 +128,10 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
     For z != 0, |t| cos(phi) < 1, so E_Q does not increase with Q: each
     step multiplies it by at most sqrt((Q + 1) / (Q + 2)), a fall far above
     rounding.  So one E_Q at q_cap decides whether any order works, and
-    bisection finds the smallest.  A tol not > 0, a z not finite,
-    extents outside 0 <= r_min <= r_max < inf or a q_cap that is not an
-    integer (Python or NumPy; a bool is not) are a ValueError; a q_cap < 1 requires the
-    analytic path.
+    bisection finds the smallest.  A tol not > 0, a z not finite, extents
+    outside 0 <= r_min <= r_max < inf, an r_max of 0 (no triangle has one)
+    or a q_cap that is not an integer (Python or NumPy; a bool is not) are
+    a ValueError; a q_cap < 1 requires the analytic path.
     """
     if not tol > 0.0:  # written so that a NaN fails it
         raise ValueError(f"tol must be > 0, got {tol!r}")

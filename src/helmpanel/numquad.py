@@ -22,7 +22,7 @@ subtriangles laid end to end, started from equal pieces no wider than
 ``ANGLE_PIECE``.  The x/y moments need a radial integral in
 the substitution t^2 = R - |z|, which removes the square-root behaviour
 at r = 0.  Its integrand does not depend on the angle, which enters only
-through the upper limit tau(theta), so one adaptive pass over
+through the upper limit tau = sqrt(Rbar - |z|), so one adaptive pass over
 [0, max tau] is made before the angle pass and kept as an
 antiderivative (``kronrod.antiderivative``): whole pieces by their K15
 sums, a partial piece by the integral of its 15-node interpolant.  Every
@@ -41,7 +41,8 @@ import numpy as np
 from . import kronrod
 from .analytic import PanelIntegrals
 from .expapprox import check_k
-from .geometry import check_height, ref_params, subdivide
+# ref_params is bound here, unused, for the layer tracer of perfbench
+from .geometry import check_height, ref_params, subdivide  # noqa: F401
 
 
 def _is_count(n) -> bool:
@@ -148,7 +149,7 @@ CUMULATIVE_MAX_ROUNDS = 40
 CUMULATIVE_MAX_PENDING = 20000
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def polar_rule(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The n-point Gauss rule as ``polar_nodes`` and ``polar_integrate`` read it.
 
@@ -156,7 +157,8 @@ def polar_rule(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     for the angle nodes; the squared fractions rho = (x_g + 1) / 2 of the
     radial nodes along a ray; and an (n, 2) array whose columns are
     w_g rho / 2 and w_g rho^2 / 2, the radial weights of the 1- and the
-    x/y-weighted integrals.
+    x/y-weighted integrals.  The cache is typed as ``gauss_rule``'s, so a
+    bad order is always a miss that ``check_order`` rejects there.
     """
     xg, wg = gauss_rule(n)
     rho = 0.5 * (xg + 1.0)
@@ -250,11 +252,10 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     A z that ``geometry.check_height`` rejects (|z| above about 1.34e154,
     whose square is not finite), a k that ``expapprox.check_k`` rejects
     (not finite, negative or a bool) or an n that ``check_order`` rejects
-    is a ValueError.
+    (through ``polar_rule``'s typed cache) is a ValueError.
     """
     check_height(z)
     check_k(k)
-    check_order(n)
     r2, points, area = polar_nodes(fan, n, z)
     out = np.zeros((3 if want_hyper else 2, 3), dtype=complex)  # (kernel row, 1 / x / y)
     rows = np.empty((1 if z == 0.0 else len(out), len(r2)), dtype=complex)
@@ -304,22 +305,21 @@ def adaptive_oracle(
 ):
     """Adaptive reference evaluation of the panel integrals.
 
-    Independent of the expansion machinery: adaptive Gauss-Kronrod in the
-    angle with exact (1-weight) or adaptively integrated (x/y-weight)
-    radial integrals.  ``verts2d`` are orientation-signed, as in
+    Independent of the expansion machinery, in the two passes of the
+    module docstring.  ``verts2d`` are orientation-signed, as in
     ``geometry.subdivide``: a clockwise order negates every component.
-    The subtriangles' angle ranges are laid end to end on one axis, so
-    one ``quad_adaptive`` pass covers them all, from
-    equal starting pieces no wider than ``ANGLE_PIECE``.  The radial
-    integral of the x/y moments is one ``kronrod.antiderivative`` pass
-    over [0, max tau], made before the angle pass and evaluated at the
-    limits of its nodes in every round.  ``components`` limits only the x/y-moment
-    work: "ixy" and "dixy" each give the moments and their normal
-    derivatives, and with neither the x/y entries are returned as 0 (and no
-    radial pass is made); I0 and dI0/dn are always computed.  d2I0/dn2 is
-    integrated only with ``want_hyper``, so otherwise it steers neither the
-    refinement nor the estimate.  Derivatives at z = 0 are one-sided limits
-    from z > 0, matching the analytic convention.
+    Each angle node forms d = Rbar - |z| once, as rbar^2 / (Rbar + |z|):
+    I0 is d (k = 0) or (2/k) e^{jk|z|} h Im h with h = e^{jkd/2},
+    e^{jk Rbar} is e^{jk|z|} h^2 and tau = sqrt(d), so I0 and the moments
+    keep their relative accuracy far above a panel; dI0/dn and d2I0/dn2
+    still cancel there, in sigma e^{jk|z|} - (z/Rbar) e^{jk Rbar}, and are
+    accurate to absolute rounding only.  ``components`` limits only the
+    x/y-moment work: "ixy" and "dixy" each give the moments and their
+    normal derivatives, and with neither the x/y entries are returned as 0
+    (and no radial pass is made); I0 and dI0/dn are always computed.
+    d2I0/dn2 is integrated only with ``want_hyper``, so otherwise it steers
+    neither the refinement nor the estimate.  Derivatives at z = 0 are
+    one-sided limits from z > 0, matching the analytic convention.
 
     With ``return_status`` the achieved error estimate and convergence
     flag are returned alongside the values instead of being discarded;
@@ -348,10 +348,8 @@ def adaptive_oracle(
     if not subs:
         return (total, {"error": 0.0, "converged": True}) if return_status else total
     want_xy = "ixy" in components or "dixy" in components
-    geoms = [ref_params(sub, z) for sub in subs]
-    psi = np.array([math.atan2(sub.sin_psi, sub.cos_psi) for sub in subs])
-    s, theta_lo, theta_hi = np.array([(g.s, g.theta_lo, g.theta_hi) for g in geoms]).T
-    sign = np.array([sub.sign for sub in subs], dtype=float)
+    rows = [(b.sign, b.s, b.theta_lo, b.theta_hi, math.atan2(b.sin_psi, b.cos_psi)) for b in subs]
+    sign, s, theta_lo, theta_hi, psi = np.array(rows).T
     # the angle ranges end to end: subtriangle j covers [offsets[j], offsets[j + 1]],
     # cut in Python arithmetic (no further NumPy kernels in an oracle-only process)
     offsets = np.concatenate([[0.0], np.cumsum(theta_hi - theta_lo)])
@@ -362,8 +360,8 @@ def adaptive_oracle(
     cuts = np.array(cuts + [offsets[-1]])
 
     def f_in(t):
-        # x/y radial moment (and its normal derivative, -d/dz) after t^2 = R - |z|: the
-        # same for every angle and subtriangle, which enter only through tau = sqrt(Rbar - |z|)
+        # x/y radial moment (and its normal derivative, -d/dz) after t^2 = R - |z|: the same
+        # for every angle and subtriangle, which enter only through tau = sqrt(d), d = Rbar - |z|
         R = az + t * t
         m = 2.0 * np.exp(1j * k * R) * t * t * np.sqrt(t * t + 2.0 * az)
         return np.stack([m, z * (1.0 / R - jk) * m / R], axis=-1)
@@ -371,8 +369,8 @@ def adaptive_oracle(
     inner_err, inner_ok = 0.0, True
     if want_xy:
         # rbar = s / cos(theta) is largest at an end of its angle range
-        rbar = np.concatenate([s / np.cos(theta_lo), s / np.cos(theta_hi)])
-        tau_max = math.sqrt(max(float(np.max(np.sqrt(rbar * rbar + z * z))) - az, 0.0))
+        r2 = np.concatenate([s / np.cos(theta_lo), s / np.cos(theta_hi)]) ** 2
+        tau_max = math.sqrt(float(np.max(r2 / (np.sqrt(r2 + z * z) + az))))
         # f_in has branch points at t = +-i sqrt(2|z|): start from pieces
         # halved toward t = 0 until the first is no wider than that (at
         # most 40 halvings), each cut in three, so that most passes accept
@@ -391,12 +389,14 @@ def adaptive_oracle(
         th = theta_lo[j] + (x - offsets[j])
         rbar = s[j] / np.cos(th)
         Rbar = np.sqrt(rbar * rbar + z * z)
-        eR = np.exp(1j * k * Rbar)
-        i0 = Rbar - az if k == 0.0 else (eR - ez) / jk
+        d = rbar * rbar / (Rbar + az)  # Rbar - |z|, which does not cancel
+        h = np.exp(0.5j * k * d)
+        eR = ez * h * h  # e^{jk Rbar}
+        i0 = d if k == 0.0 else (2.0 / k) * ez * h * h.imag  # (e^{jk Rbar} - e^{jk|z|}) / jk
         di0 = sigma * ez - (z / Rbar) * eR
         ix = iy = dix = diy = np.zeros_like(i0)
         if want_xy:
-            v = radial(np.sqrt(np.maximum(Rbar - az, 0.0)))
+            v = radial(np.sqrt(d))
             cpsi, spsi = np.cos(psi[j] + th), np.sin(psi[j] + th)
             ix, iy, dix, diy = cpsi * v[:, 0], spsi * v[:, 0], cpsi * v[:, 1], spsi * v[:, 1]
         # PanelIntegrals order; d2I0/dn2 only when asked for, so that

@@ -370,6 +370,16 @@ class TestEstimate:
         assert "analytic required" in out
 
 
+    @pytest.mark.parametrize(
+        "rmin, z, want",
+        [("0", "1e-170", "analytic required"), ("0.5", "5e-324", "selection: Q = 1, n_gauss = 1, E_Q = 0\n")],
+    )
+    def test_extreme_heights(self, rmin, z, want):
+        # E_Q's squares once underflowed (a traceback) or its lead overflowed (E_Q = nan)
+        code, out = run_main(["estimate", "--rmax", "1", "--rmin", rmin, "--z", z, "--tol", "1e-6"])
+        assert code == 0
+        assert want in out and "nan" not in out
+
     @pytest.mark.parametrize("flag", ["--z", "--rmin", "--rmax", "--tol"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_input_rejected(self, flag, bad, capsys):

@@ -201,19 +201,50 @@ class TestSelectOrder:
 
     @pytest.mark.parametrize(
         "r_min, r_max, z",
-        [(2.0, 1.0, 0.3), (math.nan, 1.0, 0.3), (0.0, 1.0, math.nan), (0.0, math.inf, 0.3)],
-        ids=["r_min>r_max", "nan_r_min", "nan_z", "inf_r_max"],
+        [
+            (2.0, 1.0, 0.3), (math.nan, 1.0, 0.3), (0.0, 1.0, math.nan), (0.0, math.inf, 0.3),
+            (0.0, 0.0, 0.3), (0.0, 0.0, 0.0),
+        ],
+        ids=["r_min>r_max", "nan_r_min", "nan_z", "inf_r_max", "zero_r_max", "zero_r_max_z0"],
     )
     def test_reduced_geometry_rejects_what_selection_rejects(self, r_min, r_max, z):
         # from_extents once gave t = -1 for the first two (the clamp took
-        # the NaN), an e_q_bound of NaN for the third and a "phi = 0" error
-        # for the fourth; both entry points check with one predicate
+        # the NaN), an e_q_bound of NaN for the third, a "phi = 0" error
+        # for the fourth and a ZeroDivisionError at r_max = 0 (no triangle
+        # has one); both entry points check with one predicate
         ext = RadialExtents(r_min, r_max)
         with pytest.raises(ValueError, match="need a finite z and extents") as reduced:
             EstimatorGeom.from_extents(ext, z)
         with pytest.raises(ValueError) as selection:
             select_order(ext, z, 1e-6)
         assert str(reduced.value) == str(selection.value)
+
+    @pytest.mark.parametrize("r_max", [1.0, 4.0, 1e300, 1.7e308])
+    @pytest.mark.parametrize("z", [0.0, 1e-170, -1e-170, 5e-324, 1.0, 1e300])
+    def test_extreme_scales_give_a_bound_or_analytic(self, r_max, z):
+        # E_Q's denominator once squared (1 - t) cos(phi) and sin(phi), which
+        # underflow (a ZeroDivisionError at z = 1e-170 or r_max = 1e300), and
+        # its lead took sqrt(2 / (pi sin(phi))), which overflows for a
+        # subnormal sin(phi) (e_q NaN at r_min = r_max / 2, z = 5e-324)
+        for r_min in (0.0, 0.5 * r_max, r_max):
+            ext = RadialExtents(r_min, r_max)
+            geom = EstimatorGeom.from_extents(ext, z)
+            assert all(math.isfinite(v) for v in dataclasses.astuple(geom))
+            if z != 0.0 and geom.sin_phi == 0.0:  # |z| / R_mid underflows: the in-plane error
+                with pytest.raises(ValueError, match="phi = 0"):
+                    select_order(ext, z, 1e-6)
+                continue
+            sel = select_order(ext, z, 1e-6)
+            assert sel.analytic_required or math.isfinite(sel.e_q)
+            if z != 0.0:
+                # inf where the bound exceeds the float range, never NaN
+                assert all(e_q_bound(geom, q) >= 0.0 for q in (1, 7, Q_CAP))
+
+    def test_extreme_scales_examples(self):
+        assert select_order(RadialExtents(0.0, 1.0), 1e-170, 1e-6).analytic_required
+        assert select_order(RadialExtents(0.0, 1e300), 1.0, 1e-6).analytic_required
+        assert select_order(RadialExtents(0.5, 1.0), 5e-324, 1e-6) == OrderSelection(1, 0.0)
+        assert math.isfinite(e_q_bound(geom_for(1.0, 0.0, 1e-170), Q_CAP))
 
     def test_clamp_decides_for_a_subnormal_r_max(self):
         # r_max = 5 ulp of the smallest subnormal: r_max / 2 rounds down to

@@ -581,13 +581,16 @@ class TestPolarIntegrate:
     @pytest.mark.parametrize("n", [2.0, True, 0, -3])
     def test_bad_order_raises(self, n):
         # the check evaluate makes on a forced n_gauss, not an error from inside NumPy;
-        # gauss_rule's cache is typed, so its entries for np.int64(2) and np.int64(1)
-        # never answer 2.0 and True
+        # the caches of gauss_rule and polar_rule are typed, so their entries for
+        # np.int64(2) and np.int64(1) never answer 2.0 and True
         gauss_rule(np.int64(1)), gauss_rule(np.int64(2))
+        numquad.polar_rule(np.int64(1)), numquad.polar_rule(np.int64(2))
         with pytest.raises(ValueError, match="n_gauss"):
             polar_integrate(subdivide(VERTS), 0.3, 1.0, n)
         with pytest.raises(ValueError, match="n_gauss"):
             gauss_rule(n)
+        with pytest.raises(ValueError, match="n_gauss"):
+            polar_nodes(subdivide(VERTS), n, 0.3)
 
     @pytest.mark.parametrize("key", sorted(FROZEN_POLAR))
     def test_matches_frozen(self, key):
@@ -816,6 +819,21 @@ class TestAdaptiveOracle:
         want = polar_integrate(subdivide(verts), z, k, 16, want_hyper=True).values
         assert np.isfinite(got).all()
         assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+    @pytest.mark.parametrize("z", [1e4, 1e6, 6e102, 1e154])
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    def test_far_above_keeps_relative_accuracy(self, z, k):
+        # Rbar - |z| is formed as rbar^2 / (Rbar + |z|), which does not cancel: I0 and
+        # the moments keep their relative accuracy where they are far below 1e-13
+        # (I0 once read 0 at z = 6e102, and no call converged from z = 1e4 on).
+        # dI0/dn and d2I0/dn2 still cancel in sigma e^{jk|z|} - (z / Rbar) e^{jk Rbar}
+        # and hold only the absolute bound of test_largest_heights_with_hypersingular
+        verts = verts_rel((0.4, 0.3))
+        got, status = adaptive_oracle(verts, z, k, tol=1e-13, want_hyper=True, return_status=True)
+        want = polar_integrate(subdivide(verts), z, k, 48, want_hyper=True)
+        assert status["converged"]
+        for name in ("i0", "ix"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-11 * abs(getattr(want, name)), name
 
     @pytest.mark.parametrize("components", [("ix", "iy"), ("i0", "d2i0"), "ixy"])
     def test_unknown_component_raises(self, components):
