@@ -21,8 +21,8 @@ coefficient an elementwise or two-term sum in the same order, so the
 tables are bit-identical to the ones an earlier version built with it
 (frozen in ``tests/data/economize_frozen.json``), without its
 per-object overhead or its import.  The Gauss-Legendre rules
-(``numquad.gauss_rule``) and the oracle's interpolation tables
-(``kronrod._interp_tables``) are built on floats too, so no helmpanel
+(``numquad.gauss_rule``) are built on floats too, and the oracle reads
+only the fixed Gauss-Kronrod table of ``kronrod``, so no helmpanel
 process imports ``numpy.polynomial``.
 """
 

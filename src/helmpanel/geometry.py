@@ -267,8 +267,8 @@ def check_height(z: float) -> None:
     """Raise ValueError unless the height z is finite and so is z^2: |z| <= Z_MAX.
 
     The kernel reads R^2 = r^2 + z^2, so above Z_MAX = sqrt(sys.float_info.max),
-    about 1.34e154, the numeric path would return NaN values and the
-    oracle fail to cut its radial pass.
+    about 1.34e154, the numeric path would return NaN values; the oracle
+    takes the same bound.
     """
     if not abs(z) <= Z_MAX:  # written so that a NaN fails it
         raise ValueError(f"height z = {z!r}: it or its square is not finite (|z| > {Z_MAX:.4g})")
@@ -351,13 +351,17 @@ def walk(verts, edges) -> tuple[RadialExtents, list[SignedSubTriangle]]:
     return RadialExtents(0.0 if inside else min(near), r_max), fan
 
 
-def edge_walk(verts2d) -> tuple[RadialExtents, list[SignedSubTriangle]]:
-    """``walk`` on bare plane vertices: the edge frame is derived from ``verts2d``,
-    which must be three finite (x, y) pairs (a ValueError otherwise)."""
+def plane_vertices(verts2d) -> list[list[float]]:
+    """``verts2d`` as three [x, y] lists of floats; a ValueError unless they are three finite (x, y) pairs."""
     plane = np.asarray(verts2d, dtype=float)
     if plane.shape != (3, 2) or not np.isfinite(plane).all():
         raise ValueError(f"plane vertices must be three finite (x, y) pairs, got {verts2d!r}")
-    verts = plane.tolist()
+    return plane.tolist()
+
+
+def edge_walk(verts2d) -> tuple[RadialExtents, list[SignedSubTriangle]]:
+    """``walk`` on bare plane vertices (``plane_vertices``), with the edge frame derived from them."""
+    verts = plane_vertices(verts2d)
     return walk(verts, edge_frame(verts))
 
 

@@ -15,19 +15,13 @@ normal-derivative limits come from the rays' own angle weights.
 
 ``adaptive_oracle`` is the independent reference: adaptive Gauss-Kronrod
 integration of the defining integrals, sharing nothing with the
-expansion/recursion machinery.  For the 1-weighted integrals the radial
-integral has a closed form, so only the angle direction is integrated
-numerically, in one round-based pass over the angle ranges of all
-subtriangles laid end to end, started from equal pieces no wider than
-``ANGLE_PIECE``.  The x/y moments need a radial integral in
-the substitution t^2 = R - |z|, which removes the square-root behaviour
-at r = 0.  Its integrand does not depend on the angle, which enters only
-through the upper limit tau = sqrt(Rbar - |z|), so one adaptive pass over
-[0, max tau] is made before the angle pass and kept as an
-antiderivative (``kronrod.antiderivative``): whole pieces by their K15
-sums, a partial piece by the integral of its 15-node interpolant.  Every
-round of the angle pass only evaluates it at the limits of its nodes.
-Both passes' estimates include the roundoff of their sums.
+expansion/recursion machinery or with the signed fan of ``geometry.walk``.
+Every component is a 1-D integral over the edges: the radial integrals of
+I0, dI0/dn and d2I0/dn2 have closed forms, and the x/y moments and their
+normal derivatives follow by Stokes' theorem.  Each edge is mapped by
+s = h sinh u (h the field point's distance from the edge's line), and the
+u-ranges of all edges, laid end to end and cut into starting pieces no
+wider than ``ANGLE_PIECE``, are integrated in one round-based pass.
 """
 
 from __future__ import annotations
@@ -41,8 +35,8 @@ import numpy as np
 from . import kronrod
 from .analytic import PanelIntegrals
 from .expapprox import check_k
-# ref_params is bound here, unused, for the layer tracer of perfbench
-from .geometry import check_height, ref_params, subdivide  # noqa: F401
+# ref_params and subdivide are bound here, unused, for the layer tracer of perfbench
+from .geometry import DROP_ANGLE, DROP_RADIUS_REL, check_height, plane_vertices, ref_params, subdivide  # noqa: F401
 
 
 def _is_count(n) -> bool:
@@ -138,15 +132,7 @@ def quad_adaptive(f, a, b, tol: float, max_intervals: int = 4000):
     if lo.shape != hi.shape:
         raise ValueError(f"a and b must have the same length, got {lo.shape} and {hi.shape}")
     # every round but the last adds an interval: the cap bounds the rounds
-    _, v, _, error, converged = kronrod.gk_rounds(f, lo, hi, tol, max_intervals, max_intervals - len(lo))
-    return v.sum(axis=0), error, converged
-
-
-# Limits on the oracle's ``kronrod.antiderivative`` pass: bisection rounds,
-# and intervals added to the starting ones by bisection (15 abscissae each
-# per round while pending); it stops rather than exceed them.
-CUMULATIVE_MAX_ROUNDS = 40
-CUMULATIVE_MAX_PENDING = 20000
+    return kronrod.gk_rounds(f, lo, hi, tol, max_intervals, max_intervals - len(lo))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -289,9 +275,9 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
 # The names ``adaptive_oracle`` accepts in ``components``.
 ORACLE_COMPONENTS = ("i0", "ixy", "di0", "dixy")
 
-# Widest starting piece of the oracle's angle pass, in radians: the fastest
-# of pi/6 .. pi/16 on the oracle_sweep pool, 1.2 rounds per call.
-ANGLE_PIECE = math.pi / 12
+# Widest starting piece of the oracle's pass, in u (s = h sinh u) or in s / L
+# on an in-plane edge line: 1.5 rounds per call on the oracle_sweep pool.
+ANGLE_PIECE = 1.0
 
 
 def adaptive_oracle(
@@ -303,35 +289,59 @@ def adaptive_oracle(
     components: tuple[str, ...] = ORACLE_COMPONENTS,
     return_status: bool = False,
 ):
-    """Adaptive reference evaluation of the panel integrals.
+    """Adaptive reference evaluation of the panel integrals, as 1-D integrals over the edges.
 
-    Independent of the expansion machinery, in the two passes of the
-    module docstring.  ``verts2d`` are orientation-signed, as in
-    ``geometry.subdivide``: a clockwise order negates every component.
-    Each angle node forms d = Rbar - |z| once, as rbar^2 / (Rbar + |z|):
-    I0 is d (k = 0) or (2/k) e^{jk|z|} h Im h with h = e^{jkd/2},
-    e^{jk Rbar} is e^{jk|z|} h^2 and tau = sqrt(d), so I0 and the moments
-    keep their relative accuracy far above a panel; dI0/dn and d2I0/dn2
-    still cancel there, in sigma e^{jk|z|} - (z/Rbar) e^{jk Rbar}, and are
-    accurate to absolute rounding only.  ``components`` limits only the
-    x/y-moment work: "ixy" and "dixy" each give the moments and their
-    normal derivatives, and with neither the x/y entries are returned as 0
-    (and no radial pass is made); I0 and dI0/dn are always computed.
-    d2I0/dn2 is integrated only with ``want_hyper``, so otherwise it steers
-    neither the refinement nor the estimate.  Derivatives at z = 0 are
-    one-sided limits from z > 0, matching the analytic convention.
+    The edge from vertex a to b, of length L and unit tangent t, has the
+    in-plane normal nu = (t_y, -t_x), the distance d = a x t of the origin
+    from its line (positive on the left; taken from the nearer end) and
+    the arc length s from the foot, from a.t to b.t.  With h = hypot(d, z),
+    R = sqrt(h^2 + s^2), D = R - |z|, E(x) = (e^{jx} - 1) / (jx) and
+    sigma = sgn(z) (+1 at z = 0), the components are e^{jk|z|} times the
+    sums over the edges of
+      I0:        d int E(kD) / (R + |z|) ds,
+      dI0/dn:    sigma d int (1 - jk|z| E) / (R (R + |z|)) ds,
+      d2I0/dn2:  d int [jk (jk E |z|^2 / (R + |z|) - 1) + e^{jkD} / R] / R^2 ds,
+      Ix, Iy:    nu int D E ds,
+      dIx/dn, dIy/dn:  -nu int D (jk z E - sigma) / R ds (0 at z = 0):
+    the closed radial integrals times the signed angle d ds / rho^2, and
+    by Stokes' theorem the moments with the constants (e^{jk|z|} - 1)/(jk)
+    and sigma e^{jk|z|}, which integrate to zero over the closed boundary,
+    taken out.  Each term is formed as a product of ratios: nothing
+    cancels or overflows far above a panel, up to ``geometry.Z_MAX``.
+    An edge is taken in u, s = h sinh u and ds = R du, with R and D from
+    m = expm1(|u|), which keeps their digits at small |u|: R = h + h (cosh u
+    - 1) and D = (h - |z|) + h (cosh u - 1), h - |z| = d^2 / (h + |z|).
+    Where h is 0 (or s/h overflows) it is taken in s / L, split at the
+    foot; only its moments are then not zero.
+    An edge whose subtriangle about the origin ``geometry.walk``'s area or
+    angle test would drop (``DROP_RADIUS_REL``, ``DROP_ANGLE``) keeps only
+    its moments: its d is roundoff, which would add +-pi/2 to dI0/dn at
+    z = 0.  With no edge left, as for a zero-area triangle, every
+    component is exactly 0.  The ranges of all edges, laid end to end and
+    cut into equal pieces no wider than ``ANGLE_PIECE``, are integrated in
+    one ``quad_adaptive`` pass.
+
+    ``verts2d`` are orientation-signed: a clockwise order negates every
+    component.  ``components`` limits only the x/y-moment work: "ixy" and
+    "dixy" each give the moments and their normal derivatives, and with
+    neither the x/y entries are returned as 0; I0 and dI0/dn are always
+    computed.  d2I0/dn2 is integrated only with ``want_hyper``, so
+    otherwise it steers neither the refinement nor the estimate.
+    Derivatives at z = 0 are one-sided limits from z > 0, matching the
+    analytic convention: dI0/dn is the subtended angle and d2I0/dn2 the
+    finite part.
 
     With ``return_status`` the achieved error estimate and convergence
-    flag are returned alongside the values instead of being discarded;
-    both include the radial integrals of the x/y moments.  The estimate
-    also carries both passes' roundoff, 16 machine epsilons of the
-    largest component's integral of |f| (``kronrod.gk_rounds``).  So a
-    converged call reports more than tol where a component is of order
+    flag are returned alongside the values instead of being discarded.
+    The estimate also carries the pass's roundoff, 16 machine epsilons of
+    the largest component's integral of |f| (``kronrod.gk_rounds``).  So
+    a converged call reports more than tol where a component is of order
     1e2 or more (d2I0/dn2 just above a panel): 1e-13 is below one ulp there.
     A z that ``geometry.check_height`` rejects, a k that
     ``expapprox.check_k`` rejects (a bool among them), a tol not > 0, a
     name in ``components`` outside ORACLE_COMPONENTS or vertices that are
-    not three finite (x, y) pairs (``geometry.edge_walk``) are a ValueError.
+    not three finite (x, y) pairs (``geometry.plane_vertices``) are a
+    ValueError.
     """
     check_height(z)
     check_k(k)
@@ -339,78 +349,75 @@ def adaptive_oracle(
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if not set(components) <= set(ORACLE_COMPONENTS):
         raise ValueError(f"components must be names among {ORACLE_COMPONENTS}, got {components!r}")
+    verts = plane_vertices(verts2d)
+    want_xy = "ixy" in components or "dixy" in components
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
     jk = 1j * k
-    ez = cmath.exp(1j * k * az)
-    subs = subdivide(verts2d)
+    radii = [math.hypot(x, y) for x, y in verts]
+    r_max = max(radii)
+    a_drop = DROP_RADIUS_REL * r_max * r_max
+    ranges, kept = [], False  # per range: d (0 for moments only), nu, h, L, h - |z| and its ends
+    for (ax, ay), ra, (bx, by), rb in zip(verts, radii, verts[1:] + verts[:1], radii[1:] + radii[:1]):
+        length = math.hypot(bx - ax, by - ay)
+        if length == 0.0:
+            continue
+        tx, ty = (bx - ax) / length, (by - ay) / length
+        d = ax * ty - ay * tx if ra <= rb else bx * ty - by * tx
+        lo, hi = ax * tx + ay * ty, bx * tx + by * ty
+        s = abs(d)
+        # walk's area and angle tests, in its order: s = 0 fails the first
+        theta = math.atan(hi / s) - math.atan(lo / s) if s * (hi - lo) * 0.5 > a_drop else 0.0
+        keep = DROP_ANGLE <= theta <= math.pi - DROP_ANGLE
+        kept = kept or keep
+        if not (keep or want_xy):
+            continue
+        h = math.hypot(d, z)
+        if h > 0.0 and r_max / h < math.inf:  # u = asinh(s / h) is finite
+            h_z = d * (d / (h + az))  # h - |z|, which does not cancel
+            ranges.append((d if keep else 0.0, ty, -tx, h, length, h_z, math.asinh(lo / h), math.asinh(hi / h)))
+        else:  # in the plane on the edge's line, in s / L from the foot
+            ranges += [(0.0, ty, -tx, 0.0, length, 0.0, a / length, b / length)
+                       for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)) if a < b]
     total = PanelIntegrals(np.zeros(7 if want_hyper else 6, dtype=complex))
-    if not subs:
+    if not kept:
         return (total, {"error": 0.0, "converged": True}) if return_status else total
-    want_xy = "ixy" in components or "dixy" in components
-    rows = [(b.sign, b.s, b.theta_lo, b.theta_hi, math.atan2(b.sin_psi, b.cos_psi)) for b in subs]
-    sign, s, theta_lo, theta_hi, psi = np.array(rows).T
-    # the angle ranges end to end: subtriangle j covers [offsets[j], offsets[j + 1]],
-    # cut in Python arithmetic (no further NumPy kernels in an oracle-only process)
-    offsets = np.concatenate([[0.0], np.cumsum(theta_hi - theta_lo)])
+    d, nu_x, nu_y, h, lengths, h_z, v_lo, v_hi = np.array(ranges).T
+    # the ranges end to end: range j covers [offsets[j], offsets[j + 1]]
+    offsets = np.concatenate([[0.0], np.cumsum(v_hi - v_lo)])
     cuts = []
     for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        n = math.ceil((b - a) / ANGLE_PIECE)  # >= 1: the walk keeps Theta >= DROP_ANGLE
+        n = math.ceil((b - a) / ANGLE_PIECE)
         cuts += [a + (b - a) * i / n for i in range(n)]
     cuts = np.array(cuts + [offsets[-1]])
+    in_u = h > 0.0
 
-    def f_in(t):
-        # x/y radial moment (and its normal derivative, -d/dz) after t^2 = R - |z|: the same
-        # for every angle and subtriangle, which enter only through tau = sqrt(d), d = Rbar - |z|
-        R = az + t * t
-        m = 2.0 * np.exp(1j * k * R) * t * t * np.sqrt(t * t + 2.0 * az)
-        return np.stack([m, z * (1.0 / R - jk) * m / R], axis=-1)
-
-    inner_err, inner_ok = 0.0, True
-    if want_xy:
-        # rbar = s / cos(theta) is largest at an end of its angle range
-        r2 = np.concatenate([s / np.cos(theta_lo), s / np.cos(theta_hi)]) ** 2
-        tau_max = math.sqrt(float(np.max(r2 / (np.sqrt(r2 + z * z) + az))))
-        # f_in has branch points at t = +-i sqrt(2|z|): start from pieces
-        # halved toward t = 0 until the first is no wider than that (at
-        # most 40 halvings), each cut in three, so that most passes accept
-        # every piece in their first round
-        scale = math.sqrt(2.0 * az)
-        n = math.ceil(math.log2(tau_max / scale)) if 0.0 < scale < tau_max else 0
-        halved = np.append(0.0, tau_max * 0.5 ** np.arange(min(n, 40), -1.0, -1.0))
-        thirds = halved[:-1, None] + np.diff(halved)[:, None] * np.array([0.0, 1.0, 2.0]) / 3.0
-        edges = np.append(thirds.ravel(), tau_max)
-        radial, inner_err, inner_ok = kronrod.antiderivative(
-            f_in, edges, tol * 0.02 / len(subs), CUMULATIVE_MAX_ROUNDS, CUMULATIVE_MAX_PENDING
-        )
-
-    def f_theta(x):
-        j = np.searchsorted(offsets[1:-1], x, "right")  # the node's subtriangle
-        th = theta_lo[j] + (x - offsets[j])
-        rbar = s[j] / np.cos(th)
-        Rbar = np.sqrt(rbar * rbar + z * z)
-        d = rbar * rbar / (Rbar + az)  # Rbar - |z|, which does not cancel
-        h = np.exp(0.5j * k * d)
-        eR = ez * h * h  # e^{jk Rbar}
-        i0 = d if k == 0.0 else (2.0 / k) * ez * h * h.imag  # (e^{jk Rbar} - e^{jk|z|}) / jk
-        di0 = sigma * ez - (z / Rbar) * eR
-        ix = iy = dix = diy = np.zeros_like(i0)
+    def f(x):
+        j = np.searchsorted(offsets[1:-1], x, "right")  # the node's range
+        v, hj, dj, u = v_lo[j] + (x - offsets[j]), h[j], d[j], in_u[j]
+        m = np.expm1(np.abs(v))
+        hmc = hj * m * (m / (2.0 * (m + 1.0)))  # h (cosh u - 1)
+        R = np.where(u, hj + hmc, np.abs(lengths[j] * v))
+        D = np.where(u, h_z[j] + hmc, R)  # R - |z|
+        jac = np.where(u, R, lengths[j])  # ds / dv
+        g = jac / R
+        # d / (R + |z|) and d / R (times g), at most 1 in size: 0 on a range of
+        # moments only, however small R is there
+        dq, dr = dj / (R + az), dj / R * g
+        a = 0.5 * k * D
+        ph = np.exp(1j * a)
+        E = np.sinc(a / math.pi) * ph
+        cols = [dq * E * jac, 0.0, 0.0, sigma * g * (dq - jk * E * (az * dq)), 0.0, 0.0]
         if want_xy:
-            v = radial(np.sqrt(d))
-            cpsi, spsi = np.cos(psi[j] + th), np.sin(psi[j] + th)
-            ix, iy, dix, diy = cpsi * v[:, 0], spsi * v[:, 0], cpsi * v[:, 1], spsi * v[:, 1]
-        # PanelIntegrals order; d2I0/dn2 only when asked for, so that
-        # neither the refinement nor the estimate follows a column not returned
-        cols = [i0, ix, iy, di0, dix, diy]
+            moment = D * E * jac
+            cols[1:3] = nu_x[j] * moment, nu_y[j] * moment
+            if z != 0.0:
+                dmoment = -g * (jk * E * (z * D) - sigma * D)
+                cols[4:6] = nu_x[j] * dmoment, nu_y[j] * dmoment
         if want_hyper:
-            cols.append(((rbar / Rbar) ** 2 / Rbar + jk * z * z / Rbar**2) * eR - jk * ez)
-        return sign[j, None] * np.stack(cols, axis=-1)
+            cols.append(dr * (jk * (jk * E * (az * (az / (R + az))) - 1.0)) + dr * ph * ph / R)
+        return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
-    v, err, ok = quad_adaptive(f_theta, cuts[:-1], cuts[1:], tol)
-    total.values += v
-    if return_status:
-        # an inner error e at every angle node moves the outer value by at
-        # most (total angle width) * e, since |cos|, |sin| <= 1
-        achieved = float(err + offsets[-1] * inner_err)
-        return total, {"error": achieved, "converged": ok and inner_ok}
-    return total
+    v, err, ok = quad_adaptive(f, cuts[:-1], cuts[1:], tol)
+    total.values += cmath.exp(jk * az) * v
+    return (total, {"error": err, "converged": ok}) if return_status else total

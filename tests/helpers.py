@@ -17,12 +17,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from helmpanel import kronrod
 from helmpanel.analytic import k_terms
 from helmpanel.estimator import EstimatorGeom, _check_phi
 from helmpanel.expapprox import ExpApprox
 from helmpanel.geometry import SignedSubTriangle, subdivide
-from helmpanel.numquad import CUMULATIVE_MAX_PENDING, CUMULATIVE_MAX_ROUNDS, gauss_rule, polar_nodes, quad_adaptive
+from helmpanel.numquad import gauss_rule, polar_nodes, quad_adaptive
 
 
 def delta(alpha_p: float, th):
@@ -47,17 +46,22 @@ def _adaptive_scaled(f, lo: float, hi: float, rel: float = 1e-13) -> float:
     return float(v[0].real)
 
 
-def cumulative(f, limits, tol: float, max_rounds: int = CUMULATIVE_MAX_ROUNDS,
-               max_added: int = CUMULATIVE_MAX_PENDING):
+def cumulative(f, limits, tol: float):
     """``int_0^L f`` for every ``L`` in ``limits``, from one adaptive pass.
 
-    One ``kronrod.antiderivative`` pass over [0, max(limits)], started from
-    that single interval and evaluated at every limit.  Returns (values
-    (len(limits), ncomp), error_estimate, converged).
+    With r = L t, int_0^L f(r) dr = L int_0^1 f(L t) dt, so one
+    ``quad_adaptive`` pass over [0, 1] takes every limit's integral as
+    components of its own.  Returns (values (len(limits), ncomp),
+    error_estimate, converged).
     """
     limits = np.asarray(limits, dtype=float)
-    F, error, converged = kronrod.antiderivative(f, np.array([0.0, limits.max()]), tol, max_rounds, max_added)
-    return F(limits), error, converged
+
+    def scaled(t):
+        y = np.asarray(f(np.outer(t, limits).ravel())).reshape(len(t), len(limits), -1)
+        return (limits[:, None] * y).reshape(len(t), -1)
+
+    v, error, converged = quad_adaptive(scaled, 0.0, 1.0, tol)
+    return v.reshape(len(limits), -1), error, converged
 
 
 def oracle_pow_plain(alpha: float, lo: float, hi: float, n: int) -> float:

@@ -230,9 +230,9 @@ class TestSelectApprox:
 
 
 def test_import_leaves_numpy_polynomial_out():
-    # the economized tables, the Gauss-Legendre rules and the oracle's
-    # interpolation tables are all built without numpy.polynomial, so no
-    # process that imports helmpanel loads it
+    # the economized tables and the Gauss-Legendre rules are built without
+    # numpy.polynomial, and the oracle reads no other table, so no process
+    # that imports helmpanel loads it
     code = (
         "import sys, helmpanel\n"
         "from helmpanel.expapprox import select_approx\n"

@@ -1,7 +1,9 @@
 """Polar quadrature, adaptive oracle, and the symmetric triangle rule of the tests."""
 
 import importlib.util
+import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -823,17 +825,19 @@ class TestAdaptiveOracle:
     @pytest.mark.parametrize("z", [1e4, 1e6, 6e102, 1e154])
     @pytest.mark.parametrize("k", [0.0, 1.0])
     def test_far_above_keeps_relative_accuracy(self, z, k):
-        # Rbar - |z| is formed as rbar^2 / (Rbar + |z|), which does not cancel: I0 and
-        # the moments keep their relative accuracy where they are far below 1e-13
-        # (I0 once read 0 at z = 6e102, and no call converged from z = 1e4 on).
-        # dI0/dn and d2I0/dn2 still cancel in sigma e^{jk|z|} - (z / Rbar) e^{jk Rbar}
-        # and hold only the absolute bound of test_largest_heights_with_hypersingular
+        # R - |z| is formed without cancellation and every term as a ratio, so all
+        # components keep their relative accuracy where they are far below 1e-13
+        # (I0 once read 0 at z = 6e102, and dI0/dn was 2.2e-5 off at z = 1e6, where
+        # sigma e^{jk|z|} - (z / Rbar) e^{jk Rbar} cancelled).  At z = 1e154, k = 0 the
+        # polar rule's derivatives underflow to 0 (dI0/dn is about 4.5e-309 there):
+        # relative accuracy is asked down to the smallest normal float
         verts = verts_rel((0.4, 0.3))
         got, status = adaptive_oracle(verts, z, k, tol=1e-13, want_hyper=True, return_status=True)
         want = polar_integrate(subdivide(verts), z, k, 48, want_hyper=True)
         assert status["converged"]
-        for name in ("i0", "ix"):
-            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-11 * abs(getattr(want, name)), name
+        for name in ("i0", "ix", "di0_dn", "dix_dn", "d2i0_dn2"):
+            bound = 1e-11 * abs(getattr(want, name)) + sys.float_info.min
+            assert abs(getattr(got, name) - getattr(want, name)) <= bound, name
 
     @pytest.mark.parametrize("components", [("ix", "iy"), ("i0", "d2i0"), "ixy"])
     def test_unknown_component_raises(self, components):
@@ -870,6 +874,13 @@ class TestAdaptiveOracle:
         np.testing.assert_array_equal(got.values, np.zeros(7 if want_hyper else 6))
         assert status == {"error": 0.0, "converged": True}
 
+    @pytest.mark.parametrize("z", [0.0, 0.3])
+    def test_repeated_vertex_gives_zeros(self, z):
+        # a zero-length edge has no direction and the others no area: exact zeros
+        got, status = adaptive_oracle([[0.2, 0.1], [0.2, 0.1], [1.0, 0.5]], z, 1.0, want_hyper=True, return_status=True)
+        np.testing.assert_array_equal(got.values, np.zeros(7))
+        assert status == {"error": 0.0, "converged": True}
+
     def test_status_reports_achieved_error(self):
         verts = verts_rel((0.45, 0.3))
         _, status = adaptive_oracle(
@@ -890,10 +901,23 @@ class TestAdaptiveOracle:
         for name, want in zip(names, FROZEN_ORACLE[key]):
             assert abs(getattr(got, name) - want) <= 1e-13, name
 
+    def test_in_plane_matches_frozen(self):
+        # z = 0 at the four sample projections, k = 0, 1, 2, both vertex orders:
+        # the subtended angle, the finite part and the in-plane edge lines
+        # (h = 0 on the edges through the vertex and edge projections)
+        frozen = json.loads((Path(__file__).parent / "data" / "oracle_inplane_frozen.json").read_text())
+        assert len(frozen["rows"]) == 24
+        for proj, k, order, *parts in frozen["rows"]:
+            verts = verts_rel(SAMPLE_PROJECTIONS[proj])[::order]
+            got, status = adaptive_oracle(verts, 0.0, k, tol=1e-13, want_hyper=True, return_status=True)
+            assert status["converged"]
+            want = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+            assert np.max(np.abs(got.values - want)) <= 1e-13, (proj, k, order)
+
     def test_converges_far_below_tol(self):
-        # the inner radial pieces reach the roundoff floor while their
-        # estimate is already far below the inner tol: the pass must end
-        # converged there, not bisect until its interval cap
+        # the pieces reach the roundoff floor while their estimate is
+        # already far below tol: the pass must end converged there, not
+        # bisect until its interval cap
         verts = np.array([[-0.748847, -0.911343], [-0.929882, 0.512319], [0.788729, -0.709364]])
         _, status = adaptive_oracle(
             verts, -1.121291815, 2.505329, tol=1e-13, want_hyper=True, return_status=True
@@ -912,8 +936,8 @@ class TestAdaptiveOracle:
         assert np.max(np.abs(rough.values - fine.values)) <= status["error"]
 
     def test_one_outer_pass(self, monkeypatch):
-        # one pass, started from pieces that tile every subtriangle's angle
-        # range, laid end to end, none wider than ANGLE_PIECE
+        # one pass, started from pieces that tile every edge's range of
+        # u = asinh(s / h), laid end to end, none wider than ANGLE_PIECE
         calls = []
         inner = numquad.quad_adaptive
 
@@ -922,27 +946,30 @@ class TestAdaptiveOracle:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(numquad, "quad_adaptive", counted)
-        verts = verts_rel(SAMPLE_PROJECTIONS[4])
-        adaptive_oracle(verts, 0.1, 1.0, tol=1e-13, want_hyper=True)
+        verts, z = verts_rel(SAMPLE_PROJECTIONS[4]), 0.1
+        adaptive_oracle(verts, z, 1.0, tol=1e-13, want_hyper=True)
         assert len(calls) == 1
         a, b = calls[0]
-        geoms = [ref_params(sub, 0.1) for sub in subdivide(verts)]
-        offsets = np.concatenate([[0.0], np.cumsum([g.theta_hi - g.theta_lo for g in geoms])])
-        assert a[0] == 0.0 and b[-1] == offsets[-1] and np.array_equal(a[1:], b[:-1])
-        assert set(offsets[1:-1]) <= set(a)
-        assert len(a) > len(geoms) and np.max(b - a) <= numquad.ANGLE_PIECE
+        widths = []
+        for p, q in zip(verts, np.roll(verts, -1, axis=0)):
+            t = (q - p) / np.linalg.norm(q - p)
+            h = math.hypot(p[0] * t[1] - p[1] * t[0], z)
+            widths.append(math.asinh(q @ t / h) - math.asinh(p @ t / h))
+        offsets = np.cumsum(widths)
+        assert a[0] == 0.0 and np.array_equal(a[1:], b[:-1])
+        assert b[-1] == pytest.approx(offsets[-1], rel=1e-14)
+        assert all(np.min(np.abs(a - off)) <= 1e-14 for off in offsets[:-1])
+        assert len(a) > len(widths) and np.max(b - a) <= numquad.ANGLE_PIECE
 
     def test_first_round_accepts(self, monkeypatch):
-        # the equal starting pieces are narrow enough that most angle
-        # passes accept them all in their first round (3.4 rounds per call
-        # here from one piece per subtriangle)
+        # the starting pieces, at most 1 wide in u, are narrow enough that
+        # most passes accept them all in their first round
         rounds = []
         gk15 = kronrod.gk15
 
-        def counted(f, lo, hi, tail=None):
-            if tail is None:
-                rounds.append(len(lo))
-            return gk15(f, lo, hi, tail)
+        def counted(f, lo, hi):
+            rounds.append(len(lo))
+            return gk15(f, lo, hi)
 
         monkeypatch.setattr(kronrod, "gk15", counted)
         for proj, z in FROZEN_ORACLE:
@@ -952,8 +979,8 @@ class TestAdaptiveOracle:
     @pytest.mark.parametrize("seed, index", [(13, 147), (12, 151)])
     def test_status_error_covers_angle_roundoff(self, monkeypatch, seed, index):
         # d2I0/dn2 of about 870 and 490 on these random inputs: two starts of
-        # the angle pass sum in different orders and differ by a few ulps,
-        # far above the GK15 estimates; the status errors carry the sums'
+        # the pass sum in different orders and differ by a few ulps, far
+        # above the GK15 estimates; the status errors carry the sums'
         # roundoff and so cover that difference
         spec = importlib.util.spec_from_file_location(
             "oracle_random", Path(__file__).resolve().parents[1] / "bench" / "oracle_random.py"
@@ -962,55 +989,12 @@ class TestAdaptiveOracle:
         spec.loader.exec_module(bench)
         verts, z, k = list(bench.inputs(index + 1, seed))[index]
         runs = []
-        for width in (numquad.ANGLE_PIECE, math.pi / 24):
+        for width in (numquad.ANGLE_PIECE, 0.3):
             monkeypatch.setattr(numquad, "ANGLE_PIECE", width)
             runs.append(adaptive_oracle(verts, z, k, tol=1e-13, want_hyper=True, return_status=True))
         (v1, s1), (v2, s2) = runs
         assert np.max(np.abs(v1.values)) > 100.0
         assert np.all(np.abs(v1.values - v2.values) <= s1["error"] + s2["error"])
-
-    def test_one_radial_pass(self, monkeypatch):
-        # the radial integral of the x/y moments is adapted once, before the
-        # angle pass, however many rounds that pass runs
-        passes, outer_rounds = [], []
-        build, gk15 = kronrod.antiderivative, kronrod.gk15
-
-        def counted_build(*args):
-            passes.append(args[1])
-            return build(*args)
-
-        def counted_gk15(f, lo, hi, tail=None):
-            if tail is None:
-                outer_rounds.append(len(lo))
-            return gk15(f, lo, hi, tail)
-
-        monkeypatch.setattr(kronrod, "antiderivative", counted_build)
-        monkeypatch.setattr(kronrod, "gk15", counted_gk15)
-        verts = verts_rel(SAMPLE_PROJECTIONS[4])
-        adaptive_oracle(verts, 0.1, 1.0, tol=1e-13, want_hyper=True)
-        assert len(passes) == 1 and len(outer_rounds) > 1
-        passes.clear()
-        adaptive_oracle(verts, 0.1, 1.0, tol=1e-13, want_hyper=True, components=("i0",))
-        assert passes == []
-
-    def test_radial_points_per_call(self, monkeypatch):
-        # the radial integrand's points per full-component call on the
-        # frozen sample-triangle cases, about 170 on average: one radial
-        # pass, shared by every round of the angle pass
-        points = []
-        build = kronrod.antiderivative
-
-        def counted(f, *args):
-            def g(t):
-                points.append(len(t))
-                return f(t)
-
-            return build(g, *args)
-
-        monkeypatch.setattr(kronrod, "antiderivative", counted)
-        for proj, z in FROZEN_ORACLE:
-            adaptive_oracle(verts_rel(SAMPLE_PROJECTIONS[proj]), z, 1.0, tol=1e-13, want_hyper=True)
-        assert sum(points) / len(FROZEN_ORACLE) <= 1400
 
 
 class TestGK15:
@@ -1023,19 +1007,6 @@ class TestGK15:
             exact = np.array([1.0, 2.0 ** (d + 1) - (-1.0) ** (d + 1)]) / (d + 1)
             mass = np.array([1.0, 2.0 ** (d + 1) + 1.0]) / (d + 1)
             assert np.all(np.abs(v[:, 0] - exact) <= 8 * np.finfo(float).eps * mass), d
-
-    def test_interp_tables_match_numpy_polynomial(self):
-        # built on floats, the tables equal numpy.polynomial's build bit for bit
-        leg = np.polynomial.legendre
-        coef = kronrod._inverse(leg.legvander(kronrod._GK_X, 14))
-        qleg = leg.legint(np.eye(15), lbnd=-1)
-        qmon = np.zeros((16, 15))
-        for n in range(15):
-            qmon[: n + 2, n] = leg.leg2poly(qleg[: n + 2, n])
-        want = coef, qmon, coef[13:], leg.legval(kronrod._GK_X, qleg[:, 13:]).T
-        c, q, (r, t) = kronrod._interp_tables()
-        for got, ref in zip((c, q, r, t), want):
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 class TestQuadAdaptive:
@@ -1134,7 +1105,7 @@ class TestQuadAdaptive:
 
 
 class TestQuadCumulative:
-    """Integrals from 0 to many limits: one ``kronrod.antiderivative`` pass (``helpers.cumulative``)."""
+    """Integrals from 0 to many limits: one ``quad_adaptive`` pass over [0, 1] (``helpers.cumulative``)."""
 
     @staticmethod
     def f(x):
@@ -1162,7 +1133,7 @@ class TestQuadCumulative:
         assert v.shape == (2, 2) and np.all(v == 0.0)
 
     def test_matches_quad_adaptive(self):
-        # the oracle's radial moment: smooth in t, oscillating for large k
+        # a radial moment: smooth in t, oscillating for large k
         az, k = 1e-3, 7.0
 
         def f(t):
@@ -1177,39 +1148,10 @@ class TestQuadCumulative:
             assert ok_a
             assert abs(got - want[0]) <= 1e-13
 
-    def test_round_cap_reported_and_pending_kept(self):
-        def f(x):
-            return (np.abs(x) ** -0.5)[:, None]
-
-        v, err, ok = cumulative(f, [1.0], 1e-13, max_rounds=3)
-        assert not ok
-        assert err > 1e-13
-        assert abs(v[0, 0] - 2.0) < 0.1
-        # one round: the unbisected GK15 value, not a dropped interval
-        v1, _, ok1 = cumulative(f, [1.0], 1e-13, max_rounds=1)
-        single, _, _ = quad_adaptive(f, 0.0, 1.0, 1e-13, max_intervals=1)
-        assert not ok1
-        assert v1[0, 0] == single[0]
-
-    def test_pending_cap_reported(self):
-        # a singular integrand oscillating fast enough that every piece
-        # keeps failing: the pending intervals double until the cap
-        sizes = []
-
-        def f(x):
-            sizes.append(len(x))
-            return (np.sin(200.0 / x) / np.sqrt(x))[:, None]
-
-        v, err, ok = cumulative(f, [0.5, 1.0], 1e-13, max_added=8)
-        assert not ok
-        assert len(sizes) < 40 and max(sizes) <= 15 * 8
-        assert err > 1e-13
-        assert np.all(np.isfinite(v))
-
     def test_starting_gaps_not_capped(self):
-        # many limits, one pass over [0, max(limits)]: the limits start no
-        # intervals of their own, and the cap counts only those added by
-        # bisection
+        # many limits, one pass over [0, 1]: the limits start no intervals
+        # of their own, so the first round integrates one piece, at every
+        # limit at once
         sizes = []
 
         def f(x):
@@ -1217,18 +1159,17 @@ class TestQuadCumulative:
             return np.exp(10j * x)[:, None]
 
         limits = np.append(np.linspace(0.1, 1.0, 10), 2.0)
-        v, err, ok = cumulative(f, limits, 1e-13, max_added=8)
+        v, err, ok = cumulative(f, limits, 1e-13)
         assert ok and err <= 1e-13
-        assert len(sizes) > 1  # the pass bisected
+        assert sizes[0] == 15 * len(limits) and len(sizes) > 1  # the pass bisected
         assert np.max(np.abs(v[:, 0] - (np.exp(10j * limits) - 1) / 10j)) <= 1e-13
 
     @pytest.mark.parametrize("az", [1e-3, 0.3, 2.0])
     @pytest.mark.parametrize("tol", [1e-7, 1e-11])
     def test_partial_pieces_within_estimate(self, az, tol):
-        # the oracle's radial moment at k = 0, int_0^tau 2 t^2 sqrt(t^2 + 2|z|) dt,
-        # is int_|z|^Rbar sqrt(R^2 - z^2) dR with R = |z| + t^2, in closed form;
-        # random limits end inside pieces, where the interpolant's integral
-        # must stay within the estimate
+        # a radial moment at k = 0, int_0^tau 2 t^2 sqrt(t^2 + 2|z|) dt, is
+        # int_|z|^Rbar sqrt(R^2 - z^2) dR with R = |z| + t^2, in closed form;
+        # at 200 random limits every value must stay within the estimate
         def f(t):
             return (2.0 * t * t * np.sqrt(t * t + 2.0 * az))[:, None]
 
