@@ -5,16 +5,19 @@
 
 Inputs: vertices uniform in [-1, 1]^2, |z| log-uniform in [1e-4, 10] with
 either sign, k uniform in [0, 3]; every call is full-component at tol
-1e-13 with ``want_hyper=True``.  The values, status and wall time of each
-call go to ``--out``.  One JSON line is printed: the number of calls, of
-non-converged calls, the worst status error and the total time; with
-``--against`` also the worst |v - v_ref| / (1 + |v_ref|) over all
+1e-13 with ``want_hyper=True``.  The values, status, wall time, GK15
+rounds and integrand points of each call go to ``--out``; the rounds and
+points are counted by wrapping ``kronrod.gk15`` of the tree, as the tests
+do.  One JSON line is printed: the number of calls, of non-converged
+calls, the worst status error, the total time and the mean rounds and
+integrand points per call; with ``--against`` also the worst |v - v_ref| / (1 + |v_ref|) over all
 components, the reference's counts, and ``over_bound``: the number of
 inputs with a component where |v - v_ref| exceeds error + error_ref, the
 sum of the two status errors (each is meant to bound its tree's true
 error, so their sum bounds the difference), with the worst such ratio,
-and ``over_bound_at``: each such input's index in the sequence of
-``inputs`` followed by the names of its components over the bound.
+``over_bound_at``: each such input's index in the sequence of
+``inputs`` followed by the names of its components over the bound, and
+the reference's rounds and points per call where its file has them.
 """
 
 from __future__ import annotations
@@ -47,24 +50,39 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=12)
     args = ap.parse_args()
     sys.path.insert(0, str(args.tree.resolve() / "src"))
+    from helmpanel import kronrod
     from helmpanel.analytic import COMPONENTS
     from helmpanel.numquad import adaptive_oracle
 
-    values, errors, converged, seconds = [], [], [], []
+    gk15, sizes = kronrod.gk15, []
+
+    def counted(f, lo, hi):
+        sizes.append(len(lo))
+        return gk15(f, lo, hi)
+
+    kronrod.gk15 = counted
+    values, errors, converged, seconds, rounds, points = [], [], [], [], [], []
     for verts, z, k in inputs(args.n, args.seed):
+        sizes.clear()
         t0 = time.perf_counter()
         v, status = adaptive_oracle(verts, z, k, tol=1e-13, want_hyper=True, return_status=True)
         seconds.append(time.perf_counter() - t0)
         values.append(v.values)
         errors.append(status["error"])
         converged.append(status["converged"])
+        rounds.append(len(sizes))
+        points.append(15 * sum(sizes))
     values = np.array(values)
-    np.savez(args.out, values=values, errors=errors, converged=converged, seconds=seconds)
+    np.savez(
+        args.out, values=values, errors=errors, converged=converged, seconds=seconds, rounds=rounds, points=points
+    )
     summary = {
         "calls": len(values),
         "not_converged": int(np.count_nonzero(~np.array(converged))),
         "max_error": max(errors),
         "total_s": round(sum(seconds), 3),
+        "rounds_per_call": round(float(np.mean(rounds)), 3),
+        "points_per_call": round(float(np.mean(points)), 1),
     }
     if args.against:
         ref = np.load(args.against)
@@ -82,6 +100,11 @@ def main() -> None:
             ref_not_converged=int(np.count_nonzero(~ref["converged"])),
             ref_total_s=round(float(ref["seconds"].sum()), 3),
         )
+        if "rounds" in ref:
+            summary.update(
+                ref_rounds_per_call=round(float(ref["rounds"].mean()), 3),
+                ref_points_per_call=round(float(ref["points"].mean()), 1),
+            )
     print(json.dumps(summary))
 
 

@@ -182,14 +182,14 @@ def cmd_estimate(args) -> int:
     check_tol(args.tol)
     ext = RadialExtents(r_min=args.rmin, r_max=args.rmax)
     sel = select_order(ext, args.z, args.tol)
-    if args.z == 0.0:
+    geom = EstimatorGeom.from_extents(ext, args.z)
+    if geom.sin_phi == 0.0:  # z = 0, or so far below r_max that sin(phi) rounds to 0
         if args.rmin == 0.0:
             print("z = 0 with r_min = 0: singular integral, analytic evaluation required")
         else:
             print("phi = 0 (z = 0, projection outside): the signed subtriangles cancel in the angle, "
                   "analytic evaluation required")
         return 0
-    geom = EstimatorGeom.from_extents(ext, args.z)
     print(
         f"r_mid={_fmt(geom.r_mid)} R_mid={_fmt(geom.R_mid)} "
         f"cos_phi={_fmt(geom.cos_phi)} t={_fmt(geom.t)}"

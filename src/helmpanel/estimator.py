@@ -44,7 +44,9 @@ def _reduced(r_min: float, r_max: float, z: float) -> tuple[float, float, float,
     # Clamping covers rounding: r_min <= r_max keeps t >= -1 but for a
     # subnormal r_max, whose half rounds.
     t = (r_mid - r_min) / r_mid if r_mid > 0.0 else 0.0
-    return r_mid, R_mid, r_mid / R_mid, abs(z) / R_mid, min(1.0, max(-1.0, t))
+    # R_mid is 0 only at z = 0 with an r_max whose half rounds to 0: phi = 0
+    cos_phi, sin_phi = (r_mid / R_mid, abs(z) / R_mid) if R_mid > 0.0 else (1.0, 0.0)
+    return r_mid, R_mid, cos_phi, sin_phi, min(1.0, max(-1.0, t))
 
 
 @dataclass
@@ -72,17 +74,21 @@ def _check_phi(sin_phi: float) -> None:
         )
 
 
-def _e_q_factors(R_mid: float, cos_phi: float, sin_phi: float, t: float) -> tuple[float, float, float, float]:
-    """The order-independent factors of E_Q: (lead, |t|, cos_phi, denom)."""
+def _e_q_factors(R_mid: float, cos_phi: float, sin_phi: float, t: float) -> tuple[float, float, float, float, float]:
+    """The order-independent factors of E_Q: (lead, |t|, cos_phi, denom, R_mid)."""
     _check_phi(sin_phi)
     denom = math.hypot((1.0 - t) * cos_phi, sin_phi)  # no square under- or overflows
-    lead = math.sqrt(2.0 / math.pi) / (R_mid * math.sqrt(sin_phi))  # finite for a subnormal sin_phi
-    return lead, abs(t), cos_phi, denom
+    lead = math.sqrt(2.0 / math.pi) / math.sqrt(sin_phi)  # finite for a subnormal sin_phi
+    return lead, abs(t), cos_phi, denom, R_mid
 
 
-def _e_q(q: int, lead: float, abs_t: float, cos_phi: float, denom: float) -> float:
-    """E_Q from its order-independent factors (``_e_q_factors``)."""
-    return lead * abs_t ** (q + 1) / math.sqrt(q + 1) * cos_phi ** (q + 1) / denom
+def _e_q(q: int, lead: float, abs_t: float, cos_phi: float, denom: float, R_mid: float) -> float:
+    """E_Q from its order-independent factors (``_e_q_factors``).
+
+    R_mid, which is not 0 where sin_phi is not, divides last: a |t| of 0
+    gives 0 however small R_mid is, where 1 / R_mid first would give inf 0.
+    """
+    return lead * abs_t ** (q + 1) / math.sqrt(q + 1) * cos_phi ** (q + 1) / denom / R_mid
 
 
 def e_q_bound(geom: EstimatorGeom, q: int) -> float:
@@ -118,7 +124,8 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
 
     Returns the smallest Q <= q_cap with E_Q <= tol together with that E_Q;
     when no such Q exists the analytic evaluation is required and ``q`` is
-    None.  z = 0 demands the analytic path too.  With r_min = 0 the
+    None.  z = 0 demands the analytic path too, as does a |z| so far below
+    r_max that sin(phi) rounds to 0.  With r_min = 0 the
     integral is singular and no finite order works.  With r_min > 0 the
     radial integrand r/R is constant, but the signed subtriangles about an
     exterior projection are each near-singular in the angle and cancel
@@ -141,14 +148,16 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
     if z == 0.0:
         return ANALYTIC_REQUIRED
     _, R_mid, cos_phi, sin_phi, t = _reduced(extents.r_min, extents.r_max, z)
-    lead, abs_t, cos_phi, denom = _e_q_factors(R_mid, cos_phi, sin_phi, t)
+    if sin_phi == 0.0:  # |z| too far below r_max for sin(phi) to be a float: the z = 0 verdict
+        return ANALYTIC_REQUIRED
+    lead, abs_t, cos_phi, denom, R_mid = _e_q_factors(R_mid, cos_phi, sin_phi, t)
     lo, hi = 1, int(q_cap)
-    if hi < lo or (e_hi := _e_q(hi, lead, abs_t, cos_phi, denom)) > tol:
+    if hi < lo or (e_hi := _e_q(hi, lead, abs_t, cos_phi, denom, R_mid)) > tol:
         return ANALYTIC_REQUIRED
     # invariant: E_hi <= tol, and E_Q > tol for every Q < lo
     while lo < hi:
         mid = (lo + hi) // 2
-        e_mid = _e_q(mid, lead, abs_t, cos_phi, denom)
+        e_mid = _e_q(mid, lead, abs_t, cos_phi, denom, R_mid)
         if e_mid <= tol:
             hi, e_hi = mid, e_mid
         else:

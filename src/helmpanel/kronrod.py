@@ -4,7 +4,9 @@
 pending interval in one call of the integrand and bisects those whose
 estimate exceeds their share of the tolerance (QUADPACK's estimate,
 Piessens et al. 1983); its error estimate also carries the roundoff of
-the sum.  ``numquad.quad_adaptive`` checks its arguments and runs it.
+the sum.  ``quad_adaptive`` checks its arguments and runs it;
+``numquad`` binds it for ``adaptive_oracle`` and the layer tracer.
+``start_width`` sizes starting pieces from the G7 rule's error near a pole.
 """
 
 from __future__ import annotations
@@ -42,16 +44,16 @@ _GK_WK = np.array([row[2] for row in _GK15])
 
 
 def gk15(f, lo: np.ndarray, hi: np.ndarray):
-    """GK15 values and error estimates on the intervals [lo_i, hi_i].
+    """GK15 values, error estimates and integrals of |f| on the intervals [lo_i, hi_i].
 
     One call of ``f`` on all 15 * len(lo) abscissae.  Returns the K15
     values (intervals, ncomp), per interval the largest component of the
-    QUADPACK-style estimate, and the samples (intervals, 15, ncomp).  The
-    estimate is |K15 - G7| scaled by the interval's deviation-from-mean
-    integral, so that smooth intervals are not held at the raw
-    difference's roundoff floor.  A sample that is not finite gives an
-    estimate that is not finite, without a warning (0 inf, inf - inf), and
-    ``gk_rounds`` ends the pass there.
+    QUADPACK-style estimate, and the K15 integrals of |f| (intervals,
+    ncomp).  The estimate is |K15 - G7| scaled by the interval's
+    deviation-from-mean integral, so that smooth intervals are not held
+    at the raw difference's roundoff floor.  A sample that is not finite
+    gives an estimate that is not finite, without a warning (0 inf,
+    inf - inf), and ``gk_rounds`` ends the pass there.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -59,17 +61,17 @@ def gk15(f, lo: np.ndarray, hi: np.ndarray):
     y = np.asarray(f(x.ravel())).reshape(len(lo), len(_GK_X), -1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sk = _GK_WK @ y
-        k15 = half[:, None] * sk
-        g7 = half[:, None] * (_GK_WG @ y)
+        half = half[:, None]
         # the Kronrod weights sum to 2, so sk / 2 is the mean of f
-        resasc = half[:, None] * (_GK_WK @ np.abs(y - 0.5 * sk[:, None, :]))
-        e = np.abs(k15 - g7)
+        resasc = half * (_GK_WK @ np.abs(y - 0.5 * sk[:, None, :]))
+        e = half * np.abs(sk - _GK_WG @ y)
+        mass = half * (_GK_WK @ np.abs(y))
         scaled = np.where(
             resasc > 0.0,
             resasc * np.minimum(1.0, (200.0 * e / resasc) ** 1.5),  # not taken where resasc is 0 or NaN
             e,
         )
-    return k15, np.max(scaled, axis=1), y
+    return half * sk, scaled.max(axis=1), mass
 
 
 # roundoff of a pass's values per unit of its integral of |f|, per
@@ -98,26 +100,84 @@ def gk_rounds(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_rounds: int, ma
     """
     total = float(np.sum(np.abs(hi - lo)))
     per_width = tol / total if total > 0.0 else 0.0
-    done_v, error, added, mass = [], 0.0, 0, 0.0
+    value, error, added, mass = 0.0, 0.0, 0, 0.0
     for rounds in range(1, max_rounds + 1):
-        v, e, y = gk15(f, lo, hi)
+        v, e, m = gk15(f, lo, hi)
         split = e > per_width * np.abs(hi - lo)
-        n_split = np.count_nonzero(split)
-        estimate = error + float(np.sum(e))
+        n_split = int(np.count_nonzero(split))
+        estimate = error + float(e.sum())
         finite = math.isfinite(estimate)
-        converged = finite and bool(n_split == 0 or estimate <= tol)
+        converged = finite and (n_split == 0 or estimate <= tol)
         if converged or not finite or rounds == max_rounds or added + n_split > max_added:
-            split[:] = False
-        done = ~split
-        done_v.append(v[done])
-        error += float(np.sum(e[done]))
-        # K15 integral of |f| over the accepted intervals, per component
-        mass = mass + np.sum(0.5 * np.abs(hi - lo)[done, None] * (_GK_WK @ np.abs(y[done])), axis=0)
-        if not split.any():
+            value, error, mass = value + v.sum(axis=0), estimate, mass + m.sum(axis=0)
             break
+        done = ~split
+        value, error, mass = value + v[done].sum(axis=0), error + float(e[done].sum()), mass + m[done].sum(axis=0)
         added += n_split
         lo, hi = lo[split], hi[split]
         mid = 0.5 * (lo + hi)
         lo, hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
-    error += _ROUNDOFF * float(np.max(mass))
-    return np.concatenate(done_v).sum(axis=0), error, converged
+    return value, error + _ROUNDOFF * float(mass.max()), converged
+
+
+# Default cap on the intervals of a ``quad_adaptive`` pass.
+MAX_INTERVALS = 4000
+
+
+def is_count(n) -> bool:
+    """Whether n is an integer >= 1, Python or NumPy, and not a bool."""
+    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
+
+
+def quad_adaptive(f, a, b, tol: float, max_intervals: int = MAX_INTERVALS):
+    """Adaptive Gauss-Kronrod quadrature of a vector integrand.
+
+    ``f`` maps an array of abscissae to an array (npts, ncomp); complex
+    components are fine.  ``a`` and ``b`` are scalars or equal-length 1-D
+    arrays; the integral is the sum over the intervals [a_i, b_i], taken
+    in rounds by ``gk_rounds`` with at most ``max_intervals`` intervals.
+    Returns (values, error_estimate, converged); the estimate is the
+    summed per-interval |K15 - G7| (QUADPACK-scaled, see ``gk15``), a
+    conservative bound for smooth integrands, plus the roundoff of the
+    sum.  A tol not > 0, a ``max_intervals`` that is
+    not an integer >= 1 (a bool is not) or an ``a`` and ``b`` of different
+    lengths are a ValueError, raised before ``f`` is called.
+    """
+    if not tol > 0.0:  # written so that a NaN fails it
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if not is_count(max_intervals):
+        raise ValueError(f"max_intervals must be an integer >= 1, got {max_intervals!r}")
+    lo, hi = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if lo.shape != hi.shape:
+        raise ValueError(f"a and b must have the same length, got {lo.shape} and {hi.shape}")
+    # every round but the last adds an interval: the cap bounds the rounds
+    return gk_rounds(f, lo, hi, tol, max_intervals, max_intervals - len(lo))
+
+
+# Gauss remainder constant of the 7-point rule on [-1, 1],
+# gamma_n = 2^(2n+1) (n!)^4 / ((2n + 1) ((2n)!)^3) at n = 7
+GAMMA_7 = 2.0**15 * math.factorial(7) ** 4 / (15 * math.factorial(14) ** 3)
+
+
+def start_width(pole: float, tol: float, total: float) -> float:
+    """Width of starting pieces that G7 accepts on a range whose integrand's nearest pole is at height ``pole``.
+
+    On a piece of half-width r under a simple pole of residue 1 at
+    height y above its centre, the Gauss rule's error from that pole is
+    about 2 pi rho^-(2n + 1), rho = y / r + sqrt((y / r)^2 + 1) the
+    Bernstein ellipse through the pole (Donaldson & Elliott, SIAM J.
+    Numer. Anal. 9(4), 1972; Trefethen, SIAM Review 50(1), 2008).  The G7
+    rule drives the GK15 estimate, so n = 7.  Returns 2r for the largest r
+    whose error stays within the piece's share tol 2r / total of the
+    pass's tolerance, where 15 asinh(y / r) = ln(c / r), c = pi total / tol.  From rho >= 2y / r,
+    r = 2y (2y / c)^(1/14) meets it, within 2% of the root at tol 1e-13;
+    one step of r = y / sinh(ln(c / r) / 15) from there stays below the
+    root and within 0.1% of it.  Where r reaches c, no width is too wide
+    (rho >= 1), and the width is inf.  ln c is formed as a difference, so
+    a tol near the float minimum gives a finite width.
+    """
+    log_c = math.log(math.pi * total) - math.log(tol)
+    log_r = math.log(2.0 * pole) + (math.log(2.0 * pole) - log_c) / 14.0
+    if log_r >= log_c:
+        return math.inf
+    return 2.0 * pole / math.sinh((log_c - log_r) / 15.0)

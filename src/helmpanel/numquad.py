@@ -20,8 +20,10 @@ Every component is a 1-D integral over the edges: the radial integrals of
 I0, dI0/dn and d2I0/dn2 have closed forms, and the x/y moments and their
 normal derivatives follow by Stokes' theorem.  Each edge is mapped by
 s = h sinh u (h the field point's distance from the edge's line), and the
-u-ranges of all edges, laid end to end and cut into starting pieces no
-wider than ``ANGLE_PIECE``, are integrated in one round-based pass.
+u-ranges of all edges, laid end to end, are integrated in one round-based
+pass.  Each range starts from equal pieces whose width
+``kronrod.start_width`` derives from the nearest pole of the integrands in
+u, so that the first round accepts them.
 """
 
 from __future__ import annotations
@@ -37,16 +39,13 @@ from .analytic import PanelIntegrals
 from .expapprox import check_k
 # ref_params and subdivide are bound here, unused, for the layer tracer of perfbench
 from .geometry import DROP_ANGLE, DROP_RADIUS_REL, check_height, plane_vertices, ref_params, subdivide  # noqa: F401
-
-
-def _is_count(n) -> bool:
-    """Whether n is an integer >= 1, Python or NumPy, and not a bool."""
-    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
+# the oracle calls quad_adaptive through this binding, which the tracer wraps
+from .kronrod import quad_adaptive
 
 
 def check_order(n) -> None:
     """Raise ValueError unless the Gauss order n is an integer >= 1 (a bool is not)."""
-    if not _is_count(n):
+    if not kronrod.is_count(n):
         raise ValueError(f"n_gauss must be an integer >= 1, got {n!r}")
 
 
@@ -108,31 +107,6 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.array([-v for v in xs[:half]] + xs[::-1]), np.array(ws[:half] + ws[::-1])
     x.flags.writeable = w.flags.writeable = False  # cached and shared
     return x, w
-
-
-def quad_adaptive(f, a, b, tol: float, max_intervals: int = 4000):
-    """Adaptive Gauss-Kronrod quadrature of a vector integrand.
-
-    ``f`` maps an array of abscissae to an array (npts, ncomp); complex
-    components are fine.  ``a`` and ``b`` are scalars or equal-length 1-D
-    arrays; the integral is the sum over the intervals [a_i, b_i], taken
-    in rounds by ``kronrod.gk_rounds`` with at most ``max_intervals``
-    intervals.  Returns (values, error_estimate, converged); the estimate
-    is the summed per-interval |K15 - G7| (QUADPACK-scaled, see
-    ``kronrod.gk15``), a conservative bound for smooth integrands, plus
-    the roundoff of the sum.  A tol not > 0, a ``max_intervals`` that is
-    not an integer >= 1 (a bool is not) or an ``a`` and ``b`` of different
-    lengths are a ValueError, raised before ``f`` is called.
-    """
-    if not tol > 0.0:  # written so that a NaN fails it
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    if not _is_count(max_intervals):
-        raise ValueError(f"max_intervals must be an integer >= 1, got {max_intervals!r}")
-    lo, hi = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if lo.shape != hi.shape:
-        raise ValueError(f"a and b must have the same length, got {lo.shape} and {hi.shape}")
-    # every round but the last adds an interval: the cap bounds the rounds
-    return kronrod.gk_rounds(f, lo, hi, tol, max_intervals, max_intervals - len(lo))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -275,11 +249,6 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
 # The names ``adaptive_oracle`` accepts in ``components``.
 ORACLE_COMPONENTS = ("i0", "ixy", "di0", "dixy")
 
-# Widest starting piece of the oracle's pass, in u (s = h sinh u) or in s / L
-# on an in-plane edge line: 1.5 rounds per call on the oracle_sweep pool.
-ANGLE_PIECE = 1.0
-
-
 def adaptive_oracle(
     verts2d,
     z: float,
@@ -317,9 +286,23 @@ def adaptive_oracle(
     angle test would drop (``DROP_RADIUS_REL``, ``DROP_ANGLE``) keeps only
     its moments: its d is roundoff, which would add +-pi/2 to dI0/dn at
     z = 0.  With no edge left, as for a zero-area triangle, every
-    component is exactly 0.  The ranges of all edges, laid end to end and
-    cut into equal pieces no wider than ``ANGLE_PIECE``, are integrated in
-    one ``quad_adaptive`` pass.
+    component is exactly 0.
+
+    The ranges of all edges, laid end to end, are integrated in one
+    ``quad_adaptive`` pass, from equal pieces per range sized so that its
+    first round accepts them.  In u the integrands are singular only where
+    R = h cosh u is 0 or -|z|: d2I0/dn2 has poles at u = +-i pi/2, I0 and
+    dI0/dn at u = +-i beta, beta = pi - arccos(|z| / h) >= pi/2, and the
+    moments are entire.  A u-range is cut at the ``kronrod.start_width``
+    of the nearest pole among the requested components, taken with
+    residue 1: bounds on the residues cost more integrand points than they
+    save.  On an in-plane edge line only the moments remain,
+    (e^{jks} - 1) / (jk) in s, whose 14th derivative is at most k^13 in
+    size: a piece of half-width r in s errs by at most gamma_7 k^13 r^15,
+    and it is cut where that meets its share of tol (in one piece at
+    k = 0, where G7 is exact).  There are at most about
+    ``kronrod.MAX_INTERVALS`` starting pieces, the pass's interval cap,
+    since a finer start could not be refined.
 
     ``verts2d`` are orientation-signed: a clockwise order negates every
     component.  ``components`` limits only the x/y-moment work: "ixy" and
@@ -357,7 +340,8 @@ def adaptive_oracle(
     radii = [math.hypot(x, y) for x, y in verts]
     r_max = max(radii)
     a_drop = DROP_RADIUS_REL * r_max * r_max
-    ranges, kept = [], False  # per range: d (0 for moments only), nu, h, L, h - |z| and its ends
+    # per range: its ends, d (0 for moments only), h, h - |z|, nu and L
+    ranges, kept = [], False
     for (ax, ay), ra, (bx, by), rb in zip(verts, radii, verts[1:] + verts[:1], radii[1:] + radii[:1]):
         length = math.hypot(bx - ax, by - ay)
         if length == 0.0:
@@ -375,48 +359,78 @@ def adaptive_oracle(
         h = math.hypot(d, z)
         if h > 0.0 and r_max / h < math.inf:  # u = asinh(s / h) is finite
             h_z = d * (d / (h + az))  # h - |z|, which does not cancel
-            ranges.append((d if keep else 0.0, ty, -tx, h, length, h_z, math.asinh(lo / h), math.asinh(hi / h)))
+            ranges.append((math.asinh(lo / h), math.asinh(hi / h), d if keep else 0.0, h, h_z, ty, -tx, length))
         else:  # in the plane on the edge's line, in s / L from the foot
-            ranges += [(0.0, ty, -tx, 0.0, length, 0.0, a / length, b / length)
+            ranges += [(a / length, b / length, 0.0, 0.0, 0.0, ty, -tx, length)
                        for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)) if a < b]
     total = PanelIntegrals(np.zeros(7 if want_hyper else 6, dtype=complex))
     if not kept:
         return (total, {"error": 0.0, "converged": True}) if return_status else total
-    d, nu_x, nu_y, h, lengths, h_z, v_lo, v_hi = np.array(ranges).T
-    # the ranges end to end: range j covers [offsets[j], offsets[j + 1]]
-    offsets = np.concatenate([[0.0], np.cumsum(v_hi - v_lo)])
-    cuts = []
-    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        n = math.ceil((b - a) / ANGLE_PIECE)
-        cuts += [a + (b - a) * i / n for i in range(n)]
-    cuts = np.array(cuts + [offsets[-1]])
-    in_u = h > 0.0
+    width = sum(b - a for a, b, *_ in ranges)
+    floor = width / kronrod.MAX_INTERVALS
+    cuts, starts, table = [], [], []
+    offset = 0.0
+    for v_lo, v_hi, d, h, h_z, nu_x, nu_y, length in ranges:
+        if h > 0.0:
+            pole = 0.5 * math.pi if want_hyper else math.pi - math.acos(az / h)
+            piece = kronrod.start_width(pole, tol, width)
+        elif k > 0.0:  # gamma_7 k^13 r^15 <= tol (2r / L) / width, r the half-width in s
+            r = (2.0 / kronrod.GAMMA_7 * tol / length / width) ** (1.0 / 14.0) / k ** (13.0 / 14.0)
+            piece = 2.0 * r / length
+        else:
+            piece = math.inf
+        w = v_hi - v_lo
+        n = max(1, math.ceil(w / max(piece, floor)))
+        starts.append(offset)
+        cuts += [offset + w * i / n for i in range(n)]
+        table.append((v_lo - offset, h, d, h_z, nu_x, nu_y, length))
+        offset += w
+    cuts = np.array(cuts + [offset])
+    starts = np.array(starts[1:])  # where each range after the first begins
+    table = np.array(table).T  # (7, ranges): shift from x to v, h, d, h - |z|, nu_x, nu_y, L
+    in_plane = not table[1].all()  # a range in s / L, where h is 0
+    n_comp = len(total.values)
 
     def f(x):
-        j = np.searchsorted(offsets[1:-1], x, "right")  # the node's range
-        v, hj, dj, u = v_lo[j] + (x - offsets[j]), h[j], d[j], in_u[j]
+        shift, hj, dj, h_z, nu_x, nu_y, lj = table.take(np.searchsorted(starts, x, "right"), axis=1)
+        v = x + shift
         m = np.expm1(np.abs(v))
         hmc = hj * m * (m / (2.0 * (m + 1.0)))  # h (cosh u - 1)
-        R = np.where(u, hj + hmc, np.abs(lengths[j] * v))
-        D = np.where(u, h_z[j] + hmc, R)  # R - |z|
-        jac = np.where(u, R, lengths[j])  # ds / dv
-        g = jac / R
-        # d / (R + |z|) and d / R (times g), at most 1 in size: 0 on a range of
-        # moments only, however small R is there
-        dq, dr = dj / (R + az), dj / R * g
+        R, D = hj + hmc, h_z + hmc  # D = R - |z|
+        jac = R  # ds / dv: R in u
+        if in_plane:
+            u = hj > 0.0
+            R = np.where(u, R, np.abs(lj * v))
+            D = np.where(u, D, R)
+            jac = np.where(u, R, lj)
+        r_z = R + az
+        # d / (R + |z|) and d / R, at most 1 in size: 0 on a range of moments
+        # only, however small R is there
+        dq = dj / r_z
+        # E = (sin(a) / a) e^{ja}, a = kD / 2, from one cosine and one sine
         a = 0.5 * k * D
-        ph = np.exp(1j * a)
-        E = np.sinc(a / math.pi) * ph
-        cols = [dq * E * jac, 0.0, 0.0, sigma * g * (dq - jk * E * (az * dq)), 0.0, 0.0]
+        ph = np.empty(len(x), dtype=complex)
+        np.cos(a, out=ph.real)
+        np.sin(a, out=ph.imag)
+        E = np.divide(ph.imag, a, out=np.ones(len(x)), where=a != 0.0) * ph
+        jk_e = jk * E
+        out = np.zeros((len(x), n_comp), dtype=complex)
+        out[:, 0] = dq * E * jac
+        out[:, 3] = sigma * (dq - jk_e * (az * dq))
         if want_xy:
             moment = D * E * jac
-            cols[1:3] = nu_x[j] * moment, nu_y[j] * moment
+            out[:, 1] = nu_x * moment
+            out[:, 2] = nu_y * moment
             if z != 0.0:
-                dmoment = -g * (jk * E * (z * D) - sigma * D)
-                cols[4:6] = nu_x[j] * dmoment, nu_y[j] * dmoment
+                dmoment = sigma * D - jk_e * (z * D)
+                if in_plane:
+                    dmoment *= jac / R
+                out[:, 4] = nu_x * dmoment
+                out[:, 5] = nu_y * dmoment
         if want_hyper:
-            cols.append(dr * (jk * (jk * E * (az * (az / (R + az))) - 1.0)) + dr * ph * ph / R)
-        return np.stack(np.broadcast_arrays(*cols), axis=-1)
+            dr = dj / R
+            out[:, 6] = dr * (jk * (jk_e * (az * (az / r_z)) - 1.0)) + dr * ph * ph / R
+        return out
 
     v, err, ok = quad_adaptive(f, cuts[:-1], cuts[1:], tol)
     total.values += cmath.exp(jk * az) * v

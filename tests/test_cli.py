@@ -380,6 +380,16 @@ class TestEstimate:
         assert code == 0
         assert want in out and "nan" not in out
 
+    @pytest.mark.parametrize(
+        "rmax, rmin, want",
+        [("1e-308", "5e-309", "selection: Q = 1, n_gauss = 1, E_Q = 0\n"), ("4", "0", "analytic evaluation required")],
+    )
+    def test_near_float_minimum(self, rmax, rmin, want):
+        # a column of nan and "E_Q = nan" once, and an error where sin(phi) underflows
+        code, out = run_main(["estimate", "--rmax", rmax, "--rmin", rmin, "--z", "5e-324", "--tol", "1e-6"])
+        assert code == 0
+        assert want in out and "nan" not in out
+
     @pytest.mark.parametrize("flag", ["--z", "--rmin", "--rmax", "--tol"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_input_rejected(self, flag, bad, capsys):

@@ -219,22 +219,25 @@ class TestSelectOrder:
             select_order(ext, z, 1e-6)
         assert str(reduced.value) == str(selection.value)
 
-    @pytest.mark.parametrize("r_max", [1.0, 4.0, 1e300, 1.7e308])
+    @pytest.mark.parametrize("r_max", [5e-324, 1e-308, 1.0, 4.0, 1e300, 1.7e308])
     @pytest.mark.parametrize("z", [0.0, 1e-170, -1e-170, 5e-324, 1.0, 1e300])
     def test_extreme_scales_give_a_bound_or_analytic(self, r_max, z):
         # E_Q's denominator once squared (1 - t) cos(phi) and sin(phi), which
         # underflow (a ZeroDivisionError at z = 1e-170 or r_max = 1e300), and
         # its lead took sqrt(2 / (pi sin(phi))), which overflows for a
-        # subnormal sin(phi) (e_q NaN at r_min = r_max / 2, z = 5e-324)
+        # subnormal sin(phi) (e_q NaN at r_min = r_max / 2, z = 5e-324); a z
+        # whose sin(phi) underflows once raised the in-plane "phi = 0" error
+        # where z = 0 gave the analytic verdict (r_max = 4, z = 5e-324); near the
+        # float minimum e_q was NaN (r_max = 1e-308, z = 5e-324) and r_max / 2
+        # rounded to 0, a ZeroDivisionError (r_max = 5e-324, z = 0)
         for r_min in (0.0, 0.5 * r_max, r_max):
             ext = RadialExtents(r_min, r_max)
             geom = EstimatorGeom.from_extents(ext, z)
             assert all(math.isfinite(v) for v in dataclasses.astuple(geom))
-            if z != 0.0 and geom.sin_phi == 0.0:  # |z| / R_mid underflows: the in-plane error
-                with pytest.raises(ValueError, match="phi = 0"):
-                    select_order(ext, z, 1e-6)
-                continue
             sel = select_order(ext, z, 1e-6)
+            if geom.sin_phi == 0.0:  # z = 0, or |z| / R_mid underflows: the z = 0 verdict
+                assert sel.analytic_required
+                continue
             assert sel.analytic_required or math.isfinite(sel.e_q)
             if z != 0.0:
                 # inf where the bound exceeds the float range, never NaN
@@ -245,6 +248,12 @@ class TestSelectOrder:
         assert select_order(RadialExtents(0.0, 1e300), 1.0, 1e-6).analytic_required
         assert select_order(RadialExtents(0.5, 1.0), 5e-324, 1e-6) == OrderSelection(1, 0.0)
         assert math.isfinite(e_q_bound(geom_for(1.0, 0.0, 1e-170), Q_CAP))
+        # e_q was NaN (1 / R_mid overflowed against t = 0), r_max / 2 rounded to 0
+        # (a ZeroDivisionError), and a sin(phi) that underflows raised the in-plane error
+        assert select_order(RadialExtents(5e-309, 1e-308), 5e-324, 1e-6) == OrderSelection(1, 0.0)
+        geom = EstimatorGeom.from_extents(RadialExtents(0.0, 5e-324), 0.0)
+        assert (geom.cos_phi, geom.sin_phi) == (1.0, 0.0)
+        assert select_order(RadialExtents(0.0, 4.0), 5e-324, 1e-6).analytic_required
 
     def test_clamp_decides_for_a_subnormal_r_max(self):
         # r_max = 5 ulp of the smallest subnormal: r_max / 2 rounds down to

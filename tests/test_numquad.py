@@ -901,6 +901,26 @@ class TestAdaptiveOracle:
         for name, want in zip(names, FROZEN_ORACLE[key]):
             assert abs(getattr(got, name) - want) <= 1e-13, name
 
+    @pytest.mark.parametrize("proj", [1, 2, 3, 4])
+    def test_below_the_plane_mirrors_above(self, proj):
+        # I0, the moments and d2I0/dn2 are even in z and the first normal
+        # derivatives odd; the frozen values are all above the plane, and a
+        # sign slip in sigma would show only below it
+        verts = verts_rel(SAMPLE_PROJECTIONS[proj])
+        for z in (1e-3, 0.3):
+            above = adaptive_oracle(verts, z, 1.0, tol=1e-13, want_hyper=True).values
+            below = adaptive_oracle(verts, -z, 1.0, tol=1e-13, want_hyper=True).values
+            mirror = above * np.array([1, 1, 1, -1, -1, -1, 1])
+            assert np.all(np.abs(below - mirror) <= 1e-14 * (1.0 + np.abs(above))), z
+        # at |z| = 5e-324 the edges through a vertex or edge projection have an h
+        # that r_max / h overflows and are taken in s with z != 0: the one-sided
+        # limits of z = 0, mirrored below the plane
+        zero = adaptive_oracle(verts, 0.0, 1.0, tol=1e-13).values
+        for sign in (1.0, -1.0):
+            tiny = adaptive_oracle(verts, sign * 5e-324, 1.0, tol=1e-13).values
+            mirror = zero * np.array([1, 1, 1, sign, sign, sign])
+            assert np.all(np.abs(tiny - mirror) <= 1e-14 * (1.0 + np.abs(zero))), sign
+
     def test_in_plane_matches_frozen(self):
         # z = 0 at the four sample projections, k = 0, 1, 2, both vertex orders:
         # the subtended angle, the finite part and the in-plane edge lines
@@ -936,8 +956,10 @@ class TestAdaptiveOracle:
         assert np.max(np.abs(rough.values - fine.values)) <= status["error"]
 
     def test_one_outer_pass(self, monkeypatch):
-        # one pass, started from pieces that tile every edge's range of
-        # u = asinh(s / h), laid end to end, none wider than ANGLE_PIECE
+        # one pass, started from equal pieces that tile every edge's range of
+        # u = asinh(s / h), laid end to end, none wider than start_width at the
+        # nearest pole: i pi / 2 with want_hyper, i beta_e = i (pi - arccos(|z| / h_e))
+        # without
         calls = []
         inner = numquad.quad_adaptive
 
@@ -947,23 +969,34 @@ class TestAdaptiveOracle:
 
         monkeypatch.setattr(numquad, "quad_adaptive", counted)
         verts, z = verts_rel(SAMPLE_PROJECTIONS[4]), 0.1
-        adaptive_oracle(verts, z, 1.0, tol=1e-13, want_hyper=True)
-        assert len(calls) == 1
-        a, b = calls[0]
-        widths = []
+        widths, heights = [], []
         for p, q in zip(verts, np.roll(verts, -1, axis=0)):
             t = (q - p) / np.linalg.norm(q - p)
             h = math.hypot(p[0] * t[1] - p[1] * t[0], z)
             widths.append(math.asinh(q @ t / h) - math.asinh(p @ t / h))
-        offsets = np.cumsum(widths)
-        assert a[0] == 0.0 and np.array_equal(a[1:], b[:-1])
-        assert b[-1] == pytest.approx(offsets[-1], rel=1e-14)
-        assert all(np.min(np.abs(a - off)) <= 1e-14 for off in offsets[:-1])
-        assert len(a) > len(widths) and np.max(b - a) <= numquad.ANGLE_PIECE
+            heights.append(h)
+        offsets = np.concatenate([[0.0], np.cumsum(widths)])
+        for want_hyper in (True, False):
+            calls.clear()
+            adaptive_oracle(verts, z, 1.0, tol=1e-13, want_hyper=want_hyper)
+            assert len(calls) == 1
+            a, b = calls[0]
+            assert a[0] == 0.0 and np.array_equal(a[1:], b[:-1])
+            assert b[-1] == pytest.approx(offsets[-1], rel=1e-14)
+            for lo, hi, h in zip(offsets[:-1], offsets[1:], heights):
+                pole = math.pi / 2 if want_hyper else math.pi - math.acos(z / h)
+                limit = kronrod.start_width(pole, 1e-13, offsets[-1])
+                assert np.min(np.abs(a - lo)) <= 1e-14  # a piece starts where the range does
+                mine = (a >= lo - 1e-14) & (b <= hi + 1e-14)
+                assert np.ptp(b[mine] - a[mine]) <= 1e-14  # equal pieces
+                assert np.sum(b[mine] - a[mine]) == pytest.approx(hi - lo, rel=1e-14)
+                assert np.max(b[mine] - a[mine]) <= limit * (1.0 + 1e-14)
+                assert np.count_nonzero(mine) == math.ceil((hi - lo) / limit)  # and no narrower
+            assert len(a) > len(widths)
 
     def test_first_round_accepts(self, monkeypatch):
-        # the starting pieces, at most 1 wide in u, are narrow enough that
-        # most passes accept them all in their first round
+        # the starting pieces, sized from the integrands' poles, are narrow
+        # enough that every pass accepts them all in its first round
         rounds = []
         gk15 = kronrod.gk15
 
@@ -973,27 +1006,51 @@ class TestAdaptiveOracle:
 
         monkeypatch.setattr(kronrod, "gk15", counted)
         for proj, z in FROZEN_ORACLE:
+            rounds.clear()
             adaptive_oracle(verts_rel(SAMPLE_PROJECTIONS[proj]), z, 1.0, tol=1e-13, want_hyper=True)
-        assert len(rounds) / len(FROZEN_ORACLE) <= 1.5
+            assert len(rounds) == 1, (proj, z)
+
+    def test_start_is_held_at_the_interval_cap(self, monkeypatch):
+        # at tol 1e-300 the derived u-widths are about 1e-21, and on the in-plane
+        # edge lines of a vertex projection at k = 1e6 about 1e-6 of the edge:
+        # the start stays within the pass's interval cap, which a finer one
+        # could not refine
+        starts = []
+        inner = numquad.quad_adaptive
+
+        def counted(f, a, b, tol):
+            starts.append(len(a))
+            return inner(f, a, b, tol)
+
+        monkeypatch.setattr(numquad, "quad_adaptive", counted)
+        for proj, z, k, tol in ((2, 0.1, 1.0, 1e-300), (1, 0.0, 1e6, 1e-13)):
+            got, status = adaptive_oracle(
+                verts_rel(SAMPLE_PROJECTIONS[proj]), z, k, tol=tol, want_hyper=True, return_status=True
+            )
+            assert kronrod.MAX_INTERVALS / 2 < starts[-1] <= kronrod.MAX_INTERVALS + 4
+            assert np.isfinite(got.values).all() and not status["converged"]
 
     @pytest.mark.parametrize("seed, index", [(13, 147), (12, 151)])
     def test_status_error_covers_angle_roundoff(self, monkeypatch, seed, index):
         # d2I0/dn2 of about 870 and 490 on these random inputs: two starts of
-        # the pass sum in different orders and differ by a few ulps, far
-        # above the GK15 estimates; the status errors carry the sums'
-        # roundoff and so cover that difference
+        # the pass, from the derived widths and from half of them, sum in
+        # different orders and differ by a few ulps, far above the GK15
+        # estimates; the status errors carry the sums' roundoff and so cover
+        # that difference
         spec = importlib.util.spec_from_file_location(
             "oracle_random", Path(__file__).resolve().parents[1] / "bench" / "oracle_random.py"
         )
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
         verts, z, k = list(bench.inputs(index + 1, seed))[index]
+        width = kronrod.start_width
         runs = []
-        for width in (numquad.ANGLE_PIECE, 0.3):
-            monkeypatch.setattr(numquad, "ANGLE_PIECE", width)
+        for scale in (1.0, 0.5):
+            monkeypatch.setattr(kronrod, "start_width", lambda *args, scale=scale: scale * width(*args))
             runs.append(adaptive_oracle(verts, z, k, tol=1e-13, want_hyper=True, return_status=True))
         (v1, s1), (v2, s2) = runs
         assert np.max(np.abs(v1.values)) > 100.0
+        assert np.any(v1.values != v2.values)
         assert np.all(np.abs(v1.values - v2.values) <= s1["error"] + s2["error"])
 
 
