@@ -1,12 +1,11 @@
 """Round-based adaptive Gauss-Kronrod (7-15) integration of vector integrands.
 
-``gk_rounds`` is the one adaptive loop: each round integrates every
+``quad_adaptive`` is the one adaptive loop: each round integrates every
 pending interval in one call of the integrand and bisects those whose
 estimate exceeds their share of the tolerance (QUADPACK's estimate,
-Piessens et al. 1983); its error estimate also carries the roundoff of
-the sum.  ``quad_adaptive`` checks its arguments and runs it;
-``numquad`` binds it for ``adaptive_oracle`` and the layer tracer.
-``start_width`` sizes starting pieces from the G7 rule's error near a pole.
+Piessens et al. 1983).  ``numquad`` binds it for ``adaptive_oracle`` and
+the layer tracer.  ``start_width`` sizes starting pieces from the G7
+rule's error near a pole.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ def gk15(f, lo: np.ndarray, hi: np.ndarray):
     deviation-from-mean integral, so that smooth intervals are not held
     at the raw difference's roundoff floor.  A sample that is not finite
     gives an estimate that is not finite, without a warning (0 inf,
-    inf - inf), and ``gk_rounds`` ends the pass there.
+    inf - inf), and ``quad_adaptive`` ends the pass there.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -82,44 +81,6 @@ def gk15(f, lo: np.ndarray, hi: np.ndarray):
 _ROUNDOFF = 16.0 * sys.float_info.epsilon
 
 
-def gk_rounds(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_rounds: int, max_added: int):
-    """Round-based adaptive GK15 over the intervals [lo_i, hi_i].
-
-    Each round integrates every pending interval in one ``f`` call and
-    bisects those whose estimate exceeds tol * width / total width.  The
-    pass has converged once none does, or once the accepted plus pending
-    estimate is within tol: below the roundoff floor the per-width share
-    can never be met.  When ``max_rounds`` rounds are spent, or bisecting
-    would add more than ``max_added`` intervals to the starting ones, the
-    pending intervals count as they are and the pass has not converged,
-    as it has not, at once, when that estimate is not finite.
-    Returns the sum of the final intervals' K15 values, their summed error
-    estimate plus the roundoff of that sum (``_ROUNDOFF`` times the
-    largest component's K15 integral of |f|, which bisection cannot reduce
-    and the convergence tests leave out), and the convergence flag.
-    """
-    total = float(np.sum(np.abs(hi - lo)))
-    per_width = tol / total if total > 0.0 else 0.0
-    value, error, added, mass = 0.0, 0.0, 0, 0.0
-    for rounds in range(1, max_rounds + 1):
-        v, e, m = gk15(f, lo, hi)
-        split = e > per_width * np.abs(hi - lo)
-        n_split = int(np.count_nonzero(split))
-        estimate = error + float(e.sum())
-        finite = math.isfinite(estimate)
-        converged = finite and (n_split == 0 or estimate <= tol)
-        if converged or not finite or rounds == max_rounds or added + n_split > max_added:
-            value, error, mass = value + v.sum(axis=0), estimate, mass + m.sum(axis=0)
-            break
-        done = ~split
-        value, error, mass = value + v[done].sum(axis=0), error + float(e[done].sum()), mass + m[done].sum(axis=0)
-        added += n_split
-        lo, hi = lo[split], hi[split]
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
-    return value, error + _ROUNDOFF * float(mass.max()), converged
-
-
 # Default cap on the intervals of a ``quad_adaptive`` pass.
 MAX_INTERVALS = 4000
 
@@ -130,18 +91,23 @@ def is_count(n) -> bool:
 
 
 def quad_adaptive(f, a, b, tol: float, max_intervals: int = MAX_INTERVALS):
-    """Adaptive Gauss-Kronrod quadrature of a vector integrand.
+    """Round-based adaptive Gauss-Kronrod quadrature of a vector integrand.
 
-    ``f`` maps an array of abscissae to an array (npts, ncomp); complex
-    components are fine.  ``a`` and ``b`` are scalars or equal-length 1-D
-    arrays; the integral is the sum over the intervals [a_i, b_i], taken
-    in rounds by ``gk_rounds`` with at most ``max_intervals`` intervals.
-    Returns (values, error_estimate, converged); the estimate is the
-    summed per-interval |K15 - G7| (QUADPACK-scaled, see ``gk15``), a
-    conservative bound for smooth integrands, plus the roundoff of the
-    sum.  A tol not > 0, a ``max_intervals`` that is
-    not an integer >= 1 (a bool is not) or an ``a`` and ``b`` of different
-    lengths are a ValueError, raised before ``f`` is called.
+    ``f`` maps an array of abscissae to an array (npts, ncomp), real or
+    complex, integrated over the intervals [a_i, b_i] (``a`` and ``b``
+    scalars or equal-length 1-D arrays).  Each round takes every pending
+    interval in one ``f`` call (``gk15``) and bisects those whose estimate
+    exceeds tol * width / total width, until none does or the whole
+    estimate is within tol (below the roundoff floor the per-width share
+    can never be met).  An estimate that is not finite, or a bisection
+    past ``max_intervals`` intervals, ends the pass unconverged; every
+    other round adds an interval, so the cap bounds the rounds.  Returns
+    (values, error_estimate, converged): the summed QUADPACK-scaled
+    |K15 - G7| plus the sum's roundoff, ``_ROUNDOFF`` times the largest
+    component's integral of |f|, which bisection cannot reduce and the
+    convergence tests leave out.  A tol not > 0, a ``max_intervals`` that
+    is not an integer >= 1 (a bool is not) or ``a`` and ``b`` of
+    different lengths are a ValueError, raised before ``f`` is called.
     """
     if not tol > 0.0:  # written so that a NaN fails it
         raise ValueError(f"tol must be > 0, got {tol!r}")
@@ -150,13 +116,26 @@ def quad_adaptive(f, a, b, tol: float, max_intervals: int = MAX_INTERVALS):
     lo, hi = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if lo.shape != hi.shape:
         raise ValueError(f"a and b must have the same length, got {lo.shape} and {hi.shape}")
-    # every round but the last adds an interval: the cap bounds the rounds
-    return gk_rounds(f, lo, hi, tol, max_intervals, max_intervals - len(lo))
-
-
-# Gauss remainder constant of the 7-point rule on [-1, 1],
-# gamma_n = 2^(2n+1) (n!)^4 / ((2n + 1) ((2n)!)^3) at n = 7
-GAMMA_7 = 2.0**15 * math.factorial(7) ** 4 / (15 * math.factorial(14) ** 3)
+    total = float(np.sum(np.abs(hi - lo)))
+    per_width = tol / total if total > 0.0 else 0.0
+    room = max_intervals - len(lo)  # the intervals bisection may still add
+    value, error, mass = 0.0, 0.0, 0.0
+    while True:
+        v, e, m = gk15(f, lo, hi)
+        split = e > per_width * np.abs(hi - lo)
+        n_split = int(np.count_nonzero(split))
+        estimate = error + float(e.sum())
+        converged = math.isfinite(estimate) and (n_split == 0 or estimate <= tol)
+        if converged or n_split > room or not math.isfinite(estimate):
+            value, error, mass = value + v.sum(axis=0), estimate, mass + m.sum(axis=0)
+            break
+        done = ~split
+        value, error, mass = value + v[done].sum(axis=0), error + float(e[done].sum()), mass + m[done].sum(axis=0)
+        room -= n_split
+        lo, hi = lo[split], hi[split]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
+    return value, error + _ROUNDOFF * float(mass.max()), converged
 
 
 def start_width(pole: float, tol: float, total: float) -> float:

@@ -23,7 +23,8 @@ s = h sinh u (h the field point's distance from the edge's line), and the
 u-ranges of all edges, laid end to end, are integrated in one round-based
 pass.  Each range starts from equal pieces whose width
 ``kronrod.start_width`` derives from the nearest pole of the integrands in
-u, so that the first round accepts them.
+u, so that the first round accepts them.  An edge whose line holds an
+in-plane field point (h = 0) has only x/y moments, in closed form.
 """
 
 from __future__ import annotations
@@ -246,6 +247,23 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     return PanelIntegrals(out.ravel()[: len(out) + 4])
 
 
+# 1 / (n + 2)! for n = 13 .. 0, the series of (e^y - 1 - y) / y^2 to eps / 30 at |y| < 1/2
+_LINE_SERIES = [1.0 / math.factorial(n + 2) for n in range(13, -1, -1)]
+
+
+def edge_line_moment(s: float, k: float) -> complex:
+    """int_0^s (e^{jk|t|} - 1) / (jk) dt = sgn(s) s^2 [2 sin^2(x/2) + j (x - sin x)] / x^2, x = k|s|.
+
+    Below x = 1/2, where x - sin x cancels, s |s| sum_n (jx)^n / (n + 2)!
+    (s |s| / 2 at k = 0); above, s / k [2 sin^2(x/2) / x + j (1 - sin(x) / x)].
+    """
+    x = k * abs(s)
+    if x < 0.5:
+        return s * abs(s) * complex(np.polyval(_LINE_SERIES, 1j * x))
+    half = math.sin(0.5 * x)
+    return s / k * complex(2.0 * half * (half / x), 1.0 - math.sin(x) / x)
+
+
 # The names ``adaptive_oracle`` accepts in ``components``.
 ORACLE_COMPONENTS = ("i0", "ixy", "di0", "dixy")
 
@@ -280,29 +298,26 @@ def adaptive_oracle(
     An edge is taken in u, s = h sinh u and ds = R du, with R and D from
     m = expm1(|u|), which keeps their digits at small |u|: R = h + h (cosh u
     - 1) and D = (h - |z|) + h (cosh u - 1), h - |z| = d^2 / (h + |z|).
-    Where h is 0 (or s/h overflows) it is taken in s / L, split at the
-    foot; only its moments are then not zero.
+    Where h is 0 (or s/h overflows) only the moments remain, in closed
+    form: D E = (e^{jk|s|} - 1) / (jk) (``edge_line_moment``), and with
+    z != 0 their normal derivatives add nu sigma L (jk z E is below roundoff).
     An edge whose subtriangle about the origin ``geometry.walk``'s area or
     angle test would drop (``DROP_RADIUS_REL``, ``DROP_ANGLE``) keeps only
     its moments: its d is roundoff, which would add +-pi/2 to dI0/dn at
     z = 0.  With no edge left, as for a zero-area triangle, every
     component is exactly 0.
 
-    The ranges of all edges, laid end to end, are integrated in one
+    The u-ranges of all edges, laid end to end, are integrated in one
     ``quad_adaptive`` pass, from equal pieces per range sized so that its
-    first round accepts them.  In u the integrands are singular only where
-    R = h cosh u is 0 or -|z|: d2I0/dn2 has poles at u = +-i pi/2, I0 and
-    dI0/dn at u = +-i beta, beta = pi - arccos(|z| / h) >= pi/2, and the
-    moments are entire.  A u-range is cut at the ``kronrod.start_width``
-    of the nearest pole among the requested components, taken with
-    residue 1: bounds on the residues cost more integrand points than they
-    save.  On an in-plane edge line only the moments remain,
-    (e^{jks} - 1) / (jk) in s, whose 14th derivative is at most k^13 in
-    size: a piece of half-width r in s errs by at most gamma_7 k^13 r^15,
-    and it is cut where that meets its share of tol (in one piece at
-    k = 0, where G7 is exact).  There are at most about
-    ``kronrod.MAX_INTERVALS`` starting pieces, the pass's interval cap,
-    since a finer start could not be refined.
+    first round accepts them, and the closed-form moments are added to
+    its sums.  In u the integrands are singular only where R = h cosh u
+    is 0 or -|z|: d2I0/dn2 has poles at u = +-i pi/2, I0 and dI0/dn at
+    u = +-i beta, beta = pi - arccos(|z| / h) >= pi/2, and the moments are
+    entire.  A u-range is cut at the ``kronrod.start_width`` of the
+    nearest pole among the requested components, taken with residue 1:
+    bounds on the residues cost more integrand points than they save.
+    There are at most about ``kronrod.MAX_INTERVALS`` starting pieces, the
+    pass's interval cap, since a finer start could not be refined.
 
     ``verts2d`` are orientation-signed: a clockwise order negates every
     component.  ``components`` limits only the x/y-moment work: "ixy" and
@@ -317,7 +332,7 @@ def adaptive_oracle(
     With ``return_status`` the achieved error estimate and convergence
     flag are returned alongside the values instead of being discarded.
     The estimate also carries the pass's roundoff, 16 machine epsilons of
-    the largest component's integral of |f| (``kronrod.gk_rounds``).  So
+    the largest component's integral of |f| (``kronrod.quad_adaptive``).  So
     a converged call reports more than tol where a component is of order
     1e2 or more (d2I0/dn2 just above a panel): 1e-13 is below one ulp there.
     A z that ``geometry.check_height`` rejects, a k that
@@ -340,7 +355,9 @@ def adaptive_oracle(
     radii = [math.hypot(x, y) for x, y in verts]
     r_max = max(radii)
     a_drop = DROP_RADIUS_REL * r_max * r_max
-    # per range: its ends, d (0 for moments only), h, h - |z|, nu and L
+    n_comp = 7 if want_hyper else 6
+    line = np.zeros(n_comp, dtype=complex)  # the moments of the in-plane edge lines
+    # per u-range: its ends, d (0 for moments only), h, h - |z| and nu
     ranges, kept = [], False
     for (ax, ay), ra, (bx, by), rb in zip(verts, radii, verts[1:] + verts[:1], radii[1:] + radii[:1]):
         length = math.hypot(bx - ax, by - ay)
@@ -359,50 +376,36 @@ def adaptive_oracle(
         h = math.hypot(d, z)
         if h > 0.0 and r_max / h < math.inf:  # u = asinh(s / h) is finite
             h_z = d * (d / (h + az))  # h - |z|, which does not cancel
-            ranges.append((math.asinh(lo / h), math.asinh(hi / h), d if keep else 0.0, h, h_z, ty, -tx, length))
-        else:  # in the plane on the edge's line, in s / L from the foot
-            ranges += [(a / length, b / length, 0.0, 0.0, 0.0, ty, -tx, length)
-                       for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)) if a < b]
-    total = PanelIntegrals(np.zeros(7 if want_hyper else 6, dtype=complex))
+            ranges.append((math.asinh(lo / h), math.asinh(hi / h), d if keep else 0.0, h, h_z, ty, -tx))
+        else:  # in the plane on the edge's line, where the area test drops it
+            nu = np.array([ty, -tx])
+            line[1:3] += nu * (edge_line_moment(hi, k) - edge_line_moment(lo, k))
+            line[4:6] += nu * (sigma * (hi - lo) if z != 0.0 else 0.0)
+    total = PanelIntegrals(np.zeros(n_comp, dtype=complex))
     if not kept:
         return (total, {"error": 0.0, "converged": True}) if return_status else total
+    # a kept edge passes the area test, so r_max / h <= about 1e12: a u-range
     width = sum(b - a for a, b, *_ in ranges)
     floor = width / kronrod.MAX_INTERVALS
     cuts, starts, table = [], [], []
     offset = 0.0
-    for v_lo, v_hi, d, h, h_z, nu_x, nu_y, length in ranges:
-        if h > 0.0:
-            pole = 0.5 * math.pi if want_hyper else math.pi - math.acos(az / h)
-            piece = kronrod.start_width(pole, tol, width)
-        elif k > 0.0:  # gamma_7 k^13 r^15 <= tol (2r / L) / width, r the half-width in s
-            r = (2.0 / kronrod.GAMMA_7 * tol / length / width) ** (1.0 / 14.0) / k ** (13.0 / 14.0)
-            piece = 2.0 * r / length
-        else:
-            piece = math.inf
-        w = v_hi - v_lo
-        n = max(1, math.ceil(w / max(piece, floor)))
+    for u_lo, u_hi, d, h, h_z, nu_x, nu_y in ranges:
+        pole = 0.5 * math.pi if want_hyper else math.pi - math.acos(az / h)
+        w = u_hi - u_lo
+        n = max(1, math.ceil(w / max(kronrod.start_width(pole, tol, width), floor)))
         starts.append(offset)
         cuts += [offset + w * i / n for i in range(n)]
-        table.append((v_lo - offset, h, d, h_z, nu_x, nu_y, length))
+        table.append((u_lo - offset, h, d, h_z, nu_x, nu_y))
         offset += w
     cuts = np.array(cuts + [offset])
     starts = np.array(starts[1:])  # where each range after the first begins
-    table = np.array(table).T  # (7, ranges): shift from x to v, h, d, h - |z|, nu_x, nu_y, L
-    in_plane = not table[1].all()  # a range in s / L, where h is 0
-    n_comp = len(total.values)
+    table = np.array(table).T  # (6, ranges): shift from x to u, h, d, h - |z|, nu_x, nu_y
 
     def f(x):
-        shift, hj, dj, h_z, nu_x, nu_y, lj = table.take(np.searchsorted(starts, x, "right"), axis=1)
-        v = x + shift
-        m = np.expm1(np.abs(v))
+        shift, hj, dj, h_z, nu_x, nu_y = table.take(np.searchsorted(starts, x, "right"), axis=1)
+        m = np.expm1(np.abs(x + shift))
         hmc = hj * m * (m / (2.0 * (m + 1.0)))  # h (cosh u - 1)
-        R, D = hj + hmc, h_z + hmc  # D = R - |z|
-        jac = R  # ds / dv: R in u
-        if in_plane:
-            u = hj > 0.0
-            R = np.where(u, R, np.abs(lj * v))
-            D = np.where(u, D, R)
-            jac = np.where(u, R, lj)
+        R, D = hj + hmc, h_z + hmc  # D = R - |z|, and R = ds / du
         r_z = R + az
         # d / (R + |z|) and d / R, at most 1 in size: 0 on a range of moments
         # only, however small R is there
@@ -415,16 +418,14 @@ def adaptive_oracle(
         E = np.divide(ph.imag, a, out=np.ones(len(x)), where=a != 0.0) * ph
         jk_e = jk * E
         out = np.zeros((len(x), n_comp), dtype=complex)
-        out[:, 0] = dq * E * jac
+        out[:, 0] = dq * E * R
         out[:, 3] = sigma * (dq - jk_e * (az * dq))
         if want_xy:
-            moment = D * E * jac
+            moment = D * E * R
             out[:, 1] = nu_x * moment
             out[:, 2] = nu_y * moment
             if z != 0.0:
                 dmoment = sigma * D - jk_e * (z * D)
-                if in_plane:
-                    dmoment *= jac / R
                 out[:, 4] = nu_x * dmoment
                 out[:, 5] = nu_y * dmoment
         if want_hyper:
@@ -433,5 +434,5 @@ def adaptive_oracle(
         return out
 
     v, err, ok = quad_adaptive(f, cuts[:-1], cuts[1:], tol)
-    total.values += cmath.exp(jk * az) * v
+    total.values += cmath.exp(jk * az) * (v + line)
     return (total, {"error": err, "converged": ok}) if return_status else total

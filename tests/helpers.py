@@ -17,6 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from helmpanel import kronrod
 from helmpanel.analytic import k_terms
 from helmpanel.estimator import EstimatorGeom, _check_phi
 from helmpanel.expapprox import ExpApprox
@@ -47,21 +48,45 @@ def _adaptive_scaled(f, lo: float, hi: float, rel: float = 1e-13) -> float:
 
 
 def cumulative(f, limits, tol: float):
-    """``int_0^L f`` for every ``L`` in ``limits``, from one adaptive pass.
+    """``int_0^L f`` for every ``L >= 0`` in ``limits``, from one adaptive pass over their gaps.
 
-    With r = L t, int_0^L f(r) dr = L int_0^1 f(L t) dt, so one
-    ``quad_adaptive`` pass over [0, 1] takes every limit's integral as
-    components of its own.  Returns (values (len(limits), ncomp),
-    error_estimate, converged).
+    The distinct limits, sorted, cut [0, max L] into gaps, one interval
+    each at the start.  As in ``quad_adaptive``, each round integrates
+    every pending interval in one ``f`` call (``kronrod.gk15``) and
+    bisects those whose estimate exceeds tol * width / max L, until none
+    does or the summed estimate is within tol; each limit's integral is
+    the sum of the accepted intervals below it.  So every node of f serves
+    every limit above it, and the limits cost only through their gaps.
+    Returns (values (len(limits), ncomp), error_estimate, converged): the
+    summed estimates, which bound every limit's error, plus 16 machine
+    epsilons of the largest component's integral of |f| for the roundoff
+    of the sums.  An estimate that is not finite, or a round that would
+    leave more than ``kronrod.MAX_INTERVALS`` pending, ends the pass
+    unconverged.
     """
-    limits = np.asarray(limits, dtype=float)
-
-    def scaled(t):
-        y = np.asarray(f(np.outer(t, limits).ravel())).reshape(len(t), len(limits), -1)
-        return (limits[:, None] * y).reshape(len(t), -1)
-
-    v, error, converged = quad_adaptive(scaled, 0.0, 1.0, tol)
-    return v.reshape(len(limits), -1), error, converged
+    ends, index = np.unique(np.asarray(limits, dtype=float), return_inverse=True)
+    lo, hi, gap = np.concatenate([[0.0], ends[:-1]]), ends, np.arange(len(ends))
+    share = tol / ends[-1] if ends[-1] > 0.0 else 0.0
+    accepted, error = [], 0.0
+    while True:
+        v, e, m = kronrod.gk15(f, lo, hi)
+        estimate = error + float(e.sum())
+        done = e <= share * (hi - lo)
+        converged = bool(done.all()) or estimate <= tol
+        if converged or not math.isfinite(estimate) or 2 * np.count_nonzero(~done) > kronrod.MAX_INTERVALS:
+            accepted.append((gap, v, m))
+            error = estimate
+            break
+        accepted.append((gap[done], v[done], m[done]))
+        error += float(e[done].sum())
+        lo, hi, gap = lo[~done], hi[~done], np.repeat(gap[~done], 2)
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
+    at, v, m = (np.concatenate(part) for part in zip(*accepted))
+    sums = np.zeros((len(ends), v.shape[1]), dtype=v.dtype)
+    np.add.at(sums, at, v)
+    error += 16.0 * np.finfo(float).eps * float(m.sum(axis=0).max())
+    return np.cumsum(sums, axis=0)[index.ravel()], error, converged
 
 
 def oracle_pow_plain(alpha: float, lo: float, hi: float, n: int) -> float:

@@ -658,12 +658,12 @@ class TestPolarIntegrate:
         assert abs(rep.result.di0_dn - want) <= 1e-13
         assert abs(rep.result.di0_dn - analytic.result.di0_dn) <= 100 * 1e-12
 
-    @pytest.mark.parametrize("k", [1.0, 2.0])
+    @pytest.mark.parametrize("k", [1.0, 2.0, 20.0])
     def test_z_zero_hypersingular_matches_oracle(self, k):
         # in-plane, d2I0/dn2 of the n = 50 rule is the finite part of the
         # limit from z > 0, ray by ray: the oracle's value at z = 0, at
-        # every sample projection (at k = 2 the vertex and edge ones are
-        # the engine's numeric fallback)
+        # every sample projection (at k = 2 and 20 the vertex and edge ones
+        # are the engine's numeric fallback)
         tri = sample_triangle()
         for proj in sorted(SAMPLE_PROJECTIONS):
             pt = sample_field_point(proj, 0.0)
@@ -889,6 +889,21 @@ class TestAdaptiveOracle:
         assert status["converged"]
         assert status["error"] <= 1e-13
 
+    @pytest.mark.parametrize("x", [0.0, 1e-8, 1e-3, math.nextafter(0.5, 0.0), 0.5, 3.0, 1e3])
+    @pytest.mark.parametrize("k", [0.0, 20.0])
+    def test_edge_line_moment_closed_form(self, k, x):
+        # int_0^s (e^{jk|t|} - 1) / (jk) dt, |t| at k = 0, against mpmath at
+        # x = k|s| on each side of the series switch at 1/2 and both signs
+        # of s (at k = 0, s = x + 0.7); the integrand is even in t
+        s = x / k if k else x + 0.7
+        with mpmath.workdps(30):
+            f = (lambda t: (mpmath.expj(k * t) - 1) / (1j * k)) if k else abs
+            want = complex(mpmath.quad(f, mpmath.linspace(0, s, 2 + math.ceil(x / 30))))
+        eps = np.finfo(float).eps
+        for sign in (1.0, -1.0):
+            got = numquad.edge_line_moment(sign * s, k)
+            assert abs(got - sign * want) <= 2 * eps * max(1.0, abs(want)), (sign, got, want)
+
     @pytest.mark.parametrize("key", sorted(FROZEN_ORACLE))
     def test_full_components_match_frozen(self, key):
         proj, z = key
@@ -913,7 +928,8 @@ class TestAdaptiveOracle:
             mirror = above * np.array([1, 1, 1, -1, -1, -1, 1])
             assert np.all(np.abs(below - mirror) <= 1e-14 * (1.0 + np.abs(above))), z
         # at |z| = 5e-324 the edges through a vertex or edge projection have an h
-        # that r_max / h overflows and are taken in s with z != 0: the one-sided
+        # that r_max / h overflows: their moments are taken in closed form, and
+        # with z != 0 their normal derivatives add nu sigma L; the one-sided
         # limits of z = 0, mirrored below the plane
         zero = adaptive_oracle(verts, 0.0, 1.0, tol=1e-13).values
         for sign in (1.0, -1.0):
@@ -1011,10 +1027,8 @@ class TestAdaptiveOracle:
             assert len(rounds) == 1, (proj, z)
 
     def test_start_is_held_at_the_interval_cap(self, monkeypatch):
-        # at tol 1e-300 the derived u-widths are about 1e-21, and on the in-plane
-        # edge lines of a vertex projection at k = 1e6 about 1e-6 of the edge:
-        # the start stays within the pass's interval cap, which a finer one
-        # could not refine
+        # at tol 1e-300 the derived u-widths are about 1e-21: the start stays
+        # within the pass's interval cap, which a finer one could not refine
         starts = []
         inner = numquad.quad_adaptive
 
@@ -1023,12 +1037,11 @@ class TestAdaptiveOracle:
             return inner(f, a, b, tol)
 
         monkeypatch.setattr(numquad, "quad_adaptive", counted)
-        for proj, z, k, tol in ((2, 0.1, 1.0, 1e-300), (1, 0.0, 1e6, 1e-13)):
-            got, status = adaptive_oracle(
-                verts_rel(SAMPLE_PROJECTIONS[proj]), z, k, tol=tol, want_hyper=True, return_status=True
-            )
-            assert kronrod.MAX_INTERVALS / 2 < starts[-1] <= kronrod.MAX_INTERVALS + 4
-            assert np.isfinite(got.values).all() and not status["converged"]
+        got, status = adaptive_oracle(
+            verts_rel(SAMPLE_PROJECTIONS[2]), 0.1, 1.0, tol=1e-300, want_hyper=True, return_status=True
+        )
+        assert kronrod.MAX_INTERVALS / 2 < starts[-1] <= kronrod.MAX_INTERVALS + 4
+        assert np.isfinite(got.values).all() and not status["converged"]
 
     @pytest.mark.parametrize("seed, index", [(13, 147), (12, 151)])
     def test_status_error_covers_angle_roundoff(self, monkeypatch, seed, index):
@@ -1162,7 +1175,7 @@ class TestQuadAdaptive:
 
 
 class TestQuadCumulative:
-    """Integrals from 0 to many limits: one ``quad_adaptive`` pass over [0, 1] (``helpers.cumulative``)."""
+    """Integrals from 0 to many limits: one adaptive pass over the gaps between them (``helpers.cumulative``)."""
 
     @staticmethod
     def f(x):
@@ -1206,9 +1219,9 @@ class TestQuadCumulative:
             assert abs(got - want[0]) <= 1e-13
 
     def test_starting_gaps_not_capped(self):
-        # many limits, one pass over [0, 1]: the limits start no intervals
-        # of their own, so the first round integrates one piece, at every
-        # limit at once
+        # many limits, one pass over their gaps: each distinct limit starts
+        # one gap of its own, so the first round evaluates 15 points per
+        # gap, at every limit at once, and the pass bisects from there
         sizes = []
 
         def f(x):
