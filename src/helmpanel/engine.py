@@ -30,8 +30,8 @@ from .estimator import OrderSelection, select_order
 from .expapprox import DELTA_X_TIERS, check_k, select_approx
 # radial_extents and subdivide are bound here, unused, for the layer tracer
 # of perfbench, which wraps them by name until it spans the walk
-from .geometry import Frozen, Triangle3, radial_extents, ref_params, subdivide, to_local_frame, walk  # noqa: F401
-from .numquad import check_order, polar_integrate
+from .geometry import Frozen, Triangle3, point_coordinates, radial_extents, ref_params, subdivide, to_local_frame, walk  # noqa: F401
+from .numquad import check_bool, check_order, polar_integrate
 
 # Stability gate for the analytic path (J-recursion growth factor k|z|).
 K_Z_LIMIT = math.pi / 2
@@ -62,10 +62,11 @@ _POINT = struct.Struct("3d")
 class EvalRequest(Frozen):
     """One panel-integral evaluation, checked once, when it is built.
 
-    The triangle validated itself.  A field point that is not a finite (3,)
-    vector, a k that is a bool, negative or not finite, a tol outside
-    TOL_RANGE or a ``want_hypersingular`` that is not a Python or NumPy bool
-    is a ValueError.  The point is copied into three packed doubles
+    The triangle validated itself.  A field point that is not three finite
+    real numbers (``geometry.point_coordinates``), a k that is a bool,
+    negative or not finite, a tol outside TOL_RANGE or a
+    ``want_hypersingular`` that is not a Python or NumPy bool is a
+    ValueError.  The point is copied into three packed doubles
     (``_point``), so a later edit of the caller's array does not reach the
     request; ``field_point`` returns it as a read-only (3,) array, and
     ``evaluate`` reads it with one unpack.  No field, property or other
@@ -78,16 +79,12 @@ class EvalRequest(Frozen):
 
     def __init__(self, triangle: Triangle3, field_point, k: float, tol: float = 1e-9,
                  want_hypersingular: bool = False):
-        point = np.asarray(field_point, dtype=float)
-        if point.shape != (3,):
-            raise ValueError(f"field point must have shape (3,), got {point.shape}")
-        xyz = point.tolist()
+        xyz = point_coordinates(field_point)
         if not all(map(math.isfinite, xyz)):
             raise ValueError("field point must be finite")
         check_tol(tol)
         check_k(k)
-        if not isinstance(want_hypersingular, (bool, np.bool_)):
-            raise ValueError(f"want_hypersingular must be a bool, got {want_hypersingular!r}")
+        check_bool("want_hypersingular", want_hypersingular)
         fields = (triangle, _POINT.pack(*xyz), k, tol, bool(want_hypersingular))
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)

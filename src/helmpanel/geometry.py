@@ -242,18 +242,20 @@ def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
     per point, z = n.(x - v1) and the projection's plane coordinates
     (e1.(x - v1), e2.(x - v1)) are float arithmetic, and the plane vertices
     are shifted by the latter.  A tuple is read as it is, as three floats
-    (``evaluate`` passes its request's unpacked point); anything else as an
-    array.  A point that is not of shape (3,) is a ValueError, with
-    ``EvalRequest``'s message, and so is a height that ``check_height``
-    rejects.
+    (``evaluate`` passes its request's unpacked point); anything else, and
+    a tuple that fails so, as an array (``point_coordinates``): a point that
+    is not three real numbers is a ValueError with ``EvalRequest``'s
+    message, and so is a height that ``check_height`` rejects.
     """
     p1x, p1y, p1z, nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z, x2, x3, y3, diameter = _LOCAL.unpack_from(tri._block)
-    try:  # a point of another shape fails to unpack or, as (3, 1), to subtract
-        px, py, pz = x if type(x) is tuple else np.asarray(x, dtype=float).tolist()
+    if type(x) is not tuple:
+        x = point_coordinates(x)
+    try:  # a tuple of another length fails to unpack, of other entries to subtract or, complex, to convert
+        px, py, pz = x
         dx, dy, dz = px - p1x, py - p1y, pz - p1z
+        z = float(dx * nx + dy * ny + dz * nz)
     except (TypeError, ValueError):
-        raise ValueError(f"field point must have shape (3,), got {np.shape(x)}") from None
-    z = dx * nx + dy * ny + dz * nz
+        return to_local_frame(tri, point_coordinates(x))
     check_height(z)
     if abs(z) <= BOUNDARY_TOL_REL * diameter:
         # an in-plane point lands at a roundoff-level z of either sign; the
@@ -261,6 +263,17 @@ def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
         z = 0.0
     ox, oy = dx * e1x + dy * e1y + dz * e1z, dx * e2x + dy * e2y + dz * e2z
     return ((0.0 - ox, 0.0 - oy), (x2 - ox, 0.0 - oy), (x3 - ox, y3 - oy)), z
+
+
+def point_coordinates(x) -> list[float]:
+    """The field point x as three floats; a ValueError, naming its shape or else x, unless it is three real numbers."""
+    try:
+        point = np.asarray(x)
+        if point.shape == (3,):
+            return [float(v) for v in point.tolist()]
+    except (TypeError, ValueError):  # ragged, or an entry that is complex, None or not a number
+        raise ValueError(f"field point must be three real numbers, got {x!r}") from None
+    raise ValueError(f"field point must have shape (3,), got {point.shape}")
 
 
 def check_height(z: float) -> None:

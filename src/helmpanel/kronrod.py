@@ -3,9 +3,10 @@
 ``quad_adaptive`` is the one adaptive loop: each round integrates every
 pending interval in one call of the integrand and bisects those whose
 estimate exceeds their share of the tolerance (QUADPACK's estimate,
-Piessens et al. 1983).  ``numquad`` binds it for ``adaptive_oracle`` and
-the layer tracer.  ``start_width`` sizes starting pieces from the G7
-rule's error near a pole.
+Piessens et al. 1983), up to ``MAX_INTERVALS`` intervals, a constant that
+each call reads.  ``numquad`` binds it for ``adaptive_oracle`` and the
+layer tracer.  ``start_width`` sizes starting pieces from the G7 rule's
+error near a pole.
 """
 
 from __future__ import annotations
@@ -81,16 +82,11 @@ def gk15(f, lo: np.ndarray, hi: np.ndarray):
 _ROUNDOFF = 16.0 * sys.float_info.epsilon
 
 
-# Default cap on the intervals of a ``quad_adaptive`` pass.
+# Cap on the intervals of a ``quad_adaptive`` pass, read at each call (a test patches it).
 MAX_INTERVALS = 4000
 
 
-def is_count(n) -> bool:
-    """Whether n is an integer >= 1, Python or NumPy, and not a bool."""
-    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
-
-
-def quad_adaptive(f, a, b, tol: float, max_intervals: int = MAX_INTERVALS):
+def quad_adaptive(f, a, b, tol: float):
     """Round-based adaptive Gauss-Kronrod quadrature of a vector integrand.
 
     ``f`` maps an array of abscissae to an array (npts, ncomp), real or
@@ -100,25 +96,22 @@ def quad_adaptive(f, a, b, tol: float, max_intervals: int = MAX_INTERVALS):
     exceeds tol * width / total width, until none does or the whole
     estimate is within tol (below the roundoff floor the per-width share
     can never be met).  An estimate that is not finite, or a bisection
-    past ``max_intervals`` intervals, ends the pass unconverged; every
+    past ``MAX_INTERVALS`` intervals, ends the pass unconverged; every
     other round adds an interval, so the cap bounds the rounds.  Returns
     (values, error_estimate, converged): the summed QUADPACK-scaled
     |K15 - G7| plus the sum's roundoff, ``_ROUNDOFF`` times the largest
     component's integral of |f|, which bisection cannot reduce and the
-    convergence tests leave out.  A tol not > 0, a ``max_intervals`` that
-    is not an integer >= 1 (a bool is not) or ``a`` and ``b`` of
+    convergence tests leave out.  A tol not > 0 or ``a`` and ``b`` of
     different lengths are a ValueError, raised before ``f`` is called.
     """
     if not tol > 0.0:  # written so that a NaN fails it
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    if not is_count(max_intervals):
-        raise ValueError(f"max_intervals must be an integer >= 1, got {max_intervals!r}")
     lo, hi = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if lo.shape != hi.shape:
         raise ValueError(f"a and b must have the same length, got {lo.shape} and {hi.shape}")
     total = float(np.sum(np.abs(hi - lo)))
     per_width = tol / total if total > 0.0 else 0.0
-    room = max_intervals - len(lo)  # the intervals bisection may still add
+    room = MAX_INTERVALS - len(lo)  # the intervals bisection may still add
     value, error, mass = 0.0, 0.0, 0.0
     while True:
         v, e, m = gk15(f, lo, hi)

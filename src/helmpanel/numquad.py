@@ -23,8 +23,10 @@ s = h sinh u (h the field point's distance from the edge's line), and the
 u-ranges of all edges, laid end to end, are integrated in one round-based
 pass.  Each range starts from equal pieces whose width
 ``kronrod.start_width`` derives from the nearest pole of the integrands in
-u, so that the first round accepts them.  An edge whose line holds an
-in-plane field point (h = 0) has only x/y moments, in closed form.
+u, so that the first round accepts them.  An edge whose line holds the
+projection within the boundary tolerance of ``geometry.to_local_frame``'s
+z snap has only x/y moments, in closed form where h = 0: a rule of the
+oracle's own, not ``geometry.walk``'s sliver tests, which it so checks.
 """
 
 from __future__ import annotations
@@ -39,15 +41,21 @@ from . import kronrod
 from .analytic import PanelIntegrals
 from .expapprox import check_k
 # ref_params and subdivide are bound here, unused, for the layer tracer of perfbench
-from .geometry import DROP_ANGLE, DROP_RADIUS_REL, check_height, plane_vertices, ref_params, subdivide  # noqa: F401
+from .geometry import BOUNDARY_TOL_REL, check_height, plane_vertices, ref_params, subdivide  # noqa: F401
 # the oracle calls quad_adaptive through this binding, which the tracer wraps
 from .kronrod import quad_adaptive
 
 
 def check_order(n) -> None:
-    """Raise ValueError unless the Gauss order n is an integer >= 1 (a bool is not)."""
-    if not kronrod.is_count(n):
+    """Raise ValueError unless the Gauss order n is an integer >= 1, Python or NumPy (a bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n_gauss must be an integer >= 1, got {n!r}")
+
+
+def check_bool(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a Python or NumPy bool (``want_hyper``, ``want_hypersingular``)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 def _legendre(n: int, x: float) -> tuple[float, float]:
@@ -212,11 +220,13 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     the radial integral of d2G/dz2 tends to e^{jk rbar}/rbar - jk.
     A z that ``geometry.check_height`` rejects (|z| above about 1.34e154,
     whose square is not finite), a k that ``expapprox.check_k`` rejects
-    (not finite, negative or a bool) or an n that ``check_order`` rejects
-    (through ``polar_rule``'s typed cache) is a ValueError.
+    (not finite, negative or a bool), a ``want_hyper`` that is not a bool
+    (``check_bool``) or an n that ``check_order`` rejects (through
+    ``polar_rule``'s typed cache) is a ValueError.
     """
     check_height(z)
     check_k(k)
+    check_bool("want_hyper", want_hyper)
     r2, points, area = polar_nodes(fan, n, z)
     out = np.zeros((3 if want_hyper else 2, 3), dtype=complex)  # (kernel row, 1 / x / y)
     rows = np.empty((1 if z == 0.0 else len(out), len(r2)), dtype=complex)
@@ -301,11 +311,13 @@ def adaptive_oracle(
     Where h is 0 (or s/h overflows) only the moments remain, in closed
     form: D E = (e^{jk|s|} - 1) / (jk) (``edge_line_moment``), and with
     z != 0 their normal derivatives add nu sigma L (jk z E is below roundoff).
-    An edge whose subtriangle about the origin ``geometry.walk``'s area or
-    angle test would drop (``DROP_RADIUS_REL``, ``DROP_ANGLE``) keeps only
-    its moments: its d is roundoff, which would add +-pi/2 to dI0/dn at
-    z = 0.  With no edge left, as for a zero-area triangle, every
-    component is exactly 0.
+    An edge whose line holds the origin, |d| <= ``BOUNDARY_TOL_REL`` times
+    the longest edge (``to_local_frame``'s z snap; the oracle's own rule,
+    not ``geometry.walk``'s sliver tests), keeps only its moments: its d is
+    roundoff, which would add +-pi/2 to dI0/dn at z = 0.  With no edge
+    left, as for a zero-area triangle, every component is exactly 0.  With
+    the foot outside an edge, its u-width is one asinh of a ratio, not a
+    difference of two that cancels far from a panel.
 
     The u-ranges of all edges, laid end to end, are integrated in one
     ``quad_adaptive`` pass, from equal pieces per range sized so that its
@@ -332,9 +344,11 @@ def adaptive_oracle(
     With ``return_status`` the achieved error estimate and convergence
     flag are returned alongside the values instead of being discarded.
     The estimate also carries the pass's roundoff, 16 machine epsilons of
-    the largest component's integral of |f| (``kronrod.quad_adaptive``).  So
-    a converged call reports more than tol where a component is of order
-    1e2 or more (d2I0/dn2 just above a panel): 1e-13 is below one ulp there.
+    the largest component's integral of |f| (``kronrod.quad_adaptive``),
+    scaled by 1 + k r_max / 2 for the phases' rounding, plus 8 eps k|z| of
+    the largest component for e^{jk|z|}'s.  So a converged call reports
+    more than tol where a component is of order 1e2 or more (d2I0/dn2 just
+    above a panel): 1e-13 is below one ulp there.
     A z that ``geometry.check_height`` rejects, a k that
     ``expapprox.check_k`` rejects (a bool among them), a tol not > 0, a
     name in ``components`` outside ORACLE_COMPONENTS or vertices that are
@@ -347,6 +361,7 @@ def adaptive_oracle(
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if not set(components) <= set(ORACLE_COMPONENTS):
         raise ValueError(f"components must be names among {ORACLE_COMPONENTS}, got {components!r}")
+    check_bool("want_hyper", want_hyper)
     verts = plane_vertices(verts2d)
     want_xy = "ixy" in components or "dixy" in components
     az = abs(z)
@@ -354,44 +369,47 @@ def adaptive_oracle(
     jk = 1j * k
     radii = [math.hypot(x, y) for x, y in verts]
     r_max = max(radii)
-    a_drop = DROP_RADIUS_REL * r_max * r_max
+    nxt = verts[1:] + verts[:1]
+    lengths = [math.dist(a, b) for a, b in zip(verts, nxt)]
+    on_line = BOUNDARY_TOL_REL * max(lengths)  # an edge's line within this holds the origin
     n_comp = 7 if want_hyper else 6
     line = np.zeros(n_comp, dtype=complex)  # the moments of the in-plane edge lines
-    # per u-range: its ends, d (0 for moments only), h, h - |z| and nu
+    # per u-range: its start and width, d (0 for moments only), h, h - |z| and nu
     ranges, kept = [], False
-    for (ax, ay), ra, (bx, by), rb in zip(verts, radii, verts[1:] + verts[:1], radii[1:] + radii[:1]):
-        length = math.hypot(bx - ax, by - ay)
+    for (ax, ay), ra, (bx, by), rb, length in zip(verts, radii, nxt, radii[1:] + radii[:1], lengths):
         if length == 0.0:
             continue
         tx, ty = (bx - ax) / length, (by - ay) / length
         d = ax * ty - ay * tx if ra <= rb else bx * ty - by * tx
         lo, hi = ax * tx + ay * ty, bx * tx + by * ty
-        s = abs(d)
-        # walk's area and angle tests, in its order: s = 0 fails the first
-        theta = math.atan(hi / s) - math.atan(lo / s) if s * (hi - lo) * 0.5 > a_drop else 0.0
-        keep = DROP_ANGLE <= theta <= math.pi - DROP_ANGLE
+        keep = abs(d) > on_line
         kept = kept or keep
         if not (keep or want_xy):
             continue
         h = math.hypot(d, z)
         if h > 0.0 and r_max / h < math.inf:  # u = asinh(s / h) is finite
             h_z = d * (d / (h + az))  # h - |z|, which does not cancel
-            ranges.append((math.asinh(lo / h), math.asinh(hi / h), d if keep else 0.0, h, h_z, ty, -tx))
-        else:  # in the plane on the edge's line, where the area test drops it
+            if lo * hi > 0.0:  # the foot outside the edge, where asinh(hi / h) - asinh(lo / h) cancels
+                m = max(abs(lo), abs(hi))  # so that no product overflows
+                p, q = abs(lo) / m, abs(hi) / m
+                w = math.asinh(length * (p + q) / (q * math.hypot(h, lo) + p * math.hypot(h, hi)))
+            else:
+                w = math.asinh(hi / h) - math.asinh(lo / h)
+            ranges.append((math.asinh(lo / h), w, d if keep else 0.0, h, h_z, ty, -tx))
+        else:  # in the plane on the edge's line
             nu = np.array([ty, -tx])
             line[1:3] += nu * (edge_line_moment(hi, k) - edge_line_moment(lo, k))
             line[4:6] += nu * (sigma * (hi - lo) if z != 0.0 else 0.0)
     total = PanelIntegrals(np.zeros(n_comp, dtype=complex))
     if not kept:
         return (total, {"error": 0.0, "converged": True}) if return_status else total
-    # a kept edge passes the area test, so r_max / h <= about 1e12: a u-range
-    width = sum(b - a for a, b, *_ in ranges)
+    # a kept edge has h >= |d| > 1e-12 of the longest edge, so r_max / h is finite: a u-range
+    width = sum(w for _, w, *_ in ranges)
     floor = width / kronrod.MAX_INTERVALS
     cuts, starts, table = [], [], []
     offset = 0.0
-    for u_lo, u_hi, d, h, h_z, nu_x, nu_y in ranges:
+    for u_lo, w, d, h, h_z, nu_x, nu_y in ranges:
         pole = 0.5 * math.pi if want_hyper else math.pi - math.acos(az / h)
-        w = u_hi - u_lo
         n = max(1, math.ceil(w / max(kronrod.start_width(pole, tol, width), floor)))
         starts.append(offset)
         cuts += [offset + w * i / n for i in range(n)]
@@ -435,4 +453,6 @@ def adaptive_oracle(
 
     v, err, ok = quad_adaptive(f, cuts[:-1], cuts[1:], tol)
     total.values += cmath.exp(jk * az) * (v + line)
+    # the phases' rounding, 8 ulps of k r_max per node and of k|z| on the sum
+    err = err * (1.0 + 0.5 * k * r_max) + 8.0 * math.ulp(1.0) * k * az * max(map(abs, total.values.tolist()))
     return (total, {"error": err, "converged": ok}) if return_status else total

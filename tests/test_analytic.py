@@ -60,7 +60,7 @@ def oracle_k_2d(geom, z, k, q, weight, tol=1e-13):
                 R = np.hypot(r, z)
                 return ((k * (R - az)) ** q * weight(r, R, th))[:, None]
 
-            v, _, _ = quad_adaptive(f_r, 0.0, rbar, tol * 0.05, max_intervals=600)
+            v, _, _ = quad_adaptive(f_r, 0.0, rbar, tol * 0.05)
             out[i, 0] = v[0].real
         return out
 
@@ -90,9 +90,7 @@ def oracle_jq_theta(geom, z, k, q):
             t = np.asarray(t)
             return (np.maximum(t * t - 2 * az, 0.0) ** (q + 0.5))[:, None] * k**q
 
-        v, _, _ = quad_adaptive(
-            g, math.sqrt(2 * az), math.sqrt(R_far + az), 1e-13, max_intervals=800
-        )
+        v, _, _ = quad_adaptive(g, math.sqrt(2 * az), math.sqrt(R_far + az), 1e-13)
         return float(v[0].real)
 
     return jq

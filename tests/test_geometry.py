@@ -187,6 +187,20 @@ class TestLocalFrame:
             EvalRequest(tri, x, 1.0)
         assert str(here.value) == str(request.value)
 
+    @pytest.mark.parametrize(
+        "x", [(1j, 0.0, 0.0), [0.1, 1 + 0j, 0.2], np.array([0.1, 0.2, 0.3 + 1j]), ("a", 0.0, 0.0), [None, 0.0, 0.0]],
+        ids=["complex-tuple", "complex-list", "complex-array", "string", "None"],
+    )
+    def test_point_of_other_entries_rejected(self, x):
+        # not "must have shape (3,), got (3,)", nor a TypeError from EvalRequest
+        # or, for a complex array, its imaginary part dropped with a ComplexWarning
+        tri = tri3((0, 0, 0), (1, 0, 0), (0.3, 0.8, 0))
+        with pytest.raises(ValueError, match="^field point must be three real numbers, got ") as here:
+            to_local_frame(tri, x)
+        with pytest.raises(ValueError) as request:
+            EvalRequest(tri, x, 1.0)
+        assert str(here.value) == str(request.value)
+
     def test_rigid_motion_invariance_of_parameters(self):
         tri = tri3((0, 0, 0), (1, 0, 0), (0.3, 0.8, 0))
         x = np.array([0.4, 0.1, 0.25])
