@@ -81,10 +81,13 @@ import functools
 import math
 from dataclasses import dataclass
 
+from .geometry import BOUNDARY_TOL_REL
+
 # alpha below which the in-plane (alpha = 0) closed forms are used.
 ALPHA_ZERO = 1e-8
-# Angle ranges must lie strictly inside (-THETA_MAX, THETA_MAX).
-THETA_MAX = math.pi / 2 - 1e-12
+# Angle ranges must lie inside [-THETA_MAX, THETA_MAX]: ``geometry.walk``
+# keeps a subtriangle only where |along| / s < 1 / BOUNDARY_TOL_REL.
+THETA_MAX = math.atan(1.0 / BOUNDARY_TOL_REL)
 
 
 @functools.lru_cache(maxsize=32)
@@ -161,13 +164,13 @@ def build_table(alpha: float, theta_lo: float, theta_hi: float, n_max: int, *, a
     rows to order n_max (see the module docstring).  ``alpha_p`` is the
     caller's alpha' = s/S (``geometry.RefGeom.alpha_p``), which keeps its
     digits where alpha rounds to 1.  An alpha or alpha_p outside [0, 1]
-    (NaN included), or a range not inside (-THETA_MAX, THETA_MAX), is a
-    ValueError.
+    (NaN included), or a range not inside [-THETA_MAX, THETA_MAX], the
+    angles that ``geometry.walk``'s drop rule leaves, is a ValueError.
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 <= alpha_p <= 1.0):
         raise ValueError(f"need 0 <= alpha <= 1 and 0 <= alpha_p <= 1, got {alpha!r} and {alpha_p!r}")
-    if not -THETA_MAX < theta_lo <= theta_hi < THETA_MAX:
-        raise ValueError(f"angle range [{theta_lo}, {theta_hi}] must lie strictly inside (-pi/2, pi/2)")
+    if not -THETA_MAX <= theta_lo <= theta_hi <= THETA_MAX:
+        raise ValueError(f"angle range [{theta_lo}, {theta_hi}] must lie inside [-{THETA_MAX!r}, {THETA_MAX!r}]")
     a2 = alpha * alpha
     ap2 = alpha_p * alpha_p
     ends = []

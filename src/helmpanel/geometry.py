@@ -12,7 +12,10 @@ reads only these: the nearest and farthest distance from the origin to the
 triangle, and its decomposition into up to three signed subtriangles, each
 with one vertex at the origin and an edge as its far side, given by its
 reference parameters: s = |d_e|, the foot direction (plus or minus the
-edge's unit normal) and theta = atan(along / s) at its two ends.
+edge's unit normal) and theta = atan(along / s) at its two ends.  One
+tolerance, ``BOUNDARY_TOL_REL`` of the triangle's size, decides "on an
+edge's line" everywhere here: the z snap, the inside test and the one
+rule by which the walk drops a subtriangle.
 
 Conventions fixed here (the analysis leaves them open):
   * element normal = normalize((v2 - v1) x (v3 - v1)),
@@ -32,15 +35,8 @@ from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
-# Subtriangles thinner than these thresholds contribute below double
-# precision noise and would poison the sin(Theta)-derived recursions:
-# ``walk`` drops an angle below DROP_ANGLE (or within it of pi) and an area
-# up to DROP_RADIUS_REL * r_max^2, which covers every subtriangle with an
-# end within DROP_RADIUS_REL * r_max of the origin.
-DROP_ANGLE = 1e-10
-DROP_RADIUS_REL = 1e-12
-
-# Tolerance (relative to triangle diameter) for the origin-on-boundary test.
+# Tolerance (relative to triangle diameter) for "on an edge's line": the
+# z snap, the inside test and the walk's one drop rule.
 BOUNDARY_TOL_REL = 1e-12
 
 # Largest height |z| whose square is finite (``check_height``).
@@ -198,11 +194,6 @@ class SignedSubTriangle:
     theta_lo: float
     theta_hi: float
 
-    @property
-    def theta(self) -> float:
-        """The angle Theta at the origin."""
-        return self.theta_hi - self.theta_lo
-
 
 @dataclass(slots=True)
 class RefGeom:
@@ -322,22 +313,23 @@ def walk(verts, edges) -> tuple[RadialExtents, list[SignedSubTriangle]]:
 
     Fan: the subtriangle on each edge has s = |d|; sign +1 and the foot
     along (t_y, -t_x) when d > 0, else sign -1 and the opposite direction;
-    theta = atan(along / s) at its ends, counter-clockwise.  Two tests drop
-    slivers: an area s (b.t - a.t) / 2 not above a_drop = DROP_RADIUS_REL *
-    r_max^2, and an angle Theta below DROP_ANGLE or within DROP_ANGLE of pi
-    (as on an edge line).  An edge with an end within DROP_RADIUS_REL *
-    r_max of the origin needs no test of its own: d is taken from that end,
-    so s is below that radius, b.t - a.t is at most r_max plus it, and the
-    area falls below a_drop.  The survivors' signed areas sum to the signed
-    area of ``verts`` (negative when they run clockwise) less the dropped
-    slivers', each at most a_drop by the area test and at most
-    r_max^2 sin(DROP_ANGLE) / 2 = 50 a_drop by the angle test.
+    theta = atan(along / s) at its ends, counter-clockwise.  One rule drops
+    a subtriangle: s <= BOUNDARY_TOL_REL * max(longest edge, r_max), the
+    origin on the edge's line (or an end that close to the origin, since d
+    is taken from that end).  Where it matters, for an origin on or inside
+    the triangle, r_max is at most the longest edge, so this is the
+    tolerance of the inside test and of ``to_local_frame``'s z snap.  A
+    kept subtriangle has |along| <= r_max < s / BOUNDARY_TOL_REL, so its
+    angles lie within +-atan(1 / BOUNDARY_TOL_REL) (``elemints.THETA_MAX``).
+    The survivors' signed areas sum to the signed area of ``verts``
+    (negative when they run clockwise) less the dropped ones', each at
+    most that threshold times half its edge's length.
     """
     (ax, ay), (bx, by), (cx, cy) = verts
     t0x, t0y, t1x, t1y, t2x, t2y, orient, tol = edges
     ra, rb, rc = math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy)
     r_max = max(ra, rb, rc)
-    a_drop = DROP_RADIUS_REL * r_max * r_max
+    drop = max(tol, BOUNDARY_TOL_REL * r_max)
     fan: list[SignedSubTriangle] = []
     inside = True
     near = []
@@ -353,14 +345,12 @@ def walk(verts, edges) -> tuple[RadialExtents, list[SignedSubTriangle]]:
             inside = False
         near.append(rp if lo >= 0.0 else rq if hi <= 0.0 else abs(d))
         s = abs(d)
-        if s * (hi - lo) * 0.5 <= a_drop:
+        if s <= drop:
             continue
         if d > 0.0:
-            sub = SignedSubTriangle(1, s, ty, -tx, math.atan(lo / s), math.atan(hi / s))
+            fan.append(SignedSubTriangle(1, s, ty, -tx, math.atan(lo / s), math.atan(hi / s)))
         else:
-            sub = SignedSubTriangle(-1, s, -ty, tx, math.atan(-hi / s), math.atan(-lo / s))
-        if DROP_ANGLE <= sub.theta <= math.pi - DROP_ANGLE:
-            fan.append(sub)
+            fan.append(SignedSubTriangle(-1, s, -ty, tx, math.atan(-hi / s), math.atan(-lo / s)))
     return RadialExtents(0.0 if inside else min(near), r_max), fan
 
 

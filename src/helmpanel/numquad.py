@@ -25,8 +25,9 @@ pass.  Each range starts from equal pieces whose width
 ``kronrod.start_width`` derives from the nearest pole of the integrands in
 u, so that the first round accepts them.  An edge whose line holds the
 projection within the boundary tolerance of ``geometry.to_local_frame``'s
-z snap has only x/y moments, in closed form where h = 0: a rule of the
-oracle's own, not ``geometry.walk``'s sliver tests, which it so checks.
+z snap has only x/y moments, in closed form where h = 0: the oracle's own
+rule, on the longest edge alone, where ``geometry.walk`` takes the larger
+of it and r_max, so the oracle still checks the walk about exterior points.
 """
 
 from __future__ import annotations
@@ -313,11 +314,12 @@ def adaptive_oracle(
     z != 0 their normal derivatives add nu sigma L (jk z E is below roundoff).
     An edge whose line holds the origin, |d| <= ``BOUNDARY_TOL_REL`` times
     the longest edge (``to_local_frame``'s z snap; the oracle's own rule,
-    not ``geometry.walk``'s sliver tests), keeps only its moments: its d is
-    roundoff, which would add +-pi/2 to dI0/dn at z = 0.  With no edge
-    left, as for a zero-area triangle, every component is exactly 0.  With
-    the foot outside an edge, its u-width is one asinh of a ratio, not a
-    difference of two that cancels far from a panel.
+    not ``geometry.walk``'s, which takes r_max where that is larger),
+    keeps only its moments: its d is roundoff, which would add +-pi/2 to
+    dI0/dn at z = 0.  With no edge left, as for a zero-area triangle,
+    every component is exactly 0.  With the foot outside an edge, its
+    u-width is one asinh of a ratio, not a difference of two that cancels
+    far from a panel.
 
     The u-ranges of all edges, laid end to end, are integrated in one
     ``quad_adaptive`` pass, from equal pieces per range sized so that its

@@ -308,7 +308,7 @@ def radii(sub) -> tuple[float, float]:
 def sub_area(sub) -> float:
     """Unsigned area of a canonical subtriangle, from its two radii and angle."""
     r1, r2 = radii(sub)
-    return 0.5 * r1 * r2 * math.sin(sub.theta)
+    return 0.5 * r1 * r2 * math.sin(sub.theta_hi - sub.theta_lo)
 
 
 def shoelace_area(verts2d) -> float:

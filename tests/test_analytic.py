@@ -391,7 +391,7 @@ class TestJChain:
         geom = ref_params(sub, 0.0)
         table = build_table(0.0, geom.theta_lo, geom.theta_hi, 4, alpha_p=1.0)
         jt = j_chain(geom, 0.0, 1.0, 2, table)
-        assert jt[0][0] == pytest.approx(0.5 * geom.s * sub.theta, rel=1e-13)
+        assert jt[0][0] == pytest.approx(0.5 * geom.s * (sub.theta_hi - sub.theta_lo), rel=1e-13)
 
     def test_terms_match_nested_oracle(self):
         sub = canonical_sub(1.0, 0.8, 1.3)

@@ -10,6 +10,7 @@ import pytest
 
 from helmpanel import elemints
 from helmpanel.elemints import binomial_combination, build_table
+from helmpanel.geometry import BOUNDARY_TOL_REL
 from helmpanel.numquad import quad_adaptive
 
 from helpers import ROW_KINDS, alpha_prime, delta, oracle_pow, oracle_rows, powers_from_rows, table_rows
@@ -344,6 +345,17 @@ class TestTable:
         # NaN fails both comparisons, so a NaN alpha or alpha' cannot build a NaN table
         with pytest.raises(ValueError, match="alpha"):
             build_table(alpha, -0.5, 0.8, 4, alpha_p=alpha_p)
+
+    def test_range_domain_is_the_walks(self):
+        # geometry.walk keeps |along| / s < 1 / BOUNDARY_TOL_REL, so its angles
+        # reach atan(1e12) and no further: the ends are in, the next floats out
+        assert elemints.THETA_MAX == math.atan(1.0 / BOUNDARY_TOL_REL)
+        for alpha in (0.0, 0.6):
+            tab = build_table(alpha, -elemints.THETA_MAX, elemints.THETA_MAX, 4, alpha_p=alpha_prime(alpha))
+            assert np.isfinite(table_rows(tab)).all()
+            for lo, hi in ((-math.nextafter(elemints.THETA_MAX, 2.0), 0.1), (-0.1, math.nextafter(elemints.THETA_MAX, 2.0))):
+                with pytest.raises(ValueError, match="angle range"):
+                    build_table(alpha, lo, hi, 4, alpha_p=alpha_prime(alpha))
 
     def test_alpha_p_comes_from_the_caller(self):
         # no default: sqrt(1 - alpha^2) is 0 just above an edge's line, where s/S still holds digits

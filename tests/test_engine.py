@@ -585,6 +585,60 @@ class TestJustAboveAnEdgeLine:
         assert abs(rep.result.d2i0_dn2 - ref.d2i0_dn2) <= 100 * tol * max(1.0, abs(ref.d2i0_dn2))
 
 
+class TestInPlaneNearAnEdgeLine:
+    """In-plane points within a few boundary tolerances of an edge's line.
+
+    The walk drops a subtriangle only where the origin lies on its edge's
+    line within the boundary tolerance, the rule of the inside test and the
+    z snap; an angle test once dropped real subtriangles beside it too."""
+
+    @pytest.mark.parametrize("method", ["auto", "analytic", "numeric"])
+    @pytest.mark.parametrize("delta", [1.2e-12, 5e-12, 2.4e-11])
+    def test_just_inside_an_edge_is_inside(self, delta, method):
+        # inside the edge y = 0 beyond the boundary tolerance (1.08e-12 on the
+        # sample triangle): dI0/dn is the full angle 2 pi, not the pi of a
+        # point on the edge
+        tol = 1e-12
+        rep = evaluate(request(np.array([0.5, delta, 0.0]), tol=tol), method=method)
+        assert abs(rep.result.di0_dn - 2.0 * math.pi) <= 100 * tol
+
+    def test_beyond_an_end_meets_contract(self):
+        # 300 seeded points 1e-12 to 1e-9 diameters off an edge's line of the
+        # sample triangle, up to one edge length beyond either end: auto against
+        # the oracle, at k = 1 and tol 1e-12
+        rng = np.random.default_rng(45)
+        tri, tol = sample_triangle(), 1e-12
+        plane = [p[:2] for p in tri.vertices]
+        for _ in range(300):
+            i = int(rng.integers(3))
+            a, e = plane[i], plane[(i + 1) % 3] - plane[i]
+            t = rng.uniform(0.0, 1.0)
+            t = 1.0 + t if rng.random() < 0.5 else -t
+            normal = np.array([-e[1], e[0]]) / np.linalg.norm(e)
+            off = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -9.0) * tri.diameter
+            x = np.array([*(a + t * e + off * normal), 0.0])
+            rep = evaluate(request(x, tol=tol))
+            verts2d, z = to_local_frame(tri, x)
+            ref = adaptive_oracle(verts2d, z, 1.0, tol=tol / 100)
+            assert abs(rep.result.i0 - ref.i0) <= 10 * tol, x
+            assert abs(rep.result.di0_dn - ref.di0_dn) <= 100 * tol, x
+
+    @pytest.mark.parametrize("method", ["auto", "analytic"])
+    @pytest.mark.parametrize("k", [0.0, 0.5])
+    def test_kept_subtriangle_at_theta_max(self, k, method):
+        # just above the drop threshold (2e-12 here, r_max = 2) off the line
+        # of the edge y = 0, beyond its end: the kept subtriangle's angle
+        # rounds to atan(1e12), the edge of the tables' domain (THETA_MAX)
+        tri = Triangle3(np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]), np.array([1.5, 0.5, 0.0]))
+        x, tol = np.array([0.0, -(1.0 + 1e-5) * 2e-12, 0.0]), 1e-12
+        rep = evaluate(request(x, k=k, tol=tol, tri=tri), method=method)
+        verts2d, z = to_local_frame(tri, x)
+        ref = adaptive_oracle(verts2d, z, k, tol=tol / 100)
+        assert rep.method.kind == "analytic"
+        assert abs(rep.result.i0 - ref.i0) <= 10 * tol
+        assert abs(rep.result.di0_dn - ref.di0_dn) <= 100 * tol
+
+
 class TestSampleGeometry:
     def test_projection_classes(self):
         tri = sample_triangle()

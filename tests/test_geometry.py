@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from helmpanel.elemints import THETA_MAX
 from helmpanel.engine import EvalRequest
 from helmpanel.geometry import (
     BOUNDARY_TOL_REL,
-    DROP_ANGLE,
-    DROP_RADIUS_REL,
     RadialExtents,
     SignedSubTriangle,
     Triangle3,
@@ -205,17 +204,17 @@ class TestLocalFrame:
         tri = tri3((0, 0, 0), (1, 0, 0), (0.3, 0.8, 0))
         x = np.array([0.4, 0.1, 0.25])
         verts0, z0 = to_local_frame(tri, x)
-        subs0 = sorted(subdivide(verts0), key=lambda s: s.theta)
+        subs0 = sorted(subdivide(verts0), key=lambda s: s.theta_hi - s.theta_lo)
         for _ in range(25):
             q, t = rigid_motion(RNG)
             tri_m = Triangle3(q @ tri.v1 + t, q @ tri.v2 + t, q @ tri.v3 + t)
             verts, z = to_local_frame(tri_m, q @ x + t)
             assert z == pytest.approx(z0, abs=1e-12)
-            subs = sorted(subdivide(verts), key=lambda s: s.theta)
+            subs = sorted(subdivide(verts), key=lambda s: s.theta_hi - s.theta_lo)
             for a, b in zip(subs0, subs):
                 assert a.sign == b.sign
                 assert radii(a) == pytest.approx(radii(b), abs=1e-12)
-                assert a.theta == pytest.approx(b.theta, abs=1e-12)
+                assert a.theta_hi - a.theta_lo == pytest.approx(b.theta_hi - b.theta_lo, abs=1e-12)
 
     def test_matches_numpy_construction(self):
         # the frame in float arithmetic against np.cross / np.linalg.norm
@@ -301,27 +300,31 @@ def separate_extents(verts2d) -> RadialExtents:
     return RadialExtents(r_min=r_min, r_max=r_max)
 
 
+def drop_threshold(verts2d) -> float:
+    """The walk's one drop rule: BOUNDARY_TOL_REL * max(longest edge, r_max)."""
+    verts = np.asarray(verts2d, dtype=float).tolist()
+    longest = max(math.dist(a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
+    return BOUNDARY_TOL_REL * max(longest, *(math.hypot(vx, vy) for vx, vy in verts))
+
+
 def separate_fan(verts2d) -> list[SignedSubTriangle]:
     """The signed subtriangles in canonical form, by the atan route (``canonical_sub``).
 
-    Each kept edge gives Theta = atan2(|a x b|, a.b) and the polar angle psi1
-    of the side the subtriangle starts from, with the slivers dropped by
-    Theta and the cross product.
+    Each edge a -> b whose line lies farther from the origin than
+    ``drop_threshold``, at s = |a x b| / |b - a|, gives Theta =
+    atan2(|a x b|, a.b) and the polar angle psi1 of the side the
+    subtriangle starts from.
     """
     verts = np.asarray(verts2d, dtype=float).tolist()
-    r_max = max(math.hypot(vx, vy) for vx, vy in verts)
+    drop = drop_threshold(verts)
     subs = []
     for i in range(3):
         a, b = verts[i], verts[(i + 1) % 3]
-        ra, rb = math.hypot(a[0], a[1]), math.hypot(b[0], b[1])
-        if ra < DROP_RADIUS_REL * r_max or rb < DROP_RADIUS_REL * r_max:
-            continue
         cross = a[0] * b[1] - a[1] * b[0]
+        if abs(cross) / math.dist(a, b) <= drop:
+            continue
+        ra, rb = math.hypot(a[0], a[1]), math.hypot(b[0], b[1])
         theta = math.atan2(abs(cross), a[0] * b[0] + a[1] * b[1])
-        if theta < DROP_ANGLE or theta > math.pi - DROP_ANGLE:
-            continue
-        if abs(cross) * 0.5 <= DROP_RADIUS_REL * r_max * r_max:
-            continue
         first, r1, r2, sign = (a, ra, rb, 1) if cross > 0.0 else (b, rb, ra, -1)
         subs.append(canonical_sub(r1, r2, theta, sign, math.atan2(first[1], first[0])))
     return subs
@@ -482,8 +485,7 @@ class TestEdgeWalk:
 def contract_cases(rng, n: int) -> list[np.ndarray]:
     """Random triangles in both orientations about a vertex, a point 1e-18 to
     1e-8 from it, a point on an edge, one inside and one outside (out to
-    1e8).  None lies just off an edge's line away from its ends, where the
-    angle test drops larger slivers (``test_angle_test_slivers``)."""
+    1e8)."""
     cases = []
     for _ in range(n):
         v = rng.uniform(-1.0, 1.0, size=(3, 2))
@@ -498,43 +500,43 @@ def contract_cases(rng, n: int) -> list[np.ndarray]:
 
 
 class TestWalkContract:
-    def check_contract(self, verts2d, slivers: float) -> None:
-        # the walk's documented contract: no survivor with an end within
-        # DROP_RADIUS_REL * r_max of the origin, none with an area up to
-        # a_drop or an angle outside [DROP_ANGLE, pi - DROP_ANGLE], and the
-        # signed areas summing to the shoelace area (negative when
-        # clockwise) less the dropped slivers, ``slivers`` times a_drop
-        ext, fan = edge_walk(verts2d)
-        a_drop = DROP_RADIUS_REL * ext.r_max * ext.r_max
-        total = 0.0
-        for sub in fan:
-            assert min(radii(sub)) > DROP_RADIUS_REL * ext.r_max
-            area = 0.5 * sub.s * sub.s * (math.tan(sub.theta_hi) - math.tan(sub.theta_lo))
-            assert area > a_drop
-            assert DROP_ANGLE <= sub.theta <= math.pi - DROP_ANGLE
-            total += sub.sign * area
-        assert abs(total - shoelace_area(verts2d)) <= slivers * a_drop
-
     def test_random_triangles_both_orientations(self):
+        # the walk's documented contract: every survivor's s above the
+        # threshold (``drop_threshold``), its angles within +-THETA_MAX, and
+        # the signed areas summing to the shoelace area (negative when
+        # clockwise) less the dropped subtriangles', each at most the
+        # threshold times half its edge (the perimeter less the survivors'
+        # far sides), plus sixteen roundings of r_max^2; over
+        # ``contract_cases`` and ``walk_cases`` (points 1e-10 and 1e-14
+        # diameters off an edge's line)
         rng = np.random.default_rng(53)
         cases = contract_cases(rng, 300)
-        for verts2d in cases:
-            self.check_contract(verts2d, 3.0)
+        near_vertex = thin = steep = 0
+        for verts2d in cases + walk_cases(np.random.default_rng(59), 300):
+            ext, fan = edge_walk(verts2d)
+            verts = np.asarray(verts2d, dtype=float).tolist()
+            dropped = sum(math.dist(a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
+            drop = drop_threshold(verts2d)
+            total = 0.0
+            for sub in fan:
+                assert sub.s > drop
+                assert -THETA_MAX <= sub.theta_lo <= sub.theta_hi <= THETA_MAX
+                far_side = sub.s * (math.tan(sub.theta_hi) - math.tan(sub.theta_lo))
+                total += sub.sign * 0.5 * sub.s * far_side
+                dropped -= far_side
+                thin += sub.s < 1e-8 * ext.r_max
+                steep += max(-sub.theta_lo, sub.theta_hi) > math.pi / 2 - 1e-8
+            bound = drop * max(dropped, 0.0) / 2 + 16.0 * np.finfo(float).eps * ext.r_max**2
+            assert abs(total - shoelace_area(verts2d)) <= bound
+            near_vertex += min(math.hypot(*p) for p in verts) < BOUNDARY_TOL_REL * ext.r_max
         # the cases reach what the contract is about: a vertex within the
-        # radius, and clockwise triangles whose fans sum to a negative area
-        r = [np.hypot(*c.T) for c in cases]
-        assert sum(ri.min() < DROP_RADIUS_REL * ri.max() for ri in r) > 500
+        # threshold, kept subtriangles beside an edge's line and angles near
+        # THETA_MAX, and clockwise triangles whose fans sum to a negative area
+        assert near_vertex > 500 and thin > 100 and steep > 100
         assert sum(shoelace_area(c) < 0.0 for c in cases) == len(cases) // 2
         # the extents, unlike the fan, do not depend on the order
         for verts2d, reversed_order in zip(cases[::2], cases[1::2]):
             assert radial_extents(reversed_order) == radial_extents(verts2d)
-
-    def test_angle_test_slivers(self):
-        # off an edge's line by 1e-10 of the diameter the angle test drops
-        # slivers of up to r_max^2 sin(DROP_ANGLE) / 2 = 50 a_drop
-        rng = np.random.default_rng(59)
-        for verts2d in walk_cases(rng, 300):
-            self.check_contract(verts2d, 150.0)
 
 
 class TestSubdivide:
@@ -646,7 +648,7 @@ class TestRefParams:
         (sub,) = subdivide([[0.0, 0.0], [0.9 * c, 0.9 * s], [-0.4 * s, 0.4 * c]])
         assert (radii(sub)[0], sub.sign) == (pytest.approx(0.9), 1)
         assert math.atan2(sub.sin_psi, sub.cos_psi) == pytest.approx(0.5 + math.atan(0.9 / 0.4), abs=1e-14)
-        assert sub.theta == pytest.approx(math.pi / 2, abs=1e-14)
+        assert sub.theta_hi - sub.theta_lo == pytest.approx(math.pi / 2, abs=1e-14)
 
     def test_in_plane(self):
         sub = canonical_sub(0.9, 0.4, 1.2)

@@ -693,7 +693,7 @@ class TestPolarIntegrate:
                 # dI0/dn is the jump term there, and d2I0/dn2 the finite
                 # part of its limit (test_z_zero_hypersingular_matches_oracle),
                 # not the flat rule's divergent sum of d2G
-                got[3] -= sum(sub.sign * sub.theta for sub in fan)
+                got[3] -= sum(sub.sign * (sub.theta_hi - sub.theta_lo) for sub in fan)
                 got, want = got[:6], want[:6]
             assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want))), (proj, got - want)
 
