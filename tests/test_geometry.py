@@ -500,35 +500,38 @@ def contract_cases(rng, n: int) -> list[np.ndarray]:
 
 
 class TestWalkContract:
-    def test_random_triangles_both_orientations(self):
+    def check_contract(self, verts2d) -> tuple[bool, int, int]:
         # the walk's documented contract: every survivor's s above the
         # threshold (``drop_threshold``), its angles within +-THETA_MAX, and
         # the signed areas summing to the shoelace area (negative when
         # clockwise) less the dropped subtriangles', each at most the
         # threshold times half its edge (the perimeter less the survivors'
-        # far sides), plus sixteen roundings of r_max^2; over
-        # ``contract_cases`` and ``walk_cases`` (points 1e-10 and 1e-14
-        # diameters off an edge's line)
+        # far sides), plus sixteen roundings of r_max^2.  Returns whether a
+        # vertex lies within the threshold, and the counts of survivors
+        # beside an edge's line and with an angle near THETA_MAX
+        ext, fan = edge_walk(verts2d)
+        verts = np.asarray(verts2d, dtype=float).tolist()
+        dropped = sum(math.dist(a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
+        drop = drop_threshold(verts2d)
+        total = 0.0
+        thin = steep = 0
+        for sub in fan:
+            assert sub.s > drop
+            assert -THETA_MAX <= sub.theta_lo <= sub.theta_hi <= THETA_MAX
+            far_side = sub.s * (math.tan(sub.theta_hi) - math.tan(sub.theta_lo))
+            total += sub.sign * 0.5 * sub.s * far_side
+            dropped -= far_side
+            thin += sub.s < 1e-8 * ext.r_max
+            steep += max(-sub.theta_lo, sub.theta_hi) > math.pi / 2 - 1e-8
+        bound = drop * max(dropped, 0.0) / 2 + 16.0 * np.finfo(float).eps * ext.r_max**2
+        assert abs(total - shoelace_area(verts2d)) <= bound
+        near_vertex = min(math.hypot(*p) for p in verts) < BOUNDARY_TOL_REL * ext.r_max
+        return near_vertex, thin, steep
+
+    def test_random_triangles_both_orientations(self):
         rng = np.random.default_rng(53)
         cases = contract_cases(rng, 300)
-        near_vertex = thin = steep = 0
-        for verts2d in cases + walk_cases(np.random.default_rng(59), 300):
-            ext, fan = edge_walk(verts2d)
-            verts = np.asarray(verts2d, dtype=float).tolist()
-            dropped = sum(math.dist(a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
-            drop = drop_threshold(verts2d)
-            total = 0.0
-            for sub in fan:
-                assert sub.s > drop
-                assert -THETA_MAX <= sub.theta_lo <= sub.theta_hi <= THETA_MAX
-                far_side = sub.s * (math.tan(sub.theta_hi) - math.tan(sub.theta_lo))
-                total += sub.sign * 0.5 * sub.s * far_side
-                dropped -= far_side
-                thin += sub.s < 1e-8 * ext.r_max
-                steep += max(-sub.theta_lo, sub.theta_hi) > math.pi / 2 - 1e-8
-            bound = drop * max(dropped, 0.0) / 2 + 16.0 * np.finfo(float).eps * ext.r_max**2
-            assert abs(total - shoelace_area(verts2d)) <= bound
-            near_vertex += min(math.hypot(*p) for p in verts) < BOUNDARY_TOL_REL * ext.r_max
+        near_vertex, thin, steep = np.sum([self.check_contract(c) for c in cases], axis=0)
         # the cases reach what the contract is about: a vertex within the
         # threshold, kept subtriangles beside an edge's line and angles near
         # THETA_MAX, and clockwise triangles whose fans sum to a negative area
@@ -537,6 +540,16 @@ class TestWalkContract:
         # the extents, unlike the fan, do not depend on the order
         for verts2d, reversed_order in zip(cases[::2], cases[1::2]):
             assert radial_extents(reversed_order) == radial_extents(verts2d)
+
+    def test_angle_test_slivers(self):
+        # points 1e-10 and 1e-14 diameters off an edge's line, where a test
+        # on the subtriangle's angle would drop slivers of up to r_max^2 / 2:
+        # the one drop rule keeps them, thin and with angles near THETA_MAX,
+        # and the contract holds without a sliver allowance
+        rng = np.random.default_rng(59)
+        cases = walk_cases(rng, 300)
+        _, thin, steep = np.sum([self.check_contract(c) for c in cases], axis=0)
+        assert thin > 100 and steep > 100
 
 
 class TestSubdivide:
