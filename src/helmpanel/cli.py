@@ -23,6 +23,7 @@ import numpy as np
 
 from .engine import (
     METHODS,
+    N_MIN,
     EvalRequest,
     SAMPLE_PROJECTIONS,
     check_tol,
@@ -68,10 +69,9 @@ def _parse_dx(text: str) -> float:
 
 def cmd_integrate(args) -> int:
     tri = Triangle3.from_flat(_parse_floats(args.tri, 9, "--tri"))
-    point = np.array(_parse_floats(args.point, 3, "--point"))
     req = EvalRequest(
         triangle=tri,
-        field_point=point,
+        field_point=_parse_floats(args.point, 3, "--point"),
         k=args.k,
         tol=args.tol,
         want_hypersingular=args.hyper,
@@ -202,6 +202,7 @@ def cmd_estimate(args) -> int:
         print(f"selection: analytic required (E_Q > {_fmt(args.tol)} for all Q <= {Q_CAP})")
     else:
         print(f"selection: Q = {sel.q}, n_gauss = {sel.n_gauss}, E_Q = {_fmt(sel.e_q)}")
+        print(f"evaluate runs n_gauss = {max(sel.n_gauss, N_MIN)}, at least engine.N_MIN = {N_MIN}")
     return 0
 
 

@@ -30,7 +30,7 @@ from .estimator import OrderSelection, select_order
 from .expapprox import DELTA_X_TIERS, check_k, select_approx
 # radial_extents and subdivide are bound here, unused, for the layer tracer
 # of perfbench, which wraps them by name until it spans the walk
-from .geometry import Frozen, Triangle3, point_coordinates, radial_extents, ref_params, subdivide, to_local_frame, walk  # noqa: F401
+from .geometry import Frozen, Triangle3, radial_extents, real_array, real_number, ref_params, subdivide, to_local_frame, walk  # noqa: F401
 from .numquad import check_bool, check_order, polar_integrate
 
 # Stability gate for the analytic path (J-recursion growth factor k|z|).
@@ -48,11 +48,12 @@ TOL_RANGE = (1e-15, 1e-2)
 METHODS = ("auto", "analytic", "numeric")
 
 
-def check_tol(tol: float) -> None:
-    """Raise ValueError unless tol lies in TOL_RANGE."""
+def check_tol(tol) -> float:
+    """tol as a float; a ValueError unless it is a real number (``geometry.real_number``) in TOL_RANGE."""
     lo, hi = TOL_RANGE
-    if not lo <= tol <= hi:
+    if not lo <= (tol := real_number(tol, "tol")) <= hi:
         raise ValueError(f"tol must lie in [{lo:g}, {hi:g}]")
+    return tol
 
 
 # EvalRequest's field point: three machine doubles
@@ -62,15 +63,16 @@ _POINT = struct.Struct("3d")
 class EvalRequest(Frozen):
     """One panel-integral evaluation, checked once, when it is built.
 
-    The triangle validated itself.  A field point that is not three finite
-    real numbers (``geometry.point_coordinates``), a k that is a bool,
+    The triangle validated itself.  A field point that is not finite real
+    numbers of shape (3,) (``geometry.real_array``), a k or a tol that is
+    not a real number (``geometry.real_number``: a bool is not), a k that is
     negative or not finite, a tol outside TOL_RANGE or a
     ``want_hypersingular`` that is not a Python or NumPy bool is a
-    ValueError.  The point is copied into three packed doubles
-    (``_point``), so a later edit of the caller's array does not reach the
-    request; ``field_point`` returns it as a read-only (3,) array, and
-    ``evaluate`` reads it with one unpack.  No field, property or other
-    name can be assigned or deleted (``Frozen``:
+    ValueError.  k and tol are kept as floats, and the point is copied into
+    three packed doubles (``_point``), so a later edit of the caller's
+    array does not reach the request; ``field_point`` returns it as a
+    read-only (3,) array, and ``evaluate`` reads it with one unpack.  No
+    field, property or other name can be assigned or deleted (``Frozen``:
     ``dataclasses.FrozenInstanceError``); a pickled or copied request is
     built again from its fields.
     """
@@ -79,13 +81,9 @@ class EvalRequest(Frozen):
 
     def __init__(self, triangle: Triangle3, field_point, k: float, tol: float = 1e-9,
                  want_hypersingular: bool = False):
-        xyz = point_coordinates(field_point)
-        if not all(map(math.isfinite, xyz)):
-            raise ValueError("field point must be finite")
-        check_tol(tol)
-        check_k(k)
+        xyz = real_array(field_point, (3,), "field point")
         check_bool("want_hypersingular", want_hypersingular)
-        fields = (triangle, _POINT.pack(*xyz), k, tol, bool(want_hypersingular))
+        fields = (triangle, _POINT.pack(*xyz), check_k(k), check_tol(tol), bool(want_hypersingular))
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RadialExtents
+from .geometry import RadialExtents, real_number
 
 # Largest polynomial order handled by quadrature before switching to the
 # analytic path; 32 corresponds to the 16-point-rule regime studied in the
@@ -135,20 +135,19 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
     For z != 0, |t| cos(phi) < 1, so E_Q does not increase with Q: each
     step multiplies it by at most sqrt((Q + 1) / (Q + 2)), a fall far above
     rounding.  So one E_Q at q_cap decides whether any order works, and
-    bisection finds the smallest.  A tol not > 0, a z not finite, extents
-    outside 0 <= r_min <= r_max < inf, an r_max of 0 (no triangle has one)
-    or a q_cap that is not an integer (Python or NumPy; a bool is not) are
-    a ValueError; a q_cap < 1 requires the analytic path.
+    bisection finds the smallest.  A tol that is not a real number
+    (``geometry.real_number``) > 0, a z not finite, extents outside
+    0 <= r_min <= r_max < inf, an r_max of 0 (no triangle has one) or a
+    q_cap that is not an integer (Python or NumPy; a bool is not) are a
+    ValueError; a q_cap < 1 requires the analytic path.
     """
-    if not tol > 0.0:  # written so that a NaN fails it
+    if not real_number(tol, "tol") > 0.0:  # written so that a NaN fails it
         raise ValueError(f"tol must be > 0, got {tol!r}")
     _check_geometry(extents, z)
     if isinstance(q_cap, bool) or not isinstance(q_cap, (int, np.integer)):
         raise ValueError(f"q_cap must be an int, got {q_cap!r}")
-    if z == 0.0:
-        return ANALYTIC_REQUIRED
     _, R_mid, cos_phi, sin_phi, t = _reduced(extents.r_min, extents.r_max, z)
-    if sin_phi == 0.0:  # |z| too far below r_max for sin(phi) to be a float: the z = 0 verdict
+    if sin_phi == 0.0:  # z = 0, or |z| too far below r_max for sin(phi) to be a float
         return ANALYTIC_REQUIRED
     lead, abs_t, cos_phi, denom, R_mid = _e_q_factors(R_mid, cos_phi, sin_phi, t)
     lo, hi = 1, int(q_cap)

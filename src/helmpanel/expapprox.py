@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import zip_longest
 
+from .geometry import real_number
+
 # The last tier is the element-size limit: the expansion covers k * r < pi/2.
 DELTA_X_TIERS = (math.pi / 16, math.pi / 8, math.pi / 4, math.pi / 2)
 DELTA_X_LABELS = ("pi/16", "pi/8", "pi/4", "pi/2")
@@ -79,16 +81,13 @@ class ExpApprox:
 LAPLACE = ExpApprox(delta_x=0.0, eps=0.0, coeffs=(1 + 0j,))
 
 
-def check_k(k) -> None:
-    """Raise ValueError unless the wavenumber k is finite, >= 0 and not a bool.
+def check_k(k) -> float:
+    """The wavenumber k as a float; a ValueError unless it is a real number (``geometry.real_number``), finite and >= 0.
 
-    A Python or NumPy bool (a NumPy one is known by its dtype, so this
-    module needs no NumPy) would otherwise run as k = 0 or 1.
-    ``EvalRequest``, ``select_approx``, ``polar_integrate`` and
-    ``adaptive_oracle`` all check k here.
-    """
-    if isinstance(k, bool) or getattr(k, "dtype", None) == bool or not 0.0 <= k < math.inf:
+    ``EvalRequest``, ``polar_integrate`` and ``adaptive_oracle`` check k here, ``select_approx`` by its k * ell."""
+    if not 0.0 <= (k := real_number(k, "k")) < math.inf:
         raise ValueError(f"k must be finite and non-negative, not a bool, got {k!r}")
+    return k
 
 
 def taylor_sin_cos(q: int) -> tuple[list[float], list[float]]:
@@ -202,19 +201,20 @@ def select_approx(k: float, ell: float, eps: float) -> ExpApprox:
     coarsest tabulated tolerance not exceeding eps, by one bisection each,
     from ``economize``'s cache.  k * ell >= pi/2 (the last tier) violates
     the standing element-size assumption and is rejected, as is a k, an
-    ell or a k * ell that is negative or NaN, a k that ``check_k`` rejects
-    (a bool among them) or a NaN eps, at k = 0 too.
+    ell or a k * ell that is negative or NaN, a k or an eps that is not a
+    real number (``geometry.real_number``: a bool is not) or a NaN eps, at
+    k = 0 too.
     """
+    k = real_number(k, "k")  # before k * ell
     x_need = k * ell
     if not (k >= 0.0 and ell >= 0.0 and x_need >= 0.0):  # written so that a NaN fails it
         raise ValueError(f"k*ell = {x_need:g} (k = {k:g}, ell = {ell:g}): negative or not a number")
-    check_k(k)  # a bool, or an infinite k
     if x_need >= DELTA_X_TIERS[-1]:
         raise ValueError(
             f"k*ell = {x_need:.6g} >= {DELTA_X_LABELS[-1]}: element too large for the "
             f"expansion (the method assumes k * edge < {DELTA_X_LABELS[-1]})"
         )
-    if not eps >= EPS_TIERS[-1]:
+    if not real_number(eps, "eps") >= EPS_TIERS[-1]:
         raise ValueError(f"eps = {eps:g} is below the achievable tier {EPS_TIERS[-1]:g} or not a number")
     if k == 0.0:
         return LAPLACE

@@ -14,8 +14,11 @@ with one vertex at the origin and an edge as its far side, given by its
 reference parameters: s = |d_e|, the foot direction (plus or minus the
 edge's unit normal) and theta = atan(along / s) at its two ends.  One
 tolerance, ``BOUNDARY_TOL_REL`` of the triangle's size, decides "on an
-edge's line" everywhere here: the z snap, the inside test and the one
-rule by which the walk drops a subtriangle.
+edge's line" everywhere here: a degenerate triangle, the z snap, the
+inside test and the one rule by which the walk drops a subtriangle.  And
+one rule decides what a number is at every entry point: ``real_array``
+reads coordinates and ``real_number`` a height, k or tol, as floats, or
+raises a ValueError that names the input.
 
 Conventions fixed here (the analysis leaves them open):
   * element normal = normalize((v2 - v1) x (v3 - v1)),
@@ -36,7 +39,7 @@ from dataclasses import FrozenInstanceError, dataclass
 import numpy as np
 
 # Tolerance (relative to triangle diameter) for "on an edge's line": the
-# z snap, the inside test and the walk's one drop rule.
+# z snap, the inside test, the walk's one drop rule and the degeneracy test.
 BOUNDARY_TOL_REL = 1e-12
 
 # Largest height |z| whose square is finite (``check_height``).
@@ -94,29 +97,21 @@ class Triangle3(Frozen):
     ``centroid`` as new arrays).  No attribute can be assigned or deleted
     (``Frozen``: ``dataclasses.FrozenInstanceError``); a pickled or copied
     triangle is built again from its vertices.
-    Raises ValueError for a vertex that is not of shape (3,), for
-    non-finite vertices and for a degenerate (collinear) triangle.
+    Raises ValueError for a vertex that is not finite real numbers of shape
+    (3,) (``real_array``) and for a degenerate (collinear) triangle.
     """
 
     __slots__ = ("_block",)
 
     def __init__(self, v1, v2, v3):
-        points = []
-        for name, v in (("v1", v1), ("v2", v2), ("v3", v3)):
-            v = np.asarray(v, dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"triangle vertex {name} must have shape (3,), got {v.shape}")
-            points.append(v.tolist())
-        p1, p2, p3 = points
-        if not all(map(math.isfinite, p1 + p2 + p3)):
-            raise ValueError("triangle vertices must be finite")
+        p1, p2, p3 = (real_array(v, (3,), f"triangle vertex v{i}") for i, v in enumerate((v1, v2, v3), 1))
         ax, ay, az = p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2]
         bx, by, bz = p3[0] - p1[0], p3[1] - p1[1], p3[2] - p1[2]
         nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
         nn = math.hypot(nx, ny, nz)
         l12 = math.dist(p1, p2)
         d = max(l12, math.dist(p2, p3), math.dist(p3, p1))
-        if not (d > 0.0 and nn > 1e-12 * d * d and math.isfinite(nn)):
+        if not (d > 0.0 and nn > BOUNDARY_TOL_REL * d * d and math.isfinite(nn)):
             msg = f"|area| = {0.5 * nn:.3e} below threshold for diameter {d:.3e}"
             raise ValueError(f"degenerate or non-finite triangle: {msg}")
         nx, ny, nz = nx / nn, ny / nn, nz / nn
@@ -139,8 +134,8 @@ class Triangle3(Frozen):
     @classmethod
     def from_flat(cls, coords) -> "Triangle3":
         """Build from a flat sequence of 9 coordinates."""
-        c = np.asarray(coords, dtype=float).reshape(3, 3)
-        return cls(c[0], c[1], c[2])
+        c = real_array(coords, (9,), "flat triangle coordinates")
+        return cls(c[:3], c[3:6], c[6:])
 
     v1 = _vector(_V1)
     v2 = _vector(_V2)
@@ -232,22 +227,18 @@ def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
     them when it was built (one unpack of the first 16 values of its block);
     per point, z = n.(x - v1) and the projection's plane coordinates
     (e1.(x - v1), e2.(x - v1)) are float arithmetic, and the plane vertices
-    are shifted by the latter.  A tuple is read as it is, as three floats
-    (``evaluate`` passes its request's unpacked point); anything else, and
-    a tuple that fails so, as an array (``point_coordinates``): a point that
-    is not three real numbers is a ValueError with ``EvalRequest``'s
-    message, and so is a height that ``check_height`` rejects.
+    are shifted by the latter.  A tuple of three Python floats is read as it
+    is (``evaluate`` passes its request's unpacked point); anything else goes
+    through ``real_array``, as in ``EvalRequest``: a point that is not finite
+    real numbers of shape (3,) is a ValueError, and so is a height that
+    ``check_height`` rejects.
     """
     p1x, p1y, p1z, nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z, x2, x3, y3, diameter = _LOCAL.unpack_from(tri._block)
-    if type(x) is not tuple:
-        x = point_coordinates(x)
-    try:  # a tuple of another length fails to unpack, of other entries to subtract or, complex, to convert
-        px, py, pz = x
-        dx, dy, dz = px - p1x, py - p1y, pz - p1z
-        z = float(dx * nx + dy * ny + dz * nz)
-    except (TypeError, ValueError):
-        return to_local_frame(tri, point_coordinates(x))
-    check_height(z)
+    if not (type(x) is tuple and len(x) == 3 and type(x[0]) is type(x[1]) is type(x[2]) is float):
+        x = real_array(x, (3,), "field point")
+    px, py, pz = x
+    dx, dy, dz = px - p1x, py - p1y, pz - p1z
+    z = check_height(dx * nx + dy * ny + dz * nz)
     if abs(z) <= BOUNDARY_TOL_REL * diameter:
         # an in-plane point lands at a roundoff-level z of either sign; the
         # one-sided limits are taken from z > 0
@@ -256,26 +247,41 @@ def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
     return ((0.0 - ox, 0.0 - oy), (x2 - ox, 0.0 - oy), (x3 - ox, y3 - oy)), z
 
 
-def point_coordinates(x) -> list[float]:
-    """The field point x as three floats; a ValueError, naming its shape or else x, unless it is three real numbers."""
+def real_array(value, shape: tuple, name: str):
+    """``value`` as (nested lists of) floats; a ValueError naming ``name`` unless ``np.asarray(value)`` has
+    ``shape`` (a ragged value has none), an integer or floating dtype (so no bool, complex, string or None
+    entries) and finite values."""
     try:
-        point = np.asarray(x)
-        if point.shape == (3,):
-            return [float(v) for v in point.tolist()]
-    except (TypeError, ValueError):  # ragged, or an entry that is complex, None or not a number
-        raise ValueError(f"field point must be three real numbers, got {x!r}") from None
-    raise ValueError(f"field point must have shape (3,), got {point.shape}")
+        array = np.asarray(value)
+    except ValueError:  # ragged
+        raise ValueError(f"{name} must have shape {shape}, got {value!r}") from None
+    if array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite and real (an integer or floating dtype), got {value!r}")
+    return array.astype(float, copy=False).tolist()
 
 
-def check_height(z: float) -> None:
-    """Raise ValueError unless the height z is finite and so is z^2: |z| <= Z_MAX.
+def real_number(value, name: str) -> float:
+    """``value`` as a float: an int or a float, Python or NumPy, not a bool (``real_array`` at shape ()).
+
+    A Python float, what the timed paths pass, is returned as it is, NaN and
+    inf too: every caller's range check refuses those.
+    """
+    return value if type(value) is float else real_array(value, (), name)
+
+
+def check_height(z) -> float:
+    """The height z as a float (``real_number``); a ValueError unless it is finite and so is z^2: |z| <= Z_MAX.
 
     The kernel reads R^2 = r^2 + z^2, so above Z_MAX = sqrt(sys.float_info.max),
     about 1.34e154, the numeric path would return NaN values; the oracle
     takes the same bound.
     """
+    z = real_number(z, "height z")
     if not abs(z) <= Z_MAX:  # written so that a NaN fails it
         raise ValueError(f"height z = {z!r}: it or its square is not finite (|z| > {Z_MAX:.4g})")
+    return z
 
 
 def edge_frame(verts) -> tuple:
@@ -354,17 +360,9 @@ def walk(verts, edges) -> tuple[RadialExtents, list[SignedSubTriangle]]:
     return RadialExtents(0.0 if inside else min(near), r_max), fan
 
 
-def plane_vertices(verts2d) -> list[list[float]]:
-    """``verts2d`` as three [x, y] lists of floats; a ValueError unless they are three finite (x, y) pairs."""
-    plane = np.asarray(verts2d, dtype=float)
-    if plane.shape != (3, 2) or not np.isfinite(plane).all():
-        raise ValueError(f"plane vertices must be three finite (x, y) pairs, got {verts2d!r}")
-    return plane.tolist()
-
-
 def edge_walk(verts2d) -> tuple[RadialExtents, list[SignedSubTriangle]]:
-    """``walk`` on bare plane vertices (``plane_vertices``), with the edge frame derived from them."""
-    verts = plane_vertices(verts2d)
+    """``walk`` on bare plane vertices (``real_array``: finite real numbers of shape (3, 2)), with the edge frame derived from them."""
+    verts = real_array(verts2d, (3, 2), "plane vertices")
     return walk(verts, edge_frame(verts))
 
 

@@ -42,7 +42,7 @@ from . import kronrod
 from .analytic import PanelIntegrals
 from .expapprox import check_k
 # ref_params and subdivide are bound here, unused, for the layer tracer of perfbench
-from .geometry import BOUNDARY_TOL_REL, check_height, plane_vertices, ref_params, subdivide  # noqa: F401
+from .geometry import BOUNDARY_TOL_REL, check_height, real_array, real_number, ref_params, subdivide  # noqa: F401
 # the oracle calls quad_adaptive through this binding, which the tracer wraps
 from .kronrod import quad_adaptive
 
@@ -219,14 +219,15 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     over a subtriangle the w sum to sign * Theta), and the x/y moments
     have none.  ``d2I0/dn2`` is the finite part of the limit: along a ray
     the radial integral of d2G/dz2 tends to e^{jk rbar}/rbar - jk.
-    A z that ``geometry.check_height`` rejects (|z| above about 1.34e154,
-    whose square is not finite), a k that ``expapprox.check_k`` rejects
-    (not finite, negative or a bool), a ``want_hyper`` that is not a bool
+    A z that ``geometry.check_height`` rejects (not a real number, or |z|
+    above about 1.34e154, whose square is not finite; it runs as a float),
+    a k that ``expapprox.check_k`` rejects (not a real number, not finite
+    or negative), a ``want_hyper`` that is not a bool
     (``check_bool``) or an n that ``check_order`` rejects (through
     ``polar_rule``'s typed cache) is a ValueError.
     """
-    check_height(z)
-    check_k(k)
+    z = check_height(z)
+    k = check_k(k)
     check_bool("want_hyper", want_hyper)
     r2, points, area = polar_nodes(fan, n, z)
     out = np.zeros((3 if want_hyper else 2, 3), dtype=complex)  # (kernel row, 1 / x / y)
@@ -351,20 +352,20 @@ def adaptive_oracle(
     the largest component for e^{jk|z|}'s.  So a converged call reports
     more than tol where a component is of order 1e2 or more (d2I0/dn2 just
     above a panel): 1e-13 is below one ulp there.
-    A z that ``geometry.check_height`` rejects, a k that
-    ``expapprox.check_k`` rejects (a bool among them), a tol not > 0, a
-    name in ``components`` outside ORACLE_COMPONENTS or vertices that are
-    not three finite (x, y) pairs (``geometry.plane_vertices``) are a
-    ValueError.
+    A z that ``geometry.check_height`` rejects (z runs as a float), a k
+    that ``expapprox.check_k`` rejects, a tol that is not a real number
+    (``geometry.real_number``) > 0, a name in ``components`` outside
+    ORACLE_COMPONENTS or vertices that are not finite real numbers of
+    shape (3, 2) (``geometry.real_array``) are a ValueError.
     """
-    check_height(z)
-    check_k(k)
-    if not tol > 0.0:  # written so that a NaN fails it
+    z = check_height(z)
+    k = check_k(k)
+    if not real_number(tol, "tol") > 0.0:  # written so that a NaN fails it
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if not set(components) <= set(ORACLE_COMPONENTS):
         raise ValueError(f"components must be names among {ORACLE_COMPONENTS}, got {components!r}")
     check_bool("want_hyper", want_hyper)
-    verts = plane_vertices(verts2d)
+    verts = real_array(verts2d, (3, 2), "plane vertices")
     want_xy = "ixy" in components or "dixy" in components
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0

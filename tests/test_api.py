@@ -1,13 +1,15 @@
-"""The public surface: every exported name resolves, and README's example runs."""
+"""The public surface: every exported name resolves, README's example runs, and every entry point reads numbers by one rule."""
 
 import copy
 import dataclasses
 import json
+import math
 import os
 import pickle
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,12 @@ import pytest
 
 import helmpanel
 from helmpanel import numquad
+from helmpanel.engine import EvalRequest
+from helmpanel.estimator import select_order
 from helmpanel.expapprox import LAPLACE, economize, select_approx
+from helmpanel.geometry import RadialExtents, Triangle3, check_height, edge_walk, radial_extents, subdivide, to_local_frame
+from helmpanel.kronrod import quad_adaptive
+from helmpanel.numquad import adaptive_oracle, polar_integrate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -178,3 +185,105 @@ def test_no_path_imports_numpy_polynomial():
     assert paths == [["numeric", 16, 0.5], ["analytic", None, 1e-4], ["analytic", None, 0.0], ["numeric", 50, 1e-3]]
     assert codes == [0, 0, 0]
     assert loaded == []
+
+
+# One rule for numeric input (geometry.real_array, geometry.real_number):
+# every entry point that reads coordinates or a scalar, the name its
+# ValueError starts with, and what it reads.
+TRI = helmpanel.sample_triangle()
+POINT = [0.4, 0.3, 0.1]
+VERTS2D = [[-0.4, -0.3], [0.6, -0.3], [0.0, 0.6]]
+FAN = subdivide(VERTS2D)
+COORDINATE_ENTRIES = {
+    "Triangle3": ((3,), "triangle vertex v1", lambda c: Triangle3(c, [1.0, 0.0, 0.0], [0.4, 0.9, 0.0])),
+    "from_flat": ((9,), "flat triangle coordinates", Triangle3.from_flat),
+    "EvalRequest": ((3,), "field point", lambda c: EvalRequest(TRI, c, 1.0)),
+    "to_local_frame": ((3,), "field point", lambda c: to_local_frame(TRI, c)),
+    "to_local_frame-tuple": ((3,), "field point", lambda c: to_local_frame(TRI, tuple(c))),
+    "adaptive_oracle": ((3, 2), "plane vertices", lambda c: adaptive_oracle(c, 0.1, 1.0)),
+    "edge_walk": ((3, 2), "plane vertices", edge_walk),
+    "subdivide": ((3, 2), "plane vertices", subdivide),
+    "radial_extents": ((3, 2), "plane vertices", radial_extents),
+}
+
+
+def bad_coordinates(kind, shape):
+    """Coordinates of ``shape`` spoiled as ``kind`` says."""
+    good = np.linspace(0.1, 0.9, int(np.prod(shape))).reshape(shape)
+    spoiled = good.tolist()
+    first = spoiled if len(shape) == 1 else spoiled[0]
+    if kind == "complex":
+        first[0] = complex(first[0], 1.0)
+    elif kind == "string":
+        return good.astype(str).tolist()
+    elif kind == "bool":
+        return np.ones(shape, dtype=bool)
+    elif kind == "None":
+        first[0] = None
+    elif kind == "ragged":
+        spoiled[-1] = [spoiled[-1], spoiled[-1]] if len(shape) == 1 else spoiled[-1][:1]
+    elif kind == "shape":
+        return spoiled[:-1]
+    else:
+        first[0] = {"nan": math.nan, "inf": math.inf}[kind]
+    return spoiled
+
+
+SCALAR_ENTRIES = {
+    "polar_integrate-z": ("height z", lambda v: polar_integrate(FAN, v, 1.0, 8)),
+    "adaptive_oracle-z": ("height z", lambda v: adaptive_oracle(VERTS2D, v, 1.0)),
+    "EvalRequest-k": ("k", lambda v: EvalRequest(TRI, POINT, v)),
+    "polar_integrate-k": ("k", lambda v: polar_integrate(FAN, 0.1, v, 8)),
+    "adaptive_oracle-k": ("k", lambda v: adaptive_oracle(VERTS2D, 0.1, v)),
+    "select_approx-k": ("k", lambda v: select_approx(v, 0.5, 1e-9)),
+    "EvalRequest-tol": ("tol", lambda v: EvalRequest(TRI, POINT, 1.0, v)),
+    "select_order-tol": ("tol", lambda v: select_order(RadialExtents(0.0, 1.0), 0.1, v)),
+    "adaptive_oracle-tol": ("tol", lambda v: adaptive_oracle(VERTS2D, 0.1, 1.0, tol=v)),
+    "quad_adaptive-tol": ("tol", lambda v: quad_adaptive(lambda x: np.sin(x)[:, None], 0.0, 1.0, v)),
+    "select_approx-eps": ("eps", lambda v: select_approx(0.5, 0.5, v)),
+}
+BAD_SCALARS = {"bool": True, "numpy-bool": np.True_, "complex": 0.5j, "string": "0.5", "nan": math.nan}
+
+
+def refused(call, value, name):
+    """Assert that ``call(value)`` raises a ValueError whose message starts with ``name``, with no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as err:
+            call(value)
+    assert re.match(rf"{re.escape(name)}\b", str(err.value)), str(err.value)
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("kind", ["complex", "string", "bool", "None", "ragged", "shape", "nan", "inf"])
+@pytest.mark.parametrize("entry", list(COORDINATE_ENTRIES))
+def test_bad_coordinates_refused(entry, kind):
+    # each once ran (strings, bools), raised a TypeError (complex) or gave
+    # a message that does not name the input (ragged, None) somewhere
+    shape, name, call = COORDINATE_ENTRIES[entry]
+    if entry == "to_local_frame-tuple" and kind in ("nan", "inf"):
+        # a tuple of three floats is read as it is, evaluate's path: its
+        # NaN or inf makes z NaN or infinite, which check_height refuses
+        name = "height z"
+    refused(call, bad_coordinates(kind, shape), name)
+
+
+@pytest.mark.parametrize("kind", list(BAD_SCALARS))
+@pytest.mark.parametrize("entry", list(SCALAR_ENTRIES))
+def test_bad_scalars_refused(entry, kind):
+    # a bool once ran as 0 or 1, a complex or string one raised a TypeError
+    name, call = SCALAR_ENTRIES[entry]
+    refused(call, BAD_SCALARS[kind], name)
+
+
+@pytest.mark.parametrize("entry", ["polar_integrate-z", "adaptive_oracle-z"])
+def test_float32_height_runs_as_its_float(entry):
+    # check_height once warned of an overflow, casting Z_MAX to float32
+    run = SCALAR_ENTRIES[entry][1]
+    z = np.float32(0.3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = run(z).values.tobytes()
+        assert type(check_height(z)) is float and check_height(z) == float(z)
+    assert [str(w.message) for w in caught] == []
+    assert got == run(float(z)).values.tobytes()

@@ -350,6 +350,13 @@ class TestEstimate:
         assert code == 0
         assert "selection: Q = 1" in out
 
+    @pytest.mark.parametrize("rmin, z, n", [("0.5", "0.4", 8), ("0", "2.0", 8), ("0", "0.6", 15)])
+    def test_prints_the_order_evaluate_runs(self, rmin, z, n):
+        # the criterion's n_gauss (1, 5 and 15 here) is floored at engine.N_MIN
+        code, out = run_main(["estimate", "--rmax", "1", "--rmin", rmin, "--z", z, "--tol", "1e-6"])
+        assert code == 0
+        assert "selection: Q = " in out and f"\nevaluate runs n_gauss = {n}, at least engine.N_MIN = 8\n" in out
+
     def test_phi_zero_reported(self):
         code, out = run_main(
             ["estimate", "--rmax", "1", "--rmin", "0.3", "--z", "0", "--tol", "1e-6"]

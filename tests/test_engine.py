@@ -61,7 +61,7 @@ class TestValidation:
     def test_non_finite_vertex(self, bad):
         v = sample_triangle().vertices
         v[2, 1] = bad
-        with pytest.raises(ValueError, match="vertices"):
+        with pytest.raises(ValueError, match="triangle vertex v3 must be finite and real"):
             Triangle3(*v)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

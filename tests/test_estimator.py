@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helmpanel.estimator import (
+    ANALYTIC_REQUIRED,
     EstimatorGeom,
     OrderSelection,
     Q_CAP,
@@ -139,6 +140,13 @@ class TestSelectOrder:
         assert sel.analytic_required
         sel = select_order(RadialExtents(0.0, 1.0), z=0.0, tol=1e-9)
         assert sel.analytic_required
+
+    @pytest.mark.parametrize("z", [0.0, -0.0])
+    @pytest.mark.parametrize("r_max", [5e-324, 1.0, 1.7e308])
+    @pytest.mark.parametrize("r_min_frac", [0.0, 0.5])
+    def test_in_plane_requires_analytic_at_every_scale(self, z, r_max, r_min_frac):
+        # z = +-0 gives sin(phi) = 0 exactly, the analytic verdict, with no test of z itself
+        assert select_order(RadialExtents(r_min_frac * r_max, r_max), z, 1e-9) is ANALYTIC_REQUIRED
 
     def test_in_plane_regular_is_constant_integrand(self):
         # r/R is constant along r at z = 0, but the signed fan about an

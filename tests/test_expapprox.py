@@ -173,7 +173,7 @@ class TestSelectApprox:
     def test_bool_wavenumber_rejected(self, k):
         # select_approx(True, 0.5, 1e-9) once returned the pi/2 entry at q = 7;
         # the message is EvalRequest's
-        with pytest.raises(ValueError, match="k must be finite and non-negative, not a bool"):
+        with pytest.raises(ValueError, match="^k must be finite and real"):
             select_approx(k, 0.5, 1e-9)
 
     @pytest.mark.parametrize("k", [0, 0.0, 1, 2.5, np.float64(0.5), np.int64(3), np.float32(0.25)])

@@ -561,7 +561,7 @@ class TestPolarIntegrate:
     @pytest.mark.parametrize("k", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
     def test_bool_wavenumber_raises(self, k):
         # polar_integrate(fan, 0.1, True, 8) once ran as k = 1
-        with pytest.raises(ValueError, match="k must be finite and non-negative, not a bool"):
+        with pytest.raises(ValueError, match="^k must be finite and real"):
             polar_integrate(subdivide(VERTS), 0.1, k, 8)
 
     @pytest.mark.parametrize("flag", ["no", 1, None, np.array([True])])
@@ -799,7 +799,7 @@ class TestAdaptiveOracle:
     @pytest.mark.parametrize("k", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
     def test_bool_wavenumber_raises(self, k):
         # adaptive_oracle(verts, 0.1, True) once ran as k = 1
-        with pytest.raises(ValueError, match="k must be finite and non-negative, not a bool"):
+        with pytest.raises(ValueError, match="^k must be finite and real"):
             adaptive_oracle(VERTS, 0.1, k)
 
     @pytest.mark.parametrize("flag", ["no", 1, None, np.array([True])])
