@@ -30,8 +30,8 @@ from .estimator import OrderSelection, select_order
 from .expapprox import DELTA_X_TIERS, check_k, select_approx
 # radial_extents and subdivide are bound here, unused, for the layer tracer
 # of perfbench, which wraps them by name until it spans the walk
-from .geometry import Frozen, Triangle3, radial_extents, real_array, real_number, ref_params, subdivide, to_local_frame, walk  # noqa: F401
-from .numquad import check_bool, check_order, polar_integrate
+from .geometry import Frozen, Triangle3, flag, integer, radial_extents, real_array, real_number, ref_params, subdivide, to_local_frame, walk  # noqa: F401
+from .numquad import polar_integrate
 
 # Stability gate for the analytic path (J-recursion growth factor k|z|).
 K_Z_LIMIT = math.pi / 2
@@ -63,12 +63,13 @@ _POINT = struct.Struct("3d")
 class EvalRequest(Frozen):
     """One panel-integral evaluation, checked once, when it is built.
 
-    The triangle validated itself.  A field point that is not finite real
-    numbers of shape (3,) (``geometry.real_array``), a k or a tol that is
-    not a real number (``geometry.real_number``: a bool is not), a k that is
-    negative or not finite, a tol outside TOL_RANGE or a
-    ``want_hypersingular`` that is not a Python or NumPy bool is a
-    ValueError.  k and tol are kept as floats, and the point is copied into
+    The triangle validated itself; a ``triangle`` that is not a
+    ``Triangle3``, a field point that is not finite real numbers of shape
+    (3,) (``geometry.real_array``), a k or a tol that is not a real number
+    (``geometry.real_number``: a bool is not), a k that is negative or not
+    finite, a tol outside TOL_RANGE or a ``want_hypersingular`` that is not
+    a Python or NumPy bool (``geometry.flag``) is a ValueError.  k and tol
+    are kept as floats and the flag as a bool, and the point is copied into
     three packed doubles (``_point``), so a later edit of the caller's
     array does not reach the request; ``field_point`` returns it as a
     read-only (3,) array, and ``evaluate`` reads it with one unpack.  No
@@ -81,9 +82,11 @@ class EvalRequest(Frozen):
 
     def __init__(self, triangle: Triangle3, field_point, k: float, tol: float = 1e-9,
                  want_hypersingular: bool = False):
+        if not isinstance(triangle, Triangle3):
+            raise ValueError(f"triangle must be a Triangle3, got {triangle!r}")
         xyz = real_array(field_point, (3,), "field point")
-        check_bool("want_hypersingular", want_hypersingular)
-        fields = (triangle, _POINT.pack(*xyz), check_k(k), check_tol(tol), bool(want_hypersingular))
+        fields = (triangle, _POINT.pack(*xyz), check_k(k), check_tol(tol),
+                  flag(want_hypersingular, "want_hypersingular"))
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
@@ -181,13 +184,13 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     if n_gauss is not None:
         if method != "numeric":
             raise ValueError(f"n_gauss applies only to method 'numeric', not {method!r}")
-        check_order(n_gauss)
+        n_gauss = integer(n_gauss, "n_gauss", 1)  # a NumPy integer too: the shared MethodInfo holds an int
     verts2d, z = to_local_frame(req.triangle, _POINT.unpack(req._point))
     ext, fan = walk(verts2d, req.triangle.edges)
     sel = None if n_gauss is not None else select_order(ext, z, req.tol)
     note = ""
     if n_gauss is not None:
-        n = int(n_gauss)  # a NumPy integer too: the shared MethodInfo holds an int
+        n = n_gauss
     elif method == "numeric" or (method == "auto" and not sel.analytic_required):
         n = N_FALLBACK if sel.analytic_required else max(sel.n_gauss, N_MIN)
     elif req.k * ext.r_max >= DELTA_X_TIERS[-1]:

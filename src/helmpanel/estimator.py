@@ -18,9 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import RadialExtents, real_number
+from .geometry import RadialExtents, integer, positive, real_number
 
 # Largest polynomial order handled by quadrature before switching to the
 # analytic path; 32 corresponds to the 16-point-rule regime studied in the
@@ -28,14 +26,14 @@ from .geometry import RadialExtents, real_number
 Q_CAP = 32
 
 
-def _check_geometry(extents: RadialExtents, z: float) -> None:
-    """Raise ValueError unless z is finite, 0 <= r_min <= r_max < inf and r_max > 0."""
-    if not (math.isfinite(z) and 0.0 <= extents.r_min <= extents.r_max < math.inf and extents.r_max > 0.0):
+def _reduced(extents: RadialExtents, z) -> tuple[float, float, float, float, float]:
+    """(r_mid, R_mid, cos_phi, sin_phi, t) from the extents and z, each read by ``geometry.real_number``;
+    a ValueError unless z is finite, 0 <= r_min <= r_max < inf and r_max > 0."""
+    r_min = real_number(extents.r_min, "r_min")
+    r_max = real_number(extents.r_max, "r_max")
+    z = real_number(z, "z")
+    if not (math.isfinite(z) and 0.0 <= r_min <= r_max < math.inf and r_max > 0.0):
         raise ValueError(f"need a finite z and extents 0 <= r_min <= r_max < inf, r_max > 0: {extents!r}, z = {z!r}")
-
-
-def _reduced(r_min: float, r_max: float, z: float) -> tuple[float, float, float, float, float]:
-    """(r_mid, R_mid, cos_phi, sin_phi, t) from radial extents and a z that ``_check_geometry`` passed."""
     r_mid = 0.5 * r_max
     R_mid = math.hypot(r_mid, z)
     # t = 1 when the projection lies on the element, negative when the
@@ -61,9 +59,8 @@ class EstimatorGeom:
 
     @classmethod
     def from_extents(cls, extents: RadialExtents, z: float) -> "EstimatorGeom":
-        """The reduced geometry at height z; a ValueError for what ``select_order`` rejects."""
-        _check_geometry(extents, z)
-        return cls(*_reduced(extents.r_min, extents.r_max, z))
+        """The reduced geometry at height z; a ValueError for the extents and z ``select_order`` rejects."""
+        return cls(*_reduced(extents, z))
 
 
 def _check_phi(sin_phi: float) -> None:
@@ -92,10 +89,8 @@ def _e_q(q: int, lead: float, abs_t: float, cos_phi: float, denom: float, R_mid:
 
 
 def e_q_bound(geom: EstimatorGeom, q: int) -> float:
-    """Magnitude bound E_Q on the truncation remainder of 1/R; q must be an integer >= 0."""
-    if isinstance(q, bool) or not (isinstance(q, (int, np.integer)) and q >= 0):
-        raise ValueError(f"q must be an integer >= 0, got {q!r}")
-    return _e_q(int(q), *_e_q_factors(geom.R_mid, geom.cos_phi, geom.sin_phi, geom.t))
+    """Magnitude bound E_Q on the truncation remainder of 1/R; q must be an integer >= 0 (``geometry.integer``)."""
+    return _e_q(integer(q, "q", 0), *_e_q_factors(geom.R_mid, geom.cos_phi, geom.sin_phi, geom.t))
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,22 +130,19 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
     For z != 0, |t| cos(phi) < 1, so E_Q does not increase with Q: each
     step multiplies it by at most sqrt((Q + 1) / (Q + 2)), a fall far above
     rounding.  So one E_Q at q_cap decides whether any order works, and
-    bisection finds the smallest.  A tol that is not a real number
-    (``geometry.real_number``) > 0, a z not finite, extents outside
-    0 <= r_min <= r_max < inf, an r_max of 0 (no triangle has one) or a
-    q_cap that is not an integer (Python or NumPy; a bool is not) are a
-    ValueError; a q_cap < 1 requires the analytic path.
+    bisection finds the smallest.  A tol that ``geometry.positive``
+    rejects, a q_cap that ``geometry.integer`` rejects, an r_min, r_max or
+    z that ``geometry.real_number`` rejects, a z not finite, extents
+    outside 0 <= r_min <= r_max < inf or an r_max of 0 (no triangle has
+    one) are a ValueError; a q_cap < 1 requires the analytic path.
     """
-    if not real_number(tol, "tol") > 0.0:  # written so that a NaN fails it
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    _check_geometry(extents, z)
-    if isinstance(q_cap, bool) or not isinstance(q_cap, (int, np.integer)):
-        raise ValueError(f"q_cap must be an int, got {q_cap!r}")
-    _, R_mid, cos_phi, sin_phi, t = _reduced(extents.r_min, extents.r_max, z)
+    tol = positive(tol, "tol")
+    q_cap = integer(q_cap, "q_cap")
+    _, R_mid, cos_phi, sin_phi, t = _reduced(extents, z)
     if sin_phi == 0.0:  # z = 0, or |z| too far below r_max for sin(phi) to be a float
         return ANALYTIC_REQUIRED
     lead, abs_t, cos_phi, denom, R_mid = _e_q_factors(R_mid, cos_phi, sin_phi, t)
-    lo, hi = 1, int(q_cap)
+    lo, hi = 1, q_cap
     if hi < lo or (e_hi := _e_q(hi, lead, abs_t, cos_phi, denom, R_mid)) > tol:
         return ANALYTIC_REQUIRED
     # invariant: E_hi <= tol, and E_Q > tol for every Q < lo

@@ -201,11 +201,12 @@ def select_approx(k: float, ell: float, eps: float) -> ExpApprox:
     coarsest tabulated tolerance not exceeding eps, by one bisection each,
     from ``economize``'s cache.  k * ell >= pi/2 (the last tier) violates
     the standing element-size assumption and is rejected, as is a k, an
-    ell or a k * ell that is negative or NaN, a k or an eps that is not a
-    real number (``geometry.real_number``: a bool is not) or a NaN eps, at
-    k = 0 too.
+    ell or a k * ell that is negative or NaN, a k, an ell or an eps that is
+    not a real number (``geometry.real_number``: a bool is not) or a NaN
+    eps, at k = 0 too.
     """
-    k = real_number(k, "k")  # before k * ell
+    k = real_number(k, "k")  # both before k * ell
+    ell = real_number(ell, "ell")
     x_need = k * ell
     if not (k >= 0.0 and ell >= 0.0 and x_need >= 0.0):  # written so that a NaN fails it
         raise ValueError(f"k*ell = {x_need:g} (k = {k:g}, ell = {ell:g}): negative or not a number")

@@ -16,9 +16,9 @@ edge's unit normal) and theta = atan(along / s) at its two ends.  One
 tolerance, ``BOUNDARY_TOL_REL`` of the triangle's size, decides "on an
 edge's line" everywhere here: a degenerate triangle, the z snap, the
 inside test and the one rule by which the walk drops a subtriangle.  And
-one rule decides what a number is at every entry point: ``real_array``
-reads coordinates and ``real_number`` a height, k or tol, as floats, or
-raises a ValueError that names the input.
+one rule per kind of argument returns it or raises a ValueError naming it:
+``real_array`` reads coordinates, ``real_number`` a height, k or extent,
+``positive`` a tolerance, ``integer`` an order and ``flag`` a bool.
 
 Conventions fixed here (the analysis leaves them open):
   * element normal = normalize((v2 - v1) x (v3 - v1)),
@@ -250,14 +250,17 @@ def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
 def real_array(value, shape: tuple, name: str):
     """``value`` as (nested lists of) floats; a ValueError naming ``name`` unless ``np.asarray(value)`` has
     ``shape`` (a ragged value has none), an integer or floating dtype (so no bool, complex, string or None
-    entries) and finite values."""
+    entries) and finite values, and a list or tuple holds no bool among its numbers."""
     try:
         array = np.asarray(value)
     except ValueError:  # ragged
         raise ValueError(f"{name} must have shape {shape}, got {value!r}") from None
     if array.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
-    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+    if array.dtype.kind not in "iuf" or not np.isfinite(array).all() or (
+        # NumPy promotes a bool among numbers in a list to an int or a float; an array keeps its own dtype
+        isinstance(value, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat)
+    ):
         raise ValueError(f"{name} must be finite and real (an integer or floating dtype), got {value!r}")
     return array.astype(float, copy=False).tolist()
 
@@ -269,6 +272,28 @@ def real_number(value, name: str) -> float:
     inf too: every caller's range check refuses those.
     """
     return value if type(value) is float else real_array(value, (), name)
+
+
+def positive(value, name: str) -> float:
+    """``value`` as a float (``real_number``); a ValueError naming ``name`` unless it is > 0 (a NaN is not)."""
+    if not (value := real_number(value, name)) > 0.0:
+        raise ValueError(f"{name} must be > 0, got {value!r}")
+    return value
+
+
+def integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is a Python or NumPy integer, not a bool,
+    and at least ``least`` when that is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or least is not None and value < least:
+        raise ValueError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+    return int(value)
+
+
+def flag(value, name: str) -> bool:
+    """``value`` as a bool; a ValueError naming ``name`` unless it is a bool, Python or NumPy."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def check_height(z) -> float:

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .geometry import real_number
+from .geometry import positive
 
 # Gauss-Kronrod 7-15 pair on [-1, 1]: (node, Gauss weight, Kronrod weight),
 # each the double nearest the exact value.  A 15-digit table's Kronrod
@@ -103,12 +103,11 @@ def quad_adaptive(f, a, b, tol: float):
     (values, error_estimate, converged): the summed QUADPACK-scaled
     |K15 - G7| plus the sum's roundoff, ``_ROUNDOFF`` times the largest
     component's integral of |f|, which bisection cannot reduce and the
-    convergence tests leave out.  A tol that is not a real number
-    (``geometry.real_number``) > 0 or ``a`` and ``b`` of different lengths
-    are a ValueError, raised before ``f`` is called.
+    convergence tests leave out.  A tol that is not a real number > 0
+    (``geometry.positive``) or ``a`` and ``b`` of different lengths are a
+    ValueError, raised before ``f`` is called.
     """
-    if not real_number(tol, "tol") > 0.0:  # written so that a NaN fails it
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    tol = positive(tol, "tol")
     lo, hi = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if lo.shape != hi.shape:
         raise ValueError(f"a and b must have the same length, got {lo.shape} and {hi.shape}")

@@ -42,21 +42,9 @@ from . import kronrod
 from .analytic import PanelIntegrals
 from .expapprox import check_k
 # ref_params and subdivide are bound here, unused, for the layer tracer of perfbench
-from .geometry import BOUNDARY_TOL_REL, check_height, real_array, real_number, ref_params, subdivide  # noqa: F401
+from .geometry import BOUNDARY_TOL_REL, check_height, flag, integer, positive, real_array, ref_params, subdivide  # noqa: F401
 # the oracle calls quad_adaptive through this binding, which the tracer wraps
 from .kronrod import quad_adaptive
-
-
-def check_order(n) -> None:
-    """Raise ValueError unless the Gauss order n is an integer >= 1, Python or NumPy (a bool is not)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n_gauss must be an integer >= 1, got {n!r}")
-
-
-def check_bool(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a Python or NumPy bool (``want_hyper``, ``want_hypersingular``)."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 def _legendre(n: int, x: float) -> tuple[float, float]:
@@ -96,10 +84,9 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     operations; the library reads n = 8 .. 17 and 50.
 
     The cache is typed so that 2.0 or True never reads the entry of 2 or
-    1: a bad order is always a miss, and ``check_order`` rejects it.
+    1: a bad order is always a miss, which ``geometry.integer`` rejects.
     """
-    check_order(n)
-    n = int(n)
+    n = integer(n, "n_gauss", 1)
     xs, ws = [], []  # the nodes in (0, 1), and 0 for odd n, descending
     for i in range(1, (n + 1) // 2 + 1):
         x = 0.0 if 2 * i == n + 1 else math.cos(math.pi * (i - 0.25) / (n + 0.5))
@@ -128,7 +115,7 @@ def polar_rule(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     radial nodes along a ray; and an (n, 2) array whose columns are
     w_g rho / 2 and w_g rho^2 / 2, the radial weights of the 1- and the
     x/y-weighted integrals.  The cache is typed as ``gauss_rule``'s, so a
-    bad order is always a miss that ``check_order`` rejects there.
+    bad order is always a miss that ``gauss_rule`` rejects.
     """
     xg, wg = gauss_rule(n)
     rho = 0.5 * (xg + 1.0)
@@ -222,13 +209,13 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     A z that ``geometry.check_height`` rejects (not a real number, or |z|
     above about 1.34e154, whose square is not finite; it runs as a float),
     a k that ``expapprox.check_k`` rejects (not a real number, not finite
-    or negative), a ``want_hyper`` that is not a bool
-    (``check_bool``) or an n that ``check_order`` rejects (through
-    ``polar_rule``'s typed cache) is a ValueError.
+    or negative), a ``want_hyper`` that is not a bool (``geometry.flag``)
+    or an n that ``gauss_rule`` rejects (through ``polar_rule``'s typed
+    cache) is a ValueError.
     """
     z = check_height(z)
     k = check_k(k)
-    check_bool("want_hyper", want_hyper)
+    want_hyper = flag(want_hyper, "want_hyper")
     r2, points, area = polar_nodes(fan, n, z)
     out = np.zeros((3 if want_hyper else 2, 3), dtype=complex)  # (kernel row, 1 / x / y)
     rows = np.empty((1 if z == 0.0 else len(out), len(r2)), dtype=complex)
@@ -353,18 +340,18 @@ def adaptive_oracle(
     more than tol where a component is of order 1e2 or more (d2I0/dn2 just
     above a panel): 1e-13 is below one ulp there.
     A z that ``geometry.check_height`` rejects (z runs as a float), a k
-    that ``expapprox.check_k`` rejects, a tol that is not a real number
-    (``geometry.real_number``) > 0, a name in ``components`` outside
-    ORACLE_COMPONENTS or vertices that are not finite real numbers of
-    shape (3, 2) (``geometry.real_array``) are a ValueError.
+    that ``expapprox.check_k`` rejects, a tol that ``geometry.positive``
+    rejects, a name in ``components`` outside ORACLE_COMPONENTS, a
+    ``want_hyper`` that is not a bool (``geometry.flag``) or vertices that
+    are not finite real numbers of shape (3, 2) (``geometry.real_array``)
+    are a ValueError.
     """
     z = check_height(z)
     k = check_k(k)
-    if not real_number(tol, "tol") > 0.0:  # written so that a NaN fails it
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    tol = positive(tol, "tol")
     if not set(components) <= set(ORACLE_COMPONENTS):
         raise ValueError(f"components must be names among {ORACLE_COMPONENTS}, got {components!r}")
-    check_bool("want_hyper", want_hyper)
+    want_hyper = flag(want_hyper, "want_hyper")
     verts = real_array(verts2d, (3, 2), "plane vertices")
     want_xy = "ixy" in components or "dixy" in components
     az = abs(z)

@@ -1,4 +1,4 @@
-"""The public surface: every exported name resolves, README's example runs, and every entry point reads numbers by one rule."""
+"""The public surface: every exported name resolves, README's example runs, and every entry point reads each kind of argument by one rule."""
 
 import copy
 import dataclasses
@@ -17,10 +17,12 @@ import pytest
 
 import helmpanel
 from helmpanel import numquad
-from helmpanel.engine import EvalRequest
-from helmpanel.estimator import select_order
+from helmpanel.engine import EvalRequest, evaluate
+from helmpanel.estimator import EstimatorGeom, e_q_bound, select_order
 from helmpanel.expapprox import LAPLACE, economize, select_approx
-from helmpanel.geometry import RadialExtents, Triangle3, check_height, edge_walk, radial_extents, subdivide, to_local_frame
+from helmpanel.geometry import (
+    RadialExtents, Triangle3, check_height, edge_walk, flag, integer, positive, radial_extents, subdivide, to_local_frame,
+)
 from helmpanel.kronrod import quad_adaptive
 from helmpanel.numquad import adaptive_oracle, polar_integrate
 
@@ -187,9 +189,10 @@ def test_no_path_imports_numpy_polynomial():
     assert loaded == []
 
 
-# One rule for numeric input (geometry.real_array, geometry.real_number):
-# every entry point that reads coordinates or a scalar, the name its
-# ValueError starts with, and what it reads.
+# One rule per kind of argument (geometry.real_array, real_number,
+# positive, integer and flag): every entry point that reads coordinates,
+# a scalar, an integer or a flag, the name its ValueError starts with, and
+# what it reads.
 TRI = helmpanel.sample_triangle()
 POINT = [0.4, 0.3, 0.1]
 VERTS2D = [[-0.4, -0.3], [0.6, -0.3], [0.0, 0.6]]
@@ -218,6 +221,8 @@ def bad_coordinates(kind, shape):
         return good.astype(str).tolist()
     elif kind == "bool":
         return np.ones(shape, dtype=bool)
+    elif kind in ("mixed-bool", "mixed-numpy-bool"):
+        first[0] = True if kind == "mixed-bool" else np.True_  # NumPy promotes the list to floats
     elif kind == "None":
         first[0] = None
     elif kind == "ragged":
@@ -241,8 +246,37 @@ SCALAR_ENTRIES = {
     "adaptive_oracle-tol": ("tol", lambda v: adaptive_oracle(VERTS2D, 0.1, 1.0, tol=v)),
     "quad_adaptive-tol": ("tol", lambda v: quad_adaptive(lambda x: np.sin(x)[:, None], 0.0, 1.0, v)),
     "select_approx-eps": ("eps", lambda v: select_approx(0.5, 0.5, v)),
+    "select_approx-ell": ("ell", lambda v: select_approx(0.5, v, 1e-9)),
+    "select_order-z": ("z", lambda v: select_order(RadialExtents(0.0, 1.0), v, 1e-6)),
+    "select_order-r_min": ("r_min", lambda v: select_order(RadialExtents(v, 1.0), 0.1, 1e-6)),
+    "select_order-r_max": ("r_max", lambda v: select_order(RadialExtents(0.0, v), 0.1, 1e-6)),
+    "from_extents-z": ("z", lambda v: EstimatorGeom.from_extents(RadialExtents(0.0, 1.0), v)),
 }
 BAD_SCALARS = {"bool": True, "numpy-bool": np.True_, "complex": 0.5j, "string": "0.5", "nan": math.nan}
+# a NaN that is a real number meets the range check that owns it, with its own message
+NAN_MESSAGES = {
+    "select_approx-ell": "k*ell",
+    **dict.fromkeys(["select_order-z", "select_order-r_min", "select_order-r_max", "from_extents-z"],
+                    "need a finite z and extents"),
+}
+GEOM = EstimatorGeom.from_extents(RadialExtents(0.0, 1.0), 0.3)
+# name, least (None: any integer), call
+INTEGER_ENTRIES = {
+    "evaluate-n_gauss": ("n_gauss", 1, lambda v: evaluate(EvalRequest(TRI, POINT, 1.0), "numeric", v)),
+    "gauss_rule": ("n_gauss", 1, numquad.gauss_rule),
+    "polar_integrate-n": ("n_gauss", 1, lambda v: polar_integrate(FAN, 0.1, 1.0, v)),
+    "select_order-q_cap": ("q_cap", None, lambda v: select_order(RadialExtents(0.0, 1.0), 0.1, 1e-6, v)),
+    "e_q_bound-q": ("q", 0, lambda v: e_q_bound(GEOM, v)),
+}
+BAD_INTEGERS = {"bool": True, "numpy-bool": np.True_, "float": 2.0, "numpy-float": np.float64(2.0), "complex": 2j,
+                "string": "2"}  # None is evaluate's "not given"
+FLAG_ENTRIES = {
+    "EvalRequest": ("want_hypersingular", lambda v: EvalRequest(TRI, POINT, 1.0, 1e-9, v)),
+    "polar_integrate": ("want_hyper", lambda v: polar_integrate(FAN, 0.1, 1.0, 8, want_hyper=v)),
+    "adaptive_oracle": ("want_hyper", lambda v: adaptive_oracle(VERTS2D, 0.1, 1.0, want_hyper=v)),
+}
+BAD_FLAGS = {"int-1": 1, "int-0": 0, "numpy-int": np.int64(1), "float": 1.0, "string": "no", "None": None,
+             "array": np.array([True])}
 
 
 def refused(call, value, name):
@@ -255,11 +289,14 @@ def refused(call, value, name):
     assert [str(w.message) for w in caught] == []
 
 
-@pytest.mark.parametrize("kind", ["complex", "string", "bool", "None", "ragged", "shape", "nan", "inf"])
+@pytest.mark.parametrize(
+    "kind", ["complex", "string", "bool", "mixed-bool", "mixed-numpy-bool", "None", "ragged", "shape", "nan", "inf"]
+)
 @pytest.mark.parametrize("entry", list(COORDINATE_ENTRIES))
 def test_bad_coordinates_refused(entry, kind):
-    # each once ran (strings, bools), raised a TypeError (complex) or gave
-    # a message that does not name the input (ragged, None) somewhere
+    # each once ran (strings, bools, a bool among floats), raised a TypeError
+    # (complex) or gave a message that does not name the input (ragged, None)
+    # somewhere
     shape, name, call = COORDINATE_ENTRIES[entry]
     if entry == "to_local_frame-tuple" and kind in ("nan", "inf"):
         # a tuple of three floats is read as it is, evaluate's path: its
@@ -273,7 +310,40 @@ def test_bad_coordinates_refused(entry, kind):
 def test_bad_scalars_refused(entry, kind):
     # a bool once ran as 0 or 1, a complex or string one raised a TypeError
     name, call = SCALAR_ENTRIES[entry]
+    if kind == "nan":
+        name = NAN_MESSAGES.get(entry, name)
     refused(call, BAD_SCALARS[kind], name)
+
+
+@pytest.mark.parametrize(
+    "entry, kind",
+    [(e, k) for e in INTEGER_ENTRIES for k in [*BAD_INTEGERS, "below"] if k != "below" or INTEGER_ENTRIES[e][1] is not None],
+)
+def test_bad_integers_refused(entry, kind):
+    name, least, call = INTEGER_ENTRIES[entry]
+    refused(call, least - 1 if kind == "below" else BAD_INTEGERS[kind], name)
+
+
+@pytest.mark.parametrize("kind", list(BAD_FLAGS))
+@pytest.mark.parametrize("entry", list(FLAG_ENTRIES))
+def test_bad_flags_refused(entry, kind):
+    name, call = FLAG_ENTRIES[entry]
+    refused(call, BAD_FLAGS[kind], name)
+
+
+@pytest.mark.parametrize("triangle", ["tri", None, TRI.vertices, (TRI.v1, TRI.v2, TRI.v3)], ids=["str", "None", "array", "tuple"])
+def test_triangle_must_be_a_triangle3(triangle):
+    # "tri" once built a request that evaluate failed on with an AttributeError
+    refused(lambda t: EvalRequest(t, POINT, 1.0), triangle, "triangle")
+
+
+def test_rules_return_their_kind():
+    # each rule returns the value as the Python type its callers read
+    assert [type(v) for v in (integer(np.int64(3), "n"), integer(3, "n", 3), flag(np.True_, "f"), flag(False, "f"))] == [
+        int, int, bool, bool]
+    assert positive(np.float32(0.5), "tol") == 0.5 and type(positive(np.float32(0.5), "tol")) is float
+    assert positive(1, "tol") == 1.0 and type(positive(1, "tol")) is float
+    assert EvalRequest(TRI, POINT, 1.0, 1e-9, np.True_).want_hypersingular is True
 
 
 @pytest.mark.parametrize("entry", ["polar_integrate-z", "adaptive_oracle-z"])

@@ -277,7 +277,7 @@ class TestSelectOrder:
             select_order(RadialExtents(0.0, 1.0), 1.5, 1e-6, q_cap=q_cap)
 
     def test_numpy_integer_q_cap_accepted(self):
-        # numquad.check_order takes NumPy integers as orders too
+        # geometry.integer, the one integer rule, takes a NumPy integer and returns an int
         sel = select_order(RadialExtents(0.0, 1.0), 1.5, 1e-6, q_cap=np.int64(40))
         assert sel == select_order(RadialExtents(0.0, 1.0), 1.5, 1e-6, q_cap=40)
         assert type(sel.q) is int
