@@ -15,10 +15,14 @@ triangle are its (x, y) less the point's.
 
 A call misses when I0 is off by more than 10 tol or dI0/dn by more than
 100 tol (the README contract).  Printed per row: the misses out of the
-calls, the worst error over bound and the median Gauss order of the
-numeric calls (0 where none ran).  The last line is JSON: the calls, the
-misses and per row [D, k, tol, calls, misses, worst ratio, median n].
-``--tree`` runs the library of another checkout.
+calls, the worst error over bound, the path-kind mix (the calls of kind
+"panel", "numeric" and "analytic": the collapsed rule on the panel, the
+polar rule on the fan and the expansion) and the median order of the
+panel rule's and of the polar rule's calls (0 where none ran).  The last
+line is JSON: the calls, the misses and per row [D, k, tol, calls,
+misses, worst ratio, median polar n, median panel n, panel calls,
+numeric calls, analytic calls].  ``--tree`` runs the library of another
+checkout (one that names no "panel" kind counts none).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ WAVENUMBERS = (0.5, 1.0)
 TOLS = (1e-6, 1e-9)
 FACTORS = np.array([10.0, 100.0])  # I0, dI0/dn
 ORACLE_TOL = 1e-14
+KINDS = ("panel", "numeric", "analytic")  # MethodInfo.kind, in the printed mix's order
 
 
 def points(n: int, distance: float, centroid: np.ndarray, rng: np.random.Generator):
@@ -66,23 +71,26 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     rows = []
     t0 = time.perf_counter()
-    print(f"{'D/diam':>6s} {'k':>4s} {'tol':>6s}  {'misses':>9s} {'worst':>8s} {'n p50':>5s}")
+    print(f"{'D/diam':>6s} {'k':>4s} {'tol':>6s}  {'misses':>9s} {'worst':>8s} {'panel/numeric/analytic':>22s}"
+          f" {'polar n':>7s} {'panel n':>7s}")
     for distance in DISTANCES:
         for k in WAVENUMBERS:
             for tol in TOLS:
-                ratios, orders = [], []
+                ratios, orders = [], {kind: [] for kind in KINDS}
                 for x in points(args.n, distance * diam, centroid, rng):
                     rep = evaluate(EvalRequest(tri, x, k, tol), method=method, n_gauss=args.n_gauss)
                     ref = adaptive_oracle(verts[:, :2] - x[:2], x[2], k, tol=ORACLE_TOL, components=("i0", "di0"))
                     err = np.abs([rep.result.i0 - ref.i0, rep.result.di0_dn - ref.di0_dn])
                     ratios.append(float((err / (FACTORS * tol)).max()))
-                    if rep.method.n_gauss:
-                        orders.append(rep.method.n_gauss)
+                    orders[rep.method.kind].append(rep.method.n_gauss)
                 ratios = np.array(ratios)
                 misses = int(np.count_nonzero(ratios > 1.0))
-                n_p50 = float(np.median(orders)) if orders else 0.0
-                rows.append([distance, k, tol, len(ratios), misses, float(ratios.max()), n_p50])
-                print(f"{distance:6g} {k:4g} {tol:6.0e}  {f'{misses}/{len(ratios)}':>9s} {ratios.max():8.1e} {n_p50:5g}")
+                polar_p50, panel_p50 = (float(np.median(orders[kind])) if orders[kind] else 0.0
+                                        for kind in ("numeric", "panel"))
+                mix = [len(orders[kind]) for kind in KINDS]
+                rows.append([distance, k, tol, len(ratios), misses, float(ratios.max()), polar_p50, panel_p50, *mix])
+                print(f"{distance:6g} {k:4g} {tol:6.0e}  {f'{misses}/{len(ratios)}':>9s} {ratios.max():8.1e}"
+                      f" {'/'.join(map(str, mix)):>22s} {polar_p50:7g} {panel_p50:7g}")
     summary = {
         "calls": sum(r[3] for r in rows),
         "misses": sum(r[4] for r in rows),

@@ -79,7 +79,7 @@ def cmd_integrate(args) -> int:
     rep = evaluate(req, method=args.method)
     est = rep.estimator
     print(f"method: {rep.method.kind}")
-    if rep.method.kind == "numeric":
+    if rep.method.kind in ("numeric", "panel"):
         print(f"n_gauss: {rep.method.n_gauss}")
     else:
         print(f"q_expansion: {rep.method.q_expansion}  delta_x: {_fmt(rep.method.delta_x)}")

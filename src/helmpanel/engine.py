@@ -30,8 +30,9 @@ from .estimator import OrderSelection, select_order
 from .expapprox import DELTA_X_TIERS, check_k, select_approx
 # radial_extents and subdivide are bound here, unused, for the layer tracer
 # of perfbench, which wraps them by name until it spans the walk
-from .geometry import Frozen, Triangle3, flag, integer, radial_extents, real_array, real_number, ref_params, subdivide, to_local_frame, walk  # noqa: F401
+from .geometry import Frozen, Triangle3, centroid_distance, flag, integer, radial_extents, real_array, real_number, ref_params, subdivide, to_local_frame, walk  # noqa: F401
 from .numquad import polar_integrate
+from .panelrule import panel_integrate, panel_order
 
 # Stability gate for the analytic path (J-recursion growth factor k|z|).
 K_Z_LIMIT = math.pi / 2
@@ -106,7 +107,7 @@ class EvalRequest(Frozen):
 class MethodInfo:
     """How a result was produced; one shared instance per distinct value (``_method_info``)."""
 
-    kind: str  # "numeric" | "analytic"
+    kind: str  # "panel" | "numeric" | "analytic"
     n_gauss: int | None = None
     q_expansion: int | None = None
     delta_x: float | None = None
@@ -186,6 +187,11 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
             raise ValueError(f"n_gauss applies only to method 'numeric', not {method!r}")
         n_gauss = integer(n_gauss, "n_gauss", 1)  # a NumPy integer too: the shared MethodInfo holds an int
     verts2d, z = to_local_frame(req.triangle, _POINT.unpack(req._point))
+    if method == "auto":
+        D, radius, area = centroid_distance(req.triangle, verts2d, z)
+        if (n := panel_order(D, radius, area, req.k, req.tol, req.want_hypersingular)) is not None:
+            res = panel_integrate(verts2d, z, req.k, n, area, req.want_hypersingular)
+            return EvalReport(res, _method_info("panel", n, None, None, ""), None, z)
     ext, fan = walk(verts2d, req.triangle.edges)
     sel = None if n_gauss is not None else select_order(ext, z, req.tol)
     note = ""

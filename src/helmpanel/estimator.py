@@ -28,12 +28,17 @@ Q_CAP = 32
 
 def _reduced(extents: RadialExtents, z) -> tuple[float, float, float, float, float]:
     """(r_mid, R_mid, cos_phi, sin_phi, t) from the extents and z, each read by ``geometry.real_number``;
-    a ValueError unless z is finite, 0 <= r_min <= r_max < inf and r_max > 0."""
+    a ValueError, its message starting with the name it refuses, unless 0 < r_max < inf,
+    0 <= r_min <= r_max and z is finite (checked in that order)."""
     r_min = real_number(extents.r_min, "r_min")
     r_max = real_number(extents.r_max, "r_max")
     z = real_number(z, "z")
-    if not (math.isfinite(z) and 0.0 <= r_min <= r_max < math.inf and r_max > 0.0):
-        raise ValueError(f"need a finite z and extents 0 <= r_min <= r_max < inf, r_max > 0: {extents!r}, z = {z!r}")
+    if not 0.0 < r_max < math.inf:
+        raise ValueError(f"r_max = {r_max!r} must be finite and > 0")
+    if not 0.0 <= r_min <= r_max:
+        raise ValueError(f"r_min = {r_min!r} must lie in [0, r_max = {r_max!r}]")
+    if not math.isfinite(z):
+        raise ValueError(f"z = {z!r} must be finite")
     r_mid = 0.5 * r_max
     R_mid = math.hypot(r_mid, z)
     # t = 1 when the projection lies on the element, negative when the
@@ -134,7 +139,9 @@ def select_order(extents: RadialExtents, z: float, tol: float, q_cap: int = Q_CA
     rejects, a q_cap that ``geometry.integer`` rejects, an r_min, r_max or
     z that ``geometry.real_number`` rejects, a z not finite, extents
     outside 0 <= r_min <= r_max < inf or an r_max of 0 (no triangle has
-    one) are a ValueError; a q_cap < 1 requires the analytic path.
+    one) are a ValueError whose message starts with the name it refuses
+    (``q_cap``, ``tol``, ``r_max``, ``r_min`` or ``z``); a q_cap < 1
+    requires the analytic path.
     """
     tol = positive(tol, "tol")
     q_cap = integer(q_cap, "q_cap")

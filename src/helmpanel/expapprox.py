@@ -203,13 +203,16 @@ def select_approx(k: float, ell: float, eps: float) -> ExpApprox:
     the standing element-size assumption and is rejected, as is a k, an
     ell or a k * ell that is negative or NaN, a k, an ell or an eps that is
     not a real number (``geometry.real_number``: a bool is not) or a NaN
-    eps, at k = 0 too.
+    eps, at k = 0 too; each message starts with the name it refuses.
     """
     k = real_number(k, "k")  # both before k * ell
     ell = real_number(ell, "ell")
+    for name, value in (("k", k), ("ell", ell)):
+        if not value >= 0.0:  # written so that a NaN fails it
+            raise ValueError(f"{name} = {value:g}: negative or not a number")
     x_need = k * ell
-    if not (k >= 0.0 and ell >= 0.0 and x_need >= 0.0):  # written so that a NaN fails it
-        raise ValueError(f"k*ell = {x_need:g} (k = {k:g}, ell = {ell:g}): negative or not a number")
+    if not x_need >= 0.0:  # an infinite k or ell times 0
+        raise ValueError(f"k*ell = {x_need:g} (k = {k:g}, ell = {ell:g}): not a number")
     if x_need >= DELTA_X_TIERS[-1]:
         raise ValueError(
             f"k*ell = {x_need:.6g} >= {DELTA_X_LABELS[-1]}: element too large for the "

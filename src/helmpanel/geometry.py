@@ -45,16 +45,18 @@ BOUNDARY_TOL_REL = 1e-12
 # Largest height |z| whose square is finite (``check_height``).
 Z_MAX = math.sqrt(sys.float_info.max)
 
-# Triangle3's block: 31 machine doubles in the order to_local_frame and walk
+# Triangle3's block: 34 machine doubles in the order to_local_frame and walk
 # read them.  v1, normal, e1, e2, the plane vertices (x2, x3, y3) and the
 # diameter are _LOCAL, the first 16; edge_frame's tuple, its orient a 64-bit
-# integer, is _EDGES; v2, v3 and the area close it.
-_BLOCK = struct.Struct("16d6dqd7d")
+# integer, is _EDGES; v2 and v3 follow, and _FAR closes it: the area, the
+# plane centroid (about v1) and the circumradius about that centroid.
+_BLOCK = struct.Struct("16d6dqd6d4d")
 _LOCAL = struct.Struct("16d")
 _EDGES = struct.Struct("6dqd")
+_FAR = struct.Struct("4d")
 _DOUBLE = struct.Struct("d")
 # byte offsets into the block
-_V1, _NORMAL, _E1, _E2, _DIAMETER, _EDGE_FRAME, _V2, _V3, _AREA = 0, 24, 48, 72, 120, 128, 192, 216, 240
+_V1, _NORMAL, _E1, _E2, _DIAMETER, _EDGE_FRAME, _V2, _V3, _AREA, _RADIUS = 0, 24, 48, 72, 120, 128, 192, 216, 240, 264
 
 
 class Frozen:
@@ -92,7 +94,9 @@ class Triangle3(Frozen):
     normal x e1; the vertices in that frame with v1 at the origin, (0, 0),
     (|v2 - v1|, 0) and ((v3 - v1).e1, (v3 - v1).e2), as their three
     non-zero coordinates; ``diameter``; ``edges``, the frame of each edge in
-    that plane (``edge_frame``); v2, v3 and ``area``.  The vertices and the
+    that plane (``edge_frame``); v2, v3, ``area``, and the centroid of the
+    plane vertices with ``radius``, the largest distance from it to a
+    vertex, which ``centroid_distance`` reads.  The vertices and the
     frame are returned as read-only arrays on the block (``vertices`` and
     ``centroid`` as new arrays).  No attribute can be assigned or deleted
     (``Frozen``: ``dataclasses.FrozenInstanceError``); a pickled or copied
@@ -120,7 +124,9 @@ class Triangle3(Frozen):
         x3, y3 = bx * e1x + by * e1y + bz * e1z, bx * e2x + by * e2y + bz * e2z
         edges = edge_frame(((0.0, 0.0), (l12, 0.0), (x3, y3)))
         frame = (nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z)
-        block = _BLOCK.pack(*p1, *frame, l12, x3, y3, d, *edges, *p2, *p3, 0.5 * nn)
+        cx, cy = (l12 + x3) / 3.0, y3 / 3.0
+        radius = max(math.hypot(cx, cy), math.hypot(l12 - cx, cy), math.hypot(x3 - cx, y3 - cy))
+        block = _BLOCK.pack(*p1, *frame, l12, x3, y3, d, *edges, *p2, *p3, 0.5 * nn, cx, cy, radius)
         object.__setattr__(self, "_block", block)
 
     def __reduce__(self):
@@ -166,6 +172,11 @@ class Triangle3(Frozen):
     @property
     def area(self) -> float:
         return _DOUBLE.unpack_from(self._block, _AREA)[0]
+
+    @property
+    def radius(self) -> float:
+        """The largest distance from the centroid to a vertex: the disk about the centroid holds the triangle."""
+        return _DOUBLE.unpack_from(self._block, _RADIUS)[0]
 
 
 @dataclass(slots=True)
@@ -245,6 +256,20 @@ def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
         z = 0.0
     ox, oy = dx * e1x + dy * e1y + dz * e1z, dx * e2x + dy * e2y + dz * e2z
     return ((0.0 - ox, 0.0 - oy), (x2 - ox, 0.0 - oy), (x3 - ox, y3 - oy)), z
+
+
+def centroid_distance(tri: Triangle3, verts2d, z: float) -> tuple[float, float, float]:
+    """(D, r, area) for a field point that ``to_local_frame`` gave ``(verts2d, z)``.
+
+    D is the distance from the field point to the triangle's centroid and
+    r the triangle's ``radius`` about it; both, with the area, come from
+    the block, where the centroid is stored in the plane frame about v1, so
+    that the centroid about the projection is that plus ``verts2d[0]``, and
+    D is one hypot.
+    """
+    area, cx, cy, radius = _FAR.unpack_from(tri._block, _AREA)
+    ox, oy = verts2d[0]
+    return math.hypot(ox + cx, oy + cy, z), radius, area
 
 
 def real_array(value, shape: tuple, name: str):

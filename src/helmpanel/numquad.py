@@ -182,6 +182,30 @@ def polar_nodes(fan, n: int, z: float):
     return (table[:, 3:] * rho2).ravel(), table[:, :2], table[:, 2]
 
 
+def kernel_rows(r2: np.ndarray, z: float, k: float, m: int) -> np.ndarray:
+    """The kernel at nodes of squared plane distance ``r2`` from the projection, height z, as an (m, len(r2)) array.
+
+    Row 0 is G = e^{jkR}/R, R^2 = r2 + z^2; with m >= 2 row 1 is
+    (dG/dz) / z = G (jk - 1/R) / R, and with m = 3 row 2 is d2G/dz2.
+    ``polar_integrate`` and ``panelrule.panel_integrate`` read these rows.
+    """
+    rows = np.empty((m, len(r2)), dtype=complex)
+    R = np.sqrt(r2 + z * z)
+    inv_r = 1.0 / R
+    G = rows[0]  # e^{jkR}, as cos + j sin in place: the bits of np.exp
+    kR = k * R
+    np.cos(kR, out=G.real)
+    np.sin(kR, out=G.imag)
+    G *= inv_r
+    if m > 1:
+        gp = 1j * k - inv_r  # (dG/dR) / G
+        np.multiply(G, gp * inv_r, out=rows[1])
+        if m > 2:
+            z_r = z * inv_r
+            np.multiply(G, (gp * gp + inv_r * inv_r) * z_r**2 + gp * r2 * inv_r**3, out=rows[2])
+    return rows
+
+
 def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -> PanelIntegrals:
     """n x n Gauss quadrature of the panel integrals in polar coordinates.
 
@@ -218,20 +242,7 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     want_hyper = flag(want_hyper, "want_hyper")
     r2, points, area = polar_nodes(fan, n, z)
     out = np.zeros((3 if want_hyper else 2, 3), dtype=complex)  # (kernel row, 1 / x / y)
-    rows = np.empty((1 if z == 0.0 else len(out), len(r2)), dtype=complex)
-    R = np.sqrt(r2 + z * z)
-    inv_r = 1.0 / R
-    G = rows[0]  # e^{jkR}, as cos + j sin in place: the bits of np.exp
-    kR = k * R
-    np.cos(kR, out=G.real)
-    np.sin(kR, out=G.imag)
-    G *= inv_r
-    if z != 0.0:
-        gp = 1j * k - inv_r  # (dG/dR) / G
-        np.multiply(G, gp * inv_r, out=rows[1])
-        if want_hyper:
-            z_r = z * inv_r
-            np.multiply(G, (gp * gp + inv_r * inv_r) * z_r**2 + gp * r2 * inv_r**3, out=rows[2])
+    rows = kernel_rows(r2, z, k, 1 if z == 0.0 else len(out))
     per_ray = rows.reshape(len(rows), len(area), n) @ polar_rule(n)[2]
     np.matmul(per_ray[:, :, 0], area, out=out[: len(rows), 0])
     np.matmul(per_ray[:, :, 1], points * area[:, None], out=out[: len(rows), 1:])

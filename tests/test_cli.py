@@ -59,6 +59,18 @@ class TestIntegrate:
         imag_parts = [abs(float(v)) for v in fields[1::2]]
         assert all(v <= 1e-14 for v in imag_parts)
 
+    def test_far_point_prints_the_panel_rule_order(self):
+        # a far point takes the rule on the panel, whose order is printed as
+        # n_gauss, and which runs no estimator
+        code, out = run_main(["integrate", "--tri", TRI, "--point", "1.25,0.45,5", "--k", "1", "--tol", "1e-9"])
+        assert code == 0
+        rep = evaluate(EvalRequest(sample_triangle(), [1.25, 0.45, 5.0], 1.0, 1e-9))
+        assert (rep.method.kind, rep.estimator) == ("panel", None)
+        lines = out.splitlines()
+        assert lines[:3] == ["method: panel", f"n_gauss: {rep.method.n_gauss}", "z: 5"]
+        assert not [ln for ln in lines if ln.startswith("estimator")]
+        assert lines[-1].startswith("RESULT,panel,")
+
     def test_tolerances_agree(self):
         vals = {}
         for tol in ("1e-9", "1e-12"):

@@ -21,6 +21,7 @@ from helmpanel.engine import (
 from helmpanel.expapprox import select_approx
 from helmpanel.geometry import Triangle3, to_local_frame
 from helmpanel.numquad import adaptive_oracle
+from helmpanel.panelrule import panel_order
 
 from helpers import radii, tri_rule
 
@@ -186,7 +187,8 @@ class TestValidation:
     def test_largest_heights_evaluate(self, z, k):
         with np.errstate(all="raise", under="ignore"):  # subnormal dI/dn terms are fine
             rep = evaluate(request((0.4, 0.3, z), k=k, tol=1e-6, hyper=True))
-        assert rep.z == z and (rep.method.kind, rep.method.n_gauss) == ("numeric", 8)
+        # far above the panel: the collapsed rule on the panel, not the fan
+        assert rep.z == z and rep.method.kind == "panel" and rep.estimator is None
         assert np.isfinite(rep.result.values).all()
         assert abs(rep.result.i0) == pytest.approx(0.45 / abs(z), rel=1e-12)
 
@@ -198,10 +200,11 @@ class TestValidation:
 
 class TestSelection:
     def test_far_field_numeric(self):
+        # a far pair takes the rule on the panel itself: no walk, no estimator
         tri = sample_triangle()
         z = 100.0 * tri.diameter
         rep = evaluate(request(tri.centroid + [0, 0, z], tol=1e-6))
-        assert rep.method.kind == "numeric"
+        assert rep.method.kind == "panel" and rep.estimator is None
         assert rep.method.n_gauss <= 10
         # leading far-field form with the second-moment phase correction
         rule = tri_rule(8)
@@ -342,7 +345,7 @@ class TestSelection:
         near = [evaluate(request(sample_field_point(i, 0.01))) for i in (1, 2, 3)]
         far = evaluate(request(sample_field_point(4, 5.0)))
         assert [r.method.kind for r in near] == ["analytic"] * 3
-        assert far.method.kind == "numeric"
+        assert far.method.kind == "panel"
 
     def test_n_gauss_only_with_forced_numeric(self):
         # an order for the numeric path is not silently applied to, or
@@ -494,6 +497,7 @@ class TestOneEdgeWalk:
         "proj, z, k, method, kind, n",
         [
             (4, 0.5, 1.0, "auto", "numeric", None),  # estimator's order
+            (4, 1.0, 1.0, "auto", "panel", None),  # 2.1 radii from the centroid: no walk
             (2, 1e-3, 1.0, "auto", "analytic", None),
             (1, 0.0, 2.0, "numeric", "numeric", N_FALLBACK),  # z = 0 jump term
             (4, 0.3, 1.0, "numeric", "numeric", 4),  # forced order
@@ -501,7 +505,8 @@ class TestOneEdgeWalk:
     )
     def test_each_path_walks_the_edges_once(self, monkeypatch, proj, z, k, method, kind, n):
         # evaluate makes the one walk and hands its fan on: neither the
-        # polar rule, nor its jump term, nor the analytic path subdivides
+        # polar rule, nor its jump term, nor the analytic path subdivides;
+        # a far pair makes none
         walks = []
         walk = geometry.walk
 
@@ -518,7 +523,7 @@ class TestOneEdgeWalk:
             monkeypatch.setattr(mod, "subdivide", banned)
         monkeypatch.setattr(engine, "radial_extents", banned)
         rep = evaluate(request(sample_field_point(proj, z), k=k), method=method, n_gauss=n)
-        assert rep.method.kind == kind and len(walks) == 1
+        assert rep.method.kind == kind and len(walks) == (kind != "panel")
 
 
 class TestInPlaneExterior:
@@ -561,7 +566,9 @@ class TestInPlaneExterior:
             ref = adaptive_oracle(verts2d, z, k, tol=1e-13, components=("i0",))
             assert abs(rep.result.i0 - ref.i0) <= 10 * tol
             assert abs(rep.result.di0_dn - ref.di0_dn) <= 100 * tol
-            assert rep.method.kind == "analytic"
+            # the pairs the far gate admits take the rule on the panel, the rest the expansion
+            far = panel_order(*geometry.centroid_distance(panel, verts2d, z), k, tol, False) is not None
+            assert rep.method.kind == ("panel" if far else "analytic")
 
 
 class TestJustAboveAnEdgeLine:
@@ -634,7 +641,8 @@ class TestInPlaneNearAnEdgeLine:
         rep = evaluate(request(x, k=k, tol=tol, tri=tri), method=method)
         verts2d, z = to_local_frame(tri, x)
         ref = adaptive_oracle(verts2d, z, k, tol=tol / 100)
-        assert rep.method.kind == "analytic"
+        # auto serves the point, 2.9 radii from the centroid, by the rule on the panel
+        assert rep.method.kind == ("panel" if method == "auto" else "analytic")
         assert abs(rep.result.i0 - ref.i0) <= 10 * tol
         assert abs(rep.result.di0_dn - ref.di0_dn) <= 100 * tol
 

@@ -146,7 +146,7 @@ class TestSelectApprox:
 
     def test_nan_rejected(self):
         # NaN never reaches a silent tier or an AssertionError
-        with pytest.raises(ValueError, match="k\\*ell"):
+        with pytest.raises(ValueError, match="^k = nan"):
             select_approx(k=math.nan, ell=0.5, eps=1e-6)
         with pytest.raises(ValueError, match="eps"):
             select_approx(k=1.0, ell=0.5, eps=math.nan)
@@ -166,7 +166,7 @@ class TestSelectApprox:
     def test_negative_argument_rejected(self, k, ell):
         # the expansion covers [0, delta_x) only; each factor is checked, so
         # two negative ones with a positive product are rejected too
-        with pytest.raises(ValueError, match="k\\*ell .* negative"):
+        with pytest.raises(ValueError, match=f"^{'k' if k < 0.0 else 'ell'} = .*: negative"):
             select_approx(k, ell, 1e-9)
 
     @pytest.mark.parametrize("k", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
@@ -224,8 +224,8 @@ class TestSelectApprox:
         for eps in (math.nextafter(EPS_TIERS[-1], 0.0), 1e-16, 0.0, -1e-9, math.nan):
             with pytest.raises(ValueError, match="eps"):
                 select_approx(1.0, 0.1, eps)
-        for k, ell in ((math.nan, 0.1), (1.0, math.nan), (math.inf, 0.0)):
-            with pytest.raises(ValueError, match="k\\*ell"):
+        for k, ell, name in ((math.nan, 0.1, "k ="), (1.0, math.nan, "ell ="), (math.inf, 0.0, "k\\*ell =")):
+            with pytest.raises(ValueError, match=f"^{name}"):
                 select_approx(k, ell, 1e-9)
 
 
