@@ -2,9 +2,10 @@
 
 Evaluates the integrals of e^{jkR}/R (and its first and second normal
 derivatives) weighted by {1, x, y} over a plane triangle, to a requested
-tolerance, choosing automatically between polar Gaussian quadrature with
-an a-priori error estimate and an expansion-based analytic method for the
-singular and near-singular cases.  Returned values exclude the 1/(4 pi)
+tolerance, choosing automatically between a collapsed Gauss rule on the
+panel for far field points, polar Gaussian quadrature with an a-priori
+error estimate, and an expansion-based analytic method for the singular
+and near-singular cases.  Returned values exclude the 1/(4 pi)
 normalization of the free-space Green's function; multiply by
 ``GREEN_PREFACTOR`` to convert.
 """

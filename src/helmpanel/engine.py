@@ -1,12 +1,16 @@
 """Top-level evaluation: method selection, subdivision, accumulation.
 
-For each request the field point is moved into the element frame, and one
-walk over the triangle's edges gives the radial extents, which feed the
-a-priori 1/R error estimate, and the signed subtriangles about the
-projection.  The integrals are then computed on those subtriangles either
-by polar Gaussian quadrature at the selected order or, when no admissible
-order exists, by the expansion method, with one expansion entry and one
-``assemble`` per request.
+For each request the field point is moved into the element frame.  Under
+auto a far pair is decided first, from the distance to the centroid and
+the triangle's radius about it (``geometry.centroid_distance``): where
+``panelrule.panel_order`` derives an order, the collapsed Gauss rule on the
+panel (``panelrule.panel_integrate``) gives the integrals, with no walk
+and no estimate.  Otherwise one walk over the triangle's edges gives the
+radial extents, which feed the a-priori 1/R error estimate, and the
+signed subtriangles about the projection.  The integrals are then
+computed on those subtriangles either by polar Gaussian quadrature at the
+selected order or, when no admissible order exists, by the expansion
+method, with one expansion entry and one ``assemble`` per request.
 
 The expansion path is additionally gated on k |z| <= pi/2: beyond that the
 upward J-recursions amplify roundoff, so the evaluation falls back to
@@ -105,7 +109,12 @@ class EvalRequest(Frozen):
 
 @dataclass(frozen=True, slots=True)
 class MethodInfo:
-    """How a result was produced; one shared instance per distinct value (``_method_info``)."""
+    """How a result was produced; one shared instance per distinct value (``_method_info``).
+
+    ``n_gauss`` is the Gauss order per direction of the "panel" and the
+    "numeric" kinds: of the collapsed rule on the panel, or of the polar
+    rule on each subtriangle of the fan.
+    """
 
     kind: str  # "panel" | "numeric" | "analytic"
     n_gauss: int | None = None
@@ -122,7 +131,9 @@ _method_info = functools.cache(MethodInfo)
 @dataclass(slots=True)
 class EvalReport:
     """Integrals, how they were produced, the order selection (None when path
-    and order were forced) and the field point's element-frame height z.
+    and order were forced, and for a far pair under auto, which the rule on
+    the panel serves with no estimate) and the field point's element-frame
+    height z.
     The report owns its integrals' values buffer; a pickled or copied
     report has one of its own."""
 
@@ -165,20 +176,25 @@ def _analytic_eval(fan, z, k, approx, want_hyper) -> PanelIntegrals:
 def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None) -> EvalReport:
     """Evaluate panel integrals for one request.
 
-    ``method`` is "auto" (estimator-driven selection), "analytic" or
-    "numeric"; forcing "numeric" uses exactly ``n_gauss`` points per
-    direction, an integer >= 1 and not a bool (without it, the estimator's
-    choice floored at N_MIN, or N_FALLBACK; when given, the estimator does
-    not run and the report has none).  ``n_gauss`` with any other method
-    is a ValueError.
+    ``method`` is "auto" (selection by the far gate and the estimator),
+    "analytic" or "numeric".  Under "auto" a far pair comes first: where
+    ``panelrule.panel_order`` gives an order for the distance to the
+    centroid, the triangle's radius, k and tol, the collapsed rule on the
+    panel runs at that order, before any walk, and the report has kind
+    "panel" and no estimator.  Forcing "numeric" uses exactly ``n_gauss``
+    points per direction, an integer >= 1 and not a bool (without it, the
+    estimator's choice floored at N_MIN, or N_FALLBACK; when given, the
+    estimator does not run and the report has none).  ``n_gauss`` with any
+    other method is a ValueError.
     A forced analytic request still falls back to numeric quadrature at
     n = N_FALLBACK when the expansion is inadmissible (k * r_max >= pi/2 or
     k |z| > pi/2); the report notes the fallback.  Otherwise one entry,
     ``select_approx`` at k * r_max, runs on every subtriangle, and the
     report names it (at k = 0 the order-0 ``LAPLACE``: q_expansion 0,
     delta_x 0.0).  Both arguments are checked before any geometry work.  The
-    edges are walked once per request (``walk`` on ``Triangle3.edges``);
-    its signed subtriangles go to whichever path runs.
+    edges are walked at most once per request (``walk`` on
+    ``Triangle3.edges``); its signed subtriangles go to whichever path runs.
+    Forced "numeric" and "analytic" never take the far gate.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")

@@ -15,7 +15,10 @@ reference parameters: s = |d_e|, the foot direction (plus or minus the
 edge's unit normal) and theta = atan(along / s) at its two ends.  One
 tolerance, ``BOUNDARY_TOL_REL`` of the triangle's size, decides "on an
 edge's line" everywhere here: a degenerate triangle, the z snap, the
-inside test and the one rule by which the walk drops a subtriangle.  And
+inside test and the one rule by which the walk drops a subtriangle.  The
+triangle also stores its plane centroid and its radius about it, from
+which ``centroid_distance`` gives a field point's distance to the centroid,
+for ``evaluate``'s far gate, with one hypot.  And
 one rule per kind of argument returns it or raises a ValueError naming it:
 ``real_array`` reads coordinates, ``real_number`` a height, k or extent,
 ``positive`` a tolerance, ``integer`` an order and ``flag`` a bool.
@@ -49,14 +52,14 @@ Z_MAX = math.sqrt(sys.float_info.max)
 # read them.  v1, normal, e1, e2, the plane vertices (x2, x3, y3) and the
 # diameter are _LOCAL, the first 16; edge_frame's tuple, its orient a 64-bit
 # integer, is _EDGES; v2 and v3 follow, and _FAR closes it: the area, the
-# plane centroid (about v1) and the circumradius about that centroid.
+# plane centroid (about v1) and the radius about it (to the farthest vertex).
 _BLOCK = struct.Struct("16d6dqd6d4d")
 _LOCAL = struct.Struct("16d")
 _EDGES = struct.Struct("6dqd")
 _FAR = struct.Struct("4d")
 _DOUBLE = struct.Struct("d")
 # byte offsets into the block
-_V1, _NORMAL, _E1, _E2, _DIAMETER, _EDGE_FRAME, _V2, _V3, _AREA, _RADIUS = 0, 24, 48, 72, 120, 128, 192, 216, 240, 264
+_V1, _NORMAL, _E1, _E2, _DIAMETER, _EDGE_FRAME, _V2, _V3, _AREA = 0, 24, 48, 72, 120, 128, 192, 216, 240
 
 
 class Frozen:
@@ -95,8 +98,8 @@ class Triangle3(Frozen):
     (|v2 - v1|, 0) and ((v3 - v1).e1, (v3 - v1).e2), as their three
     non-zero coordinates; ``diameter``; ``edges``, the frame of each edge in
     that plane (``edge_frame``); v2, v3, ``area``, and the centroid of the
-    plane vertices with ``radius``, the largest distance from it to a
-    vertex, which ``centroid_distance`` reads.  The vertices and the
+    plane vertices with the largest distance from it to a vertex, which
+    ``centroid_distance`` reads.  The vertices and the
     frame are returned as read-only arrays on the block (``vertices`` and
     ``centroid`` as new arrays).  No attribute can be assigned or deleted
     (``Frozen``: ``dataclasses.FrozenInstanceError``); a pickled or copied
@@ -172,11 +175,6 @@ class Triangle3(Frozen):
     @property
     def area(self) -> float:
         return _DOUBLE.unpack_from(self._block, _AREA)[0]
-
-    @property
-    def radius(self) -> float:
-        """The largest distance from the centroid to a vertex: the disk about the centroid holds the triangle."""
-        return _DOUBLE.unpack_from(self._block, _RADIUS)[0]
 
 
 @dataclass(slots=True)
@@ -262,10 +260,11 @@ def centroid_distance(tri: Triangle3, verts2d, z: float) -> tuple[float, float, 
     """(D, r, area) for a field point that ``to_local_frame`` gave ``(verts2d, z)``.
 
     D is the distance from the field point to the triangle's centroid and
-    r the triangle's ``radius`` about it; both, with the area, come from
-    the block, where the centroid is stored in the plane frame about v1, so
-    that the centroid about the projection is that plus ``verts2d[0]``, and
-    D is one hypot.
+    r the triangle's radius about it, the largest distance from the
+    centroid to a vertex, so the disk of radius r about the centroid holds
+    the triangle.  Both, with the area, come from the block, where the
+    centroid is stored in the plane frame about v1, so that the centroid
+    about the projection is that plus ``verts2d[0]``, and D is one hypot.
     """
     area, cx, cy, radius = _FAR.unpack_from(tri._block, _AREA)
     ox, oy = verts2d[0]

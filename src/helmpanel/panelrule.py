@@ -43,7 +43,6 @@ where a >= 1 (D >= sqrt(2) r) and the order is at most N_PANEL_MAX.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -59,9 +58,10 @@ from .numquad import gauss_rule, kernel_rows
 N_PANEL_MAX = 16
 # Gauss' constant in the remainder bound on a Bernstein ellipse.
 _POLE = 64.0 / 15.0
-# 2 c_n, the entire term's factor, for n = 0 .. N_PANEL_MAX (0 unused)
+# 2 c_n, the entire term's factor, for n = 0 .. N_PANEL_MAX (0 unused); the
+# quotient of the two integers is rounded once
 _OSC = [0.0] + [
-    2.0 * float(Fraction(2 ** (2 * n + 1) * math.factorial(n) ** 4, (2 * n + 1) * math.factorial(2 * n) ** 3))
+    2 ** (2 * n + 2) * math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
     for n in range(1, N_PANEL_MAX + 1)
 ]
 # Past this k r the entire term exceeds 1e160 times a row's value at every

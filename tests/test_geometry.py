@@ -127,7 +127,7 @@ class TestTriangle3:
         assert again.vertices.tobytes() == tri.vertices.tobytes()
 
     def test_footprint(self):
-        # one block of 31 values per triangle: under 600 bytes, where three
+        # one block of 34 values per triangle: under 600 bytes, where three
         # vertex arrays and four tuples of floats took over 1 000
         verts = np.random.default_rng(37).uniform(-1.0, 1.0, size=(1000, 3, 3))
         tris = [None] * len(verts)

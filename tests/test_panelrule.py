@@ -88,7 +88,8 @@ def grid_cases():
     """(triangle, field point, k, tol) on a grid of D / r, directions, k r and tol, about two triangles."""
     tris = [sample_triangle(), Triangle3([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.7, 0.15, 0.0])]
     for tri in tris:
-        c, r = tri.centroid, tri.radius
+        c = tri.centroid
+        r = centroid_distance(tri, *to_local_frame(tri, c))[1]
         for q, elevation, azimuth, kr, tol in itertools.product(
             (1.45, 2.0, 4.0, 16.0), (0.0, 0.5, 1.3), (0.3, 2.5), (0.0, 1.0, 4.0), (1e-6, 1e-9, 1e-12)
         ):
