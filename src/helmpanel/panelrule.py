@@ -35,9 +35,10 @@ centroid, r the triangle's radius about it (``geometry.centroid_distance``).
 
 Each row's budget is the README contract over that largest value times
 the area: 10 tol for G with weights 1, x and y (|x|, |y| <= D + r), 100 tol
-for (dG/dz) / z and 100 tol for d2G/dz2.  The order is the smallest n whose
-two terms meet every budget; the gate is that order itself: the rule runs
-where a >= 1 (D >= sqrt(2) r) and the order is at most N_PANEL_MAX.
+for dG/dz (the second row times z) and 100 tol for d2G/dz2.  The order is
+the smallest n whose two terms meet every budget; the gate is that order
+itself: the rule runs where a > 1 (D > sqrt(2) r) and the order is at most
+N_PANEL_MAX.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ _OSC = [0.0] + [
     2 ** (2 * n + 2) * math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
     for n in range(1, N_PANEL_MAX + 1)
 ]
-# Past this k r the entire term exceeds 1e160 times a row's value at every
-# order up to N_PANEL_MAX, so the fan serves the pair (and omega^(2n - 1)
-# stays finite).
+# Past this k r the fan serves the pair: the entire term is then at least
+# 6.7e7 times a row's value at every order up to N_PANEL_MAX (least at
+# n = 1), and omega^(2n - 1) stays finite.
 _OMEGA_MAX = 1e4
 # D / r is held here: beyond it the pole term lies far below every budget,
 # and a, rho and the pole constant stay finite.
