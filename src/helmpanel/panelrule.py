@@ -124,7 +124,7 @@ def panel_order(D: float, radius: float, area: float, k: float, tol: float, want
     log_rho = math.log(rho)
     if lead > 2.0 * N_PANEL_MAX * log_rho:
         return None
-    n = max(1, math.ceil(0.5 * lead / log_rho)) if lead > 0.0 else 1
+    n = math.ceil(0.5 * lead / log_rho) if lead > 0.0 else 1
     # each row's largest value times the area, over its budget
     b0 = area * moment / (10.0 * tol * near)
     b1 = b0 * kn / 10.0
