@@ -83,10 +83,10 @@ def panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     (l1, l2, l3) = (1 - u, u (1 - v), u v), the six products (l1^2, l2^2,
     l3^2, 2 l1 l2, 2 l1 l3, 2 l2 l3), by which the Gram entries of the
     vertices give the node's squared distance r^2, and the four weights
-    (w, w l1, w l2, w l3), w = w_u w_v u / 2 on [0, 1] (summing to 1), by
-    which a kernel row gives its integral over the area and, through the
-    vertices, its x and y moments.  A bad order is a ValueError from
-    ``gauss_rule``.
+    (w, w l1, w l2, w l3), w = 2 w_u w_v u with w_u, w_v the Gauss weights
+    on [0, 1] (the w sum to 1), by which a kernel row gives its integral
+    over the area and, through the vertices, its x and y moments.  A bad
+    order is a ValueError from ``gauss_rule``.
     """
     x, w = gauss_rule(n)
     u, wu = 0.5 * (x + 1.0), 0.5 * w
