@@ -1,16 +1,18 @@
 """Top-level evaluation: method selection, subdivision, accumulation.
 
-For each request the field point is moved into the element frame.  Under
-auto a far pair is decided first, from the distance to the centroid and
-the triangle's radius about it (``geometry.centroid_distance``): where
-``panelrule.panel_order`` derives an order, the collapsed Gauss rule on the
-panel (``panelrule.panel_integrate``) gives the integrals, with no walk
-and no estimate.  Otherwise one walk over the triangle's edges gives the
-radial extents, which feed the a-priori 1/R error estimate, and the
-signed subtriangles about the projection.  The integrals are then
-computed on those subtriangles either by polar Gaussian quadrature at the
-selected order or, when no admissible order exists, by the expansion
-method, with one expansion entry and one ``assemble`` per request.
+For each request the field point is moved into the element frame, in the
+same read of the triangle as the distance D to its centroid and its radius
+r about it (``geometry.to_local_frame`` with ``far``).  Under auto a far
+pair is decided first: a pair with D <= sqrt(2) r is refused by one
+comparison, and where ``panelrule.panel_order`` derives an order for the
+others, the collapsed Gauss rule on the panel (``panelrule.panel_integrate``)
+gives the integrals, with no walk and no estimate.  Otherwise one walk over
+the triangle's edges gives the radial extents, which feed the a-priori 1/R
+error estimate, and the signed subtriangles about the projection.  The
+integrals are then computed on those subtriangles either by polar Gaussian
+quadrature at the selected order or, when no admissible order exists, by
+the expansion method, with one expansion entry and one ``assemble`` per
+request.
 
 The expansion path is additionally gated on k |z| <= pi/2: beyond that the
 upward J-recursions amplify roundoff, so the evaluation falls back to
@@ -34,9 +36,9 @@ from .estimator import OrderSelection, select_order
 from .expapprox import DELTA_X_TIERS, check_k, select_approx
 # radial_extents and subdivide are bound here, unused, for the layer tracer
 # of perfbench, which wraps them by name until it spans the walk
-from .geometry import Frozen, Triangle3, centroid_distance, flag, integer, radial_extents, real_array, real_number, ref_params, subdivide, to_local_frame, walk  # noqa: F401
+from .geometry import Frozen, Triangle3, flag, integer, radial_extents, real_array, real_number, ref_params, subdivide, to_local_frame, walk  # noqa: F401
 from .numquad import polar_integrate
-from .panelrule import panel_integrate, panel_order
+from .panelrule import GATE_RATIO, panel_integrate, panel_order
 
 # Stability gate for the analytic path (J-recursion growth factor k|z|).
 K_Z_LIMIT = math.pi / 2
@@ -177,10 +179,11 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     """Evaluate panel integrals for one request.
 
     ``method`` is "auto" (selection by the far gate and the estimator),
-    "analytic" or "numeric".  Under "auto" a far pair comes first: where
-    ``panelrule.panel_order`` gives an order for the distance to the
-    centroid, the triangle's radius, k and tol, the collapsed rule on the
-    panel runs at that order, before any walk, and the report has kind
+    "analytic" or "numeric".  Under "auto" a far pair comes first: where the
+    distance to the centroid exceeds ``panelrule.GATE_RATIO`` times the
+    triangle's radius (one comparison) and ``panelrule.panel_order`` gives
+    an order for them, k and tol, the collapsed rule on the panel runs at
+    that order, before any walk, and the report has kind
     "panel" and no estimator.  Forcing "numeric" uses exactly ``n_gauss``
     points per direction, an integer >= 1 and not a bool (without it, the
     estimator's choice floored at N_MIN, or N_FALLBACK; when given, the
@@ -202,12 +205,11 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
         if method != "numeric":
             raise ValueError(f"n_gauss applies only to method 'numeric', not {method!r}")
         n_gauss = integer(n_gauss, "n_gauss", 1)  # a NumPy integer too: the shared MethodInfo holds an int
-    verts2d, z = to_local_frame(req.triangle, _POINT.unpack(req._point))
-    if method == "auto":
-        D, radius, area = centroid_distance(req.triangle, verts2d, z)
-        if (n := panel_order(D, radius, area, req.k, req.tol, req.want_hypersingular)) is not None:
-            res = panel_integrate(verts2d, z, req.k, n, area, req.want_hypersingular)
-            return EvalReport(res, _method_info("panel", n, None, None, ""), None, z)
+    verts2d, z, D, radius, area = to_local_frame(req.triangle, _POINT.unpack(req._point), far=True)
+    if method == "auto" and D > GATE_RATIO * radius and (
+            n := panel_order(D, radius, area, req.k, req.tol, req.want_hypersingular)) is not None:
+        res = panel_integrate(verts2d, z, req.k, n, area, req.want_hypersingular)
+        return EvalReport(res, _method_info("panel", n, None, None, ""), None, z)
     ext, fan = walk(verts2d, req.triangle.edges)
     sel = None if n_gauss is not None else select_order(ext, z, req.tol)
     note = ""

@@ -16,9 +16,10 @@ edge's unit normal) and theta = atan(along / s) at its two ends.  One
 tolerance, ``BOUNDARY_TOL_REL`` of the triangle's size, decides "on an
 edge's line" everywhere here: a degenerate triangle, the z snap, the
 inside test and the one rule by which the walk drops a subtriangle.  The
-triangle also stores its plane centroid and its radius about it, from
-which ``centroid_distance`` gives a field point's distance to the centroid,
-for ``evaluate``'s far gate, with one hypot.  And
+triangle also stores its radius about its plane centroid, with which
+``to_local_frame`` with ``far`` gives a field point's distance to the
+centroid, for ``evaluate``'s far gate, with one hypot in the same read of
+the triangle (``centroid_distance`` from a frame already taken).  And
 one rule per kind of argument returns it or raises a ValueError naming it:
 ``real_array`` reads coordinates, ``real_number`` a height, k or extent,
 ``positive`` a tolerance, ``integer`` an order and ``flag`` a bool.
@@ -48,18 +49,22 @@ BOUNDARY_TOL_REL = 1e-12
 # Largest height |z| whose square is finite (``check_height``).
 Z_MAX = math.sqrt(sys.float_info.max)
 
-# Triangle3's block: 34 machine doubles in the order to_local_frame and walk
-# read them.  v1, normal, e1, e2, the plane vertices (x2, x3, y3) and the
-# diameter are _LOCAL, the first 16; edge_frame's tuple, its orient a 64-bit
-# integer, is _EDGES; v2 and v3 follow, and _FAR closes it: the area, the
-# plane centroid (about v1) and the radius about it (to the farthest vertex).
-_BLOCK = struct.Struct("16d6dqd6d4d")
-_LOCAL = struct.Struct("16d")
+# Triangle3's block: 32 machine doubles in the order to_local_frame and walk
+# read them.  v1, normal, e1, e2, the plane vertices (x2, x3, y3), the
+# diameter, the area and the radius about the plane centroid (to the
+# farthest vertex) are _LOCAL, the first 18, of which the last six are
+# _FAR; edge_frame's tuple, its orient a 64-bit integer, is _EDGES; v2 and
+# v3 close it.  The centroid itself, ((x2 + x3) / 3, y3 / 3) about v1, is
+# formed where it is read: stored, it would make _LOCAL 20 doubles, and
+# CPython 3.11 keeps every freed 20-tuple on a free list that it never
+# takes from again (up to 2 000 of them, 200 bytes each).
+_BLOCK = struct.Struct("18d6dqd6d")
+_LOCAL = struct.Struct("18d")
 _EDGES = struct.Struct("6dqd")
-_FAR = struct.Struct("4d")
+_FAR = struct.Struct("6d")
 _DOUBLE = struct.Struct("d")
 # byte offsets into the block
-_V1, _NORMAL, _E1, _E2, _DIAMETER, _EDGE_FRAME, _V2, _V3, _AREA = 0, 24, 48, 72, 120, 128, 192, 216, 240
+_V1, _NORMAL, _E1, _E2, _PLANE, _DIAMETER, _AREA, _EDGE_FRAME, _V2, _V3 = 0, 24, 48, 72, 96, 120, 128, 144, 208, 232
 
 
 class Frozen:
@@ -96,10 +101,11 @@ class Triangle3(Frozen):
     normalize((v2 - v1) x (v3 - v1)), ``e1`` along v2 - v1 and ``e2`` =
     normal x e1; the vertices in that frame with v1 at the origin, (0, 0),
     (|v2 - v1|, 0) and ((v3 - v1).e1, (v3 - v1).e2), as their three
-    non-zero coordinates; ``diameter``; ``edges``, the frame of each edge in
-    that plane (``edge_frame``); v2, v3, ``area``, and the centroid of the
-    plane vertices with the largest distance from it to a vertex, which
-    ``centroid_distance`` reads.  The vertices and the
+    non-zero coordinates; ``diameter``; ``area`` and the largest distance
+    from the centroid of the plane vertices to a vertex, which with them
+    give the far gate's values (``to_local_frame`` with ``far``,
+    ``centroid_distance``); ``edges``, the frame of each edge in that
+    plane (``edge_frame``); v2 and v3.  The vertices and the
     frame are returned as read-only arrays on the block (``vertices`` and
     ``centroid`` as new arrays).  No attribute can be assigned or deleted
     (``Frozen``: ``dataclasses.FrozenInstanceError``); a pickled or copied
@@ -129,7 +135,7 @@ class Triangle3(Frozen):
         frame = (nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z)
         cx, cy = (l12 + x3) / 3.0, y3 / 3.0
         radius = max(math.hypot(cx, cy), math.hypot(l12 - cx, cy), math.hypot(x3 - cx, y3 - cy))
-        block = _BLOCK.pack(*p1, *frame, l12, x3, y3, d, *edges, *p2, *p3, 0.5 * nn, cx, cy, radius)
+        block = _BLOCK.pack(*p1, *frame, l12, x3, y3, d, 0.5 * nn, radius, *edges, *p2, *p3)
         object.__setattr__(self, "_block", block)
 
     def __reduce__(self):
@@ -223,7 +229,7 @@ class RadialExtents:
     r_max: float
 
 
-def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
+def to_local_frame(tri: Triangle3, x, far: bool = False) -> tuple:
     """Transform a field point into the triangle's element frame.
 
     Returns ``(verts2d, z)`` where ``verts2d`` holds the three planar
@@ -232,17 +238,21 @@ def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
     Any |z| <= BOUNDARY_TOL_REL * diameter is returned as +0.0, a genuine
     height below the plane as well as roundoff, so the one-sided limits at
     such a point are the ones from z > 0.
-    The axes and the plane vertices come from the triangle, which computed
-    them when it was built (one unpack of the first 16 values of its block);
-    per point, z = n.(x - v1) and the projection's plane coordinates
-    (e1.(x - v1), e2.(x - v1)) are float arithmetic, and the plane vertices
-    are shifted by the latter.  A tuple of three Python floats is read as it
-    is (``evaluate`` passes its request's unpacked point); anything else goes
-    through ``real_array``, as in ``EvalRequest``: a point that is not finite
-    real numbers of shape (3,) is a ValueError, and so is a height that
-    ``check_height`` rejects.
+    With ``far``, the far gate's values follow: ``(verts2d, z, D, radius,
+    area)``, bit for bit those of ``centroid_distance``, from the same read
+    of the block, so that ``evaluate`` reads the triangle once per request.
+    The axes, the plane vertices and the far values come from the triangle,
+    which computed them when it was built (one unpack of the first 18
+    values of its block); per point, z = n.(x - v1) and the projection's
+    plane coordinates (e1.(x - v1), e2.(x - v1)) are float arithmetic, and
+    the plane vertices and the centroid are shifted by the latter.  A tuple
+    of three Python floats is read as it is (``evaluate`` passes its
+    request's unpacked point); anything else goes through ``real_array``,
+    as in ``EvalRequest``: a point that is not finite real numbers of shape
+    (3,) is a ValueError, and so is a height that ``check_height`` rejects.
     """
-    p1x, p1y, p1z, nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z, x2, x3, y3, diameter = _LOCAL.unpack_from(tri._block)
+    p1x, p1y, p1z, nx, ny, nz, e1x, e1y, e1z, e2x, e2y, e2z, x2, x3, y3, diameter, area, radius = (
+        _LOCAL.unpack_from(tri._block))
     if not (type(x) is tuple and len(x) == 3 and type(x[0]) is type(x[1]) is type(x[2]) is float):
         x = real_array(x, (3,), "field point")
     px, py, pz = x
@@ -253,7 +263,10 @@ def to_local_frame(tri: Triangle3, x) -> tuple[tuple, float]:
         # one-sided limits are taken from z > 0
         z = 0.0
     ox, oy = dx * e1x + dy * e1y + dz * e1z, dx * e2x + dy * e2y + dz * e2z
-    return ((0.0 - ox, 0.0 - oy), (x2 - ox, 0.0 - oy), (x3 - ox, y3 - oy)), z
+    verts2d = ((0.0 - ox, 0.0 - oy), (x2 - ox, 0.0 - oy), (x3 - ox, y3 - oy))
+    if far:
+        return verts2d, z, math.hypot((x2 + x3) / 3.0 - ox, y3 / 3.0 - oy, z), radius, area
+    return verts2d, z
 
 
 def centroid_distance(tri: Triangle3, verts2d, z: float) -> tuple[float, float, float]:
@@ -262,13 +275,14 @@ def centroid_distance(tri: Triangle3, verts2d, z: float) -> tuple[float, float, 
     D is the distance from the field point to the triangle's centroid and
     r the triangle's radius about it, the largest distance from the
     centroid to a vertex, so the disk of radius r about the centroid holds
-    the triangle.  Both, with the area, come from the block, where the
-    centroid is stored in the plane frame about v1, so that the centroid
-    about the projection is that plus ``verts2d[0]``, and D is one hypot.
+    the triangle.  Both, with the area, come from the block, whose plane
+    vertices about v1 give the centroid, ((x2 + x3) / 3, y3 / 3), so that
+    the centroid about the projection is that plus ``verts2d[0]``, and D
+    is one hypot: the values ``to_local_frame`` gives with ``far``.
     """
-    area, cx, cy, radius = _FAR.unpack_from(tri._block, _AREA)
+    x2, x3, y3, _, area, radius = _FAR.unpack_from(tri._block, _PLANE)
     ox, oy = verts2d[0]
-    return math.hypot(ox + cx, oy + cy, z), radius, area
+    return math.hypot(ox + (x2 + x3) / 3.0, oy + y3 / 3.0, z), radius, area
 
 
 def real_array(value, shape: tuple, name: str):

@@ -13,7 +13,8 @@ of nodes, at fixed v or at fixed u, lies on a chord of the triangle.
 The order (``panel_order``) has two terms, each an error relative to the
 largest value of a kernel row on the panel, which ``numquad``'s rows reach
 no closer than D - r: D is the distance from the field point to the
-centroid, r the triangle's radius about it (``geometry.centroid_distance``).
+centroid, r the triangle's radius about it (``geometry.to_local_frame``
+with ``far``, or ``geometry.centroid_distance``).
 
   * Pole term.  On a chord with ends A, B and half-length h, 1/R in the
     rule's parameter has its branch points on the Bernstein ellipse with
@@ -72,7 +73,10 @@ _OMEGA_MAX = 1e4
 # D / r is held here: beyond it the pole term lies far below every budget,
 # and a, rho and the pole constant stay finite.
 _Q_MAX = 1e100
-_SQRT2 = math.sqrt(2.0)
+# The rule runs only where D > GATE_RATIO r: nearer, a <= 1 and the disk
+# bound leaves no ellipse.  ``evaluate`` refuses such a pair by this one
+# comparison before it calls ``panel_order``.
+GATE_RATIO = math.sqrt(2.0)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -103,13 +107,13 @@ def panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 def panel_order(D: float, radius: float, area: float, k: float, tol: float, want_hyper: bool) -> int | None:
     """The rule's order for a field point at distance D from the centroid, or None where the fan serves it.
 
-    ``radius`` and ``area`` are the triangle's (``geometry.centroid_distance``).
+    ``radius`` and ``area`` are the triangle's (``geometry.to_local_frame`` with ``far``).
     The smallest n <= N_PANEL_MAX whose pole and entire terms (module
     docstring) meet the budget of every kernel row asked for, with
     d2G/dz2 only under ``want_hyper``; None when D <= sqrt(2) r, where the
     disk bound leaves no ellipse, or when no order up to N_PANEL_MAX does.
     """
-    if not D > _SQRT2 * radius or not (omega := k * radius) < _OMEGA_MAX:
+    if not D > GATE_RATIO * radius or not (omega := k * radius) < _OMEGA_MAX:
         return None
     q = min(D / radius, _Q_MAX)
     a = math.sqrt((q - 1.0) * (q + 1.0))
@@ -119,8 +123,14 @@ def panel_order(D: float, radius: float, area: float, k: float, tol: float, want
     moment = max(1.0, D + radius)  # |x|, |y| at a node, and 1
     pole = _POLE * 0.5 * (3.0 + a)
     # orders whose pole term of G's rows alone exceeds that budget cannot pass;
-    # the logarithm of that term times the budget's inverse, as a sum, overflows nowhere
-    lead = math.log(pole) + math.log(moment) + math.log(area) - math.log(near) - math.log(10.0 * tol)
+    # the logarithm of that term times the budget's inverse: one log of the
+    # product where it is finite and not 0, else a sum of logs, which
+    # overflows nowhere
+    lead = pole * moment * area / (near * (10.0 * tol))
+    if 0.0 < lead < math.inf:
+        lead = math.log(lead)
+    else:
+        lead = math.log(pole) + math.log(moment) + math.log(area) - math.log(near) - math.log(10.0 * tol)
     log_rho = math.log(rho)
     if lead > 2.0 * N_PANEL_MAX * log_rho:
         return None
@@ -157,8 +167,11 @@ def panel_integrate(verts2d, z: float, k: float, n: int, area: float, want_hyper
     quad, weights = panel_rule(n)
     (ax, ay), (bx, by), (cx, cy) = verts2d
     gram = (ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy, ax * bx + ay * by, ax * cx + ay * cy, bx * cx + by * cy)
-    rows = kernel_rows(np.dot(quad, np.array(gram)), z, k, 3 if want_hyper else 2)
-    values = []
-    for scale, (s, s1, s2, s3) in zip((area, -z * area, area), rows.dot(weights).tolist()):
-        values += (scale * s, scale * (s1 * ax + s2 * bx + s3 * cx), scale * (s1 * ay + s2 * by + s3 * cy))
-    return PanelIntegrals(values[: len(rows) + 4])
+    rows = kernel_rows(quad.dot(gram), z, k, 3 if want_hyper else 2)
+    (s, s1, s2, s3), (t, t1, t2, t3), *hyper = rows.dot(weights).tolist()
+    dz = -z * area
+    values = [area * s, area * (s1 * ax + s2 * bx + s3 * cx), area * (s1 * ay + s2 * by + s3 * cy),
+              dz * t, dz * (t1 * ax + t2 * bx + t3 * cx), dz * (t1 * ay + t2 * by + t3 * cy)]
+    if hyper:
+        values.append(area * hyper[0][0])
+    return PanelIntegrals(values)

@@ -1,5 +1,6 @@
 """Polar quadrature, adaptive oracle, and the symmetric triangle rule of the tests."""
 
+import cmath
 import importlib.util
 import json
 import math
@@ -705,6 +706,52 @@ class TestPolarIntegrate:
         dn = polar_integrate(subdivide(verts), 0.8 - h, 1.0, 40).i0
         fd = (up - 2 * polar_integrate(subdivide(verts), 0.8, 1.0, 40).i0 + dn) / h**2
         assert abs(got.d2i0_dn2 - fd) <= 1e-5 * abs(fd)
+
+
+class TestKernelRows:
+    """``numquad.kernel_rows`` node by node against the closed forms in ``cmath``.
+
+    The reference takes R the same way (one square root of r2 + z^2, so
+    the same double) and then, per node, G = e^{jkR} / R,
+    (dG/dz) / z = e^{jkR} (jkR - 1) / R^3 and
+    d2G/dz2 = e^{jkR} ((2 - 2jkR - k^2 R^2) z^2 + (jkR - 1) r^2) / R^5.
+    Each side's error is at most one eps per rounding along the longest
+    chain of operations, relative to the sum of the magnitudes of the terms
+    that chain combines, and one eps per component for each of cos, sin
+    and e^{jx} (NumPy validates its float64 cos and sin to 1 ulp; glibc's
+    are within 1 ulp).  Counted over both sides: G 3 + 2, row 1 7 + 7 and
+    row 2 12 + 14 roundings; a factor 2 covers the two components of a
+    complex value and second-order terms.
+    """
+
+    ROUNDINGS = (5, 14, 26)
+
+    @staticmethod
+    def reference(r2: float, z: float, k: float) -> tuple[list[complex], list[float]]:
+        """The three rows at one node, and the magnitude sums their bounds scale with."""
+        R = math.sqrt(r2 + z * z)
+        e = cmath.exp(1j * (k * R))
+        rows = [e / R, e * (1j * k * R - 1.0) / R**3,
+                e * ((2.0 - 2j * k * R - (k * R) ** 2) * z * z + (1j * k * R - 1.0) * r2) / R**5]
+        sizes = [1.0 / R, (k * R + 1.0) / R**3, (((k * R) ** 2 + 2.0 * k * R + 2.0) * z * z + (k * R + 1.0) * r2) / R**5]
+        return rows, sizes
+
+    @pytest.mark.parametrize("nodes", [1, 9, 289, 2500])
+    @pytest.mark.parametrize("k", [0.0, 0.9, 20.0])
+    @pytest.mark.parametrize("z", [0.0, 1e-8, 0.3, 1e3])
+    def test_rows_match_the_closed_forms(self, nodes, k, z):
+        rng = np.random.default_rng([nodes, round(10 * k)])
+        r2 = rng.uniform(1e-4, 4.0, nodes)
+        rows = numquad.kernel_rows(r2, z, k, 3)
+        assert rows.shape == (3, nodes) and rows.dtype == complex
+        ref, sizes = map(np.array, zip(*(self.reference(r, z, k) for r in r2.tolist())))
+        eps = np.finfo(float).eps
+        for row in range(3):
+            bound = 2.0 * self.ROUNDINGS[row] * eps * sizes[:, row]
+            assert np.all(np.abs(rows[row] - ref[:, row]) <= bound), (row, np.max(np.abs(rows[row] - ref[:, row]) / bound))
+        # fewer rows are the leading rows, bit for bit
+        for m in (1, 2):
+            assert np.array_equal(numquad.kernel_rows(r2, z, k, m), rows[:m])
 
 
 class TestAdaptiveOracle:

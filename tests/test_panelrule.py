@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helmpanel import engine
 from helmpanel.engine import EvalRequest, evaluate, sample_triangle
 from helmpanel.geometry import Triangle3, centroid_distance, to_local_frame
 from helmpanel.numquad import adaptive_oracle
-from helmpanel.panelrule import N_PANEL_MAX, panel_integrate, panel_order, panel_rule
+from helmpanel.panelrule import GATE_RATIO, N_PANEL_MAX, panel_integrate, panel_order, panel_rule
 
 from helpers import tri_rule
 
@@ -74,6 +75,39 @@ def test_gate_refuses_near_points_and_high_orders():
     orders = [panel_order(3.0, 1.0, 1.0, k, tol, hyper) for k, tol, hyper in
               [(0.0, 1e-6, False), (0.0, 1e-12, False), (4.0, 1e-12, False), (4.0, 1e-12, True)]]
     assert orders == sorted(orders) and orders[0] < orders[-1] <= N_PANEL_MAX
+
+
+@pytest.mark.parametrize("k, tol, hyper", [(0.0, 1e-2, False), (1.0, 1e-6, True), (4.0, 1e-12, False)])
+def test_engine_gate_agrees_with_the_order_at_the_boundary(k, tol, hyper, monkeypatch):
+    # above the sample triangle's centroid the engine's D is the height
+    # itself (its frame is the world's, and the centroid is (x2 + x3, y3) / 3
+    # as the block forms it); at D = sqrt(2) r, one ulp to either side and
+    # farther out, evaluate takes the panel rule exactly where panel_order,
+    # given the engine's own D, r and area, returns an order
+    tri = sample_triangle()
+    (x2, _, _), (x3, y3, _) = tri.v2.tolist(), tri.v3.tolist()
+    cx, cy = (x2 + x3) / 3.0, y3 / 3.0
+    radius = to_local_frame(tri, (cx, cy, 1.0), far=True)[3]
+    edge = GATE_RATIO * radius
+    kinds = []
+    for height in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf), 4.0 * radius, 50.0 * radius):
+        x = (cx, cy, height)
+        verts2d, z, D, r, area = to_local_frame(tri, x, far=True)
+        assert (D, r, area) == (height, radius, tri.area) == centroid_distance(tri, verts2d, z)
+        n = panel_order(D, r, area, k, tol, hyper)
+        rep = evaluate(EvalRequest(tri, x, k, tol, hyper))
+        assert (rep.method.kind == "panel") == (n is not None), (height / radius, n, rep.method)
+        assert rep.method.n_gauss == n or n is None
+        kinds.append(rep.method.kind)
+    assert "panel" not in kinds[:2] and kinds[-1] == "panel"
+    # at and below sqrt(2) r the engine's one comparison refuses the pair:
+    # panel_order is not called
+    def no_order(*args):
+        raise AssertionError("panel_order called on a near pair")
+
+    monkeypatch.setattr(engine, "panel_order", no_order)
+    for height in (math.nextafter(edge, 0.0), edge):
+        assert evaluate(EvalRequest(tri, (cx, cy, height), k, tol, hyper)).method.kind != "panel"
 
 
 @pytest.mark.parametrize("D, radius, area", [(1.9e154, 0.6, 0.45), (1e308, 1.0, 0.4), (3.0, 1e-150, 1e-300),
