@@ -32,10 +32,10 @@ the number of calls that move by more than ``BEYOND`` (1e-14) times
 (1 + |v_other|) and how many calls do so in any component, each side's
 p50 of the best per-call times, the median of the per-call time ratios
 and the ratio of the summed best times, this tree over the other; and
-for each kind of call (analytic, numeric, oracle, as this tree's verdict
-names it) the median ratio, each side's p50 of the best per-call times
-and how many calls of the kind agree in their verdict but not bit for
-bit in their values (and how many of those are at z = 0).  A kind has
+for each kind of call (panel, analytic, numeric, oracle, as this tree's
+verdict names it) the median ratio, each side's p50 of the best per-call
+times and how many calls of the kind agree in their verdict but not bit
+for bit in their values (and how many of those are at z = 0).  A kind has
 no summed ratio: on a few hundred calls one slow call moves the sum, and
 on ``bem_nearfield``'s 463 analytic calls a tree against a copy of
 itself read 0.995-1.056 in it while the median held at 0.997-1.005.
