@@ -52,6 +52,21 @@ process this resolves a change to the analytic layer that the traced
 per-layer times of a perfbench run, which drift by about 15% between
 runs, do not.
 
+After the compared calls, one more run times each call once on each tree,
+in pass order with the garbage collector on, as ``perfbench/run.py``
+does: the trees take turns every BLOCK (300) requests, and each tree's
+requests are built before the clock starts.  Printed: each tree's
+perfbench-style p50 (the mean of the 30-70% band of the call times,
+``worker.central_mean``) and the median over the blocks of the ratio of
+those p50s, this tree over the other.  The per-call ratios above time
+each call hot, right after an untimed run of the same request, and can
+differ from pass order even in sign: with the far pairs' kernel rows as
+1-D rows, each reduced by its own matrix-vector product, against one
+block of them reduced by one matrix product, ``bem_nearfield``'s panel
+calls read a median ratio of 1.118 hot and a block ratio of 0.857 in pass
+order (seed 5341, every pool entry, three passes), and perfbench's
+``eval_p50_us`` sided with pass order (0.83 of the block form's).
+
 Both trees' results also go through the workload's own ``check``
 against the stored references (a call that raised fails it); printed:
 each tree's failures and the calls whose pass or fail differs between
@@ -79,6 +94,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
 
 import workloads  # noqa: E402
+from worker import central_mean  # noqa: E402
 
 OTHER = "helmpanel_other"
 COMPONENTS = ("i0", "ix", "iy", "di0_dn", "dix_dn", "diy_dn", "d2i0_dn2")
@@ -91,6 +107,8 @@ E_Q = "e_q"
 SHOW = 20
 # a call moves beyond rounding when |v - v_other| > BEYOND (1 + |v_other|)
 BEYOND = 1e-14
+# requests per block of the pass-order run, which the trees take in turn
+BLOCK = 300
 
 
 def load_other(tree: Path):
@@ -233,6 +251,27 @@ def run(mine, other, rounds: int):
     return results, best
 
 
+def pass_order(mine, other) -> dict:
+    """Each call timed once on each tree, in pass order with the garbage collector on, the trees taking turns per BLOCK."""
+    n = len(mine)
+    lat = np.empty((2, n))
+    for b, lo in enumerate(range(0, n, BLOCK)):
+        for side in (0, 1) if b % 2 == 0 else (1, 0):
+            calls = (mine, other)[side]
+            for i in range(lo, min(lo + BLOCK, n)):
+                lat[side, i] = timed(calls[i])[1]
+    blocks = [central_mean(lat[0, lo : lo + BLOCK]) / central_mean(lat[1, lo : lo + BLOCK]) for lo in range(0, n, BLOCK)]
+    out = {
+        "p50_us": {"this": central_mean(lat[0]) * 1e6, "other": central_mean(lat[1]) * 1e6},
+        "blocks": len(blocks),
+        "median_block_ratio": float(statistics.median(blocks)),
+    }
+    print(f"pass order (each call timed once, gc on, the trees taking turns every {BLOCK} requests): "
+          f"p50 {out['p50_us']['this']:.1f} us here, {out['p50_us']['other']:.1f} us in the other tree; "
+          f"median ratio of the {len(blocks)} blocks {out['median_block_ratio']:.3f}")
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", type=Path, required=True, help="root of the other checkout")
@@ -343,6 +382,7 @@ def main() -> None:
               f"in the other tree; median {r['median_ratio']:.3f}; "
               f"{r['values_not_identical']} not bit-identical in their values, "
               f"{r['values_not_identical_z0']} of them at z = 0")
+    summary["pass_order"] = pass_order(mine, theirs)
     if args.subtriangles and args.workload != "oracle_sweep":
         differ_set = set(differ)
         analytic = [item for i, item in enumerate(items) if i not in differ_set and kinds[i] == "analytic"]

@@ -18,8 +18,7 @@ edge's line" everywhere here: a degenerate triangle, the z snap, the
 inside test and the one rule by which the walk drops a subtriangle.  The
 triangle also stores its radius about its plane centroid, with which
 ``to_local_frame`` with ``far`` gives a field point's distance to the
-centroid, for ``evaluate``'s far gate, with one hypot in the same read of
-the triangle (``centroid_distance`` from a frame already taken).  And
+centroid, for ``evaluate``'s far gate, by one hypot in the same read.  And
 one rule per kind of argument returns it or raises a ValueError naming it:
 ``real_array`` reads coordinates, ``real_number`` a height, k or extent,
 ``positive`` a tolerance, ``integer`` an order and ``flag`` a bool.
@@ -52,19 +51,18 @@ Z_MAX = math.sqrt(sys.float_info.max)
 # Triangle3's block: 32 machine doubles in the order to_local_frame and walk
 # read them.  v1, normal, e1, e2, the plane vertices (x2, x3, y3), the
 # diameter, the area and the radius about the plane centroid (to the
-# farthest vertex) are _LOCAL, the first 18, of which the last six are
-# _FAR; edge_frame's tuple, its orient a 64-bit integer, is _EDGES; v2 and
-# v3 close it.  The centroid itself, ((x2 + x3) / 3, y3 / 3) about v1, is
-# formed where it is read: stored, it would make _LOCAL 20 doubles, and
-# CPython 3.11 keeps every freed 20-tuple on a free list that it never
-# takes from again (up to 2 000 of them, 200 bytes each).
+# farthest vertex) are _LOCAL, the first 18; edge_frame's tuple, its orient
+# a 64-bit integer, is _EDGES; v2 and v3 close it.  The centroid itself,
+# ((x2 + x3) / 3, y3 / 3) about v1, is formed where it is read: stored, it
+# would make _LOCAL 20 doubles, and CPython 3.11 keeps every freed 20-tuple
+# on a free list that it never takes from again (up to 2 000 of them, 200
+# bytes each).
 _BLOCK = struct.Struct("18d6dqd6d")
 _LOCAL = struct.Struct("18d")
 _EDGES = struct.Struct("6dqd")
-_FAR = struct.Struct("6d")
 _DOUBLE = struct.Struct("d")
 # byte offsets into the block
-_V1, _NORMAL, _E1, _E2, _PLANE, _DIAMETER, _AREA, _EDGE_FRAME, _V2, _V3 = 0, 24, 48, 72, 96, 120, 128, 144, 208, 232
+_V1, _NORMAL, _E1, _E2, _DIAMETER, _AREA, _EDGE_FRAME, _V2, _V3 = 0, 24, 48, 72, 120, 128, 144, 208, 232
 
 
 class Frozen:
@@ -103,13 +101,13 @@ class Triangle3(Frozen):
     (|v2 - v1|, 0) and ((v3 - v1).e1, (v3 - v1).e2), as their three
     non-zero coordinates; ``diameter``; ``area`` and the largest distance
     from the centroid of the plane vertices to a vertex, which with them
-    give the far gate's values (``to_local_frame`` with ``far``,
-    ``centroid_distance``); ``edges``, the frame of each edge in that
-    plane (``edge_frame``); v2 and v3.  The vertices and the
-    frame are returned as read-only arrays on the block (``vertices`` and
-    ``centroid`` as new arrays).  No attribute can be assigned or deleted
-    (``Frozen``: ``dataclasses.FrozenInstanceError``); a pickled or copied
-    triangle is built again from its vertices.
+    give the far gate's values (``to_local_frame`` with ``far``);
+    ``edges``, the frame of each edge in that plane (``edge_frame``); v2
+    and v3.  The vertices and the frame are returned as read-only arrays
+    on the block (``vertices`` and ``centroid`` as new arrays).  No
+    attribute can be assigned or deleted (``Frozen``:
+    ``dataclasses.FrozenInstanceError``); a pickled or copied triangle is
+    built again from its vertices.
     Raises ValueError for a vertex that is not finite real numbers of shape
     (3,) (``real_array``) and for a degenerate (collinear) triangle.
     """
@@ -239,8 +237,9 @@ def to_local_frame(tri: Triangle3, x, far: bool = False) -> tuple:
     height below the plane as well as roundoff, so the one-sided limits at
     such a point are the ones from z > 0.
     With ``far``, the far gate's values follow: ``(verts2d, z, D, radius,
-    area)``, bit for bit those of ``centroid_distance``, from the same read
-    of the block, so that ``evaluate`` reads the triangle once per request.
+    area)``, from the same read of the block, so that ``evaluate`` reads the
+    triangle once per request: D is the distance to the centroid of the
+    plane vertices, and the disk of ``radius`` about it holds the triangle.
     The axes, the plane vertices and the far values come from the triangle,
     which computed them when it was built (one unpack of the first 18
     values of its block); per point, z = n.(x - v1) and the projection's
@@ -267,22 +266,6 @@ def to_local_frame(tri: Triangle3, x, far: bool = False) -> tuple:
     if far:
         return verts2d, z, math.hypot((x2 + x3) / 3.0 - ox, y3 / 3.0 - oy, z), radius, area
     return verts2d, z
-
-
-def centroid_distance(tri: Triangle3, verts2d, z: float) -> tuple[float, float, float]:
-    """(D, r, area) for a field point that ``to_local_frame`` gave ``(verts2d, z)``.
-
-    D is the distance from the field point to the triangle's centroid and
-    r the triangle's radius about it, the largest distance from the
-    centroid to a vertex, so the disk of radius r about the centroid holds
-    the triangle.  Both, with the area, come from the block, whose plane
-    vertices about v1 give the centroid, ((x2 + x3) / 3, y3 / 3), so that
-    the centroid about the projection is that plus ``verts2d[0]``, and D
-    is one hypot: the values ``to_local_frame`` gives with ``far``.
-    """
-    x2, x3, y3, _, area, radius = _FAR.unpack_from(tri._block, _PLANE)
-    ox, oy = verts2d[0]
-    return math.hypot(ox + (x2 + x3) / 3.0, oy + y3 / 3.0, z), radius, area
 
 
 def real_array(value, shape: tuple, name: str):

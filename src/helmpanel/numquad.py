@@ -182,35 +182,47 @@ def polar_nodes(fan, n: int, z: float):
     return (table[:, 3:] * rho2).ravel(), table[:, :2], table[:, 2]
 
 
-def kernel_rows(r2: np.ndarray, z: float, k: float, m: int) -> np.ndarray:
-    """The kernel at nodes of squared plane distance ``r2`` from the projection, height z, as an (m, len(r2)) array.
+def kernel_rows(r2: np.ndarray, z: float, k: float, m: int) -> tuple[np.ndarray, ...]:
+    """The kernel at nodes of squared plane distance ``r2`` from the projection, height z, as m 1-D rows.
 
     Row 0 is G = e^{jkR}/R, R^2 = r2 + z^2; with m >= 2 row 1 is
-    (dG/dz) / z = G (jk - 1/R) / R, and with m = 3 row 2 is d2G/dz2.
-    ``polar_integrate`` and ``panelrule.panel_integrate`` read these rows.
+    (dG/dz) / z = G (jk - 1/R) / R, and with m = 3 row 2 is d2G/dz2.  Each
+    is a fresh complex array of len(r2), which ``polar_integrate`` and
+    ``panelrule.panel_integrate`` reduce one by one: with an (m, len(r2))
+    block written through row views and reduced by one matrix product, the
+    far call took longer and the n = 50 fallback's calls took more fresh
+    pages.  Rows 1 and 2 are formed in place, then G times each into a
+    fresh array, which keeps the block's bits: NumPy's complex product is
+    not symmetric in its bits, and in place it rounds a lone element apart.
     1/R is cast to complex once, so that each product of rows 0 and 1 has
-    operands of one dtype: NumPy runs a real array times a complex one
-    through a buffered casting loop, which cost 7-9% of the call at 16 to
-    2 500 nodes.  Either way a real x enters as (x, 0), so the bits are the
-    same.  Row 2 keeps its real factors and their association on the real
-    1/R: 1/R^3 in complex arithmetic would round otherwise.
+    operands of one dtype (NumPy runs a real array times a complex one
+    through a buffered casting loop, 7-9% of the call at 16 to 2 500
+    nodes); a real x enters as (x, 0) either way, so the bits are the same.
+    Row 2 keeps its real factors and their association on the real 1/R:
+    1/R^3 in complex arithmetic would round otherwise.
     """
-    rows = np.empty((m, len(r2)), dtype=complex)
     R = np.sqrt(r2 + z * z)
     inv_r = 1.0 / R
     inv = inv_r.astype(complex)
-    G = rows[0]  # e^{jkR}, as cos + j sin in place: the bits of np.exp
-    kR = k * R
+    kR = np.multiply(R, k, out=R)  # R is not read again
+    G = np.empty(len(r2), dtype=complex)  # e^{jkR}, as cos + j sin in place: the bits of np.exp
     np.cos(kR, out=G.real)
     np.sin(kR, out=G.imag)
     G *= inv
-    if m > 1:
-        gp = 1j * k - inv  # (dG/dR) / G
-        np.multiply(G, gp * inv, out=rows[1])
-        if m > 2:
-            z_r = z * inv_r
-            np.multiply(G, (gp * gp + inv_r * inv_r) * z_r**2 + gp * r2 * inv_r**3, out=rows[2])
-    return rows
+    if m == 1:
+        return (G,)
+    H = 1j * k - inv  # (dG/dR) / G, until it is turned into row 1 below
+    if m > 2:
+        D2 = H * H
+        D2 += inv_r * inv_r
+        D2 *= (z * inv_r) ** 2
+        t = H * r2
+        t *= inv_r**3
+        D2 += t
+        D2 = G * D2
+    H *= inv
+    H = G * H
+    return (G, H) if m == 2 else (G, H, D2)
 
 
 def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -> PanelIntegrals:
@@ -221,7 +233,8 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     A fan of bare plane vertices carries their orientation: that of a
     clockwise order gives every component negated.
     The kernel rows G = e^{jkR}/R, (dG/dz) / z and, with ``want_hyper``,
-    d2G/dz2 are evaluated at every node and reduced along each ray by
+    d2G/dz2 are evaluated at every node (``kernel_rows``), and each row is
+    reduced on its own, never copied into a block: along each ray by
     ``polar_rule(n)``'s radial weights (rho for the 1-weighted integrals,
     rho^2 for the x/y moments, since a node lies at rho times its ray's
     far-side point), then across the rays by the area weights and the
@@ -248,11 +261,13 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     k = check_k(k)
     want_hyper = flag(want_hyper, "want_hyper")
     r2, points, area = polar_nodes(fan, n, z)
+    radial = polar_rule(n)[2]
+    moments = np.concatenate((area[:, None], points * area[:, None]), axis=1, dtype=complex)  # area times 1, x, y
     out = np.zeros((3 if want_hyper else 2, 3), dtype=complex)  # (kernel row, 1 / x / y)
-    rows = kernel_rows(r2, z, k, 1 if z == 0.0 else len(out))
-    per_ray = rows.reshape(len(rows), len(area), n) @ polar_rule(n)[2]
-    np.matmul(per_ray[:, :, 0], area, out=out[: len(rows), 0])
-    np.matmul(per_ray[:, :, 1], points * area[:, None], out=out[: len(rows), 1:])
+    for row, sums in zip(kernel_rows(r2, z, k, 1 if z == 0.0 else len(out)), out):
+        # along each ray, then across the rays: the other order moved near_singular's d2G/dz2 by 3.7e-14 (1 + |v|)
+        per_ray = row.reshape(len(area), n).dot(radial).T.dot(moments)  # (rho, rho^2) x (1, x, y)
+        sums[0], sums[1:] = per_ray[0, 0], per_ray[1, 1:]
     if z != 0.0:
         out[1] *= -z
     else:

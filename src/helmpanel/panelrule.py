@@ -14,7 +14,7 @@ The order (``panel_order``) has two terms, each an error relative to the
 largest value of a kernel row on the panel, which ``numquad``'s rows reach
 no closer than D - r: D is the distance from the field point to the
 centroid, r the triangle's radius about it (``geometry.to_local_frame``
-with ``far``, or ``geometry.centroid_distance``).
+with ``far``).
 
   * Pole term.  On a chord with ends A, B and half-length h, 1/R in the
     rule's parameter has its branch points on the Bernstein ellipse with
@@ -157,21 +157,23 @@ def panel_integrate(verts2d, z: float, k: float, n: int, area: float, want_hyper
     ``verts2d`` are the three plane vertices about the projection, counter-
     clockwise, as ``geometry.to_local_frame`` gives them, at height z, and
     ``area`` the triangle's area.  Each node's squared distance is the
-    rule's products times the vertices' Gram entries; the kernel rows
+    rule's products times the vertices' Gram entries; each kernel row
     (``numquad.kernel_rows``: G, (dG/dz) / z and, with ``want_hyper``,
-    d2G/dz2) are summed by the rule's four weights, the x and y moments
-    taken through the vertices, and the first derivatives take their
-    factor -z (d/dn = -d/dz) last.  Values come in ``PanelIntegrals``
-    order, 7 with ``want_hyper`` and 6 otherwise.
+    d2G/dz2, each its own 1-D array: no block of the rows, whose one matrix
+    product cost the far call more) is summed by the rule's four weights
+    in one matrix-vector product, the x and y moments taken through the
+    vertices, and the first derivatives take their factor -z
+    (d/dn = -d/dz) last.  Values come in ``PanelIntegrals`` order, 7 with
+    ``want_hyper`` and 6 otherwise.
     """
     quad, weights = panel_rule(n)
     (ax, ay), (bx, by), (cx, cy) = verts2d
     gram = (ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy, ax * bx + ay * by, ax * cx + ay * cy, bx * cx + by * cy)
     rows = kernel_rows(quad.dot(gram), z, k, 3 if want_hyper else 2)
-    (s, s1, s2, s3), (t, t1, t2, t3), *hyper = rows.dot(weights).tolist()
+    (s, s1, s2, s3), (t, t1, t2, t3) = rows[0].dot(weights).tolist(), rows[1].dot(weights).tolist()
     dz = -z * area
     values = [area * s, area * (s1 * ax + s2 * bx + s3 * cx), area * (s1 * ay + s2 * by + s3 * cy),
               dz * t, dz * (t1 * ax + t2 * bx + t3 * cx), dz * (t1 * ay + t2 * by + t3 * cy)]
-    if hyper:
-        values.append(area * hyper[0][0])
+    if want_hyper:
+        values.append(area * rows[2].dot(weights).tolist()[0])
     return PanelIntegrals(values)

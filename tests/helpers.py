@@ -10,6 +10,7 @@ production ``k_terms``, and ``table_rows``, which lays out an
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -439,6 +440,37 @@ def flat_kernel_sums(x, y, w, z: float, k: float, want_hyper: bool = False) -> n
     if want_hyper:
         vals.append((wG * ((gp * gp + inv_r * inv_r) * z_r**2 + gp * r2 * inv_r**3)).sum())
     return np.array(vals)
+
+
+# Roundings of each kernel row (G, (dG/dz) / z, d2G/dz2) along its longest
+# chain of operations, counted over ``numquad.kernel_rows`` and
+# ``kernel_closed_forms`` together (see the latter)
+KERNEL_ROUNDINGS = (5, 14, 26)
+
+
+def kernel_closed_forms(r2: float, z: float, k: float) -> tuple[list[complex], list[float]]:
+    """G, (dG/dz) / z and d2G/dz2 at one node by their closed forms in ``cmath``, and the magnitude sums of their terms.
+
+    R is taken as ``numquad.kernel_rows`` takes it (one square root of
+    r2 + z^2, so the same double); then G = e^{jkR} / R,
+    (dG/dz) / z = e^{jkR} (jkR - 1) / R^3 and
+    d2G/dz2 = e^{jkR} ((2 - 2jkR - k^2 R^2) z^2 + (jkR - 1) r^2) / R^5.
+    Each side's error is at most one eps per rounding along the longest
+    chain of operations, relative to the sum of the magnitudes of the terms
+    that chain combines, and one eps per component for each of cos, sin
+    and e^{jx} (NumPy validates its float64 cos and sin to 1 ulp; glibc's
+    are within 1 ulp).  Counted over both sides: G 3 + 2, row 1 7 + 7 and
+    row 2 12 + 14 roundings (``KERNEL_ROUNDINGS``); a factor 2 covers the
+    two components of a complex value and second-order terms, so
+    2 KERNEL_ROUNDINGS[q] eps times the q-th magnitude sum bounds the
+    distance of row q from its closed form at a node.
+    """
+    R = math.sqrt(r2 + z * z)
+    e = cmath.exp(1j * (k * R))
+    rows = [e / R, e * (1j * k * R - 1.0) / R**3,
+            e * ((2.0 - 2j * k * R - (k * R) ** 2) * z * z + (1j * k * R - 1.0) * r2) / R**5]
+    sizes = [1.0 / R, (k * R + 1.0) / R**3, (((k * R) ** 2 + 2.0 * k * R + 2.0) * z * z + (k * R + 1.0) * r2) / R**5]
+    return rows, sizes
 
 
 def jittered_icosphere(seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -567,7 +567,7 @@ class TestInPlaneExterior:
             assert abs(rep.result.i0 - ref.i0) <= 10 * tol
             assert abs(rep.result.di0_dn - ref.di0_dn) <= 100 * tol
             # the pairs the far gate admits take the rule on the panel, the rest the expansion
-            far = panel_order(*geometry.centroid_distance(panel, verts2d, z), k, tol, False) is not None
+            far = panel_order(*to_local_frame(panel, x, far=True)[2:], k, tol, False) is not None
             assert rep.method.kind == ("panel" if far else "analytic")
 
 

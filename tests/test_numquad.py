@@ -1,6 +1,5 @@
 """Polar quadrature, adaptive oracle, and the symmetric triangle rule of the tests."""
 
-import cmath
 import importlib.util
 import json
 import math
@@ -23,7 +22,7 @@ from helmpanel.numquad import (
     quad_adaptive,
 )
 
-from helpers import cumulative, flat_kernel_sums, flat_nodes, shoelace_area, tri_rule
+from helpers import KERNEL_ROUNDINGS, cumulative, flat_kernel_sums, flat_nodes, kernel_closed_forms, shoelace_area, tri_rule
 
 RNG = np.random.default_rng(10501)
 
@@ -709,32 +708,7 @@ class TestPolarIntegrate:
 
 
 class TestKernelRows:
-    """``numquad.kernel_rows`` node by node against the closed forms in ``cmath``.
-
-    The reference takes R the same way (one square root of r2 + z^2, so
-    the same double) and then, per node, G = e^{jkR} / R,
-    (dG/dz) / z = e^{jkR} (jkR - 1) / R^3 and
-    d2G/dz2 = e^{jkR} ((2 - 2jkR - k^2 R^2) z^2 + (jkR - 1) r^2) / R^5.
-    Each side's error is at most one eps per rounding along the longest
-    chain of operations, relative to the sum of the magnitudes of the terms
-    that chain combines, and one eps per component for each of cos, sin
-    and e^{jx} (NumPy validates its float64 cos and sin to 1 ulp; glibc's
-    are within 1 ulp).  Counted over both sides: G 3 + 2, row 1 7 + 7 and
-    row 2 12 + 14 roundings; a factor 2 covers the two components of a
-    complex value and second-order terms.
-    """
-
-    ROUNDINGS = (5, 14, 26)
-
-    @staticmethod
-    def reference(r2: float, z: float, k: float) -> tuple[list[complex], list[float]]:
-        """The three rows at one node, and the magnitude sums their bounds scale with."""
-        R = math.sqrt(r2 + z * z)
-        e = cmath.exp(1j * (k * R))
-        rows = [e / R, e * (1j * k * R - 1.0) / R**3,
-                e * ((2.0 - 2j * k * R - (k * R) ** 2) * z * z + (1j * k * R - 1.0) * r2) / R**5]
-        sizes = [1.0 / R, (k * R + 1.0) / R**3, (((k * R) ** 2 + 2.0 * k * R + 2.0) * z * z + (k * R + 1.0) * r2) / R**5]
-        return rows, sizes
+    """``numquad.kernel_rows`` node by node against ``helpers.kernel_closed_forms``, within its rounding bound."""
 
     @pytest.mark.parametrize("nodes", [1, 9, 289, 2500])
     @pytest.mark.parametrize("k", [0.0, 0.9, 20.0])
@@ -743,15 +717,17 @@ class TestKernelRows:
         rng = np.random.default_rng([nodes, round(10 * k)])
         r2 = rng.uniform(1e-4, 4.0, nodes)
         rows = numquad.kernel_rows(r2, z, k, 3)
-        assert rows.shape == (3, nodes) and rows.dtype == complex
-        ref, sizes = map(np.array, zip(*(self.reference(r, z, k) for r in r2.tolist())))
+        assert type(rows) is tuple and len(rows) == 3
+        assert all(row.shape == (nodes,) and row.dtype == complex for row in rows)
+        ref, sizes = map(np.array, zip(*(kernel_closed_forms(r, z, k) for r in r2.tolist())))
         eps = np.finfo(float).eps
-        for row in range(3):
-            bound = 2.0 * self.ROUNDINGS[row] * eps * sizes[:, row]
-            assert np.all(np.abs(rows[row] - ref[:, row]) <= bound), (row, np.max(np.abs(rows[row] - ref[:, row]) / bound))
+        for i, row in enumerate(rows):
+            bound = 2.0 * KERNEL_ROUNDINGS[i] * eps * sizes[:, i]
+            assert np.all(np.abs(row - ref[:, i]) <= bound), (i, np.max(np.abs(row - ref[:, i]) / bound))
         # fewer rows are the leading rows, bit for bit
         for m in (1, 2):
-            assert np.array_equal(numquad.kernel_rows(r2, z, k, m), rows[:m])
+            fewer = numquad.kernel_rows(r2, z, k, m)
+            assert len(fewer) == m and all(np.array_equal(a, b) for a, b in zip(fewer, rows))
 
 
 class TestAdaptiveOracle:

@@ -10,11 +10,11 @@ import pytest
 
 from helmpanel import engine
 from helmpanel.engine import EvalRequest, evaluate, sample_triangle
-from helmpanel.geometry import Triangle3, centroid_distance, to_local_frame
+from helmpanel.geometry import Triangle3, to_local_frame
 from helmpanel.numquad import adaptive_oracle
 from helmpanel.panelrule import GATE_RATIO, N_PANEL_MAX, panel_integrate, panel_order, panel_rule
 
-from helpers import tri_rule
+from helpers import KERNEL_ROUNDINGS, kernel_closed_forms, tri_rule
 
 SPEC = importlib.util.spec_from_file_location("far_pairs", Path(__file__).resolve().parents[1] / "bench" / "far_pairs.py")
 far_pairs = importlib.util.module_from_spec(SPEC)
@@ -63,6 +63,51 @@ def test_rule_agrees_with_the_oracle_at_a_high_order(z, hyper):
     assert np.max(np.abs(values - ref)) <= 1e-13
 
 
+@pytest.mark.parametrize("hyper", [False, True])
+@pytest.mark.parametrize("k", [0.0, 0.9, 20.0])
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_integrate_is_the_rule_summed_node_by_node(n, k, hyper):
+    # panel_integrate against the sum, node by node, of the closed-form
+    # kernel (helpers.kernel_closed_forms) over panel_rule(n)'s own nodes
+    # and weights, at the squared distances the rule forms (its products
+    # times the vertices' Gram entries, the same doubles).  Per component,
+    # the bound is eps (2 KERNEL_ROUNDINGS[row] + N + 12) area |f| times
+    # sum_i mu_i size_i: f is 1, or z for the first derivatives, mu_i the
+    # node's weight w (for a moment the sum of |w l_j x_j| over the three
+    # vertices) and size_i the magnitude sum of the kernel row, which
+    # bounds its value.  The roundings: the kernel rows per node (both
+    # sides); the rule's complex dot product over the N = n^2 nodes (N - 1
+    # additions and one product per part); its vertex combination, area
+    # and z (at most 5); the reference's moment weight (3), its product
+    # with the kernel value (1), the exactly rounded fsum (1), area and z
+    # (2).  The per-part count times sqrt(2) eps / 2 stays below eps.
+    tri = sample_triangle()
+    quad, weights = panel_rule(n)
+    eps = np.finfo(float).eps
+    rows = (0, 0, 0, 1, 1, 1, 2)[: 7 if hyper else 6]
+    for x in ((0.4, 0.3, 2.5), (3.0, -1.0, 0.0), (-2.0, 1.5, -0.7)):
+        verts2d, z = to_local_frame(tri, x)
+        (ax, ay), (bx, by), (cx, cy) = verts2d
+        gram = (ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy, ax * bx + ay * by, ax * cx + ay * cy,
+                bx * cx + by * cy)
+        terms, scale = [[] for _ in rows], [0.0 for _ in rows]
+        for r2, (w, w1, w2, w3) in zip(quad.dot(gram).tolist(), weights.real.tolist()):
+            kernel, sizes = kernel_closed_forms(r2, z, k)
+            mu = (w, w1 * ax + w2 * bx + w3 * cx, w1 * ay + w2 * by + w3 * cy)
+            mags = (w, abs(w1 * ax) + abs(w2 * bx) + abs(w3 * cx), abs(w1 * ay) + abs(w2 * by) + abs(w3 * cy))
+            for c, row in enumerate(rows):
+                terms[c].append(mu[c % 3] * kernel[row])
+                scale[c] += mags[c % 3] * sizes[row]
+        factor = [tri.area if row != 1 else -z * tri.area for row in rows]
+        ref = np.array([f * complex(math.fsum(t.real for t in ts), math.fsum(t.imag for t in ts))
+                        for f, ts in zip(factor, terms)])
+        bound = np.array([eps * (2 * KERNEL_ROUNDINGS[row] + n * n + 12) * abs(f) * m
+                          for row, f, m in zip(rows, factor, scale)])
+        got = panel_integrate(verts2d, z, k, n, tri.area, hyper).values
+        assert len(got) == len(rows)
+        assert np.all(np.abs(got - ref) <= bound), (x, np.abs(got - ref) / bound)
+
+
 def test_gate_refuses_near_points_and_high_orders():
     # D <= sqrt(2) r leaves no ellipse; an order past N_PANEL_MAX goes to the fan
     assert panel_order(math.sqrt(2.0), 1.0, 1.0, 0.0, 1e-6, False) is None
@@ -93,7 +138,7 @@ def test_engine_gate_agrees_with_the_order_at_the_boundary(k, tol, hyper, monkey
     for height in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf), 4.0 * radius, 50.0 * radius):
         x = (cx, cy, height)
         verts2d, z, D, r, area = to_local_frame(tri, x, far=True)
-        assert (D, r, area) == (height, radius, tri.area) == centroid_distance(tri, verts2d, z)
+        assert (D, r, area) == (height, radius, tri.area)
         n = panel_order(D, r, area, k, tol, hyper)
         rep = evaluate(EvalRequest(tri, x, k, tol, hyper))
         assert (rep.method.kind == "panel") == (n is not None), (height / radius, n, rep.method)
@@ -123,7 +168,7 @@ def grid_cases():
     tris = [sample_triangle(), Triangle3([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.7, 0.15, 0.0])]
     for tri in tris:
         c = tri.centroid
-        r = centroid_distance(tri, *to_local_frame(tri, c))[1]
+        r = to_local_frame(tri, c, far=True)[3]
         for q, elevation, azimuth, kr, tol in itertools.product(
             (1.45, 2.0, 4.0, 16.0), (0.0, 0.5, 1.3), (0.3, 2.5), (0.0, 1.0, 4.0), (1e-6, 1e-9, 1e-12)
         ):
@@ -138,8 +183,8 @@ def test_order_never_below_the_smallest_passing_order():
     # is the first to pass
     served = 0
     for tri, x, k, tol in grid_cases():
-        verts2d, z = to_local_frame(tri, x)
-        n = panel_order(*centroid_distance(tri, verts2d, z), k, tol, True)
+        verts2d, z, D, r, area = to_local_frame(tri, x, far=True)
+        n = panel_order(D, r, area, k, tol, True)
         if n is None:
             continue
         served += 1
