@@ -38,7 +38,11 @@ times and how many calls of the kind agree in their verdict but not bit
 for bit in their values (and how many of those are at z = 0).  A kind has
 no summed ratio: on a few hundred calls one slow call moves the sum, and
 on ``bem_nearfield``'s 463 analytic calls a tree against a copy of
-itself read 0.995-1.056 in it while the median held at 0.997-1.005.
+itself read 0.995-1.056 in it while the median held at 0.997-1.005.  The
+calls whose kind differs between the trees (a routing change's own) are
+summed, though: their count, each tree's summed best time and the ratio
+of the two, the saving of the routing alone, which perfbench's p50 does
+not show when those calls lie above its 30-70% band.
 
 ``--subtriangles`` adds the layer below: on every request that both trees
 ran analytically, each tree's own walk gives the signed subtriangles, and
@@ -382,6 +386,16 @@ def main() -> None:
               f"in the other tree; median {r['median_ratio']:.3f}; "
               f"{r['values_not_identical']} not bit-identical in their values, "
               f"{r['values_not_identical_z0']} of them at z = 0")
+    moved = kinds != np.array([verdict(out)[0] for out in res_other])
+    spent = best[:, moved].sum(axis=1)
+    summary["kind_changed"] = {
+        "calls": int(moved.sum()),
+        "total_s": {"this": float(spent[0]), "other": float(spent[1])},
+        "total_ratio": float(spent[0] / spent[1]) if moved.any() else None,
+    }
+    if moved.any():
+        print(f"  calls whose kind differs ({int(moved.sum())}): summed best time {spent[0] * 1e3:.2f} ms here, "
+              f"{spent[1] * 1e3:.2f} ms in the other tree; ratio {spent[0] / spent[1]:.3f}")
     summary["pass_order"] = pass_order(mine, theirs)
     if args.subtriangles and args.workload != "oracle_sweep":
         differ_set = set(differ)

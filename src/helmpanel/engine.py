@@ -7,9 +7,14 @@ pair is decided first: a pair with D <= sqrt(2) r is refused by one
 comparison, and where ``panelrule.panel_order`` derives an order for the
 others, the collapsed Gauss rule on the panel (``panelrule.panel_integrate``)
 gives the integrals, with no walk and no estimate.  Otherwise one walk over
-the triangle's edges gives the radial extents, which feed the a-priori 1/R
-error estimate, and the signed subtriangles about the projection.  The
-integrals are then computed on those subtriangles either by polar Gaussian
+the triangle's edges gives the radial extents and the signed subtriangles
+about the projection.  Under auto the pair then has a second chance at the
+rule: ``panel_order`` asked again with the exact distance to the triangle,
+hypot(r_min, z), and its longest edge bounds the rule's chords by the
+triangle itself instead of the disk about its centroid (``panelrule``'s
+module docstring), and a pair close to the panel is refused by a few
+products.  The rest go to the a-priori 1/R error estimate, and the
+integrals are computed on the subtriangles either by polar Gaussian
 quadrature at the selected order or, when no admissible order exists, by
 the expansion method, with one expansion entry and one ``assemble`` per
 request.
@@ -133,8 +138,8 @@ _method_info = functools.cache(MethodInfo)
 @dataclass(slots=True)
 class EvalReport:
     """Integrals, how they were produced, the order selection (None when path
-    and order were forced, and for a far pair under auto, which the rule on
-    the panel serves with no estimate) and the field point's element-frame
+    and order were forced, and for a pair under auto that the rule on the
+    panel serves, with no estimate) and the field point's element-frame
     height z.
     The report owns its integrals' values buffer; a pickled or copied
     report has one of its own."""
@@ -184,8 +189,12 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     triangle's radius (one comparison) and ``panelrule.panel_order`` gives
     an order for them, k and tol, the collapsed rule on the panel runs at
     that order, before any walk, and the report has kind
-    "panel" and no estimator.  Forcing "numeric" uses exactly ``n_gauss``
-    points per direction, an integer >= 1 and not a bool (without it, the
+    "panel" and no estimator.  Any other auto pair asks ``panel_order``
+    again after the walk, with its distance hypot(r_min, z) to the triangle
+    and ``Triangle3.diameter``, and where that gives an order the rule runs
+    at it, with the same report, before ``select_order``.  Forcing
+    "numeric" uses exactly ``n_gauss`` points per direction, an integer
+    >= 1 and not a bool (without it, the
     estimator's choice floored at N_MIN, or N_FALLBACK; when given, the
     estimator does not run and the report has none).  ``n_gauss`` with any
     other method is a ValueError.
@@ -197,7 +206,7 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
     delta_x 0.0).  Both arguments are checked before any geometry work.  The
     edges are walked at most once per request (``walk`` on
     ``Triangle3.edges``); its signed subtriangles go to whichever path runs.
-    Forced "numeric" and "analytic" never take the far gate.
+    Forced "numeric" and "analytic" never take the rule on the panel.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -206,26 +215,30 @@ def evaluate(req: EvalRequest, method: str = "auto", n_gauss: int | None = None)
             raise ValueError(f"n_gauss applies only to method 'numeric', not {method!r}")
         n_gauss = integer(n_gauss, "n_gauss", 1)  # a NumPy integer too: the shared MethodInfo holds an int
     verts2d, z, D, radius, area = to_local_frame(req.triangle, _POINT.unpack(req._point), far=True)
-    if method == "auto" and D > GATE_RATIO * radius and (
-            n := panel_order(D, radius, area, req.k, req.tol, req.want_hypersingular)) is not None:
-        res = panel_integrate(verts2d, z, req.k, n, area, req.want_hypersingular)
-        return EvalReport(res, _method_info("panel", n, None, None, ""), None, z)
-    ext, fan = walk(verts2d, req.triangle.edges)
-    sel = None if n_gauss is not None else select_order(ext, z, req.tol)
+    auto, k, tol, hyper = method == "auto", req.k, req.tol, req.want_hypersingular
+    n = panel_order(D, radius, area, k, tol, hyper) if auto and D > GATE_RATIO * radius else None
+    if n is None:
+        ext, fan = walk(verts2d, req.triangle.edges)
+        if auto:  # the triangle's own chords, at the exact distance hypot(r_min, z) to it
+            n = panel_order(D, radius, area, k, tol, hyper, math.hypot(ext.r_min, z), req.triangle.diameter)
+    if n is not None:
+        return EvalReport(panel_integrate(verts2d, z, k, n, area, hyper), _method_info("panel", n, None, None, ""),
+                          None, z)
+    sel = None if n_gauss is not None else select_order(ext, z, tol)
     note = ""
     if n_gauss is not None:
         n = n_gauss
-    elif method == "numeric" or (method == "auto" and not sel.analytic_required):
+    elif method == "numeric" or (auto and not sel.analytic_required):
         n = N_FALLBACK if sel.analytic_required else max(sel.n_gauss, N_MIN)
-    elif req.k * ext.r_max >= DELTA_X_TIERS[-1]:
+    elif k * ext.r_max >= DELTA_X_TIERS[-1]:
         n, note = N_FALLBACK, "analytic inadmissible: k*r_max >= pi/2; numeric fallback"
-    elif req.k * abs(z) > K_Z_LIMIT:
+    elif k * abs(z) > K_Z_LIMIT:
         n, note = N_FALLBACK, "analytic inadmissible: k|z| > pi/2; numeric fallback"
     else:
-        approx = select_approx(req.k, ext.r_max, req.tol)
+        approx = select_approx(k, ext.r_max, tol)
         info = _method_info("analytic", None, approx.q, approx.delta_x, "")
-        return EvalReport(_analytic_eval(fan, z, req.k, approx, req.want_hypersingular), info, sel, z)
-    res = polar_integrate(fan, z, req.k, n, want_hyper=req.want_hypersingular)
+        return EvalReport(_analytic_eval(fan, z, k, approx, hyper), info, sel, z)
+    res = polar_integrate(fan, z, k, n, want_hyper=hyper)
     return EvalReport(res, _method_info("numeric", n, None, None, note), sel, z)
 
 

@@ -1,8 +1,9 @@
-"""Collapsed Gauss rule on the panel itself, for field points far from it.
+"""Collapsed Gauss rule on the panel itself, for field points away from it.
 
 ``evaluate``'s auto path serves a well separated pair here, before the
-walk: no signed fan, no a-priori 1/R estimate.  The unit square maps onto
-the triangle by the collapsed (Duffy) map from its first vertex,
+walk, and, after the walk, a pair that the triangle's own chords admit:
+no signed fan, no a-priori 1/R estimate.  The unit square maps onto the
+triangle by the collapsed (Duffy) map from its first vertex,
 
     y(u, v) = (1 - u) a + u (1 - v) b + u v c,   dA = 2 area u du dv,
 
@@ -12,22 +13,30 @@ of nodes, at fixed v or at fixed u, lies on a chord of the triangle.
 
 The order (``panel_order``) has two terms, each an error relative to the
 largest value of a kernel row on the panel, which ``numquad``'s rows reach
-no closer than D - r: D is the distance from the field point to the
-centroid, r the triangle's radius about it (``geometry.to_local_frame``
-with ``far``).
+no closer than the nearest node: D - r before the walk, D being the
+distance from the field point to the centroid and r the triangle's radius
+about it (``geometry.to_local_frame`` with ``far``), and after it delta =
+hypot(r_min, z), the exact distance to the triangle (``geometry.walk``'s
+extents).
 
   * Pole term.  On a chord with ends A, B and half-length h, 1/R in the
     rule's parameter has its branch points on the Bernstein ellipse with
-    rho + 1/rho = (|x - A| + |x - B|) / h.  Every chord lies in the disk of
-    radius r about the centroid, so rho >= a + sqrt(a^2 - 1),
-    a = sqrt(D^2 - r^2) / r (no complex root is taken), and an n-point rule
-    leaves about (64/15) rho^(-2n) (Gauss' constant in the bound on an
-    ellipse).  The Jacobian u is at most (1 + a) / 2 on that ellipse, so
-    the u direction adds that factor to the v direction's 1: the term is
-    (64/15) ((3 + a) / 2) rho^(-2n).  A branch point of order beta leaves
-    a remainder (2n)^(beta - 1/2) times that of 1/R (beta = 1/2): G's rows
-    take the term as it is, (dG/dz) / z (a 1/R^3 kernel) times 2n and
-    d2G/dz2 (1/R^5) times (2n)^2.
+    rho + 1/rho = (|x - A| + |x - B|) / h = 2 a, rho = a + sqrt(a^2 - 1).
+    Disk: every chord lies in the disk of radius r about the centroid, so
+    a >= sqrt(D^2 - r^2) / r (no complex root is taken), above 1 only where
+    D > sqrt(2) r.  Chords: every chord lies in the triangle, at least delta
+    from the point, and h <= L / 2 with L its longest edge
+    (``Triangle3.diameter``); the points at least delta from a segment lie
+    on or outside the ellipse about its ends whose semi-minor axis is delta,
+    so a >= sqrt(h^2 + delta^2) / h >= sqrt(1 + (2 delta / L)^2).  The term
+    takes the larger a, and an n-point rule leaves about (64/15) rho^(-2n)
+    (Gauss' constant in the bound on an ellipse).  The Jacobian u is at
+    most (1 + a) / 2 on that ellipse, so the u direction adds that factor
+    to the v direction's 1: the term is (64/15) ((3 + a) / 2) rho^(-2n).  A
+    branch point of order beta leaves a remainder (2n)^(beta - 1/2) times
+    that of 1/R (beta = 1/2): G's rows take the term as it is,
+    (dG/dz) / z (a 1/R^3 kernel) times 2n and d2G/dz2 (1/R^5) times
+    (2n)^2.
   * Entire term.  e^{jkR} turns by at most k r per unit of a chord's
     parameter, so the Gauss remainder c_n f^(2n), c_n = 2^(2n+1) (n!)^4 /
     ((2n + 1) ((2n)!)^3), of the u direction's u e^{jkR} is at most
@@ -38,8 +47,25 @@ Each row's budget is the README contract over that largest value times
 the area: 10 tol for G with weights 1, x and y (|x|, |y| <= D + r), 100 tol
 for dG/dz (the second row times z) and 100 tol for d2G/dz2.  The order is
 the smallest n whose two terms meet every budget; the gate is that order
-itself: the rule runs where a > 1 (D > sqrt(2) r) and the order is at most
-N_PANEL_MAX.
+itself: the rule runs where a > 1 and the order is at most N_PANEL_MAX.
+Before the walk ``evaluate`` asks the disk alone, and refuses D <= sqrt(2) r
+by one comparison; after the walk, under auto only, it asks again with
+delta and L, for a pair the disk refused or admitted above N_PANEL_MAX.
+
+Most pairs asked after the walk lie close to the panel (delta << L), and
+the fan serves them; they are refused on products alone, before any root,
+logarithm or division by delta.  Where the disk leaves no ellipse and
+t = 2 delta / L < 1, rho <= 1 + t + t^2 / 2, (3 + a) / 2 >= 2 and |x|, |y|
+<= 1 bound G's row from below, and a pair is refused when
+
+  * G's pole term at N_PANEL_MAX exceeds its budget, or
+  * G's pole term over its budget is at least e before its factor
+    rho^(-2n) (so the orders that G lets pass lie past 1 / (2 log rho),
+    where 2n rho^(-2n) falls), and the dG/dz row's pole term at
+    N_PANEL_MAX exceeds its budget.
+
+No other order could pass, so these tests change no order; delta = 0 (a
+point on the panel) fails the first.
 """
 
 from __future__ import annotations
@@ -73,9 +99,9 @@ _OMEGA_MAX = 1e4
 # D / r is held here: beyond it the pole term lies far below every budget,
 # and a, rho and the pole constant stay finite.
 _Q_MAX = 1e100
-# The rule runs only where D > GATE_RATIO r: nearer, a <= 1 and the disk
-# bound leaves no ellipse.  ``evaluate`` refuses such a pair by this one
-# comparison before it calls ``panel_order``.
+# The disk admits a pair only where D > GATE_RATIO r: nearer, a <= 1 and the
+# disk bound leaves no ellipse.  ``evaluate`` refuses such a pair by this one
+# comparison before the walk, and asks the chords after it.
 GATE_RATIO = math.sqrt(2.0)
 
 
@@ -104,23 +130,53 @@ def panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return quad, weights
 
 
-def panel_order(D: float, radius: float, area: float, k: float, tol: float, want_hyper: bool) -> int | None:
+def panel_order(D: float, radius: float, area: float, k: float, tol: float, want_hyper: bool,
+                delta: float | None = None, length: float | None = None) -> int | None:
     """The rule's order for a field point at distance D from the centroid, or None where the fan serves it.
 
     ``radius`` and ``area`` are the triangle's (``geometry.to_local_frame`` with ``far``).
     The smallest n <= N_PANEL_MAX whose pole and entire terms (module
     docstring) meet the budget of every kernel row asked for, with
-    d2G/dz2 only under ``want_hyper``; None when D <= sqrt(2) r, where the
-    disk bound leaves no ellipse, or when no order up to N_PANEL_MAX does.
+    d2G/dz2 only under ``want_hyper``; None when no order up to
+    N_PANEL_MAX does.  Without ``delta`` the terms take the disk's a and
+    the nearest node at D - r, and D <= sqrt(2) r, where the disk leaves
+    no ellipse, is None.  With ``delta``, the point's distance to the
+    triangle (at least D - r), and ``length``, its longest edge L, they
+    take the larger of the disk's a and the chords' sqrt(1 + (2 delta /
+    L)^2) and the nearest node at delta; a pair near the panel is refused
+    on products alone (module docstring), delta = 0 among them.
     """
-    if not D > GATE_RATIO * radius or not (omega := k * radius) < _OMEGA_MAX:
+    if delta is not None:
+        t = 2.0 * delta / length  # the chord's sqrt(a^2 - 1)
+        if t < 1.0 and not D > GATE_RATIO * radius:
+            # the refusal tests of the module docstring, on products alone: a
+            # refused pair pays no root, log or division by delta
+            rho_n = (1.0 + t * (1.0 + 0.5 * t)) ** (2 * N_PANEL_MAX) * (delta * (10.0 * tol))
+            g = 2.0 * _POLE * area
+            if g > rho_n or (g >= math.e * delta * (10.0 * tol)
+                             and g * (1.0 + k * delta) * (0.2 * N_PANEL_MAX) > rho_n * delta):
+                return None
+    elif not D > GATE_RATIO * radius:
         return None
-    q = min(D / radius, _Q_MAX)
-    a = math.sqrt((q - 1.0) * (q + 1.0))
-    rho = a + math.sqrt((a - 1.0) * (a + 1.0))
-    near = D - radius  # the nearest node's distance
+    if not (omega := k * radius) < _OMEGA_MAX:
+        return None
+    # comparisons, not min and max, which cost a call more than the
+    # arithmetic around them when it runs in a pass (a far call read 0.95 of
+    # its time without them), for the same values bit for bit
+    q = D / radius
+    if q > _Q_MAX:
+        q = _Q_MAX
+    moment = D + radius if D + radius > 1.0 else 1.0  # |x|, |y| at a node, and 1
+    if delta is None:
+        a = math.sqrt((q - 1.0) * (q + 1.0))
+        rho = a + math.sqrt((a - 1.0) * (a + 1.0))
+        near = D - radius  # the nearest node's distance
+    else:
+        s = math.sqrt(max(min(t, _Q_MAX) ** 2, (q - 1.0) * (q + 1.0) - 1.0))
+        a = math.sqrt(1.0 + s * s)
+        rho = a + s
+        near = delta
     kn = k + 1.0 / near
-    moment = max(1.0, D + radius)  # |x|, |y| at a node, and 1
     pole = _POLE * 0.5 * (3.0 + a)
     # orders whose pole term of G's rows alone exceeds that budget cannot pass;
     # the logarithm of that term times the budget's inverse: one log of the
@@ -139,12 +195,17 @@ def panel_order(D: float, radius: float, area: float, k: float, tol: float, want
     b0 = area * moment / (10.0 * tol * near)
     b1 = b0 * kn / 10.0
     b2 = area * (kn * kn + 2.0 / (near * near)) / (100.0 * tol) if want_hyper else 0.0
-    b_max = max(b0, b1, b2)
+    b_max = b1 if b1 > b0 else b0
+    if b2 > b_max:
+        b_max = b2
     rho2 = rho * rho
     pole /= rho2**n
     while n <= N_PANEL_MAX:
         two_n = 2 * n
-        if pole * max(b0, b1 * two_n, b2 * two_n * two_n) + _OSC[n] * (omega + n) * omega ** (two_n - 1) * b_max <= 1.0:
+        row = b1 * two_n if b1 * two_n > b0 else b0
+        if b2 * two_n * two_n > row:
+            row = b2 * two_n * two_n
+        if pole * row + _OSC[n] * (omega + n) * omega ** (two_n - 1) * b_max <= 1.0:
             return n
         n += 1
         pole /= rho2

@@ -287,12 +287,15 @@ class TestSelection:
         # one MethodInfo per path, order and note, and one per expansion
         # entry: reports refer to it; the analytic-required selection is one
         # frozen instance too
+        # (0.55 and 0.56 above the centroid take the rule on the panel, after
+        # the walk: the triangle's own chords admit them)
         x, y = sample_field_point(2, 0.55), sample_field_point(2, 0.56)
         a, b = evaluate(request(x)), evaluate(request(y))
-        assert a.method.kind == "numeric" and a.method.n_gauss == b.method.n_gauss
+        assert a.method.kind == "panel" and a.method.n_gauss == b.method.n_gauss
         assert a.method is b.method
         forced = evaluate(request(x), method="numeric", n_gauss=np.int64(a.method.n_gauss))
-        assert forced.method is a.method and type(forced.method.n_gauss) is int
+        assert forced.method is evaluate(request(y), method="numeric", n_gauss=a.method.n_gauss).method
+        assert forced.method.kind == "numeric" and type(forced.method.n_gauss) is int
         c, d = evaluate(request(sample_field_point(1, 0.01))), evaluate(request(sample_field_point(3, 0.01)))
         assert c.method.kind == "analytic" and (c.method.q_expansion, c.method.delta_x) == (
             d.method.q_expansion, d.method.delta_x)
@@ -496,7 +499,7 @@ class TestOneEdgeWalk:
     @pytest.mark.parametrize(
         "proj, z, k, method, kind, n",
         [
-            (4, 0.5, 1.0, "auto", "numeric", None),  # estimator's order
+            (4, 0.5, 1.0, "auto", "panel", None),  # 1.54 radii: past 16 on the disk, not on the chords
             (4, 1.0, 1.0, "auto", "panel", None),  # 2.1 radii from the centroid: no walk
             (2, 1e-3, 1.0, "auto", "analytic", None),
             (1, 0.0, 2.0, "numeric", "numeric", N_FALLBACK),  # z = 0 jump term
@@ -506,7 +509,7 @@ class TestOneEdgeWalk:
     def test_each_path_walks_the_edges_once(self, monkeypatch, proj, z, k, method, kind, n):
         # evaluate makes the one walk and hands its fan on: neither the
         # polar rule, nor its jump term, nor the analytic path subdivides;
-        # a far pair makes none
+        # a pair the disk gate admits makes none
         walks = []
         walk = geometry.walk
 
@@ -522,12 +525,16 @@ class TestOneEdgeWalk:
         for mod in (engine, numquad):
             monkeypatch.setattr(mod, "subdivide", banned)
         monkeypatch.setattr(engine, "radial_extents", banned)
-        rep = evaluate(request(sample_field_point(proj, z), k=k), method=method, n_gauss=n)
-        assert rep.method.kind == kind and len(walks) == (kind != "panel")
+        req = request(sample_field_point(proj, z), k=k)
+        rep = evaluate(req, method=method, n_gauss=n)
+        disk = method == "auto" and panel_order(*to_local_frame(req.triangle, req.field_point, far=True)[2:], k,
+                                                req.tol, False) is not None
+        assert rep.method.kind == kind and len(walks) == (not disk)
 
 
 class TestInPlaneExterior:
-    """Field points in the element plane, outside the element: analytic path."""
+    """Field points in the element plane, outside the element: analytic path, or the rule on the panel
+    where the triangle's own chords admit the pair."""
 
     @pytest.mark.parametrize("k", [0.0, 1.0])
     @pytest.mark.parametrize("depth", [0.1, 1e-2, 1e-4])
@@ -566,8 +573,12 @@ class TestInPlaneExterior:
             ref = adaptive_oracle(verts2d, z, k, tol=1e-13, components=("i0",))
             assert abs(rep.result.i0 - ref.i0) <= 10 * tol
             assert abs(rep.result.di0_dn - ref.di0_dn) <= 100 * tol
-            # the pairs the far gate admits take the rule on the panel, the rest the expansion
-            far = panel_order(*to_local_frame(panel, x, far=True)[2:], k, tol, False) is not None
+            # the pairs that the disk gate, or after the walk the triangle's own
+            # chords, admit take the rule on the panel, the rest the expansion
+            gate = to_local_frame(panel, x, far=True)[2:]
+            ext = geometry.walk(verts2d, panel.edges)[0]
+            far = panel_order(*gate, k, tol, False) is not None or panel_order(
+                *gate, k, tol, False, math.hypot(ext.r_min, z), panel.diameter) is not None
             assert rep.method.kind == ("panel" if far else "analytic")
 
 

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmpanel import engine
+from helmpanel import engine, panelrule
 from helmpanel.engine import EvalRequest, evaluate, sample_triangle
-from helmpanel.geometry import Triangle3, to_local_frame
+from helmpanel.geometry import Triangle3, to_local_frame, walk
 from helmpanel.numquad import adaptive_oracle
 from helmpanel.panelrule import GATE_RATIO, N_PANEL_MAX, panel_integrate, panel_order, panel_rule
 
@@ -128,31 +128,83 @@ def test_engine_gate_agrees_with_the_order_at_the_boundary(k, tol, hyper, monkey
     # itself (its frame is the world's, and the centroid is (x2 + x3, y3) / 3
     # as the block forms it); at D = sqrt(2) r, one ulp to either side and
     # farther out, evaluate takes the panel rule exactly where panel_order,
-    # given the engine's own D, r and area, returns an order
+    # given the engine's own D, r and area, returns an order before the
+    # walk, or, given also the walk's distance hypot(r_min, z) to the
+    # triangle (here the height) and its longest edge, after it
     tri = sample_triangle()
     (x2, _, _), (x3, y3, _) = tri.v2.tolist(), tri.v3.tolist()
     cx, cy = (x2 + x3) / 3.0, y3 / 3.0
     radius = to_local_frame(tri, (cx, cy, 1.0), far=True)[3]
     edge = GATE_RATIO * radius
-    kinds = []
+    disk = []
     for height in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf), 4.0 * radius, 50.0 * radius):
         x = (cx, cy, height)
         verts2d, z, D, r, area = to_local_frame(tri, x, far=True)
         assert (D, r, area) == (height, radius, tri.area)
-        n = panel_order(D, r, area, k, tol, hyper)
+        ext = walk(verts2d, tri.edges)[0]
+        assert math.hypot(ext.r_min, z) == height
+        disk.append(panel_order(D, r, area, k, tol, hyper))
+        n = disk[-1] or panel_order(D, r, area, k, tol, hyper, height, tri.diameter)
         rep = evaluate(EvalRequest(tri, x, k, tol, hyper))
         assert (rep.method.kind == "panel") == (n is not None), (height / radius, n, rep.method)
         assert rep.method.n_gauss == n or n is None
-        kinds.append(rep.method.kind)
-    assert "panel" not in kinds[:2] and kinds[-1] == "panel"
-    # at and below sqrt(2) r the engine's one comparison refuses the pair:
-    # panel_order is not called
-    def no_order(*args):
-        raise AssertionError("panel_order called on a near pair")
+    assert disk[:2] == [None, None] and disk[-1] is not None
+    # at and below sqrt(2) r the engine's one comparison refuses the pair
+    # before the walk: panel_order is called once, after it, with the
+    # distance and the edge
+    real, calls = panelrule.panel_order, []
 
-    monkeypatch.setattr(engine, "panel_order", no_order)
+    def after_the_walk(*args):
+        calls.append(len(args))
+        if len(args) == 6:
+            raise AssertionError("panel_order called before the walk on a near pair")
+        return real(*args)
+
+    monkeypatch.setattr(engine, "panel_order", after_the_walk)
     for height in (math.nextafter(edge, 0.0), edge):
-        assert evaluate(EvalRequest(tri, (cx, cy, height), k, tol, hyper)).method.kind != "panel"
+        evaluate(EvalRequest(tri, (cx, cy, height), k, tol, hyper))
+    assert calls == [8, 8]
+
+
+class _NoRootOrLog:
+    """``panelrule.math`` for a refused pair: ``math.e`` is there, every other name fails the test."""
+
+    e = math.e
+
+    def __getattr__(self, name):
+        raise AssertionError(f"math.{name} called on a pair at delta << L")
+
+
+def _without_chords(real):
+    """``panel_order`` as the engine calls it, with the post-walk call refused: auto as before the chords."""
+    return lambda *args: None if len(args) > 6 else real(*args)
+
+
+@pytest.mark.parametrize("k, hyper", [(0.0, False), (1.0, True)])
+@pytest.mark.parametrize("case", ["on the panel", "vertex", "edge midpoint", "delta 1e-300"])
+def test_chord_term_refuses_delta_zero_before_any_root_or_log(case, k, hyper, monkeypatch):
+    # a point on the panel, on a vertex or on an edge's midpoint (delta = 0)
+    # and a delta of 1e-300 are refused by the chord term's products, before
+    # any square root, logarithm or division by delta, and the report is bit
+    # for bit the one auto gives without the chord term
+    tri = sample_triangle()
+    if case == "delta 1e-300":
+        monkeypatch.setattr(panelrule, "math", _NoRootOrLog())
+        for tol in (1e-2, 1e-9, 1e-15):
+            assert panel_order(0.6, 0.6, 0.45, k, tol, hyper, 1e-300, 1.0) is None
+        return
+    x = {"on the panel": (1.4 / 3.0, 0.3, 0.0), "vertex": (0.0, 0.0, 0.0), "edge midpoint": (0.5, 0.0, 0.0)}[case]
+    req = EvalRequest(tri, x, k, 1e-9, hyper)
+    verts2d, z = to_local_frame(tri, x)
+    assert z == 0.0 and walk(verts2d, tri.edges)[0].r_min == 0.0
+    with monkeypatch.context() as m:
+        m.setattr(panelrule, "math", _NoRootOrLog())
+        rep = evaluate(req)
+    monkeypatch.setattr(engine, "panel_order", _without_chords(panel_order))
+    before = evaluate(req)
+    assert rep.method is before.method and rep.method.kind != "panel"
+    assert rep.estimator == before.estimator and rep.z == before.z
+    assert np.array_equal(rep.result.values, before.result.values)
 
 
 @pytest.mark.parametrize("D, radius, area", [(1.9e154, 0.6, 0.45), (1e308, 1.0, 0.4), (3.0, 1e-150, 1e-300),
@@ -194,6 +246,77 @@ def test_order_never_below_the_smallest_passing_order():
                    if np.all(np.abs(panel_integrate(verts2d, z, k, m, tri.area, True).values - ref) <= bound)]
         assert passing and passing[-1] == n, (x, k, tol, n, passing)
     assert served >= 300
+
+
+def near_exterior_cases():
+    """(triangle, field point, k, tol) at delta / L from 0.1 to 2 beyond an edge's midpoint, on a grid of
+    elevations out of the plane, k r and tol, about the two triangles of ``grid_cases``."""
+    tris = [sample_triangle(), Triangle3([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.7, 0.15, 0.0])]
+    for tri in tris:
+        verts, length = tri.vertices, tri.diameter
+        r = to_local_frame(tri, tri.centroid, far=True)[3]
+        for i in range(3):
+            a, b = verts[i], verts[(i + 1) % 3]
+            t = (b - a) / np.linalg.norm(b - a)
+            out = np.array([t[1], -t[0], 0.0])  # the plane is z = 0, counter-clockwise
+            for ratio, elevation, kr, tol in itertools.product(
+                (0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0), (0.0, 0.7, 1.4), (0.0, 1.0, 5.0), (1e-6, 1e-9, 1e-12)
+            ):
+                d = math.cos(elevation) * out + np.array([0.0, 0.0, math.sin(elevation)])
+                yield tri, 0.5 * (a + b) + ratio * length * d, kr / r, tol
+
+
+def test_chord_order_never_below_the_smallest_passing_order():
+    # on every near-exterior grid point that the chord term admits, the rule
+    # at its order meets the yardsticks in all seven components, and so no
+    # smaller order is the first to pass
+    served = near = 0
+    for tri, x, k, tol in near_exterior_cases():
+        verts2d, z, D, r, area = to_local_frame(tri, x, far=True)
+        ext = walk(verts2d, tri.edges)[0]
+        n = panel_order(D, r, area, k, tol, True, math.hypot(ext.r_min, z), tri.diameter)
+        if n is None:
+            continue
+        served += 1
+        near += not D > GATE_RATIO * r  # a pair the disk refuses
+        ref = adaptive_oracle(verts2d, z, k, tol=max(tol / 1000.0, 1e-15), want_hyper=True).values
+        bound = bounds(ref, tol)
+        passing = [m for m in range(1, n + 1)
+                   if np.all(np.abs(panel_integrate(verts2d, z, k, m, tri.area, True).values - ref) <= bound)]
+        assert passing and passing[-1] == n, (x, k, tol, n, passing)
+    assert served >= 700 and near >= 150
+
+
+def test_bem_nearfield_pool_misses_fall_and_no_pass_turns_to_a_miss(monkeypatch):
+    # every pair of perfbench's bem_nearfield pool in the pool's own pose
+    # (its vertices and faces as stored, the field point a face's
+    # centroid), checked as the workload checks a call: 1 465 pairs miss
+    # without the chord term, and with it fewer miss, none of them on the
+    # rule, and none that passed without it
+    with np.load(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "bem_nearfield.npz") as f:
+        pool = {key: f[key] for key in f.files}
+    verts, faces = pool["vertices"], pool["faces"]
+    centroids = verts[faces].mean(axis=1)
+    k, tol = float(pool["k"]), float(pool["tol"])
+    tris = {f: Triangle3(*verts[faces[f]]) for f in set(pool["pair_panel"].tolist())}
+    reqs = [EvalRequest(tris[f], centroids[p], k, tol) for f, p in zip(pool["pair_panel"].tolist(),
+                                                                        pool["pair_point"].tolist())]
+
+    def misses(reports):
+        i0 = np.array([rep.result.i0 for rep in reports])
+        di0 = np.array([rep.result.di0_dn for rep in reports])
+        below = pool["in_plane"] & (np.array([rep.z for rep in reports]) < 0.0)
+        ref_di0 = np.where(below, -pool["ref_di0"], pool["ref_di0"])
+        return ~((np.abs(i0 - pool["ref_i0"]) <= 10 * tol) & (np.abs(di0 - ref_di0) <= 100 * tol))
+
+    after = [evaluate(req) for req in reqs]
+    monkeypatch.setattr(engine, "panel_order", _without_chords(panel_order))
+    before = [evaluate(req) for req in reqs]
+    miss_after, miss_before = misses(after), misses(before)
+    on_rule = np.array([rep.method.kind == "panel" for rep in after])
+    assert miss_before.sum() == 1465
+    assert miss_after.sum() < miss_before.sum()
+    assert not np.any(miss_after & ~miss_before) and not np.any(miss_after & on_rule)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
