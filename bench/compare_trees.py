@@ -71,6 +71,13 @@ calls read a median ratio of 1.118 hot and a block ratio of 0.857 in pass
 order (seed 5341, every pool entry, three passes), and perfbench's
 ``eval_p50_us`` sided with pass order (0.83 of the block form's).
 
+For ``oracle_sweep`` the work per call is counted too: each tree's
+``kronrod.gk15`` is wrapped on one more, untimed, call of every request,
+as ``bench/oracle_random.py`` does, and each tree's GK15 rounds and
+integrand points per call (15 per interval of a round) are printed
+beside the time ratio, so that a speed-up is shown at equal work in the
+same run.
+
 Both trees' results also go through the workload's own ``check``
 against the stored references (a call that raised fails it); printed:
 each tree's failures and the calls whose pass or fail differs between
@@ -188,6 +195,26 @@ def oracle_calls(lib, items, k: float):
         )
         for verts2d, z in items
     ]
+
+
+def oracle_work(lib, calls) -> dict:
+    """Mean GK15 rounds and integrand points per call, from one untimed run of each call with ``lib.kronrod.gk15`` wrapped."""
+    gk15, sizes, rounds, points = lib.kronrod.gk15, [], [], []
+
+    def counted(f, lo, hi):
+        sizes.append(len(lo))
+        return gk15(f, lo, hi)
+
+    lib.kronrod.gk15 = counted
+    try:
+        for call in calls:
+            sizes.clear()
+            call()
+            rounds.append(len(sizes))
+            points.append(15 * sum(sizes))
+    finally:
+        lib.kronrod.gk15 = gk15
+    return {"rounds_per_call": float(np.mean(rounds)), "points_per_call": float(np.mean(points))}
 
 
 def verdict(out) -> tuple:
@@ -381,6 +408,12 @@ def main() -> None:
     print(f"p50 of best per-call time: {p50[0]:.1f} us here, {p50[1]:.1f} us in the other tree")
     print(f"time ratio, this tree over the other: median {summary['median_ratio']:.3f}, "
           f"total {summary['total_ratio']:.3f}")
+    if args.workload == "oracle_sweep":
+        work = {"this": oracle_work(helmpanel, mine), "other": oracle_work(other, theirs)}
+        summary["oracle_work"] = work
+        print(f"  at GK15 rounds per call {work['this']['rounds_per_call']:.3f} here, "
+              f"{work['other']['rounds_per_call']:.3f} in the other tree; integrand points per call "
+              f"{work['this']['points_per_call']:.1f} here, {work['other']['points_per_call']:.1f} in the other tree")
     for kind, r in by_kind.items():
         print(f"  {kind} ({r['calls']} calls): p50 {r['p50_us']['this']:.1f} us here, {r['p50_us']['other']:.1f} us "
               f"in the other tree; median {r['median_ratio']:.3f}; "

@@ -1,12 +1,12 @@
 """Round-based adaptive Gauss-Kronrod (7-15) integration of vector integrands.
 
 ``quad_adaptive`` is the one adaptive loop: each round integrates every
-pending interval in one call of the integrand and bisects those whose
-estimate exceeds their share of the tolerance (QUADPACK's estimate,
-Piessens et al. 1983), up to ``MAX_INTERVALS`` intervals, a constant that
-each call reads.  ``numquad`` binds it for ``adaptive_oracle`` and the
-layer tracer.  ``start_width`` sizes starting pieces from the G7 rule's
-error near a pole.
+pending interval in one call of the integrand on node-major abscissae
+(``gk15``) and bisects those whose estimate exceeds their share of the
+tolerance (QUADPACK's estimate, Piessens et al. 1983), up to
+``MAX_INTERVALS`` intervals, a constant that each call reads.  ``numquad``
+binds it for ``adaptive_oracle`` and the layer tracer.  ``start_width``
+sizes starting pieces from the G7 rule's error near a pole.
 """
 
 from __future__ import annotations
@@ -18,62 +18,59 @@ import numpy as np
 
 from .geometry import positive
 
-# Gauss-Kronrod 7-15 pair on [-1, 1]: (node, Gauss weight, Kronrod weight),
-# each the double nearest the exact value.  A 15-digit table's Kronrod
-# weights sum to 2 - 6e-15: every value is then off by 13 machine epsilons
-# of the integral of |f|, and |K15 - G7| never falls below 7e-15 of it, so
-# a pass over a large integrand cannot converge at tol 1e-13.
-_GK15 = (
-    (+0.9491079123427585, 0.1294849661688697, 0.06309209262997856),
-    (-0.9491079123427585, 0.1294849661688697, 0.06309209262997856),
-    (+0.7415311855993945, 0.27970539148927664, 0.14065325971552592),
-    (-0.7415311855993945, 0.27970539148927664, 0.14065325971552592),
-    (+0.4058451513773972, 0.3818300505051189, 0.19035057806478542),
-    (-0.4058451513773972, 0.3818300505051189, 0.19035057806478542),
+# Gauss-Kronrod 7-15 pair on [-1, 1]: (node, Gauss weight, Kronrod weight)
+# for the nodes x >= 0, each the double nearest the exact value; -x has the
+# weights of x.  A 15-digit table's Kronrod weights sum to 2 - 6e-15: every
+# value is then off by 13 machine epsilons of the integral of |f|, and
+# |K15 - G7| never falls below 7e-15 of it, so a pass over a large
+# integrand cannot converge at tol 1e-13.
+_GK15 = [(s * x, wg, wk) for x, wg, wk in (
+    (0.9491079123427585, 0.1294849661688697, 0.06309209262997856),
+    (0.7415311855993945, 0.27970539148927664, 0.14065325971552592),
+    (0.4058451513773972, 0.3818300505051189, 0.19035057806478542),
     (0.0, 0.4179591836734694, 0.20948214108472782),
-    (+0.9914553711208126, 0.0, 0.022935322010529224),
-    (-0.9914553711208126, 0.0, 0.022935322010529224),
-    (+0.8648644233597691, 0.0, 0.10479001032225019),
-    (-0.8648644233597691, 0.0, 0.10479001032225019),
-    (+0.5860872354676911, 0.0, 0.1690047266392679),
-    (-0.5860872354676911, 0.0, 0.1690047266392679),
-    (+0.20778495500789848, 0.0, 0.20443294007529889),
-    (-0.20778495500789848, 0.0, 0.20443294007529889),
-)
-_GK_X = np.array([row[0] for row in _GK15])
-_GK_WG = np.array([row[1] for row in _GK15])
-_GK_WK = np.array([row[2] for row in _GK15])
+    (0.9914553711208126, 0.0, 0.022935322010529224),
+    (0.8648644233597691, 0.0, 0.10479001032225019),
+    (0.5860872354676911, 0.0, 0.1690047266392679),
+    (0.20778495500789848, 0.0, 0.20443294007529889),
+) for s in ((1.0, -1.0) if x else (1.0,))]
+# node-major: a column of the abscissae, and the weights, each halved, so
+# that the sums times the interval's width are its integrals
+_GK_X = 0.5 * np.array([row[0] for row in _GK15])[:, None]
+_GK_WK = 0.5 * np.array([row[2] for row in _GK15])
+_GK_W = np.array([_GK_WK, [0.5 * (wk - wg) for _, wg, wk in _GK15]])  # K15 (and the mean of f), K15 - G7
 
 
 def gk15(f, lo: np.ndarray, hi: np.ndarray):
     """GK15 values, error estimates and integrals of |f| on the intervals [lo_i, hi_i].
 
-    One call of ``f`` on all 15 * len(lo) abscissae.  Returns the K15
-    values (intervals, ncomp), per interval the largest component of the
-    QUADPACK-style estimate, and the K15 integrals of |f| (intervals,
-    ncomp).  The estimate is |K15 - G7| scaled by the interval's
-    deviation-from-mean integral, so that smooth intervals are not held
-    at the raw difference's roundoff floor.  A sample that is not finite
-    gives an estimate that is not finite, without a warning (0 inf,
-    inf - inf), and ``quad_adaptive`` ends the pass there.
+    One call of ``f`` on all 15 I abscissae (I = len(lo)), node-major
+    (node j of every interval before node j + 1 of any), so that its
+    (15 I, C) output is one (15, I C) matrix without a copy, whose sums
+    are 1-D weight products (a complex matrix taken as its real and
+    imaginary parts side by side), scaled by the widths once on (I, C).
+    Returns the K15 values (I, C), per interval the largest component of
+    the QUADPACK-style estimate, and the K15 integrals of |f| (I, C).  The
+    estimate is |K15 - G7| scaled by the interval's deviation-from-mean
+    integral, so that smooth intervals are not held at the raw
+    difference's roundoff floor.  A sample that is not finite gives an
+    estimate that is not finite, without a warning (0 inf, inf - inf),
+    and ``quad_adaptive`` ends the pass there.
     """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _GK_X
-    y = np.asarray(f(x.ravel())).reshape(len(lo), len(_GK_X), -1)
+    width = hi - lo
+    y = np.asarray(f((0.5 * (lo + hi) + width * _GK_X).ravel()))
+    y = np.ascontiguousarray(y.reshape(len(_GK_X), -1), complex if y.dtype.kind == "c" else float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sk = _GK_WK @ y
-        half = half[:, None]
-        # the Kronrod weights sum to 2, so sk / 2 is the mean of f
-        resasc = half * (_GK_WK @ np.abs(y - 0.5 * sk[:, None, :]))
-        e = half * np.abs(sk - _GK_WG @ y)
-        mass = half * (_GK_WK @ np.abs(y))
-        scaled = np.where(
-            resasc > 0.0,
-            resasc * np.minimum(1.0, (200.0 * e / resasc) ** 1.5),  # not taken where resasc is 0 or NaN
-            e,
-        )
-    return half * sk, scaled.max(axis=1), mass
+        sums = _GK_W @ y.view(float)
+        resasc = _GK_WK @ np.abs((y.view(float) - sums[0]).view(y.dtype))
+        e = np.abs(sums.view(y.dtype)[1])
+        t = 200.0 * e
+        t /= resasc
+        np.minimum(t**1.5, 1.0, out=t)
+        np.multiply(resasc, t, out=e, where=resasc > 0.0)  # QUADPACK's scaling, not where resasc is 0 or NaN
+        value = (sums[0].reshape(len(lo), -1) * width[:, None]).view(y.dtype)
+        mass = (_GK_WK @ np.abs(y)).reshape(len(lo), -1) * width[:, None]
+        return value, np.maximum.reduce(e.reshape(len(lo), -1), axis=1) * width, mass
 
 
 # roundoff of a pass's values per unit of its integral of |f|, per
@@ -95,41 +92,43 @@ def quad_adaptive(f, a, b, tol: float):
     complex, integrated over the intervals [a_i, b_i] (``a`` and ``b``
     scalars or equal-length 1-D arrays).  Each round takes every pending
     interval in one ``f`` call (``gk15``) and bisects those whose estimate
-    exceeds tol * width / total width, until none does or the whole
-    estimate is within tol (below the roundoff floor the per-width share
-    can never be met).  An estimate that is not finite, or a bisection
-    past ``MAX_INTERVALS`` intervals, ends the pass unconverged; every
-    other round adds an interval, so the cap bounds the rounds.  Returns
-    (values, error_estimate, converged): the summed QUADPACK-scaled
-    |K15 - G7| plus the sum's roundoff, ``_ROUNDOFF`` times the largest
-    component's integral of |f|, which bisection cannot reduce and the
-    convergence tests leave out.  A tol that is not a real number > 0
-    (``geometry.positive``) or ``a`` and ``b`` of different lengths are a
-    ValueError, raised before ``f`` is called.
+    exceeds tol * width / total width (the widths formed once a round),
+    until none does or the whole estimate is within tol (below the
+    roundoff floor the per-width share can never be met).  An estimate
+    that is not finite, or a bisection past ``MAX_INTERVALS`` intervals,
+    ends the pass unconverged; every other round adds an interval, so the
+    cap bounds the rounds.  Returns (values, error_estimate, converged):
+    the summed QUADPACK-scaled |K15 - G7| plus the sum's roundoff,
+    ``_ROUNDOFF`` times the largest component's integral of |f|, which
+    bisection cannot reduce and the convergence tests leave out.  A tol
+    not a real number > 0 (``geometry.positive``) or ``a`` and ``b`` of
+    different lengths are a ValueError, raised before ``f`` is called.
     """
     tol = positive(tol, "tol")
-    lo, hi = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    lo, hi = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
     if lo.shape != hi.shape:
         raise ValueError(f"a and b must have the same length, got {lo.shape} and {hi.shape}")
-    total = float(np.sum(np.abs(hi - lo)))
+    width = np.abs(hi - lo)
+    total = float(width.sum())
     per_width = tol / total if total > 0.0 else 0.0
     room = MAX_INTERVALS - len(lo)  # the intervals bisection may still add
     value, error, mass = 0.0, 0.0, 0.0
     while True:
         v, e, m = gk15(f, lo, hi)
-        split = e > per_width * np.abs(hi - lo)
+        split = e > per_width * width
         n_split = int(np.count_nonzero(split))
         estimate = error + float(e.sum())
         converged = math.isfinite(estimate) and (n_split == 0 or estimate <= tol)
         if converged or n_split > room or not math.isfinite(estimate):
-            value, error, mass = value + v.sum(axis=0), estimate, mass + m.sum(axis=0)
+            value, error, mass = value + np.add.reduce(v), estimate, mass + np.add.reduce(m)
             break
         done = ~split
-        value, error, mass = value + v[done].sum(axis=0), error + float(e[done].sum()), mass + m[done].sum(axis=0)
+        value, error, mass = value + np.add.reduce(v[done]), error + float(e[done].sum()), mass + np.add.reduce(m[done])
         room -= n_split
         lo, hi = lo[split], hi[split]
         mid = 0.5 * (lo + hi)
         lo, hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
+        width = np.abs(hi - lo)
     return value, error + _ROUNDOFF * float(mass.max()), converged
 
 

@@ -16,18 +16,16 @@ normal-derivative limits come from the rays' own angle weights.
 ``adaptive_oracle`` is the independent reference: adaptive Gauss-Kronrod
 integration of the defining integrals, sharing nothing with the
 expansion/recursion machinery or with the signed fan of ``geometry.walk``.
-Every component is a 1-D integral over the edges: the radial integrals of
-I0, dI0/dn and d2I0/dn2 have closed forms, and the x/y moments and their
-normal derivatives follow by Stokes' theorem.  Each edge is mapped by
-s = h sinh u (h the field point's distance from the edge's line), and the
-u-ranges of all edges, laid end to end, are integrated in one round-based
-pass.  Each range starts from equal pieces whose width
-``kronrod.start_width`` derives from the nearest pole of the integrands in
-u, so that the first round accepts them.  An edge whose line holds the
-projection within the boundary tolerance of ``geometry.to_local_frame``'s
-z snap has only x/y moments, in closed form where h = 0: the oracle's own
-rule, on the longest edge alone, where ``geometry.walk`` takes the larger
-of it and r_max, so the oracle still checks the walk about exterior points.
+Every component is a 1-D integral over the edges (closed radial integrals,
+and Stokes' theorem for the x/y moments), each edge mapped by s = h sinh u
+(h the field point's distance from its line).  ``edge_integrand`` gives
+them on the u-ranges of all edges laid end to end, which one round-based
+pass integrates from equal pieces that its first round accepts
+(``kronrod.start_width``).  An edge whose line holds the projection within
+the boundary tolerance of ``geometry.to_local_frame``'s z snap has only
+x/y moments, in closed form where h = 0: the oracle's own rule, on the
+longest edge alone, where ``geometry.walk`` takes the larger of it and
+r_max, so the oracle still checks the walk about exterior points.
 """
 
 from __future__ import annotations
@@ -296,6 +294,50 @@ def edge_line_moment(s: float, k: float) -> complex:
     return s / k * complex(2.0 * half * (half / x), 1.0 - math.sin(x) / x)
 
 
+def edge_integrand(x, starts, table, z: float, k: float, want_xy: bool, want_hyper: bool) -> np.ndarray:
+    """The integrands of ``adaptive_oracle`` at abscissae x of its u-ranges laid end to end, (len(x), 7 or 6).
+
+    Range i runs from ``starts[i - 1]`` (0 for i = 0) to ``starts[i]``;
+    ``table`` (7, ranges) holds per range the shift from x to u, h, 2h,
+    h - |z|, d (0 on a range of moments only) and nu.  Column c is the term
+    of component c in ``adaptive_oracle``'s docstring times R = ds / du,
+    written into one ``np.empty`` block; the columns not formed, the x/y
+    entries without ``want_xy`` and their derivatives at z = 0, are 0.  R
+    and D = R - |z| are h and h - |z| = d^2 / (h + |z|) plus h (cosh u - 1)
+    = 2h sinh(u/2)^2, which keeps their digits at small |u|; E = (sin(a) /
+    a) e^{ja}, a = kD / 2; dI0/dn and the moments' derivatives share
+    sigma (1 - jk|z| E).  Each term is a product of ratios, so nothing
+    cancels or overflows far above a panel, up to ``geometry.Z_MAX``.
+    """
+    az, sigma = abs(z), (1.0 if z >= 0.0 else -1.0)
+    shift, h, h2, h_z, d, nu_x, nu_y = table.take(starts.searchsorted(x, "right"), axis=1)
+    hmc = np.sinh(0.5 * (x + shift))
+    hmc *= hmc * h2  # h (cosh u - 1) = 2 h sinh(u / 2)^2
+    R, D = h + hmc, h_z + hmc
+    r_z = R + az
+    dq = d / r_z  # at most 1 in size, as is d / R: 0 on a range of moments only, however small R is
+    a = 0.5 * k * D
+    ph = np.empty(len(x), dtype=complex)
+    np.cos(a, out=ph.real)
+    np.sin(a, out=ph.imag)
+    E = np.divide(ph.imag, a, out=np.ones(len(x)), where=a != 0.0) * ph
+    out = np.empty((len(x), 7 if want_hyper else 6), dtype=complex)
+    er = E * R
+    np.multiply(dq, er, out=out[:, 0])
+    p = sigma - (sigma * 1j * k * az) * E
+    np.multiply(dq, p, out=out[:, 3])
+    for c, g in ((1, er), (4, p)):  # nu D E R, the x/y moments, and nu D p, their derivatives
+        if want_xy and (c == 1 or z != 0.0):
+            g = D * g
+            np.multiply(nu_x, g, out=out[:, c])
+            np.multiply(nu_y, g, out=out[:, c + 1])
+        else:
+            out[:, c : c + 2] = 0.0
+    if want_hyper:  # d / R times jk (jk E |z|^2 / (R + |z|) - 1) + e^{jkD} / R
+        np.multiply(d / R, ph * ph / R - (1j * k + (k * k * az) * (az / r_z) * E), out=out[:, 6])
+    return out
+
+
 # The names ``adaptive_oracle`` accepts in ``components``.
 ORACLE_COMPONENTS = ("i0", "ixy", "di0", "dixy")
 
@@ -325,11 +367,7 @@ def adaptive_oracle(
     the closed radial integrals times the signed angle d ds / rho^2, and
     by Stokes' theorem the moments with the constants (e^{jk|z|} - 1)/(jk)
     and sigma e^{jk|z|}, which integrate to zero over the closed boundary,
-    taken out.  Each term is formed as a product of ratios: nothing
-    cancels or overflows far above a panel, up to ``geometry.Z_MAX``.
-    An edge is taken in u, s = h sinh u and ds = R du, with R and D from
-    m = expm1(|u|), which keeps their digits at small |u|: R = h + h (cosh u
-    - 1) and D = (h - |z|) + h (cosh u - 1), h - |z| = d^2 / (h + |z|).
+    taken out.  An edge is taken in u, s = h sinh u (``edge_integrand``).
     Where h is 0 (or s/h overflows) only the moments remain, in closed
     form: D E = (e^{jk|s|} - 1) / (jk) (``edge_line_moment``), and with
     z != 0 their normal derivatives add nu sigma L (jk z E is below roundoff).
@@ -344,15 +382,15 @@ def adaptive_oracle(
 
     The u-ranges of all edges, laid end to end, are integrated in one
     ``quad_adaptive`` pass, from equal pieces per range sized so that its
-    first round accepts them, and the closed-form moments are added to
-    its sums.  In u the integrands are singular only where R = h cosh u
-    is 0 or -|z|: d2I0/dn2 has poles at u = +-i pi/2, I0 and dI0/dn at
-    u = +-i beta, beta = pi - arccos(|z| / h) >= pi/2, and the moments are
-    entire.  A u-range is cut at the ``kronrod.start_width`` of the
-    nearest pole among the requested components, taken with residue 1:
-    bounds on the residues cost more integrand points than they save.
-    There are at most about ``kronrod.MAX_INTERVALS`` starting pieces, the
-    pass's interval cap, since a finer start could not be refined.
+    first round accepts them; the result is e^{jk|z|} times its sums plus
+    the closed-form moments.  In u the integrands are singular only where
+    R = h cosh u is 0 or -|z|: d2I0/dn2 has poles at u = +-i pi/2, I0 and
+    dI0/dn at u = +-i beta, beta = pi - arccos(|z| / h) >= pi/2, and the
+    moments are entire.  A u-range is cut at the ``kronrod.start_width`` of
+    the nearest pole among the requested components, taken with residue 1:
+    bounds on the residues cost more integrand points than they save.  At
+    most about ``kronrod.MAX_INTERVALS`` pieces start the pass, its
+    interval cap, since a finer start could not be refined.
 
     ``verts2d`` are orientation-signed: a clockwise order negates every
     component.  ``components`` limits only the x/y-moment work: "ixy" and
@@ -364,14 +402,13 @@ def adaptive_oracle(
     analytic convention: dI0/dn is the subtended angle and d2I0/dn2 the
     finite part.
 
-    With ``return_status`` the achieved error estimate and convergence
-    flag are returned alongside the values instead of being discarded.
-    The estimate also carries the pass's roundoff, 16 machine epsilons of
-    the largest component's integral of |f| (``kronrod.quad_adaptive``),
-    scaled by 1 + k r_max / 2 for the phases' rounding, plus 8 eps k|z| of
-    the largest component for e^{jk|z|}'s.  So a converged call reports
-    more than tol where a component is of order 1e2 or more (d2I0/dn2 just
-    above a panel): 1e-13 is below one ulp there.
+    With ``return_status`` the error estimate and convergence flag are
+    returned alongside the values.  The estimate also carries the pass's
+    roundoff, 16 machine epsilons of the largest component's integral of
+    |f| (``kronrod.quad_adaptive``), scaled by 1 + k r_max / 2 for the
+    phases' rounding, plus 8 eps k|z| of the largest component for
+    e^{jk|z|}'s.  So a converged call reports more than tol where a
+    component is of order 1e2 or more (d2I0/dn2 just above a panel).
     A z that ``geometry.check_height`` rejects (z runs as a float), a k
     that ``expapprox.check_k`` rejects, a tol that ``geometry.positive``
     rejects, a name in ``components`` outside ORACLE_COMPONENTS, a
@@ -389,7 +426,6 @@ def adaptive_oracle(
     want_xy = "ixy" in components or "dixy" in components
     az = abs(z)
     sigma = 1.0 if z >= 0.0 else -1.0
-    jk = 1j * k
     radii = [math.hypot(x, y) for x, y in verts]
     r_max = max(radii)
     nxt = verts[1:] + verts[:1]
@@ -423,59 +459,24 @@ def adaptive_oracle(
             nu = np.array([ty, -tx])
             line[1:3] += nu * (edge_line_moment(hi, k) - edge_line_moment(lo, k))
             line[4:6] += nu * (sigma * (hi - lo) if z != 0.0 else 0.0)
-    total = PanelIntegrals(np.zeros(n_comp, dtype=complex))
     if not kept:
+        total = PanelIntegrals(np.zeros(n_comp, dtype=complex))
         return (total, {"error": 0.0, "converged": True}) if return_status else total
     # a kept edge has h >= |d| > 1e-12 of the longest edge, so r_max / h is finite: a u-range
-    width = sum(w for _, w, *_ in ranges)
-    floor = width / kronrod.MAX_INTERVALS
-    cuts, starts, table = [], [], []
-    offset = 0.0
+    span = sum(w for _, w, *_ in ranges)
+    limit = kronrod.start_width(0.5 * math.pi, tol, span) if want_hyper else None  # every range's
+    cuts, ends, table, offset = [], [], [], 0.0
     for u_lo, w, d, h, h_z, nu_x, nu_y in ranges:
-        pole = 0.5 * math.pi if want_hyper else math.pi - math.acos(az / h)
-        n = max(1, math.ceil(w / max(kronrod.start_width(pole, tol, width), floor)))
-        starts.append(offset)
+        width = limit or kronrod.start_width(math.pi - math.acos(az / h), tol, span)
+        n = max(1, math.ceil(w / max(width, span / kronrod.MAX_INTERVALS)))
         cuts += [offset + w * i / n for i in range(n)]
-        table.append((u_lo - offset, h, d, h_z, nu_x, nu_y))
+        table.append((u_lo - offset, h, 2.0 * h, h_z, d, nu_x, nu_y))
         offset += w
-    cuts = np.array(cuts + [offset])
-    starts = np.array(starts[1:])  # where each range after the first begins
-    table = np.array(table).T  # (6, ranges): shift from x to u, h, d, h - |z|, nu_x, nu_y
-
-    def f(x):
-        shift, hj, dj, h_z, nu_x, nu_y = table.take(np.searchsorted(starts, x, "right"), axis=1)
-        m = np.expm1(np.abs(x + shift))
-        hmc = hj * m * (m / (2.0 * (m + 1.0)))  # h (cosh u - 1)
-        R, D = hj + hmc, h_z + hmc  # D = R - |z|, and R = ds / du
-        r_z = R + az
-        # d / (R + |z|) and d / R, at most 1 in size: 0 on a range of moments
-        # only, however small R is there
-        dq = dj / r_z
-        # E = (sin(a) / a) e^{ja}, a = kD / 2, from one cosine and one sine
-        a = 0.5 * k * D
-        ph = np.empty(len(x), dtype=complex)
-        np.cos(a, out=ph.real)
-        np.sin(a, out=ph.imag)
-        E = np.divide(ph.imag, a, out=np.ones(len(x)), where=a != 0.0) * ph
-        jk_e = jk * E
-        out = np.zeros((len(x), n_comp), dtype=complex)
-        out[:, 0] = dq * E * R
-        out[:, 3] = sigma * (dq - jk_e * (az * dq))
-        if want_xy:
-            moment = D * E * R
-            out[:, 1] = nu_x * moment
-            out[:, 2] = nu_y * moment
-            if z != 0.0:
-                dmoment = sigma * D - jk_e * (z * D)
-                out[:, 4] = nu_x * dmoment
-                out[:, 5] = nu_y * dmoment
-        if want_hyper:
-            dr = dj / R
-            out[:, 6] = dr * (jk * (jk_e * (az * (az / r_z)) - 1.0)) + dr * ph * ph / R
-        return out
-
-    v, err, ok = quad_adaptive(f, cuts[:-1], cuts[1:], tol)
-    total.values += cmath.exp(jk * az) * (v + line)
+        ends.append(offset)  # where the next range begins
+    cuts, starts, table = np.array(cuts + [offset]), np.array(ends[:-1]), np.array(table).T
+    v, err, ok = quad_adaptive(lambda x: edge_integrand(x, starts, table, z, k, want_xy, want_hyper), cuts[:-1], cuts[1:], tol)
+    values = cmath.exp(1j * k * az) * (v + line)
     # the phases' rounding, 8 ulps of k r_max per node and of k|z| on the sum
-    err = err * (1.0 + 0.5 * k * r_max) + 8.0 * math.ulp(1.0) * k * az * max(map(abs, total.values.tolist()))
+    err = err * (1.0 + 0.5 * k * r_max) + 8.0 * math.ulp(1.0) * k * az * max(map(abs, values.tolist()))
+    total = PanelIntegrals(values)
     return (total, {"error": err, "converged": ok}) if return_status else total

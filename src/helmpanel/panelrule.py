@@ -199,7 +199,10 @@ def panel_order(D: float, radius: float, area: float, k: float, tol: float, want
     if b2 > b_max:
         b_max = b2
     rho2 = rho * rho
-    pole /= rho2**n
+    try:
+        pole /= rho2**n
+    except OverflowError:  # rho^(2n) past the float range (D / r near _Q_MAX): far below its budget
+        pole = 0.0
     while n <= N_PANEL_MAX:
         two_n = 2 * n
         row = b1 * two_n if b1 * two_n > b0 else b0

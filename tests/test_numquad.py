@@ -1,5 +1,6 @@
 """Polar quadrature, adaptive oracle, and the symmetric triangle rule of the tests."""
 
+import cmath
 import importlib.util
 import json
 import math
@@ -970,6 +971,49 @@ class TestAdaptiveOracle:
             got = numquad.edge_line_moment(sign * s, k)
             assert abs(got - sign * want) <= 2 * eps * max(1.0, abs(want)), (sign, got, want)
 
+    @pytest.mark.parametrize("z", [0.7, -0.7, 0.0])
+    @pytest.mark.parametrize("k", [0.0, 2.5])
+    @pytest.mark.parametrize("want_xy", [True, False])
+    @pytest.mark.parametrize("want_hyper", [True, False])
+    def test_edge_integrand_matches_the_formulas_node_by_node(self, z, k, want_xy, want_hyper):
+        # numquad.edge_integrand on two u-ranges, d = 0.4 and -0.3, against
+        # the docstring's terms of adaptive_oracle evaluated node by node in
+        # cmath, times R = ds / du: s = h sinh u, R = hypot(h, s),
+        # D = (d^2 + s^2) / (R + |z|) and E(x) = sin(x) / x + 2j sin(x/2)^2 / x,
+        # at u = 0 of each range too; the columns not formed are exactly 0
+        az, sigma = abs(z), (1.0 if z >= 0.0 else -1.0)
+        ranges = [(-1.2, 2.1, 0.4, 0.6, 0.8), (-0.5, 2.0, -0.3, -1.0, 0.0)]  # u_lo, width, d, nu
+        starts = np.array([2.1])
+        rows = []
+        for (u_lo, _, d, nx, ny), offset in zip(ranges, (0.0, 2.1)):
+            h = math.hypot(d, z)
+            rows.append((u_lo - offset, h, 2.0 * h, d * (d / (h + az)), d, nx, ny))
+        table = np.array(rows).T
+        x = np.concatenate([np.linspace(0.01, 4.09, 23), [1.2, 2.6]])  # u = 0 of each range last
+        got = numquad.edge_integrand(x, starts, table, z, k, want_xy, want_hyper)
+        assert got.shape == (len(x), 7 if want_hyper else 6) and got.dtype == complex
+        jk = 1j * k
+        for xi, row in zip(x.tolist(), got):
+            u_lo, _, d, nx, ny = ranges[xi >= 2.1]
+            h = math.hypot(d, z)
+            s = h * math.sinh(xi - (2.1 if xi >= 2.1 else 0.0) + u_lo)
+            R = math.hypot(h, s)
+            D = (d * d + s * s) / (R + az)
+            kd = k * D
+            E = complex(math.sin(kd) / kd, 2.0 * math.sin(0.5 * kd) ** 2 / kd) if kd else 1.0
+            want = [d * E / (R + az) * R, nx * D * E * R, ny * D * E * R,
+                    sigma * d * (1.0 - jk * az * E) / (R * (R + az)) * R]
+            want += [-nx * D * (jk * z * E - sigma), -ny * D * (jk * z * E - sigma)]
+            want += [d * (jk * (jk * E * az * az / (R + az) - 1.0) + cmath.exp(jk * D) / R) / R]
+            want = np.array(want[: len(row)])
+            if not want_xy:
+                want[[1, 2, 4, 5]] = 0.0
+            if z == 0.0:
+                want[[4, 5]] = 0.0
+            formed = want != 0.0
+            assert np.all(row[~formed] == 0.0), (xi, row)
+            assert np.all(np.abs(row - want) <= 1e-14 * (1.0 + np.abs(want))), (xi, row - want)
+
     @pytest.mark.parametrize("key", sorted(FROZEN_ORACLE))
     def test_full_components_match_frozen(self, key):
         proj, z = key
@@ -1143,6 +1187,46 @@ class TestGK15:
             exact = np.array([1.0, 2.0 ** (d + 1) - (-1.0) ** (d + 1)]) / (d + 1)
             mass = np.array([1.0, 2.0 ** (d + 1) + 1.0]) / (d + 1)
             assert np.all(np.abs(v[:, 0] - exact) <= 8 * np.finfo(float).eps * mass), d
+
+    def test_node_major_round_matches_per_interval_sums(self):
+        # a complex integrand of four components whose rows differ, on five
+        # intervals from 1e-6 to 4 wide: one f call on all 15 I abscissae,
+        # node j of every interval before node j + 1 of any, and values,
+        # estimates and masses equal to each interval's own 15-node sums
+        # (math.fsum per real and imaginary part) to a few eps of its
+        # integral of |f|.  The estimate's QUADPACK scaling amplifies an
+        # error of |K15 - G7| by at most 1.5 * 200, of the deviation
+        # integral by at most 1/2.
+        lo = np.array([-1.0, 0.0, 0.25, 0.7, 3.0])
+        hi = np.array([0.0, 0.25, 0.7, 0.7 + 1e-6, 7.0])
+        calls = []
+
+        def f(x):
+            calls.append(len(x))
+            x = x[:, None]
+            return np.exp(1j * np.array([1.0, 3.0, 0.5, 9.0]) * x) * (1.0 + x * x) ** np.array([0, 1, -1, 2])
+
+        def sum15(w, g, half):
+            return half * complex(math.fsum(np.multiply(w, g.real)), math.fsum(np.multiply(w, g.imag)))
+
+        x_j, w_g, w_k = (np.array(col) for col in zip(*kronrod._GK15))
+        v, e, m = kronrod.gk15(f, lo, hi)
+        assert calls == [15 * len(lo)]
+        eps = np.finfo(float).eps
+        for i, (a, b) in enumerate(zip(lo, hi)):
+            half = 0.5 * (b - a)
+            y = f(0.5 * (a + b) + half * x_j)
+            estimates = []
+            for c, g in enumerate(y.T):
+                k15, g7 = sum15(w_k, g, half), sum15(w_g, g, half)
+                mass = half * math.fsum(w_k * np.abs(g))
+                resasc = half * math.fsum(w_k * np.abs(g - k15 / (2.0 * half)))
+                err = abs(k15 - g7)
+                estimates.append(resasc * min(1.0, (200.0 * err / resasc) ** 1.5) if resasc > 0.0 else err)
+                assert abs(v[i, c] - k15) <= 4 * eps * mass, (i, c)
+                assert abs(m[i, c] - mass) <= 4 * eps * mass, (i, c)
+            assert abs(e[i] - max(estimates)) <= 4 * eps * 301 * max(m[i]), i
+        assert e[3] < 1e-20 < e[4]  # the narrow interval meets any tol, the widest does not
 
 
 class TestQuadAdaptive:
