@@ -18,9 +18,9 @@ integration of the defining integrals, sharing nothing with the
 expansion/recursion machinery or with the signed fan of ``geometry.walk``.
 Every component is a 1-D integral over the edges (closed radial integrals,
 and Stokes' theorem for the x/y moments), each edge mapped by s = h sinh u
-(h the field point's distance from its line).  ``edge_integrand`` gives
-them on the u-ranges of all edges laid end to end, which one round-based
-pass integrates from equal pieces that its first round accepts
+(h the field point's distance from its line).  ``reference.edge_integrand``
+gives them on the u-ranges of all edges laid end to end, which one
+round-based pass integrates from equal pieces that its first round accepts
 (``kronrod.start_width``).  An edge whose line holds the projection within
 the boundary tolerance of ``geometry.to_local_frame``'s z snap has only
 x/y moments, in closed form where h = 0: the oracle's own rule, on the
@@ -43,6 +43,7 @@ from .expapprox import check_k
 from .geometry import BOUNDARY_TOL_REL, check_height, flag, integer, positive, real_array, ref_params, subdivide  # noqa: F401
 # the oracle calls quad_adaptive through this binding, which the tracer wraps
 from .kronrod import quad_adaptive
+from .reference import edge_integrand, edge_line_moment
 
 
 def _legendre(n: int, x: float) -> tuple[float, float]:
@@ -277,67 +278,6 @@ def polar_integrate(fan, z: float, k: float, n: int, want_hyper: bool = False) -
     return PanelIntegrals(out.ravel()[: len(out) + 4])
 
 
-# 1 / (n + 2)! for n = 13 .. 0, the series of (e^y - 1 - y) / y^2 to eps / 30 at |y| < 1/2
-_LINE_SERIES = [1.0 / math.factorial(n + 2) for n in range(13, -1, -1)]
-
-
-def edge_line_moment(s: float, k: float) -> complex:
-    """int_0^s (e^{jk|t|} - 1) / (jk) dt = sgn(s) s^2 [2 sin^2(x/2) + j (x - sin x)] / x^2, x = k|s|.
-
-    Below x = 1/2, where x - sin x cancels, s |s| sum_n (jx)^n / (n + 2)!
-    (s |s| / 2 at k = 0); above, s / k [2 sin^2(x/2) / x + j (1 - sin(x) / x)].
-    """
-    x = k * abs(s)
-    if x < 0.5:
-        return s * abs(s) * complex(np.polyval(_LINE_SERIES, 1j * x))
-    half = math.sin(0.5 * x)
-    return s / k * complex(2.0 * half * (half / x), 1.0 - math.sin(x) / x)
-
-
-def edge_integrand(x, starts, table, z: float, k: float, want_xy: bool, want_hyper: bool) -> np.ndarray:
-    """The integrands of ``adaptive_oracle`` at abscissae x of its u-ranges laid end to end, (len(x), 7 or 6).
-
-    Range i runs from ``starts[i - 1]`` (0 for i = 0) to ``starts[i]``;
-    ``table`` (7, ranges) holds per range the shift from x to u, h, 2h,
-    h - |z|, d (0 on a range of moments only) and nu.  Column c is the term
-    of component c in ``adaptive_oracle``'s docstring times R = ds / du,
-    written into one ``np.empty`` block; the columns not formed, the x/y
-    entries without ``want_xy`` and their derivatives at z = 0, are 0.  R
-    and D = R - |z| are h and h - |z| = d^2 / (h + |z|) plus h (cosh u - 1)
-    = 2h sinh(u/2)^2, which keeps their digits at small |u|; E = (sin(a) /
-    a) e^{ja}, a = kD / 2; dI0/dn and the moments' derivatives share
-    sigma (1 - jk|z| E).  Each term is a product of ratios, so nothing
-    cancels or overflows far above a panel, up to ``geometry.Z_MAX``.
-    """
-    az, sigma = abs(z), (1.0 if z >= 0.0 else -1.0)
-    shift, h, h2, h_z, d, nu_x, nu_y = table.take(starts.searchsorted(x, "right"), axis=1)
-    hmc = np.sinh(0.5 * (x + shift))
-    hmc *= hmc * h2  # h (cosh u - 1) = 2 h sinh(u / 2)^2
-    R, D = h + hmc, h_z + hmc
-    r_z = R + az
-    dq = d / r_z  # at most 1 in size, as is d / R: 0 on a range of moments only, however small R is
-    a = 0.5 * k * D
-    ph = np.empty(len(x), dtype=complex)
-    np.cos(a, out=ph.real)
-    np.sin(a, out=ph.imag)
-    E = np.divide(ph.imag, a, out=np.ones(len(x)), where=a != 0.0) * ph
-    out = np.empty((len(x), 7 if want_hyper else 6), dtype=complex)
-    er = E * R
-    np.multiply(dq, er, out=out[:, 0])
-    p = sigma - (sigma * 1j * k * az) * E
-    np.multiply(dq, p, out=out[:, 3])
-    for c, g in ((1, er), (4, p)):  # nu D E R, the x/y moments, and nu D p, their derivatives
-        if want_xy and (c == 1 or z != 0.0):
-            g = D * g
-            np.multiply(nu_x, g, out=out[:, c])
-            np.multiply(nu_y, g, out=out[:, c + 1])
-        else:
-            out[:, c : c + 2] = 0.0
-    if want_hyper:  # d / R times jk (jk E |z|^2 / (R + |z|) - 1) + e^{jkD} / R
-        np.multiply(d / R, ph * ph / R - (1j * k + (k * k * az) * (az / r_z) * E), out=out[:, 6])
-    return out
-
-
 # The names ``adaptive_oracle`` accepts in ``components``.
 ORACLE_COMPONENTS = ("i0", "ixy", "di0", "dixy")
 
@@ -474,7 +414,9 @@ def adaptive_oracle(
         offset += w
         ends.append(offset)  # where the next range begins
     cuts, starts, table = np.array(cuts + [offset]), np.array(ends[:-1]), np.array(table).T
-    v, err, ok = quad_adaptive(lambda x: edge_integrand(x, starts, table, z, k, want_xy, want_hyper), cuts[:-1], cuts[1:], tol)
+    v, err, ok = quad_adaptive(
+        lambda x: edge_integrand(x, starts, table, z, k, want_xy, want_hyper), cuts[:-1], cuts[1:], tol
+    )
     values = cmath.exp(1j * k * az) * (v + line)
     # the phases' rounding, 8 ulps of k r_max per node and of k|z| on the sum
     err = err * (1.0 + 0.5 * k * r_max) + 8.0 * math.ulp(1.0) * k * az * max(map(abs, values.tolist()))
