@@ -404,11 +404,13 @@ def adaptive_oracle(
         return (total, {"error": 0.0, "converged": True}) if return_status else total
     # a kept edge has h >= |d| > 1e-12 of the longest edge, so r_max / h is finite: a u-range
     span = sum(w for _, w, *_ in ranges)
-    limit = kronrod.start_width(0.5 * math.pi, tol, span) if want_hyper else None  # every range's
+    floor = span / kronrod.MAX_INTERVALS
+    # with want_hyper every range's nearest pole is at pi/2: one width serves all
+    limit = kronrod.start_width(0.5 * math.pi, tol, span) if want_hyper else None
     cuts, ends, table, offset = [], [], [], 0.0
     for u_lo, w, d, h, h_z, nu_x, nu_y in ranges:
-        width = limit or kronrod.start_width(math.pi - math.acos(az / h), tol, span)
-        n = max(1, math.ceil(w / max(width, span / kronrod.MAX_INTERVALS)))
+        piece = limit or kronrod.start_width(math.pi - math.acos(az / h), tol, span)
+        n = max(1, math.ceil(w / max(piece, floor)))
         cuts += [offset + w * i / n for i in range(n)]
         table.append((u_lo - offset, h, 2.0 * h, h_z, d, nu_x, nu_y))
         offset += w

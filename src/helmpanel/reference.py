@@ -4,9 +4,8 @@
 pass over the u-ranges of a triangle's edges, and ``edge_line_moment`` the
 closed-form x/y moments of an edge on its own line in the plane.  Both
 share nothing with the expansion, the recursions or the signed fan of
-``geometry.walk``.  ``adaptive_oracle`` itself stays in ``numquad``, and
-binds both names there, while perfbench's tracer looks it up by that
-module (ROADMAP item 10).
+``geometry.walk``.  ``adaptive_oracle`` itself stays in ``numquad``,
+which binds both names, while perfbench's tracer looks it up there.
 """
 
 from __future__ import annotations

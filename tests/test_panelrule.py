@@ -212,7 +212,7 @@ def test_chord_term_refuses_delta_zero_before_any_root_or_log(case, k, hyper, mo
                                              (1e150, 6.1e44, 4.5e89), (1e152, 6.1e44, 4.5e89)])
 def test_order_at_extreme_scales_raises_nothing(D, radius, area):
     # the last two: D / r held at _Q_MAX, where rho^(2n) leaves the float
-    # range at k = 0, tol 1e-15 and n >= 2 (it raised OverflowError there)
+    # range at k = 0, tol 1e-15 and n >= 2
     for k, tol, hyper in itertools.product((0.0, 1.0, 1e7), (1e-15, 1e-2), (False, True)):
         n = panel_order(D, radius, area, k, tol, hyper)
         assert n is None or 1 <= n <= N_PANEL_MAX
@@ -221,10 +221,10 @@ def test_order_at_extreme_scales_raises_nothing(D, radius, area):
 @pytest.mark.parametrize("z", [1e150, 1e152])
 @pytest.mark.parametrize("hyper", [False, True])
 def test_far_beyond_the_order_cap_evaluates(z, hyper):
-    # edges of 1e45 and the field point 1e150 or 1e152 above: evaluate
-    # returned nothing but an OverflowError from panel_order; now the
-    # panel rule serves it, finite, within the yardsticks of the 16-point
-    # rule on the triangle
+    # edges of 1e45 and the field point 1e150 or 1e152 above, where
+    # panel_order's rho^(2n) leaves the float range: the panel rule serves
+    # the pair, finite, within the yardsticks of the 16-point rule on the
+    # triangle
     tri = Triangle3([0.0, 0.0, 0.0], [1e45, 0.0, 0.0], [4e44, 9e44, 0.0])
     x = [5e44, 3e44, z]
     rep = evaluate(EvalRequest(tri, x, 0.0, 1e-15, hyper))
